@@ -87,9 +87,8 @@ obs-smoke:
 
 # Shard-and-merge smoke: run the study as three shard processes, kill
 # one mid-run, resume only that shard, merge the checkpoints, and
-# byte-compare the merged report against a single-process run; then the
-# same study through the -shard-workers supervisor (mirrors the CI
-# shard-smoke job).
+# byte-compare the merged report against a single-process run (mirrors
+# the CI shard-smoke job).
 shard-smoke:
 	go build -o .shard-smoke-bin ./cmd/ficompare
 	./.shard-smoke-bin -experiment all -n 200 -benchmarks bzip2m,mcfm -q > .shard-full.txt
@@ -106,10 +105,7 @@ shard-smoke:
 	./.shard-smoke-bin -experiment all -n 200 -benchmarks bzip2m,mcfm -q \
 		-merge '.shard-*.jsonl' > .shard-merged.txt
 	cmp .shard-full.txt .shard-merged.txt
-	./.shard-smoke-bin -experiment all -n 200 -benchmarks bzip2m,mcfm -q \
-		-shard-workers 3 -shard-dir .shard-sup > .shard-supervised.txt
-	cmp .shard-full.txt .shard-supervised.txt
-	rm -rf .shard-smoke-bin .shard-full.txt .shard-merged.txt .shard-supervised.txt .shard-[0-9].jsonl .shard-sup
+	rm -f .shard-smoke-bin .shard-full.txt .shard-merged.txt .shard-[0-9].jsonl
 
 # Campaign-fleet smoke: run the study as a service — a fiserve
 # coordinator plus three worker processes, SIGKILL one worker while it

@@ -20,10 +20,10 @@
 //
 // For scale-out beyond one process, -shard i/N runs the deterministic
 // subset of cells one worker owns (checkpointing them with a
-// shard-tagged header), -merge reassembles a complete shard set into
-// the byte-identical single-process report, and -shard-workers N is a
-// local supervisor that spawns N worker subprocesses and merges on
-// completion. See docs/distributed.md.
+// shard-tagged header) and -merge reassembles a complete shard set into
+// the byte-identical single-process report. To run local worker
+// processes under supervision, use fiserve -once -spawn-workers N. See
+// docs/distributed.md.
 package main
 
 import (
@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/exec"
 	"os/signal"
 	"path/filepath"
 	"runtime"
@@ -92,8 +91,6 @@ func runCtx(ctx context.Context, args []string) error {
 		traceAtt    = fs.Int("trace-attempts", 0, "record fault-propagation traces for the first N attempts of every cell as attempt_trace events (results stay byte-identical)")
 		shard       = fs.String("shard", "", "run one shard of the study: \"i/N\" owns the canonical cells with index%N == i; pair with -checkpoint (fresh) or -resume (restart), then reassemble with -merge")
 		mergeGlob   = fs.String("merge", "", "merge mode: glob of shard checkpoints to validate and reassemble into the byte-identical single-process report (study shape comes from the headers; no campaigns run)")
-		shardProcs  = fs.Int("shard-workers", 0, "local supervisor: spawn this many worker subprocesses (one per shard), then merge their checkpoints; re-running the same command resumes only incomplete shards")
-		shardDir    = fs.String("shard-dir", "", "directory for supervisor shard checkpoints (default: a temp dir, removed once merged; name one to keep checkpoints resumable across supervisor runs)")
 		adaptFlag   = fs.String("adaptive", "off", "adaptive sampling: off|on|eps=E,min=M,check=C — stop each cell once every outcome-rate Wilson 95% CI is narrower than eps, then reallocate the saved budget to the widest cells (off = the paper's fixed-n design)")
 		traceOut    = fs.String("trace-out", "", "record the study timeline and write it to this file as a Chrome trace-event export (open in Perfetto); results are byte-identical with or without it")
 		warehouseD  = fs.String("warehouse", "", "content-addressed result warehouse directory: completed cells are stored under the hash of everything that determines their outcome (program bytes, fault model, n, seed, engine and adaptive signatures) and later runs resolve matching cells from the store without executing a single injection; output stays byte-identical to a cold run")
@@ -115,24 +112,16 @@ func runCtx(ctx context.Context, args []string) error {
 	// Scale-out modes are mutually exclusive and only make sense for the
 	// campaign experiments (profiling-only and table2 runs have no cells
 	// to shard).
-	sharded := 0
-	for _, on := range []bool{*shard != "", *mergeGlob != "", *shardProcs != 0} {
-		if on {
-			sharded++
-		}
+	sharded := *shard != "" || *mergeGlob != ""
+	if *shard != "" && *mergeGlob != "" {
+		return fmt.Errorf("-shard and -merge are mutually exclusive")
 	}
-	if sharded > 1 {
-		return fmt.Errorf("-shard, -merge, and -shard-workers are mutually exclusive")
-	}
-	if sharded == 1 {
+	if sharded {
 		switch *experiment {
 		case "fig3", "fig4", "table5", "all":
 		default:
-			return fmt.Errorf("-shard/-merge/-shard-workers require a campaign experiment (fig3|fig4|table5|all), not %q", *experiment)
+			return fmt.Errorf("-shard/-merge require a campaign experiment (fig3|fig4|table5|all), not %q", *experiment)
 		}
-	}
-	if *shardProcs != 0 && *shardProcs < 2 {
-		return fmt.Errorf("-shard-workers %d: want 2 or more worker processes (a single process needs no supervisor)", *shardProcs)
 	}
 	if *mergeGlob != "" && (*checkpoint != "" || *resume != "") {
 		return fmt.Errorf("-merge reassembles existing shard checkpoints; it cannot be combined with -checkpoint or -resume")
@@ -141,30 +130,13 @@ func runCtx(ctx context.Context, args []string) error {
 		if *warehouseD == "" {
 			return fmt.Errorf("-warehouse-query needs -warehouse to name the store")
 		}
-		if sharded != 0 {
-			return fmt.Errorf("-warehouse-query inspects the store for this process's study shape; it cannot be combined with -shard, -merge, or -shard-workers")
+		if sharded {
+			return fmt.Errorf("-warehouse-query inspects the store for this process's study shape; it cannot be combined with -shard or -merge")
 		}
 		switch *experiment {
 		case "fig3", "fig4", "table5", "all":
 		default:
 			return fmt.Errorf("-warehouse-query requires a campaign experiment (fig3|fig4|table5|all), not %q", *experiment)
-		}
-	}
-
-	// Supervisor: spawn the shard workers, then fall through into merge
-	// mode over the checkpoints they wrote. Worker failure loses one
-	// shard, never the campaign: the merge below names incomplete
-	// shards, and re-running the same supervisor command resumes only
-	// those (complete shards restore instantly from their checkpoints).
-	var tmpShardDir string
-	if *shardProcs != 0 {
-		dir, glob, isTmp, err := superviseShards(ctx, *shardProcs, *shardDir, args)
-		if err != nil {
-			return err
-		}
-		*mergeGlob = glob
-		if isTmp {
-			tmpShardDir = dir
 		}
 	}
 
@@ -191,7 +163,8 @@ func runCtx(ctx context.Context, args []string) error {
 		return nil
 	}
 
-	// Table IV needs only profiling runs; skip the campaigns.
+	// Table IV needs only the build-time golden profiles; skip the
+	// campaigns.
 	if *experiment == "table4" {
 		st, err := core.RunStudy(core.StudyConfig{Programs: progs, N: 1, Seed: *seed,
 			Categories: []fault.Category{fault.CatAll}})
@@ -259,11 +232,6 @@ func runCtx(ctx context.Context, args []string) error {
 		mergedState = merged.State
 		fmt.Fprintf(os.Stderr, "merged %d shard checkpoints: %d cells, %d skips (n=%d seed=%d)\n",
 			merged.Count, len(merged.State.Cells), len(merged.State.Skips), *n, *seed)
-		if tmpShardDir != "" {
-			// The supervisor's temp checkpoints are fully absorbed into
-			// memory; a named -shard-dir is kept for later resume.
-			defer os.RemoveAll(tmpShardDir)
-		}
 	}
 
 	// Telemetry: an in-memory aggregator always, a JSONL sink on request.
@@ -462,68 +430,6 @@ func runCtx(ctx context.Context, args []string) error {
 
 	cli.RenderExperiment(os.Stdout, st, *experiment)
 	return err
-}
-
-// superviseShards runs the local supervisor: one ficompare worker
-// subprocess per shard, each owning its deterministic cell subset and
-// checkpointing into dir. Workers are fault-isolated — a crashed or
-// killed worker loses only its shard, and its checkpoint (if any) is
-// resumed on the next supervisor run. Returns the checkpoint directory,
-// the glob the merge phase should consume, and whether dir was a
-// supervisor-created temp dir.
-func superviseShards(ctx context.Context, workers int, dir string, args []string) (string, string, bool, error) {
-	exe, err := os.Executable()
-	if err != nil {
-		return "", "", false, fmt.Errorf("supervisor: cannot locate own binary: %w", err)
-	}
-	isTmp := dir == ""
-	if isTmp {
-		dir, err = os.MkdirTemp("", "ficompare-shards-")
-		if err != nil {
-			return "", "", false, err
-		}
-	} else if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", "", false, err
-	}
-
-	// Workers inherit the study flags but never the supervisor,
-	// durability, or endpoint flags: each owns its private checkpoint,
-	// and N workers cannot share one -status port or -events file.
-	base := cli.StripFlags(args, map[string]bool{
-		"shard-workers": true, "shard-dir": true, "shard": true, "merge": true,
-		"checkpoint": true, "resume": true,
-		"status": true, "status-linger": true, "events": true,
-		"trace-out": true,
-		"q":         false,
-	})
-
-	cmds := make([]*exec.Cmd, workers)
-	for i := 0; i < workers; i++ {
-		spec := fmt.Sprintf("%d/%d", i, workers)
-		path := filepath.Join(dir, fmt.Sprintf("shard-%d-of-%d.jsonl", i, workers))
-		wargs := append(append([]string(nil), base...), "-q", "-shard", spec)
-		if st, err := os.Stat(path); err == nil && st.Size() > 0 {
-			fmt.Fprintf(os.Stderr, "supervisor: shard %s resuming from %s\n", spec, path)
-			wargs = append(wargs, "-resume", path)
-		} else {
-			wargs = append(wargs, "-checkpoint", path)
-		}
-		cmds[i] = cli.WorkerCommand(ctx, exe, wargs...)
-	}
-	failures := cli.RunWorkerPool(cmds, func(i int) string {
-		return fmt.Sprintf("shard %d/%d", i, workers)
-	})
-	if err := ctx.Err(); err != nil {
-		return dir, "", isTmp, fmt.Errorf("supervisor cancelled (shard checkpoints kept in %s; re-run with -shard-dir %s to resume): %w", dir, dir, err)
-	}
-	for _, f := range failures {
-		fmt.Fprintf(os.Stderr, "supervisor: %s\n", f)
-	}
-	if len(failures) > 0 {
-		fmt.Fprintf(os.Stderr, "supervisor: %d of %d shards failed; merging what completed (an incomplete merge names the shards to resume)\n",
-			len(failures), workers)
-	}
-	return dir, filepath.Join(dir, fmt.Sprintf("shard-*-of-%d.jsonl", workers)), isTmp, nil
 }
 
 // queryWarehouse prints the warehouse status of every study cell at its

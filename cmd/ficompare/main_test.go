@@ -197,10 +197,8 @@ func TestRunShardMerge(t *testing.T) {
 func TestRunScaleOutFlagValidation(t *testing.T) {
 	reject := [][]string{
 		{"-experiment", "fig3", "-benchmarks", "quantumm", "-shard", "0/2", "-merge", "x*.jsonl"},
-		{"-experiment", "fig3", "-benchmarks", "quantumm", "-shard", "0/2", "-shard-workers", "2"},
 		{"-experiment", "table4", "-benchmarks", "quantumm", "-shard", "0/2"},
 		{"-experiment", "table2", "-merge", "x*.jsonl"},
-		{"-experiment", "fig3", "-benchmarks", "quantumm", "-shard-workers", "1"},
 		{"-experiment", "fig3", "-benchmarks", "quantumm", "-merge", "x*.jsonl", "-checkpoint", "ck.jsonl"},
 		{"-experiment", "fig3", "-benchmarks", "quantumm", "-merge", "x*.jsonl", "-resume", "ck.jsonl"},
 		{"-experiment", "fig3", "-benchmarks", "quantumm", "-n", "5", "-q", "-shard", "2/2"},

@@ -341,7 +341,7 @@ func runCtx(ctx context.Context, args []string, onReady func(addr string)) error
 
 	// Render through the durable path: close the writer, load the
 	// checkpoint back through the typed validation, and resume the study
-	// from it — only the profiling runs execute locally, every campaign
+	// from it — only the program builds execute locally, every campaign
 	// cell comes from the fleet. If a write failure detached the writer
 	// mid-run, the in-memory state (same typed CheckpointState) stands in.
 	if err := writer.Close(); err != nil {

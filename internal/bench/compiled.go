@@ -33,7 +33,7 @@ type CompiledMeasurement struct {
 	IR        CompiledArm `json:"ir"`
 	ASM       CompiledArm `json:"asm"`
 	// Campaign wall-clock: one full cell (IR, CatAll) with the engines
-	// off and on, including golden profiling and candidate scan.
+	// off and on, including injector construction.
 	CampaignInterpMs   float64 `json:"campaign_interp_ms"`
 	CampaignCompiledMs float64 `json:"campaign_compiled_ms"`
 	CampaignSpeedup    float64 `json:"campaign_speedup"`

@@ -49,7 +49,7 @@ func MeasureReplay(name string, n int, seed int64) (*ReplayMeasurement, error) {
 		return nil, err
 	}
 	// Same auto-stride shape the study uses (see core.ReplayConfig).
-	stride := full.GoldenInstrs / 64
+	stride := full.Golden.Instrs / 64
 	if stride < 512 {
 		stride = 512
 	}
@@ -84,7 +84,7 @@ func MeasureReplay(name string, n int, seed int64) (*ReplayMeasurement, error) {
 		Attempts:           n,
 		Stride:             stride,
 		Snapshots:          len(snaps),
-		GoldenInstrs:       full.GoldenInstrs,
+		GoldenInstrs:       full.Golden.Instrs,
 		FullNsPerAttempt:   float64(fullD.Nanoseconds()) / float64(n),
 		ReplayNsPerAttempt: float64(replayD.Nanoseconds()) / float64(n),
 		Speedup:            float64(fullD) / float64(replayD),

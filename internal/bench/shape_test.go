@@ -47,9 +47,9 @@ func TestTableIVShape(t *testing.T) {
 		}
 		count := func(level fault.Level, cat fault.Category) uint64 {
 			if level == fault.LevelIR {
-				return llfi.CountDynamic(irProf, llfi.Candidates(p.Prep, cat))
+				return fault.Golden{Profile: irProf}.DynCount(llfi.Candidates(p.Prep, cat))
 			}
-			return pinfi.CountDynamic(asmProf, pinfi.Candidates(p.Asm, cat))
+			return fault.Golden{Profile: asmProf}.DynCount(pinfi.Candidates(p.Asm, cat))
 		}
 
 		llCmp := count(fault.LevelIR, fault.CatCmp)

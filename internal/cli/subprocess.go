@@ -1,9 +1,8 @@
-// Worker-subprocess lifecycle shared by the local scale-out
-// supervisors: the ficompare -shard-workers supervisor and the fiserve
-// -spawn-workers convenience mode both spawn one binary per worker,
-// forward cooperative SIGTERM on cancellation, bound how long a
-// terminated worker may linger, and collect per-worker failures without
-// letting one dead worker take down the rest.
+// Worker-subprocess lifecycle for the local scale-out supervisor, the
+// fiserve -spawn-workers convenience mode: it spawns one binary per
+// worker, forwards cooperative SIGTERM on cancellation, bounds how long
+// a terminated worker may linger, and collects per-worker failures
+// without letting one dead worker take down the rest.
 package cli
 
 import (
@@ -12,7 +11,6 @@ import (
 	"io"
 	"os"
 	"os/exec"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -22,7 +20,7 @@ import (
 // the forwarded SIGTERM and the supervisor escalating to SIGKILL.
 const workerWaitDelay = 10 * time.Second
 
-// WorkerCommand builds the exec.Cmd both supervisors use for a worker
+// WorkerCommand builds the exec.Cmd the supervisor uses for a worker
 // subprocess: stdout discarded (the report comes from the merge or the
 // coordinator, never from workers), stderr passed through, cooperative
 // SIGTERM on context cancellation (so workers flush checkpoints or
@@ -60,31 +58,4 @@ func RunWorkerPool(cmds []*exec.Cmd, label func(i int) string) []string {
 	}
 	wg.Wait()
 	return failures
-}
-
-// StripFlags removes the given flags from an argument list, handling
-// both "-name value" and "-name=value" (and the "--" forms). The bool
-// says whether the flag consumes a following value argument. Both
-// supervisors use it to hand workers the study flags without the
-// supervisor, durability, or endpoint flags a worker must not inherit.
-func StripFlags(args []string, strip map[string]bool) []string {
-	var out []string
-	for i := 0; i < len(args); i++ {
-		arg := args[i]
-		name, hasValue := arg, false
-		name = strings.TrimPrefix(name, "-")
-		name = strings.TrimPrefix(name, "-")
-		if j := strings.IndexByte(name, '='); j >= 0 {
-			name, hasValue = name[:j], true
-		}
-		takesValue, stripped := strip[name]
-		if !stripped || !strings.HasPrefix(arg, "-") {
-			out = append(out, arg)
-			continue
-		}
-		if takesValue && !hasValue {
-			i++ // skip the separate value argument
-		}
-	}
-	return out
 }

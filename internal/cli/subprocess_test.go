@@ -6,68 +6,10 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
 )
-
-// TestStripFlags: the supervisors' worker argument filter handles both
-// "-flag value" and "-flag=value" forms and leaves study flags alone.
-// (Table-driven; moved here from cmd/ficompare when the helper was
-// promoted for sharing with the fleet supervisor.)
-func TestStripFlags(t *testing.T) {
-	cases := []struct {
-		name  string
-		in    []string
-		strip map[string]bool
-		want  []string
-	}{
-		{
-			name: "supervisor flags in both forms",
-			in: []string{
-				"-experiment", "fig3", "-shard-workers", "3", "-n", "10",
-				"-shard-dir=/tmp/x", "-q", "-status", ":8080", "-events=ev.jsonl", "-parallel", "2",
-			},
-			strip: map[string]bool{
-				"shard-workers": true, "shard-dir": true,
-				"status": true, "events": true, "q": false,
-			},
-			want: []string{"-experiment", "fig3", "-n", "10", "-parallel", "2"},
-		},
-		{
-			name:  "double-dash form",
-			in:    []string{"--status", ":1", "--n", "5"},
-			strip: map[string]bool{"status": true},
-			want:  []string{"--n", "5"},
-		},
-		{
-			name:  "bare value matching a stripped name is kept",
-			in:    []string{"-benchmarks", "status", "-status=:1"},
-			strip: map[string]bool{"status": true},
-			want:  []string{"-benchmarks", "status"},
-		},
-		{
-			name:  "nothing stripped",
-			in:    []string{"-n", "10", "-q"},
-			strip: map[string]bool{"events": true},
-			want:  []string{"-n", "10", "-q"},
-		},
-		{
-			name:  "boolean flag with explicit value",
-			in:    []string{"-q=true", "-n", "3"},
-			strip: map[string]bool{"q": false},
-			want:  []string{"-n", "3"},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := StripFlags(tc.in, tc.strip); !reflect.DeepEqual(got, tc.want) {
-				t.Errorf("StripFlags(%v) = %v, want %v", tc.in, got, tc.want)
-			}
-		})
-	}
-}
 
 // TestWorkerCommandLifecycle: WorkerCommand forwards SIGTERM on context
 // cancellation and RunWorkerPool isolates worker failures, labelling

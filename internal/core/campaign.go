@@ -123,8 +123,11 @@ type AttemptTrace struct {
 // CellMetrics is the per-cell timing record behind the campaign
 // telemetry stream.
 type CellMetrics struct {
-	// ScanTime covers injector construction: the golden profiling run
-	// plus the candidate scan.
+	// ScanTime covers injector construction: the candidate scan plus
+	// replay/compiled arming. It includes no golden execution — the
+	// injector is a view over the Program's build-time golden run — but
+	// the first cell of a program pays for snapshot capture and
+	// compilation, which the replay and compiled caches then share.
 	ScanTime time.Duration
 	// RunTime covers the injection loop.
 	RunTime time.Duration
@@ -232,9 +235,10 @@ func (c *CellResult) add(o fault.Outcome) {
 
 // injector builds the level-appropriate injector and returns a draw
 // function (one injection using the supplied rng, optionally traced)
-// plus the dynamic candidate count. The construction cost — the golden
-// profiling run and the candidate scan — is what CellMetrics.ScanTime
-// measures.
+// plus the dynamic candidate count. The injector is a view over the
+// Program's build-time golden run, so construction executes nothing:
+// its cost — the candidate scan plus replay/compiled arming — is what
+// CellMetrics.ScanTime measures.
 func (c *Campaign) injector() (func(*rand.Rand, bool) attemptResult, uint64, error) {
 	if c.injectorOverride != nil {
 		draw, dyn, err := c.injectorOverride()
@@ -247,25 +251,10 @@ func (c *Campaign) injector() (func(*rand.Rand, bool) attemptResult, uint64, err
 	}
 	switch c.Level {
 	case fault.LevelIR:
-		var inj *llfi.Injector
-		var err error
-		if c.Calibration != nil {
-			inj, err = llfi.NewCalibrated(c.Prog.Prep, c.Category, *c.Calibration)
-		} else {
-			inj, err = llfi.New(c.Prog.Prep, c.Category)
-		}
+		inj, err := c.irView()
 		if err != nil {
 			return nil, 0, err
 		}
-		if c.Replay != nil {
-			if err := c.Replay.armIR(c.Prog, inj); err != nil {
-				return nil, 0, err
-			}
-		}
-		if c.Compiled != nil {
-			c.Compiled.armIR(c.Prog, inj)
-		}
-		inj.Obs = c.Obs
 		return func(rng *rand.Rand, traced bool) attemptResult {
 			var r *llfi.Result
 			if traced {
@@ -276,19 +265,10 @@ func (c *Campaign) injector() (func(*rand.Rand, bool) attemptResult, uint64, err
 			return attemptResult{outcome: r.Outcome, trigger: r.Trigger, spans: r.Spans}
 		}, inj.DynTotal, nil
 	case fault.LevelASM:
-		inj, err := pinfi.New(c.Prog.Asm, c.Prog.Prep.Layout.Image, c.Prog.Prep.Layout.Base, c.Category)
+		inj, err := c.asmView()
 		if err != nil {
 			return nil, 0, err
 		}
-		if c.Replay != nil {
-			if err := c.Replay.armASM(c.Prog, inj); err != nil {
-				return nil, 0, err
-			}
-		}
-		if c.Compiled != nil {
-			c.Compiled.armASM(c.Prog, inj)
-		}
-		inj.Obs = c.Obs
 		return func(rng *rand.Rand, traced bool) attemptResult {
 			var r *pinfi.Result
 			if traced {
@@ -301,6 +281,53 @@ func (c *Campaign) injector() (func(*rand.Rand, bool) attemptResult, uint64, err
 	default:
 		return nil, 0, fmt.Errorf("campaign: unknown level %v", c.Level)
 	}
+}
+
+// irView builds the cell's LLFI injector over the Program's IR golden
+// run and arms replay, the compiled engine, and metrics.
+func (c *Campaign) irView() (*llfi.Injector, error) {
+	p := c.Prog
+	var cands []bool
+	if c.Calibration != nil {
+		cands = llfi.CandidatesCalibrated(p.Prep, c.Category, *c.Calibration)
+	} else {
+		cands = llfi.Candidates(p.Prep, c.Category)
+	}
+	inj, err := llfi.View(p.Prep, p.irGolden(), c.Category, cands)
+	if err != nil {
+		return nil, err
+	}
+	if c.Replay != nil {
+		if err := c.Replay.armIR(p, inj); err != nil {
+			return nil, err
+		}
+	}
+	if c.Compiled != nil {
+		c.Compiled.armIR(p, inj)
+	}
+	inj.Obs = c.Obs
+	return inj, nil
+}
+
+// asmView builds the cell's PINFI injector over the Program's assembly
+// golden run and arms replay, the compiled engine, and metrics.
+func (c *Campaign) asmView() (*pinfi.Injector, error) {
+	p := c.Prog
+	inj, err := pinfi.View(p.Asm, p.Prep.Layout.Image, p.Prep.Layout.Base, p.asmGolden(),
+		c.Category, pinfi.Candidates(p.Asm, c.Category))
+	if err != nil {
+		return nil, err
+	}
+	if c.Replay != nil {
+		if err := c.Replay.armASM(p, inj); err != nil {
+			return nil, err
+		}
+	}
+	if c.Compiled != nil {
+		c.Compiled.armASM(p, inj)
+	}
+	inj.Obs = c.Obs
+	return inj, nil
 }
 
 // wrapNoCandidates maps the injector-level sentinel errors onto the
@@ -402,18 +429,19 @@ func (c *Campaign) safeDraw(draw func(*rand.Rand, bool) attemptResult, streams *
 }
 
 // DynCount reports a program's dynamic candidate count for a category at
-// a level without running injections (profiling only) — the data of
-// Table IV.
+// a level — the data of Table IV — from the build-time golden profile,
+// without executing anything.
 func DynCount(p *Program, level fault.Level, cat fault.Category) (uint64, error) {
 	switch level {
 	case fault.LevelIR:
-		inj, err := llfi.New(p.Prep, cat)
+		inj, err := llfi.View(p.Prep, p.irGolden(), cat, llfi.Candidates(p.Prep, cat))
 		if err != nil {
 			return 0, err
 		}
 		return inj.DynTotal, nil
 	case fault.LevelASM:
-		inj, err := pinfi.New(p.Asm, p.Prep.Layout.Image, p.Prep.Layout.Base, cat)
+		inj, err := pinfi.View(p.Asm, p.Prep.Layout.Image, p.Prep.Layout.Base, p.asmGolden(),
+			cat, pinfi.Candidates(p.Asm, cat))
 		if err != nil {
 			return 0, err
 		}

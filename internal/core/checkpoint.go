@@ -215,6 +215,20 @@ type CheckpointShape struct {
 	Shard    string // "i/N", or "" for an unsharded study
 }
 
+// Normalized maps an empty replay, compiled, or adaptive signature onto
+// the explicit "off": headers written before a feature existed carry no
+// field for it, and an empty argument means the feature is off. Every
+// header written, loaded, merged, or hashed into a warehouse key goes
+// through this one rule.
+func (s CheckpointShape) Normalized() CheckpointShape {
+	for _, sig := range []*string{&s.Replay, &s.Compiled, &s.Adaptive} {
+		if *sig == "" {
+			*sig = "off"
+		}
+	}
+	return s
+}
+
 // LoadCheckpoint reads a checkpoint and validates that it belongs to an
 // unsharded study with the given N, seed, and replay signature
 // (ReplayConfig.Signature; nil config = "off") — resuming into a
@@ -238,17 +252,18 @@ func LoadCheckpointShape(path string, shape CheckpointShape) (*CheckpointState, 
 		return nil, fmt.Errorf("checkpoint %s was written by -n %d -seed %d; refusing to resume a -n %d -seed %d study",
 			path, hdr.N, hdr.Seed, shape.N, shape.Seed)
 	}
-	if got := normalizeReplay(hdr.Replay); got != normalizeReplay(shape.Replay) {
+	shape = shape.Normalized()
+	if hdr.Replay != shape.Replay {
 		return nil, fmt.Errorf("checkpoint %s was written with snapshot replay %q; refusing to resume with replay %q (match the original -snapshot-* flags, or start a fresh checkpoint)",
-			path, got, normalizeReplay(shape.Replay))
+			path, hdr.Replay, shape.Replay)
 	}
-	if got := normalizeCompiled(hdr.Compiled); got != normalizeCompiled(shape.Compiled) {
+	if hdr.Compiled != shape.Compiled {
 		return nil, fmt.Errorf("checkpoint %s was written with compiled engines %q; refusing to resume with compiled engines %q (match the original -compiled/-no-compiled flag, or start a fresh checkpoint)",
-			path, got, normalizeCompiled(shape.Compiled))
+			path, hdr.Compiled, shape.Compiled)
 	}
-	if got := normalizeAdaptive(hdr.Adaptive); got != normalizeAdaptive(shape.Adaptive) {
+	if hdr.Adaptive != shape.Adaptive {
 		return nil, fmt.Errorf("checkpoint %s was written with adaptive sampling %q; refusing to resume with adaptive sampling %q (adaptive stop points change results — match the original -adaptive flag, or start a fresh checkpoint)",
-			path, got, normalizeAdaptive(shape.Adaptive))
+			path, hdr.Adaptive, shape.Adaptive)
 	}
 	if hdr.Shard != shape.Shard {
 		switch {
@@ -267,9 +282,9 @@ func LoadCheckpointShape(path string, shape CheckpointShape) (*CheckpointState, 
 }
 
 // readCheckpoint parses a checkpoint file without shape expectations,
-// returning the restored state and the header shape it was written
-// under. Callers validate the shape (LoadCheckpointShape for resume,
-// MergeShardCheckpoints for merge).
+// returning the restored state and the normalized header shape it was
+// written under. Callers validate the shape (LoadCheckpointShape for
+// resume, MergeShardCheckpoints for merge).
 //
 // Every complete record ends in a newline before it is fsynced, so a
 // process killed mid-append can leave at most one torn line, and only
@@ -308,7 +323,7 @@ func readCheckpoint(path string) (*CheckpointState, CheckpointShape, error) {
 					path, line.Version, checkpointVersion)
 			}
 			hdr = CheckpointShape{N: line.N, Seed: line.Seed, Replay: line.Replay,
-				Compiled: line.Compiled, Adaptive: line.Adaptive, Shard: line.Shard}
+				Compiled: line.Compiled, Adaptive: line.Adaptive, Shard: line.Shard}.Normalized()
 			st.N, st.Seed, st.Shard = line.N, line.Seed, line.Shard
 			sawHeader = true
 		case "cell":
@@ -421,43 +436,14 @@ func NewCheckpointWriterShape(path string, shape CheckpointShape) (*CheckpointWr
 		return nil, err
 	}
 	w := &CheckpointWriter{path: path, f: f, enc: json.NewEncoder(f)}
+	shape = shape.Normalized()
 	if err := w.append(checkpointLine{Type: "study", Version: checkpointVersion,
-		N: shape.N, Seed: shape.Seed, Replay: normalizeReplay(shape.Replay),
-		Compiled: normalizeCompiled(shape.Compiled),
-		Adaptive: normalizeAdaptive(shape.Adaptive), Shard: shape.Shard}); err != nil {
+		N: shape.N, Seed: shape.Seed, Replay: shape.Replay, Compiled: shape.Compiled,
+		Adaptive: shape.Adaptive, Shard: shape.Shard}); err != nil {
 		f.Close()
 		return nil, err
 	}
 	return w, nil
-}
-
-// normalizeReplay maps the pre-replay headers' empty field (and an empty
-// argument) onto the explicit "off" signature.
-func normalizeReplay(sig string) string {
-	if sig == "" {
-		return "off"
-	}
-	return sig
-}
-
-// normalizeCompiled does the same for the compiled-engine signature:
-// headers written before the compiled engines existed carry no field and
-// load as "off".
-func normalizeCompiled(sig string) string {
-	if sig == "" {
-		return "off"
-	}
-	return sig
-}
-
-// normalizeAdaptive does the same for the adaptive-sampling signature:
-// headers written before the early-stopping engine existed carry no
-// field and load as "off".
-func normalizeAdaptive(sig string) string {
-	if sig == "" {
-		return "off"
-	}
-	return sig
 }
 
 // OpenCheckpointAppend reopens an existing checkpoint (already carrying

@@ -57,7 +57,9 @@ int main() {
 	}
 	irCands := make([]bool, prog.Prep.SeqTotal)
 	irCands[icmp.Seq] = true
-	irInj, err := llfi.NewWithCandidates(prog.Prep, irCands)
+	irGolden := fault.Golden{Output: prog.GoldenOutput, Exit: prog.GoldenExit,
+		Instrs: prog.IRInstrs, Profile: prog.IRProfile}
+	irInj, err := llfi.View(prog.Prep, irGolden, fault.CatCmp, irCands)
 	if err != nil {
 		t.Fatal(err)
 	}

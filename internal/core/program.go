@@ -10,9 +10,11 @@ import (
 	"fmt"
 
 	"hlfi/internal/codegen"
+	"hlfi/internal/fault"
 	"hlfi/internal/interp"
-	"hlfi/internal/machine"
+	"hlfi/internal/llfi"
 	"hlfi/internal/minic"
+	"hlfi/internal/pinfi"
 	"hlfi/internal/x86"
 )
 
@@ -30,6 +32,22 @@ type Program struct {
 	// Golden dynamic instruction counts at each level.
 	IRInstrs  uint64
 	AsmInstrs uint64
+	// Golden per-instruction execution counts at each level, indexed
+	// like the candidate sets (IR instruction Seq, machine instruction
+	// position). Every injector and dynamic count over the program is a
+	// view of these; nothing re-executes the golden run per cell.
+	IRProfile  []uint64
+	AsmProfile []uint64
+}
+
+// irGolden and asmGolden expose one level of the build-time golden run
+// in the injectors' shape. The slices alias the Program's own.
+func (p *Program) irGolden() fault.Golden {
+	return fault.Golden{Output: p.GoldenOutput, Exit: p.GoldenExit, Instrs: p.IRInstrs, Profile: p.IRProfile}
+}
+
+func (p *Program) asmGolden() fault.Golden {
+	return fault.Golden{Output: p.GoldenOutput, Exit: p.GoldenExit, Instrs: p.AsmInstrs, Profile: p.AsmProfile}
 }
 
 // BuildProgram compiles a minic source for both execution levels and
@@ -59,30 +77,31 @@ func buildProgram(name, source string, opts codegen.Options) (*Program, error) {
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
 
-	var irOut bytes.Buffer
-	r := interp.NewRunner(prep, &irOut)
-	irRC, err := r.Run()
+	// The golden run of each level, profiled: the only fault-free
+	// executions a study needs besides the replay cache's snapshot
+	// capture.
+	irG, err := llfi.RunGolden(prep)
 	if err != nil {
-		return nil, fmt.Errorf("%s: IR golden run: %w", name, err)
+		return nil, fmt.Errorf("%s: %w", name, err)
 	}
-	var asmOut bytes.Buffer
-	m := machine.New(asm, prep.Layout.Image, prep.Layout.Base, &asmOut)
-	asmRC, err := m.Run()
+	asmG, err := pinfi.RunGolden(asm, prep.Layout.Image, prep.Layout.Base)
 	if err != nil {
-		return nil, fmt.Errorf("%s: machine golden run: %w", name, err)
+		return nil, fmt.Errorf("%s: %w", name, err)
 	}
-	if !bytes.Equal(irOut.Bytes(), asmOut.Bytes()) || irRC != asmRC {
+	if !bytes.Equal(irG.Output, asmG.Output) || irG.Exit != asmG.Exit {
 		return nil, fmt.Errorf("%s: golden runs diverge between levels (IR %d bytes rc=%d, ASM %d bytes rc=%d)",
-			name, irOut.Len(), irRC, asmOut.Len(), asmRC)
+			name, len(irG.Output), irG.Exit, len(asmG.Output), asmG.Exit)
 	}
 	return &Program{
 		Name:         name,
 		Source:       source,
 		Prep:         prep,
 		Asm:          asm,
-		GoldenOutput: irOut.Bytes(),
-		GoldenExit:   irRC,
-		IRInstrs:     r.Executed(),
-		AsmInstrs:    m.Executed(),
+		GoldenOutput: irG.Output,
+		GoldenExit:   irG.Exit,
+		IRInstrs:     irG.Instrs,
+		AsmInstrs:    asmG.Instrs,
+		IRProfile:    irG.Profile,
+		AsmProfile:   asmG.Profile,
 	}, nil
 }

@@ -97,7 +97,7 @@ func (rc *ReplayConfig) ensure() *snapshotCache {
 // arm wires snapshots into a freshly built IR injector. Called from the
 // campaign's injector construction (inside ScanTime).
 func (rc *ReplayConfig) armIR(p *Program, inj *llfi.Injector) error {
-	stride := rc.resolveStride(inj.GoldenInstrs)
+	stride := rc.resolveStride(inj.Golden.Instrs)
 	snaps, err := rc.ensure().irSnaps(p, stride)
 	if err != nil {
 		return err
@@ -108,7 +108,7 @@ func (rc *ReplayConfig) armIR(p *Program, inj *llfi.Injector) error {
 
 // armASM wires snapshots into a freshly built assembly injector.
 func (rc *ReplayConfig) armASM(p *Program, inj *pinfi.Injector) error {
-	stride := rc.resolveStride(inj.GoldenInstrs)
+	stride := rc.resolveStride(inj.Golden.Instrs)
 	snaps, err := rc.ensure().asmSnaps(p, stride)
 	if err != nil {
 		return err

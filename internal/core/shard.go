@@ -230,9 +230,8 @@ func MergeShardCheckpoints(paths []string) (*MergedShards, error) {
 		if reference == "" {
 			reference = path
 			merged.Count = spec.Count
-			merged.Shape = CheckpointShape{N: hdr.N, Seed: hdr.Seed,
-				Replay: normalizeReplay(hdr.Replay), Compiled: normalizeCompiled(hdr.Compiled),
-				Adaptive: normalizeAdaptive(hdr.Adaptive)}
+			merged.Shape = hdr
+			merged.Shape.Shard = ""
 			merged.Files = make([]string, spec.Count)
 		}
 		if err := checkHeader(path, reference, hdr, spec, merged); err != nil {
@@ -274,14 +273,14 @@ func checkHeader(path, reference string, hdr CheckpointShape, spec ShardSpec, me
 	if hdr.Seed != merged.Shape.Seed {
 		return mismatch("seed", strconv.FormatInt(merged.Shape.Seed, 10), strconv.FormatInt(hdr.Seed, 10))
 	}
-	if got := normalizeReplay(hdr.Replay); got != merged.Shape.Replay {
-		return mismatch("replay", merged.Shape.Replay, got)
+	if hdr.Replay != merged.Shape.Replay {
+		return mismatch("replay", merged.Shape.Replay, hdr.Replay)
 	}
-	if got := normalizeCompiled(hdr.Compiled); got != merged.Shape.Compiled {
-		return mismatch("compiled", merged.Shape.Compiled, got)
+	if hdr.Compiled != merged.Shape.Compiled {
+		return mismatch("compiled", merged.Shape.Compiled, hdr.Compiled)
 	}
-	if got := normalizeAdaptive(hdr.Adaptive); got != merged.Shape.Adaptive {
-		return mismatch("adaptive", merged.Shape.Adaptive, got)
+	if hdr.Adaptive != merged.Shape.Adaptive {
+		return mismatch("adaptive", merged.Shape.Adaptive, hdr.Adaptive)
 	}
 	if spec.Count != merged.Count {
 		return mismatch("shard-count", strconv.Itoa(merged.Count), strconv.Itoa(spec.Count))

@@ -131,8 +131,8 @@ type StudyConfig struct {
 	// cellSeed, a shard worker is fully self-contained: merging the
 	// shard checkpoints of a complete shard set reproduces the unsharded
 	// study byte for byte. Profiling (Table IV's Dyn counts) still
-	// covers every program — it is one golden run per (program, level),
-	// cheap next to any shard's campaigns.
+	// covers every program — it sums the build-time golden profiles and
+	// executes nothing.
 	Shard *ShardSpec
 	// Warehouse, when non-nil, is the content-addressed result cache:
 	// every cell is looked up before execution (a hit resolves the cell
@@ -258,12 +258,10 @@ func RunStudyContext(ctx context.Context, cfg StudyConfig) (*Study, error) {
 		Cells:    make(map[CellKey]*CellResult),
 		Dyn:      make(map[CellKey]uint64),
 	}
-	// Profiling is one golden run per (program, level): cheap next to the
-	// campaigns, so it stays serial and the scheduler sees only cells.
+	// Table IV's counts are sums over the programs' build-time golden
+	// profiles: no execution, so the scheduler sees only cells.
 	for _, p := range cfg.Programs {
-		if err := st.profileProgram(p); err != nil {
-			return nil, err
-		}
+		st.profileProgram(p)
 	}
 
 	specs := studySpecs(cfg.Programs, cats)
@@ -766,27 +764,14 @@ func (o gaugeObserver) TaskStarted(int)  { o.g.Inc() }
 func (o gaugeObserver) TaskFinished(int) { o.g.Dec() }
 
 // profileProgram fills Dyn for every (level, category) of one program
-// using a single profiling run per level.
-func (st *Study) profileProgram(p *Program) error {
-	irInj, err := llfi.New(p.Prep, fault.CatAll)
-	if err != nil {
-		return err
-	}
+// from its build-time golden profiles.
+func (st *Study) profileProgram(p *Program) {
 	for _, cat := range fault.Categories {
-		cand := llfi.Candidates(p.Prep, cat)
 		st.Dyn[CellKey{Prog: p.Name, Level: fault.LevelIR, Category: cat}] =
-			llfi.CountDynamic(irInj.Profile, cand)
-	}
-	asmInj, err := pinfi.New(p.Asm, p.Prep.Layout.Image, p.Prep.Layout.Base, fault.CatAll)
-	if err != nil {
-		return err
-	}
-	for _, cat := range fault.Categories {
-		cand := pinfi.Candidates(p.Asm, cat)
+			p.irGolden().DynCount(llfi.Candidates(p.Prep, cat))
 		st.Dyn[CellKey{Prog: p.Name, Level: fault.LevelASM, Category: cat}] =
-			pinfi.CountDynamic(asmInj.Profile, cand)
+			p.asmGolden().DynCount(pinfi.Candidates(p.Asm, cat))
 	}
-	return nil
 }
 
 // Cell returns one campaign cell (nil if absent).

@@ -113,3 +113,28 @@ func (l Level) String() string {
 		return fmt.Sprintf("level(%d)", int(l))
 	}
 }
+
+// Golden is the fault-free reference execution of one program at one
+// level: the output and exit code every injected run is classified
+// against, the dynamic instruction count that sizes the hang budget,
+// and the per-instruction execution profile that the dynamic candidate
+// counts of §V are summed from. It is computed once per (program,
+// level) and shared read-only by every injector built over it.
+type Golden struct {
+	Output  []byte
+	Exit    int64
+	Instrs  uint64
+	Profile []uint64
+}
+
+// DynCount sums the profile over a candidate set: the number of dynamic
+// injection opportunities (the N of paper §V).
+func (g Golden) DynCount(candidates []bool) uint64 {
+	var n uint64
+	for i, c := range candidates {
+		if c {
+			n += g.Profile[i]
+		}
+	}
+	return n
+}

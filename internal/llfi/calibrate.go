@@ -208,19 +208,3 @@ func feedsOnlyAddresses(in *ir.Instr, uses *ir.UseInfo) bool {
 	}
 	return walk(in)
 }
-
-// NewCalibrated builds an injector whose candidate set uses the §VII
-// heuristics.
-func NewCalibrated(p *interp.Prepared, cat fault.Category, cal Calibration) (*Injector, error) {
-	inj, err := New(p, cat)
-	if err != nil {
-		return nil, err
-	}
-	cand := CandidatesCalibrated(p, cat, cal)
-	inj.Candidates = cand
-	inj.DynTotal = CountDynamic(inj.Profile, cand)
-	if inj.DynTotal == 0 {
-		return nil, ErrNoCandidates
-	}
-	return inj, nil
-}

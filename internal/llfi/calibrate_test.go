@@ -134,11 +134,12 @@ int main() {
 // TestNewCalibratedRuns ensures the calibrated injector works end to end.
 func TestNewCalibratedRuns(t *testing.T) {
 	p := prepareSrc(t, testSrc)
-	inj, err := llfi.NewCalibrated(p, fault.CatAll, llfi.FullCalibration())
+	plain, err := llfi.New(p, fault.CatAll)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := llfi.New(p, fault.CatAll)
+	inj, err := llfi.View(p, plain.Golden, fault.CatAll,
+		llfi.CandidatesCalibrated(p, fault.CatAll, llfi.FullCalibration()))
 	if err != nil {
 		t.Fatal(err)
 	}

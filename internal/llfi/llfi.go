@@ -87,49 +87,18 @@ func CandidatesFunc(p *interp.Prepared, keep func(*ir.Instr) bool) []bool {
 	return out
 }
 
-// NewWithCandidates builds an injector over an explicit candidate set
-// (e.g. from CandidatesFunc). The set must contain at least one
-// dynamically executed instruction.
-func NewWithCandidates(p *interp.Prepared, cands []bool) (*Injector, error) {
-	inj, err := New(p, fault.CatAll)
-	if err != nil {
-		return nil, err
-	}
-	inj.Candidates = cands
-	inj.DynTotal = CountDynamic(inj.Profile, cands)
-	if inj.DynTotal == 0 {
-		return nil, ErrNoCandidates
-	}
-	return inj, nil
-}
-
-// CountDynamic sums a profile over a candidate set: the number of dynamic
-// injection opportunities (the N of paper §V).
-func CountDynamic(profile []uint64, candidates []bool) uint64 {
-	var n uint64
-	for i, c := range candidates {
-		if c {
-			n += profile[i]
-		}
-	}
-	return n
-}
-
 // Injector runs single-fault injection campaigns for one (program,
 // category) pair at the IR level.
 type Injector struct {
 	Prep       *interp.Prepared
 	Cat        fault.Category
 	Candidates []bool
-	// DynTotal is the dynamic candidate count from the profiling run.
+	// DynTotal is the dynamic candidate count under the golden profile.
 	DynTotal uint64
-	// GoldenOutput and GoldenExit are the fault-free results.
-	GoldenOutput []byte
-	GoldenExit   int64
-	// GoldenInstrs sizes the hang budget.
-	GoldenInstrs uint64
-	// Profile holds per-instruction dynamic counts from the golden run.
-	Profile []uint64
+	// Golden is the fault-free run the injector classifies against. It
+	// is shared, never copied: every view over one program aliases the
+	// same output and profile.
+	Golden fault.Golden
 
 	// Replay state (UseSnapshots): golden-run snapshots in capture order
 	// and, parallel to them, the candidate-execution count each one has
@@ -204,38 +173,47 @@ func (j *Injector) snapBefore(trigger uint64) int {
 	return lo - 1
 }
 
-// New profiles the program once (the golden run) and prepares an injector
-// for the category. An unexpected interpreter panic during the golden
-// run is converted to an error rather than crashing the campaign.
-func New(p *interp.Prepared, cat fault.Category) (inj *Injector, err error) {
+// RunGolden executes the program fault-free once with the profiler
+// armed: the one golden run every injector over this program is a view
+// of. An unexpected interpreter panic is converted to an error rather
+// than crashing the caller.
+func RunGolden(p *interp.Prepared) (g fault.Golden, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			inj, err = nil, fmt.Errorf("llfi golden run panic: %v", r)
+			g, err = fault.Golden{}, fmt.Errorf("llfi golden run panic: %v", r)
 		}
 	}()
 	var out bytes.Buffer
 	r := interp.NewRunner(p, &out)
-	profile := make([]uint64, p.SeqTotal)
-	r.Profile = profile
+	r.Profile = make([]uint64, p.SeqTotal)
 	rc, err := r.Run()
 	if err != nil {
-		return nil, fmt.Errorf("llfi golden run: %w", err)
+		return fault.Golden{}, fmt.Errorf("llfi golden run: %w", err)
 	}
-	cand := Candidates(p, cat)
-	inj = &Injector{
-		Prep:         p,
-		Cat:          cat,
-		Candidates:   cand,
-		DynTotal:     CountDynamic(profile, cand),
-		GoldenOutput: out.Bytes(),
-		GoldenExit:   rc,
-		GoldenInstrs: r.Executed(),
-		Profile:      profile,
-	}
+	return fault.Golden{Output: out.Bytes(), Exit: rc, Instrs: r.Executed(), Profile: r.Profile}, nil
+}
+
+// View builds an injector over an existing golden run and a candidate
+// set (Candidates, CandidatesCalibrated, or CandidatesFunc) without
+// executing anything. The set must contain at least one dynamically
+// executed instruction.
+func View(p *interp.Prepared, g fault.Golden, cat fault.Category, cands []bool) (*Injector, error) {
+	inj := &Injector{Prep: p, Cat: cat, Candidates: cands, DynTotal: g.DynCount(cands), Golden: g}
 	if inj.DynTotal == 0 {
 		return nil, fmt.Errorf("%w (%s in %s)", ErrNoCandidates, cat, p.Mod.Name)
 	}
 	return inj, nil
+}
+
+// New profiles the program (RunGolden) and views it for the category.
+// It is the self-contained entry point for one-off use; campaigns over
+// a built program share its golden run through View instead.
+func New(p *interp.Prepared, cat fault.Category) (*Injector, error) {
+	g, err := RunGolden(p)
+	if err != nil {
+		return nil, err
+	}
+	return View(p, g, cat, Candidates(p, cat))
 }
 
 // Result is the outcome of one injected run.
@@ -291,14 +269,14 @@ func (j *Injector) injectAt(trigger uint64, rng *rand.Rand, traced bool) *Result
 	// tracer is interpreter-only instrumentation, so traced attempts
 	// stay on the interpreter (both are byte-identical).
 	useCompiled := j.compiled != nil && !traced
-	budget := j.GoldenInstrs*HangFactor + 1_000_000
+	budget := j.Golden.Instrs*HangFactor + 1_000_000
 	var out bytes.Buffer
 	var rc int64
 	var err error
 	var executed uint64
 	if i := j.snapBefore(trigger); i >= 0 {
 		s := j.snaps[i]
-		out.Write(j.GoldenOutput[:s.OutLen])
+		out.Write(j.Golden.Output[:s.OutLen])
 		if useCompiled {
 			r := irc.NewRunnerFromSnapshot(j.compiled, s, &out)
 			r.SetCandCount(j.snapCands[i])
@@ -351,7 +329,7 @@ func (j *Injector) injectAt(trigger uint64, rng *rand.Rand, traced bool) *Result
 		}
 	}
 	res := &Result{Output: out.Bytes(), Exit: rc, Err: err, Injection: injection, Trigger: trigger}
-	res.Outcome = classify(j.GoldenOutput, j.GoldenExit, res, injection.Happened && injection.Activated)
+	res.Outcome = classify(j.Golden, res, injection.Happened && injection.Activated)
 	if tr != nil {
 		for _, s := range tr.Spans {
 			res.Spans = append(res.Spans, telemetry.TraceSpan{Kind: s.Kind, Site: s.Site, At: s.At})
@@ -363,7 +341,7 @@ func (j *Injector) injectAt(trigger uint64, rng *rand.Rand, traced bool) *Result
 	return res
 }
 
-func classify(goldenOut []byte, goldenExit int64, res *Result, activated bool) fault.Outcome {
+func classify(g fault.Golden, res *Result, activated bool) fault.Outcome {
 	switch {
 	case res.Err == interp.ErrHang:
 		return fault.OutcomeHang
@@ -372,7 +350,7 @@ func classify(goldenOut []byte, goldenExit int64, res *Result, activated bool) f
 	// A corrupted output always counts as an (activated) SDC, even if the
 	// activation tracker somehow missed the read: the fault demonstrably
 	// influenced execution.
-	case !bytes.Equal(res.Output, goldenOut) || res.Exit != goldenExit:
+	case !bytes.Equal(res.Output, g.Output) || res.Exit != g.Exit:
 		return fault.OutcomeSDC
 	case !activated:
 		return fault.OutcomeNotActivated

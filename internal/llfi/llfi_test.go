@@ -128,16 +128,16 @@ func TestGoldenProfileAndCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inj.DynTotal == 0 || inj.GoldenInstrs == 0 {
+	if inj.DynTotal == 0 || inj.Golden.Instrs == 0 {
 		t.Fatal("empty profile")
 	}
-	if len(inj.GoldenOutput) == 0 {
+	if len(inj.Golden.Output) == 0 {
 		t.Fatal("no golden output")
 	}
 	// Category counts partition sensibly.
 	sub := uint64(0)
 	for _, cat := range []fault.Category{fault.CatArith, fault.CatCast, fault.CatCmp, fault.CatLoad} {
-		n := llfi.CountDynamic(inj.Profile, llfi.Candidates(p, cat))
+		n := inj.Golden.DynCount(llfi.Candidates(p, cat))
 		sub += n
 	}
 	if sub > inj.DynTotal {
@@ -200,7 +200,11 @@ func TestCustomSelector(t *testing.T) {
 	cands := llfi.CandidatesFunc(p, func(in *ir.Instr) bool {
 		return in.Op == ir.OpAdd && in.Ty == ir.I64
 	})
-	inj, err := llfi.NewWithCandidates(p, cands)
+	g, err := llfi.RunGolden(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj, err := llfi.View(p, g, fault.CatAll, cands)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +221,7 @@ func TestCustomSelector(t *testing.T) {
 	}
 	// An unsatisfiable selector errors cleanly.
 	empty := llfi.CandidatesFunc(p, func(in *ir.Instr) bool { return false })
-	if _, err := llfi.NewWithCandidates(p, empty); err == nil {
+	if _, err := llfi.View(p, g, fault.CatAll, empty); err == nil {
 		t.Fatal("empty candidate set accepted")
 	}
 }

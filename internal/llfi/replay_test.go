@@ -25,7 +25,7 @@ func TestReplayMatchesFullRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		snaps, err := llfi.CaptureSnapshots(p, full.GoldenInstrs/8+1)
+		snaps, err := llfi.CaptureSnapshots(p, full.Golden.Instrs/8+1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -47,8 +47,8 @@ const (
 	KindExec = "exec"
 	// KindBuild is a worker-side program build (benchmark cache miss).
 	KindBuild = "build"
-	// KindScan covers injector construction: the golden profiling run
-	// plus the candidate scan.
+	// KindScan covers injector construction: the candidate scan plus
+	// replay/compiled arming.
 	KindScan = "scan"
 	// KindRun covers the injection loop of one cell.
 	KindRun = "run"

@@ -67,17 +67,6 @@ func isLoad(in *x86.Instr) bool {
 	}
 }
 
-// CountDynamic sums a profile over a candidate set.
-func CountDynamic(profile []uint64, candidates []bool) uint64 {
-	var n uint64
-	for i, c := range candidates {
-		if c {
-			n += profile[i]
-		}
-	}
-	return n
-}
-
 // Injector runs single-fault injections for one (program, category) pair
 // at the assembly level.
 type Injector struct {
@@ -89,10 +78,9 @@ type Injector struct {
 	Candidates []bool
 	DynTotal   uint64
 
-	GoldenOutput []byte
-	GoldenExit   int64
-	GoldenInstrs uint64
-	Profile      []uint64
+	// Golden is the fault-free run the injector classifies against,
+	// shared by every view over the same program.
+	Golden fault.Golden
 
 	// Replay state (UseSnapshots): golden-run snapshots in capture order
 	// and, parallel to them, the candidate-execution count each one has
@@ -167,40 +155,54 @@ func (j *Injector) snapBefore(trigger uint64) int {
 	return lo - 1
 }
 
-// New profiles the program once and prepares an injector for the
-// category. An unexpected machine panic during the golden run is
-// converted to an error rather than crashing the campaign.
-func New(prog *x86.Program, layoutImage []byte, layoutBase uint64, cat fault.Category) (inj *Injector, err error) {
+// RunGolden executes the program fault-free once with the profiler
+// armed: the one golden run every injector over this program is a view
+// of. An unexpected machine panic is converted to an error rather than
+// crashing the caller.
+func RunGolden(prog *x86.Program, layoutImage []byte, layoutBase uint64) (g fault.Golden, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			inj, err = nil, fmt.Errorf("pinfi golden run panic: %v", r)
+			g, err = fault.Golden{}, fmt.Errorf("pinfi golden run panic: %v", r)
 		}
 	}()
 	var out bytes.Buffer
 	m := machine.New(prog, layoutImage, layoutBase, &out)
-	profile := make([]uint64, len(prog.Instrs))
-	m.Profile = profile
+	m.Profile = make([]uint64, len(prog.Instrs))
 	rc, err := m.Run()
 	if err != nil {
-		return nil, fmt.Errorf("pinfi golden run: %w", err)
+		return fault.Golden{}, fmt.Errorf("pinfi golden run: %w", err)
 	}
-	cand := Candidates(prog, cat)
-	inj = &Injector{
-		Prog:         prog,
-		LayoutImage:  layoutImage,
-		LayoutBase:   layoutBase,
-		Cat:          cat,
-		Candidates:   cand,
-		DynTotal:     CountDynamic(profile, cand),
-		GoldenOutput: out.Bytes(),
-		GoldenExit:   rc,
-		GoldenInstrs: m.Executed(),
-		Profile:      profile,
+	return fault.Golden{Output: out.Bytes(), Exit: rc, Instrs: m.Executed(), Profile: m.Profile}, nil
+}
+
+// View builds an injector over an existing golden run and a candidate
+// set without executing anything. The set must contain at least one
+// dynamically executed instruction.
+func View(prog *x86.Program, layoutImage []byte, layoutBase uint64, g fault.Golden, cat fault.Category, cands []bool) (*Injector, error) {
+	inj := &Injector{
+		Prog:        prog,
+		LayoutImage: layoutImage,
+		LayoutBase:  layoutBase,
+		Cat:         cat,
+		Candidates:  cands,
+		DynTotal:    g.DynCount(cands),
+		Golden:      g,
 	}
 	if inj.DynTotal == 0 {
 		return nil, fmt.Errorf("%w (%s)", ErrNoCandidates, cat)
 	}
 	return inj, nil
+}
+
+// New profiles the program (RunGolden) and views it for the category.
+// It is the self-contained entry point for one-off use; campaigns over
+// a built program share its golden run through View instead.
+func New(prog *x86.Program, layoutImage []byte, layoutBase uint64, cat fault.Category) (*Injector, error) {
+	g, err := RunGolden(prog, layoutImage, layoutBase)
+	if err != nil {
+		return nil, err
+	}
+	return View(prog, layoutImage, layoutBase, g, cat, Candidates(prog, cat))
 }
 
 // Result is the outcome of one injected run.
@@ -256,14 +258,14 @@ func (j *Injector) injectAt(trigger uint64, rng *rand.Rand, traced bool) *Result
 	// tracer is simulator-only instrumentation, so traced attempts stay
 	// on the simulator (both are byte-identical).
 	useCompiled := j.compiled != nil && !traced
-	budget := j.GoldenInstrs*HangFactor + 1_000_000
+	budget := j.Golden.Instrs*HangFactor + 1_000_000
 	var out bytes.Buffer
 	var rc int64
 	var err error
 	var executed uint64
 	if i := j.snapBefore(trigger); i >= 0 {
 		s := j.snaps[i]
-		out.Write(j.GoldenOutput[:s.OutLen])
+		out.Write(j.Golden.Output[:s.OutLen])
 		if useCompiled {
 			e := mc.NewFromSnapshot(j.compiled, s, &out)
 			e.SetCandCount(j.snapCands[i])
@@ -316,7 +318,7 @@ func (j *Injector) injectAt(trigger uint64, rng *rand.Rand, traced bool) *Result
 		}
 	}
 	res := &Result{Output: out.Bytes(), Exit: rc, Err: err, Injection: injection, Trigger: trigger}
-	res.Outcome = classify(j.GoldenOutput, j.GoldenExit, res, injection.Happened && injection.Activated)
+	res.Outcome = classify(j.Golden, res, injection.Happened && injection.Activated)
 	if tr != nil {
 		for _, s := range tr.Spans {
 			res.Spans = append(res.Spans, telemetry.TraceSpan{Kind: s.Kind, Site: s.Site, At: s.At})
@@ -328,7 +330,7 @@ func (j *Injector) injectAt(trigger uint64, rng *rand.Rand, traced bool) *Result
 	return res
 }
 
-func classify(goldenOut []byte, goldenExit int64, res *Result, activated bool) fault.Outcome {
+func classify(g fault.Golden, res *Result, activated bool) fault.Outcome {
 	switch {
 	case res.Err == machine.ErrHang:
 		return fault.OutcomeHang
@@ -337,7 +339,7 @@ func classify(goldenOut []byte, goldenExit int64, res *Result, activated bool) f
 	// A corrupted output always counts as an (activated) SDC, even if the
 	// activation tracker somehow missed the read: the fault demonstrably
 	// influenced execution.
-	case !bytes.Equal(res.Output, goldenOut) || res.Exit != goldenExit:
+	case !bytes.Equal(res.Output, g.Output) || res.Exit != g.Exit:
 		return fault.OutcomeSDC
 	case !activated:
 		return fault.OutcomeNotActivated

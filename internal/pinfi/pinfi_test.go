@@ -116,7 +116,7 @@ func TestInjectorLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inj.DynTotal == 0 || len(inj.GoldenOutput) == 0 {
+	if inj.DynTotal == 0 || len(inj.Golden.Output) == 0 {
 		t.Fatal("bad golden profile")
 	}
 	a := inj.InjectAt(7, rand.New(rand.NewSource(1)))

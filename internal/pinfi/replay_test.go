@@ -25,7 +25,7 @@ func TestReplayMatchesFullRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		snaps, err := pinfi.CaptureSnapshots(prog, img, base, full.GoldenInstrs/8+1)
+		snaps, err := pinfi.CaptureSnapshots(prog, img, base, full.Golden.Instrs/8+1)
 		if err != nil {
 			t.Fatal(err)
 		}

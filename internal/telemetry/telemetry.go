@@ -105,8 +105,8 @@ type Event struct {
 	Workers  int    `json:"workers,omitempty"`
 	Shard    string `json:"shard,omitempty"`
 
-	// Timing. ScanMS covers injector construction (the golden profiling
-	// run plus the candidate scan); DurationMS the whole cell or study.
+	// Timing. ScanMS covers injector construction (the candidate scan
+	// plus replay/compiled arming); DurationMS the whole cell or study.
 	DurationMS float64 `json:"durationMs,omitempty"`
 	ScanMS     float64 `json:"scanMs,omitempty"`
 

@@ -275,13 +275,12 @@ type StudyCache struct {
 // replay signature are dropped from the shape (cells are relocatable
 // across shard layouts; replay is pure execution policy) and the
 // compiled/adaptive signatures are normalized exactly like checkpoint
-// headers, so a warehouse shared by sharded, fleet, and single-process
+// headers (CheckpointShape.Normalized), so a warehouse shared by sharded, fleet, and single-process
 // runs of the same study resolves to the same keys.
 func (s *Store) ForStudy(shape core.CheckpointShape, programs []*core.Program) *StudyCache {
+	shape = shape.Normalized()
 	shape.Shard = ""
 	shape.Replay = ""
-	shape.Compiled = normalizeSig(shape.Compiled)
-	shape.Adaptive = normalizeSig(shape.Adaptive)
 	progs := make(map[string]string, len(programs))
 	for _, p := range programs {
 		progs[p.Name] = programDigest(p)
@@ -306,13 +305,6 @@ func (c *StudyCache) SetRawCampaignSeed() { c.rawSeed = true }
 
 // Store returns the underlying warehouse store.
 func (c *StudyCache) Store() *Store { return c.store }
-
-func normalizeSig(sig string) string {
-	if sig == "" {
-		return "off"
-	}
-	return sig
-}
 
 // programDigest hashes everything about a built program that can reach
 // a campaign outcome: the IR module text, the disassembled machine

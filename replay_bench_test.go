@@ -62,7 +62,7 @@ func BenchmarkInjectionAttempt(b *testing.B) {
 		b.Fatal(err)
 	}
 	compiled.UseCompiled(cp)
-	stride := full.GoldenInstrs / 64
+	stride := full.Golden.Instrs / 64
 	if stride < 512 {
 		stride = 512
 	}
