@@ -6,9 +6,10 @@ test:
 	go build ./... && go vet ./... && go test ./...
 
 # Race coverage for the concurrency-bearing packages (mirrors the CI
-# race job).
+# race job). internal/core alone takes about 12 minutes under -race on 2
+# CPUs, over go test's 10-minute default timeout.
 race:
-	go test -race ./internal/core/... ./internal/sched/... ./internal/telemetry/... ./internal/fleet/... ./internal/cli/... ./internal/adaptive/... ./internal/warehouse/...
+	go test -race -timeout 30m ./internal/core/... ./internal/sched/... ./internal/telemetry/... ./internal/fleet/... ./internal/cli/... ./internal/adaptive/... ./internal/warehouse/... ./internal/mem/...
 
 # Study-binary smoke + determinism gate: the cell scheduler must produce
 # byte-identical tables to the serial path (mirrors the CI smoke job).
@@ -267,6 +268,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzSnapshotRestore$$' -fuzztime 30s ./internal/machine
 	go test -run '^$$' -fuzz '^FuzzCompiledVsInterp$$' -fuzztime 30s ./internal/compile/irc
 	go test -run '^$$' -fuzz '^FuzzAdaptiveDecision$$' -fuzztime 30s ./internal/adaptive
+	go test -run '^$$' -fuzz '^FuzzMemoryModel$$' -fuzztime 30s ./internal/mem
 
 # The exact CI pipeline (.github/workflows/ci.yml), runnable locally.
 ci:

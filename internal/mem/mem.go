@@ -8,6 +8,13 @@
 // classifies as a Crash. Keeping the mapped set sparse is deliberate — a bit
 // flip in the high bits of a pointer almost always leaves the mapped set,
 // exactly as on real hardware.
+//
+// Every live Memory puts a small direct-mapped page cache (a software TLB)
+// in front of its page map, so a load or store that stays within one page
+// it has touched recently costs one array index and one tag compare instead
+// of a map lookup. The map stays the single authoritative store: misses,
+// page-crossing accesses, stack auto-grow and every fault take the same
+// slow path as a cache-free memory. See Memory for the invariants.
 package mem
 
 import (
@@ -89,10 +96,38 @@ func (f *Fault) Error() string {
 	return fmt.Sprintf("%s at 0x%x", f.Kind, f.Addr)
 }
 
+// tlbSize is the number of entries in each memory's page cache. A
+// 64-entry cache ran no faster, and every snapshot and clone carries
+// the array.
+const tlbSize = 16
+
+// tlbEntry caches one page of the page map. writable is false while the
+// page is still shared copy-on-write, so only reads may hit it.
+type tlbEntry struct {
+	pnum     uint64
+	page     *[PageSize]byte
+	writable bool
+}
+
 // Memory is a sparse paged 64-bit address space with a simple heap
 // allocator. The zero value is not usable; call New.
+//
+// Read and Write first look in tlb, a direct-mapped cache indexed by page
+// number modulo tlbSize. A hit needs the tag to match, the access to lie
+// within one page, at or above NullGuard and below Canonical, and for a
+// write the entry to be writable; anything else takes the map path. Only
+// that path fills the cache, and pages are never unmapped, so a hit is
+// always a mapped page. The cache's invariants:
+//   - a frozen snapshot never fills its cache, because snapshots are read
+//     by many goroutines at once;
+//   - Snapshot flushes the live memory's cache, because every page becomes
+//     copy-on-write;
+//   - the copy-on-write duplication in copyIn rewrites the entry to the
+//     new private page, writable;
+//   - Clone starts with an empty cache.
 type Memory struct {
 	pages map[uint64]*[PageSize]byte
+	tlb   [tlbSize]tlbEntry
 
 	// cow marks pages shared with a snapshot: they must be duplicated
 	// before the first write. nil until the first Snapshot call, so
@@ -174,21 +209,32 @@ func (m *Memory) check(addr, size uint64) error {
 
 // Read reads size (1..8) bytes little-endian at addr.
 func (m *Memory) Read(addr, size uint64) (uint64, error) {
+	var buf [8]byte
+	pnum, off := addr/PageSize, addr%PageSize
+	// The NullGuard test also keeps an empty entry (page 0) from hitting.
+	if e := &m.tlb[pnum%tlbSize]; e.pnum == pnum && addr >= NullGuard && addr < Canonical && off+size <= PageSize {
+		copy(buf[:size], e.page[off:])
+		return binary.LittleEndian.Uint64(buf[:]), nil
+	}
 	if err := m.check(addr, size); err != nil {
 		return 0, err
 	}
-	var buf [8]byte
 	m.copyOut(addr, buf[:size])
 	return binary.LittleEndian.Uint64(buf[:]), nil
 }
 
 // Write writes the low size (1..8) bytes of val little-endian at addr.
 func (m *Memory) Write(addr, size, val uint64) error {
+	var buf [8]byte
+	binary.LittleEndian.PutUint64(buf[:], val)
+	pnum, off := addr/PageSize, addr%PageSize
+	if e := &m.tlb[pnum%tlbSize]; e.pnum == pnum && e.writable && addr >= NullGuard && addr < Canonical && off+size <= PageSize {
+		copy(e.page[off:], buf[:size])
+		return nil
+	}
 	if err := m.check(addr, size); err != nil {
 		return err
 	}
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], val)
 	m.copyIn(addr, buf[:size])
 	return nil
 }
@@ -211,9 +257,18 @@ func (m *Memory) WriteBytes(addr uint64, src []byte) error {
 	return nil
 }
 
+// fill caches page pnum, unless m is a frozen snapshot.
+func (m *Memory) fill(pnum uint64, page *[PageSize]byte, writable bool) {
+	if !m.frozen {
+		m.tlb[pnum%tlbSize] = tlbEntry{pnum: pnum, page: page, writable: writable}
+	}
+}
+
 func (m *Memory) copyOut(addr uint64, dst []byte) {
 	for len(dst) > 0 {
-		page := m.pages[addr/PageSize]
+		pnum := addr / PageSize
+		page := m.pages[pnum]
+		m.fill(pnum, page, !m.cow[pnum])
 		off := addr % PageSize
 		n := copy(dst, page[off:])
 		dst = dst[n:]
@@ -234,6 +289,7 @@ func (m *Memory) copyIn(addr uint64, src []byte) {
 			delete(m.cow, pnum)
 			page = np
 		}
+		m.fill(pnum, page, true)
 		off := addr % PageSize
 		n := copy(page[off:], src)
 		src = src[n:]
@@ -251,6 +307,7 @@ func (m *Memory) Snapshot() *Memory {
 	if m.cow == nil {
 		m.cow = make(map[uint64]bool, len(m.pages))
 	}
+	m.tlb = [tlbSize]tlbEntry{}
 	s := &Memory{
 		pages:     make(map[uint64]*[PageSize]byte, len(m.pages)),
 		cow:       make(map[uint64]bool, len(m.pages)),

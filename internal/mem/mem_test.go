@@ -79,6 +79,7 @@ func TestFaults(t *testing.T) {
 		addr uint64
 		kind FaultKind
 	}{
+		// An empty page-cache entry carries page 0: these must still fault.
 		{"null", 0, FaultNullDeref},
 		{"near-null", 100, FaultNullDeref},
 		{"unmapped", GlobalsBase + 10*PageSize, FaultUnmapped},
@@ -93,6 +94,9 @@ func TestFaults(t *testing.T) {
 		}
 		if f.Kind != c.kind {
 			t.Errorf("%s: kind %v, want %v", c.name, f.Kind, c.kind)
+		}
+		if err := m.Write(c.addr, 8, 1); !errors.As(err, &f) || f.Kind != c.kind {
+			t.Errorf("%s: write: %v, want %v", c.name, err, c.kind)
 		}
 	}
 }

@@ -93,11 +93,23 @@ func TestConcurrentClonesFromOneSnapshot(t *testing.T) {
 	}
 	snap := m.Snapshot()
 
+	// Every goroutine also reads the snapshot itself while the others
+	// clone it: a page-cache fill on the frozen memory would race here.
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			for i := uint64(0); i < 4; i++ {
+				v, err := snap.Read(GlobalsBase+i*PageSize, 8)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if v != i+1 {
+					t.Errorf("goroutine %d snapshot page %d: got %d, want %d", w, i, v, i+1)
+				}
+			}
 			c := snap.Clone()
 			if err := c.Write(GlobalsBase, 8, uint64(0x100+w)); err != nil {
 				t.Error(err)
