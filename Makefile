@@ -21,7 +21,9 @@ smoke:
 
 # Kill-and-resume smoke: start a checkpointed study, SIGTERM it
 # mid-run, resume from the checkpoint, and byte-compare the resumed
-# output against an uninterrupted run (mirrors the CI resume-smoke job).
+# output against an uninterrupted run; then do it again resuming with
+# snapshot replay and the compiled engines off, which the checkpoint
+# records as provenance only (mirrors the CI resume-smoke job).
 resume-smoke:
 	go build -o .resume-smoke-bin ./cmd/ficompare
 	./.resume-smoke-bin -experiment all -n 200 -benchmarks bzip2m,mcfm -q > .resume-full.txt
@@ -32,7 +34,15 @@ resume-smoke:
 	./.resume-smoke-bin -experiment all -n 200 -benchmarks bzip2m,mcfm -q \
 		-resume .resume-ck.jsonl > .resume-resumed.txt
 	cmp .resume-full.txt .resume-resumed.txt
-	rm -f .resume-smoke-bin .resume-full.txt .resume-resumed.txt .resume-ck.jsonl
+	./.resume-smoke-bin -experiment all -n 200 -benchmarks bzip2m,mcfm -q \
+		-checkpoint .resume-ck2.jsonl > /dev/null 2>&1 & \
+	pid=$$!; sleep 1; kill -TERM $$pid 2>/dev/null; wait $$pid; true
+	test -s .resume-ck2.jsonl
+	./.resume-smoke-bin -experiment all -n 200 -benchmarks bzip2m,mcfm -q \
+		-no-snapshots -compiled=false -resume .resume-ck2.jsonl > .resume-policy.txt
+	cmp .resume-full.txt .resume-policy.txt
+	rm -f .resume-smoke-bin .resume-full.txt .resume-resumed.txt .resume-ck.jsonl \
+		.resume-ck2.jsonl .resume-policy.txt
 
 # Replay determinism gate: the snapshot fast-forward engine must be
 # observationally invisible — a study with snapshots (the default) is
@@ -269,6 +279,8 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzCompiledVsInterp$$' -fuzztime 30s ./internal/compile/irc
 	go test -run '^$$' -fuzz '^FuzzAdaptiveDecision$$' -fuzztime 30s ./internal/adaptive
 	go test -run '^$$' -fuzz '^FuzzMemoryModel$$' -fuzztime 30s ./internal/mem
+	go test -run '^$$' -fuzz '^FuzzLoadCheckpoint$$' -fuzztime 30s ./internal/core
+	go test -run '^$$' -fuzz '^FuzzWarehouseRecord$$' -fuzztime 30s ./internal/warehouse
 
 # The exact CI pipeline (.github/workflows/ci.yml), runnable locally.
 ci:

@@ -229,6 +229,14 @@ func runCtx(ctx context.Context, args []string) error {
 		if err != nil {
 			return fmt.Errorf("merged checkpoint adaptive signature %q: %w", merged.Shape.Adaptive, err)
 		}
+		// The seeding discipline is identity too, but a header cannot
+		// name a worker count to adopt: this run's -cell-workers must
+		// match the shards'.
+		run := merged.Shape
+		run.Seeding = core.SeedingOf(*cellWorkers)
+		if err := run.CheckIdentity(merged.Shape, merged.Files[0], ""); err != nil {
+			return err
+		}
 		mergedState = merged.State
 		fmt.Fprintf(os.Stderr, "merged %d shard checkpoints: %d cells, %d skips (n=%d seed=%d)\n",
 			merged.Count, len(merged.State.Cells), len(merged.State.Skips), *n, *seed)
@@ -312,13 +320,15 @@ func runCtx(ctx context.Context, args []string) error {
 	// Fault tolerance: an optional resume state (cells already completed
 	// by an interrupted run) and an optional checkpoint writer for this
 	// run's cells. -resume alone keeps appending to the same file. The
-	// header pins the replay and compiled-engine signatures and the shard
-	// spec alongside n/seed, so a resumed run cannot silently mix engine
-	// configs or shards; a -merge run resumes from the reassembled shard
-	// state instead.
+	// header pins the study identity (n, seed, adaptive signature, and
+	// the seeding discipline -cell-workers selects) and the shard spec,
+	// so a resumed run cannot silently mix samples or shards; the replay
+	// and compiled signatures are recorded as provenance and may differ
+	// on resume. A -merge run resumes from the reassembled shard state
+	// instead.
 	shape := core.CheckpointShape{N: *n, Seed: *seed,
 		Replay: replay.Signature(), Compiled: compiledCfg.Signature(),
-		Adaptive: adaptCfg.Signature()}
+		Adaptive: adaptCfg.Signature(), Seeding: core.SeedingOf(*cellWorkers)}
 	if shardSpec != nil {
 		shape.Shard = shardSpec.String()
 	}
@@ -326,8 +336,8 @@ func runCtx(ctx context.Context, args []string) error {
 	// Result warehouse: cells whose content-addressed record already
 	// exists resolve from the store without executing an injection, and
 	// every freshly completed cell is stored back. The key covers the
-	// program bytes and the whole study shape, so a hit can only replay
-	// the byte-identical outcome; shard workers share one store safely
+	// program bytes and the study identity, so a hit can only replay the
+	// byte-identical outcome; shard workers share one store safely
 	// (atomic per-record files, idempotent writes).
 	var wcache *warehouse.StudyCache
 	if *warehouseD != "" {
@@ -339,11 +349,6 @@ func runCtx(ctx context.Context, args []string) error {
 			wstore.Hits, wstore.Misses, wstore.Stores = om.WarehouseHits, om.WarehouseMisses, om.WarehouseStores
 		}
 		wcache = wstore.ForStudy(shape, progs)
-		if *cellWorkers > 1 {
-			// Per-attempt seeding draws a different (deterministic) sample
-			// than the sequential stream; the key space must not mix them.
-			wcache.SetPerAttemptSeeding()
-		}
 		if *warehouseQ {
 			return queryWarehouse(os.Stdout, wcache, progs, *n)
 		}

@@ -3,12 +3,15 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"hlfi/internal/core"
 )
 
 // TestRunExperiments smoke-tests the CLI surface in-process with tiny
@@ -189,6 +192,77 @@ func TestRunShardMerge(t *testing.T) {
 	err := run(append(base, "-merge", glob))
 	if err == nil || !strings.Contains(err.Error(), "missing shard(s) 1") {
 		t.Errorf("merge with absent shard: %v, want missing-shard error naming index 1", err)
+	}
+}
+
+// TestRunIdentityAndPolicy: resume, merge and the warehouse follow the
+// study identity. Flipping the execution policy (snapshot replay, the
+// compiled engines) between runs is accepted and renders the same
+// report; flipping the seeding discipline (-cell-workers 1 vs. more) is
+// refused with a typed error naming seeding.
+func TestRunIdentityAndPolicy(t *testing.T) {
+	dir := t.TempDir()
+	base := []string{"-experiment", "fig3", "-benchmarks", "quantumm", "-n", "8", "-q"}
+	with := func(extra ...string) []string { return append(append([]string(nil), base...), extra...) }
+	golden := captureStdout(t, func() error { return run(base) })
+	wantSeeding := func(what string, err error) {
+		t.Helper()
+		var hm *core.HeaderMismatchError
+		if !errors.As(err, &hm) || hm.Field != "seeding" {
+			t.Errorf("%s: %v, want a *HeaderMismatchError naming seeding", what, err)
+		}
+	}
+
+	ck := filepath.Join(dir, "ck.jsonl")
+	if err := run(with("-checkpoint", ck)); err != nil {
+		t.Fatal(err)
+	}
+	wantSeeding("-cell-workers 4 resume of a sequential checkpoint", run(with("-cell-workers", "4", "-resume", ck)))
+
+	// Keep the header and two records; the resume re-runs the rest with
+	// both engines off.
+	raw, err := os.ReadFile(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(raw), "\n")
+	if err := os.WriteFile(ck, []byte(strings.Join(lines[:3], "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got := captureStdout(t, func() error { return run(with("-no-snapshots", "-compiled=false", "-resume", ck)) }); got != golden {
+		t.Errorf("resume with the engines off differs from the uninterrupted run:\n--- want ---\n%s\n--- got ---\n%s", golden, got)
+	}
+
+	// A warehouse filled with the compiled engines serves a run with
+	// both engines off without executing a cell.
+	wh := filepath.Join(dir, "wh")
+	captureStdout(t, func() error { return run(with("-warehouse", wh)) })
+	events := filepath.Join(dir, "events.jsonl")
+	if got := captureStdout(t, func() error {
+		return run(with("-no-snapshots", "-compiled=false", "-warehouse", wh, "-events", events))
+	}); got != golden {
+		t.Errorf("warm warehouse run with the engines off differs:\n--- want ---\n%s\n--- got ---\n%s", golden, got)
+	}
+	stream, err := os.ReadFile(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(stream), `"type":"cell_done"`) || !strings.Contains(string(stream), `"type":"warehouse_hit"`) {
+		t.Errorf("warm run executed cells instead of serving them from the warehouse:\n%s", stream)
+	}
+
+	// Per-attempt shards merge only under a per-attempt run.
+	perAttempt := captureStdout(t, func() error { return run(with("-cell-workers", "2")) })
+	for i := 0; i < 2; i++ {
+		shard := filepath.Join(dir, fmt.Sprintf("shard-%d.jsonl", i))
+		if err := run(with("-cell-workers", "2", "-shard", fmt.Sprintf("%d/2", i), "-checkpoint", shard)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	glob := filepath.Join(dir, "shard-*.jsonl")
+	wantSeeding("sequential merge of per-attempt shards", run(with("-merge", glob)))
+	if got := captureStdout(t, func() error { return run(with("-cell-workers", "3", "-merge", glob)) }); got != perAttempt {
+		t.Errorf("per-attempt merge differs from the per-attempt run:\n--- want ---\n%s\n--- got ---\n%s", perAttempt, got)
 	}
 }
 

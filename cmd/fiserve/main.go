@@ -135,8 +135,9 @@ func runCtx(ctx context.Context, args []string, onReady func(addr string)) error
 	// survives restarts (and resumes when the file already has records);
 	// the default is a temp file removed only after a fully rendered run,
 	// so an interrupted study is never left without its state. Workers
-	// always run the compiled engines without replay, which pins the
-	// checkpoint shape.
+	// run every cell on the sequential stream, so the identity is n,
+	// seed and the adaptive signature; the header records the compiled
+	// engines without replay, the policy workers run, as provenance.
 	shape := core.CheckpointShape{N: *n, Seed: *seed, Replay: "off", Compiled: "on",
 		Adaptive: adaptCfg.Signature()}
 	ckptPath := *checkpoint
@@ -213,7 +214,7 @@ func runCtx(ctx context.Context, args []string, onReady func(addr string)) error
 
 	// Result warehouse: warehoused cells resolve at submission without a
 	// lease, leased resolutions are stored back, and GET /warehouse
-	// reports per-cell status. The cache key covers the same shape the
+	// reports per-cell status. The cache key covers the same identity the
 	// checkpoint header pins, so fleet and local ficompare runs share one
 	// store.
 	var wcache *warehouse.StudyCache

@@ -97,7 +97,7 @@ type CampaignOptions struct {
 	Adaptive *adaptive.Config
 	// Warehouse, when non-empty, is the content-addressed result store
 	// directory: a cached record for this exact cell (program bytes,
-	// fault model, n, seed, engine and adaptive signatures) replays its
+	// fault model, n, seed, adaptive signature) replays its
 	// summary without executing an injection, and a fresh result is
 	// stored back. The key space is shared with ficompare and the fleet.
 	Warehouse string
@@ -164,8 +164,7 @@ func RunCampaign(w io.Writer, prog *core.Program, level fault.Level, cat fault.C
 			wstore.Hits, wstore.Misses, wstore.Stores = om.WarehouseHits, om.WarehouseMisses, om.WarehouseStores
 		}
 		wcache = wstore.ForStudy(core.CheckpointShape{N: opts.N, Seed: opts.Seed,
-			Compiled: compiled.Signature(), Adaptive: opts.Adaptive.Signature()},
-			[]*core.Program{prog})
+			Adaptive: opts.Adaptive.Signature()}, []*core.Program{prog})
 		// The campaign below streams directly from opts.Seed, not from the
 		// study scheduler's per-cell derivation — key on that.
 		wcache.SetRawCampaignSeed()
@@ -176,12 +175,7 @@ func RunCampaign(w io.Writer, prog *core.Program, level fault.Level, cat fault.C
 				if rec != nil {
 					rec.Record(telemetry.Event{Type: telemetry.EventStudyStart,
 						N: opts.N, Seed: opts.Seed, Cells: 1, Parallel: 1})
-					rec.Record(telemetry.Event{Type: telemetry.EventWarehouseHit,
-						Benchmark: prog.Name, Level: level.String(), Category: cat.String(),
-						Attempts: res.Attempts, Activated: res.Activated(),
-						Benign: res.Benign, SDC: res.SDC, Crash: res.Crash, Hang: res.Hang,
-						NotActivated: res.NotActivated, SimFaults: res.SimFaults,
-						AdaptiveTarget: res.Adaptive.Target, AdaptiveConverged: res.Adaptive.Converged})
+					rec.Record(core.CellEvent(telemetry.EventWarehouseHit, key, res))
 					rec.Record(telemetry.Event{Type: telemetry.EventStudyDone, Cells: 1})
 				}
 				printCampaignSummary(w, res, opts.Verbose)
@@ -212,8 +206,7 @@ func RunCampaign(w io.Writer, prog *core.Program, level fault.Level, cat fault.C
 		case err != nil:
 			// StoreSkip keeps only deterministic kinds; deadline and other
 			// execution accidents are dropped there.
-			wcache.StoreSkip(key, opts.N, opts.N,
-				core.CheckpointSkip{Kind: core.SkipKindOf(err), Err: err.Error()})
+			wcache.StoreSkip(key, opts.N, opts.N, core.SkipOf(err))
 		}
 	}
 	if err != nil {
@@ -266,19 +259,7 @@ func emitCampaignEvents(rec telemetry.Recorder, c *core.Campaign, res *core.Cell
 				Attempt: tr.Attempt, Trigger: tr.Trigger,
 				Outcome: tr.Outcome.String(), Spans: tr.Spans})
 		}
-		rate := 0.0
-		if res.Attempts > 0 {
-			rate = float64(res.Activated()) / float64(res.Attempts)
-		}
-		rec.Record(telemetry.Event{Type: telemetry.EventCellDone,
-			Benchmark: c.Prog.Name, Level: c.Level.String(), Category: c.Category.String(),
-			DurationMS: telemetry.Ms(m.ScanTime + m.RunTime),
-			ScanMS:     telemetry.Ms(m.ScanTime),
-			Workers:    m.Workers,
-			Attempts:   res.Attempts, Activated: res.Activated(), ActivationRate: rate,
-			Benign: res.Benign, SDC: res.SDC, Crash: res.Crash, Hang: res.Hang,
-			NotActivated: res.NotActivated, SimFaults: res.SimFaults,
-			AdaptiveTarget: res.Adaptive.Target, AdaptiveConverged: res.Adaptive.Converged})
+		rec.Record(core.CellDoneEvent(core.CellKey{Prog: c.Prog.Name, Level: c.Level, Category: c.Category}, res, m))
 		rec.Record(telemetry.Event{Type: telemetry.EventStudyDone, Cells: 1,
 			Attempts: res.Attempts, Activated: res.Activated(),
 			DurationMS: telemetry.Ms(m.ScanTime + m.RunTime)})

@@ -19,13 +19,13 @@ import (
 // its round-1 boundary, persisted on extended records so any process
 // holding the checkpoint can recompute the identical reallocation plan.
 type AdaptiveCounts struct {
-	Benign       int
-	SDC          int
-	Crash        int
-	Hang         int
-	NotActivated int
-	Attempts     int
-	SimFaults    int
+	Benign       int `json:"benign"`
+	SDC          int `json:"sdc"`
+	Crash        int `json:"crash"`
+	Hang         int `json:"hang"`
+	NotActivated int `json:"notActivated"`
+	Attempts     int `json:"attempts"`
+	SimFaults    int `json:"simFaults,omitempty"`
 }
 
 // AdaptiveCell records how the early-stopping engine treated one cell.
@@ -369,15 +369,7 @@ func noteExtension(cfg StudyConfig, s cellSpec, prior, res *CellResult, m CellMe
 				s.prog.Name, s.level, s.cat, res.Activated(),
 				100*res.CrashRate().Rate(), 100*res.SDCRate().Rate(), adaptiveSuffix(res)))
 		}
-		emit(cfg.Events, telemetry.Event{
-			Type:      telemetry.EventWarehouseHit,
-			Benchmark: s.prog.Name, Level: s.level.String(), Category: s.cat.String(),
-			Attempts: res.Attempts, Activated: res.Activated(),
-			Benign: res.Benign, SDC: res.SDC, Crash: res.Crash, Hang: res.Hang,
-			NotActivated: res.NotActivated, SimFaults: res.SimFaults,
-			AdaptiveTarget:    res.Adaptive.Target,
-			AdaptiveConverged: res.Adaptive.Converged,
-		})
+		emit(cfg.Events, CellEvent(telemetry.EventWarehouseHit, s.key(), res))
 	case err != nil && isSoftSkip(err):
 		if cfg.Progress != nil {
 			cfg.Progress(fmt.Sprintf("%-10s %-5s %-10s adaptive extension abandoned (%v); keeping round-1 record",

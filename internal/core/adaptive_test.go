@@ -265,7 +265,7 @@ func TestAdaptiveResumeTruncatedIdentical(t *testing.T) {
 // TestLoadCheckpointShapeAdaptiveMismatch: a checkpoint written under
 // one adaptive config refuses to resume under another — in both
 // directions — with an error naming the file and the adaptive field,
-// exactly like the replay and compiled signature pins.
+// like every other identity field.
 func TestLoadCheckpointShapeAdaptiveMismatch(t *testing.T) {
 	dir := t.TempDir()
 	acfg := adaptiveOracleConfig()

@@ -7,13 +7,20 @@
 //
 // Schema (one JSON object per line):
 //
-//	{"type":"study","version":1,"n":1000,"seed":1}
+//	{"type":"study","version":1,"n":1000,"seed":1,"replay":"off",
+//	 "compiled":"on","adaptive":"off"}
 //	{"type":"cell","benchmark":"bzip2m","level":"LLFI","category":"all",
 //	 "result":{"benign":...,"sdc":...,"crash":...,"hang":...,
 //	           "notActivated":...,"attempts":...,"simFaults":...,
 //	           "dynCandidates":...}}
 //	{"type":"skip","benchmark":"mcfm","level":"PINFI","category":"cast",
 //	 "kind":"no-candidates","err":"..."}
+//
+// The header's n, seed, adaptive and seeding fields are the study
+// identity (CheckpointShape.Identity): resume and merge refuse a file
+// whose identity differs. seeding appears only for per-attempt studies
+// ("seeding":"per-attempt"). replay and compiled record the execution
+// policy of the run that created the file and are never compared.
 //
 // Lines are written in completion order (not canonical cell order — the
 // durability path is deliberately decoupled from the reorder buffer that
@@ -28,6 +35,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"sync"
 
 	"hlfi/internal/fault"
@@ -86,46 +94,36 @@ func (e *CheckpointTruncatedError) Error() string {
 type checkpointLine struct {
 	Type string `json:"type"` // "study" | "cell" | "skip"
 
-	// Header fields (type "study"). Replay records the snapshot-replay
-	// configuration the study ran under ("off", or "stride=N;budget=M");
-	// files from before replay existed carry no field, which loads as
-	// "off". Compiled records the compiled-engine configuration the same
-	// way ("off" or "on"; pre-compiled files load as "off"). Although
-	// neither ever changes results, the header still pins them: a config
-	// mismatch on resume would make the combined run's provenance
-	// unverifiable by re-execution with one flag set. Shard ("i/N") marks
-	// the checkpoint of one shard worker owning the canonical cells with
-	// index%N == i; unsharded studies carry no field.
+	// Header fields (type "study"). N, Seed, Adaptive and Seeding are the
+	// study identity (CheckpointShape.Identity). Replay and Compiled are
+	// provenance: the execution policy of the run that created the file,
+	// never compared on resume or merge. Shard ("i/N") marks the
+	// checkpoint of one shard worker owning the canonical cells with
+	// index%N == i; unsharded studies carry no field. Seeding is written
+	// only for per-attempt studies, so sequential headers keep their
+	// pre-seeding bytes.
 	Version  int    `json:"version,omitempty"`
 	N        int    `json:"n,omitempty"`
 	Seed     int64  `json:"seed,omitempty"`
 	Replay   string `json:"replay,omitempty"`
 	Compiled string `json:"compiled,omitempty"`
 	Shard    string `json:"shard,omitempty"`
-	// Adaptive records the early-stopping configuration the study ran
-	// under (adaptive.Config.Signature: "off" or "eps=…,min=…,check=…").
-	// Unlike replay/compiled it DOES change results — adaptive records
-	// carry per-cell stop points no fixed-n run produces — so mixing
-	// configs across resume or merge is refused like any other shape
-	// mismatch. Pre-adaptive files carry no field and load as "off".
 	Adaptive string `json:"adaptive,omitempty"`
+	Seeding  string `json:"seeding,omitempty"`
 
 	// Cell identity (types "cell" and "skip").
 	Benchmark string `json:"benchmark,omitempty"`
 	Level     string `json:"level,omitempty"`
 	Category  string `json:"category,omitempty"`
 
-	// Completed-cell payload (type "cell").
-	Result *checkpointResult `json:"result,omitempty"`
-
-	// Skip payload (type "skip").
-	Kind string `json:"kind,omitempty"`
-	Err  string `json:"err,omitempty"`
+	Result          *CellRecord `json:"result,omitempty"` // type "cell"
+	*CheckpointSkip             // type "skip"
 }
 
-// checkpointResult is CellResult without the identity triple (carried on
-// the line) and in stable lower-case JSON.
-type checkpointResult struct {
+// CellRecord is the persisted form of one completed cell: CellResult
+// without the identity triple, in stable lower-case JSON. Checkpoint
+// cell lines, warehouse payloads and fleet completions all carry it.
+type CellRecord struct {
 	Benign        int    `json:"benign"`
 	SDC           int    `json:"sdc"`
 	Crash         int    `json:"crash"`
@@ -138,59 +136,153 @@ type checkpointResult struct {
 	// Adaptive-sampling fields (absent on fixed-n records). Target is
 	// the activated target the record ran under; Round1 snapshots the
 	// counts at the round-1 boundary of an extended record, so any
-	// process resuming from the checkpoint recomputes the identical
-	// reallocation plan without re-running the cell.
-	Target    int               `json:"target,omitempty"`
-	Converged bool              `json:"converged,omitempty"`
-	Round1    *checkpointRound1 `json:"round1,omitempty"`
+	// process holding the record recomputes the identical reallocation
+	// plan without re-running the cell.
+	Target    int             `json:"target,omitempty"`
+	Converged bool            `json:"converged,omitempty"`
+	Round1    *AdaptiveCounts `json:"round1,omitempty"`
 }
 
-// checkpointRound1 is the persisted round-1 boundary snapshot of an
-// extended cell record.
-type checkpointRound1 struct {
-	Benign       int `json:"benign"`
-	SDC          int `json:"sdc"`
-	Crash        int `json:"crash"`
-	Hang         int `json:"hang"`
-	NotActivated int `json:"notActivated"`
-	Attempts     int `json:"attempts"`
-	SimFaults    int `json:"simFaults,omitempty"`
-}
-
-// CheckpointSkip records one cell skipped for a soft reason.
-type CheckpointSkip struct {
-	Kind string
-	Err  string
-}
-
-// skipError reconstructs the skip's error so replaying the record
-// through CheckpointWriter.Skip (and SkipKindOf) yields the identical
-// kind and message — a warehouse-resolved skip must checkpoint exactly
-// like the original run's.
-func (s CheckpointSkip) skipError() error {
-	var sentinel error
-	switch s.Kind {
-	case SkipNoCandidates:
-		sentinel = ErrNoCandidates
-	case SkipNotActivated:
-		sentinel = ErrNotActivated
-	case SkipDeadline:
-		sentinel = ErrDeadline
-	default:
-		return errors.New(s.Err)
+// RecordOf converts a cell result to its persisted record.
+func RecordOf(res *CellResult) *CellRecord {
+	r := &CellRecord{
+		Benign: res.Benign, SDC: res.SDC, Crash: res.Crash, Hang: res.Hang,
+		NotActivated: res.NotActivated, Attempts: res.Attempts,
+		SimFaults: res.SimFaults, DynCandidates: res.DynCandidates,
 	}
-	return &replayedSkipError{msg: s.Err, sentinel: sentinel}
+	if a := res.Adaptive; a.Target > 0 {
+		r.Target, r.Converged = a.Target, a.Converged
+		if a.Extended {
+			round1 := a.Round1
+			r.Round1 = &round1
+		}
+	}
+	return r
 }
 
-// replayedSkipError carries a recorded skip message while unwrapping to
-// the sentinel its kind maps back to.
-type replayedSkipError struct {
-	msg      string
-	sentinel error
+// Result converts a persisted record back to the cell result of key.
+func (r *CellRecord) Result(key CellKey) *CellResult {
+	res := &CellResult{
+		Prog: key.Prog, Level: key.Level, Category: key.Category,
+		Benign: r.Benign, SDC: r.SDC, Crash: r.Crash, Hang: r.Hang,
+		NotActivated: r.NotActivated, Attempts: r.Attempts,
+		SimFaults: r.SimFaults, DynCandidates: r.DynCandidates,
+	}
+	if r.Target > 0 {
+		res.Adaptive.Target, res.Adaptive.Converged = r.Target, r.Converged
+		if r.Round1 != nil {
+			res.Adaptive.Extended, res.Adaptive.Round1 = true, *r.Round1
+		}
+	}
+	return res
 }
 
-func (e *replayedSkipError) Error() string { return e.msg }
-func (e *replayedSkipError) Unwrap() error { return e.sentinel }
+// CheckpointSkip records one cell skipped for a soft reason. Checkpoint
+// skip lines, warehouse payloads and fleet completions all carry it.
+type CheckpointSkip struct {
+	Kind string `json:"kind"`
+	Err  string `json:"err"`
+}
+
+// SkipOf classifies a soft-skip error as a skip record, so the same
+// cell skipped by any execution path (local study, shard worker, fleet
+// worker) carries the same kind.
+func SkipOf(err error) CheckpointSkip {
+	kind := "error"
+	switch {
+	case errors.Is(err, ErrNoCandidates):
+		kind = SkipNoCandidates
+	case errors.Is(err, ErrNotActivated):
+		kind = SkipNotActivated
+	case errors.Is(err, ErrDeadline):
+		kind = SkipDeadline
+	}
+	return CheckpointSkip{Kind: kind, Err: err.Error()}
+}
+
+// Attempt-seeding disciplines (CheckpointShape.Seeding).
+const (
+	// SeedingSequential: one random stream per cell (cell workers <= 1).
+	SeedingSequential = "sequential"
+	// SeedingPerAttempt: one stream per attempt (cell workers > 1), a
+	// deterministic but different sample than the sequential stream.
+	SeedingPerAttempt = "per-attempt"
+)
+
+// SeedingOf names the attempt-seeding discipline of a study run with
+// the given per-cell worker count (StudyConfig.Workers).
+func SeedingOf(workers int) string {
+	if workers > 1 {
+		return SeedingPerAttempt
+	}
+	return SeedingSequential
+}
+
+// CheckpointShape describes a study as a checkpoint header records it.
+// Identity lists the fields that determine cell outcomes; Replay and
+// Compiled are provenance only (proven byte-identical by the
+// differential oracles) and Shard is the worker's share of the cells.
+type CheckpointShape struct {
+	N        int
+	Seed     int64
+	Replay   string // ReplayConfig.Signature: provenance only
+	Compiled string // CompiledConfig.Signature: provenance only
+	Adaptive string // adaptive.Config.Signature ("off" or "eps=…,min=…,check=…")
+	Seeding  string // SeedingSequential or SeedingPerAttempt ("" = sequential)
+	Shard    string // "i/N", or "" for an unsharded study
+}
+
+// Normalized maps an empty replay, compiled, or adaptive signature onto
+// the explicit "off", and an empty seeding onto sequential: headers
+// written before a field existed carry no value for it, and an empty
+// argument means the feature is off. Every header written, loaded,
+// merged, or hashed into a warehouse key goes through this one rule.
+func (s CheckpointShape) Normalized() CheckpointShape {
+	for _, sig := range []*string{&s.Replay, &s.Compiled, &s.Adaptive} {
+		if *sig == "" {
+			*sig = "off"
+		}
+	}
+	if s.Seeding == "" {
+		s.Seeding = SeedingSequential
+	}
+	return s
+}
+
+// IdentityField is one named, outcome-determining field of a study.
+// About names the input behind it for error messages.
+type IdentityField struct {
+	Name, Value, About string
+}
+
+// Identity lists, in a fixed order, every shape field that determines
+// cell outcomes. Resume and merge compare exactly this list and the
+// warehouse key hashes it; a new outcome-determining input (a fault
+// model, say) becomes one more entry here.
+func (s CheckpointShape) Identity() []IdentityField {
+	s = s.Normalized()
+	return []IdentityField{
+		{"n", strconv.Itoa(s.N), "the injection count (-n)"},
+		{"seed", strconv.FormatInt(s.Seed, 10), "the study seed (-seed)"},
+		{"adaptive", s.Adaptive, "adaptive sampling (-adaptive)"},
+		{"seeding", s.Seeding, "attempt seeding (-cell-workers)"},
+	}
+}
+
+// CheckIdentity compares got's identity against the expected identity
+// s and reports the first differing field as a *HeaderMismatchError for
+// file. reference names the file whose header set the expectation, or
+// "" when it is the current run's own configuration.
+func (s CheckpointShape) CheckIdentity(got CheckpointShape, file, reference string) error {
+	want, have := s.Identity(), got.Identity()
+	for i := range want {
+		if want[i] != have[i] {
+			return &HeaderMismatchError{File: file, Reference: reference,
+				Field: want[i].Name, Want: want[i].Value, Got: have[i].Value, about: want[i].About}
+		}
+	}
+	return nil
+}
 
 // CheckpointState is the loaded content of a checkpoint file: completed
 // cells to restore and soft-skipped cells to skip again without
@@ -203,67 +295,19 @@ type CheckpointState struct {
 	Skips map[CellKey]CheckpointSkip
 }
 
-// CheckpointShape is the study identity a checkpoint header pins: the
-// per-cell injection count, the study seed, the snapshot-replay and
-// compiled-engine signatures, and (for shard workers) the shard spec.
-type CheckpointShape struct {
-	N        int
-	Seed     int64
-	Replay   string
-	Compiled string // CompiledConfig.Signature ("off" or "on")
-	Adaptive string // adaptive.Config.Signature ("off" or "eps=…,min=…,check=…")
-	Shard    string // "i/N", or "" for an unsharded study
-}
-
-// Normalized maps an empty replay, compiled, or adaptive signature onto
-// the explicit "off": headers written before a feature existed carry no
-// field for it, and an empty argument means the feature is off. Every
-// header written, loaded, merged, or hashed into a warehouse key goes
-// through this one rule.
-func (s CheckpointShape) Normalized() CheckpointShape {
-	for _, sig := range []*string{&s.Replay, &s.Compiled, &s.Adaptive} {
-		if *sig == "" {
-			*sig = "off"
-		}
-	}
-	return s
-}
-
-// LoadCheckpoint reads a checkpoint and validates that it belongs to an
-// unsharded study with the given N, seed, and replay signature
-// (ReplayConfig.Signature; nil config = "off") — resuming into a
-// different study shape would silently produce results no uninterrupted
-// run could, and a replay-config switch mid-study would be
-// unverifiable.
-func LoadCheckpoint(path string, n int, seed int64, replay string) (*CheckpointState, error) {
-	return LoadCheckpointShape(path, CheckpointShape{N: n, Seed: seed, Replay: replay})
-}
-
 // LoadCheckpointShape reads a checkpoint and validates its header
-// against the expected study shape, including the shard spec: a shard
-// worker can only resume its own shard's checkpoint, and an unsharded
-// study refuses a shard-tagged file (merge it instead).
+// against the expected study shape: every identity field must match
+// (resuming into a different study would produce results no
+// uninterrupted run could), and so must the shard spec — a shard worker
+// can only resume its own shard's checkpoint, and an unsharded study
+// refuses a shard-tagged file (merge it instead).
 func LoadCheckpointShape(path string, shape CheckpointShape) (*CheckpointState, error) {
 	st, hdr, err := readCheckpoint(path)
 	if err != nil {
 		return nil, err
 	}
-	if hdr.N != shape.N || hdr.Seed != shape.Seed {
-		return nil, fmt.Errorf("checkpoint %s was written by -n %d -seed %d; refusing to resume a -n %d -seed %d study",
-			path, hdr.N, hdr.Seed, shape.N, shape.Seed)
-	}
-	shape = shape.Normalized()
-	if hdr.Replay != shape.Replay {
-		return nil, fmt.Errorf("checkpoint %s was written with snapshot replay %q; refusing to resume with replay %q (match the original -snapshot-* flags, or start a fresh checkpoint)",
-			path, hdr.Replay, shape.Replay)
-	}
-	if hdr.Compiled != shape.Compiled {
-		return nil, fmt.Errorf("checkpoint %s was written with compiled engines %q; refusing to resume with compiled engines %q (match the original -compiled/-no-compiled flag, or start a fresh checkpoint)",
-			path, hdr.Compiled, shape.Compiled)
-	}
-	if hdr.Adaptive != shape.Adaptive {
-		return nil, fmt.Errorf("checkpoint %s was written with adaptive sampling %q; refusing to resume with adaptive sampling %q (adaptive stop points change results — match the original -adaptive flag, or start a fresh checkpoint)",
-			path, hdr.Adaptive, shape.Adaptive)
+	if err := shape.CheckIdentity(hdr, path, ""); err != nil {
+		return nil, err
 	}
 	if hdr.Shard != shape.Shard {
 		switch {
@@ -323,7 +367,8 @@ func readCheckpoint(path string) (*CheckpointState, CheckpointShape, error) {
 					path, line.Version, checkpointVersion)
 			}
 			hdr = CheckpointShape{N: line.N, Seed: line.Seed, Replay: line.Replay,
-				Compiled: line.Compiled, Adaptive: line.Adaptive, Shard: line.Shard}.Normalized()
+				Compiled: line.Compiled, Adaptive: line.Adaptive, Seeding: line.Seeding,
+				Shard: line.Shard}.Normalized()
 			st.N, st.Seed, st.Shard = line.N, line.Seed, line.Shard
 			sawHeader = true
 		case "cell":
@@ -334,34 +379,17 @@ func readCheckpoint(path string) (*CheckpointState, CheckpointShape, error) {
 			if line.Result == nil {
 				return nil, hdr, fmt.Errorf("checkpoint %s:%d: cell line without result", path, lineNo+1)
 			}
-			r := line.Result
-			res := &CellResult{
-				Prog: key.Prog, Level: key.Level, Category: key.Category,
-				Benign: r.Benign, SDC: r.SDC, Crash: r.Crash, Hang: r.Hang,
-				NotActivated: r.NotActivated, Attempts: r.Attempts,
-				SimFaults: r.SimFaults, DynCandidates: r.DynCandidates,
-			}
-			if r.Target > 0 {
-				res.Adaptive.Target = r.Target
-				res.Adaptive.Converged = r.Converged
-				if r.Round1 != nil {
-					res.Adaptive.Extended = true
-					res.Adaptive.Round1 = AdaptiveCounts{
-						Benign: r.Round1.Benign, SDC: r.Round1.SDC,
-						Crash: r.Round1.Crash, Hang: r.Round1.Hang,
-						NotActivated: r.Round1.NotActivated,
-						Attempts:     r.Round1.Attempts, SimFaults: r.Round1.SimFaults,
-					}
-				}
-			}
-			st.Cells[key] = res
+			st.Cells[key] = line.Result.Result(key)
 			delete(st.Skips, key)
 		case "skip":
 			key, err := line.key()
 			if err != nil {
 				return nil, hdr, fmt.Errorf("checkpoint %s:%d: %w", path, lineNo+1, err)
 			}
-			st.Skips[key] = CheckpointSkip{Kind: line.Kind, Err: line.Err}
+			if line.CheckpointSkip == nil {
+				return nil, hdr, fmt.Errorf("checkpoint %s:%d: skip line without kind", path, lineNo+1)
+			}
+			st.Skips[key] = *line.CheckpointSkip
 			delete(st.Cells, key)
 		default:
 			return nil, hdr, fmt.Errorf("checkpoint %s:%d: unknown record type %q", path, lineNo+1, line.Type)
@@ -420,13 +448,6 @@ type CheckpointWriter struct {
 	werr error // sticky first write failure
 }
 
-// NewCheckpointWriter creates (or truncates) an unsharded checkpoint
-// file and writes the study header. replay is the snapshot-replay
-// signature (ReplayConfig.Signature; nil config = "off").
-func NewCheckpointWriter(path string, n int, seed int64, replay string) (*CheckpointWriter, error) {
-	return NewCheckpointWriterShape(path, CheckpointShape{N: n, Seed: seed, Replay: replay})
-}
-
 // NewCheckpointWriterShape creates (or truncates) a checkpoint file and
 // writes the full study-shape header, including the shard spec for
 // shard workers.
@@ -437,9 +458,13 @@ func NewCheckpointWriterShape(path string, shape CheckpointShape) (*CheckpointWr
 	}
 	w := &CheckpointWriter{path: path, f: f, enc: json.NewEncoder(f)}
 	shape = shape.Normalized()
-	if err := w.append(checkpointLine{Type: "study", Version: checkpointVersion,
+	line := checkpointLine{Type: "study", Version: checkpointVersion,
 		N: shape.N, Seed: shape.Seed, Replay: shape.Replay, Compiled: shape.Compiled,
-		Adaptive: shape.Adaptive, Shard: shape.Shard}); err != nil {
+		Adaptive: shape.Adaptive, Shard: shape.Shard}
+	if shape.Seeding != SeedingSequential {
+		line.Seeding = shape.Seeding
+	}
+	if err := w.append(line); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -481,62 +506,28 @@ func (w *CheckpointWriter) Cell(key CellKey, res *CellResult) error {
 	if w == nil {
 		return nil
 	}
-	cr := &checkpointResult{
-		Benign: res.Benign, SDC: res.SDC, Crash: res.Crash, Hang: res.Hang,
-		NotActivated: res.NotActivated, Attempts: res.Attempts,
-		SimFaults: res.SimFaults, DynCandidates: res.DynCandidates,
-	}
-	if a := res.Adaptive; a.Target > 0 {
-		cr.Target = a.Target
-		cr.Converged = a.Converged
-		if a.Extended {
-			cr.Round1 = &checkpointRound1{
-				Benign: a.Round1.Benign, SDC: a.Round1.SDC,
-				Crash: a.Round1.Crash, Hang: a.Round1.Hang,
-				NotActivated: a.Round1.NotActivated,
-				Attempts:     a.Round1.Attempts, SimFaults: a.Round1.SimFaults,
-			}
-		}
-	}
 	return w.append(checkpointLine{
 		Type:      "cell",
 		Benchmark: key.Prog,
 		Level:     key.Level.String(),
 		Category:  key.Category.String(),
-		Result:    cr,
+		Result:    RecordOf(res),
 	})
 }
 
 // Skip appends one soft-skipped cell so a resumed study skips it without
 // re-running (keeping resumed output byte-identical).
-func (w *CheckpointWriter) Skip(key CellKey, err error) error {
+func (w *CheckpointWriter) Skip(key CellKey, skip CheckpointSkip) error {
 	if w == nil {
 		return nil
 	}
 	return w.append(checkpointLine{
-		Type:      "skip",
-		Benchmark: key.Prog,
-		Level:     key.Level.String(),
-		Category:  key.Category.String(),
-		Kind:      SkipKindOf(err),
-		Err:       err.Error(),
+		Type:           "skip",
+		Benchmark:      key.Prog,
+		Level:          key.Level.String(),
+		Category:       key.Category.String(),
+		CheckpointSkip: &skip,
 	})
-}
-
-// SkipKindOf classifies a soft-skip error for checkpoint and fleet
-// completion records, so the same cell skipped by any execution path
-// (local study, shard worker, fleet worker) carries the same kind.
-func SkipKindOf(err error) string {
-	switch {
-	case errors.Is(err, ErrNoCandidates):
-		return SkipNoCandidates
-	case errors.Is(err, ErrNotActivated):
-		return SkipNotActivated
-	case errors.Is(err, ErrDeadline):
-		return SkipDeadline
-	default:
-		return "error"
-	}
 }
 
 // Close closes the underlying file.

@@ -42,7 +42,7 @@ func runTinyStudy(t *testing.T, mutate func(*StudyConfig)) *Study {
 // loader restores records equal to the in-memory results.
 func TestCheckpointRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ck.jsonl")
-	w, err := NewCheckpointWriter(path, 10, 5, "off")
+	w, err := NewCheckpointWriterShape(path, CheckpointShape{N: 10, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	state, err := LoadCheckpoint(path, 10, 5, "off")
+	state, err := LoadCheckpointShape(path, CheckpointShape{N: 10, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,11 +66,57 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 
 	// Header validation refuses a mismatched study shape.
-	if _, err := LoadCheckpoint(path, 20, 5, "off"); err == nil || !strings.Contains(err.Error(), "refusing to resume") {
+	if _, err := LoadCheckpointShape(path, CheckpointShape{N: 20, Seed: 5}); err == nil || !strings.Contains(err.Error(), "refusing to resume") {
 		t.Errorf("mismatched -n accepted: %v", err)
 	}
-	if _, err := LoadCheckpoint(path, 10, 6, "off"); err == nil {
+	if _, err := LoadCheckpointShape(path, CheckpointShape{N: 10, Seed: 6}); err == nil {
 		t.Error("mismatched -seed accepted")
+	}
+}
+
+// TestCheckpointSeedingDiscipline: the attempt-seeding discipline is
+// identity. A sequential header keeps its pre-seeding bytes, a
+// per-attempt header records the discipline, resuming across the two
+// is refused with a typed error naming the field, and any two cell
+// worker counts above one share a discipline.
+func TestCheckpointSeedingDiscipline(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, workers int) (string, string) {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		w, err := NewCheckpointWriterShape(path, CheckpointShape{N: 10, Seed: 5, Seeding: SeedingOf(workers)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return path, string(raw)
+	}
+	seq, seqHdr := write("seq.jsonl", 1)
+	par, parHdr := write("par.jsonl", 4)
+	if want := `{"type":"study","version":1,"n":10,"seed":5,"replay":"off","compiled":"off","adaptive":"off"}` + "\n"; seqHdr != want {
+		t.Errorf("sequential header = %s, want %s", seqHdr, want)
+	}
+	if !strings.Contains(parHdr, `"seeding":"per-attempt"`) {
+		t.Errorf("per-attempt header does not record the discipline: %s", parHdr)
+	}
+	for _, tc := range []struct {
+		path    string
+		workers int
+	}{{seq, 4}, {par, 1}} {
+		_, err := LoadCheckpointShape(tc.path, CheckpointShape{N: 10, Seed: 5, Seeding: SeedingOf(tc.workers)})
+		var hm *HeaderMismatchError
+		if !errors.As(err, &hm) || hm.Field != "seeding" || !strings.Contains(err.Error(), "seeding") {
+			t.Errorf("resume of %s with %d cell workers: %v, want a seeding *HeaderMismatchError", tc.path, tc.workers, err)
+		}
+	}
+	if _, err := LoadCheckpointShape(par, CheckpointShape{N: 10, Seed: 5, Seeding: SeedingOf(2)}); err != nil {
+		t.Errorf("per-attempt resume with a different worker count refused: %v", err)
 	}
 }
 
@@ -79,14 +125,14 @@ func TestCheckpointRoundTrip(t *testing.T) {
 // resumed cells are never recomputed.
 func TestCheckpointResumeIdentical(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ck.jsonl")
-	w, err := NewCheckpointWriter(path, 10, 5, "off")
+	w, err := NewCheckpointWriterShape(path, CheckpointShape{N: 10, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	full := runTinyStudy(t, func(cfg *StudyConfig) { cfg.Checkpoint = w })
 	w.Close()
 
-	state, err := LoadCheckpoint(path, 10, 5, "off")
+	state, err := LoadCheckpointShape(path, CheckpointShape{N: 10, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +183,7 @@ func TestCheckpointResumeIdentical(t *testing.T) {
 // on resume without re-running.
 func TestCheckpointSkipRecords(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ck.jsonl")
-	w, err := NewCheckpointWriter(path, 10, 5, "off")
+	w, err := NewCheckpointWriterShape(path, CheckpointShape{N: 10, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +194,7 @@ func TestCheckpointSkipRecords(t *testing.T) {
 	runTinyStudy(t, func(cfg *StudyConfig) { cfg.Checkpoint = w })
 	w.Close()
 
-	state, err := LoadCheckpoint(path, 10, 5, "off")
+	state, err := LoadCheckpointShape(path, CheckpointShape{N: 10, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +283,7 @@ func TestCheckpointWriterFailure(t *testing.T) {
 			// Sticky: the writer refuses further appends without touching
 			// the file again.
 			writesBefore := ff.writes
-			if err := w.Skip(key, ErrNoCandidates); !errors.As(err, &werr) {
+			if err := w.Skip(key, SkipOf(ErrNoCandidates)); !errors.As(err, &werr) {
 				t.Fatalf("append after failure = %v, want the sticky *CheckpointWriteError", err)
 			}
 			if ff.writes != writesBefore {
@@ -274,7 +320,7 @@ func TestCheckpointWriterFailure(t *testing.T) {
 func TestCheckpointTornTail(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ck.jsonl")
-	w, err := NewCheckpointWriter(path, 10, 5, "off")
+	w, err := NewCheckpointWriterShape(path, CheckpointShape{N: 10, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +335,7 @@ func TestCheckpointTornTail(t *testing.T) {
 	fmt.Fprintf(f, `{"type":"cell","benchmark":"tiny.c","level":"LL`)
 	f.Close()
 
-	state, err := LoadCheckpoint(path, 10, 5, "off")
+	state, err := LoadCheckpointShape(path, CheckpointShape{N: 10, Seed: 5})
 	if err != nil {
 		t.Fatalf("torn-tail checkpoint refused: %v", err)
 	}
@@ -305,7 +351,7 @@ func TestCheckpointTornTail(t *testing.T) {
 	if err := os.WriteFile(bad, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadCheckpoint(bad, 10, 5, "off"); err == nil {
+	if _, err := LoadCheckpointShape(bad, CheckpointShape{N: 10, Seed: 5}); err == nil {
 		t.Error("mid-file corruption accepted")
 	}
 }
@@ -314,14 +360,14 @@ func TestCheckpointTornTail(t *testing.T) {
 // leaves a checkpoint that restores the full study.
 func TestCheckpointAppendResume(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ck.jsonl")
-	w, err := NewCheckpointWriter(path, 10, 5, "off")
+	w, err := NewCheckpointWriterShape(path, CheckpointShape{N: 10, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	full := runTinyStudy(t, func(cfg *StudyConfig) { cfg.Checkpoint = w })
 	w.Close()
 
-	state, err := LoadCheckpoint(path, 10, 5, "off")
+	state, err := LoadCheckpointShape(path, CheckpointShape{N: 10, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +387,7 @@ func TestCheckpointAppendResume(t *testing.T) {
 	// The file now carries the original cells plus the recomputed one
 	// appended (a duplicate line for the dropped cell is fine: last
 	// record wins). A fresh load restores the complete study.
-	state2, err := LoadCheckpoint(path, 10, 5, "off")
+	state2, err := LoadCheckpointShape(path, CheckpointShape{N: 10, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

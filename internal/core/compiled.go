@@ -35,9 +35,8 @@ type CompiledConfig struct {
 }
 
 // Signature renders the compiled-engine configuration for checkpoint
-// headers, so -resume and shard merge can refuse to mix runs with
-// different engine configs. A nil config (compiled off) renders as
-// "off".
+// headers, where it records the creating run's policy as provenance. A
+// nil config (compiled off) renders as "off".
 func (cc *CompiledConfig) Signature() string {
 	if cc == nil {
 		return "off"

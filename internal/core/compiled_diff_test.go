@@ -17,8 +17,8 @@ import (
 var compiledOracleCats = []fault.Category{fault.CatAll, fault.CatArith, fault.CatCast}
 
 // checkpointBody returns a checkpoint file's record lines without the
-// header. The header deliberately differs between compiled-on and
-// compiled-off runs (it pins the engine config); every line after it
+// header. The header differs between compiled-on and compiled-off runs
+// (it records the engine config as provenance); every line after it
 // must not. Lines are sorted because the durability path writes in
 // completion order, which the parallel scheduler is free to permute.
 func checkpointBody(t *testing.T, path string) []string {
@@ -172,43 +172,98 @@ func TestCompiledShardMergeOracle(t *testing.T) {
 	}
 }
 
-// TestCompiledCheckpointPinning covers the refusal paths: a checkpoint
-// written with the compiled engines on cannot resume with them off (or
-// vice versa), and a shard merge refuses a mixed set.
-func TestCompiledCheckpointPinning(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name, compiled, shard string) string {
-		path := filepath.Join(dir, name)
-		w, err := NewCheckpointWriterShape(path, CheckpointShape{
-			N: 4, Seed: 7, Replay: "off", Compiled: compiled, Shard: shard})
+// TestCompiledCheckpointFlip: the compiled and replay signatures are
+// header provenance, not identity. A checkpoint written with both
+// engines on resumes with both off and vice versa, shards written under
+// different policies merge, and every such run renders the
+// uninterrupted report byte for byte. Headers from before the compiled
+// engines existed carry no field and still load.
+func TestCompiledCheckpointFlip(t *testing.T) {
+	p, err := BuildProgram("tiny.c", tinySrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type policy struct {
+		replay   *ReplayConfig
+		compiled *CompiledConfig
+	}
+	policies := []policy{{&ReplayConfig{}, &CompiledConfig{}}, {nil, nil}}
+	shapeOf := func(pol policy, shard string) CheckpointShape {
+		return CheckpointShape{N: 6, Seed: 9, Replay: pol.replay.Signature(),
+			Compiled: pol.compiled.Signature(), Shard: shard}
+	}
+	study := func(pol policy, mutate func(*StudyConfig)) *Study {
+		t.Helper()
+		cfg := StudyConfig{Programs: []*Program{p}, N: 6, Seed: 9,
+			Categories: compiledOracleCats, Replay: pol.replay, Compiled: pol.compiled}
+		mutate(&cfg)
+		st, err := RunStudy(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		return st
+	}
+	golden := renderAll(study(policies[1], func(*StudyConfig) {}))
+	dir := t.TempDir()
+
+	for i, from := range policies {
+		to := policies[1-i]
+		path := filepath.Join(dir, fmt.Sprintf("resume-%d.jsonl", i))
+		w, err := NewCheckpointWriterShape(path, shapeOf(from, ""))
+		if err != nil {
+			t.Fatal(err)
+		}
+		study(from, func(cfg *StudyConfig) { cfg.Checkpoint = w })
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		return path
+		// Keep the header and the first record: the resume re-runs the
+		// rest under the other policy.
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.SplitAfter(string(raw), "\n")
+		if err := os.WriteFile(path, []byte(lines[0]+lines[1]), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		state, err := LoadCheckpointShape(path, shapeOf(to, ""))
+		if err != nil {
+			t.Fatalf("resume across a policy flip refused: %v", err)
+		}
+		if report := renderAll(study(to, func(cfg *StudyConfig) { cfg.Resume = state })); report != golden {
+			t.Errorf("resume %s -> %s differs from the uninterrupted run:\n--- want ---\n%s\n--- got ---\n%s",
+				shapeOf(from, "").Compiled, shapeOf(to, "").Compiled, golden, report)
+		}
 	}
 
-	on := write("on.jsonl", "on", "")
-	if _, err := LoadCheckpointShape(on, CheckpointShape{N: 4, Seed: 7, Replay: "off", Compiled: "off"}); err == nil {
-		t.Error("resume with compiled=off accepted a compiled=on checkpoint")
+	var paths []string
+	for i, pol := range policies {
+		spec := ShardSpec{Index: i, Count: 2}
+		path := filepath.Join(dir, fmt.Sprintf("shard-%d.jsonl", i))
+		w, err := NewCheckpointWriterShape(path, shapeOf(pol, spec.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		study(pol, func(cfg *StudyConfig) { cfg.Checkpoint, cfg.Shard = w, &spec })
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, path)
 	}
-	if _, err := LoadCheckpointShape(on, CheckpointShape{N: 4, Seed: 7, Replay: "off", Compiled: "on"}); err != nil {
-		t.Errorf("matching resume refused: %v", err)
+	merged, err := MergeShardCheckpoints(paths)
+	if err != nil {
+		t.Fatalf("merge of shards under different policies refused: %v", err)
 	}
-	// Headers from before the compiled engines existed carry no field and
-	// must load as "off".
-	legacy := write("legacy.jsonl", "", "")
-	if _, err := LoadCheckpointShape(legacy, CheckpointShape{N: 4, Seed: 7, Replay: "off", Compiled: "off"}); err != nil {
-		t.Errorf("legacy header did not normalize to compiled=off: %v", err)
+	if report := renderAll(study(policies[1], func(cfg *StudyConfig) { cfg.Resume = merged.State })); report != golden {
+		t.Errorf("mixed-policy merge differs from the uninterrupted run:\n--- want ---\n%s\n--- got ---\n%s", golden, report)
 	}
 
-	s0 := write("shard-0.jsonl", "on", "0/2")
-	s1 := write("shard-1.jsonl", "off", "1/2")
-	if _, err := MergeShardCheckpoints([]string{s0, s1}); err == nil {
-		t.Error("merge accepted shards with mixed compiled configs")
-	} else if !strings.Contains(err.Error(), "compiled") {
-		t.Errorf("mixed-config merge error does not name the compiled field: %v", err)
+	legacy := filepath.Join(dir, "legacy.jsonl")
+	if err := os.WriteFile(legacy, []byte(`{"type":"study","version":1,"n":6,"seed":9}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadCheckpointShape(legacy, shapeOf(policies[0], "")); err != nil {
+		t.Errorf("legacy header refused: %v", err)
 	}
 }

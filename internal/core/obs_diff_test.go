@@ -31,7 +31,7 @@ func TestObservabilityDifferentialOracle(t *testing.T) {
 
 	run := func(name string, om *obs.Metrics, trace, parallel int) (*core.Study, []byte) {
 		path := filepath.Join(dir, name+".ckpt")
-		ckpt, err := core.NewCheckpointWriter(path, 10, 3, (*core.ReplayConfig)(nil).Signature())
+		ckpt, err := core.NewCheckpointWriterShape(path, core.CheckpointShape{N: 10, Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -54,8 +54,8 @@ type ReplayConfig struct {
 	cache *snapshotCache
 }
 
-// Signature renders the replay configuration for checkpoint headers, so
-// -resume can refuse to mix runs with different replay configs. A nil
+// Signature renders the replay configuration for checkpoint headers,
+// where it records the creating run's policy as provenance. A nil
 // config (replay off) renders as "off".
 func (rc *ReplayConfig) Signature() string {
 	if rc == nil {

@@ -78,16 +78,23 @@ func CanonicalCells(programs []*Program, cats []fault.Category) []CellKey {
 	return keys
 }
 
-// HeaderMismatchError reports a shard checkpoint whose header disagrees
-// with the merge reference file on a pinned study-shape field.
+// HeaderMismatchError reports a checkpoint whose header disagrees on an
+// identity field (CheckpointShape.Identity) or the shard count: with a
+// shard merge's reference file, or, when Reference is empty, with the
+// study a -resume asks for.
 type HeaderMismatchError struct {
 	File      string // the offending checkpoint
-	Reference string // the file whose header set the expectation
-	Field     string // "n" | "seed" | "replay" | "shard-count" | "shard"
+	Reference string // the file whose header set the expectation ("" = this run)
+	Field     string // "n" | "seed" | "adaptive" | "seeding" | "shard-count"
 	Want, Got string
+	about     string // IdentityField.About of an identity mismatch
 }
 
 func (e *HeaderMismatchError) Error() string {
+	if e.Reference == "" {
+		return fmt.Sprintf("checkpoint %s was written with %s = %s; refusing to resume a study with %s = %s (%s changes results: match the original flag, or start a fresh checkpoint)",
+			e.File, e.Field, e.Got, e.Field, e.Want, e.about)
+	}
 	return fmt.Sprintf("shard checkpoint %s: header %s = %s, but %s was written with %s = %s; these files are not shards of one study",
 		e.File, e.Field, e.Got, e.Reference, e.Field, e.Want)
 }
@@ -161,7 +168,8 @@ func (e *IncompleteShardsError) Error() string {
 // MergedShards is the validated union of one study's shard checkpoints.
 type MergedShards struct {
 	// Shape is the shared study shape (Shard cleared: the union is the
-	// whole study).
+	// whole study). Its Replay and Compiled are the reference file's
+	// provenance; shards may differ there.
 	Shape CheckpointShape
 	// Count is the shard count all headers agreed on.
 	Count int
@@ -173,8 +181,8 @@ type MergedShards struct {
 }
 
 // MergeShardCheckpoints loads the given shard checkpoints, validates
-// their headers for mutual consistency (same n, seed, replay signature,
-// and shard count; distinct shard indices; every index present), and
+// their headers for mutual consistency (same identity and shard count;
+// distinct shard indices; every index present), and
 // reassembles one CheckpointState. Cells need no reordering here: the
 // resume scheduler restores them into canonical study order, so the
 // merged report is byte-identical to the single-process run.
@@ -264,26 +272,12 @@ func MergeShardCheckpoints(paths []string) (*MergedShards, error) {
 
 // checkHeader validates one shard header against the merge reference.
 func checkHeader(path, reference string, hdr CheckpointShape, spec ShardSpec, merged *MergedShards) error {
-	mismatch := func(field, want, got string) error {
-		return &HeaderMismatchError{File: path, Reference: reference, Field: field, Want: want, Got: got}
-	}
-	if hdr.N != merged.Shape.N {
-		return mismatch("n", strconv.Itoa(merged.Shape.N), strconv.Itoa(hdr.N))
-	}
-	if hdr.Seed != merged.Shape.Seed {
-		return mismatch("seed", strconv.FormatInt(merged.Shape.Seed, 10), strconv.FormatInt(hdr.Seed, 10))
-	}
-	if hdr.Replay != merged.Shape.Replay {
-		return mismatch("replay", merged.Shape.Replay, hdr.Replay)
-	}
-	if hdr.Compiled != merged.Shape.Compiled {
-		return mismatch("compiled", merged.Shape.Compiled, hdr.Compiled)
-	}
-	if hdr.Adaptive != merged.Shape.Adaptive {
-		return mismatch("adaptive", merged.Shape.Adaptive, hdr.Adaptive)
+	if err := merged.Shape.CheckIdentity(hdr, path, reference); err != nil {
+		return err
 	}
 	if spec.Count != merged.Count {
-		return mismatch("shard-count", strconv.Itoa(merged.Count), strconv.Itoa(spec.Count))
+		return &HeaderMismatchError{File: path, Reference: reference, Field: "shard-count",
+			Want: strconv.Itoa(merged.Count), Got: strconv.Itoa(spec.Count)}
 	}
 	return nil
 }

@@ -62,8 +62,8 @@ func writeShardFile(t *testing.T, dir, name string, shape CheckpointShape) strin
 	return path
 }
 
-// TestMergeHeaderMismatch: shard checkpoints disagreeing on any pinned
-// study-shape field are rejected with a typed *HeaderMismatchError that
+// TestMergeHeaderMismatch: shard checkpoints disagreeing on any identity
+// field or the shard count are rejected with a typed *HeaderMismatchError that
 // names the offending file and field.
 func TestMergeHeaderMismatch(t *testing.T) {
 	base := CheckpointShape{N: 10, Seed: 5, Replay: "off", Shard: "0/2"}
@@ -74,7 +74,7 @@ func TestMergeHeaderMismatch(t *testing.T) {
 	}{
 		{"n", CheckpointShape{N: 20, Seed: 5, Replay: "off", Shard: "1/2"}, "n"},
 		{"seed", CheckpointShape{N: 10, Seed: 6, Replay: "off", Shard: "1/2"}, "seed"},
-		{"replay", CheckpointShape{N: 10, Seed: 5, Replay: "stride=64", Shard: "1/2"}, "replay"},
+		{"seeding", CheckpointShape{N: 10, Seed: 5, Replay: "off", Seeding: SeedingPerAttempt, Shard: "1/2"}, "seeding"},
 		{"shard-count", CheckpointShape{N: 10, Seed: 5, Replay: "off", Shard: "1/3"}, "shard-count"},
 	}
 	for _, tc := range cases {

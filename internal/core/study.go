@@ -387,13 +387,12 @@ func RunStudyContext(ctx context.Context, cfg StudyConfig) (*Study, error) {
 					}
 				} else {
 					resumedSkips[i] = skip
-					skipErr := skip.skipError()
 					tasks[i] = func(context.Context) error {
 						defer finish(i)
 						if cfg.Obs != nil {
 							cfg.Obs.CellsSkipped.Inc()
 						}
-						if cerr := cfg.Checkpoint.Skip(key, skipErr); cerr != nil {
+						if cerr := cfg.Checkpoint.Skip(key, *skip); cerr != nil {
 							cellErrs[i] = cerr
 							return cerr
 						}
@@ -456,15 +455,15 @@ func RunStudyContext(ctx context.Context, cfg StudyConfig) (*Study, error) {
 					if cfg.Obs != nil {
 						cfg.Obs.CellsSkipped.Inc()
 					}
+					skip := SkipOf(err)
 					// A failed skip-record write is the same durability
 					// break as a failed cell write: abort the study.
-					if cerr := cfg.Checkpoint.Skip(key, err); cerr != nil {
+					if cerr := cfg.Checkpoint.Skip(key, skip); cerr != nil {
 						cellErrs[i] = cerr
 						return cerr
 					}
 					if cfg.Warehouse != nil {
-						cfg.Warehouse.StoreSkip(key, cfg.N, cfg.N,
-							CheckpointSkip{Kind: SkipKindOf(err), Err: err.Error()})
+						cfg.Warehouse.StoreSkip(key, cfg.N, cfg.N, skip)
 					}
 					return nil // soft skip: the study keeps going
 				}
@@ -624,15 +623,7 @@ func noteCell(cfg StudyConfig, s cellSpec, res *CellResult, m CellMetrics, err e
 				s.prog.Name, s.level, s.cat, res.Activated(),
 				100*res.CrashRate().Rate(), 100*res.SDCRate().Rate(), adaptiveSuffix(res)))
 		}
-		emit(cfg.Events, telemetry.Event{
-			Type:      telemetry.EventWarehouseHit,
-			Benchmark: s.prog.Name, Level: s.level.String(), Category: s.cat.String(),
-			Attempts: res.Attempts, Activated: res.Activated(),
-			Benign: res.Benign, SDC: res.SDC, Crash: res.Crash, Hang: res.Hang,
-			NotActivated: res.NotActivated, SimFaults: res.SimFaults,
-			AdaptiveTarget:    res.Adaptive.Target,
-			AdaptiveConverged: res.Adaptive.Converged,
-		})
+		emit(cfg.Events, CellEvent(telemetry.EventWarehouseHit, s.key(), res))
 	case rskip != nil && warehoused:
 		if cfg.Progress != nil {
 			cfg.Progress(fmt.Sprintf("%-10s %-5s %-10s skipped (%s, warehouse)",
@@ -649,22 +640,15 @@ func noteCell(cfg StudyConfig, s cellSpec, res *CellResult, m CellMetrics, err e
 				s.prog.Name, s.level, s.cat, res.Activated(),
 				100*res.CrashRate().Rate(), 100*res.SDCRate().Rate(), adaptiveSuffix(res)))
 		}
-		emit(cfg.Events, telemetry.Event{
-			Type:      telemetry.EventCellResume,
-			Benchmark: s.prog.Name, Level: s.level.String(), Category: s.cat.String(),
-			Attempts: res.Attempts, Activated: res.Activated(),
-			Benign: res.Benign, SDC: res.SDC, Crash: res.Crash, Hang: res.Hang,
-			NotActivated: res.NotActivated, SimFaults: res.SimFaults,
-		})
+		ev := CellEvent(telemetry.EventCellResume, s.key(), res)
+		// cell_resume carries the counts only.
+		ev.AdaptiveTarget, ev.AdaptiveConverged = 0, false
+		emit(cfg.Events, ev)
 	case res != nil:
 		if cfg.Progress != nil {
 			cfg.Progress(fmt.Sprintf("%-10s %-5s %-10s activated=%d crash=%.1f%% sdc=%.1f%%%s",
 				s.prog.Name, s.level, s.cat, res.Activated(),
 				100*res.CrashRate().Rate(), 100*res.SDCRate().Rate(), adaptiveSuffix(res)))
-		}
-		rate := 0.0
-		if res.Attempts > 0 {
-			rate = float64(res.Activated()) / float64(res.Attempts)
 		}
 		for _, sf := range m.SimFaults {
 			emit(cfg.Events, telemetry.Event{
@@ -685,18 +669,7 @@ func noteCell(cfg StudyConfig, s cellSpec, res *CellResult, m CellMetrics, err e
 				Outcome: tr.Outcome.String(), Spans: tr.Spans,
 			})
 		}
-		emit(cfg.Events, telemetry.Event{
-			Type:      telemetry.EventCellDone,
-			Benchmark: s.prog.Name, Level: s.level.String(), Category: s.cat.String(),
-			DurationMS: telemetry.Ms(m.ScanTime + m.RunTime),
-			ScanMS:     telemetry.Ms(m.ScanTime),
-			Workers:    m.Workers,
-			Attempts:   res.Attempts, Activated: res.Activated(), ActivationRate: rate,
-			Benign: res.Benign, SDC: res.SDC, Crash: res.Crash, Hang: res.Hang,
-			NotActivated: res.NotActivated, SimFaults: res.SimFaults,
-			AdaptiveTarget:    res.Adaptive.Target,
-			AdaptiveConverged: res.Adaptive.Converged,
-		})
+		emit(cfg.Events, CellDoneEvent(s.key(), res, m))
 	case rskip != nil:
 		kind := rskip.Kind
 		if cfg.Progress != nil {
@@ -748,6 +721,33 @@ func noteCell(cfg StudyConfig, s cellSpec, res *CellResult, m CellMetrics, err e
 	}
 	// Hard errors and cancelled cells release nothing: the study is about
 	// to fail with the canonical first error (or the abort path).
+}
+
+// CellEvent is the telemetry event of one resolved cell: its identity,
+// outcome counts and adaptive fields.
+func CellEvent(typ string, key CellKey, res *CellResult) telemetry.Event {
+	return telemetry.Event{
+		Type:      typ,
+		Benchmark: key.Prog, Level: key.Level.String(), Category: key.Category.String(),
+		Attempts: res.Attempts, Activated: res.Activated(),
+		Benign: res.Benign, SDC: res.SDC, Crash: res.Crash, Hang: res.Hang,
+		NotActivated: res.NotActivated, SimFaults: res.SimFaults,
+		AdaptiveTarget:    res.Adaptive.Target,
+		AdaptiveConverged: res.Adaptive.Converged,
+	}
+}
+
+// CellDoneEvent is the cell_done event of one executed cell: CellEvent
+// plus the cell's timing, worker count and activation rate.
+func CellDoneEvent(key CellKey, res *CellResult, m CellMetrics) telemetry.Event {
+	ev := CellEvent(telemetry.EventCellDone, key, res)
+	ev.DurationMS = telemetry.Ms(m.ScanTime + m.RunTime)
+	ev.ScanMS = telemetry.Ms(m.ScanTime)
+	ev.Workers = m.Workers
+	if res.Attempts > 0 {
+		ev.ActivationRate = float64(res.Activated()) / float64(res.Attempts)
+	}
+	return ev
 }
 
 func emit(r telemetry.Recorder, e telemetry.Event) {

@@ -25,7 +25,7 @@ func TestTraceDifferentialOracle(t *testing.T) {
 
 	run := func(name string, tracer *trace.Recorder, parallel int) (string, []byte) {
 		path := filepath.Join(dir, name+".ckpt")
-		ckpt, err := core.NewCheckpointWriter(path, 8, 5, (*core.ReplayConfig)(nil).Signature())
+		ckpt, err := core.NewCheckpointWriterShape(path, core.CheckpointShape{N: 8, Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -28,7 +28,7 @@ func TestCheckpointTruncatedTyped(t *testing.T) {
 			if err := os.WriteFile(path, []byte(tc.content), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			_, err := LoadCheckpoint(path, 10, 5, "off")
+			_, err := LoadCheckpointShape(path, CheckpointShape{N: 10, Seed: 5})
 			var te *CheckpointTruncatedError
 			if !errors.As(err, &te) {
 				t.Fatalf("got %v, want *CheckpointTruncatedError", err)
@@ -51,7 +51,7 @@ func TestCheckpointTruncatedTyped(t *testing.T) {
 	// a file that still holds synced results.
 	t.Run("complete records, missing header", func(t *testing.T) {
 		full := filepath.Join(t.TempDir(), "full.jsonl")
-		w, err := NewCheckpointWriter(full, 10, 5, "off")
+		w, err := NewCheckpointWriterShape(full, CheckpointShape{N: 10, Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func TestCheckpointTruncatedTyped(t *testing.T) {
 		if err := os.WriteFile(headless, []byte(lines[1]), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, err = LoadCheckpoint(headless, 10, 5, "off")
+		_, err = LoadCheckpointShape(headless, CheckpointShape{N: 10, Seed: 5})
 		var te *CheckpointTruncatedError
 		if errors.As(err, &te) {
 			t.Fatalf("missing-header corruption reported as benign truncation: %v", err)

@@ -79,7 +79,7 @@ func TestStudyWarehouseWarmRun(t *testing.T) {
 	t.Cleanup(func() { testCampaignHook = nil })
 
 	path := filepath.Join(t.TempDir(), "warm.jsonl")
-	w, err := NewCheckpointWriter(path, 10, 5, "off")
+	w, err := NewCheckpointWriterShape(path, CheckpointShape{N: 10, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestStudyWarehouseWarmRun(t *testing.T) {
 
 	// The warm run's checkpoint is self-contained: resuming from it
 	// needs neither the warehouse nor any execution.
-	state, err := LoadCheckpoint(path, 10, 5, "off")
+	state, err := LoadCheckpointShape(path, CheckpointShape{N: 10, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

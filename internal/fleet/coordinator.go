@@ -270,10 +270,8 @@ func New(cfg Config) (*Coordinator, error) {
 					c.resolved++
 					c.emitWarehouseHit(cs)
 				} else if skip != nil {
-					if c.cfg.Checkpoint != nil {
-						if err := c.appendSkipLocked(key, *skip); err != nil {
-							c.detachCheckpointLocked(err)
-						}
+					if err := c.cfg.Checkpoint.Skip(key, *skip); err != nil {
+						c.detachCheckpointLocked(err)
 					}
 					cs.skip, cs.status = skip, cellSkipped
 					c.cfg.Metrics.CellsSkipped.Inc()
@@ -350,12 +348,10 @@ func (c *Coordinator) emit(e telemetry.Event) {
 // carrying the cached counts so dashboards render it like any completed
 // cell while the aggregator keeps it out of this run's attempt totals.
 func (c *Coordinator) emitWarehouseHit(cs *cellState) {
-	res := cs.result
-	c.emit(telemetry.Event{Type: telemetry.EventWarehouseHit,
-		Benchmark: cs.key.Prog, Level: cs.key.Level.String(), Category: cs.key.Category.String(),
-		Benign: int(res.Benign), SDC: int(res.SDC), Crash: int(res.Crash), Hang: int(res.Hang),
-		NotActivated: int(res.NotActivated), Attempts: int(res.Attempts), SimFaults: int(res.SimFaults),
-		AdaptiveTarget: res.Adaptive.Target, AdaptiveConverged: res.Adaptive.Converged})
+	ev := core.CellEvent(telemetry.EventWarehouseHit, cs.key, cs.result)
+	// The fleet's warehouse_hit carries no activated total.
+	ev.Activated = 0
+	c.emit(ev)
 }
 
 // noteWorker records worker contact (mutex held).
@@ -458,7 +454,11 @@ func (c *Coordinator) requeueLocked(cs *cellState, now time.Time, kind, reason s
 		cs.skip, cs.status = &skip, cellDegraded
 		c.finishCellSpanLocked(cs, "degraded")
 		c.cfg.Metrics.CellsDegraded.Inc()
-		c.appendCheckpointSkipLocked(cs.key, skip)
+		// Degradation is a coordinator decision, not a lease completion,
+		// so a write failure here just detaches the writer.
+		if err := c.cfg.Checkpoint.Skip(cs.key, skip); err != nil {
+			c.detachCheckpointLocked(err)
+		}
 		c.logf("fleet: cell %s/%s/%s degraded after %d grants (%s: %s)",
 			cs.key.Prog, cs.key.Level, cs.key.Category, cs.grants, kind, reason)
 		c.emit(telemetry.Event{Type: telemetry.EventCellDeadline,
@@ -605,18 +605,6 @@ func (c *Coordinator) applyAdaptivePlanLocked() bool {
 	return reopened > 0
 }
 
-// appendCheckpointSkipLocked records a degraded-cell skip in the
-// checkpoint (mutex held). Degradation is a coordinator decision, not a
-// lease completion, so a write failure here just detaches the writer.
-func (c *Coordinator) appendCheckpointSkipLocked(key core.CellKey, skip core.CheckpointSkip) {
-	if c.cfg.Checkpoint == nil {
-		return
-	}
-	if err := c.cfg.Checkpoint.Skip(key, fmt.Errorf("%s", skip.Err)); err != nil {
-		c.detachCheckpointLocked(err)
-	}
-}
-
 // detachCheckpointLocked drops the (sticky-failed) checkpoint writer so
 // the study can still converge in memory; the durable file keeps its
 // valid fully-synced prefix (mutex held).
@@ -737,21 +725,7 @@ func (c *Coordinator) complete(req CompleteRequest, now time.Time) (CompleteResp
 			return CompleteResponse{OK: true, Duplicate: true}, nil
 		}
 		dropCellLease()
-		res := &core.CellResult{
-			Prog: key.Prog, Level: key.Level, Category: key.Category,
-			Benign: r.Benign, SDC: r.SDC, Crash: r.Crash, Hang: r.Hang,
-			NotActivated: r.NotActivated, Attempts: r.Attempts,
-			SimFaults: r.SimFaults, DynCandidates: r.DynCandidates,
-		}
-		res.Adaptive.Target, res.Adaptive.Converged = r.Target, r.Converged
-		if r.Round1 != nil {
-			res.Adaptive.Extended = true
-			res.Adaptive.Round1 = core.AdaptiveCounts{
-				Benign: r.Round1.Benign, SDC: r.Round1.SDC, Crash: r.Round1.Crash,
-				Hang: r.Round1.Hang, NotActivated: r.Round1.NotActivated,
-				Attempts: r.Round1.Attempts, SimFaults: r.Round1.SimFaults,
-			}
-		}
+		res := r.Result(key)
 		// Durability first: a failed checkpoint append fails the lease
 		// (satellite of the fail-stop writer), the sticky writer is
 		// detached, and the cell is requeued to be re-resolved — next
@@ -776,13 +750,11 @@ func (c *Coordinator) complete(req CompleteRequest, now time.Time) (CompleteResp
 		return CompleteResponse{OK: true}, nil
 	case req.Skip != nil:
 		dropCellLease()
-		skip := core.CheckpointSkip{Kind: req.Skip.Kind, Err: req.Skip.Err}
-		if c.cfg.Checkpoint != nil {
-			if err := c.appendSkipLocked(key, skip); err != nil {
-				c.detachCheckpointLocked(err)
-				c.requeueLocked(cs, now, "checkpoint failure", err.Error())
-				return CompleteResponse{OK: false}, nil
-			}
+		skip := *req.Skip
+		if err := c.cfg.Checkpoint.Skip(key, skip); err != nil {
+			c.detachCheckpointLocked(err)
+			c.requeueLocked(cs, now, "checkpoint failure", err.Error())
+			return CompleteResponse{OK: false}, nil
 		}
 		cs.skip, cs.status, cs.lease = &skip, cellSkipped, 0
 		if c.cfg.Warehouse != nil {
@@ -797,36 +769,6 @@ func (c *Coordinator) complete(req CompleteRequest, now time.Time) (CompleteResp
 		return CompleteResponse{OK: true}, nil
 	default:
 		return CompleteResponse{}, fmt.Errorf("completion carries neither result, skip, nor failure")
-	}
-}
-
-// appendSkipLocked writes one worker-reported skip record with its
-// original kind preserved (mutex held).
-func (c *Coordinator) appendSkipLocked(key core.CellKey, skip core.CheckpointSkip) error {
-	return c.cfg.Checkpoint.Skip(key, &skipError{kind: skip.Kind, msg: skip.Err})
-}
-
-// skipError carries a worker-classified skip across the wire into
-// CheckpointWriter.Skip, which re-derives the kind via SkipKindOf.
-type skipError struct {
-	kind string
-	msg  string
-}
-
-func (e *skipError) Error() string { return e.msg }
-
-// Unwrap maps the wire kind back onto the sentinel the checkpoint
-// writer classifies with.
-func (e *skipError) Unwrap() error {
-	switch e.kind {
-	case core.SkipNoCandidates:
-		return core.ErrNoCandidates
-	case core.SkipNotActivated:
-		return core.ErrNotActivated
-	case core.SkipDeadline:
-		return core.ErrDeadline
-	default:
-		return nil
 	}
 }
 

@@ -225,7 +225,7 @@ func TestFleetDuplicateCompletion(t *testing.T) {
 	req := CompleteRequest{
 		Worker: "a", Lease: lease1.Lease.ID,
 		Benchmark: lease1.Lease.Benchmark, Level: lease1.Lease.Level, Category: lease1.Lease.Category,
-		Result: &Result{Benign: 3, SDC: 2, Crash: 2, Hang: 1, Attempts: 8, DynCandidates: 42},
+		Result: &core.CellRecord{Benign: 3, SDC: 2, Crash: 2, Hang: 1, Attempts: 8, DynCandidates: 42},
 	}
 	resp, err := cl.Complete(ctx, req)
 	if err != nil || !resp.OK || resp.Duplicate {
@@ -235,7 +235,7 @@ func TestFleetDuplicateCompletion(t *testing.T) {
 	// Worker b reports the same cell from a stale lease ID.
 	dup := req
 	dup.Worker, dup.Lease = "b", 9999
-	dup.Result = &Result{Benign: 999} // would corrupt the study if accepted
+	dup.Result = &core.CellRecord{Benign: 999} // would corrupt the study if accepted
 	resp, err = cl.Complete(ctx, dup)
 	if err != nil || !resp.OK || !resp.Duplicate {
 		t.Fatalf("duplicate completion = %+v, %v (want OK+Duplicate)", resp, err)
@@ -251,7 +251,9 @@ func TestFleetDuplicateCompletion(t *testing.T) {
 }
 
 // TestFleetRetryBudgetDegrades: a cell whose every lease expires
-// degrades to a typed fleet-failed skip instead of blocking the study.
+// degrades to a typed fleet-failed skip instead of blocking the study;
+// the checkpoint keeps that kind, and a coordinator restarted from it
+// counts the cells as degraded.
 func TestFleetRetryBudgetDegrades(t *testing.T) {
 	prog := testProgram(t)
 	cfg := churnyConfig(t, prog)
@@ -259,6 +261,13 @@ func TestFleetRetryBudgetDegrades(t *testing.T) {
 	cfg.LeaseTTL = 40 * time.Millisecond
 	cfg.SweepInterval = 10 * time.Millisecond
 	cfg.MaxRetries = 2
+	ckpt := filepath.Join(t.TempDir(), "degraded.jsonl")
+	shape := core.CheckpointShape{N: cfg.N, Seed: cfg.Seed}
+	writer, err := core.NewCheckpointWriterShape(ckpt, shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Checkpoint = writer
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -304,6 +313,26 @@ func TestFleetRetryBudgetDegrades(t *testing.T) {
 	if got, want := cfg.Metrics.Leases.Value(), uint64(2*(1+cfg.MaxRetries)); got != want {
 		t.Errorf("leases = %d, want %d", got, want)
 	}
+
+	if err := writer.Close(); err != nil {
+		t.Fatal(err)
+	}
+	state, err := core.LoadCheckpointShape(ckpt, shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(state.Skips, st.Skips) {
+		t.Errorf("checkpoint skips = %+v, want the coordinator's %+v", state.Skips, st.Skips)
+	}
+	restarted, err := New(Config{Programs: cfg.Programs, N: cfg.N, Seed: cfg.Seed,
+		Categories: cfg.Categories, Resume: state})
+	if err != nil {
+		t.Fatal(err)
+	}
+	status := restarted.Status().(map[string]any)
+	if got := status["cells"].(map[string]int)["degraded"]; got != 2 {
+		t.Errorf("restarted coordinator counts %d degraded cells, want 2: %+v", got, status["cells"])
+	}
 }
 
 // TestFleetCheckpointFailureRequeues: a checkpoint append failure fails
@@ -341,7 +370,7 @@ func TestFleetCheckpointFailureRequeues(t *testing.T) {
 	req := CompleteRequest{
 		Worker: "a", Lease: lease1.Lease.ID,
 		Benchmark: lease1.Lease.Benchmark, Level: lease1.Lease.Level, Category: lease1.Lease.Category,
-		Result: &Result{Benign: 8, Attempts: 8},
+		Result: &core.CellRecord{Benign: 8, Attempts: 8},
 	}
 	resp, err := cl.Complete(ctx, req)
 	if err != nil {
@@ -373,7 +402,7 @@ func TestFleetCheckpointFailureRequeues(t *testing.T) {
 			other := CompleteRequest{
 				Worker: "a", Lease: lease2.Lease.ID,
 				Benchmark: lease2.Lease.Benchmark, Level: lease2.Lease.Level, Category: lease2.Lease.Category,
-				Result: &Result{Benign: 8, Attempts: 8},
+				Result: &core.CellRecord{Benign: 8, Attempts: 8},
 			}
 			if oresp, oerr := cl.Complete(ctx, other); oerr != nil || !oresp.OK {
 				t.Fatalf("other cell completion = %+v, %v", oresp, oerr)

@@ -22,7 +22,10 @@
 //	GET  /metrics, /statusz, /tracez, /debug/pprof/   (internal/obs)
 package fleet
 
-import "hlfi/internal/obs/trace"
+import (
+	"hlfi/internal/core"
+	"hlfi/internal/obs/trace"
+)
 
 // StatusLease, StatusWait, and StatusDone are the LeaseResponse states.
 const (
@@ -137,52 +140,12 @@ type HeartbeatResponse struct {
 	OK bool `json:"ok"`
 }
 
-// Result carries one completed cell's outcome counts — the same payload
-// a checkpoint cell record stores, so streaming a completion is
-// streaming a checkpoint line.
-type Result struct {
-	Benign        int    `json:"benign"`
-	SDC           int    `json:"sdc"`
-	Crash         int    `json:"crash"`
-	Hang          int    `json:"hang"`
-	NotActivated  int    `json:"notActivated"`
-	Attempts      int    `json:"attempts"`
-	SimFaults     int    `json:"simFaults,omitempty"`
-	DynCandidates uint64 `json:"dynCandidates"`
-
-	// Adaptive-sampling payload, mirroring the checkpoint cell record:
-	// Target is the activation target the cell ran to, Converged marks
-	// an early stop, and Round1 carries the baseline-crossing snapshot
-	// of an extension (the coordinator replans from it after a restart).
-	Target    int           `json:"target,omitempty"`
-	Converged bool          `json:"converged,omitempty"`
-	Round1    *ResultRound1 `json:"round1,omitempty"`
-}
-
-// ResultRound1 is the round-1 snapshot of an extended cell (the counts
-// at the moment the attempt stream crossed the study baseline).
-type ResultRound1 struct {
-	Benign       int `json:"benign"`
-	SDC          int `json:"sdc"`
-	Crash        int `json:"crash"`
-	Hang         int `json:"hang"`
-	NotActivated int `json:"notActivated"`
-	Attempts     int `json:"attempts"`
-	SimFaults    int `json:"simFaults,omitempty"`
-}
-
-// Skip reports a cell soft-skipped for the same reasons the local study
-// path skips cells (no candidates, activation budget exhausted,
-// wall-clock deadline), classified worker-side with core.SkipKindOf.
-type Skip struct {
-	Kind string `json:"kind"`
-	Err  string `json:"err"`
-}
-
 // CompleteRequest reports the outcome of one leased cell. Exactly one
-// of Result, Skip, or Failure is set: Result and Skip resolve the cell,
-// Failure is a hard worker-side error that fails the lease so the
-// coordinator requeues the cell.
+// of Result, Skip, or Failure is set: Result and Skip resolve the cell
+// and carry the same records a checkpoint line stores, so streaming a
+// completion is streaming a checkpoint line; Failure is a hard
+// worker-side error that fails the lease so the coordinator requeues
+// the cell.
 type CompleteRequest struct {
 	Worker string `json:"worker"`
 	Lease  uint64 `json:"lease"`
@@ -194,9 +157,9 @@ type CompleteRequest struct {
 	Level     string `json:"level"`
 	Category  string `json:"category"`
 
-	Result  *Result `json:"result,omitempty"`
-	Skip    *Skip   `json:"skip,omitempty"`
-	Failure string  `json:"failure,omitempty"`
+	Result  *core.CellRecord     `json:"result,omitempty"`
+	Skip    *core.CheckpointSkip `json:"skip,omitempty"`
+	Failure string               `json:"failure,omitempty"`
 
 	// Observability piggyback, same contract as HeartbeatRequest.
 	Spans   []trace.Record  `json:"spans,omitempty"`

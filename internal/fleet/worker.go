@@ -163,22 +163,10 @@ func executeLease(ctx context.Context, cfg WorkerConfig, w *workerState, lease *
 	res, runErr := runLeasedCell(ctx, cfg, w, lease, span)
 	switch {
 	case runErr == nil:
-		req.Result = &Result{
-			Benign: res.Benign, SDC: res.SDC, Crash: res.Crash, Hang: res.Hang,
-			NotActivated: res.NotActivated, Attempts: res.Attempts,
-			SimFaults: res.SimFaults, DynCandidates: res.DynCandidates,
-			Target: res.Adaptive.Target, Converged: res.Adaptive.Converged,
-		}
-		if res.Adaptive.Extended {
-			r1 := res.Adaptive.Round1
-			req.Result.Round1 = &ResultRound1{
-				Benign: r1.Benign, SDC: r1.SDC, Crash: r1.Crash, Hang: r1.Hang,
-				NotActivated: r1.NotActivated, Attempts: r1.Attempts,
-				SimFaults: r1.SimFaults,
-			}
-		}
+		req.Result = core.RecordOf(res)
 	case core.IsSoftSkip(runErr):
-		req.Skip = &Skip{Kind: core.SkipKindOf(runErr), Err: runErr.Error()}
+		skip := core.SkipOf(runErr)
+		req.Skip = &skip
 	default:
 		req.Failure = runErr.Error()
 	}

@@ -2,26 +2,23 @@
 // ROADMAP item 5: a durable cache of campaign cell results keyed by the
 // canonical hash of everything that determines a cell's outcome — the
 // program's IR and machine code, the fault model coordinates (level,
-// category), the study shape a checkpoint header already pins (n, seed,
-// compiled/adaptive signatures), the attempt-seeding discipline, and
-// the cell's derived seed and activated-injection target. Two campaigns
-// that would provably produce the same record share one warehouse
-// entry; any input change produces a different key, so a lookup can
-// never return a result the current configuration would not recompute.
+// category), the study identity a checkpoint header pins
+// (core.CheckpointShape.Identity: n, seed, adaptive signature and
+// attempt-seeding discipline, with the seed taken as the cell's
+// effective campaign seed), and the cell's activated-injection target.
+// Two campaigns that would provably produce the same record share one
+// warehouse entry; any input change produces a different key, so a
+// lookup can never return a result the current configuration would not
+// recompute.
 //
 // The key derivation deliberately reuses core.CheckpointShape instead of
-// inventing a second study identity. The shard spec is excluded: cells
-// are relocatable (CellSeed is a pure function of cell identity), so
-// shard layout is scheduling, not identity. The replay signature is
-// excluded too: snapshot fast-forward is proven byte-identical by its
-// differential oracle and its signature encodes cache-sizing knobs, so
-// it is pure execution policy. Other policies that cannot change a
-// successfully completed record — deadlines, the sim-fault containment
-// limit, attempt tracing — are likewise excluded; records that exist
-// only under a particular policy (deadline skips, hard failures) are
-// never stored. Per-attempt seeding (cell workers > 1) draws a
-// deterministic but different sample than the sequential stream, so the
-// discipline is part of the key.
+// inventing a second study identity, so everything outside Identity is
+// excluded by construction: the shard spec (cells are relocatable;
+// CellSeed is a pure function of cell identity), the replay and
+// compiled signatures (execution policy proven byte-identical by their
+// differential oracles), deadlines, the sim-fault containment limit and
+// attempt tracing. Records that exist only under a particular policy
+// (deadline skips, hard failures) are never stored.
 //
 // Storage is fail-stop in the house style: one fsynced JSON record per
 // cell under a two-level hash-prefix directory, written to a temp file
@@ -48,7 +45,7 @@ import (
 
 // recordVersion guards both the key derivation and the on-disk record
 // schema: bumping it invalidates every existing entry.
-const recordVersion = 1
+const recordVersion = 2
 
 // Store is an open warehouse directory. Safe for concurrent use; safe
 // to share between unrelated studies (keys are self-describing).
@@ -128,37 +125,8 @@ type payload struct {
 	Target    int    `json:"target"`
 	Base      int    `json:"base"`
 
-	Result *resultRecord `json:"result,omitempty"` // type "cell"
-
-	Kind string `json:"kind,omitempty"` // type "skip"
-	Err  string `json:"err,omitempty"`
-}
-
-// resultRecord mirrors the checkpoint's cell payload (stable lower-case
-// JSON, adaptive fields only when present).
-type resultRecord struct {
-	Benign        int    `json:"benign"`
-	SDC           int    `json:"sdc"`
-	Crash         int    `json:"crash"`
-	Hang          int    `json:"hang"`
-	NotActivated  int    `json:"notActivated"`
-	Attempts      int    `json:"attempts"`
-	SimFaults     int    `json:"simFaults,omitempty"`
-	DynCandidates uint64 `json:"dynCandidates"`
-
-	AdaptiveTarget int           `json:"target,omitempty"`
-	Converged      bool          `json:"converged,omitempty"`
-	Round1         *round1Record `json:"round1,omitempty"`
-}
-
-type round1Record struct {
-	Benign       int `json:"benign"`
-	SDC          int `json:"sdc"`
-	Crash        int `json:"crash"`
-	Hang         int `json:"hang"`
-	NotActivated int `json:"notActivated"`
-	Attempts     int `json:"attempts"`
-	SimFaults    int `json:"simFaults,omitempty"`
+	Result               *core.CellRecord `json:"result,omitempty"` // type "cell"
+	*core.CheckpointSkip                  // type "skip"
 }
 
 // read loads and fully validates one record. Any failure — missing
@@ -266,33 +234,21 @@ func deterministicSkip(kind string) bool {
 type StudyCache struct {
 	store   *Store
 	shape   core.CheckpointShape
-	seeding string
 	rawSeed bool
 	progs   map[string]string // program name -> content digest
 }
 
-// ForStudy derives the per-study key context. The shard spec and the
-// replay signature are dropped from the shape (cells are relocatable
-// across shard layouts; replay is pure execution policy) and the
-// compiled/adaptive signatures are normalized exactly like checkpoint
-// headers (CheckpointShape.Normalized), so a warehouse shared by sharded, fleet, and single-process
-// runs of the same study resolves to the same keys.
+// ForStudy derives the per-study key context. Only the shape's identity
+// fields reach the key, so a warehouse shared by sharded, fleet, and
+// single-process runs of the same study under any execution policy
+// resolves to the same keys.
 func (s *Store) ForStudy(shape core.CheckpointShape, programs []*core.Program) *StudyCache {
-	shape = shape.Normalized()
-	shape.Shard = ""
-	shape.Replay = ""
 	progs := make(map[string]string, len(programs))
 	for _, p := range programs {
 		progs[p.Name] = programDigest(p)
 	}
-	return &StudyCache{store: s, shape: shape, seeding: "sequential", progs: progs}
+	return &StudyCache{store: s, shape: shape, progs: progs}
 }
-
-// SetPerAttemptSeeding marks the study as using per-attempt seeding
-// (cell workers > 1), which draws a deterministic but different sample
-// than the sequential single-worker stream — a different outcome, so a
-// different key space.
-func (c *StudyCache) SetPerAttemptSeeding() { c.seeding = "per-attempt" }
 
 // SetRawCampaignSeed marks the cache as keying on shape.Seed directly
 // as the campaign seed. The study scheduler derives each cell's seed
@@ -344,18 +300,18 @@ func (c *StudyCache) KeyHex(key core.CellKey, target, base int) (string, bool) {
 	if !ok {
 		return "", false
 	}
-	seed := core.CellSeed(c.shape.Seed, key)
-	if c.rawSeed {
-		seed = c.shape.Seed
+	cell := c.shape
+	if !c.rawSeed {
+		cell.Seed = core.CellSeed(c.shape.Seed, key)
 	}
 	h := sha256.New()
 	fmt.Fprintf(h, "hlfi-warehouse-v%d\n", recordVersion)
 	fmt.Fprintf(h, "program %s\n", pd)
 	fmt.Fprintf(h, "level %s\ncategory %s\n", key.Level, key.Category)
-	fmt.Fprintf(h, "n %d\ncellseed %d\n", c.shape.N, seed)
 	fmt.Fprintf(h, "target %d\nbase %d\n", target, base)
-	fmt.Fprintf(h, "compiled %s\nadaptive %s\nseeding %s\n",
-		c.shape.Compiled, c.shape.Adaptive, c.seeding)
+	for _, f := range cell.Identity() {
+		fmt.Fprintf(h, "%s %s\n", f.Name, f.Value)
+	}
 	return hex.EncodeToString(h.Sum(nil)), true
 }
 
@@ -381,7 +337,7 @@ func (c *StudyCache) lookup(key core.CellKey, target, base int) (*payload, bool)
 			return nil, false
 		}
 	case "skip":
-		if !deterministicSkip(p.Kind) {
+		if p.CheckpointSkip == nil || !deterministicSkip(p.Kind) {
 			return nil, false
 		}
 	default:
@@ -400,29 +356,9 @@ func (c *StudyCache) Lookup(key core.CellKey, target, base int) (*core.CellResul
 	}
 	c.store.Hits.Inc()
 	if p.Type == "skip" {
-		return nil, &core.CheckpointSkip{Kind: p.Kind, Err: p.Err}, true
+		return nil, p.CheckpointSkip, true
 	}
-	r := p.Result
-	res := &core.CellResult{
-		Prog: key.Prog, Level: key.Level, Category: key.Category,
-		Benign: r.Benign, SDC: r.SDC, Crash: r.Crash, Hang: r.Hang,
-		NotActivated: r.NotActivated, Attempts: r.Attempts,
-		SimFaults: r.SimFaults, DynCandidates: r.DynCandidates,
-	}
-	if r.AdaptiveTarget > 0 {
-		res.Adaptive.Target = r.AdaptiveTarget
-		res.Adaptive.Converged = r.Converged
-		if r.Round1 != nil {
-			res.Adaptive.Extended = true
-			res.Adaptive.Round1 = core.AdaptiveCounts{
-				Benign: r.Round1.Benign, SDC: r.Round1.SDC,
-				Crash: r.Round1.Crash, Hang: r.Round1.Hang,
-				NotActivated: r.Round1.NotActivated,
-				Attempts:     r.Round1.Attempts, SimFaults: r.Round1.SimFaults,
-			}
-		}
-	}
-	return res, nil, true
+	return p.Result.Result(key), nil, true
 }
 
 // CellStatus classifies one cell's warehouse state for the query
@@ -454,27 +390,10 @@ func (c *StudyCache) StoreCell(key core.CellKey, target, base int, res *core.Cel
 	if !ok {
 		return
 	}
-	r := &resultRecord{
-		Benign: res.Benign, SDC: res.SDC, Crash: res.Crash, Hang: res.Hang,
-		NotActivated: res.NotActivated, Attempts: res.Attempts,
-		SimFaults: res.SimFaults, DynCandidates: res.DynCandidates,
-	}
-	if a := res.Adaptive; a.Target > 0 {
-		r.AdaptiveTarget = a.Target
-		r.Converged = a.Converged
-		if a.Extended {
-			r.Round1 = &round1Record{
-				Benign: a.Round1.Benign, SDC: a.Round1.SDC,
-				Crash: a.Round1.Crash, Hang: a.Round1.Hang,
-				NotActivated: a.Round1.NotActivated,
-				Attempts:     a.Round1.Attempts, SimFaults: a.Round1.SimFaults,
-			}
-		}
-	}
 	c.store.write(kh, &payload{
 		V: recordVersion, Key: kh, Type: "cell",
 		Benchmark: key.Prog, Level: key.Level.String(), Category: key.Category.String(),
-		Target: target, Base: base, Result: r,
+		Target: target, Base: base, Result: core.RecordOf(res),
 	})
 }
 
@@ -492,6 +411,6 @@ func (c *StudyCache) StoreSkip(key core.CellKey, target, base int, skip core.Che
 	c.store.write(kh, &payload{
 		V: recordVersion, Key: kh, Type: "skip",
 		Benchmark: key.Prog, Level: key.Level.String(), Category: key.Category.String(),
-		Target: target, Base: base, Kind: skip.Kind, Err: skip.Err,
+		Target: target, Base: base, CheckpointSkip: &skip,
 	})
 }

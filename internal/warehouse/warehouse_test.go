@@ -131,7 +131,8 @@ func TestAdaptiveRoundTrip(t *testing.T) {
 }
 
 // TestKeyIdentity: every input that can change a cell's outcome changes
-// the key; pure scheduling inputs (shard spec, replay signature) do not.
+// the key; scheduling and execution policy (shard spec, replay and
+// compiled signatures) do not.
 func TestKeyIdentity(t *testing.T) {
 	_, progs := testCache(t, tinySrc, otherSrc)
 	s, err := Open(filepath.Join(t.TempDir(), "wh"))
@@ -152,8 +153,8 @@ func TestKeyIdentity(t *testing.T) {
 	distinct := map[string]string{
 		"n":        kh(core.CheckpointShape{N: 20, Seed: 5, Compiled: "on", Adaptive: "off"}, key, 20, 20),
 		"seed":     kh(core.CheckpointShape{N: 10, Seed: 6, Compiled: "on", Adaptive: "off"}, key, 10, 10),
-		"compiled": kh(core.CheckpointShape{N: 10, Seed: 5, Compiled: "off", Adaptive: "off"}, key, 10, 10),
 		"adaptive": kh(core.CheckpointShape{N: 10, Seed: 5, Compiled: "on", Adaptive: "eps=0.05,min=5,check=5"}, key, 10, 10),
+		"seeding":  kh(core.CheckpointShape{N: 10, Seed: 5, Compiled: "on", Adaptive: "off", Seeding: core.SeedingPerAttempt}, key, 10, 10),
 		"level":    kh(base, core.CellKey{Prog: "tiny.c", Level: fault.LevelASM, Category: fault.CatAll}, 10, 10),
 		"category": kh(base, core.CellKey{Prog: "tiny.c", Level: fault.LevelIR, Category: fault.CatArith}, 10, 10),
 		"program":  kh(base, core.CellKey{Prog: "other.c", Level: fault.LevelIR, Category: fault.CatAll}, 10, 10),
@@ -165,20 +166,15 @@ func TestKeyIdentity(t *testing.T) {
 		}
 	}
 
-	sharded := base
-	sharded.Shard = "1/3"
-	if kh(sharded, key, 10, 10) != ref {
-		t.Error("shard spec fragments the key space (cells are relocatable)")
+	same := map[string]core.CheckpointShape{
+		"shard":    {N: 10, Seed: 5, Compiled: "on", Adaptive: "off", Shard: "1/3"},
+		"compiled": {N: 10, Seed: 5, Compiled: "off", Adaptive: "off"},
+		"replay":   {N: 10, Seed: 5, Compiled: "on", Adaptive: "off", Replay: "stride=4096;budget=268435456"},
 	}
-	replayed := base
-	replayed.Replay = "stride=4096;budget=268435456"
-	if kh(replayed, key, 10, 10) != ref {
-		t.Error("replay signature fragments the key space (pure execution policy)")
-	}
-	perAttempt := s.ForStudy(base, progs)
-	perAttempt.SetPerAttemptSeeding()
-	if h, _ := perAttempt.KeyHex(key, 10, 10); h == ref {
-		t.Error("per-attempt seeding shares keys with the sequential stream (different sample)")
+	for what, shape := range same {
+		if kh(shape, key, 10, 10) != ref {
+			t.Errorf("%s fragments the key space (scheduling or execution policy)", what)
+		}
 	}
 
 	// The single-cell CLIs stream straight from their -seed flag; the key
