@@ -1,9 +1,15 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: test bench study calibration examples cover fmt race smoke resume-smoke fuzz-smoke replay-determinism compiled-smoke obs-smoke shard-smoke fleet-smoke adaptive-smoke trace-smoke warehouse-smoke ci
+.PHONY: test bench profile study calibration examples cover fmt race smoke resume-smoke fuzz-smoke replay-determinism compiled-smoke obs-smoke shard-smoke fleet-smoke adaptive-smoke trace-smoke warehouse-smoke ci
 
 test:
 	go build ./... && go vet ./... && go test ./...
+
+# CPU profile of the paper-hot study shape (BenchmarkPaperHotStudy):
+# the starting point of any hot-path change. Inspect with
+# `go tool pprof -top cpu.out`.
+profile:
+	go test -run '^$$' -bench PaperHotStudy -benchtime 1x -cpuprofile cpu.out .
 
 # Race coverage for the concurrency-bearing packages (mirrors the CI
 # race job). internal/core alone takes about 12 minutes under -race on 2

@@ -359,3 +359,29 @@ func BenchmarkCalibration(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPaperHotStudy is the paper-hot shape of the hlfibench
+// benchmark in one process: all six programs built once, then the full
+// 60-cell study at n = 40 for study seeds 1, 2 and 3 back to back, with
+// snapshot replay and the compiled engines on. The attempt loops
+// dominate it, so it is the profile to start a hot-path change from:
+//
+//	make profile   # writes cpu.out; go tool pprof -top cpu.out
+func BenchmarkPaperHotStudy(b *testing.B) {
+	progs := allPrograms(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for seed := int64(1); seed <= 3; seed++ {
+			if _, err := core.RunStudy(core.StudyConfig{
+				Programs: progs,
+				N:        40,
+				Seed:     seed,
+				Replay:   &core.ReplayConfig{},
+				Compiled: &core.CompiledConfig{},
+			}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(3*len(progs)*10), "cells/op")
+}

@@ -3,6 +3,7 @@ package irc_test
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"testing"
 
@@ -39,6 +40,24 @@ int main() {
 	f.Add("int main(){ int *p = 0; return *p; }", int64(5), uint64(0))
 	f.Add("int main(){ int a = 7; int b = 0; return a / b; }", int64(9), uint64(1))
 	f.Add("int main(){ for(;;){} return 0; }", int64(11), uint64(64))
+	// Operand shapes of the slot layout and the fused machine steps:
+	// parameters as direct arithmetic operands, a global address as an
+	// operand, a phi with a constant incoming value, 2-D array and
+	// struct-field GEPs, char loads and stores, and immediate add, sub
+	// and compare.
+	f.Add("long f(long a, long b){ return a*b + a - (b ^ a) + (a << 2); } int main(){ print_long(f(6,7)); print_long(f(-3,11)); return 0; }", int64(13), uint64(5))
+	f.Add("long gv; int garr[4]; int main(){ gv = 41; garr[2] = 3; gv = gv + garr[2]; print_long(gv); return 0; }", int64(17), uint64(2))
+	f.Add("int main(){ int x = 0; for (int i = 0; i < 10; i++) { if (i & 1) x = 5; else x = x + i; } print_long(x); return 0; }", int64(19), uint64(23))
+	f.Add(`struct pt { int a; long b; double c; };
+struct pt ps[3];
+int grid[4][5];
+int main() {
+    for (int i = 0; i < 4; i++) for (int j = 0; j < 5; j++) grid[i][j] = i * j + 1;
+    for (int k = 0; k < 3; k++) { ps[k].a = grid[k][k+1]; ps[k].b = grid[3][k] * 10; ps[k].c = (double)ps[k].a; }
+    print_long(ps[2].b + ps[1].a); print_double(ps[2].c); return 0;
+}`, int64(23), uint64(31))
+	f.Add("char buf[16]; int main(){ for (int i = 0; i < 16; i++) buf[i] = 'a' + i; int s = 0; for (int i = 0; i < 16; i++) s = s + buf[i]; print_char(buf[3]); print_long(s); return 0; }", int64(29), uint64(40))
+	f.Add("int main(){ long x = 100; int n = 0; while (x > 7) { x = x - 3; n = n + 2; } if (n == 62) x = x + 12; print_long(x); print_long(n); return 0; }", int64(31), uint64(17))
 
 	f.Fuzz(func(t *testing.T, src string, seed int64, trigger uint64) {
 		mod, err := minic.Compile("fuzz", src)
@@ -51,39 +70,70 @@ int main() {
 		}
 		trigger %= 4096
 
-		// IR level: interpreter vs compile-to-closure engine.
+		// IR level: interpreter vs compile-to-closure engine, from the
+		// start and resumed from the interpreter's golden-run snapshots
+		// (which land inside callees, so restore of frames parked on a
+		// call is covered too).
 		if cp, err := irc.Compile(prep); err == nil {
 			candSet := make([]bool, prep.SeqTotal)
 			for i := range candSet {
 				candSet[i] = true
 			}
-			for _, inject := range []bool{false, true} {
+			var snaps []*interp.Snapshot
+			g := interp.NewRunner(prep, io.Discard)
+			g.MaxInstrs = fuzzBudget
+			g.SnapshotEvery = 20 + trigger%200
+			g.SnapshotSink = func(s *interp.Snapshot) { snaps = append(snaps, s) }
+			g.Run()
+			type start struct {
+				inject bool
+				snap   *interp.Snapshot
+			}
+			starts := []start{{false, nil}, {true, nil}}
+			for k := 0; k < 4 && len(snaps) > 0; k++ {
+				starts = append(starts, start{true, snaps[k*len(snaps)/4]})
+			}
+			for _, st := range starts {
 				var iOut, cOut bytes.Buffer
-				ir := interp.NewRunner(prep, &iOut)
-				ir.MaxInstrs = fuzzBudget
-				cr := irc.NewRunner(cp, &cOut)
-				cr.MaxInstrs = fuzzBudget
+				var ir *interp.Runner
+				var cr *irc.Runner
+				if st.snap != nil {
+					ir = interp.NewRunnerFromSnapshot(prep, st.snap, &iOut)
+					cr = irc.NewRunnerFromSnapshot(cp, st.snap, &cOut)
+				} else {
+					ir = interp.NewRunner(prep, &iOut)
+					cr = irc.NewRunner(cp, &cOut)
+				}
+				ir.MaxInstrs, cr.MaxInstrs = fuzzBudget, fuzzBudget
 				var iInj, cInj *interp.Injection
-				if inject {
+				if st.inject {
 					iInj = &interp.Injection{Candidates: candSet, TriggerIndex: trigger, Rng: rand.New(rand.NewSource(seed))}
 					cInj = &interp.Injection{Candidates: candSet, TriggerIndex: trigger, Rng: rand.New(rand.NewSource(seed))}
 					ir.Inject, cr.Inject = iInj, cInj
 				}
-				iRC, iErr := ir.Run()
-				cRC, cErr := cr.Run()
+				var iRC, cRC int64
+				var iErr, cErr error
+				if st.snap != nil {
+					iRC, iErr = ir.Resume()
+					cRC, cErr = cr.Resume()
+				} else {
+					iRC, iErr = ir.Run()
+					cRC, cErr = cr.Run()
+				}
+				resumed := st.snap != nil
 				if iRC != cRC || fmt.Sprint(iErr) != fmt.Sprint(cErr) ||
 					!bytes.Equal(iOut.Bytes(), cOut.Bytes()) || ir.Executed() != cr.Executed() {
-					t.Fatalf("IR divergence (inject=%v): interp=(%d,%v,%q,%d) compiled=(%d,%v,%q,%d)",
-						inject, iRC, iErr, iOut.Bytes(), ir.Executed(), cRC, cErr, cOut.Bytes(), cr.Executed())
+					t.Fatalf("IR divergence (inject=%v resumed=%v): interp=(%d,%v,%q,%d) compiled=(%d,%v,%q,%d)",
+						st.inject, resumed, iRC, iErr, iOut.Bytes(), ir.Executed(), cRC, cErr, cOut.Bytes(), cr.Executed())
 				}
-				if inject {
+				if st.inject {
 					if iInj.Happened != cInj.Happened || iInj.Activated != cInj.Activated ||
 						iInj.Bit != cInj.Bit || iInj.OrigVal != cInj.OrigVal ||
 						iInj.FaultyVal != cInj.FaultyVal || iInj.InstrIndex != cInj.InstrIndex {
-						t.Fatalf("IR injection record divergence:\ninterp   %+v\ncompiled %+v", iInj, cInj)
+						t.Fatalf("IR injection record divergence (resumed=%v):\ninterp   %+v\ncompiled %+v", resumed, iInj, cInj)
 					}
 					if a, b := iInj.Rng.Int63(), cInj.Rng.Int63(); a != b {
-						t.Fatal("IR RNG state diverged")
+						t.Fatalf("IR RNG state diverged (resumed=%v)", resumed)
 					}
 				}
 			}

@@ -6,18 +6,25 @@
 // []step of closures driven by a per-frame pc, rather than a bytecode
 // array. Go has no computed goto, so bytecode would still pay a dispatch
 // switch per instruction; closures move all of that cost to compile
-// time — operand resolution (no interface type switches), width
-// canonicalization and sign extension (no per-op branching), GEP stride
-// plans, and CFG edges with their phi bundles are all pre-bound. The
-// engine is byte-identical to interp.Runner: same outcomes, same error
-// strings, same RNG consumption, same executed counts. Instrumentation
-// the interpreter supports but attempts never use (taint tracing,
-// snapshot capture) is not compiled in at all — golden runs, profiling,
-// and traced attempts stay on the interpreter.
+// time. Every operand is a slot index into one frame array: each
+// function has a single slot layout — instruction results, then
+// parameters, then its interned constants and global addresses — so a
+// step reads fr.vals[a] and fr.vals[b] inline whatever the operand
+// kind, with no per-operand loader call. The hot instructions
+// (integer, logic and float arithmetic, icmp, casts, load, store, GEP,
+// branches) are each one closure that computes and retires inline;
+// width canonicalization, sign extension, constant GEP offsets
+// and CFG edges with their phi bundles are all pre-bound. The engine is
+// byte-identical to interp.Runner: same outcomes, same error strings,
+// same RNG consumption, same executed counts. Instrumentation the
+// interpreter supports but attempts never use (taint tracing, snapshot
+// capture) is not compiled in at all — golden runs, profiling, and
+// traced attempts stay on the interpreter.
 //
 // Any construct the compiler cannot lower (e.g. function-valued
-// operands) fails Compile; callers fall back to the interpreter for the
-// whole program, which is byte-identical by definition.
+// operands, a call whose argument count differs from its callee's
+// parameter count) fails Compile; callers fall back to the interpreter
+// for the whole program, which is byte-identical by definition.
 package irc
 
 import (
@@ -35,26 +42,29 @@ import (
 // observable, and it is identical.
 var divideFault = &mem.Fault{Kind: mem.FaultDivideByZero}
 
-// loader resolves one pre-bound operand against a frame.
-type loader func(fr *frame) uint64
-
 // step is one compiled non-phi instruction.
 type step struct {
 	exec func(r *Runner, fr *frame) error
 	// watchArgs are the instruction-valued operands, in operand order,
 	// for the activation scan (only instruction results can be watched).
 	watchArgs []*ir.Instr
-	// fin completes an OpCall step when its callee returns.
-	fin *callFinish
+	// fin is where a value-producing OpCall retires when its callee
+	// returns; nil for a void call.
+	fin *dest
 }
 
-type callFinish struct {
-	in        *ir.Instr
-	hasResult bool
-	id        int
-	seq       int
-	width     int
-	mask      uint64
+// dest is where a value-producing instruction retires: its result slot
+// plus what the injection arm needs to corrupt it.
+type dest struct {
+	in    *ir.Instr
+	id    int
+	seq   int
+	width int
+	mask  uint64
+}
+
+func newDest(in *ir.Instr) *dest {
+	return &dest{in: in, id: in.ID, seq: in.Seq, width: valueBits(in.Ty), mask: canonMask(in.Ty)}
 }
 
 // blockCode is one compiled basic block: the non-phi instructions as
@@ -65,17 +75,15 @@ type blockCode struct {
 	steps []step
 }
 
-// phiStep is one phi of an edge's bundle, with the incoming value
-// loader for that edge pre-selected.
+// phiStep is one phi of an edge's bundle, with the incoming value slot
+// for that edge pre-selected.
 type phiStep struct {
-	in *ir.Instr
+	d *dest
 	// actArgs are the instruction-valued incoming args on this edge, in
 	// operand order (the per-edge activation scan).
 	actArgs []*ir.Instr
-	load    loader
+	src     int
 	err     error // pre-built "no incoming edge" error, when applicable
-	width   int
-	mask    uint64
 }
 
 // edgePlan is one CFG edge: the target block plus its phi bundle for
@@ -85,14 +93,26 @@ type edgePlan struct {
 	phis []phiStep
 }
 
-// fnCode is one compiled function.
+// fnCode is one compiled function. Its frames share one slot layout:
+// [0, numValues) instruction results by ID, [numValues, constBase)
+// parameters, and [constBase, constBase+len(consts)) the interned
+// constants and global addresses, which consts is the template for.
 type fnCode struct {
 	fn        *ir.Function
 	frameSize uint64
 	mapFrame  bool
 	numValues int
+	constBase int
+	consts    []uint64
 	blocks    map[*ir.Block]*blockCode
 	entry     *edgePlan
+}
+
+// newSlots returns a frame slot array with the constant tail filled in.
+func (fc *fnCode) newSlots() []uint64 {
+	vals := make([]uint64, fc.constBase+len(fc.consts))
+	copy(vals[fc.constBase:], fc.consts)
+	return vals
 }
 
 // Program is a compiled module, immutable and shareable across any
@@ -112,6 +132,10 @@ type compiler struct {
 	prep  *interp.Prepared
 	fns   map[*ir.Function]*fnCode
 	edges map[edgeKey]*edgePlan
+	// fc and interned are the function being compiled and its constant
+	// slots by value.
+	fc       *fnCode
+	interned map[uint64]int
 }
 
 // Compile lowers a prepared module. It fails (rather than degrade) on
@@ -134,6 +158,7 @@ func Compile(p *interp.Prepared) (*Program, error) {
 			frameSize: p.FrameSize(f),
 			mapFrame:  p.FrameSize(f) > interp.MinFrameBytes,
 			numValues: f.NumValues(),
+			constBase: f.NumValues() + len(f.Params),
 			blocks:    make(map[*ir.Block]*blockCode, len(f.Blocks)),
 		}
 		for _, b := range f.Blocks {
@@ -151,6 +176,7 @@ func Compile(p *interp.Prepared) (*Program, error) {
 		if fc == nil {
 			continue
 		}
+		c.fc, c.interned = fc, make(map[uint64]int)
 		for _, b := range f.Blocks {
 			if err := c.compileBlock(fc, b); err != nil {
 				return nil, fmt.Errorf("irc: @%s: %w", f.Name, err)
@@ -164,44 +190,72 @@ func Compile(p *interp.Prepared) (*Program, error) {
 	}
 	cp := &Program{prep: p, fns: c.fns}
 	if m := p.Mod.Func("main"); m != nil {
+		if len(m.Params) > 0 {
+			// Run starts main with no arguments, like the interpreter.
+			return nil, fmt.Errorf("irc: @main takes %d parameters", len(m.Params))
+		}
 		cp.main = c.fns[m] // nil when main has no blocks => ErrNoMain
 	}
 	return cp, nil
 }
 
-// loader compiles one operand. Function values (and any future operand
-// kind) are not executable at the IR level; compilation fails and the
-// caller falls back to the interpreter, which reports the same
-// condition at runtime if the instruction is ever reached.
-func (c *compiler) loader(v ir.Value) (loader, error) {
+// slot resolves one operand to its frame slot, interning constants and
+// global addresses into the function's constant tail. Function values
+// (and any future operand kind) are not executable at the IR level;
+// compilation fails and the caller falls back to the interpreter, which
+// reports the same condition at runtime if the instruction is ever
+// reached.
+func (c *compiler) slot(v ir.Value) (int, error) {
+	fc := c.fc
 	switch x := v.(type) {
 	case *ir.Instr:
-		id := x.ID
-		return func(fr *frame) uint64 { return fr.vals[id] }, nil
-	case *ir.Const:
-		val := x.Val
-		return func(fr *frame) uint64 { return val }, nil
+		if x.ID < 0 || x.ID >= fc.numValues {
+			return 0, fmt.Errorf("value %%%d outside the frame", x.ID)
+		}
+		return x.ID, nil
 	case *ir.Param:
-		idx := x.Index
-		return func(fr *frame) uint64 { return fr.params[idx] }, nil
+		if x.Index < 0 || x.Index >= len(fc.fn.Params) || fc.fn.Params[x.Index] != x {
+			return 0, fmt.Errorf("parameter %s not of @%s", x.Name, fc.fn.Name)
+		}
+		return fc.numValues + x.Index, nil
+	case *ir.Const:
+		return c.intern(x.Val), nil
 	case *ir.Global:
-		addr := c.prep.Layout.Addr[x]
-		return func(fr *frame) uint64 { return addr }, nil
+		return c.intern(c.prep.Layout.Addr[x]), nil
 	default:
-		return nil, fmt.Errorf("operand %T not compilable", v)
+		return 0, fmt.Errorf("operand %T not compilable", v)
 	}
 }
 
-func (c *compiler) loaders(args []ir.Value) ([]loader, error) {
-	out := make([]loader, len(args))
+func (c *compiler) intern(val uint64) int {
+	if s, ok := c.interned[val]; ok {
+		return s
+	}
+	s := c.fc.constBase + len(c.fc.consts)
+	c.fc.consts = append(c.fc.consts, val)
+	c.interned[val] = s
+	return s
+}
+
+func (c *compiler) slots(args []ir.Value) ([]int, error) {
+	out := make([]int, len(args))
 	for i, a := range args {
-		ld, err := c.loader(a)
+		s, err := c.slot(a)
 		if err != nil {
 			return nil, err
 		}
-		out[i] = ld
+		out[i] = s
 	}
 	return out, nil
+}
+
+// slot2 resolves a two-operand instruction's operands.
+func (c *compiler) slot2(in *ir.Instr) (a, b int, err error) {
+	if a, err = c.slot(in.Args[0]); err != nil {
+		return 0, 0, err
+	}
+	b, err = c.slot(in.Args[1])
+	return a, b, err
 }
 
 // watchArgs collects the instruction-valued operands, in order.
@@ -240,6 +294,13 @@ func valueBits(t *ir.Type) int {
 	return 64
 }
 
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // edge builds (or reuses) the compiled plan for the CFG edge from ->
 // to, including to's phi bundle for that predecessor. The entry edge
 // uses from == nil.
@@ -252,18 +313,18 @@ func (c *compiler) edge(from, to *ir.Block, fc *fnCode) (*edgePlan, error) {
 	e := &edgePlan{to: bc}
 	for i := 0; i < bc.nPhi; i++ {
 		in := to.Instrs[i]
-		ph := phiStep{in: in, width: valueBits(in.Ty), mask: canonMask(in.Ty)}
+		ph := phiStep{d: newDest(in)}
 		matched := false
 		for j, pb := range in.Blocks {
 			if pb != from {
 				continue
 			}
 			if !matched {
-				ld, err := c.loader(in.Args[j])
+				s, err := c.slot(in.Args[j])
 				if err != nil {
 					return nil, err
 				}
-				ph.load = ld
+				ph.src = s
 				matched = true
 			}
 			if a, ok := in.Args[j].(*ir.Instr); ok {
@@ -301,12 +362,12 @@ func (c *compiler) compileInstr(fc *fnCode, b *ir.Block, in *ir.Instr) (step, er
 			return step{}, err
 		}
 		return step{exec: func(r *Runner, fr *frame) error {
-			r.count()
+			r.executed++
 			return r.enterEdge(fr, e)
 		}}, nil
 
 	case ir.OpCondBr:
-		lc, err := c.loader(in.Args[0])
+		cs, err := c.slot(in.Args[0])
 		if err != nil {
 			return step{}, err
 		}
@@ -319,30 +380,27 @@ func (c *compiler) compileInstr(fc *fnCode, b *ir.Block, in *ir.Instr) (step, er
 			return step{}, err
 		}
 		return step{exec: func(r *Runner, fr *frame) error {
-			cv := lc(fr)
-			r.count()
-			taken := eFalse
-			if cv&1 != 0 {
-				taken = eTrue
+			r.executed++
+			if fr.vals[cs]&1 != 0 {
+				return r.enterEdge(fr, eTrue)
 			}
-			return r.enterEdge(fr, taken)
+			return r.enterEdge(fr, eFalse)
 		}}, nil
 
 	case ir.OpRet:
 		retTy := fc.fn.Sig.Return
-		var lv loader
+		vs := -1
 		if len(in.Args) == 1 {
 			var err error
-			lv, err = c.loader(in.Args[0])
-			if err != nil {
+			if vs, err = c.slot(in.Args[0]); err != nil {
 				return step{}, err
 			}
 		}
 		return step{exec: func(r *Runner, fr *frame) error {
-			r.count()
+			r.executed++
 			var v uint64
-			if lv != nil {
-				v = lv(fr)
+			if vs >= 0 {
+				v = fr.vals[vs]
 			}
 			r.sp = fr.savedSP
 			r.stack = r.stack[:len(r.stack)-1]
@@ -358,31 +416,10 @@ func (c *compiler) compileInstr(fc *fnCode, b *ir.Block, in *ir.Instr) (step, er
 		return c.compileCall(in)
 
 	case ir.OpICmp:
-		la, err := c.loader(in.Args[0])
-		if err != nil {
-			return step{}, err
-		}
-		lb, err := c.loader(in.Args[1])
-		if err != nil {
-			return step{}, err
-		}
-		cmp, err := icmpFn(in.Pred, sxShift(in.Args[0].Type()))
-		if err != nil {
-			return step{}, err
-		}
-		return c.valueStep(in, func(r *Runner, fr *frame) (uint64, error) {
-			if cmp(la(fr), lb(fr)) {
-				return 1, nil
-			}
-			return 0, nil
-		})
+		return c.compileICmp(in)
 
 	case ir.OpFCmp:
-		la, err := c.loader(in.Args[0])
-		if err != nil {
-			return step{}, err
-		}
-		lb, err := c.loader(in.Args[1])
+		a, b, err := c.slot2(in)
 		if err != nil {
 			return step{}, err
 		}
@@ -390,56 +427,46 @@ func (c *compiler) compileInstr(fc *fnCode, b *ir.Block, in *ir.Instr) (step, er
 		if err != nil {
 			return step{}, err
 		}
-		return c.valueStep(in, func(r *Runner, fr *frame) (uint64, error) {
-			if cmp(math.Float64frombits(la(fr)), math.Float64frombits(lb(fr))) {
-				return 1, nil
-			}
-			return 0, nil
-		})
+		return valueStep(in, func(fr *frame) uint64 {
+			return b2u(cmp(math.Float64frombits(fr.vals[a]), math.Float64frombits(fr.vals[b])))
+		}), nil
 
 	case ir.OpAlloca:
 		off := c.prep.AllocaOffset(in)
-		return c.valueStep(in, func(r *Runner, fr *frame) (uint64, error) {
-			return fr.base + off, nil
-		})
+		d := newDest(in)
+		return step{exec: func(r *Runner, fr *frame) error {
+			r.put(fr, d, fr.base+off)
+			return nil
+		}}, nil
 
 	case ir.OpGEP:
 		return c.compileGEP(in)
 
 	case ir.OpLoad:
-		lp, err := c.loader(in.Args[0])
+		p, err := c.slot(in.Args[0])
 		if err != nil {
 			return step{}, err
 		}
 		size := in.Ty.Size()
-		mask := canonMask(in.Ty)
-		return c.valueStep(in, func(r *Runner, fr *frame) (uint64, error) {
-			v, err := r.mem.Read(lp(fr), size)
+		d := newDest(in)
+		return step{exec: func(r *Runner, fr *frame) error {
+			v, err := r.mem.Read(fr.vals[p], size)
 			if err != nil {
-				return 0, err
+				return err
 			}
-			return v & mask, nil
-		})
+			r.put(fr, d, v&d.mask)
+			return nil
+		}}, nil
 
 	case ir.OpStore:
-		lv, err := c.loader(in.Args[0])
-		if err != nil {
-			return step{}, err
-		}
-		lp, err := c.loader(in.Args[1])
+		v, p, err := c.slot2(in)
 		if err != nil {
 			return step{}, err
 		}
 		size := in.Args[0].Type().Size()
 		return step{exec: func(r *Runner, fr *frame) error {
-			v := lv(fr)
-			ptr := lp(fr)
-			r.count()
-			if err := r.mem.Write(ptr, size, v); err != nil {
-				return err
-			}
-			fr.pc++
-			return nil
+			r.executed++
+			return r.mem.Write(fr.vals[p], size, fr.vals[v])
 		}}, nil
 	}
 
@@ -449,275 +476,296 @@ func (c *compiler) compileInstr(fc *fnCode, b *ir.Block, in *ir.Instr) (step, er
 	if in.Op.IsFloatArith() {
 		return c.compileFloatArith(in)
 	}
-	if cast, ok := castFn(c, in); ok {
-		la, err := c.loader(in.Args[0])
-		if err != nil {
-			return step{}, err
-		}
-		return c.valueStep(in, func(r *Runner, fr *frame) (uint64, error) {
-			return cast(la(fr)), nil
-		})
+	if in.Op.IsCast() {
+		return c.compileCast(in)
 	}
 	return step{}, fmt.Errorf("op %s not compilable", in.Op)
 }
 
-// valueStep wraps a value computation with the retire/assign/advance
-// tail shared by every result-producing instruction.
-func (c *compiler) valueStep(in *ir.Instr, compute func(r *Runner, fr *frame) (uint64, error)) (step, error) {
-	id := in.ID
-	seq := in.Seq
-	width := valueBits(in.Ty)
-	mask := canonMask(in.Ty)
-	target := in
+// valueStep is the generic form for the colder value instructions: a
+// compute closure plus the shared retire tail.
+func valueStep(in *ir.Instr, compute func(fr *frame) uint64) step {
+	d := newDest(in)
 	return step{exec: func(r *Runner, fr *frame) error {
-		v, err := compute(r, fr)
-		if err != nil {
-			return err
-		}
-		v = r.retire(fr, target, seq, width, mask, v)
-		fr.vals[id] = v
-		fr.pc++
+		r.put(fr, d, compute(fr))
 		return nil
-	}}, nil
+	}}
 }
 
 func (c *compiler) compileIntArith(in *ir.Instr) (step, error) {
-	la, err := c.loader(in.Args[0])
+	a, b, err := c.slot2(in)
 	if err != nil {
 		return step{}, err
 	}
-	lb, err := c.loader(in.Args[1])
-	if err != nil {
-		return step{}, err
-	}
-	mask := canonMask(in.Ty)
+	d := newDest(in)
+	mask := d.mask
 	shift := sxShift(in.Ty)
-	sx := func(v uint64) int64 { return int64(v<<shift) >> shift }
-	var fn func(a, b uint64) (uint64, error)
+	var exec func(r *Runner, fr *frame) error
 	switch in.Op {
 	case ir.OpAdd:
-		fn = func(a, b uint64) (uint64, error) { return (a + b) & mask, nil }
+		exec = func(r *Runner, fr *frame) error { r.put(fr, d, (fr.vals[a]+fr.vals[b])&mask); return nil }
 	case ir.OpSub:
-		fn = func(a, b uint64) (uint64, error) { return (a - b) & mask, nil }
+		exec = func(r *Runner, fr *frame) error { r.put(fr, d, (fr.vals[a]-fr.vals[b])&mask); return nil }
 	case ir.OpMul:
-		fn = func(a, b uint64) (uint64, error) { return (a * b) & mask, nil }
-	case ir.OpSDiv:
-		fn = func(a, b uint64) (uint64, error) {
-			sa, sb := sx(a), sx(b)
-			if sb == 0 || (sa == math.MinInt64 && sb == -1) {
-				return 0, divideFault
-			}
-			return uint64(sa/sb) & mask, nil
-		}
-	case ir.OpSRem:
-		fn = func(a, b uint64) (uint64, error) {
-			sa, sb := sx(a), sx(b)
-			if sb == 0 || (sa == math.MinInt64 && sb == -1) {
-				return 0, divideFault
-			}
-			return uint64(sa%sb) & mask, nil
-		}
-	case ir.OpUDiv:
-		fn = func(a, b uint64) (uint64, error) {
-			if b == 0 {
-				return 0, divideFault
-			}
-			return (a / b) & mask, nil
-		}
-	case ir.OpURem:
-		fn = func(a, b uint64) (uint64, error) {
-			if b == 0 {
-				return 0, divideFault
-			}
-			return (a % b) & mask, nil
-		}
+		exec = func(r *Runner, fr *frame) error { r.put(fr, d, (fr.vals[a]*fr.vals[b])&mask); return nil }
 	case ir.OpAnd:
-		fn = func(a, b uint64) (uint64, error) { return (a & b) & mask, nil }
+		exec = func(r *Runner, fr *frame) error { r.put(fr, d, fr.vals[a]&fr.vals[b]&mask); return nil }
 	case ir.OpOr:
-		fn = func(a, b uint64) (uint64, error) { return (a | b) & mask, nil }
+		exec = func(r *Runner, fr *frame) error { r.put(fr, d, (fr.vals[a]|fr.vals[b])&mask); return nil }
 	case ir.OpXor:
-		fn = func(a, b uint64) (uint64, error) { return (a ^ b) & mask, nil }
+		exec = func(r *Runner, fr *frame) error { r.put(fr, d, (fr.vals[a]^fr.vals[b])&mask); return nil }
 	case ir.OpShl:
-		fn = func(a, b uint64) (uint64, error) { return (a << (b & 63)) & mask, nil }
+		exec = func(r *Runner, fr *frame) error { r.put(fr, d, (fr.vals[a]<<(fr.vals[b]&63))&mask); return nil }
 	case ir.OpLShr:
-		fn = func(a, b uint64) (uint64, error) { return (a >> (b & 63)) & mask, nil }
+		exec = func(r *Runner, fr *frame) error { r.put(fr, d, (fr.vals[a]>>(fr.vals[b]&63))&mask); return nil }
 	case ir.OpAShr:
-		fn = func(a, b uint64) (uint64, error) { return uint64(sx(a)>>(b&63)) & mask, nil }
+		exec = func(r *Runner, fr *frame) error {
+			r.put(fr, d, uint64(int64(fr.vals[a]<<shift)>>shift>>(fr.vals[b]&63))&mask)
+			return nil
+		}
+	case ir.OpSDiv, ir.OpSRem:
+		rem := in.Op == ir.OpSRem
+		exec = func(r *Runner, fr *frame) error {
+			sa, sb := int64(fr.vals[a]<<shift)>>shift, int64(fr.vals[b]<<shift)>>shift
+			if sb == 0 || (sa == math.MinInt64 && sb == -1) {
+				return divideFault
+			}
+			if rem {
+				r.put(fr, d, uint64(sa%sb)&mask)
+			} else {
+				r.put(fr, d, uint64(sa/sb)&mask)
+			}
+			return nil
+		}
+	case ir.OpUDiv, ir.OpURem:
+		rem := in.Op == ir.OpURem
+		exec = func(r *Runner, fr *frame) error {
+			ua, ub := fr.vals[a], fr.vals[b]
+			if ub == 0 {
+				return divideFault
+			}
+			if rem {
+				r.put(fr, d, (ua%ub)&mask)
+			} else {
+				r.put(fr, d, (ua/ub)&mask)
+			}
+			return nil
+		}
 	default:
 		return step{}, fmt.Errorf("int-arith op %s not compilable", in.Op)
 	}
-	return c.valueStep(in, func(r *Runner, fr *frame) (uint64, error) {
-		return fn(la(fr), lb(fr))
-	})
+	return step{exec: exec}, nil
+}
+
+func (c *compiler) compileICmp(in *ir.Instr) (step, error) {
+	a, b, err := c.slot2(in)
+	if err != nil {
+		return step{}, err
+	}
+	d := newDest(in)
+	sh := sxShift(in.Args[0].Type())
+	var exec func(r *Runner, fr *frame) error
+	switch in.Pred {
+	case ir.PredEQ:
+		exec = func(r *Runner, fr *frame) error { r.put(fr, d, b2u(fr.vals[a] == fr.vals[b])); return nil }
+	case ir.PredNE:
+		exec = func(r *Runner, fr *frame) error { r.put(fr, d, b2u(fr.vals[a] != fr.vals[b])); return nil }
+	case ir.PredLT:
+		exec = func(r *Runner, fr *frame) error {
+			r.put(fr, d, b2u(int64(fr.vals[a]<<sh)>>sh < int64(fr.vals[b]<<sh)>>sh))
+			return nil
+		}
+	case ir.PredLE:
+		exec = func(r *Runner, fr *frame) error {
+			r.put(fr, d, b2u(int64(fr.vals[a]<<sh)>>sh <= int64(fr.vals[b]<<sh)>>sh))
+			return nil
+		}
+	case ir.PredGT:
+		exec = func(r *Runner, fr *frame) error {
+			r.put(fr, d, b2u(int64(fr.vals[a]<<sh)>>sh > int64(fr.vals[b]<<sh)>>sh))
+			return nil
+		}
+	case ir.PredGE:
+		exec = func(r *Runner, fr *frame) error {
+			r.put(fr, d, b2u(int64(fr.vals[a]<<sh)>>sh >= int64(fr.vals[b]<<sh)>>sh))
+			return nil
+		}
+	case ir.PredULT:
+		exec = func(r *Runner, fr *frame) error { r.put(fr, d, b2u(fr.vals[a] < fr.vals[b])); return nil }
+	case ir.PredULE:
+		exec = func(r *Runner, fr *frame) error { r.put(fr, d, b2u(fr.vals[a] <= fr.vals[b])); return nil }
+	case ir.PredUGT:
+		exec = func(r *Runner, fr *frame) error { r.put(fr, d, b2u(fr.vals[a] > fr.vals[b])); return nil }
+	case ir.PredUGE:
+		exec = func(r *Runner, fr *frame) error { r.put(fr, d, b2u(fr.vals[a] >= fr.vals[b])); return nil }
+	default:
+		return step{}, fmt.Errorf("icmp pred %v not compilable", in.Pred)
+	}
+	return step{exec: exec}, nil
 }
 
 func (c *compiler) compileFloatArith(in *ir.Instr) (step, error) {
-	la, err := c.loader(in.Args[0])
+	a, b, err := c.slot2(in)
 	if err != nil {
 		return step{}, err
 	}
-	lb, err := c.loader(in.Args[1])
-	if err != nil {
-		return step{}, err
-	}
-	var fn func(x, y float64) float64
+	d := newDest(in)
+	f := math.Float64frombits
+	var exec func(r *Runner, fr *frame) error
 	switch in.Op {
 	case ir.OpFAdd:
-		fn = func(x, y float64) float64 { return x + y }
+		exec = func(r *Runner, fr *frame) error {
+			r.put(fr, d, math.Float64bits(f(fr.vals[a])+f(fr.vals[b])))
+			return nil
+		}
 	case ir.OpFSub:
-		fn = func(x, y float64) float64 { return x - y }
+		exec = func(r *Runner, fr *frame) error {
+			r.put(fr, d, math.Float64bits(f(fr.vals[a])-f(fr.vals[b])))
+			return nil
+		}
 	case ir.OpFMul:
-		fn = func(x, y float64) float64 { return x * y }
+		exec = func(r *Runner, fr *frame) error {
+			r.put(fr, d, math.Float64bits(f(fr.vals[a])*f(fr.vals[b])))
+			return nil
+		}
 	case ir.OpFDiv:
-		fn = func(x, y float64) float64 { return x / y }
+		exec = func(r *Runner, fr *frame) error {
+			r.put(fr, d, math.Float64bits(f(fr.vals[a])/f(fr.vals[b])))
+			return nil
+		}
 	default:
 		return step{}, fmt.Errorf("float-arith op %s not compilable", in.Op)
 	}
-	return c.valueStep(in, func(r *Runner, fr *frame) (uint64, error) {
-		return math.Float64bits(fn(math.Float64frombits(la(fr)), math.Float64frombits(lb(fr)))), nil
-	})
+	return step{exec: exec}, nil
 }
 
-// castFn pre-binds a cast's value transform; ok=false means the op is
-// not a cast.
-func castFn(c *compiler, in *ir.Instr) (func(uint64) uint64, bool) {
-	mask := canonMask(in.Ty)
-	srcShift := sxShift(in.Args[0].Type())
-	sx := func(v uint64) int64 { return int64(v<<srcShift) >> srcShift }
+// compileCast pre-binds a cast's value transform.
+func (c *compiler) compileCast(in *ir.Instr) (step, error) {
+	a, err := c.slot(in.Args[0])
+	if err != nil {
+		return step{}, err
+	}
+	d := newDest(in)
+	mask := d.mask
+	sh := sxShift(in.Args[0].Type())
 	switch in.Op {
 	case ir.OpTrunc, ir.OpZExt, ir.OpPtrToInt:
-		return func(a uint64) uint64 { return a & mask }, true
+		return step{exec: func(r *Runner, fr *frame) error { r.put(fr, d, fr.vals[a]&mask); return nil }}, nil
 	case ir.OpSExt:
-		return func(a uint64) uint64 { return uint64(sx(a)) & mask }, true
+		return step{exec: func(r *Runner, fr *frame) error {
+			r.put(fr, d, uint64(int64(fr.vals[a]<<sh)>>sh)&mask)
+			return nil
+		}}, nil
+	case ir.OpIntToPtr, ir.OpBitcast:
+		return step{exec: func(r *Runner, fr *frame) error { r.put(fr, d, fr.vals[a]); return nil }}, nil
 	case ir.OpFPToSI:
-		return func(a uint64) uint64 {
-			f := math.Float64frombits(a)
+		return valueStep(in, func(fr *frame) uint64 {
+			f := math.Float64frombits(fr.vals[a])
 			if math.IsNaN(f) {
 				return 0
 			}
 			return uint64(int64(f)) & mask
-		}, true
+		}), nil
 	case ir.OpSIToFP:
-		return func(a uint64) uint64 {
-			return math.Float64bits(float64(sx(a)))
-		}, true
-	case ir.OpIntToPtr, ir.OpBitcast:
-		return func(a uint64) uint64 { return a }, true
+		return valueStep(in, func(fr *frame) uint64 {
+			return math.Float64bits(float64(int64(fr.vals[a]<<sh) >> sh))
+		}), nil
 	}
-	return nil, false
+	return step{}, fmt.Errorf("cast op %s not compilable", in.Op)
 }
 
+// compileGEP folds every constant part of the address — struct field
+// offsets and constant indices times their stride — into one offset at
+// compile time, leaving only the dynamic indices for the step.
 func (c *compiler) compileGEP(in *ir.Instr) (step, error) {
-	base, err := c.loader(in.Args[0])
+	base, err := c.slot(in.Args[0])
 	if err != nil {
 		return step{}, err
 	}
 	type gepIdx struct {
-		scale  uint64
-		offset uint64
-		load   loader // nil for constant struct offsets
-		shift  uint
+		slot  int
+		scale uint64
+		shift uint
 	}
-	steps := c.prep.GEPSteps(in)
-	plan := make([]gepIdx, len(steps))
-	for i, s := range steps {
+	var off uint64
+	var dyn []gepIdx
+	for i, s := range c.prep.GEPSteps(in) {
 		if s.IsConst {
-			plan[i] = gepIdx{offset: s.Offset}
+			off += s.Offset
 			continue
 		}
-		ld, err := c.loader(in.Args[1+i])
+		idx := in.Args[1+i]
+		shift := sxShift(idx.Type())
+		if k, ok := idx.(*ir.Const); ok {
+			off += uint64(int64(k.Val<<shift)>>shift) * s.Scale
+			continue
+		}
+		is, err := c.slot(idx)
 		if err != nil {
 			return step{}, err
 		}
-		plan[i] = gepIdx{scale: s.Scale, load: ld, shift: sxShift(in.Args[1+i].Type())}
+		dyn = append(dyn, gepIdx{slot: is, scale: s.Scale, shift: shift})
 	}
-	return c.valueStep(in, func(r *Runner, fr *frame) (uint64, error) {
-		addr := base(fr)
-		for i := range plan {
-			g := &plan[i]
-			if g.load == nil {
-				addr += g.offset
-				continue
-			}
-			iv := g.load(fr)
-			addr += uint64(int64(iv<<g.shift)>>g.shift) * g.scale
+	d := newDest(in)
+	switch len(dyn) {
+	case 0:
+		return step{exec: func(r *Runner, fr *frame) error { r.put(fr, d, fr.vals[base]+off); return nil }}, nil
+	case 1:
+		g := dyn[0]
+		return step{exec: func(r *Runner, fr *frame) error {
+			r.put(fr, d, fr.vals[base]+off+uint64(int64(fr.vals[g.slot]<<g.shift)>>g.shift)*g.scale)
+			return nil
+		}}, nil
+	}
+	return step{exec: func(r *Runner, fr *frame) error {
+		addr := fr.vals[base] + off
+		for _, g := range dyn {
+			addr += uint64(int64(fr.vals[g.slot]<<g.shift)>>g.shift) * g.scale
 		}
-		return addr, nil
-	})
+		r.put(fr, d, addr)
+		return nil
+	}}, nil
 }
 
 func (c *compiler) compileCall(in *ir.Instr) (step, error) {
-	argLoaders, err := c.loaders(in.Args)
+	args, err := c.slots(in.Args)
 	if err != nil {
 		return step{}, err
 	}
-	fin := &callFinish{
-		in:        in,
-		hasResult: in.HasResult(),
-		seq:       in.Seq,
-	}
-	if fin.hasResult {
-		fin.id = in.ID
-		fin.width = valueBits(in.Ty)
-		fin.mask = canonMask(in.Ty)
-	}
-	nargs := len(argLoaders)
-	evalArgs := func(fr *frame) []uint64 {
-		args := make([]uint64, nargs)
-		for i, ld := range argLoaders {
-			args[i] = ld(fr)
-		}
-		return args
+	var st step
+	if in.HasResult() {
+		st.fin = newDest(in)
 	}
 	if in.Callee != nil {
 		if len(in.Callee.Blocks) == 0 {
 			declErr := fmt.Errorf("call to declaration @%s", in.Callee.Name)
-			return step{fin: fin, exec: func(r *Runner, fr *frame) error {
-				evalArgs(fr)
-				return declErr
-			}}, nil
+			st.exec = func(r *Runner, fr *frame) error { return declErr }
+			return st, nil
 		}
-		callee := in.Callee
-		return step{fin: fin, exec: func(r *Runner, fr *frame) error {
-			return r.pushFrame(r.cp.fns[callee], evalArgs(fr))
-		}}, nil
+		if len(args) != len(in.Callee.Params) {
+			return step{}, fmt.Errorf("call to @%s passes %d arguments, want %d", in.Callee.Name, len(args), len(in.Callee.Params))
+		}
+		callee := c.fns[in.Callee]
+		st.exec = func(r *Runner, fr *frame) error { return r.pushFrame(callee, fr, args) }
+		return st, nil
 	}
 	builtin := in.Builtin
-	return step{fin: fin, exec: func(r *Runner, fr *frame) error {
-		v, err := rt.Call(r.env, builtin, evalArgs(fr))
+	st.exec = func(r *Runner, fr *frame) error {
+		var buf [8]uint64
+		vals := buf[:0]
+		if len(args) > len(buf) {
+			vals = make([]uint64, 0, len(args))
+		}
+		for _, s := range args {
+			vals = append(vals, fr.vals[s])
+		}
+		v, err := rt.Call(r.env, builtin, vals)
 		if err != nil {
 			return err
 		}
 		return r.finishCall(fr, v)
-	}}, nil
-}
-
-func icmpFn(p ir.Pred, shift uint) (func(a, b uint64) bool, error) {
-	sx := func(v uint64) int64 { return int64(v<<shift) >> shift }
-	switch p {
-	case ir.PredEQ:
-		return func(a, b uint64) bool { return a == b }, nil
-	case ir.PredNE:
-		return func(a, b uint64) bool { return a != b }, nil
-	case ir.PredLT:
-		return func(a, b uint64) bool { return sx(a) < sx(b) }, nil
-	case ir.PredLE:
-		return func(a, b uint64) bool { return sx(a) <= sx(b) }, nil
-	case ir.PredGT:
-		return func(a, b uint64) bool { return sx(a) > sx(b) }, nil
-	case ir.PredGE:
-		return func(a, b uint64) bool { return sx(a) >= sx(b) }, nil
-	case ir.PredULT:
-		return func(a, b uint64) bool { return a < b }, nil
-	case ir.PredULE:
-		return func(a, b uint64) bool { return a <= b }, nil
-	case ir.PredUGT:
-		return func(a, b uint64) bool { return a > b }, nil
-	case ir.PredUGE:
-		return func(a, b uint64) bool { return a >= b }, nil
-	default:
-		return nil, fmt.Errorf("icmp pred %v not compilable", p)
 	}
+	return st, nil
 }
 
 func fcmpFn(p ir.Pred) (func(a, b float64) bool, error) {

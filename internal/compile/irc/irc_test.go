@@ -10,6 +10,7 @@ import (
 	"hlfi/internal/compile/irc"
 	"hlfi/internal/fault"
 	"hlfi/internal/interp"
+	"hlfi/internal/ir"
 	"hlfi/internal/llfi"
 )
 
@@ -112,5 +113,45 @@ func TestInjectionEquivalence(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestCallArityMismatchFallsBack pins the compile-time arity rule: a
+// call passing more arguments than its callee has parameters (legal
+// for a variadic definition) runs on the interpreter, but Compile must
+// reject it, since the callee's slot layout has room only for its
+// declared parameters.
+func TestCallArityMismatchFallsBack(t *testing.T) {
+	mod, err := ir.Parse(`
+define i64 @f(i64 %x) {
+entry:
+  %0 = add i64 %x, 1
+  ret i64 %0
+}
+
+define i32 @main() {
+entry:
+  %0 = call i64 @f(i64 41)
+  call void @print_long(i64 %0)
+  ret i32 0
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := mod.Func("f")
+	f.Sig = &ir.Type{Kind: ir.KindFunc, Return: f.Sig.Return, Params: f.Sig.Params, Variadic: true}
+	call := mod.Func("main").Entry().Instrs[0]
+	call.Args = append(call.Args, ir.ConstInt(ir.I64, 7))
+	prep, err := interp.Prepare(mod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if _, err := interp.NewRunner(prep, &out).Run(); err != nil || out.String() != "42" {
+		t.Fatalf("interpreter: %q, %v; want \"42\"", out.String(), err)
+	}
+	if _, err := irc.Compile(prep); err == nil {
+		t.Fatal("Compile accepted a call with 2 arguments to a 1-parameter function")
 	}
 }

@@ -12,13 +12,14 @@ import (
 
 // frame is one activation record of the compiled engine. pc indexes
 // blk.steps (phis are executed on edge entry, so pc 0 is the first
-// non-phi instruction).
+// non-phi instruction). The loop advances pc before it runs a step, so
+// a frame parked on a call has pc one past the OpCall. vals is the
+// function's slot array: results, parameters, then the constant tail
+// (see fnCode).
 type frame struct {
-	code    *fnCode
 	blk     *blockCode
 	pc      int
 	vals    []uint64
-	params  []uint64
 	base    uint64
 	savedSP uint64
 }
@@ -43,6 +44,10 @@ type Runner struct {
 	candCount uint64
 	sp        uint64
 	stack     []*frame
+	// armed caches Inject != nil && !Inject.Happened for the retire
+	// path; it is set when the run starts and cleared when the fault
+	// fires.
+	armed bool
 
 	watchFrame *frame
 	watchInstr *ir.Instr
@@ -67,9 +72,10 @@ func NewRunner(cp *Program, out io.Writer) *Runner {
 
 // NewRunnerFromSnapshot builds a runner resuming from a golden-run
 // snapshot taken by the interpreter, mirroring
-// interp.NewRunnerFromSnapshot.
+// interp.NewRunnerFromSnapshot. Each snapshot frame is copied once,
+// straight into a fresh slot array.
 func NewRunnerFromSnapshot(cp *Program, s *interp.Snapshot, out io.Writer) *Runner {
-	m, sp, frames := s.CloneState()
+	m, sp := s.CloneMemory()
 	r := &Runner{
 		cp: cp, mem: m, out: out,
 		MaxInstrs: interp.DefaultMaxInstrs,
@@ -77,15 +83,21 @@ func NewRunnerFromSnapshot(cp *Program, s *interp.Snapshot, out io.Writer) *Runn
 		sp:        sp,
 	}
 	r.env = &rt.Env{Mem: m, Out: out}
-	r.stack = make([]*frame, len(frames))
-	for i := range frames {
-		fs := &frames[i]
-		fc := cp.fns[fs.Fn]
-		bc := fc.blocks[fs.Blk]
+	r.stack = make([]*frame, s.NumFrames())
+	for i := range r.stack {
+		fv := s.Frame(i)
+		fc := cp.fns[fv.Fn]
+		bc := fc.blocks[fv.Blk]
+		pc := fv.Idx - bc.nPhi
+		if i < len(r.stack)-1 {
+			pc++ // parked on its OpCall
+		}
+		vals := fc.newSlots()
+		copy(vals[:fc.numValues], fv.Vals)
+		copy(vals[fc.numValues:fc.constBase], fv.Params)
 		r.stack[i] = &frame{
-			code: fc, blk: bc, pc: fs.Idx - bc.nPhi,
-			vals: fs.Vals, params: fs.Params,
-			base: fs.Base, savedSP: fs.SavedSP,
+			blk: bc, pc: pc,
+			vals: vals, base: fv.Base, savedSP: fv.SavedSP,
 		}
 	}
 	return r
@@ -104,14 +116,18 @@ func (r *Runner) Run() (int64, error) {
 	if r.cp.main == nil {
 		return 0, interp.ErrNoMain
 	}
-	if err := r.pushFrame(r.cp.main, nil); err != nil {
+	r.armed = r.Inject != nil && !r.Inject.Happened
+	if err := r.pushFrame(r.cp.main, nil, nil); err != nil {
 		return 0, err
 	}
 	return r.loop()
 }
 
 // Resume continues a snapshot-restored runner.
-func (r *Runner) Resume() (int64, error) { return r.loop() }
+func (r *Runner) Resume() (int64, error) {
+	r.armed = r.Inject != nil && !r.Inject.Happened
+	return r.loop()
+}
 
 func (r *Runner) loop() (int64, error) {
 	for {
@@ -124,6 +140,7 @@ func (r *Runner) loop() (int64, error) {
 			return 0, interp.ErrHang
 		}
 		st := &steps[fr.pc]
+		fr.pc++
 		if r.watchInstr != nil && r.watchFrame == fr {
 			for _, a := range st.watchArgs {
 				if a == r.watchInstr {
@@ -142,7 +159,10 @@ func (r *Runner) loop() (int64, error) {
 	}
 }
 
-func (r *Runner) pushFrame(fc *fnCode, args []uint64) error {
+// pushFrame begins a call: the callee's slot array gets its constant
+// tail and the caller's argument slots copied straight into the
+// parameter slots.
+func (r *Runner) pushFrame(fc *fnCode, caller *frame, args []int) error {
 	if r.sp < fc.frameSize || r.sp-fc.frameSize < mem.StackLimit {
 		return &mem.Fault{Kind: mem.FaultStackOverflow, Addr: r.sp}
 	}
@@ -152,10 +172,10 @@ func (r *Runner) pushFrame(fc *fnCode, args []uint64) error {
 	if fc.mapFrame {
 		r.mem.Map(base, fc.frameSize)
 	}
-	fr := &frame{
-		code: fc,
-		vals: make([]uint64, fc.numValues), params: args,
-		base: base, savedSP: savedSP,
+	fr := &frame{vals: fc.newSlots(), base: base, savedSP: savedSP}
+	params := fr.vals[fc.numValues:fc.constBase]
+	for i, s := range args {
+		params[i] = caller.vals[s]
 	}
 	r.stack = append(r.stack, fr)
 	return r.enterEdge(fr, fc.entry)
@@ -190,55 +210,66 @@ func (r *Runner) enterEdge(fr *frame, e *edgePlan) error {
 		if ph.err != nil {
 			return ph.err
 		}
-		vals = append(vals, ph.load(fr))
+		vals = append(vals, fr.vals[ph.src])
 	}
 	for i := 0; i < nPhi; i++ {
-		ph := &e.phis[i]
-		fr.vals[ph.in.ID] = r.retire(fr, ph.in, ph.in.Seq, ph.width, ph.mask, vals[i])
+		d := e.phis[i].d
+		v := vals[i]
+		r.executed++
+		if r.armed {
+			v = r.inject(fr, d, v)
+		}
+		fr.vals[d.id] = v
 	}
 	return nil
 }
 
 // finishCall retires the OpCall the frame is parked on with the
-// callee's (or builtin's) return value and advances past it.
+// callee's (or builtin's) return value.
 func (r *Runner) finishCall(fr *frame, v uint64) error {
-	f := fr.blk.steps[fr.pc].fin
-	if f.hasResult {
-		v &= f.mask
-		fr.vals[f.id] = r.retire(fr, f.in, f.seq, f.width, f.mask, v)
-	} else {
-		r.count()
+	if d := fr.blk.steps[fr.pc-1].fin; d != nil {
+		r.put(fr, d, v&d.mask)
+		return nil
 	}
-	fr.pc++
+	r.executed++
 	return nil
 }
 
-// count retires a void instruction. The compiled engine has no Profile
-// sink — profiling runs stay on the interpreter — so this is just the
-// dynamic-instruction counter.
-func (r *Runner) count() {
+// put retires a value-producing instruction into its slot. The
+// compiled engine has no Profile sink — profiling runs stay on the
+// interpreter — so outside an armed injection retiring is just the
+// dynamic-instruction counter. put is small enough to inline into
+// every value step.
+func (r *Runner) put(fr *frame, d *dest, v uint64) {
 	r.executed++
+	if r.armed {
+		v = r.inject(fr, d, v)
+	}
+	fr.vals[d.id] = v
 }
 
-// retire retires a value-producing instruction, performing the armed
-// injection when its trigger is reached.
-func (r *Runner) retire(fr *frame, in *ir.Instr, seq, width int, mask, v uint64) uint64 {
-	r.executed++
-	if inj := r.Inject; inj != nil && !inj.Happened && inj.Candidates[seq] {
-		if inj.TriggerIndex == r.candCount {
-			bit := inj.Rng.Intn(width)
-			nv := (v ^ (1 << uint(bit))) & mask
-			inj.Happened = true
-			inj.Target = in
-			inj.Bit = bit
-			inj.OrigVal = v
-			inj.FaultyVal = nv
-			inj.InstrIndex = r.executed
-			r.watchFrame = fr
-			r.watchInstr = in
-			v = nv
-		}
-		r.candCount++
+// inject is the armed half of retiring: it counts candidate executions
+// and performs the injection when its trigger is reached, watching fr,
+// the frame the value retires into.
+func (r *Runner) inject(fr *frame, d *dest, v uint64) uint64 {
+	inj := r.Inject
+	if !inj.Candidates[d.seq] {
+		return v
 	}
+	if inj.TriggerIndex == r.candCount {
+		bit := inj.Rng.Intn(d.width)
+		nv := (v ^ (1 << uint(bit))) & d.mask
+		inj.Happened = true
+		inj.Target = d.in
+		inj.Bit = bit
+		inj.OrigVal = v
+		inj.FaultyVal = nv
+		inj.InstrIndex = r.executed
+		r.watchFrame = fr
+		r.watchInstr = d.in
+		r.armed = false
+		v = nv
+	}
+	r.candCount++
 	return v
 }

@@ -39,6 +39,9 @@ type Engine struct {
 
 	executed  uint64
 	candCount uint64
+	// armed caches Inject != nil && !Inject.Happened for the loop; it is
+	// set when the run starts and cleared when the fault fires.
+	armed bool
 
 	watch     watchKind
 	watchReg  x86.Reg
@@ -110,6 +113,7 @@ func (e *Engine) Run() (int64, error) {
 func (e *Engine) Resume() (int64, error) { return e.loop() }
 
 func (e *Engine) loop() (int64, error) {
+	e.armed = e.Inject != nil && !e.Inject.Happened
 	steps := e.cp.steps
 	for {
 		rip := e.rip
@@ -131,15 +135,21 @@ func (e *Engine) loop() (int64, error) {
 		if done {
 			return int64(int32(e.regs[x86.RAX])), nil
 		}
-		if inj := e.Inject; inj != nil && !inj.Happened && inj.Candidates[rip] {
-			if inj.TriggerIndex == e.candCount {
-				if st.fire != nil {
-					st.fire(e, inj, rip)
-				}
-			}
-			e.candCount++
+		if e.armed && e.Inject.Candidates[rip] {
+			e.trigger(st, rip)
 		}
 	}
+}
+
+// trigger counts one candidate execution and performs the injection
+// when its trigger is reached.
+func (e *Engine) trigger(st *step, rip int) {
+	inj := e.Inject
+	if inj.TriggerIndex == e.candCount && st.fire != nil {
+		st.fire(e, inj, rip)
+		e.armed = false
+	}
+	e.candCount++
 }
 
 // checkActivation is the mask-based form of Machine.checkActivation: a

@@ -10,108 +10,155 @@ import (
 	"hlfi/internal/x86"
 )
 
-// sxFn pre-binds signExtend at a fixed width.
-func sxFn(size uint64) func(uint64) int64 {
-	shift := uint(64 - 8*size)
-	return func(v uint64) int64 { return int64(v<<shift) >> shift }
-}
-
 // compileExec pre-binds the simulator's dispatch arm for one
 // instruction. The closure performs exactly what Machine.exec does for
 // this instruction — same evaluation order, same faults — and advances
-// e.rip itself.
+// e.rip itself. Each opcode has one arm. The operand forms codegen emits
+// for the hot opcodes get a fused step that reads registers and
+// immediates and computes effective addresses inline; every other form
+// goes through the operand's read and write methods.
 func compileExec(cp *Program, idx int, in *x86.Instr) (func(e *Engine) (bool, error), error) {
 	size := in.OpSize()
 	next := idx + 1
+	shift := uint(64 - 8*size)
 	switch in.Op {
 	case x86.MOV:
-		rd, err := compileRead(in.Src, size)
+		src, err := source(in.Src, size)
 		if err != nil {
 			return nil, err
 		}
-		wr, err := compileWrite(in.Dst, size)
+		dst, err := dest(in.Dst, size)
 		if err != nil {
 			return nil, err
+		}
+		switch {
+		case dst.isReg() && src.isValue():
+			d, mask := dst.reg, dst.mask
+			return func(e *Engine) (bool, error) {
+				e.regs[d] = src.value(e) & mask
+				e.rip = next
+				return false, nil
+			}, nil
+		case dst.isReg() && src.isMem():
+			d, mask := dst.reg, dst.mask
+			return func(e *Engine) (bool, error) {
+				v, err := e.mem.Read(src.addr(e), size)
+				if err != nil {
+					return false, err
+				}
+				e.regs[d] = v & mask
+				e.rip = next
+				return false, nil
+			}, nil
+		case dst.isMem() && src.isValue():
+			return func(e *Engine) (bool, error) {
+				v := src.value(e)
+				if err := e.mem.Write(dst.addr(e), size, v); err != nil {
+					return false, err
+				}
+				e.rip = next
+				return false, nil
+			}, nil
 		}
 		return func(e *Engine) (bool, error) {
-			v, err := rd(e)
+			v, err := src.read(e)
 			if err != nil {
 				return false, err
 			}
-			if err := wr(e, v); err != nil {
+			if err := dst.write(e, v); err != nil {
 				return false, err
 			}
 			e.rip = next
 			return false, nil
 		}, nil
 
-	case x86.MOVZX:
-		rd, err := compileRead(in.Src, size)
+	case x86.MOVZX, x86.MOVSX:
+		src, err := source(in.Src, size)
 		if err != nil {
 			return nil, err
 		}
-		reg := in.Dst.Reg
-		return func(e *Engine) (bool, error) {
-			v, err := rd(e)
-			if err != nil {
-				return false, err
-			}
-			e.regs[reg] = v // already zero-extended
-			e.rip = next
-			return false, nil
-		}, nil
-
-	case x86.MOVSX:
-		rd, err := compileRead(in.Src, size)
-		if err != nil {
-			return nil, err
+		d, sh := in.Dst.Reg, shift
+		if in.Op == x86.MOVZX {
+			sh = 0 // the read is already zero-extended
 		}
-		reg := in.Dst.Reg
-		sx := sxFn(size)
+		switch {
+		case src.isValue():
+			return func(e *Engine) (bool, error) {
+				e.regs[d] = uint64(int64(src.value(e)<<sh) >> sh)
+				e.rip = next
+				return false, nil
+			}, nil
+		case src.isMem():
+			return func(e *Engine) (bool, error) {
+				v, err := e.mem.Read(src.addr(e), size)
+				if err != nil {
+					return false, err
+				}
+				e.regs[d] = uint64(int64(v<<sh) >> sh)
+				e.rip = next
+				return false, nil
+			}, nil
+		}
 		return func(e *Engine) (bool, error) {
-			v, err := rd(e)
+			v, err := src.read(e)
 			if err != nil {
 				return false, err
 			}
-			e.regs[reg] = uint64(sx(v))
+			e.regs[d] = uint64(int64(v<<sh) >> sh)
 			e.rip = next
 			return false, nil
 		}, nil
 
 	case x86.LEA:
-		ea := compileEffAddr(in.Src)
-		reg := in.Dst.Reg
+		src, d := decodeAddr(in.Src, size), in.Dst.Reg
 		return func(e *Engine) (bool, error) {
-			e.regs[reg] = ea(e)
+			e.regs[d] = src.addr(e)
 			e.rip = next
 			return false, nil
 		}, nil
 
 	case x86.ADD, x86.SUB, x86.IMUL, x86.AND, x86.OR, x86.XOR,
 		x86.SHL, x86.SHR, x86.SAR:
-		ra, err := compileRead(in.Dst, size)
+		dst, err := dest(in.Dst, size)
 		if err != nil {
 			return nil, err
 		}
-		rb, err := compileRead(in.Src, size)
+		src, err := source(in.Src, size)
 		if err != nil {
 			return nil, err
 		}
-		wr, err := compileWrite(in.Dst, size)
-		if err != nil {
-			return nil, err
+		op := in.Op
+		if dst.isReg() {
+			d, mask := dst.reg, dst.mask
+			switch {
+			case src.isValue():
+				return func(e *Engine) (bool, error) {
+					e.regs[d] = alu(op, e.regs[d]&mask, src.value(e), shift) & mask
+					e.rip = next
+					return false, nil
+				}, nil
+			case src.isMem():
+				return func(e *Engine) (bool, error) {
+					b, err := e.mem.Read(src.addr(e), size)
+					if err != nil {
+						return false, err
+					}
+					e.regs[d] = alu(op, e.regs[d]&mask, b, shift) & mask
+					e.rip = next
+					return false, nil
+				}, nil
+			}
 		}
-		alu := compileAlu(in.Op, size)
 		return func(e *Engine) (bool, error) {
-			a, err := ra(e)
+			a, err := dst.read(e)
 			if err != nil {
 				return false, err
 			}
-			b, err := rb(e)
+			b, err := src.read(e)
 			if err != nil {
 				return false, err
 			}
-			if err := wr(e, alu(a, b)); err != nil {
+			if err := dst.write(e, alu(op, a, b, shift)); err != nil {
 				return false, err
 			}
 			e.rip = next
@@ -119,20 +166,16 @@ func compileExec(cp *Program, idx int, in *x86.Instr) (func(e *Engine) (bool, er
 		}, nil
 
 	case x86.NEG:
-		ra, err := compileRead(in.Dst, size)
-		if err != nil {
-			return nil, err
-		}
-		wr, err := compileWrite(in.Dst, size)
+		dst, err := dest(in.Dst, size)
 		if err != nil {
 			return nil, err
 		}
 		return func(e *Engine) (bool, error) {
-			a, err := ra(e)
+			a, err := dst.read(e)
 			if err != nil {
 				return false, err
 			}
-			if err := wr(e, -a); err != nil {
+			if err := dst.write(e, -a); err != nil {
 				return false, err
 			}
 			e.rip = next
@@ -147,12 +190,12 @@ func compileExec(cp *Program, idx int, in *x86.Instr) (func(e *Engine) (bool, er
 		}, nil
 
 	case x86.IDIV:
-		rb, err := compileRead(in.Src, 8)
+		src, err := source(in.Src, 8)
 		if err != nil {
 			return nil, err
 		}
 		return func(e *Engine) (bool, error) {
-			b, err := rb(e)
+			b, err := src.read(e)
 			if err != nil {
 				return false, err
 			}
@@ -171,20 +214,49 @@ func compileExec(cp *Program, idx int, in *x86.Instr) (func(e *Engine) (bool, er
 		}, nil
 
 	case x86.CMP:
-		ra, err := compileRead(in.Dst, size)
+		dst, err := source(in.Dst, size)
 		if err != nil {
 			return nil, err
 		}
-		rb, err := compileRead(in.Src, size)
+		src, err := source(in.Src, size)
 		if err != nil {
 			return nil, err
+		}
+		switch {
+		case dst.isValue() && src.isValue():
+			return func(e *Engine) (bool, error) {
+				e.flags = machine.SubFlagsFor(dst.value(e), src.value(e), size)
+				e.rip = next
+				return false, nil
+			}, nil
+		case dst.isValue() && src.isMem():
+			return func(e *Engine) (bool, error) {
+				a := dst.value(e)
+				b, err := e.mem.Read(src.addr(e), size)
+				if err != nil {
+					return false, err
+				}
+				e.flags = machine.SubFlagsFor(a, b, size)
+				e.rip = next
+				return false, nil
+			}, nil
+		case dst.isMem() && src.isValue():
+			return func(e *Engine) (bool, error) {
+				a, err := e.mem.Read(dst.addr(e), size)
+				if err != nil {
+					return false, err
+				}
+				e.flags = machine.SubFlagsFor(a, src.value(e), size)
+				e.rip = next
+				return false, nil
+			}, nil
 		}
 		return func(e *Engine) (bool, error) {
-			a, err := ra(e)
+			a, err := dst.read(e)
 			if err != nil {
 				return false, err
 			}
-			b, err := rb(e)
+			b, err := src.read(e)
 			if err != nil {
 				return false, err
 			}
@@ -194,20 +266,27 @@ func compileExec(cp *Program, idx int, in *x86.Instr) (func(e *Engine) (bool, er
 		}, nil
 
 	case x86.TEST:
-		ra, err := compileRead(in.Dst, size)
+		dst, err := source(in.Dst, size)
 		if err != nil {
 			return nil, err
 		}
-		rb, err := compileRead(in.Src, size)
+		src, err := source(in.Src, size)
 		if err != nil {
 			return nil, err
+		}
+		if dst.isValue() && src.isValue() {
+			return func(e *Engine) (bool, error) {
+				e.flags = machine.LogicFlagsFor(dst.value(e)&src.value(e), size)
+				e.rip = next
+				return false, nil
+			}, nil
 		}
 		return func(e *Engine) (bool, error) {
-			a, err := ra(e)
+			a, err := dst.read(e)
 			if err != nil {
 				return false, err
 			}
-			b, err := rb(e)
+			b, err := src.read(e)
 			if err != nil {
 				return false, err
 			}
@@ -251,12 +330,12 @@ func compileExec(cp *Program, idx int, in *x86.Instr) (func(e *Engine) (bool, er
 		}, nil
 
 	case x86.PUSH:
-		rd, err := compileRead(in.Dst, 8)
+		src, err := source(in.Dst, 8)
 		if err != nil {
 			return nil, err
 		}
 		return func(e *Engine) (bool, error) {
-			v, err := rd(e)
+			v, err := src.read(e)
 			if err != nil {
 				return false, err
 			}
@@ -316,57 +395,81 @@ func compileExec(cp *Program, idx int, in *x86.Instr) (func(e *Engine) (bool, er
 		}, nil
 
 	case x86.MOVSD:
-		if in.Dst.Kind == x86.OpXmm {
-			rd, err := compileRead(in.Src, 8)
-			if err != nil {
-				return nil, err
-			}
-			xr := in.Dst.Xmm
+		// xmm<-xmm, xmm<-mem, mem<-xmm (low 64 bits).
+		if in.Dst.Kind != x86.OpXmm {
+			dst, s := decodeAddr(in.Dst, 8), in.Src.Xmm
 			return func(e *Engine) (bool, error) {
-				v, err := rd(e)
-				if err != nil {
+				if err := e.mem.Write(dst.addr(e), 8, e.xmm[s][0]); err != nil {
 					return false, err
 				}
-				e.xmm[xr][0] = v
 				e.rip = next
 				return false, nil
 			}, nil
 		}
-		ea := compileEffAddr(in.Dst)
-		src := in.Src.Xmm
+		src, err := source(in.Src, 8)
+		if err != nil {
+			return nil, err
+		}
+		d := in.Dst.Xmm
+		switch {
+		case src.shape == shapeXmm:
+			s := src.xmm
+			return func(e *Engine) (bool, error) {
+				e.xmm[d][0] = e.xmm[s][0]
+				e.rip = next
+				return false, nil
+			}, nil
+		case src.isMem():
+			return func(e *Engine) (bool, error) {
+				v, err := e.mem.Read(src.addr(e), 8)
+				if err != nil {
+					return false, err
+				}
+				e.xmm[d][0] = v
+				e.rip = next
+				return false, nil
+			}, nil
+		}
 		return func(e *Engine) (bool, error) {
-			if err := e.mem.Write(ea(e), 8, e.xmm[src][0]); err != nil {
-				return false, err
-			}
+			e.xmm[d][0] = src.value(e) // a register or immediate: read never fails
 			e.rip = next
 			return false, nil
 		}, nil
 
 	case x86.ADDSD, x86.SUBSD, x86.MULSD, x86.DIVSD:
-		rb, err := compileRead(in.Src, 8)
+		src, err := source(in.Src, 8)
 		if err != nil {
 			return nil, err
 		}
-		xr := in.Dst.Xmm
-		var fop func(x, y float64) float64
-		switch in.Op {
-		case x86.ADDSD:
-			fop = func(x, y float64) float64 { return x + y }
-		case x86.SUBSD:
-			fop = func(x, y float64) float64 { return x - y }
-		case x86.MULSD:
-			fop = func(x, y float64) float64 { return x * y }
-		case x86.DIVSD:
-			fop = func(x, y float64) float64 { return x / y }
+		op, d := in.Op, in.Dst.Xmm
+		switch {
+		case src.shape == shapeXmm:
+			s := src.xmm
+			return func(e *Engine) (bool, error) {
+				x, y := math.Float64frombits(e.xmm[d][0]), math.Float64frombits(e.xmm[s][0])
+				e.xmm[d][0] = math.Float64bits(fop(op, x, y))
+				e.rip = next
+				return false, nil
+			}, nil
+		case src.isMem():
+			return func(e *Engine) (bool, error) {
+				b, err := e.mem.Read(src.addr(e), 8)
+				if err != nil {
+					return false, err
+				}
+				x, y := math.Float64frombits(e.xmm[d][0]), math.Float64frombits(b)
+				e.xmm[d][0] = math.Float64bits(fop(op, x, y))
+				e.rip = next
+				return false, nil
+			}, nil
 		}
 		return func(e *Engine) (bool, error) {
-			b, err := rb(e)
+			b, err := src.read(e)
 			if err != nil {
 				return false, err
 			}
-			x := math.Float64frombits(e.xmm[xr][0])
-			y := math.Float64frombits(b)
-			e.xmm[xr][0] = math.Float64bits(fop(x, y))
+			x, y := math.Float64frombits(e.xmm[d][0]), math.Float64frombits(b)
+			e.xmm[d][0] = math.Float64bits(fop(op, x, y))
 			e.rip = next
 			return false, nil
 		}, nil
@@ -388,48 +491,67 @@ func compileExec(cp *Program, idx int, in *x86.Instr) (func(e *Engine) (bool, er
 		}, nil
 
 	case x86.UCOMISD:
-		rb, err := compileRead(in.Src, 8)
+		src, err := source(in.Src, 8)
 		if err != nil {
 			return nil, err
 		}
-		xr := in.Dst.Xmm
+		d := in.Dst.Xmm
+		switch {
+		case src.shape == shapeXmm:
+			s := src.xmm
+			return func(e *Engine) (bool, error) {
+				x, y := math.Float64frombits(e.xmm[d][0]), math.Float64frombits(e.xmm[s][0])
+				e.flags = machine.UcomisdFlagsFor(x, y)
+				e.rip = next
+				return false, nil
+			}, nil
+		case src.isMem():
+			return func(e *Engine) (bool, error) {
+				b, err := e.mem.Read(src.addr(e), 8)
+				if err != nil {
+					return false, err
+				}
+				x, y := math.Float64frombits(e.xmm[d][0]), math.Float64frombits(b)
+				e.flags = machine.UcomisdFlagsFor(x, y)
+				e.rip = next
+				return false, nil
+			}, nil
+		}
 		return func(e *Engine) (bool, error) {
-			b, err := rb(e)
+			b, err := src.read(e)
 			if err != nil {
 				return false, err
 			}
-			x := math.Float64frombits(e.xmm[xr][0])
-			y := math.Float64frombits(b)
+			x, y := math.Float64frombits(e.xmm[d][0]), math.Float64frombits(b)
 			e.flags = machine.UcomisdFlagsFor(x, y)
 			e.rip = next
 			return false, nil
 		}, nil
 
 	case x86.CVTSI2SD:
-		rd, err := compileRead(in.Src, size)
+		src, err := source(in.Src, size)
 		if err != nil {
 			return nil, err
 		}
-		xr := in.Dst.Xmm
-		sx := sxFn(size)
+		d := in.Dst.Xmm
 		return func(e *Engine) (bool, error) {
-			v, err := rd(e)
+			v, err := src.read(e)
 			if err != nil {
 				return false, err
 			}
-			e.xmm[xr][0] = math.Float64bits(float64(sx(v)))
+			e.xmm[d][0] = math.Float64bits(float64(int64(v<<shift) >> shift))
 			e.rip = next
 			return false, nil
 		}, nil
 
 	case x86.CVTTSD2SI:
-		rd, err := compileRead(in.Src, 8)
+		src, err := source(in.Src, 8)
 		if err != nil {
 			return nil, err
 		}
-		reg := in.Dst.Reg
+		d := in.Dst.Reg
 		return func(e *Engine) (bool, error) {
-			v, err := rd(e)
+			v, err := src.read(e)
 			if err != nil {
 				return false, err
 			}
@@ -438,41 +560,13 @@ func compileExec(cp *Program, idx int, in *x86.Instr) (func(e *Engine) (bool, er
 			if !math.IsNaN(f) {
 				iv = int64(f)
 			}
-			e.regs[reg] = machine.CanonicalVal(uint64(iv), size)
+			e.regs[d] = machine.CanonicalVal(uint64(iv), size)
 			e.rip = next
 			return false, nil
 		}, nil
 
 	default:
 		return nil, fmt.Errorf("opcode %s not compilable", in.Op)
-	}
-}
-
-// compileAlu pre-binds one integer ALU op at a fixed width, mirroring
-// aluOp.
-func compileAlu(op x86.Opcode, size uint64) func(a, b uint64) uint64 {
-	sx := sxFn(size)
-	switch op {
-	case x86.ADD:
-		return func(a, b uint64) uint64 { return a + b }
-	case x86.SUB:
-		return func(a, b uint64) uint64 { return a - b }
-	case x86.IMUL:
-		return func(a, b uint64) uint64 { return uint64(sx(a) * sx(b)) }
-	case x86.AND:
-		return func(a, b uint64) uint64 { return a & b }
-	case x86.OR:
-		return func(a, b uint64) uint64 { return a | b }
-	case x86.XOR:
-		return func(a, b uint64) uint64 { return a ^ b }
-	case x86.SHL:
-		return func(a, b uint64) uint64 { return a << (b & 63) }
-	case x86.SHR:
-		return func(a, b uint64) uint64 { return a >> (b & 63) }
-	case x86.SAR:
-		return func(a, b uint64) uint64 { return uint64(sx(a) >> (b & 63)) }
-	default:
-		return func(a, b uint64) uint64 { return 0 }
 	}
 }
 

@@ -1,10 +1,14 @@
 // Package mc pre-decodes lowered x86-like programs into dense dispatch
 // tables of pre-bound Go closures — the machine-level analogue of
-// internal/compile/irc. Operand decode (register numbers, effective
-// address shapes, immediate canonicalization), ALU selection, builtin
-// argument marshalling, and the activation predicates are all resolved
-// once at compile time; the per-instruction hot path is a closure call
-// plus the injection bookkeeping.
+// internal/compile/irc. Each operand is decoded once into a shape
+// (64-bit register, masked register, immediate, base+disp,
+// base+index*scale+disp, index*scale+disp, absolute, or XMM; see
+// shape.go). For the operand forms codegen emits, the hot opcodes read
+// registers and immediates and compute effective addresses inline in
+// their one step closure; other forms use the operand's read and write
+// methods. Builtin argument marshalling and the activation predicates
+// are resolved at compile time too; the per-instruction hot path is one
+// closure call plus the injection bookkeeping.
 //
 // The engine is byte-identical to machine.Machine: same outcomes, same
 // error values and strings, same RNG consumption, same executed counts.
@@ -156,72 +160,5 @@ func compileFire(in *x86.Instr, depMask uint64) func(e *Engine, inj *machine.Inj
 
 	default:
 		return nil
-	}
-}
-
-// reader resolves one pre-decoded source operand.
-type reader func(e *Engine) (uint64, error)
-
-// effAddrFn computes a pre-decoded effective address.
-type effAddrFn func(e *Engine) uint64
-
-func compileEffAddr(o x86.Operand) effAddrFn {
-	disp := uint64(o.Disp)
-	base, index := o.Base, o.Index
-	scale := uint64(o.Scale)
-	switch {
-	case base != x86.RegNone && index != x86.RegNone:
-		return func(e *Engine) uint64 { return disp + e.regs[base] + e.regs[index]*scale }
-	case base != x86.RegNone:
-		return func(e *Engine) uint64 { return disp + e.regs[base] }
-	case index != x86.RegNone:
-		return func(e *Engine) uint64 { return disp + e.regs[index]*scale }
-	default:
-		return func(e *Engine) uint64 { return disp }
-	}
-}
-
-// compileRead pre-binds readOp for one operand at one width.
-func compileRead(o x86.Operand, size uint64) (reader, error) {
-	switch o.Kind {
-	case x86.OpReg:
-		reg := o.Reg
-		if size >= 8 {
-			return func(e *Engine) (uint64, error) { return e.regs[reg], nil }, nil
-		}
-		mask := uint64(1)<<(8*size) - 1
-		return func(e *Engine) (uint64, error) { return e.regs[reg] & mask, nil }, nil
-	case x86.OpImm:
-		v := machine.CanonicalVal(uint64(o.Imm), size)
-		return func(e *Engine) (uint64, error) { return v, nil }, nil
-	case x86.OpMem:
-		ea := compileEffAddr(o)
-		return func(e *Engine) (uint64, error) { return e.mem.Read(ea(e), size) }, nil
-	case x86.OpXmm:
-		xr := o.Xmm
-		return func(e *Engine) (uint64, error) { return e.xmm[xr][0], nil }, nil
-	default:
-		return nil, fmt.Errorf("bad source operand kind %d", o.Kind)
-	}
-}
-
-// writer stores one pre-decoded integer destination.
-type writer func(e *Engine, v uint64) error
-
-// compileWrite pre-binds writeIntDst for one operand at one width.
-func compileWrite(o x86.Operand, size uint64) (writer, error) {
-	switch o.Kind {
-	case x86.OpReg:
-		reg := o.Reg
-		if size >= 8 {
-			return func(e *Engine, v uint64) error { e.regs[reg] = v; return nil }, nil
-		}
-		mask := uint64(1)<<(8*size) - 1
-		return func(e *Engine, v uint64) error { e.regs[reg] = v & mask; return nil }, nil
-	case x86.OpMem:
-		ea := compileEffAddr(o)
-		return func(e *Engine, v uint64) error { return e.mem.Write(ea(e), size, v) }, nil
-	default:
-		return nil, fmt.Errorf("bad int destination kind %d", o.Kind)
 	}
 }

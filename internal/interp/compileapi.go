@@ -7,10 +7,11 @@ import (
 
 // This file is the read-only surface the compile-to-closure engine
 // (internal/compile/irc) builds on. It exposes the Prepared analyses —
-// frame plans, GEP stride plans — and the snapshot state, without
-// letting the compiled engine reach into live interpreter internals.
-// The exported views are copies or immutable data: the compiler runs
-// once per (program, level) and must not alias interpreter state.
+// frame plans, GEP stride plans — and read-only views of the snapshot
+// state, without letting the compiled engine reach into live
+// interpreter internals. The Prepared views are copies or immutable
+// data; the snapshot frame views alias the snapshot, which is frozen,
+// so a restore copies each frame exactly once into its own layout.
 
 // MinFrameBytes is the modeled call-frame overhead (see minFrameBytes).
 // The compiled engine replicates pushFrame exactly, including the rule
@@ -48,13 +49,13 @@ func (p *Prepared) GEPSteps(in *ir.Instr) []GEPStep {
 	return out
 }
 
-// FrameState is the exported view of one activation record of a
-// Snapshot, in stack order (bottom first). Vals and Params are copies
-// owned by the caller.
-type FrameState struct {
+// FrameView is a read-only view of one activation record of a
+// Snapshot. Vals and Params alias the snapshot, which any number of
+// goroutines may be restoring from at once: a caller copies them and
+// never writes through them.
+type FrameView struct {
 	Fn      *ir.Function
 	Blk     *ir.Block
-	Prev    *ir.Block
 	Idx     int
 	Base    uint64
 	SavedSP uint64
@@ -62,19 +63,23 @@ type FrameState struct {
 	Params  []uint64
 }
 
-// CloneState materializes a writable copy of the snapshot's machine
-// state: a copy-on-write memory clone, the stack pointer, and the frame
-// stack. Safe to call concurrently on one snapshot, like
-// NewRunnerFromSnapshot.
-func (s *Snapshot) CloneState() (*mem.Memory, uint64, []FrameState) {
-	frames := make([]FrameState, len(s.frames))
-	for i, fs := range s.frames {
-		frames[i] = FrameState{
-			Fn: fs.fn, Blk: fs.blk, Prev: fs.prev, Idx: fs.idx,
-			Base: fs.base, SavedSP: fs.savedSP,
-			Vals:   append([]uint64(nil), fs.vals...),
-			Params: append([]uint64(nil), fs.params...),
-		}
+// CloneMemory materializes a writable copy-on-write clone of the
+// snapshot's memory and returns it with the stack pointer. Safe to call
+// concurrently on one snapshot, like NewRunnerFromSnapshot.
+func (s *Snapshot) CloneMemory() (*mem.Memory, uint64) {
+	return s.mem.Clone(), s.sp
+}
+
+// NumFrames reports the depth of the snapshot's frame stack.
+func (s *Snapshot) NumFrames() int { return len(s.frames) }
+
+// Frame returns a read-only view of frame i, in stack order (bottom
+// first).
+func (s *Snapshot) Frame(i int) FrameView {
+	fs := &s.frames[i]
+	return FrameView{
+		Fn: fs.fn, Blk: fs.blk, Idx: fs.idx,
+		Base: fs.base, SavedSP: fs.savedSP,
+		Vals: fs.vals, Params: fs.params,
 	}
-	return s.mem.Clone(), s.sp, frames
 }

@@ -146,6 +146,86 @@ func TestCacheConflictingPages(t *testing.T) {
 	}
 }
 
+// Each fixed-size hit (1, 2, 4, 8 bytes) reads and writes exactly the
+// bytes the map path does, up to the last byte of the page, and a write
+// to a page still shared with a snapshot misses even though reads of it
+// hit.
+func TestCachedAccessSizes(t *testing.T) {
+	pattern := make([]byte, 2*PageSize)
+	for i := range pattern {
+		pattern[i] = byte(i*37 + 11)
+	}
+	fresh := func() *Memory {
+		m := New()
+		m.Map(GlobalsBase, 2*PageSize)
+		if err := m.WriteBytes(GlobalsBase, pattern); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	pnum := GlobalsBase / PageSize
+	for _, size := range []uint64{1, 2, 4, 8} {
+		for _, off := range []uint64{0, PageSize/2 + 3, PageSize - size} {
+			addr := GlobalsBase + off
+			hot, cold := fresh(), fresh()
+			if hit, _ := cached(hot, pnum); !hit {
+				t.Fatalf("size %d: page not cached before the access", size)
+			}
+			got, err := hot.Read(addr, size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold.tlb = [tlbSize]tlbEntry{}
+			want, err := cold.Read(addr, size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("size %d at +%#x: cached read %#x, map path %#x", size, off, got, want)
+			}
+			val := uint64(0xF1E2D3C4B5A69788)
+			if err := hot.Write(addr, size, val); err != nil {
+				t.Fatal(err)
+			}
+			cold.tlb = [tlbSize]tlbEntry{}
+			if err := cold.Write(addr, size, val); err != nil {
+				t.Fatal(err)
+			}
+			hb, cb := make([]byte, 2*PageSize), make([]byte, 2*PageSize)
+			if err := hot.ReadBytes(GlobalsBase, hb); err != nil {
+				t.Fatal(err)
+			}
+			if err := cold.ReadBytes(GlobalsBase, cb); err != nil {
+				t.Fatal(err)
+			}
+			if string(hb) != string(cb) {
+				t.Fatalf("size %d at +%#x: cached write and map-path write left different bytes", size, off)
+			}
+		}
+	}
+
+	// Read-only entry: a clone's pages are shared with its snapshot.
+	snap := fresh().Snapshot()
+	c := snap.Clone()
+	last := GlobalsBase + PageSize - 8
+	before, err := c.Read(last, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hit, w := cached(c, pnum); !hit || w {
+		t.Fatalf("read of a shared page: cached=%v writable=%v, want cached read-only", hit, w)
+	}
+	if err := c.Write(last, 8, ^before); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := snap.Read(last, 8); v != before {
+		t.Fatalf("write through a read-only entry reached the snapshot: %#x, want %#x", v, before)
+	}
+	if v, _ := c.Read(last, 8); v != ^before {
+		t.Fatalf("clone reads %#x after its write, want %#x", v, ^before)
+	}
+}
+
 // Cached loads and stores are the interpreters' innermost operation and
 // must not allocate.
 func TestCachedAccessZeroAlloc(t *testing.T) {

@@ -12,9 +12,11 @@
 // Every live Memory puts a small direct-mapped page cache (a software TLB)
 // in front of its page map, so a load or store that stays within one page
 // it has touched recently costs one array index and one tag compare instead
-// of a map lookup. The map stays the single authoritative store: misses,
-// page-crossing accesses, stack auto-grow and every fault take the same
-// slow path as a cache-free memory. See Memory for the invariants.
+// of a map lookup, and a hit of 1, 2, 4 or 8 bytes is one fixed-size
+// little-endian load or store on the cached page. The map stays the single
+// authoritative store: misses, page-crossing accesses, stack auto-grow and
+// every fault take the same slow path as a cache-free memory. See Memory
+// for the invariants.
 package mem
 
 import (
@@ -209,32 +211,54 @@ func (m *Memory) check(addr, size uint64) error {
 
 // Read reads size (1..8) bytes little-endian at addr.
 func (m *Memory) Read(addr, size uint64) (uint64, error) {
-	var buf [8]byte
 	pnum, off := addr/PageSize, addr%PageSize
 	// The NullGuard test also keeps an empty entry (page 0) from hitting.
 	if e := &m.tlb[pnum%tlbSize]; e.pnum == pnum && addr >= NullGuard && addr < Canonical && off+size <= PageSize {
-		copy(buf[:size], e.page[off:])
-		return binary.LittleEndian.Uint64(buf[:]), nil
+		p := e.page[off:]
+		switch size {
+		case 8:
+			return binary.LittleEndian.Uint64(p), nil
+		case 4:
+			return uint64(binary.LittleEndian.Uint32(p)), nil
+		case 2:
+			return uint64(binary.LittleEndian.Uint16(p)), nil
+		case 1:
+			return uint64(p[0]), nil
+		}
 	}
 	if err := m.check(addr, size); err != nil {
 		return 0, err
 	}
+	var buf [8]byte
 	m.copyOut(addr, buf[:size])
 	return binary.LittleEndian.Uint64(buf[:]), nil
 }
 
 // Write writes the low size (1..8) bytes of val little-endian at addr.
 func (m *Memory) Write(addr, size, val uint64) error {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], val)
 	pnum, off := addr/PageSize, addr%PageSize
 	if e := &m.tlb[pnum%tlbSize]; e.pnum == pnum && e.writable && addr >= NullGuard && addr < Canonical && off+size <= PageSize {
-		copy(e.page[off:], buf[:size])
-		return nil
+		p := e.page[off:]
+		switch size {
+		case 8:
+			binary.LittleEndian.PutUint64(p, val)
+			return nil
+		case 4:
+			binary.LittleEndian.PutUint32(p, uint32(val))
+			return nil
+		case 2:
+			binary.LittleEndian.PutUint16(p, uint16(val))
+			return nil
+		case 1:
+			p[0] = byte(val)
+			return nil
+		}
 	}
 	if err := m.check(addr, size); err != nil {
 		return err
 	}
+	var buf [8]byte
+	binary.LittleEndian.PutUint64(buf[:], val)
 	m.copyIn(addr, buf[:size])
 	return nil
 }
