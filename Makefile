@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: test bench profile study calibration examples cover fmt race smoke resume-smoke fuzz-smoke replay-determinism compiled-smoke obs-smoke shard-smoke fleet-smoke adaptive-smoke trace-smoke warehouse-smoke ci
+.PHONY: test bench profile study calibration artifacts examples cover fmt race smoke resume-smoke fuzz-smoke replay-determinism compiled-smoke obs-smoke shard-smoke fleet-smoke adaptive-smoke trace-smoke warehouse-smoke ci
 
 test:
 	go build ./... && go vet ./... && go test ./...
@@ -308,6 +308,7 @@ ci:
 	$(MAKE) adaptive-smoke
 	$(MAKE) trace-smoke
 	$(MAKE) warehouse-smoke
+	$(MAKE) artifacts
 	$(MAKE) fuzz-smoke
 
 # All tables/figures + ablations. HLFI_N controls injections per cell.
@@ -329,11 +330,22 @@ bench:
 
 # Paper-scale reproduction (the committed study_n1000.txt).
 study:
-	go run ./cmd/ficompare -experiment all -n 1000 > study_n1000.txt
+	go run ./cmd/ficompare -experiment all -n 1000 -parallel 2 > study_n1000.txt
 
 # The §VII future-work experiment (the committed calibration_n500.txt).
 calibration:
-	go run ./cmd/ficompare -experiment calibration -n 500 > calibration_n500.txt
+	go run ./cmd/ficompare -experiment calibration -n 500 -parallel 2 > calibration_n500.txt
+
+# Committed-artifact gate: regenerate study_n1000.txt and
+# calibration_n500.txt and byte-compare both against the committed
+# files (mirrors the CI artifacts job).
+artifacts:
+	go build -o .artifacts-bin ./cmd/ficompare
+	./.artifacts-bin -experiment all -n 1000 -seed 1 -parallel 2 -q > .artifacts-study.txt
+	cmp study_n1000.txt .artifacts-study.txt
+	./.artifacts-bin -experiment calibration -n 500 -parallel 2 -q > .artifacts-calibration.txt
+	cmp calibration_n500.txt .artifacts-calibration.txt
+	rm -f .artifacts-bin .artifacts-study.txt .artifacts-calibration.txt
 
 examples:
 	go run ./examples/quickstart

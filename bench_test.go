@@ -58,10 +58,10 @@ func BenchmarkFigure3(b *testing.B) {
 	n := injectionsPerCell()
 	for i := 0; i < b.N; i++ {
 		st, err := core.RunStudy(core.StudyConfig{
-			Programs:   progs,
-			N:          n,
-			Seed:       1,
-			Categories: []fault.Category{fault.CatAll},
+			Programs: progs,
+			N:        n,
+			Seed:     1,
+			Cells:    core.CanonicalCells(progs, []fault.Category{fault.CatAll}),
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -79,10 +79,10 @@ func BenchmarkTableIV(b *testing.B) {
 	progs := allPrograms(b)
 	for i := 0; i < b.N; i++ {
 		st, err := core.RunStudy(core.StudyConfig{
-			Programs:   progs,
-			N:          1,
-			Seed:       1,
-			Categories: []fault.Category{fault.CatAll},
+			Programs: progs,
+			N:        1,
+			Seed:     1,
+			Cells:    core.CanonicalCells(progs, []fault.Category{fault.CatAll}),
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -344,15 +344,16 @@ func BenchmarkCalibration(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	n := injectionsPerCell()
+	progs := []*core.Program{p}
+	cfg := core.StudyConfig{Programs: progs, Cells: core.CalibrationCells(progs), N: injectionsPerCell(), Seed: 42}
 	for i := 0; i < b.N; i++ {
-		st, err := core.RunCalibrationStudy([]*core.Program{p}, n, 42, nil)
+		st, err := core.RunStudy(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == b.N-1 {
-			b.Log("\n" + st.Render())
-			plain, cal := st.MeanGaps()
+			b.Log("\n" + st.RenderCalibration())
+			plain, cal := st.CalibrationGaps()
 			if cal > plain+1 {
 				b.Fatalf("calibration widened the crash gap: %.1f -> %.1f", plain, cal)
 			}

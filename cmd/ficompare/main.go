@@ -11,6 +11,11 @@
 //	-experiment calibration  the §VII future-work heuristics, three-way
 //	-experiment all     everything plus the headline summary
 //
+// Every experiment except table2 and table4 runs its campaign cells
+// through the one study scheduler, so -parallel, -checkpoint/-resume,
+// -warehouse, -events, -shard/-merge and the rest apply to calibration
+// exactly as to the paper experiments.
+//
 // The paper uses N=1000 injections per cell; that is the default here and
 // takes a few minutes. Use -n to trade precision for speed, -parallel to
 // run campaign cells concurrently (output stays byte-identical),
@@ -44,7 +49,6 @@ import (
 	"hlfi/internal/bench"
 	"hlfi/internal/cli"
 	"hlfi/internal/core"
-	"hlfi/internal/fault"
 	"hlfi/internal/obs"
 	"hlfi/internal/obs/trace"
 	"hlfi/internal/telemetry"
@@ -104,6 +108,11 @@ func runCtx(ctx context.Context, args []string) error {
 	default:
 		return fmt.Errorf("unknown experiment %q", *experiment)
 	}
+	if *jsonOut {
+		if err := core.CheckExperimentJSON(*experiment); err != nil {
+			return err
+		}
+	}
 	adaptCfg, err := adaptive.Parse(*adaptFlag)
 	if err != nil {
 		return fmt.Errorf("-adaptive %q: %w", *adaptFlag, err)
@@ -116,12 +125,8 @@ func runCtx(ctx context.Context, args []string) error {
 	if *shard != "" && *mergeGlob != "" {
 		return fmt.Errorf("-shard and -merge are mutually exclusive")
 	}
-	if sharded {
-		switch *experiment {
-		case "fig3", "fig4", "table5", "all":
-		default:
-			return fmt.Errorf("-shard/-merge require a campaign experiment (fig3|fig4|table5|all), not %q", *experiment)
-		}
+	if sharded && !runsCells(*experiment) {
+		return fmt.Errorf("-shard/-merge require a campaign experiment (fig3|fig4|table5|calibration|all), not %q", *experiment)
 	}
 	if *mergeGlob != "" && (*checkpoint != "" || *resume != "") {
 		return fmt.Errorf("-merge reassembles existing shard checkpoints; it cannot be combined with -checkpoint or -resume")
@@ -133,10 +138,8 @@ func runCtx(ctx context.Context, args []string) error {
 		if sharded {
 			return fmt.Errorf("-warehouse-query inspects the store for this process's study shape; it cannot be combined with -shard or -merge")
 		}
-		switch *experiment {
-		case "fig3", "fig4", "table5", "all":
-		default:
-			return fmt.Errorf("-warehouse-query requires a campaign experiment (fig3|fig4|table5|all), not %q", *experiment)
+		if !runsCells(*experiment) {
+			return fmt.Errorf("-warehouse-query requires a campaign experiment (fig3|fig4|table5|calibration|all), not %q", *experiment)
 		}
 	}
 
@@ -150,29 +153,15 @@ func runCtx(ctx context.Context, args []string) error {
 		return err
 	}
 
-	if *experiment == "calibration" {
-		var progress func(string)
-		if !*quiet {
-			progress = func(s string) { fmt.Fprintln(os.Stderr, s) }
-		}
-		st, err := core.RunCalibrationStudy(progs, *n, *seed, progress)
-		if err != nil {
-			return err
-		}
-		fmt.Print(st.Render())
-		return nil
-	}
-
 	// Table IV needs only the build-time golden profiles; skip the
 	// campaigns.
 	if *experiment == "table4" {
-		st, err := core.RunStudy(core.StudyConfig{Programs: progs, N: 1, Seed: *seed,
-			Categories: []fault.Category{fault.CatAll}})
-		if err != nil {
-			return err
-		}
-		cli.RenderExperiment(os.Stdout, st, "table4")
+		cli.RenderExperiment(os.Stdout, core.ProfileStudy(progs, *n, *seed), "table4")
 		return nil
+	}
+	cells := core.CanonicalCells(progs, nil)
+	if *experiment == "calibration" {
+		cells = core.CalibrationCells(progs)
 	}
 
 	// Shard mode: this process owns the canonical cells with
@@ -218,7 +207,7 @@ func runCtx(ctx context.Context, args []string) error {
 		if err != nil {
 			return err
 		}
-		if err := merged.VerifyComplete(core.CanonicalCells(progs, nil)); err != nil {
+		if err := merged.VerifyComplete(cells); err != nil {
 			return err
 		}
 		*n, *seed = merged.Shape.N, merged.Shape.Seed
@@ -350,7 +339,7 @@ func runCtx(ctx context.Context, args []string) error {
 		}
 		wcache = wstore.ForStudy(shape, progs)
 		if *warehouseQ {
-			return queryWarehouse(os.Stdout, wcache, progs, *n)
+			return queryWarehouse(os.Stdout, wcache, cells, *n)
 		}
 	}
 	resumeState := mergedState
@@ -377,7 +366,7 @@ func runCtx(ctx context.Context, args []string) error {
 	defer ckpt.Close()
 
 	start := time.Now()
-	cfg := core.StudyConfig{Programs: progs, N: *n, Seed: *seed,
+	cfg := core.StudyConfig{Programs: progs, Cells: cells, N: *n, Seed: *seed,
 		Workers: *cellWorkers, Parallel: *parallel, Events: rec,
 		SimFaultLimit: *simFaults, CellDeadline: *deadline,
 		Checkpoint: ckpt, Resume: resumeState, Replay: replay,
@@ -443,9 +432,8 @@ func runCtx(ctx context.Context, args []string) error {
 // live under raised targets the reallocation plan derives at run time,
 // so the base-identity answer is the conservative one: a listed hit is
 // guaranteed to resolve without execution.
-func queryWarehouse(w io.Writer, cache *warehouse.StudyCache, progs []*core.Program, n int) error {
+func queryWarehouse(w io.Writer, cache *warehouse.StudyCache, keys []core.CellKey, n int) error {
 	counts := map[string]int{}
-	keys := core.CanonicalCells(progs, nil)
 	fmt.Fprintf(w, "%-10s %-5s %-10s %-6s %s\n", "BENCHMARK", "LEVEL", "CATEGORY", "STATUS", "KEY")
 	for _, key := range keys {
 		status := cache.Probe(key, n, n)
@@ -453,14 +441,25 @@ func queryWarehouse(w io.Writer, cache *warehouse.StudyCache, progs []*core.Prog
 		if !ok {
 			kh = "-"
 		}
+		cat := key.Category.String()
+		if key.Variant != core.VariantPaper {
+			cat += "/" + key.Variant.String()
+		}
 		fmt.Fprintf(w, "%-10s %-5s %-10s %-6s %s\n",
-			key.Prog, key.Level, key.Category, status, kh)
+			key.Prog, key.Level, cat, status, kh)
 		counts[status]++
 	}
 	fmt.Fprintf(w, "\n%d hit, %d skip, %d miss of %d cells in %s\n",
 		counts[warehouse.StatusHit], counts[warehouse.StatusSkip], counts[warehouse.StatusMiss],
 		len(keys), cache.Store().Dir())
 	return nil
+}
+
+// runsCells reports whether an experiment runs campaign cells, the
+// experiments -shard, -merge and -warehouse-query apply to: every
+// experiment but the profile-only table4 and the static table2.
+func runsCells(experiment string) bool {
+	return experiment != "table2" && experiment != "table4"
 }
 
 func printTable2() {

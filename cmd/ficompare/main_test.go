@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -266,6 +267,107 @@ func TestRunIdentityAndPolicy(t *testing.T) {
 	}
 }
 
+// checkpointBody returns the cell and skip records of the checkpoint
+// files, sorted: records are appended in completion order, so two runs
+// of one study leave the same body in any order.
+func checkpointBody(t *testing.T, paths ...string) string {
+	t.Helper()
+	var body []string
+	for _, path := range paths {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.SplitAfter(string(raw), "\n") {
+			if line != "" && !strings.HasPrefix(line, `{"type":"study"`) {
+				body = append(body, line)
+			}
+		}
+	}
+	sort.Strings(body)
+	return strings.Join(body, "")
+}
+
+// TestRunCalibrationPaths: the calibration experiment runs through the
+// one study scheduler, so every execution path renders the same report
+// and leaves the same checkpoint body as the serial run.
+func TestRunCalibrationPaths(t *testing.T) {
+	dir := t.TempDir()
+	with := func(extra ...string) []string {
+		return append([]string{"-experiment", "calibration", "-benchmarks", "quantumm", "-n", "12", "-q"}, extra...)
+	}
+	refCk := filepath.Join(dir, "ref.jsonl")
+	golden := captureStdout(t, func() error { return run(with("-parallel", "1", "-checkpoint", refCk)) })
+	want := checkpointBody(t, refCk)
+	if !strings.Contains(want, `"variant":1`) || !strings.Contains(want, `"variant":2`) {
+		t.Fatalf("checkpoint lacks the calibrated and resampled arms:\n%s", want)
+	}
+	wh := filepath.Join(dir, "wh")
+	cases := []struct {
+		name string
+		// run returns the report and the checkpoint files it wrote.
+		run func(t *testing.T, ck string) (string, []string)
+	}{
+		{"parallel 4", func(t *testing.T, ck string) (string, []string) {
+			return captureStdout(t, func() error { return run(with("-parallel", "4", "-checkpoint", ck)) }), []string{ck}
+		}},
+		{"resume from truncated checkpoint", func(t *testing.T, ck string) (string, []string) {
+			raw, err := os.ReadFile(refCk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Four whole records and a torn fifth, as a killed writer
+			// leaves them. Resuming twice proves the torn tail is cut
+			// off rather than fused with the next record.
+			lines := strings.SplitAfter(string(raw), "\n")
+			torn := strings.Join(lines[:5], "") + lines[5][:len(lines[5])/2]
+			if err := os.WriteFile(ck, []byte(torn), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := run(with("-parallel", "2", "-resume", ck)); err != nil {
+				t.Fatal(err)
+			}
+			return captureStdout(t, func() error { return run(with("-resume", ck)) }), []string{ck}
+		}},
+		{"cold warehouse", func(t *testing.T, ck string) (string, []string) {
+			return captureStdout(t, func() error { return run(with("-warehouse", wh, "-checkpoint", ck)) }), []string{ck}
+		}},
+		{"warm warehouse", func(t *testing.T, ck string) (string, []string) {
+			events := filepath.Join(dir, "warm-events.jsonl")
+			out := captureStdout(t, func() error { return run(with("-warehouse", wh, "-checkpoint", ck, "-events", events)) })
+			stream, err := os.ReadFile(events)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if strings.Contains(string(stream), `"type":"cell_done"`) {
+				t.Errorf("warm run executed cells instead of serving them from the warehouse")
+			}
+			return out, []string{ck}
+		}},
+		{"shard 0/2,1/2 then merge", func(t *testing.T, ck string) (string, []string) {
+			var shards []string
+			for i := 0; i < 2; i++ {
+				shard := filepath.Join(dir, fmt.Sprintf("cal-shard-%d.jsonl", i))
+				if err := run(with("-shard", fmt.Sprintf("%d/2", i), "-checkpoint", shard)); err != nil {
+					t.Fatal(err)
+				}
+				shards = append(shards, shard)
+			}
+			return captureStdout(t, func() error { return run(with("-merge", filepath.Join(dir, "cal-shard-*.jsonl"))) }), shards
+		}},
+	}
+	for i, tc := range cases {
+		ck := filepath.Join(dir, fmt.Sprintf("ck-%d.jsonl", i))
+		got, files := tc.run(t, ck)
+		if got != golden {
+			t.Errorf("%s: report differs from the serial run:\n--- want ---\n%s\n--- got ---\n%s", tc.name, golden, got)
+		}
+		if body := checkpointBody(t, files...); body != want {
+			t.Errorf("%s: checkpoint body differs from the serial run:\n--- want ---\n%s\n--- got ---\n%s", tc.name, want, body)
+		}
+	}
+}
+
 // TestRunScaleOutFlagValidation: the scale-out modes reject nonsensical
 // combinations up front.
 func TestRunScaleOutFlagValidation(t *testing.T) {
@@ -277,10 +379,23 @@ func TestRunScaleOutFlagValidation(t *testing.T) {
 		{"-experiment", "fig3", "-benchmarks", "quantumm", "-merge", "x*.jsonl", "-resume", "ck.jsonl"},
 		{"-experiment", "fig3", "-benchmarks", "quantumm", "-n", "5", "-q", "-shard", "2/2"},
 		{"-experiment", "fig3", "-benchmarks", "quantumm", "-n", "5", "-q", "-shard", "junk"},
+		{"-experiment", "table4", "-benchmarks", "quantumm", "-warehouse", "wh", "-warehouse-query"},
+		{"-experiment", "table2", "-json"},
+		{"-experiment", "table4", "-benchmarks", "quantumm", "-json"},
+		{"-experiment", "calibration", "-benchmarks", "quantumm", "-json"},
 	}
 	for _, args := range reject {
 		if err := run(args); err == nil {
 			t.Errorf("run(%v) accepted, want rejection", args)
+		}
+	}
+	// -json is refused before any program is built (an unknown
+	// benchmark would otherwise fail first) for experiments without a
+	// JSON form, with WriteExperimentJSON's message.
+	for _, exp := range []string{"table2", "table4", "calibration"} {
+		err := run([]string{"-experiment", exp, "-benchmarks", "nosuch", "-json"})
+		if want := core.CheckExperimentJSON(exp); err == nil || want == nil || err.Error() != want.Error() {
+			t.Errorf("-experiment %s -json: %v, want %v", exp, err, want)
 		}
 	}
 }

@@ -23,6 +23,8 @@ func RenderExperiment(w io.Writer, st *core.Study, experiment string) {
 		fmt.Fprint(w, st.RenderFigure4())
 	case "table5":
 		fmt.Fprint(w, st.RenderTableV())
+	case "calibration":
+		fmt.Fprint(w, st.RenderCalibration())
 	case "all":
 		fmt.Fprintln(w, st.RenderFigure3())
 		fmt.Fprintln(w, st.RenderTableIV())

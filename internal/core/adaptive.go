@@ -244,7 +244,7 @@ func runAdaptiveRound2(ctx context.Context, cfg StudyConfig, specs []cellSpec, r
 		j := j
 		e := exts[j]
 		s := specs[e.idx]
-		key := s.key()
+		key := s.CellKey
 		prior[j] = results[e.idx]
 		// Warehouse resolution at the extension identity (target,
 		// BaseN): the plan is a pure function of the round-1 states, so
@@ -275,10 +275,11 @@ func runAdaptiveRound2(ctx context.Context, cfg StudyConfig, specs []cellSpec, r
 			}
 			c := &Campaign{
 				Prog:          s.prog,
-				Level:         s.level,
-				Category:      s.cat,
+				Level:         s.Level,
+				Category:      s.Category,
+				Variant:       s.Variant,
 				N:             e.target,
-				Seed:          cellSeed(cfg.Seed, s.prog.Name, s.level, s.cat),
+				Seed:          CellSeed(cfg.Seed, key),
 				Metrics:       &extMetrics[j],
 				SimFaultLimit: cfg.SimFaultLimit,
 				Deadline:      cfg.CellDeadline,
@@ -310,7 +311,7 @@ func runAdaptiveRound2(ctx context.Context, cfg StudyConfig, specs []cellSpec, r
 				switch {
 				case err == nil:
 					espan.Outcome = "done"
-				case isSoftSkip(err):
+				case IsSoftSkip(err):
 					espan.Outcome, espan.Err = "abandoned", err.Error()
 				default:
 					espan.Outcome, espan.Err = "failure", err.Error()
@@ -319,7 +320,7 @@ func runAdaptiveRound2(ctx context.Context, cfg StudyConfig, specs []cellSpec, r
 			}
 			if err != nil {
 				extErrs[j] = err
-				if isSoftSkip(err) {
+				if IsSoftSkip(err) {
 					// Degrade to the round-1 record (already checkpointed):
 					// an extension tripping the watchdog must not lose a
 					// cell the study has already measured once.
@@ -347,8 +348,8 @@ func runAdaptiveRound2(ctx context.Context, cfg StudyConfig, specs []cellSpec, r
 	}
 	if err := sched.RunObserved(ctx, parallel, tasks, observer); err != nil {
 		for j, cerr := range extErrs {
-			if cerr != nil && !isSoftSkip(cerr) {
-				return fmt.Errorf("cell %v: %w", specs[exts[j].idx].key(), cerr), nil
+			if cerr != nil && !IsSoftSkip(cerr) {
+				return fmt.Errorf("cell %v: %w", specs[exts[j].idx].CellKey, cerr), nil
 			}
 		}
 		return nil, err
@@ -364,60 +365,33 @@ func runAdaptiveRound2(ctx context.Context, cfg StudyConfig, specs []cellSpec, r
 func noteExtension(cfg StudyConfig, s cellSpec, prior, res *CellResult, m CellMetrics, err error, warehoused bool) {
 	switch {
 	case res != nil && warehoused && err == nil:
-		if cfg.Progress != nil {
-			cfg.Progress(fmt.Sprintf("%-10s %-5s %-10s activated=%d crash=%.1f%% sdc=%.1f%% (warehouse)%s",
-				s.prog.Name, s.level, s.cat, res.Activated(),
-				100*res.CrashRate().Rate(), 100*res.SDCRate().Rate(), adaptiveSuffix(res)))
-		}
-		emit(cfg.Events, CellEvent(telemetry.EventWarehouseHit, s.key(), res))
-	case err != nil && isSoftSkip(err):
-		if cfg.Progress != nil {
-			cfg.Progress(fmt.Sprintf("%-10s %-5s %-10s adaptive extension abandoned (%v); keeping round-1 record",
-				s.prog.Name, s.level, s.cat, err))
-		}
-		emit(cfg.Events, telemetry.Event{
-			Type:      telemetry.EventCellExtend,
-			Benchmark: s.prog.Name, Level: s.level.String(), Category: s.cat.String(),
-			Err: err.Error(),
-		})
+		cfg.progress(s.resultLine(res, " (warehouse)"))
+		emit(cfg.Events, CellEvent(telemetry.EventWarehouseHit, s.CellKey, res))
+	case err != nil && IsSoftSkip(err):
+		cfg.progress(fmt.Sprintf("%s adaptive extension abandoned (%v); keeping round-1 record", s.label(), err))
+		ev := keyEvent(telemetry.EventCellExtend, s.CellKey)
+		ev.Err = err.Error()
+		emit(cfg.Events, ev)
 	case err != nil:
 		// Hard error: the study is about to fail with the canonical
 		// first error; nothing to release.
 	case res != nil:
-		if cfg.Progress != nil {
-			cfg.Progress(fmt.Sprintf("%-10s %-5s %-10s activated=%d crash=%.1f%% sdc=%.1f%%%s",
-				s.prog.Name, s.level, s.cat, res.Activated(),
-				100*res.CrashRate().Rate(), 100*res.SDCRate().Rate(), adaptiveSuffix(res)))
-		}
+		cfg.progress(s.resultLine(res, ""))
 		// The replayed round-1 prefix re-contains the same panics the
 		// round-1 record already released; only the extension window's
 		// are new.
-		for _, sf := range m.SimFaults {
-			if sf.Attempt < prior.Attempts {
-				continue
-			}
-			emit(cfg.Events, telemetry.Event{
-				Type:      telemetry.EventSimFault,
-				Benchmark: sf.Prog, Level: sf.Level.String(), Category: sf.Category.String(),
-				Attempt: sf.Attempt, AttemptSeed: sf.Seed, Sequential: sf.Sequential,
-				Panic: sf.Panic,
-			})
-		}
-		emit(cfg.Events, telemetry.Event{
-			Type:      telemetry.EventCellExtend,
-			Benchmark: s.prog.Name, Level: s.level.String(), Category: s.cat.String(),
-			DurationMS: telemetry.Ms(m.ScanTime + m.RunTime),
-			ScanMS:     telemetry.Ms(m.ScanTime),
-			Workers:    m.Workers,
-			Attempts:   res.Attempts - prior.Attempts,
-			Activated:  res.Activated() - prior.Activated(),
-			Benign:     res.Benign - prior.Benign, SDC: res.SDC - prior.SDC,
+		emitSimFaults(cfg, s, m.SimFaults, prior.Attempts)
+		ev := CellEvent(telemetry.EventCellExtend, s.CellKey, &CellResult{
+			Benign: res.Benign - prior.Benign, SDC: res.SDC - prior.SDC,
 			Crash: res.Crash - prior.Crash, Hang: res.Hang - prior.Hang,
-			NotActivated:      res.NotActivated - prior.NotActivated,
-			SimFaults:         res.SimFaults - prior.SimFaults,
-			AdaptiveTarget:    res.Adaptive.Target,
-			AdaptiveConverged: res.Adaptive.Converged,
+			NotActivated: res.NotActivated - prior.NotActivated,
+			Attempts:     res.Attempts - prior.Attempts,
+			SimFaults:    res.SimFaults - prior.SimFaults,
+			Adaptive:     res.Adaptive,
 		})
+		ev.DurationMS, ev.ScanMS = telemetry.Ms(m.ScanTime+m.RunTime), telemetry.Ms(m.ScanTime)
+		ev.Workers = m.Workers
+		emit(cfg.Events, ev)
 	}
 }
 

@@ -38,7 +38,7 @@ func runAdaptiveOracle(t *testing.T, mutate func(*StudyConfig)) *Study {
 		t.Fatal(err)
 	}
 	cfg := StudyConfig{Programs: []*Program{p}, N: adaptiveOracleN, Seed: adaptiveOracleSeed,
-		Categories: shardOracleCats, Adaptive: adaptiveOracleConfig()}
+		Cells: CanonicalCells([]*Program{p}, shardOracleCats), Adaptive: adaptiveOracleConfig()}
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -130,7 +130,7 @@ func TestAdaptiveShardMergeIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		if _, err := RunStudy(StudyConfig{Programs: []*Program{p},
-			N: adaptiveOracleN, Seed: adaptiveOracleSeed, Categories: shardOracleCats,
+			N: adaptiveOracleN, Seed: adaptiveOracleSeed, Cells: CanonicalCells([]*Program{p}, shardOracleCats),
 			Adaptive: acfg, Checkpoint: w, Shard: &spec}); err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +162,7 @@ func TestAdaptiveShardMergeIdentical(t *testing.T) {
 	testCampaignHook = func(*Campaign) { ran++ }
 	defer func() { testCampaignHook = nil }()
 	st, err := RunStudy(StudyConfig{Programs: []*Program{p},
-		N: adaptiveOracleN, Seed: adaptiveOracleSeed, Categories: shardOracleCats,
+		N: adaptiveOracleN, Seed: adaptiveOracleSeed, Cells: CanonicalCells([]*Program{p}, shardOracleCats),
 		Adaptive: acfg, Resume: merged.State})
 	if err != nil {
 		t.Fatal(err)

@@ -5,125 +5,128 @@ import (
 	"strings"
 
 	"hlfi/internal/fault"
-	"hlfi/internal/llfi"
 	"hlfi/internal/stats"
 )
 
-// CalibrationStudy evaluates the paper's §VII proposal: do the three
-// discrepancy-resolution heuristics (GEP-as-arithmetic, address-cast
-// exclusion, assembly-mapped-loads-only) move LLFI's crash rates toward
-// PINFI's? For each benchmark and category it runs three campaigns:
-// plain LLFI, calibrated LLFI, and PINFI.
-type CalibrationStudy struct {
-	Programs []*Program
-	N        int
+// Variant is the per-cell coordinate that selects an injector beyond
+// the cell's (level, category). The zero value is the paper's cell, so
+// paper-study seeds, checkpoint lines, warehouse keys and events keep
+// their bytes; the other values are the arms of the paper's §VII
+// calibration experiment. A cell's seed is cellSeed(studySeed+variant,
+// …), so each arm draws an independent sample.
+type Variant int
 
-	// Plain, Calibrated, Pinfi index cells by CellKey (level is implied).
-	Plain      map[CellKey]*CellResult
-	Calibrated map[CellKey]*CellResult
-	Pinfi      map[CellKey]*CellResult
+const (
+	// VariantPaper is the paper's cell, and the calibration study's
+	// plain-LLFI arm.
+	VariantPaper Variant = iota
+	// VariantCalibrated is LLFI over the candidate set the §VII
+	// discrepancy-resolution heuristics select (llfi.FullCalibration):
+	// GEP-as-arithmetic, address-cast exclusion and
+	// assembly-mapped-loads-only. IR level only.
+	VariantCalibrated
+	// VariantResampled is the paper's injector on an independent seed
+	// stream: the calibration study's PINFI arm.
+	VariantResampled
+)
+
+var variantNames = [...]string{"paper", "calibrated", "resampled"}
+
+func (v Variant) String() string {
+	if v >= 0 && int(v) < len(variantNames) {
+		return variantNames[v]
+	}
+	return fmt.Sprintf("variant(%d)", int(v))
 }
 
-// RunCalibrationStudy runs the three-way comparison over the given
-// categories (defaults to all, arithmetic, cast, load — the categories
-// the heuristics touch).
-func RunCalibrationStudy(progs []*Program, n int, seed int64, progress func(string)) (*CalibrationStudy, error) {
-	cats := []fault.Category{fault.CatAll, fault.CatArith, fault.CatCast, fault.CatLoad}
-	cal := llfi.FullCalibration()
-	st := &CalibrationStudy{
-		Programs:   progs,
-		N:          n,
-		Plain:      make(map[CellKey]*CellResult),
-		Calibrated: make(map[CellKey]*CellResult),
-		Pinfi:      make(map[CellKey]*CellResult),
+// InvalidVariantError reports a cell variant no injector runs: one
+// outside the known set, or the calibrated variant at assembly level
+// (the §VII heuristics select LLFI candidates only).
+type InvalidVariantError struct {
+	Variant Variant
+	Level   fault.Level
+}
+
+func (e *InvalidVariantError) Error() string {
+	if e.Variant == VariantCalibrated {
+		return fmt.Sprintf("cell variant %s applies to LLFI cells only, not %s", e.Variant, e.Level)
 	}
-	for _, p := range progs {
-		for _, cat := range cats {
-			key := CellKey{Prog: p.Name, Level: fault.LevelIR, Category: cat}
-			run := func(level fault.Level, c *llfi.Calibration, salt int64) (*CellResult, error) {
-				camp := &Campaign{
-					Prog: p, Level: level, Category: cat, N: n,
-					Seed:        cellSeed(seed+salt, p.Name, level, cat),
-					Calibration: c,
-				}
-				res, err := camp.Run()
-				if err != nil && strings.Contains(err.Error(), "no dynamic") {
-					return nil, nil // empty cell, skip
-				}
-				return res, err
+	return fmt.Sprintf("unknown cell variant %d", int(e.Variant))
+}
+
+// checkVariant rejects a variant no injector at level runs.
+func checkVariant(level fault.Level, v Variant) error {
+	if v < 0 || int(v) >= len(variantNames) || (v == VariantCalibrated && level != fault.LevelIR) {
+		return &InvalidVariantError{Variant: v, Level: level}
+	}
+	return nil
+}
+
+// calibrationCats are the categories the §VII heuristics touch.
+var calibrationCats = []fault.Category{fault.CatAll, fault.CatArith, fault.CatCast, fault.CatLoad}
+
+// CalibrationCells is the cell list of the §VII calibration study in
+// canonical order: programs x {all, arithmetic, cast, load} x (plain
+// LLFI, calibrated LLFI, resampled PINFI). Run it as
+// StudyConfig.Cells and render it with RenderCalibration.
+func CalibrationCells(programs []*Program) []CellKey {
+	var keys []CellKey
+	for _, p := range programs {
+		for _, cat := range calibrationCats {
+			keys = append(keys,
+				CellKey{Prog: p.Name, Level: fault.LevelIR, Category: cat},
+				CellKey{Prog: p.Name, Level: fault.LevelIR, Category: cat, Variant: VariantCalibrated},
+				CellKey{Prog: p.Name, Level: fault.LevelASM, Category: cat, Variant: VariantResampled})
+		}
+	}
+	return keys
+}
+
+// calibrationGaps walks the calibration rows in canonical order — one
+// per (program, category) whose three arms all completed — and returns
+// the mean |crash gap to PINFI| of plain and calibrated LLFI. row, when
+// non-nil, sees every row with its two gaps.
+func (st *Study) calibrationGaps(row func(prog string, cat fault.Category, plain, cal, pinfi *CellResult, pg, cg float64)) (plain, calibrated float64) {
+	var plainGaps, calGaps []float64
+	for _, p := range st.Programs {
+		for _, cat := range calibrationCats {
+			pl := st.Cells[CellKey{Prog: p.Name, Level: fault.LevelIR, Category: cat}]
+			cal := st.Cells[CellKey{Prog: p.Name, Level: fault.LevelIR, Category: cat, Variant: VariantCalibrated}]
+			pf := st.Cells[CellKey{Prog: p.Name, Level: fault.LevelASM, Category: cat, Variant: VariantResampled}]
+			if pl == nil || cal == nil || pf == nil {
+				continue
 			}
-			plain, err := run(fault.LevelIR, nil, 0)
-			if err != nil {
-				return nil, fmt.Errorf("plain %v: %w", key, err)
-			}
-			calRes, err := run(fault.LevelIR, &cal, 1)
-			if err != nil {
-				return nil, fmt.Errorf("calibrated %v: %w", key, err)
-			}
-			pf, err := run(fault.LevelASM, nil, 2)
-			if err != nil {
-				return nil, fmt.Errorf("pinfi %v: %w", key, err)
-			}
-			if plain != nil {
-				st.Plain[key] = plain
-			}
-			if calRes != nil {
-				st.Calibrated[key] = calRes
-			}
-			if pf != nil {
-				st.Pinfi[key] = pf
-			}
-			if progress != nil && plain != nil && calRes != nil && pf != nil {
-				progress(fmt.Sprintf("%-10s %-10s crash: plain=%.0f%% calibrated=%.0f%% pinfi=%.0f%%",
-					p.Name, cat, 100*plain.CrashRate().Rate(),
-					100*calRes.CrashRate().Rate(), 100*pf.CrashRate().Rate()))
+			pg := abs(pct(pl.CrashRate()) - pct(pf.CrashRate()))
+			cg := abs(pct(cal.CrashRate()) - pct(pf.CrashRate()))
+			plainGaps = append(plainGaps, pg)
+			calGaps = append(calGaps, cg)
+			if row != nil {
+				row(p.Name, cat, pl, cal, pf, pg, cg)
 			}
 		}
 	}
-	return st, nil
+	return stats.Mean(plainGaps), stats.Mean(calGaps)
 }
 
-// Render prints the three-way crash comparison and the aggregate
-// improvement.
-func (st *CalibrationStudy) Render() string {
+// CalibrationGaps returns the mean |crash gap to PINFI| of plain and
+// calibrated LLFI over a study of CalibrationCells: the figures the
+// last line of RenderCalibration prints.
+func (st *Study) CalibrationGaps() (plain, calibrated float64) {
+	return st.calibrationGaps(nil)
+}
+
+// RenderCalibration prints the three-way crash comparison of a study
+// of CalibrationCells and the aggregate improvement.
+func (st *Study) RenderCalibration() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Calibration experiment (paper §VII future work): crash %% by injector\n")
 	fmt.Fprintf(&sb, "%-12s %-10s %10s %12s %10s %18s\n",
 		"benchmark", "category", "LLFI", "LLFI(cal.)", "PINFI", "|gap| plain->cal")
-	var plainGaps, calGaps []float64
-	for _, p := range st.Programs {
-		for _, cat := range []fault.Category{fault.CatAll, fault.CatArith, fault.CatCast, fault.CatLoad} {
-			key := CellKey{Prog: p.Name, Level: fault.LevelIR, Category: cat}
-			plain, calRes, pf := st.Plain[key], st.Calibrated[key], st.Pinfi[key]
-			if plain == nil || calRes == nil || pf == nil {
-				continue
-			}
-			pg := abs(pct(plain.CrashRate()) - pct(pf.CrashRate()))
-			cg := abs(pct(calRes.CrashRate()) - pct(pf.CrashRate()))
-			plainGaps = append(plainGaps, pg)
-			calGaps = append(calGaps, cg)
-			fmt.Fprintf(&sb, "%-12s %-10s %9.1f%% %11.1f%% %9.1f%% %8.1f -> %5.1f\n",
-				p.Name, cat,
-				pct(plain.CrashRate()), pct(calRes.CrashRate()), pct(pf.CrashRate()),
-				pg, cg)
-		}
-	}
+	plain, calibrated := st.calibrationGaps(func(prog string, cat fault.Category, pl, cal, pf *CellResult, pg, cg float64) {
+		fmt.Fprintf(&sb, "%-12s %-10s %9.1f%% %11.1f%% %9.1f%% %8.1f -> %5.1f\n",
+			prog, cat, pct(pl.CrashRate()), pct(cal.CrashRate()), pct(pf.CrashRate()), pg, cg)
+	})
 	fmt.Fprintf(&sb, "\nmean |crash gap to PINFI|: plain %.1f points, calibrated %.1f points\n",
-		stats.Mean(plainGaps), stats.Mean(calGaps))
+		plain, calibrated)
 	return sb.String()
-}
-
-// MeanGaps returns the aggregate crash-gap means (plain, calibrated) for
-// assertions in tests and benches.
-func (st *CalibrationStudy) MeanGaps() (plain, calibrated float64) {
-	var plainGaps, calGaps []float64
-	for key, p := range st.Plain {
-		c, pf := st.Calibrated[key], st.Pinfi[key]
-		if c == nil || pf == nil {
-			continue
-		}
-		plainGaps = append(plainGaps, abs(pct(p.CrashRate())-pct(pf.CrashRate())))
-		calGaps = append(calGaps, abs(pct(c.CrashRate())-pct(pf.CrashRate())))
-	}
-	return stats.Mean(plainGaps), stats.Mean(calGaps)
 }

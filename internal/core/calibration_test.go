@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -28,46 +30,101 @@ int main() {
     return (int)(sum % 31);
 }`
 
+// TestRunCalibrationStudy runs the §VII calibration experiment as an
+// ordinary study over CalibrationCells: every arm of every category with
+// candidates completes at the requested n, every cell releases its
+// progress line, each arm keeps the seed salt of the retired three-way
+// driver (cellSeed(seed+variant, …)), and the rendered aggregate line
+// prints exactly CalibrationGaps.
 func TestRunCalibrationStudy(t *testing.T) {
 	p, err := BuildProgram("calprog", calSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
+	progs := []*Program{p}
+	cells := CalibrationCells(progs)
+	if len(cells) != 12 {
+		t.Fatalf("CalibrationCells = %d cells, want 4 categories x 3 arms", len(cells))
+	}
 	var lines []string
-	st, err := RunCalibrationStudy([]*Program{p}, 40, 7,
-		func(s string) { lines = append(lines, s) })
+	st, err := RunStudy(StudyConfig{Programs: progs, Cells: cells, N: 40, Seed: 7,
+		Progress: func(s string) { lines = append(lines, s) }})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Every category with candidates must have all three cells.
 	for _, cat := range []fault.Category{fault.CatAll, fault.CatArith, fault.CatLoad} {
-		key := CellKey{Prog: "calprog", Level: fault.LevelIR, Category: cat}
-		if st.Plain[key] == nil || st.Calibrated[key] == nil || st.Pinfi[key] == nil {
-			t.Errorf("missing cells for %v", cat)
-			continue
-		}
-		if got := st.Plain[key].Activated(); got != 40 {
-			t.Errorf("%v: plain total = %d, want 40", cat, got)
+		for _, key := range cells {
+			if key.Category != cat {
+				continue
+			}
+			res := st.Cells[key]
+			if res == nil {
+				t.Errorf("missing cell %v", key)
+				continue
+			}
+			if got := res.Activated(); got != 40 {
+				t.Errorf("%v: activated = %d, want 40", key, got)
+			}
 		}
 	}
-	if len(lines) == 0 {
-		t.Error("progress callback never fired")
+	if len(lines) != len(cells) {
+		t.Errorf("%d progress lines for %d cells", len(lines), len(cells))
 	}
 
-	out := st.Render()
+	// The arms keep the retired driver's seeds: plain LLFI is the paper
+	// cell, the calibrated arm salts the study seed by 1, PINFI by 2.
+	for _, key := range cells[:3] {
+		want, err := (&Campaign{Prog: p, Level: key.Level, Category: key.Category, Variant: key.Variant,
+			N: 40, Seed: cellSeed(7+int64(key.Variant), p.Name, key.Level, key.Category)}).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := st.Cells[key]; got == nil || *got != *want {
+			t.Errorf("%v = %+v, want the salted-seed campaign's %+v", key, got, want)
+		}
+	}
+
+	out := st.RenderCalibration()
 	for _, want := range []string{"Calibration experiment", "calprog", "mean |crash gap to PINFI|"} {
 		if !strings.Contains(out, want) {
-			t.Errorf("Render missing %q:\n%s", want, out)
+			t.Errorf("RenderCalibration missing %q:\n%s", want, out)
 		}
 	}
-
-	plain, calibrated := st.MeanGaps()
+	plain, calibrated := st.CalibrationGaps()
 	if plain < 0 || calibrated < 0 {
 		t.Fatalf("gaps must be non-negative: %f %f", plain, calibrated)
 	}
-	// The render's aggregate line must agree with MeanGaps.
-	if !strings.Contains(out, "plain") || !strings.Contains(out, "calibrated") {
-		t.Errorf("render aggregate line malformed:\n%s", out)
+	// The render's aggregate line must agree with CalibrationGaps.
+	agg := fmt.Sprintf("mean |crash gap to PINFI|: plain %.1f points, calibrated %.1f points\n", plain, calibrated)
+	if !strings.HasSuffix(out, agg) {
+		t.Errorf("render aggregate line disagrees with CalibrationGaps (want %q):\n%s", agg, out)
+	}
+}
+
+// TestInvalidVariant: a variant no injector runs — unknown, or the
+// calibrated (LLFI-only) variant at assembly level — is refused with a
+// typed *InvalidVariantError by the campaign and by the study, before
+// anything runs.
+func TestInvalidVariant(t *testing.T) {
+	p, err := BuildProgram("calprog", calSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []CellKey{
+		{Prog: p.Name, Level: fault.LevelASM, Category: fault.CatAll, Variant: VariantCalibrated},
+		{Prog: p.Name, Level: fault.LevelIR, Category: fault.CatAll, Variant: 3},
+		{Prog: p.Name, Level: fault.LevelIR, Category: fault.CatAll, Variant: -1},
+	} {
+		var ive *InvalidVariantError
+		_, err := (&Campaign{Prog: p, Level: key.Level, Category: key.Category, Variant: key.Variant, N: 4, Seed: 1}).Run()
+		if !errors.As(err, &ive) || ive.Variant != key.Variant {
+			t.Errorf("Campaign %v: %v, want *InvalidVariantError", key, err)
+		}
+		_, err = RunStudy(StudyConfig{Programs: []*Program{p}, Cells: []CellKey{key}, N: 4, Seed: 1})
+		if !errors.As(err, &ive) {
+			t.Errorf("RunStudy %v: %v, want *InvalidVariantError", key, err)
+		}
 	}
 }
 

@@ -40,9 +40,11 @@ type Campaign struct {
 	Seed int64
 	// MaxAttemptsFactor bounds re-draws of non-activated faults.
 	MaxAttemptsFactor int
-	// Calibration, when non-nil and Level is LevelIR, applies the paper's
-	// §VII discrepancy-resolution heuristics to the candidate set.
-	Calibration *llfi.Calibration
+	// Variant selects the injector beyond (Level, Category): the zero
+	// value is the paper's, VariantCalibrated (IR only) applies the
+	// paper's §VII discrepancy-resolution heuristics to the candidate
+	// set. Seed is taken as given; the study derives it per variant.
+	Variant Variant
 	// Replay, when non-nil, arms golden-run snapshot fast-forward replay
 	// for every injection attempt. Shared across cells: the snapshot
 	// cache behind it is keyed by (program, level). Results are
@@ -240,6 +242,9 @@ func (c *CellResult) add(o fault.Outcome) {
 // its cost — the candidate scan plus replay/compiled arming — is what
 // CellMetrics.ScanTime measures.
 func (c *Campaign) injector() (func(*rand.Rand, bool) attemptResult, uint64, error) {
+	if err := checkVariant(c.Level, c.Variant); err != nil {
+		return nil, 0, err
+	}
 	if c.injectorOverride != nil {
 		draw, dyn, err := c.injectorOverride()
 		if err != nil {
@@ -288,8 +293,8 @@ func (c *Campaign) injector() (func(*rand.Rand, bool) attemptResult, uint64, err
 func (c *Campaign) irView() (*llfi.Injector, error) {
 	p := c.Prog
 	var cands []bool
-	if c.Calibration != nil {
-		cands = llfi.CandidatesCalibrated(p.Prep, c.Category, *c.Calibration)
+	if c.Variant == VariantCalibrated {
+		cands = llfi.CandidatesCalibrated(p.Prep, c.Category, llfi.FullCalibration())
 	} else {
 		cands = llfi.Candidates(p.Prep, c.Category)
 	}

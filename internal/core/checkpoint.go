@@ -16,6 +16,9 @@
 //	{"type":"skip","benchmark":"mcfm","level":"PINFI","category":"cast",
 //	 "kind":"no-candidates","err":"..."}
 //
+// Cell and skip lines of a non-paper cell variant carry "variant" (1
+// calibrated, 2 resampled); paper cells omit it.
+//
 // The header's n, seed, adaptive and seeding fields are the study
 // identity (CheckpointShape.Identity): resume and merge refuse a file
 // whose identity differs. seeding appears only for per-attempt studies
@@ -112,16 +115,17 @@ type checkpointLine struct {
 	Seeding  string `json:"seeding,omitempty"`
 
 	// Cell identity (types "cell" and "skip").
-	Benchmark string `json:"benchmark,omitempty"`
-	Level     string `json:"level,omitempty"`
-	Category  string `json:"category,omitempty"`
+	Benchmark string  `json:"benchmark,omitempty"`
+	Level     string  `json:"level,omitempty"`
+	Category  string  `json:"category,omitempty"`
+	Variant   Variant `json:"variant,omitempty"`
 
 	Result          *CellRecord `json:"result,omitempty"` // type "cell"
 	*CheckpointSkip             // type "skip"
 }
 
 // CellRecord is the persisted form of one completed cell: CellResult
-// without the identity triple, in stable lower-case JSON. Checkpoint
+// without the cell identity, in stable lower-case JSON. Checkpoint
 // cell lines, warehouse payloads and fleet completions all carry it.
 type CellRecord struct {
 	Benign        int    `json:"benign"`
@@ -420,7 +424,14 @@ func (l *checkpointLine) key() (CellKey, error) {
 	if err != nil {
 		return CellKey{}, err
 	}
-	return CellKey{Prog: l.Benchmark, Level: level, Category: cat}, nil
+	return CellKey{Prog: l.Benchmark, Level: level, Category: cat, Variant: l.Variant},
+		checkVariant(level, l.Variant)
+}
+
+// cellLine is a record of type typ ("cell" or "skip") naming key.
+func cellLine(typ string, key CellKey) checkpointLine {
+	return checkpointLine{Type: typ, Benchmark: key.Prog, Level: key.Level.String(),
+		Category: key.Category.String(), Variant: key.Variant}
 }
 
 // checkpointFile is the durability surface a CheckpointWriter appends
@@ -473,7 +484,17 @@ func NewCheckpointWriterShape(path string, shape CheckpointShape) (*CheckpointWr
 
 // OpenCheckpointAppend reopens an existing checkpoint (already carrying
 // a header) so a resumed study keeps checkpointing into the same file.
+// A torn final record, which the loader ignored, is cut off first:
+// appending after it would fuse it with the next record into a corrupt
+// line the following load rejects.
 func OpenCheckpointAppend(path string) (*CheckpointWriter, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := os.Truncate(path, int64(bytes.LastIndexByte(data, '\n')+1)); err != nil {
+		return nil, err
+	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
@@ -506,13 +527,9 @@ func (w *CheckpointWriter) Cell(key CellKey, res *CellResult) error {
 	if w == nil {
 		return nil
 	}
-	return w.append(checkpointLine{
-		Type:      "cell",
-		Benchmark: key.Prog,
-		Level:     key.Level.String(),
-		Category:  key.Category.String(),
-		Result:    RecordOf(res),
-	})
+	line := cellLine("cell", key)
+	line.Result = RecordOf(res)
+	return w.append(line)
 }
 
 // Skip appends one soft-skipped cell so a resumed study skips it without
@@ -521,13 +538,9 @@ func (w *CheckpointWriter) Skip(key CellKey, skip CheckpointSkip) error {
 	if w == nil {
 		return nil
 	}
-	return w.append(checkpointLine{
-		Type:           "skip",
-		Benchmark:      key.Prog,
-		Level:          key.Level.String(),
-		Category:       key.Category.String(),
-		CheckpointSkip: &skip,
-	})
+	line := cellLine("skip", key)
+	line.CheckpointSkip = &skip
+	return w.append(line)
 }
 
 // Close closes the underlying file.

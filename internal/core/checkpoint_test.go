@@ -23,10 +23,10 @@ func runTinyStudy(t *testing.T, mutate func(*StudyConfig)) *Study {
 		t.Fatal(err)
 	}
 	cfg := StudyConfig{
-		Programs:   []*Program{p},
-		N:          10,
-		Seed:       5,
-		Categories: []fault.Category{fault.CatAll, fault.CatArith},
+		Programs: []*Program{p},
+		N:        10,
+		Seed:     5,
+		Cells:    CanonicalCells([]*Program{p}, []fault.Category{fault.CatAll, fault.CatArith}),
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -304,7 +304,7 @@ func TestCheckpointWriterFailure(t *testing.T) {
 		Programs:   []*Program{p},
 		N:          10,
 		Seed:       5,
-		Categories: []fault.Category{fault.CatAll, fault.CatArith},
+		Cells:      CanonicalCells([]*Program{p}, []fault.Category{fault.CatAll, fault.CatArith}),
 		Checkpoint: w,
 	})
 	var werr *CheckpointWriteError

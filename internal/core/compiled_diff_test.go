@@ -65,7 +65,7 @@ func TestCompiledDifferentialOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		st, err := RunStudy(StudyConfig{Programs: []*Program{p}, N: 6, Seed: 9,
-			Categories: compiledOracleCats, Checkpoint: w,
+			Cells: CanonicalCells([]*Program{p}, compiledOracleCats), Checkpoint: w,
 			Compiled: compiled, Obs: om, Parallel: parallel})
 		if err != nil {
 			t.Fatal(err)
@@ -123,7 +123,7 @@ func TestCompiledShardMergeOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	single, err := RunStudy(StudyConfig{Programs: []*Program{p}, N: 6, Seed: 9,
-		Categories: compiledOracleCats})
+		Cells: CanonicalCells([]*Program{p}, compiledOracleCats)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestCompiledShardMergeOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		if _, err := RunStudy(StudyConfig{Programs: []*Program{p}, N: 6, Seed: 9,
-			Categories: compiledOracleCats, Checkpoint: w, Shard: &spec,
+			Cells: CanonicalCells([]*Program{p}, compiledOracleCats), Checkpoint: w, Shard: &spec,
 			Compiled: compiled}); err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +162,7 @@ func TestCompiledShardMergeOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	st, err := RunStudy(StudyConfig{Programs: []*Program{p}, N: 6, Seed: 9,
-		Categories: compiledOracleCats, Resume: merged.State})
+		Cells: CanonicalCells([]*Program{p}, compiledOracleCats), Resume: merged.State})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestCompiledCheckpointFlip(t *testing.T) {
 	study := func(pol policy, mutate func(*StudyConfig)) *Study {
 		t.Helper()
 		cfg := StudyConfig{Programs: []*Program{p}, N: 6, Seed: 9,
-			Categories: compiledOracleCats, Replay: pol.replay, Compiled: pol.compiled}
+			Cells: CanonicalCells([]*Program{p}, compiledOracleCats), Replay: pol.replay, Compiled: pol.compiled}
 		mutate(&cfg)
 		st, err := RunStudy(cfg)
 		if err != nil {

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"hlfi/internal/fault"
 )
 
 // FuzzLoadCheckpoint throws arbitrary file bytes at the checkpoint
@@ -21,6 +24,9 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	f.Add([]byte(cell + header))
 	f.Add([]byte(`{"type":"skip","benchmark":"x","level":"LLFI","category":"all"}`))
 	f.Add([]byte{})
+	for _, tc := range variantLines {
+		f.Add([]byte(header + tc.line))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
 		in := filepath.Join(dir, "in.jsonl")
@@ -30,6 +36,16 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		st, hdr, err := readCheckpoint(in)
 		if err != nil {
 			return
+		}
+		for key := range st.Cells {
+			if err := checkVariant(key.Level, key.Variant); err != nil {
+				t.Fatalf("loader accepted an invalid cell: %v", err)
+			}
+		}
+		for key := range st.Skips {
+			if err := checkVariant(key.Level, key.Variant); err != nil {
+				t.Fatalf("loader accepted an invalid skip: %v", err)
+			}
 		}
 		out := filepath.Join(dir, "out.jsonl")
 		w, err := NewCheckpointWriterShape(out, hdr)
@@ -60,4 +76,47 @@ func FuzzLoadCheckpoint(f *testing.F) {
 			t.Errorf("state changed across a rewrite:\nfirst  %+v\nsecond %+v", st, st2)
 		}
 	})
+}
+
+// variantLines are checkpoint records of non-paper cell variants: the
+// loader keys a valid one by its variant and refuses one no injector
+// runs with a typed *InvalidVariantError.
+var variantLines = []struct {
+	name, line string
+	cell, skip CellKey // the key a valid line loads as
+}{
+	{name: "calibrated cell",
+		line: `{"type":"cell","benchmark":"bzip2m","level":"LLFI","category":"all","variant":1,"result":{"benign":3,"sdc":2,"crash":1,"hang":0,"notActivated":0,"attempts":6,"dynCandidates":42}}` + "\n",
+		cell: CellKey{Prog: "bzip2m", Level: fault.LevelIR, Category: fault.CatAll, Variant: VariantCalibrated}},
+	{name: "resampled skip",
+		line: `{"type":"skip","benchmark":"mcfm","level":"PINFI","category":"cast","variant":2,"kind":"no-candidates","err":"no candidates"}` + "\n",
+		skip: CellKey{Prog: "mcfm", Level: fault.LevelASM, Category: fault.CatCast, Variant: VariantResampled}},
+	{name: "unknown variant",
+		line: `{"type":"cell","benchmark":"bzip2m","level":"LLFI","category":"all","variant":7,"result":{"benign":1,"attempts":1,"dynCandidates":1}}` + "\n"},
+	{name: "calibrated at ASM",
+		line: `{"type":"skip","benchmark":"mcfm","level":"PINFI","category":"all","variant":1,"kind":"no-candidates","err":"x"}` + "\n"},
+}
+
+func TestLoadCheckpointVariants(t *testing.T) {
+	header := `{"type":"study","version":1,"n":10,"seed":5}` + "\n"
+	for _, tc := range variantLines {
+		path := filepath.Join(t.TempDir(), "ck.jsonl")
+		if err := os.WriteFile(path, []byte(header+tc.line), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, _, err := readCheckpoint(path)
+		var ive *InvalidVariantError
+		switch {
+		case tc.cell == (CellKey{}) && tc.skip == (CellKey{}):
+			if !errors.As(err, &ive) {
+				t.Errorf("%s: %v, want *InvalidVariantError", tc.name, err)
+			}
+		case err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.cell != (CellKey{}) && (len(st.Cells) != 1 || st.Cells[tc.cell] == nil):
+			t.Errorf("%s: cells %v, want one keyed %v", tc.name, st.Cells, tc.cell)
+		case tc.skip != (CellKey{}) && (len(st.Skips) != 1 || st.Skips[tc.skip] == (CheckpointSkip{})):
+			t.Errorf("%s: skips %v, want one keyed %v", tc.name, st.Skips, tc.skip)
+		}
+	}
 }

@@ -149,18 +149,18 @@ func TestGoldenViewEquivalence(t *testing.T) {
 			t.Parallel()
 			arms := engineArms()
 			img, base := p.Prep.Layout.Image, p.Prep.Layout.Base
-			camp := func(arm engineArm, level fault.Level, cat fault.Category, c *llfi.Calibration) *core.Campaign {
-				return &core.Campaign{Prog: p, Level: level, Category: cat, Calibration: c,
+			camp := func(arm engineArm, level fault.Level, cat fault.Category, v core.Variant) *core.Campaign {
+				return &core.Campaign{Prog: p, Level: level, Category: cat, Variant: v,
 					Replay: arm.replay, Compiled: arm.compiled}
 			}
 			for _, cat := range fault.Categories {
 				ref, refErr := irSide(llfi.New(p.Prep, cat))
 				sameViews(t, "LLFI/"+cat.String(), arms, ref, refErr, func(arm engineArm) (side, error) {
-					return irSide(camp(arm, fault.LevelIR, cat, nil).IRView())
+					return irSide(camp(arm, fault.LevelIR, cat, core.VariantPaper).IRView())
 				})
 				ref, refErr = asmSide(pinfi.New(p.Asm, img, base, cat))
 				sameViews(t, "PINFI/"+cat.String(), arms, ref, refErr, func(arm engineArm) (side, error) {
-					return asmSide(camp(arm, fault.LevelASM, cat, nil).ASMView())
+					return asmSide(camp(arm, fault.LevelASM, cat, core.VariantPaper).ASMView())
 				})
 			}
 
@@ -175,7 +175,7 @@ func TestGoldenViewEquivalence(t *testing.T) {
 			calCands := llfi.CandidatesCalibrated(p.Prep, fault.CatAll, cal)
 			ref, refErr := irSide(llfi.View(p.Prep, full.Golden, fault.CatAll, calCands))
 			sameViews(t, "LLFI-calibrated/all", arms, ref, refErr, func(arm engineArm) (side, error) {
-				return irSide(camp(arm, fault.LevelIR, fault.CatAll, &cal).IRView())
+				return irSide(camp(arm, fault.LevelIR, fault.CatAll, core.VariantCalibrated).IRView())
 			})
 			programGolden := fault.Golden{Output: p.GoldenOutput, Exit: p.GoldenExit,
 				Instrs: p.IRInstrs, Profile: p.IRProfile}
@@ -223,10 +223,10 @@ func TestCampaignViewsShareProgramGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cal := llfi.FullCalibration()
+	variants := []core.Variant{core.VariantPaper, core.VariantCalibrated}
 	for _, cat := range fault.Categories {
-		for _, c := range []*llfi.Calibration{nil, &cal} {
-			inj, err := (&core.Campaign{Prog: p, Level: fault.LevelIR, Category: cat, Calibration: c}).IRView()
+		for _, v := range variants {
+			inj, err := (&core.Campaign{Prog: p, Level: fault.LevelIR, Category: cat, Variant: v}).IRView()
 			if errors.Is(err, llfi.ErrNoCandidates) {
 				continue
 			}
@@ -234,7 +234,7 @@ func TestCampaignViewsShareProgramGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !aliases(inj.Golden.Output, p.GoldenOutput) || !aliases(inj.Golden.Profile, p.IRProfile) {
-				t.Errorf("LLFI %s (calibrated=%v): injector does not alias the Program's golden run", cat, c != nil)
+				t.Errorf("LLFI %s (%s): injector does not alias the Program's golden run", cat, v)
 			}
 		}
 		inj, err := (&core.Campaign{Prog: p, Level: fault.LevelASM, Category: cat}).ASMView()
@@ -254,17 +254,17 @@ func TestCampaignViewsShareProgramGolden(t *testing.T) {
 	poisoned := *p
 	poisoned.GoldenOutput = []byte("not the golden output\n")
 	for _, level := range fault.Levels {
-		for _, c := range []*llfi.Calibration{nil, &cal} {
-			if c != nil && level == fault.LevelASM {
+		for _, v := range variants {
+			if v == core.VariantCalibrated && level == fault.LevelASM {
 				continue
 			}
 			res, err := (&core.Campaign{Prog: &poisoned, Level: level, Category: fault.CatAll,
-				Calibration: c, N: 8, Seed: 1}).Run()
+				Variant: v, N: 8, Seed: 1}).Run()
 			if err != nil {
 				t.Fatal(err)
 			}
 			if res.Benign != 0 || res.NotActivated != 0 || res.SDC == 0 {
-				t.Errorf("%s (calibrated=%v): campaign ignored the Program's golden output: %+v", level, c != nil, *res)
+				t.Errorf("%s (%s): campaign ignored the Program's golden output: %+v", level, v, *res)
 			}
 		}
 	}
@@ -288,7 +288,7 @@ func TestCampaignViewsShareProgramGolden(t *testing.T) {
 		factor uint64
 	}{{p, 1}, {&tripled, 3}} {
 		st, err := core.RunStudy(core.StudyConfig{Programs: []*core.Program{tc.prog}, N: 1, Seed: 1,
-			Categories: []fault.Category{fault.CatAll}})
+			Cells: core.CanonicalCells([]*core.Program{tc.prog}, []fault.Category{fault.CatAll})})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -47,20 +47,28 @@ func (st *Study) WriteJSON(w io.Writer) error {
 	return st.WriteExperimentJSON(w, "all")
 }
 
+// CheckExperimentJSON rejects an experiment without a JSON form
+// (table2, table4, calibration) with the error WriteExperimentJSON
+// returns, so a caller can refuse it before running anything.
+func CheckExperimentJSON(experiment string) error {
+	switch experiment {
+	case "fig3", "fig4", "table5", "all":
+		return nil
+	}
+	return fmt.Errorf("experiment %q has no JSON form (want fig3|fig4|table5|all)", experiment)
+}
+
 // WriteExperimentJSON serializes the study scoped to one experiment's
 // cells: fig3 covers only the "all"-category cells (its aggregate
 // breakdown uses nothing else), while fig4, table5, and all cover the
-// full category cross-product. Experiments without a JSON form (table2,
-// table4, calibration) are rejected.
+// full category cross-product.
 func (st *Study) WriteExperimentJSON(w io.Writer, experiment string) error {
-	var cats []fault.Category
-	switch experiment {
-	case "fig3":
+	if err := CheckExperimentJSON(experiment); err != nil {
+		return err
+	}
+	cats := fault.Categories
+	if experiment == "fig3" {
 		cats = []fault.Category{fault.CatAll}
-	case "fig4", "table5", "all":
-		cats = fault.Categories
-	default:
-		return fmt.Errorf("experiment %q has no JSON form (want fig3|fig4|table5|all)", experiment)
 	}
 	out := StudyJSON{Experiment: experiment, N: st.N, Seed: st.Seed, Adaptive: st.adaptiveJSON(cats)}
 	for _, p := range st.Programs {

@@ -101,7 +101,7 @@ func TestTracingAddsOnlyTraceEvents(t *testing.T) {
 		cap := &captureRecorder{}
 		_, err := core.RunStudy(core.StudyConfig{
 			Programs: progs, N: 8, Seed: 7, Events: cap,
-			Categories:    []fault.Category{fault.CatAll},
+			Cells:         core.CanonicalCells(progs, []fault.Category{fault.CatAll}),
 			TraceAttempts: trace,
 		})
 		if err != nil {
@@ -162,11 +162,11 @@ int main() {
 	cancel()
 	log := &flushLog{}
 	_, err = core.RunStudyContext(ctx, core.StudyConfig{
-		Programs:   []*core.Program{p},
-		N:          5,
-		Seed:       2,
-		Categories: []fault.Category{fault.CatAll},
-		Events:     log,
+		Programs: []*core.Program{p},
+		N:        5,
+		Seed:     2,
+		Cells:    core.CanonicalCells([]*core.Program{p}, []fault.Category{fault.CatAll}),
+		Events:   log,
 	})
 	if !errors.Is(err, core.ErrAborted) {
 		t.Fatalf("cancelled study returned %v, want ErrAborted", err)

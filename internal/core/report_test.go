@@ -20,12 +20,12 @@ func syntheticStudy() *Study {
 		Dyn:      make(map[CellKey]uint64),
 	}
 	fill := func(prog string, level fault.Level, cat fault.Category, crash, sdc, benign int) {
-		st.Cells[CellKey{prog, level, cat}] = &CellResult{
+		st.Cells[CellKey{Prog: prog, Level: level, Category: cat}] = &CellResult{
 			Prog: prog, Level: level, Category: cat,
 			Crash: crash, SDC: sdc, Benign: benign,
 			Attempts: crash + sdc + benign,
 		}
-		st.Dyn[CellKey{prog, level, cat}] = uint64(1000 * (int(cat)*7 + int(level)))
+		st.Dyn[CellKey{Prog: prog, Level: level, Category: cat}] = uint64(1000 * (int(cat)*7 + int(level)))
 	}
 	for _, p := range progs {
 		for _, lv := range []fault.Level{fault.LevelIR, fault.LevelASM} {
@@ -35,8 +35,8 @@ func syntheticStudy() *Study {
 		}
 	}
 	// Introduce one big crash divergence for the summary.
-	st.Cells[CellKey{"alpha", fault.LevelIR, fault.CatArith}].Crash = 70
-	st.Cells[CellKey{"alpha", fault.LevelIR, fault.CatArith}].Benign = 20
+	st.Cells[CellKey{Prog: "alpha", Level: fault.LevelIR, Category: fault.CatArith}].Crash = 70
+	st.Cells[CellKey{Prog: "alpha", Level: fault.LevelIR, Category: fault.CatArith}].Benign = 20
 	return st
 }
 

@@ -274,10 +274,10 @@ func TestStudySimFaultContainment(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := StudyConfig{
-		Programs:   []*Program{p},
-		N:          10,
-		Seed:       5,
-		Categories: []fault.Category{fault.CatAll},
+		Programs: []*Program{p},
+		N:        10,
+		Seed:     5,
+		Cells:    CanonicalCells([]*Program{p}, []fault.Category{fault.CatAll}),
 	}
 	clean, err := RunStudy(cfg)
 	if err != nil {
@@ -342,7 +342,7 @@ func TestStudyDeadlineDegradedSkip(t *testing.T) {
 		Programs:     []*Program{p},
 		N:            10, // the hooked IR cell needs 250ms of draws: over deadline
 		Seed:         5,
-		Categories:   []fault.Category{fault.CatAll},
+		Cells:        CanonicalCells([]*Program{p}, []fault.Category{fault.CatAll}),
 		CellDeadline: 100 * time.Millisecond,
 		Events:       &cap,
 	})
@@ -369,11 +369,11 @@ func TestStudyNotActivatedSoftSkip(t *testing.T) {
 	})
 	var cap eventCapture
 	st, err := RunStudy(StudyConfig{
-		Programs:   []*Program{p},
-		N:          10,
-		Seed:       5,
-		Categories: []fault.Category{fault.CatAll},
-		Events:     &cap,
+		Programs: []*Program{p},
+		N:        10,
+		Seed:     5,
+		Cells:    CanonicalCells([]*Program{p}, []fault.Category{fault.CatAll}),
+		Events:   &cap,
 	})
 	if err != nil {
 		t.Fatalf("study with never-activating cell failed: %v", err)
@@ -399,11 +399,11 @@ func TestStudyCancellation(t *testing.T) {
 	cancel() // cancelled before any cell runs: everything is "queued"
 	var cap eventCapture
 	st, err := RunStudyContext(ctx, StudyConfig{
-		Programs:   []*Program{p},
-		N:          10,
-		Seed:       5,
-		Categories: []fault.Category{fault.CatAll},
-		Events:     &cap,
+		Programs: []*Program{p},
+		N:        10,
+		Seed:     5,
+		Cells:    CanonicalCells([]*Program{p}, []fault.Category{fault.CatAll}),
+		Events:   &cap,
 	})
 	if !errors.Is(err, ErrAborted) {
 		t.Fatalf("cancelled study returned %v, want ErrAborted", err)

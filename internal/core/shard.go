@@ -65,15 +65,22 @@ func (s ShardSpec) Owns(i int) bool { return i%s.Count == s.Index }
 
 func (s ShardSpec) String() string { return fmt.Sprintf("%d/%d", s.Index, s.Count) }
 
-// CanonicalCells returns the study's cell keys in canonical order — the
-// order RunStudy schedules and releases them, and the order shard
-// ownership is computed over. cats defaults to all five categories,
-// matching StudyConfig.
+// CanonicalCells returns the paper study's cell keys in canonical
+// order: programs in the given order x levels (IR, ASM) x categories.
+// It is the order RunStudy schedules and releases them, and the order
+// shard ownership is computed over. cats defaults to all five
+// categories.
 func CanonicalCells(programs []*Program, cats []fault.Category) []CellKey {
-	specs := studySpecs(programs, cats)
-	keys := make([]CellKey, len(specs))
-	for i, s := range specs {
-		keys[i] = s.key()
+	if len(cats) == 0 {
+		cats = fault.Categories
+	}
+	var keys []CellKey
+	for _, p := range programs {
+		for _, level := range fault.Levels {
+			for _, cat := range cats {
+				keys = append(keys, CellKey{Prog: p.Name, Level: level, Category: cat})
+			}
+		}
 	}
 	return keys
 }
@@ -285,7 +292,7 @@ func checkHeader(path, reference string, hdr CheckpointShape, spec ShardSpec, me
 // VerifyComplete checks that every canonical cell is accounted for (as
 // a completed cell or a recorded soft skip) by the shard that owns it.
 // cells must be the canonical cell list of the same study the shards
-// ran (CanonicalCells over the same programs and categories). A worker
+// ran (StudyConfig.Cells, or CanonicalCells for a paper study). A worker
 // killed mid-run leaves a valid but partial checkpoint; the returned
 // *IncompleteShardsError names each such shard, its file, and the exact
 // cells still owed, so -resume can restart only those workers.

@@ -34,7 +34,7 @@ func runShards(t *testing.T, p *Program, count, parallel int, dir string) []stri
 			t.Fatal(err)
 		}
 		cfg := StudyConfig{Programs: []*Program{p}, N: 6, Seed: 9,
-			Categories: shardOracleCats, Checkpoint: w, Shard: &spec, Parallel: parallel}
+			Cells: CanonicalCells([]*Program{p}, shardOracleCats), Checkpoint: w, Shard: &spec, Parallel: parallel}
 		if _, err := RunStudy(cfg); err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +66,7 @@ func mergeAndRender(t *testing.T, p *Program, paths []string) (*Study, string) {
 	testCampaignHook = func(*Campaign) { ran++ }
 	defer func() { testCampaignHook = nil }()
 	st, err := RunStudy(StudyConfig{Programs: []*Program{p}, N: 6, Seed: 9,
-		Categories: shardOracleCats, Resume: merged.State})
+		Cells: CanonicalCells([]*Program{p}, shardOracleCats), Resume: merged.State})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestShardMergeDifferentialOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	single, err := RunStudy(StudyConfig{Programs: []*Program{p}, N: 6, Seed: 9,
-		Categories: shardOracleCats})
+		Cells: CanonicalCells([]*Program{p}, shardOracleCats)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestShardKillResumeMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	single, err := RunStudy(StudyConfig{Programs: []*Program{p}, N: 6, Seed: 9,
-		Categories: shardOracleCats})
+		Cells: CanonicalCells([]*Program{p}, shardOracleCats)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestShardKillResumeMerge(t *testing.T) {
 	testCampaignHook = func(*Campaign) { ran++ }
 	defer func() { testCampaignHook = nil }()
 	if _, err := RunStudy(StudyConfig{Programs: []*Program{p}, N: 6, Seed: 9,
-		Categories: shardOracleCats, Shard: &spec, Resume: state, Checkpoint: w2}); err != nil {
+		Cells: CanonicalCells([]*Program{p}, shardOracleCats), Shard: &spec, Resume: state, Checkpoint: w2}); err != nil {
 		t.Fatal(err)
 	}
 	w2.Close()

@@ -164,7 +164,7 @@ func TestMergeIncompleteShard(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := StudyConfig{Programs: []*Program{p}, N: 5, Seed: 7,
-			Categories: cats, Checkpoint: w, Shard: &spec}
+			Cells: CanonicalCells([]*Program{p}, cats), Checkpoint: w, Shard: &spec}
 		if _, err := RunStudy(cfg); err != nil {
 			t.Fatal(err)
 		}

@@ -17,11 +17,29 @@ import (
 	"hlfi/internal/telemetry"
 )
 
-// CellKey identifies one campaign cell.
+// CellKey identifies one campaign cell. Every per-cell coordinate is a
+// field here; study-wide inputs are CheckpointShape.Identity entries.
 type CellKey struct {
 	Prog     string
 	Level    fault.Level
 	Category fault.Category
+	// Variant is VariantPaper (the zero value) for every paper cell.
+	Variant Variant
+}
+
+// String renders the key as error messages name cells.
+func (k CellKey) String() string {
+	return fmt.Sprintf("{%s %s %s%s}", k.Prog, k.Level, k.Category, k.variantSuffix(" "))
+}
+
+// variantSuffix is "" for a paper cell, else sep and the variant name:
+// a non-paper cell extends every rendering of its identity, so paper
+// renderings keep their bytes.
+func (k CellKey) variantSuffix(sep string) string {
+	if k.Variant == VariantPaper {
+		return ""
+	}
+	return sep + k.Variant.String()
 }
 
 // Study holds the full cross-product of campaign results — everything
@@ -49,8 +67,11 @@ type StudyConfig struct {
 	N int
 	// Seed derives per-cell seeds deterministically.
 	Seed int64
-	// Categories defaults to all five.
-	Categories []fault.Category
+	// Cells lists the study's cells in canonical order: the order
+	// progress, telemetry and shard ownership follow. Empty means
+	// CanonicalCells(Programs, nil), the paper's full cross-product;
+	// CalibrationCells(Programs) is the §VII calibration study.
+	Cells []CellKey
 	// Progress, when non-nil, receives one line per completed cell, in
 	// canonical cell order regardless of scheduling.
 	Progress func(string)
@@ -177,9 +198,10 @@ var testCampaignHook func(*Campaign)
 // study seed. It is a pure function of the cell identity — never of the
 // cell's position in any schedule — which is what makes every cell
 // relocatable: a shard worker, a fleet worker, or a retry of either
-// reproduces the exact record the single-process study would have.
+// reproduces the exact record the single-process study would have. The
+// variant salts the study seed, so a paper cell's seed is unchanged.
 func CellSeed(base int64, key CellKey) int64 {
-	return cellSeed(base, key.Prog, key.Level, key.Category)
+	return cellSeed(base+int64(key.Variant), key.Prog, key.Level, key.Category)
 }
 
 // cellSeed derives a stable per-cell seed.
@@ -195,37 +217,43 @@ func cellSeed(base int64, prog string, level fault.Level, cat fault.Category) in
 
 // cellSpec is one scheduled unit of study work, in canonical order.
 type cellSpec struct {
-	prog  *Program
-	level fault.Level
-	cat   fault.Category
-}
-
-func (s cellSpec) key() CellKey {
-	return CellKey{Prog: s.prog.Name, Level: s.level, Category: s.cat}
+	CellKey
+	prog *Program
 }
 
 // lane is the cell's span (timeline lane) name.
 func (s cellSpec) lane() string {
-	return s.prog.Name + "/" + s.level.String() + "/" + s.cat.String()
+	return s.Prog + "/" + s.Level.String() + "/" + s.Category.String() + s.variantSuffix("/")
 }
 
-// studySpecs builds the canonical cell list: programs in the given
-// order x levels (IR, ASM) x categories. Shard ownership and the
-// reorder buffer both index into this list, so its order is part of the
-// determinism contract.
-func studySpecs(programs []*Program, cats []fault.Category) []cellSpec {
-	if len(cats) == 0 {
-		cats = fault.Categories
+// label is the cell's identity column in progress lines.
+func (s cellSpec) label() string {
+	return fmt.Sprintf("%-10s %-5s %-10s", s.Prog, s.Level, s.Category) + s.variantSuffix(" ")
+}
+
+// studySpecs resolves the study's cell list against its programs.
+// Shard ownership and the reorder buffer both index into the result,
+// so its order is part of the determinism contract.
+func studySpecs(programs []*Program, keys []CellKey) ([]cellSpec, error) {
+	if len(keys) == 0 {
+		keys = CanonicalCells(programs, nil)
 	}
-	var specs []cellSpec
+	byName := make(map[string]*Program, len(programs))
 	for _, p := range programs {
-		for _, level := range []fault.Level{fault.LevelIR, fault.LevelASM} {
-			for _, cat := range cats {
-				specs = append(specs, cellSpec{prog: p, level: level, cat: cat})
-			}
-		}
+		byName[p.Name] = p
 	}
-	return specs
+	specs := make([]cellSpec, len(keys))
+	for i, key := range keys {
+		if err := checkVariant(key.Level, key.Variant); err != nil {
+			return nil, err
+		}
+		p := byName[key.Prog]
+		if p == nil {
+			return nil, fmt.Errorf("study cell %v: program %q is not in the study", key, key.Prog)
+		}
+		specs[i] = cellSpec{CellKey: key, prog: p}
+	}
+	return specs, nil
 }
 
 // RunStudy runs every campaign cell of the study with a background
@@ -246,25 +274,13 @@ func RunStudy(cfg StudyConfig) (*Study, error) {
 // event is emitted, and the partial study is returned together with an
 // error wrapping ErrAborted so callers can still render what completed.
 func RunStudyContext(ctx context.Context, cfg StudyConfig) (*Study, error) {
-	cats := cfg.Categories
-	if len(cats) == 0 {
-		cats = fault.Categories
+	specs, err := studySpecs(cfg.Programs, cfg.Cells)
+	if err != nil {
+		return nil, err
 	}
-	st := &Study{
-		Programs: cfg.Programs,
-		N:        cfg.N,
-		Seed:     cfg.Seed,
-		Adaptive: cfg.Adaptive,
-		Cells:    make(map[CellKey]*CellResult),
-		Dyn:      make(map[CellKey]uint64),
-	}
-	// Table IV's counts are sums over the programs' build-time golden
-	// profiles: no execution, so the scheduler sees only cells.
-	for _, p := range cfg.Programs {
-		st.profileProgram(p)
-	}
+	st := ProfileStudy(cfg.Programs, cfg.N, cfg.Seed)
+	st.Adaptive = cfg.Adaptive
 
-	specs := studySpecs(cfg.Programs, cats)
 	shard := ""
 	if cfg.Shard != nil {
 		if err := cfg.Shard.Validate(); err != nil {
@@ -338,22 +354,14 @@ func RunStudyContext(ctx context.Context, cfg StudyConfig) (*Study, error) {
 	for i := range specs {
 		i := i
 		s := specs[i]
-		key := s.key()
+		key := s.CellKey
 		if cfg.Resume != nil {
-			if res, ok := cfg.Resume.Cells[key]; ok {
-				results[i], resumed[i] = res, true
-				tasks[i] = func(context.Context) error {
-					if cfg.Obs != nil {
-						cfg.Obs.CellsResumed.Inc()
-					}
-					finish(i)
-					return nil
-				}
-				continue
+			res, ok := cfg.Resume.Cells[key]
+			if skip, skipped := cfg.Resume.Skips[key]; skipped && !ok {
+				resumedSkips[i], ok = &skip, true
 			}
-			if skip, ok := cfg.Resume.Skips[key]; ok {
-				skip := skip
-				resumedSkips[i], resumed[i] = &skip, true
+			if ok {
+				results[i], resumed[i] = res, true
 				tasks[i] = func(context.Context) error {
 					if cfg.Obs != nil {
 						cfg.Obs.CellsResumed.Inc()
@@ -410,10 +418,11 @@ func RunStudyContext(ctx context.Context, cfg StudyConfig) (*Study, error) {
 			}
 			c := &Campaign{
 				Prog:          s.prog,
-				Level:         s.level,
-				Category:      s.cat,
+				Level:         s.Level,
+				Category:      s.Category,
+				Variant:       s.Variant,
 				N:             cfg.N,
-				Seed:          cellSeed(cfg.Seed, s.prog.Name, s.level, s.cat),
+				Seed:          CellSeed(cfg.Seed, key),
 				Metrics:       &metrics[i],
 				SimFaultLimit: cfg.SimFaultLimit,
 				Deadline:      cfg.CellDeadline,
@@ -442,7 +451,7 @@ func RunStudyContext(ctx context.Context, cfg StudyConfig) (*Study, error) {
 				switch {
 				case err == nil:
 					cspan.Outcome = "done"
-				case isSoftSkip(err):
+				case IsSoftSkip(err):
 					cspan.Outcome, cspan.Err = "skipped", err.Error()
 				default:
 					cspan.Outcome, cspan.Err = "failure", err.Error()
@@ -451,7 +460,7 @@ func RunStudyContext(ctx context.Context, cfg StudyConfig) (*Study, error) {
 			}
 			if err != nil {
 				cellErrs[i] = err
-				if isSoftSkip(err) {
+				if IsSoftSkip(err) {
 					if cfg.Obs != nil {
 						cfg.Obs.CellsSkipped.Inc()
 					}
@@ -492,38 +501,43 @@ func RunStudyContext(ctx context.Context, cfg StudyConfig) (*Study, error) {
 	if cfg.Obs != nil {
 		observer = gaugeObserver{g: cfg.Obs.CellsInFlight}
 	}
-	if err := sched.RunObserved(ctx, parallel, tasks, observer); err != nil {
-		// Report the first hard error in canonical cell order.
-		for i, cerr := range cellErrs {
-			if cerr != nil && !isSoftSkip(cerr) {
-				finishRoot("failure")
-				return nil, fmt.Errorf("cell %v: %w", specs[i].key(), cerr)
-			}
-		}
-		// No task failed: the caller's context was cancelled. Harvest
-		// everything that completed (the checkpoint already holds it),
-		// announce the abort, and hand back the partial study. The event
-		// stream is flushed before and after the abort event: an aborting
-		// process is the one most likely to exit without closing its
-		// sinks, so both the buffered tail and the abort marker itself
-		// must reach stable storage here.
+	// conclude harvests every completed cell into the study and emits
+	// the closing study_done or study_abort event.
+	conclude := func(typ string, cause error) {
 		attempts, activated := harvest(st, specs, results)
-		_ = telemetry.Flush(cfg.Events)
-		ev := telemetry.Event{
-			Type:       telemetry.EventStudyAbort,
-			Cells:      len(st.Cells),
-			Attempts:   attempts,
-			Activated:  activated,
-			DurationMS: telemetry.Ms(time.Since(start)),
-			Err:        err.Error(),
+		ev := telemetry.Event{Type: typ, Cells: len(st.Cells), Attempts: attempts,
+			Activated: activated, DurationMS: telemetry.Ms(time.Since(start))}
+		if cause != nil {
+			ev.Err = cause.Error()
 		}
 		if cfg.Replay != nil {
 			ev.ReplayFields(cfg.Replay.Stats)
 		}
 		emit(cfg.Events, ev)
+	}
+	// abort hands back the partial study of a cancelled run (the
+	// checkpoint already holds every completed cell). The event stream
+	// is flushed before and after the abort event: an aborting process
+	// is the one most likely to exit without closing its sinks, so both
+	// the buffered tail and the abort marker itself must reach stable
+	// storage here.
+	abort := func(cause error) (*Study, error) {
+		_ = telemetry.Flush(cfg.Events)
+		conclude(telemetry.EventStudyAbort, cause)
 		_ = telemetry.Flush(cfg.Events)
 		finishRoot("aborted")
-		return st, fmt.Errorf("%w: %v", ErrAborted, err)
+		return st, fmt.Errorf("%w: %v", ErrAborted, cause)
+	}
+	if err := sched.RunObserved(ctx, parallel, tasks, observer); err != nil {
+		// Report the first hard error in canonical cell order.
+		for i, cerr := range cellErrs {
+			if cerr != nil && !IsSoftSkip(cerr) {
+				finishRoot("failure")
+				return nil, fmt.Errorf("cell %v: %w", specs[i].CellKey, cerr)
+			}
+		}
+		// No task failed: the caller's context was cancelled.
+		return abort(err)
 	}
 
 	// Round 2: stratified reallocation of the activation budget saved by
@@ -535,41 +549,12 @@ func RunStudyContext(ctx context.Context, cfg StudyConfig) (*Study, error) {
 			finishRoot("failure")
 			return nil, hard
 		} else if aerr != nil {
-			// Cancelled mid-extension: same flush-and-announce path as a
-			// round-1 abort; the partial study keeps every round-1 record
-			// plus any extensions that finished.
-			attempts, activated := harvest(st, specs, results)
-			_ = telemetry.Flush(cfg.Events)
-			ev := telemetry.Event{
-				Type:       telemetry.EventStudyAbort,
-				Cells:      len(st.Cells),
-				Attempts:   attempts,
-				Activated:  activated,
-				DurationMS: telemetry.Ms(time.Since(start)),
-				Err:        aerr.Error(),
-			}
-			if cfg.Replay != nil {
-				ev.ReplayFields(cfg.Replay.Stats)
-			}
-			emit(cfg.Events, ev)
-			_ = telemetry.Flush(cfg.Events)
-			finishRoot("aborted")
-			return st, fmt.Errorf("%w: %v", ErrAborted, aerr)
+			// Cancelled mid-extension: the partial study keeps every
+			// round-1 record plus any extensions that finished.
+			return abort(aerr)
 		}
 	}
-
-	attempts, activated := harvest(st, specs, results)
-	ev := telemetry.Event{
-		Type:       telemetry.EventStudyDone,
-		Cells:      len(st.Cells),
-		Attempts:   attempts,
-		Activated:  activated,
-		DurationMS: telemetry.Ms(time.Since(start)),
-	}
-	if cfg.Replay != nil {
-		ev.ReplayFields(cfg.Replay.Stats)
-	}
-	emit(cfg.Events, ev)
+	conclude(telemetry.EventStudyDone, nil)
 	finishRoot("done")
 	return st, nil
 }
@@ -593,7 +578,7 @@ func harvest(st *Study, specs []cellSpec, results []*CellResult) (attempts, acti
 		if results[i] == nil {
 			continue
 		}
-		st.Cells[s.key()] = results[i]
+		st.Cells[s.CellKey] = results[i]
 		attempts += results[i].Attempts
 		activated += results[i].Activated()
 	}
@@ -611,130 +596,104 @@ func IsSoftSkip(err error) bool {
 		errors.Is(err, ErrDeadline)
 }
 
-// isSoftSkip is the internal alias of IsSoftSkip.
-func isSoftSkip(err error) bool { return IsSoftSkip(err) }
-
 // noteCell releases one cell's progress line and telemetry events.
 func noteCell(cfg StudyConfig, s cellSpec, res *CellResult, m CellMetrics, err error, resumed bool, rskip *CheckpointSkip, warehoused bool) {
+	skipEvent := func(typ, msg string) {
+		ev := keyEvent(typ, s.CellKey)
+		ev.Err = msg
+		emit(cfg.Events, ev)
+	}
 	switch {
 	case res != nil && warehoused:
-		if cfg.Progress != nil {
-			cfg.Progress(fmt.Sprintf("%-10s %-5s %-10s activated=%d crash=%.1f%% sdc=%.1f%% (warehouse)%s",
-				s.prog.Name, s.level, s.cat, res.Activated(),
-				100*res.CrashRate().Rate(), 100*res.SDCRate().Rate(), adaptiveSuffix(res)))
-		}
-		emit(cfg.Events, CellEvent(telemetry.EventWarehouseHit, s.key(), res))
+		cfg.progress(s.resultLine(res, " (warehouse)"))
+		emit(cfg.Events, CellEvent(telemetry.EventWarehouseHit, s.CellKey, res))
 	case rskip != nil && warehoused:
-		if cfg.Progress != nil {
-			cfg.Progress(fmt.Sprintf("%-10s %-5s %-10s skipped (%s, warehouse)",
-				s.prog.Name, s.level, s.cat, rskip.Kind))
-		}
-		emit(cfg.Events, telemetry.Event{
-			Type:      telemetry.EventCellSkip,
-			Benchmark: s.prog.Name, Level: s.level.String(), Category: s.cat.String(),
-			Err: rskip.Err,
-		})
+		cfg.progress(fmt.Sprintf("%s skipped (%s, warehouse)", s.label(), rskip.Kind))
+		skipEvent(telemetry.EventCellSkip, rskip.Err)
 	case res != nil && resumed:
-		if cfg.Progress != nil {
-			cfg.Progress(fmt.Sprintf("%-10s %-5s %-10s activated=%d crash=%.1f%% sdc=%.1f%% (resumed from checkpoint)%s",
-				s.prog.Name, s.level, s.cat, res.Activated(),
-				100*res.CrashRate().Rate(), 100*res.SDCRate().Rate(), adaptiveSuffix(res)))
-		}
-		ev := CellEvent(telemetry.EventCellResume, s.key(), res)
+		cfg.progress(s.resultLine(res, " (resumed from checkpoint)"))
+		ev := CellEvent(telemetry.EventCellResume, s.CellKey, res)
 		// cell_resume carries the counts only.
 		ev.AdaptiveTarget, ev.AdaptiveConverged = 0, false
 		emit(cfg.Events, ev)
 	case res != nil:
-		if cfg.Progress != nil {
-			cfg.Progress(fmt.Sprintf("%-10s %-5s %-10s activated=%d crash=%.1f%% sdc=%.1f%%%s",
-				s.prog.Name, s.level, s.cat, res.Activated(),
-				100*res.CrashRate().Rate(), 100*res.SDCRate().Rate(), adaptiveSuffix(res)))
-		}
-		for _, sf := range m.SimFaults {
-			emit(cfg.Events, telemetry.Event{
-				Type:      telemetry.EventSimFault,
-				Benchmark: sf.Prog, Level: sf.Level.String(), Category: sf.Category.String(),
-				Attempt: sf.Attempt, AttemptSeed: sf.Seed, Sequential: sf.Sequential,
-				Panic: sf.Panic,
-			})
-		}
+		cfg.progress(s.resultLine(res, ""))
+		emitSimFaults(cfg, s, m.SimFaults, 0)
 		// Traced attempts are released here, through the same reorder
 		// buffer as every other event, so attempt_trace order is
 		// deterministic under any scheduling.
 		for _, tr := range m.Traces {
-			emit(cfg.Events, telemetry.Event{
-				Type:      telemetry.EventAttemptTrace,
-				Benchmark: s.prog.Name, Level: s.level.String(), Category: s.cat.String(),
-				Attempt: tr.Attempt, Trigger: tr.Trigger,
-				Outcome: tr.Outcome.String(), Spans: tr.Spans,
-			})
+			ev := keyEvent(telemetry.EventAttemptTrace, s.CellKey)
+			ev.Attempt, ev.Trigger, ev.Outcome, ev.Spans = tr.Attempt, tr.Trigger, tr.Outcome.String(), tr.Spans
+			emit(cfg.Events, ev)
 		}
-		emit(cfg.Events, CellDoneEvent(s.key(), res, m))
+		emit(cfg.Events, CellDoneEvent(s.CellKey, res, m))
 	case rskip != nil:
-		kind := rskip.Kind
-		if cfg.Progress != nil {
-			cfg.Progress(fmt.Sprintf("%-10s %-5s %-10s skipped (%s, resumed from checkpoint)",
-				s.prog.Name, s.level, s.cat, kind))
+		cfg.progress(fmt.Sprintf("%s skipped (%s, resumed from checkpoint)", s.label(), rskip.Kind))
+		typ := telemetry.EventCellSkip
+		if rskip.Kind == SkipDeadline {
+			typ = telemetry.EventCellDeadline
 		}
-		evType := telemetry.EventCellSkip
-		if kind == SkipDeadline {
-			evType = telemetry.EventCellDeadline
-		}
-		emit(cfg.Events, telemetry.Event{
-			Type:      evType,
-			Benchmark: s.prog.Name, Level: s.level.String(), Category: s.cat.String(),
-			Err: rskip.Err,
-		})
-	case err != nil && errors.Is(err, ErrDeadline):
-		if cfg.Progress != nil {
-			cfg.Progress(fmt.Sprintf("%-10s %-5s %-10s degraded (deadline exceeded, cell skipped)",
-				s.prog.Name, s.level, s.cat))
-		}
-		emit(cfg.Events, telemetry.Event{
-			Type:      telemetry.EventCellDeadline,
-			Benchmark: s.prog.Name, Level: s.level.String(), Category: s.cat.String(),
-			DurationMS: telemetry.Ms(m.ScanTime + m.RunTime),
-			ScanMS:     telemetry.Ms(m.ScanTime),
-			Workers:    m.Workers,
-			Err:        err.Error(),
-		})
-	case err != nil && errors.Is(err, ErrNotActivated):
-		if cfg.Progress != nil {
-			cfg.Progress(fmt.Sprintf("%-10s %-5s %-10s skipped (no activated faults)",
-				s.prog.Name, s.level, s.cat))
-		}
-		emit(cfg.Events, telemetry.Event{
-			Type:      telemetry.EventCellSkip,
-			Benchmark: s.prog.Name, Level: s.level.String(), Category: s.cat.String(),
-			Err: err.Error(),
-		})
-	case err != nil && errors.Is(err, ErrNoCandidates):
-		if cfg.Progress != nil {
-			cfg.Progress(fmt.Sprintf("%-10s %-5s %-10s skipped (no candidates)",
-				s.prog.Name, s.level, s.cat))
-		}
-		emit(cfg.Events, telemetry.Event{
-			Type:      telemetry.EventCellSkip,
-			Benchmark: s.prog.Name, Level: s.level.String(), Category: s.cat.String(),
-			Err: err.Error(),
-		})
+		skipEvent(typ, rskip.Err)
+	case errors.Is(err, ErrDeadline):
+		cfg.progress(s.label() + " degraded (deadline exceeded, cell skipped)")
+		ev := keyEvent(telemetry.EventCellDeadline, s.CellKey)
+		ev.DurationMS, ev.ScanMS = telemetry.Ms(m.ScanTime+m.RunTime), telemetry.Ms(m.ScanTime)
+		ev.Workers, ev.Err = m.Workers, err.Error()
+		emit(cfg.Events, ev)
+	case errors.Is(err, ErrNotActivated):
+		cfg.progress(s.label() + " skipped (no activated faults)")
+		skipEvent(telemetry.EventCellSkip, err.Error())
+	case errors.Is(err, ErrNoCandidates):
+		cfg.progress(s.label() + " skipped (no candidates)")
+		skipEvent(telemetry.EventCellSkip, err.Error())
 	}
 	// Hard errors and cancelled cells release nothing: the study is about
 	// to fail with the canonical first error (or the abort path).
 }
 
+// emitSimFaults releases the sim_fault events of a cell's contained
+// panics from attempt index from on.
+func emitSimFaults(cfg StudyConfig, s cellSpec, faults []SimFault, from int) {
+	for _, sf := range faults {
+		if sf.Attempt < from {
+			continue
+		}
+		ev := keyEvent(telemetry.EventSimFault, s.CellKey)
+		ev.Attempt, ev.AttemptSeed, ev.Sequential, ev.Panic = sf.Attempt, sf.Seed, sf.Sequential, sf.Panic
+		emit(cfg.Events, ev)
+	}
+}
+
+// progress releases one progress line.
+func (cfg StudyConfig) progress(line string) {
+	if cfg.Progress != nil {
+		cfg.Progress(line)
+	}
+}
+
+// resultLine is the progress line of one resolved cell; note says where
+// the record came from.
+func (s cellSpec) resultLine(res *CellResult, note string) string {
+	return fmt.Sprintf("%s activated=%d crash=%.1f%% sdc=%.1f%%%s%s", s.label(), res.Activated(),
+		100*res.CrashRate().Rate(), 100*res.SDCRate().Rate(), note, adaptiveSuffix(res))
+}
+
+// keyEvent is an event of type typ carrying one cell's identity.
+func keyEvent(typ string, key CellKey) telemetry.Event {
+	return telemetry.Event{Type: typ, Benchmark: key.Prog, Level: key.Level.String(),
+		Category: key.Category.String(), Variant: int(key.Variant)}
+}
+
 // CellEvent is the telemetry event of one resolved cell: its identity,
 // outcome counts and adaptive fields.
 func CellEvent(typ string, key CellKey, res *CellResult) telemetry.Event {
-	return telemetry.Event{
-		Type:      typ,
-		Benchmark: key.Prog, Level: key.Level.String(), Category: key.Category.String(),
-		Attempts: res.Attempts, Activated: res.Activated(),
-		Benign: res.Benign, SDC: res.SDC, Crash: res.Crash, Hang: res.Hang,
-		NotActivated: res.NotActivated, SimFaults: res.SimFaults,
-		AdaptiveTarget:    res.Adaptive.Target,
-		AdaptiveConverged: res.Adaptive.Converged,
-	}
+	ev := keyEvent(typ, key)
+	ev.Attempts, ev.Activated = res.Attempts, res.Activated()
+	ev.Benign, ev.SDC, ev.Crash, ev.Hang = res.Benign, res.SDC, res.Crash, res.Hang
+	ev.NotActivated, ev.SimFaults = res.NotActivated, res.SimFaults
+	ev.AdaptiveTarget, ev.AdaptiveConverged = res.Adaptive.Target, res.Adaptive.Converged
+	return ev
 }
 
 // CellDoneEvent is the cell_done event of one executed cell: CellEvent
@@ -762,6 +721,18 @@ type gaugeObserver struct{ g *obs.Gauge }
 
 func (o gaugeObserver) TaskStarted(int)  { o.g.Inc() }
 func (o gaugeObserver) TaskFinished(int) { o.g.Dec() }
+
+// ProfileStudy returns a study of the given programs with no campaign
+// cells, only Table IV's dynamic candidate counts: sums over the
+// programs' build-time golden profiles, executing nothing.
+func ProfileStudy(programs []*Program, n int, seed int64) *Study {
+	st := &Study{Programs: programs, N: n, Seed: seed,
+		Cells: make(map[CellKey]*CellResult), Dyn: make(map[CellKey]uint64)}
+	for _, p := range programs {
+		st.profileProgram(p)
+	}
+	return st
+}
 
 // profileProgram fills Dyn for every (level, category) of one program
 // from its build-time golden profiles.

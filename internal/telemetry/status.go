@@ -40,6 +40,7 @@ type CellStatus struct {
 	Benchmark string `json:"benchmark"`
 	Level     string `json:"level"`
 	Category  string `json:"category"`
+	Variant   int    `json:"variant,omitempty"`
 	Resumed   bool   `json:"resumed,omitempty"`
 	// Warehoused marks a cell resolved from the content-addressed result
 	// warehouse (cached counts, zero injections executed by this run).
@@ -76,7 +77,7 @@ func rateCI(successes, trials int) *RateCI {
 func cellStatus(e Event, resumed, warehoused bool) CellStatus {
 	activated := e.Benign + e.SDC + e.Crash + e.Hang
 	return CellStatus{
-		Benchmark: e.Benchmark, Level: e.Level, Category: e.Category,
+		Benchmark: e.Benchmark, Level: e.Level, Category: e.Category, Variant: e.Variant,
 		Resumed:    resumed,
 		Warehoused: warehoused,
 		Attempts:   e.Attempts,
@@ -127,7 +128,7 @@ func (a *Aggregator) Status() StudyStatus {
 	}
 	for _, e := range a.orderedSkips {
 		st.Skips = append(st.Skips, CellStatus{
-			Benchmark: e.Benchmark, Level: e.Level, Category: e.Category, Err: e.Err,
+			Benchmark: e.Benchmark, Level: e.Level, Category: e.Category, Variant: e.Variant, Err: e.Err,
 		})
 	}
 	return st

@@ -90,10 +90,12 @@ type TraceSpan struct {
 type Event struct {
 	Type string `json:"type"`
 
-	// Cell identity (cell_done, cell_skip).
+	// Cell identity (cell_done, cell_skip). Variant is the cell's
+	// core.Variant, absent (0) on every paper cell.
 	Benchmark string `json:"benchmark,omitempty"`
 	Level     string `json:"level,omitempty"`
 	Category  string `json:"category,omitempty"`
+	Variant   int    `json:"variant,omitempty"`
 
 	// Study shape (study_start; Cells repeated on study_done with the
 	// number of completed cells). Shard is the worker's "i/N" spec when
@@ -451,7 +453,7 @@ func (a *Aggregator) SlowestCells(k int) []Event {
 }
 
 func cellID(e Event) string {
-	return e.Benchmark + "/" + e.Level + "/" + e.Category
+	return fmt.Sprintf("%s/%s/%s/%d", e.Benchmark, e.Level, e.Category, e.Variant)
 }
 
 // RenderTelemetry renders the campaign summary: totals, aggregate

@@ -44,10 +44,10 @@ func diffStudy(t *testing.T, cache *StudyCache, mutate func(*core.StudyConfig)) 
 		t.Fatal(err)
 	}
 	cfg := core.StudyConfig{
-		Programs:   []*core.Program{p},
-		N:          10,
-		Seed:       5,
-		Categories: []fault.Category{fault.CatAll, fault.CatArith},
+		Programs: []*core.Program{p},
+		N:        10,
+		Seed:     5,
+		Cells:    core.CanonicalCells([]*core.Program{p}, []fault.Category{fault.CatAll, fault.CatArith}),
 	}
 	if mutate != nil {
 		mutate(&cfg)

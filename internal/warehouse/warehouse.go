@@ -1,11 +1,12 @@
 // Package warehouse implements the content-addressed result store of
 // ROADMAP item 5: a durable cache of campaign cell results keyed by the
 // canonical hash of everything that determines a cell's outcome — the
-// program's IR and machine code, the fault model coordinates (level,
-// category), the study identity a checkpoint header pins
-// (core.CheckpointShape.Identity: n, seed, adaptive signature and
-// attempt-seeding discipline, with the seed taken as the cell's
-// effective campaign seed), and the cell's activated-injection target.
+// program's IR and machine code, the per-cell coordinates (level,
+// category and, for non-paper cells, variant), the study identity a
+// checkpoint header pins (core.CheckpointShape.Identity: n, seed,
+// adaptive signature and attempt-seeding discipline, with the seed taken
+// as the cell's effective campaign seed), and the cell's
+// activated-injection target.
 // Two campaigns that would provably produce the same record share one
 // warehouse entry; any input change produces a different key, so a
 // lookup can never return a result the current configuration would not
@@ -116,14 +117,15 @@ type envelope struct {
 // written for — bug, tamper, or copy mistake) is detected and treated
 // as a miss instead of served as an answer.
 type payload struct {
-	V         int    `json:"v"`
-	Key       string `json:"key"`
-	Type      string `json:"type"` // "cell" | "skip"
-	Benchmark string `json:"benchmark"`
-	Level     string `json:"level"`
-	Category  string `json:"category"`
-	Target    int    `json:"target"`
-	Base      int    `json:"base"`
+	V         int          `json:"v"`
+	Key       string       `json:"key"`
+	Type      string       `json:"type"` // "cell" | "skip"
+	Benchmark string       `json:"benchmark"`
+	Level     string       `json:"level"`
+	Category  string       `json:"category"`
+	Variant   core.Variant `json:"variant,omitempty"`
+	Target    int          `json:"target"`
+	Base      int          `json:"base"`
 
 	Result               *core.CellRecord `json:"result,omitempty"` // type "cell"
 	*core.CheckpointSkip                  // type "skip"
@@ -295,6 +297,11 @@ func programDigest(p *core.Program) string {
 // single-cell CLIs run straight on their -seed flag. Keying on the
 // effective seed means any two runs share a record exactly when their
 // samples are byte-identical, whatever entry point produced them.
+//
+// A non-paper cell variant hashes one more line. The effective seed
+// alone cannot separate a calibrated cell from a raw-seed cell on the
+// same seed (same stream, different candidate set); paper cells omit
+// the line, so their keys keep their bytes.
 func (c *StudyCache) KeyHex(key core.CellKey, target, base int) (string, bool) {
 	pd, ok := c.progs[key.Prog]
 	if !ok {
@@ -308,6 +315,9 @@ func (c *StudyCache) KeyHex(key core.CellKey, target, base int) (string, bool) {
 	fmt.Fprintf(h, "hlfi-warehouse-v%d\n", recordVersion)
 	fmt.Fprintf(h, "program %s\n", pd)
 	fmt.Fprintf(h, "level %s\ncategory %s\n", key.Level, key.Category)
+	if key.Variant != core.VariantPaper {
+		fmt.Fprintf(h, "variant %d\n", int(key.Variant))
+	}
 	fmt.Fprintf(h, "target %d\nbase %d\n", target, base)
 	for _, f := range cell.Identity() {
 		fmt.Fprintf(h, "%s %s\n", f.Name, f.Value)
@@ -327,8 +337,8 @@ func (c *StudyCache) lookup(key core.CellKey, target, base int) (*payload, bool)
 	}
 	// The record restates its identity; a mismatch is a filed-wrong
 	// record and must read as a miss, never as an answer.
-	if p.Benchmark != key.Prog || p.Level != key.Level.String() ||
-		p.Category != key.Category.String() || p.Target != target || p.Base != base {
+	if p.Benchmark != key.Prog || p.Level != key.Level.String() || p.Category != key.Category.String() ||
+		p.Variant != key.Variant || p.Target != target || p.Base != base {
 		return nil, false
 	}
 	switch p.Type {
@@ -393,7 +403,7 @@ func (c *StudyCache) StoreCell(key core.CellKey, target, base int, res *core.Cel
 	c.store.write(kh, &payload{
 		V: recordVersion, Key: kh, Type: "cell",
 		Benchmark: key.Prog, Level: key.Level.String(), Category: key.Category.String(),
-		Target: target, Base: base, Result: core.RecordOf(res),
+		Variant: key.Variant, Target: target, Base: base, Result: core.RecordOf(res),
 	})
 }
 
@@ -411,6 +421,6 @@ func (c *StudyCache) StoreSkip(key core.CellKey, target, base int, skip core.Che
 	c.store.write(kh, &payload{
 		V: recordVersion, Key: kh, Type: "skip",
 		Benchmark: key.Prog, Level: key.Level.String(), Category: key.Category.String(),
-		Target: target, Base: base, CheckpointSkip: &skip,
+		Variant: key.Variant, Target: target, Base: base, CheckpointSkip: &skip,
 	})
 }

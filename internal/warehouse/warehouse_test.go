@@ -159,6 +159,7 @@ func TestKeyIdentity(t *testing.T) {
 		"category": kh(base, core.CellKey{Prog: "tiny.c", Level: fault.LevelIR, Category: fault.CatArith}, 10, 10),
 		"program":  kh(base, core.CellKey{Prog: "other.c", Level: fault.LevelIR, Category: fault.CatAll}, 10, 10),
 		"target":   kh(base, key, 14, 10),
+		"variant":  kh(base, core.CellKey{Prog: "tiny.c", Level: fault.LevelIR, Category: fault.CatAll, Variant: core.VariantCalibrated}, 10, 10),
 	}
 	for what, h := range distinct {
 		if h == ref {
@@ -191,6 +192,16 @@ func TestKeyIdentity(t *testing.T) {
 	rawDerived.SetRawCampaignSeed()
 	if h, _ := rawDerived.KeyHex(key, 10, 10); h != ref {
 		t.Error("a single-cell run on the derived cell seed does not share the study's record (same sample)")
+	}
+
+	// A calibrated cell streams from the same seed as a raw-seed run on
+	// its derived seed, but over a different candidate set: the variant
+	// line keeps the two apart.
+	cal := core.CellKey{Prog: "tiny.c", Level: fault.LevelIR, Category: fault.CatAll, Variant: core.VariantCalibrated}
+	rawCal := s.ForStudy(core.CheckpointShape{N: 10, Seed: core.CellSeed(5, cal), Compiled: "on", Adaptive: "off"}, progs)
+	rawCal.SetRawCampaignSeed()
+	if h, _ := rawCal.KeyHex(key, 10, 10); h == distinct["variant"] {
+		t.Error("a calibrated study cell shares a key with a plain raw-seed run on the same seed (different candidate set)")
 	}
 }
 
