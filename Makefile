@@ -283,6 +283,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzSnapshotRestore$$' -fuzztime 30s ./internal/interp
 	go test -run '^$$' -fuzz '^FuzzSnapshotRestore$$' -fuzztime 30s ./internal/machine
 	go test -run '^$$' -fuzz '^FuzzCompiledVsInterp$$' -fuzztime 30s ./internal/compile/irc
+	go test -run '^$$' -fuzz '^FuzzConvergence$$' -fuzztime 30s ./internal/compile/irc
 	go test -run '^$$' -fuzz '^FuzzAdaptiveDecision$$' -fuzztime 30s ./internal/adaptive
 	go test -run '^$$' -fuzz '^FuzzMemoryModel$$' -fuzztime 30s ./internal/mem
 	go test -run '^$$' -fuzz '^FuzzLoadCheckpoint$$' -fuzztime 30s ./internal/core

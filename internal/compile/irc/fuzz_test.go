@@ -19,13 +19,9 @@ import (
 // ErrHang quickly instead of eating the fuzzing time box.
 const fuzzBudget = 50_000
 
-// FuzzCompiledVsInterp feeds arbitrary programs through both compiled
-// engines and their interpreters — golden and with an injection armed —
-// and requires bit-identical exit codes, errors, output, executed
-// counts, injection records, and post-run RNG states. Programs the
-// compilers reject are skipped: rejection IS the fallback path, and the
-// interpreter result is then trivially identical.
-func FuzzCompiledVsInterp(f *testing.F) {
+// addFuzzSeeds seeds both fuzz targets of this file with small programs
+// over the operand shapes, calls, faults and hangs the engines handle.
+func addFuzzSeeds(f *testing.F) {
 	f.Add("int main(){int s=0;for(int i=0;i<50;i++)s+=i;print_long(s);return 0;}", int64(1), uint64(3))
 	f.Add(`int arr[8];
 int main() {
@@ -58,7 +54,16 @@ int main() {
 }`, int64(23), uint64(31))
 	f.Add("char buf[16]; int main(){ for (int i = 0; i < 16; i++) buf[i] = 'a' + i; int s = 0; for (int i = 0; i < 16; i++) s = s + buf[i]; print_char(buf[3]); print_long(s); return 0; }", int64(29), uint64(40))
 	f.Add("int main(){ long x = 100; int n = 0; while (x > 7) { x = x - 3; n = n + 2; } if (n == 62) x = x + 12; print_long(x); print_long(n); return 0; }", int64(31), uint64(17))
+}
 
+// FuzzCompiledVsInterp feeds arbitrary programs through both compiled
+// engines and their interpreters — golden and with an injection armed —
+// and requires bit-identical exit codes, errors, output, executed
+// counts, injection records, and post-run RNG states. Programs the
+// compilers reject are skipped: rejection IS the fallback path, and the
+// interpreter result is then trivially identical.
+func FuzzCompiledVsInterp(f *testing.F) {
+	addFuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, src string, seed int64, trigger uint64) {
 		mod, err := minic.Compile("fuzz", src)
 		if err != nil {
@@ -182,6 +187,61 @@ int main() {
 					t.Fatal("ASM RNG state diverged")
 				}
 			}
+		}
+	})
+}
+
+// FuzzConvergence is the differential gate of masking convergence. For
+// arbitrary programs it starts each compiled engine from scratch and
+// from every golden snapshot, with an injection armed after the start
+// point and the later snapshots armed for convergence, and runs the
+// reference engine from the same point to the end. Outcome, output,
+// exit code, error, injection record and post-run RNG state must be
+// equal; the compiled engine may stop early only by converging, and a
+// converged attempt is Benign.
+func FuzzConvergence(f *testing.F) {
+	addFuzzSeeds(f)
+	f.Add(convSrc(`long site() { long v = g; if (v < 0) print_char(33); return 0; }`, ""), int64(2), uint64(0))
+
+	f.Fuzz(func(t *testing.T, src string, seed int64, trigger uint64) {
+		mod, err := minic.Compile("fuzz", src)
+		if err != nil {
+			t.Skip()
+		}
+		prep, err := interp.Prepare(mod)
+		if err != nil {
+			t.Skip()
+		}
+		fi := convInject{trigger: trigger % 64, seed: seed}
+		// About a dozen snapshots: each is the start of two runs to the
+		// end.
+		stride := func(golden uint64) uint64 { return golden/12 + 1 }
+		if p, ok := newIRProg(prep, fuzzBudget, stride); ok {
+			fi.cands = make([]bool, prep.SeqTotal)
+			for i := range fi.cands {
+				fi.cands[i] = true
+			}
+			for start := -1; start < len(p.snaps); start++ {
+				ref, fast := p.attempt(start, p.g.Instrs*2+1000, fi)
+				convSame(t, fmt.Sprintf("IR from snapshot %d", start), ref, fast)
+			}
+		}
+
+		asm, err := codegen.Lower(mod, prep.Layout, codegen.DefaultOptions())
+		if err != nil {
+			t.Skip()
+		}
+		p, ok := newASMProg(asm, prep.Layout.Image, prep.Layout.Base, fuzzBudget, stride)
+		if !ok {
+			return
+		}
+		fi.cands = make([]bool, len(asm.Instrs))
+		for i := range fi.cands {
+			fi.cands[i] = true
+		}
+		for start := -1; start < len(p.snaps); start++ {
+			ref, fast := p.attempt(start, p.g.Instrs*2+1000, fi)
+			convSame(t, fmt.Sprintf("ASM from snapshot %d", start), ref, fast)
 		}
 	})
 }

@@ -1,9 +1,12 @@
 package irc
 
 import (
+	"bytes"
 	"fmt"
 	"io"
+	"slices"
 
+	"hlfi/internal/fault"
 	"hlfi/internal/interp"
 	"hlfi/internal/ir"
 	"hlfi/internal/mem"
@@ -42,8 +45,11 @@ type Runner struct {
 
 	executed  uint64
 	candCount uint64
-	sp        uint64
-	stack     []*frame
+	// limit is min(MaxInstrs, next convergence boundary): the one count
+	// the loop compares executed against every step.
+	limit uint64
+	sp    uint64
+	stack []*frame
 	// armed caches Inject != nil && !Inject.Happened for the retire
 	// path; it is set when the run starts and cleared when the fault
 	// fires.
@@ -54,6 +60,8 @@ type Runner struct {
 
 	done   bool
 	result int64
+
+	conv convergence
 }
 
 // NewRunner builds a runner with fresh memory, mirroring
@@ -129,15 +137,120 @@ func (r *Runner) Resume() (int64, error) {
 	return r.loop()
 }
 
+// convergence is the masking-convergence arm: the golden snapshots
+// still ahead of the run, the golden run a converged attempt finishes
+// as, and the output stream compared against it.
+type convergence struct {
+	snaps  []*interp.Snapshot
+	golden fault.Golden
+	out    *bytes.Buffer
+	from   int // out.Len() when armed: the restore point's OutLen
+	done   bool
+}
+
+// Converge arms masking convergence. snaps are the golden run's
+// snapshots after the point the runner starts from, in capture order;
+// g is that golden run. The runner's output stream must be a
+// *bytes.Buffer already holding the golden output up to the start
+// point, as the injectors' replay path writes it; otherwise Converge is
+// a no-op. So is a hang budget below the golden run's length.
+//
+// At each snapshot boundary the run reaches exactly, once the injected
+// fault has activated, the runner compares its whole state with the
+// snapshot: output so far, stack pointer, every frame's position, base,
+// saved stack pointer, value and parameter slots, and memory. Equal
+// state at an equal dynamic count means the rest of the run is the
+// golden run, so the runner stops there: it appends the rest of the
+// golden output and returns the golden exit code, with Executed at the
+// convergence point. Outcome, output, error, injection record and RNG
+// state are those of the full run.
+func (r *Runner) Converge(snaps []*interp.Snapshot, g fault.Golden) {
+	out, ok := r.out.(*bytes.Buffer)
+	if !ok {
+		return
+	}
+	r.conv = convergence{snaps: snaps, golden: g, out: out, from: out.Len()}
+}
+
+// Converged reports whether the run ended at a convergence point.
+func (r *Runner) Converged() bool { return r.conv.done }
+
+// setLimit points limit at the next convergence boundary, or at the
+// hang budget when none is left.
+func (r *Runner) setLimit() {
+	r.limit = r.MaxInstrs
+	if c := &r.conv; len(c.snaps) > 0 && c.snaps[0].Executed < r.limit {
+		r.limit = c.snaps[0].Executed
+	}
+}
+
+// rejoined is the slow path of the loop's budget compare below the
+// hang budget: it checks the boundary the run has reached, if it
+// reached one exactly, and moves limit on to the next.
+func (r *Runner) rejoined() bool {
+	c := &r.conv
+	for len(c.snaps) > 0 && c.snaps[0].Executed < r.executed {
+		c.snaps = c.snaps[1:] // overshot by a phi bundle or another path
+	}
+	if len(c.snaps) > 0 && c.snaps[0].Executed == r.executed {
+		k := c.snaps[0]
+		c.snaps = c.snaps[1:]
+		if r.Inject != nil && r.Inject.Activated && r.matches(k) {
+			c.out.Write(c.golden.Output[k.OutLen:])
+			c.done = true
+			return true
+		}
+	}
+	r.setLimit()
+	return false
+}
+
+// matches compares the run's state with golden snapshot k, cheapest
+// parts first.
+func (r *Runner) matches(k *interp.Snapshot) bool {
+	c := &r.conv
+	if c.out.Len() != k.OutLen || !bytes.Equal(c.out.Bytes()[c.from:], c.golden.Output[c.from:k.OutLen]) {
+		return false
+	}
+	if len(r.stack) != k.NumFrames() {
+		return false
+	}
+	top := len(r.stack) - 1
+	for i, fr := range r.stack {
+		fv := k.Frame(i)
+		pc := fv.Idx - fr.blk.nPhi
+		if i < top {
+			pc++ // parked on its OpCall
+		}
+		if fr.blk.blk != fv.Blk || fr.pc != pc || fr.base != fv.Base || fr.savedSP != fv.SavedSP {
+			return false
+		}
+		fc := r.cp.fns[fv.Fn]
+		if !slices.Equal(fr.vals[:fc.numValues], fv.Vals) || !slices.Equal(fr.vals[fc.numValues:fc.constBase], fv.Params) {
+			return false
+		}
+	}
+	return k.MatchesMemory(r.mem, r.sp)
+}
+
 func (r *Runner) loop() (int64, error) {
+	if r.conv.golden.Instrs > r.MaxInstrs {
+		r.conv.snaps = nil // the full run could hang before the golden end
+	}
+	r.setLimit()
 	for {
 		fr := r.stack[len(r.stack)-1]
 		steps := fr.blk.steps
 		if fr.pc >= len(steps) {
 			return 0, fmt.Errorf("block %s fell through", fr.blk.blk.Name)
 		}
-		if r.executed >= r.MaxInstrs {
-			return 0, interp.ErrHang
+		if r.executed >= r.limit {
+			if r.executed >= r.MaxInstrs {
+				return 0, interp.ErrHang
+			}
+			if r.rejoined() {
+				return r.conv.golden.Exit, nil
+			}
 		}
 		st := &steps[fr.pc]
 		fr.pc++

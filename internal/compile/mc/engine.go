@@ -1,8 +1,10 @@
 package mc
 
 import (
+	"bytes"
 	"io"
 
+	"hlfi/internal/fault"
 	"hlfi/internal/machine"
 	"hlfi/internal/mem"
 	"hlfi/internal/rt"
@@ -39,6 +41,9 @@ type Engine struct {
 
 	executed  uint64
 	candCount uint64
+	// limit is min(MaxInstrs, next convergence boundary): the one count
+	// the loop compares executed against every step.
+	limit uint64
 	// armed caches Inject != nil && !Inject.Happened for the loop; it is
 	// set when the run starts and cleared when the fault fires.
 	armed bool
@@ -47,6 +52,8 @@ type Engine struct {
 	watchReg  x86.Reg
 	watchXmm  x86.XReg
 	watchMask uint64
+
+	conv convergence
 }
 
 // New creates an engine with fresh memory, the globals image installed,
@@ -112,16 +119,97 @@ func (e *Engine) Run() (int64, error) {
 // Resume continues a snapshot-restored engine.
 func (e *Engine) Resume() (int64, error) { return e.loop() }
 
+// convergence is the masking-convergence arm: the golden snapshots
+// still ahead of the run, the golden run a converged attempt finishes
+// as, and the output stream compared against it.
+type convergence struct {
+	snaps  []*machine.Snapshot
+	golden fault.Golden
+	out    *bytes.Buffer
+	from   int // out.Len() when armed: the restore point's OutLen
+	done   bool
+}
+
+// Converge arms masking convergence. snaps are the golden run's
+// snapshots after the point the engine starts from, in capture order;
+// g is that golden run. The engine's output stream must be a
+// *bytes.Buffer already holding the golden output up to the start
+// point, as the injectors' replay path writes it; otherwise Converge is
+// a no-op. So is a hang budget below the golden run's length.
+//
+// At each snapshot boundary, once the injected fault has activated,
+// the engine compares its whole state with the snapshot: output so
+// far, registers, XMM registers, flags, rip and memory. Equal state at
+// an equal dynamic count means the rest of the run is the golden run,
+// so the engine stops there: it appends the rest of the golden output
+// and returns the golden exit code, with Executed at the convergence
+// point. Outcome, output, error, injection record and RNG state are
+// those of the full run.
+func (e *Engine) Converge(snaps []*machine.Snapshot, g fault.Golden) {
+	out, ok := e.env.Out.(*bytes.Buffer)
+	if !ok {
+		return
+	}
+	e.conv = convergence{snaps: snaps, golden: g, out: out, from: out.Len()}
+}
+
+// Converged reports whether the run ended at a convergence point.
+func (e *Engine) Converged() bool { return e.conv.done }
+
+// setLimit points limit at the next convergence boundary, or at the
+// hang budget when none is left.
+func (e *Engine) setLimit() {
+	e.limit = e.MaxInstrs
+	if c := &e.conv; len(c.snaps) > 0 && c.snaps[0].Executed < e.limit {
+		e.limit = c.snaps[0].Executed
+	}
+}
+
+// rejoined is the slow path of the loop's budget compare below the
+// hang budget, so a boundary is due: it checks that boundary and moves
+// limit on to the next. Machine instructions retire one at a time, so
+// the run meets every boundary after its start exactly.
+func (e *Engine) rejoined() bool {
+	c := &e.conv
+	k := c.snaps[0]
+	c.snaps = c.snaps[1:]
+	if k.Executed == e.executed && e.Inject != nil && e.Inject.Activated && e.matches(k) {
+		c.out.Write(c.golden.Output[k.OutLen:])
+		c.done = true
+		return true
+	}
+	e.setLimit()
+	return false
+}
+
+// matches compares the engine's state with golden snapshot k, output
+// first.
+func (e *Engine) matches(k *machine.Snapshot) bool {
+	c := &e.conv
+	return c.out.Len() == k.OutLen &&
+		bytes.Equal(c.out.Bytes()[c.from:], c.golden.Output[c.from:k.OutLen]) &&
+		k.MatchesState(e.mem, &e.regs, &e.xmm, e.flags, e.rip)
+}
+
 func (e *Engine) loop() (int64, error) {
 	e.armed = e.Inject != nil && !e.Inject.Happened
+	if e.conv.golden.Instrs > e.MaxInstrs {
+		e.conv.snaps = nil // the full run could hang before the golden end
+	}
+	e.setLimit()
 	steps := e.cp.steps
 	for {
 		rip := e.rip
 		if rip < 0 || rip >= len(steps) {
 			return 0, &mem.Fault{Kind: mem.FaultBadCodeAddr, Addr: mem.CodeBase + uint64(rip)*mem.CodeStride}
 		}
-		if e.executed >= e.MaxInstrs {
-			return 0, machine.ErrHang
+		if e.executed >= e.limit {
+			if e.executed >= e.MaxInstrs {
+				return 0, machine.ErrHang
+			}
+			if e.rejoined() {
+				return e.conv.golden.Exit, nil
+			}
 		}
 		st := &steps[rip]
 		e.executed++

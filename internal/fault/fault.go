@@ -4,7 +4,10 @@
 // taxonomy of §V.
 package fault
 
-import "fmt"
+import (
+	"bytes"
+	"fmt"
+)
 
 // Category is an injection-target instruction category (paper Table III).
 type Category int
@@ -137,4 +140,24 @@ func (g Golden) DynCount(candidates []bool) uint64 {
 		}
 	}
 	return n
+}
+
+// Classify is the outcome of one injected run against the golden run.
+// hung reports that the run exhausted its hang budget; any other err is
+// a crash. A corrupted output always counts as an (activated) SDC, even
+// if the activation tracker somehow missed the read: the fault
+// demonstrably influenced execution.
+func (g Golden) Classify(output []byte, exit int64, err error, hung, activated bool) Outcome {
+	switch {
+	case hung:
+		return OutcomeHang
+	case err != nil:
+		return OutcomeCrash
+	case !bytes.Equal(output, g.Output) || exit != g.Exit:
+		return OutcomeSDC
+	case !activated:
+		return OutcomeNotActivated
+	default:
+		return OutcomeBenign
+	}
 }

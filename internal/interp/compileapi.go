@@ -83,3 +83,11 @@ func (s *Snapshot) Frame(i int) FrameView {
 		Vals: fs.vals, Params: fs.params,
 	}
 }
+
+// MatchesMemory reports whether m and sp are exactly the snapshot's
+// memory and stack pointer: the memory half of the compiled engine's
+// masking-convergence compare, the inverse of CloneMemory. Safe to call
+// concurrently on one snapshot.
+func (s *Snapshot) MatchesMemory(m *mem.Memory, sp uint64) bool {
+	return sp == s.sp && m.Equal(s.mem)
+}

@@ -147,8 +147,11 @@ func CaptureSnapshots(p *interp.Prepared, stride uint64) (snaps []*interp.Snapsh
 
 // UseSnapshots arms fast-forward replay: subsequent InjectAt calls
 // restore the latest snapshot at-or-before their trigger and replay only
-// the residual tail. Outcomes, activation, and output stay byte-identical
-// to full re-execution. stats (nil-safe) receives hit/miss accounting.
+// the residual tail. With the compiled engine armed too, an attempt
+// also ends early where its state rejoins a later snapshot (masking
+// convergence, docs/replay.md). Outcomes, activation, and output stay
+// byte-identical to full re-execution. stats (nil-safe) receives
+// hit/miss and convergence accounting.
 func (j *Injector) UseSnapshots(snaps []*interp.Snapshot, stats *telemetry.ReplayStats) {
 	j.snaps = snaps
 	j.stats = stats
@@ -274,6 +277,7 @@ func (j *Injector) injectAt(trigger uint64, rng *rand.Rand, traced bool) *Result
 	var rc int64
 	var err error
 	var executed uint64
+	var converged bool
 	if i := j.snapBefore(trigger); i >= 0 {
 		s := j.snaps[i]
 		out.Write(j.Golden.Output[:s.OutLen])
@@ -282,8 +286,10 @@ func (j *Injector) injectAt(trigger uint64, rng *rand.Rand, traced bool) *Result
 			r.SetCandCount(j.snapCands[i])
 			r.MaxInstrs = budget
 			r.Inject = injection
+			r.Converge(j.snaps[i+1:], j.Golden)
 			rc, err = r.Resume()
 			executed = r.Executed()
+			converged = r.Converged()
 		} else {
 			r := interp.NewRunnerFromSnapshot(j.Prep, s, &out)
 			r.SetCandCount(j.snapCands[i])
@@ -305,8 +311,10 @@ func (j *Injector) injectAt(trigger uint64, rng *rand.Rand, traced bool) *Result
 			r := irc.NewRunner(j.compiled, &out)
 			r.MaxInstrs = budget
 			r.Inject = injection
+			r.Converge(j.snaps, j.Golden)
 			rc, err = r.Run()
 			executed = r.Executed()
+			converged = r.Converged()
 		} else {
 			r := interp.NewRunner(j.Prep, &out)
 			r.MaxInstrs = budget
@@ -328,8 +336,14 @@ func (j *Injector) injectAt(trigger uint64, rng *rand.Rand, traced bool) *Result
 			o.CompiledAttempts.Inc()
 		}
 	}
+	if converged {
+		j.stats.NoteConverged()
+		if o := j.Obs; o != nil {
+			o.ReplayConverged.Inc()
+		}
+	}
 	res := &Result{Output: out.Bytes(), Exit: rc, Err: err, Injection: injection, Trigger: trigger}
-	res.Outcome = classify(j.Golden, res, injection.Happened && injection.Activated)
+	res.Outcome = j.Golden.Classify(res.Output, res.Exit, err, err == interp.ErrHang, injection.Happened && injection.Activated)
 	if tr != nil {
 		for _, s := range tr.Spans {
 			res.Spans = append(res.Spans, telemetry.TraceSpan{Kind: s.Kind, Site: s.Site, At: s.At})
@@ -339,22 +353,4 @@ func (j *Injector) injectAt(trigger uint64, rng *rand.Rand, traced bool) *Result
 		})
 	}
 	return res
-}
-
-func classify(g fault.Golden, res *Result, activated bool) fault.Outcome {
-	switch {
-	case res.Err == interp.ErrHang:
-		return fault.OutcomeHang
-	case res.Err != nil:
-		return fault.OutcomeCrash
-	// A corrupted output always counts as an (activated) SDC, even if the
-	// activation tracker somehow missed the read: the fault demonstrably
-	// influenced execution.
-	case !bytes.Equal(res.Output, g.Output) || res.Exit != g.Exit:
-		return fault.OutcomeSDC
-	case !activated:
-		return fault.OutcomeNotActivated
-	default:
-		return fault.OutcomeBenign
-	}
 }

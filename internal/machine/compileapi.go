@@ -64,3 +64,12 @@ func InstrWritesXmm(in *x86.Instr, x x86.XReg) bool { return writesXmm(in, x) }
 func (s *Snapshot) CloneState() (m *mem.Memory, regs [x86.NumRegs]uint64, xmm [x86.NumXRegs][2]uint64, flags uint64, rip int) {
 	return s.mem.Clone(), s.regs, s.xmm, s.flags, s.rip
 }
+
+// MatchesState reports whether the given architectural state is exactly
+// the snapshot's: the inverse of CloneState, which the pre-decoded
+// engine's masking-convergence compare uses. The registers are compared
+// first, so a diverged attempt rarely reaches the memory walk. Safe to
+// call concurrently on one snapshot.
+func (s *Snapshot) MatchesState(m *mem.Memory, regs *[x86.NumRegs]uint64, xmm *[x86.NumXRegs][2]uint64, flags uint64, rip int) bool {
+	return rip == s.rip && flags == s.flags && *regs == s.regs && *xmm == s.xmm && m.Equal(s.mem)
+}

@@ -22,6 +22,7 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -381,6 +382,40 @@ func (m *Memory) Clone() *Memory {
 		c.freeList[sz] = append([]uint64(nil), list...)
 	}
 	return c
+}
+
+// Equal reports whether m and o hold the same address space: the same
+// mapped pages with the same bytes, the same heap cursor, the same live
+// blocks, and the same free lists in the same order (an emptied size
+// class equals an absent one). A page the two share by pointer, as a
+// clone shares the pages its snapshot's run has not written since,
+// needs no byte compare. Neither memory is modified, so o may be a
+// frozen snapshot other goroutines are reading.
+func (m *Memory) Equal(o *Memory) bool {
+	if m.heapNext != o.heapNext || len(m.pages) != len(o.pages) || len(m.allocSize) != len(o.allocSize) {
+		return false
+	}
+	for a, sz := range m.allocSize {
+		if osz, ok := o.allocSize[a]; !ok || osz != sz {
+			return false
+		}
+	}
+	for sz, list := range m.freeList {
+		if !slices.Equal(list, o.freeList[sz]) {
+			return false
+		}
+	}
+	for sz, list := range o.freeList {
+		if _, ok := m.freeList[sz]; !ok && len(list) > 0 {
+			return false
+		}
+	}
+	for p, pg := range m.pages {
+		if op := o.pages[p]; op == nil || (op != pg && *op != *pg) {
+			return false
+		}
+	}
+	return true
 }
 
 // FootprintBytes is an upper bound on the resident size of this memory's

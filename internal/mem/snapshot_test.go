@@ -161,3 +161,60 @@ func TestSnapshotChainSharesUnchangedPages(t *testing.T) {
 		t.Fatalf("footprint: s1=%d s2=%d, want %d", s1.FootprintBytes(), s2.FootprintBytes(), 2*PageSize)
 	}
 }
+
+// TestEqual pins the state compare masking convergence relies on: page
+// bytes whether or not a page is still shared, the mapped set, the heap
+// cursor, live blocks, and free lists in order, where an emptied size
+// class equals one never used.
+func TestEqual(t *testing.T) {
+	m := New()
+	m.Map(GlobalsBase, PageSize)
+	if err := m.Write(GlobalsBase, 8, 7); err != nil {
+		t.Fatal(err)
+	}
+	s := m.Snapshot()
+	check := func(what string, c *Memory, want bool) {
+		t.Helper()
+		if got := c.Equal(s); got != want {
+			t.Errorf("%s: Equal = %v, want %v", what, got, want)
+		}
+	}
+	c := s.Clone()
+	check("fresh clone", c, true)
+	c.Write(GlobalsBase, 8, 7)
+	check("private copy, same bytes", c, true)
+	c.Write(GlobalsBase, 8, 8)
+	check("changed byte", c, false)
+	c.Write(GlobalsBase, 8, 7)
+	check("byte restored", c, true)
+	c.Write(StackTop-8, 8, 0)
+	check("stack page grown", c, false)
+
+	c = s.Clone()
+	c.Free(c.Alloc(16))
+	check("block freed", c, false)
+
+	a := m.Alloc(16)
+	b := m.Alloc(16)
+	m.Free(a)
+	m.Free(b)
+	s = m.Snapshot()
+	c = s.Clone()
+	c.Alloc(16)
+	c.Alloc(16)
+	c.Free(b)
+	c.Free(a)
+	check("free list reordered", c, false)
+
+	// m reuses both freed blocks, leaving an empty size class; a memory
+	// that allocated the same two blocks and never freed one has none.
+	m.Alloc(16)
+	m.Alloc(16)
+	s = m.Snapshot()
+	c = New()
+	c.Map(GlobalsBase, PageSize)
+	c.Write(GlobalsBase, 8, 7)
+	c.Alloc(16)
+	c.Alloc(16)
+	check("size class emptied vs never used", c, true)
+}

@@ -49,6 +49,7 @@ type Metrics struct {
 	ReplayMisses           *Counter
 	InstrsSkipped          *Counter
 	InstrsReplayed         *Counter
+	ReplayConverged        *Counter
 	SnapshotCacheBytes     *Gauge
 	SnapshotCacheSnapshots *Gauge
 	SnapshotEvictions      *Counter
@@ -106,6 +107,7 @@ func New() *Metrics {
 		ReplayMisses:           r.Counter("hlfi_replay_misses_total", "Attempts executed from instruction zero with replay armed."),
 		InstrsSkipped:          r.Counter("hlfi_replay_instrs_skipped_total", "Dynamic instructions skipped by snapshot restores."),
 		InstrsReplayed:         r.Counter("hlfi_replay_instrs_replayed_total", "Dynamic instructions replayed after snapshot restores."),
+		ReplayConverged:        r.Counter("hlfi_replay_converged_total", "Attempts a compiled engine ended where their state rejoined the golden run."),
 		SnapshotCacheBytes:     r.Gauge("hlfi_snapshot_cache_bytes", "Accounted bytes held by the snapshot cache."),
 		SnapshotCacheSnapshots: r.Gauge("hlfi_snapshot_cache_snapshots", "Snapshots held by the snapshot cache."),
 		SnapshotEvictions:      r.Counter("hlfi_snapshot_evictions_total", "Snapshot cache entries evicted under the memory budget."),

@@ -129,8 +129,11 @@ func CaptureSnapshots(prog *x86.Program, layoutImage []byte, layoutBase uint64, 
 
 // UseSnapshots arms fast-forward replay: subsequent InjectAt calls
 // restore the latest snapshot at-or-before their trigger and replay only
-// the residual tail. Outcomes, activation, and output stay byte-identical
-// to full re-execution. stats (nil-safe) receives hit/miss accounting.
+// the residual tail. With the compiled engine armed too, an attempt
+// also ends early where its state rejoins a later snapshot (masking
+// convergence, docs/replay.md). Outcomes, activation, and output stay
+// byte-identical to full re-execution. stats (nil-safe) receives
+// hit/miss and convergence accounting.
 func (j *Injector) UseSnapshots(snaps []*machine.Snapshot, stats *telemetry.ReplayStats) {
 	j.snaps = snaps
 	j.stats = stats
@@ -263,6 +266,7 @@ func (j *Injector) injectAt(trigger uint64, rng *rand.Rand, traced bool) *Result
 	var rc int64
 	var err error
 	var executed uint64
+	var converged bool
 	if i := j.snapBefore(trigger); i >= 0 {
 		s := j.snaps[i]
 		out.Write(j.Golden.Output[:s.OutLen])
@@ -271,8 +275,10 @@ func (j *Injector) injectAt(trigger uint64, rng *rand.Rand, traced bool) *Result
 			e.SetCandCount(j.snapCands[i])
 			e.MaxInstrs = budget
 			e.Inject = injection
+			e.Converge(j.snaps[i+1:], j.Golden)
 			rc, err = e.Resume()
 			executed = e.Executed()
+			converged = e.Converged()
 		} else {
 			m := machine.NewFromSnapshot(j.Prog, s, &out)
 			m.SetCandCount(j.snapCands[i])
@@ -294,8 +300,10 @@ func (j *Injector) injectAt(trigger uint64, rng *rand.Rand, traced bool) *Result
 			e := mc.New(j.compiled, &out)
 			e.MaxInstrs = budget
 			e.Inject = injection
+			e.Converge(j.snaps, j.Golden)
 			rc, err = e.Run()
 			executed = e.Executed()
+			converged = e.Converged()
 		} else {
 			m := machine.New(j.Prog, j.LayoutImage, j.LayoutBase, &out)
 			m.MaxInstrs = budget
@@ -317,8 +325,14 @@ func (j *Injector) injectAt(trigger uint64, rng *rand.Rand, traced bool) *Result
 			o.CompiledAttempts.Inc()
 		}
 	}
+	if converged {
+		j.stats.NoteConverged()
+		if o := j.Obs; o != nil {
+			o.ReplayConverged.Inc()
+		}
+	}
 	res := &Result{Output: out.Bytes(), Exit: rc, Err: err, Injection: injection, Trigger: trigger}
-	res.Outcome = classify(j.Golden, res, injection.Happened && injection.Activated)
+	res.Outcome = j.Golden.Classify(res.Output, res.Exit, err, err == machine.ErrHang, injection.Happened && injection.Activated)
 	if tr != nil {
 		for _, s := range tr.Spans {
 			res.Spans = append(res.Spans, telemetry.TraceSpan{Kind: s.Kind, Site: s.Site, At: s.At})
@@ -328,22 +342,4 @@ func (j *Injector) injectAt(trigger uint64, rng *rand.Rand, traced bool) *Result
 		})
 	}
 	return res
-}
-
-func classify(g fault.Golden, res *Result, activated bool) fault.Outcome {
-	switch {
-	case res.Err == machine.ErrHang:
-		return fault.OutcomeHang
-	case res.Err != nil:
-		return fault.OutcomeCrash
-	// A corrupted output always counts as an (activated) SDC, even if the
-	// activation tracker somehow missed the read: the fault demonstrably
-	// influenced execution.
-	case !bytes.Equal(res.Output, g.Output) || res.Exit != g.Exit:
-		return fault.OutcomeSDC
-	case !activated:
-		return fault.OutcomeNotActivated
-	default:
-		return fault.OutcomeBenign
-	}
 }

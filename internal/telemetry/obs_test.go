@@ -142,6 +142,7 @@ func TestReplayStatsPostEvictionGauge(t *testing.T) {
 	nilStats.NoteEviction()
 	nilStats.Hit(1, 1)
 	nilStats.Miss(1)
+	nilStats.NoteConverged()
 }
 
 // TestAggregatorZeroAttemptStudy is the satellite-3 coverage: a study

@@ -14,6 +14,7 @@ type ReplayStats struct {
 	misses         atomic.Uint64
 	skippedInstrs  atomic.Uint64
 	replayedInstrs atomic.Uint64
+	converged      atomic.Uint64
 	cacheBytes     atomic.Uint64
 	cacheEntries   atomic.Uint64
 	evictions      atomic.Uint64
@@ -37,6 +38,15 @@ func (s *ReplayStats) Miss(executed uint64) {
 	}
 	s.misses.Add(1)
 	s.replayedInstrs.Add(executed)
+}
+
+// NoteConverged counts one attempt a compiled engine ended at a
+// masking-convergence point, short of the program's exit.
+func (s *ReplayStats) NoteConverged() {
+	if s == nil {
+		return
+	}
+	s.converged.Add(1)
 }
 
 // SetCacheUsage publishes the snapshot cache's current footprint.
@@ -68,6 +78,10 @@ func (s *ReplayStats) SkippedInstrs() uint64 { return s.skippedInstrs.Load() }
 // ReplayedInstrs returns total instructions actually executed.
 func (s *ReplayStats) ReplayedInstrs() uint64 { return s.replayedInstrs.Load() }
 
+// Converged returns the number of attempts that ended at a
+// masking-convergence point.
+func (s *ReplayStats) Converged() uint64 { return s.converged.Load() }
+
 // CacheBytes returns the last published cache footprint.
 func (s *ReplayStats) CacheBytes() uint64 { return s.cacheBytes.Load() }
 
@@ -76,24 +90,6 @@ func (s *ReplayStats) CacheEntries() uint64 { return s.cacheEntries.Load() }
 
 // Evictions returns the number of entries dropped under the budget.
 func (s *ReplayStats) Evictions() uint64 { return s.evictions.Load() }
-
-// Summary renders the one-line human form, or "" when replay never ran.
-func (s *ReplayStats) Summary() string {
-	if s == nil {
-		return ""
-	}
-	hits, misses := s.Hits(), s.Misses()
-	if hits+misses == 0 {
-		return ""
-	}
-	skipped, replayed := s.SkippedInstrs(), s.ReplayedInstrs()
-	frac := 0.0
-	if skipped+replayed > 0 {
-		frac = 100 * float64(skipped) / float64(skipped+replayed)
-	}
-	return fmt.Sprintf("snapshot replay: %d/%d attempts fast-forwarded (%.1f%% of instructions skipped; cache %s in %d snapshots, %d evicted)",
-		hits, hits+misses, frac, fmtBytes(s.CacheBytes()), s.CacheEntries(), s.Evictions())
-}
 
 func fmtBytes(n uint64) string {
 	switch {

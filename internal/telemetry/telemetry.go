@@ -165,6 +165,7 @@ type Event struct {
 	ReplayMisses       uint64 `json:"replayMisses,omitempty"`
 	SkippedInstrs      uint64 `json:"skippedInstrs,omitempty"`
 	ReplayedInstrs     uint64 `json:"replayedInstrs,omitempty"`
+	ConvergedAttempts  uint64 `json:"convergedAttempts,omitempty"`
 	SnapshotCacheBytes uint64 `json:"snapshotCacheBytes,omitempty"`
 	SnapshotEvictions  uint64 `json:"snapshotEvictions,omitempty"`
 }
@@ -179,6 +180,7 @@ func (e *Event) ReplayFields(s *ReplayStats) {
 	e.ReplayMisses = s.Misses()
 	e.SkippedInstrs = s.SkippedInstrs()
 	e.ReplayedInstrs = s.ReplayedInstrs()
+	e.ConvergedAttempts = s.Converged()
 	e.SnapshotCacheBytes = s.CacheBytes()
 	e.SnapshotEvictions = s.Evictions()
 }
@@ -536,8 +538,8 @@ func (a *Aggregator) RenderTelemetry() string {
 		if total > 0 {
 			frac = 100 * float64(done.SkippedInstrs) / float64(total)
 		}
-		fmt.Fprintf(&sb, "  snapshot replay       : %d/%d attempts fast-forwarded (%.1f%% of instructions skipped; cache %s, %d evictions)\n",
-			done.ReplayHits, done.ReplayHits+done.ReplayMisses, frac,
+		fmt.Fprintf(&sb, "  snapshot replay       : %d/%d attempts fast-forwarded, %d converged (%.1f%% of instructions skipped; cache %s, %d evictions)\n",
+			done.ReplayHits, done.ReplayHits+done.ReplayMisses, done.ConvergedAttempts, frac,
 			fmtBytes(done.SnapshotCacheBytes), done.SnapshotEvictions)
 	}
 	slow := a.SlowestCells(5)
