@@ -85,11 +85,7 @@ func runCtx(ctx context.Context, args []string) error {
 		resume      = fs.String("resume", "", "resume from this checkpoint: recorded cells are not re-run and keep checkpointing into the same file (output is byte-identical to an uninterrupted run)")
 		simFaults   = fs.Int("sim-fault-limit", 0, "contained simulator panics tolerated per cell (0 = fail fast, -1 = unlimited)")
 		deadline    = fs.Duration("cell-deadline", 0, "per-cell wall-clock watchdog; an over-deadline cell is skipped as degraded (0 = off)")
-		snapStride  = fs.Uint64("snapshot-stride", 0, "dynamic instructions between golden-run snapshots (0 = auto); results are byte-identical for any value")
-		snapBudget  = fs.Int64("snapshot-mem-budget", 0, "snapshot cache budget in MiB (0 = 256); least-recently-used programs are evicted over budget")
-		noSnapshots = fs.Bool("no-snapshots", false, "disable snapshot fast-forward replay and re-execute every attempt from instruction zero")
-		compiled    = fs.Bool("compiled", true, "run untraced injection attempts on the compiled execution engines (results are byte-identical to the interpreters)")
-		noCompiled  = fs.Bool("no-compiled", false, "force every attempt onto the interpreters (escape hatch; overrides -compiled)")
+		reference   = fs.Bool("reference", false, cli.ReferenceUsage)
 		status      = fs.String("status", "", "serve live observability on this address (/metrics, /statusz, /tracez, /debug/pprof/); results are byte-identical with or without it")
 		linger      = fs.Duration("status-linger", 0, "keep the status endpoint serving this long after the study finishes (useful for scraping short runs)")
 		traceAtt    = fs.Int("trace-attempts", 0, "record fault-propagation traces for the first N attempts of every cell as attempt_trace events (results stay byte-identical)")
@@ -245,24 +241,10 @@ func runCtx(ctx context.Context, args []string) error {
 		rec = telemetry.Multi(agg, telemetry.NewJSONLSink(f))
 	}
 
-	// Snapshot fast-forward replay: on by default, disarmed by
-	// -no-snapshots. Results are byte-identical either way; only speed
-	// and the replay telemetry differ.
-	var replay *core.ReplayConfig
-	if !*noSnapshots {
-		replay = &core.ReplayConfig{
-			Stride:    *snapStride,
-			MemBudget: uint64(*snapBudget) << 20,
-			Stats:     &telemetry.ReplayStats{},
-		}
-	}
-
-	// Compiled execution engines: on by default, forced off by
-	// -no-compiled (or -compiled=false). Byte-identical either way.
-	var compiledCfg *core.CompiledConfig
-	if *compiled && !*noCompiled {
-		compiledCfg = &core.CompiledConfig{}
-	}
+	// Execution policy: snapshot replay plus the compiled engines, or
+	// the reference interpreters with -reference. Byte-identical either
+	// way; only speed and the replay telemetry differ.
+	replay, compiledCfg := cli.Policy(*reference)
 
 	// Campaign flight recorder: -trace-out arms an in-memory span
 	// recorder over the study (campaign, cell, scan/run phases, adaptive

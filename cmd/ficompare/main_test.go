@@ -221,7 +221,7 @@ func TestRunIdentityAndPolicy(t *testing.T) {
 	wantSeeding("-cell-workers 4 resume of a sequential checkpoint", run(with("-cell-workers", "4", "-resume", ck)))
 
 	// Keep the header and two records; the resume re-runs the rest with
-	// both engines off.
+	// -reference.
 	raw, err := os.ReadFile(ck)
 	if err != nil {
 		t.Fatal(err)
@@ -230,17 +230,17 @@ func TestRunIdentityAndPolicy(t *testing.T) {
 	if err := os.WriteFile(ck, []byte(strings.Join(lines[:3], "")), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if got := captureStdout(t, func() error { return run(with("-no-snapshots", "-compiled=false", "-resume", ck)) }); got != golden {
+	if got := captureStdout(t, func() error { return run(with("-reference", "-resume", ck)) }); got != golden {
 		t.Errorf("resume with the engines off differs from the uninterrupted run:\n--- want ---\n%s\n--- got ---\n%s", golden, got)
 	}
 
 	// A warehouse filled with the compiled engines serves a run with
-	// both engines off without executing a cell.
+	// -reference without executing a cell.
 	wh := filepath.Join(dir, "wh")
 	captureStdout(t, func() error { return run(with("-warehouse", wh)) })
 	events := filepath.Join(dir, "events.jsonl")
 	if got := captureStdout(t, func() error {
-		return run(with("-no-snapshots", "-compiled=false", "-warehouse", wh, "-events", events))
+		return run(with("-reference", "-warehouse", wh, "-events", events))
 	}); got != golden {
 		t.Errorf("warm warehouse run with the engines off differs:\n--- want ---\n%s\n--- got ---\n%s", golden, got)
 	}
@@ -383,6 +383,9 @@ func TestRunScaleOutFlagValidation(t *testing.T) {
 		{"-experiment", "table2", "-json"},
 		{"-experiment", "table4", "-benchmarks", "quantumm", "-json"},
 		{"-experiment", "calibration", "-benchmarks", "quantumm", "-json"},
+		// -reference is the only engine flag.
+		{"-compiled=false"}, {"-no-compiled"}, {"-no-snapshots"},
+		{"-snapshot-stride", "777"}, {"-snapshot-mem-budget", "-1"},
 	}
 	for _, args := range reject {
 		if err := run(args); err == nil {

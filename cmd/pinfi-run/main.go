@@ -40,7 +40,7 @@ func run(args []string) error {
 		events    = fs.String("events", "", "write the campaign telemetry event stream (JSONL) to this file")
 		status    = fs.String("status", "", "serve live observability on this address (/metrics, /statusz, /debug/pprof/)")
 		traceAtt  = fs.Int("trace-attempts", 0, "record fault-propagation traces for the first N attempts as attempt_trace events")
-		noComp    = fs.Bool("no-compiled", false, "force every attempt onto the simulator instead of the pre-decoded engine (results are byte-identical)")
+		reference = fs.Bool("reference", false, cli.ReferenceUsage)
 		adaptFlag = fs.String("adaptive", "off", "adaptive early stopping: off|on|eps=E,min=M,check=C (stop once every outcome-rate Wilson CI is narrower than eps)")
 		warehouse = fs.String("warehouse", "", "content-addressed result warehouse directory: a cached record for this exact cell replays the summary without executing an injection, and a fresh result is stored back (records are keyed by the effective campaign seed, so they interoperate with ficompare/fleet stores exactly when the samples match)")
 	)
@@ -78,6 +78,6 @@ func run(args []string) error {
 	}
 	return cli.RunCampaign(os.Stdout, prog, fault.LevelASM, cat,
 		cli.CampaignOptions{N: *n, Seed: *seed, Verbose: *verbose, EventsPath: *events,
-			StatusAddr: *status, TraceAttempts: *traceAtt, NoCompiled: *noComp,
+			StatusAddr: *status, TraceAttempts: *traceAtt, Reference: *reference,
 			Adaptive: adaptCfg, Warehouse: *warehouse})
 }

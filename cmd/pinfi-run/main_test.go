@@ -18,6 +18,12 @@ func TestRunFlags(t *testing.T) {
 	if err := run([]string{"-bench", "quantumm", "-category", "bogus"}); err == nil {
 		t.Error("bad category accepted")
 	}
+	if err := run([]string{"-bench", "quantumm", "-category", "cmp", "-n", "5", "-reference"}); err != nil {
+		t.Fatalf("-reference: %v", err)
+	}
+	if err := run([]string{"-bench", "quantumm", "-no-compiled"}); err == nil {
+		t.Error("removed -no-compiled accepted")
+	}
 }
 
 // TestRunEvents: -events captures the single-cell campaign as a JSONL

@@ -61,6 +61,21 @@ func BuildPrograms(subset string) ([]*core.Program, error) {
 	return progs, nil
 }
 
+// ReferenceUsage is the help text of the -reference flag every CLI
+// shares.
+const ReferenceUsage = "run every attempt on the reference interpreters from instruction zero: no snapshot replay, no compiled engines (results are byte-identical to the default)"
+
+// Policy returns the attempt execution policy of a CLI run. The default
+// arms snapshot fast-forward replay plus the compiled engines; reference
+// selects the reference interpreters with no snapshots, which both nil
+// configs mean.
+func Policy(reference bool) (*core.ReplayConfig, *core.CompiledConfig) {
+	if reference {
+		return nil, nil
+	}
+	return &core.ReplayConfig{Stats: &telemetry.ReplayStats{}}, &core.CompiledConfig{}
+}
+
 // CampaignOptions configures RunCampaign beyond the cell identity.
 type CampaignOptions struct {
 	// N activated injections to collect; Seed the campaign seed.
@@ -87,10 +102,10 @@ type CampaignOptions struct {
 	// TraceAttempts attempts; traces are released as attempt_trace
 	// telemetry events.
 	TraceAttempts int
-	// NoCompiled forces every attempt onto the interpreter instead of the
-	// compiled execution engines (flag parity with ficompare's
-	// -no-compiled; results are byte-identical either way).
-	NoCompiled bool
+	// Reference runs every attempt on the reference interpreter from
+	// instruction zero (the -reference flag of every CLI; results are
+	// byte-identical either way).
+	Reference bool
 	// Adaptive, when non-nil, arms the early-stopping rule for the
 	// single cell (flag parity with ficompare's -adaptive; a lone cell
 	// has no reallocation round, it simply stops once converged).
@@ -123,10 +138,7 @@ func RunCampaign(w io.Writer, prog *core.Program, level fault.Level, cat fault.C
 		rec = telemetry.NewJSONLSink(f)
 	}
 
-	var compiled *core.CompiledConfig
-	if !opts.NoCompiled {
-		compiled = &core.CompiledConfig{}
-	}
+	replay, compiled := Policy(opts.Reference)
 
 	var om *obs.Metrics
 	if opts.StatusAddr != "" {
@@ -145,8 +157,8 @@ func RunCampaign(w io.Writer, prog *core.Program, level fault.Level, cat fault.C
 			defer time.Sleep(opts.StatusLinger)
 		}
 	}
-	if compiled != nil {
-		compiled.Obs = om
+	if replay != nil {
+		replay.Obs, compiled.Obs = om, om
 	}
 
 	// Result warehouse: a cached record for this exact cell replays the
@@ -195,7 +207,7 @@ func RunCampaign(w io.Writer, prog *core.Program, level fault.Level, cat fault.C
 	c := &core.Campaign{Prog: prog, Level: level, Category: cat,
 		N: opts.N, Seed: opts.Seed, Metrics: &metrics,
 		SimFaultLimit: opts.SimFaultLimit, Deadline: opts.Deadline,
-		Compiled: compiled, Obs: om, TraceAttempts: opts.TraceAttempts,
+		Replay: replay, Compiled: compiled, Obs: om, TraceAttempts: opts.TraceAttempts,
 		Adaptive: opts.Adaptive}
 	res, err := c.Run()
 	emitCampaignEvents(rec, c, res, metrics, err)

@@ -164,6 +164,59 @@ func RecordOf(res *CellResult) *CellRecord {
 	return r
 }
 
+// InvalidRecordError reports a cell record no campaign can produce:
+// a negative count, attempts that do not add up to the outcome counts,
+// no activated attempt, or a round-1 snapshot on a fixed-n record.
+type InvalidRecordError struct {
+	Reason string
+}
+
+func (e *InvalidRecordError) Error() string {
+	return "invalid cell record: " + e.Reason
+}
+
+// Validate checks the invariants every completed campaign satisfies. It
+// runs wherever a record crosses a process or disk boundary (checkpoint
+// load, warehouse read, fleet completion), so a corrupt or hostile
+// record is refused there instead of rendered.
+func (r *CellRecord) Validate() error {
+	reason := countsProblem(r.Benign, r.SDC, r.Crash, r.Hang, r.NotActivated, r.Attempts, r.SimFaults)
+	switch {
+	case reason != "":
+	case r.Benign+r.SDC+r.Crash+r.Hang == 0:
+		reason = "no activated attempt"
+	case r.Target < 0:
+		reason = fmt.Sprintf("negative target %d", r.Target)
+	case r.Round1 != nil && r.Target == 0:
+		reason = "round-1 snapshot on a fixed-n record"
+	case r.Round1 != nil:
+		c := r.Round1
+		if p := countsProblem(c.Benign, c.SDC, c.Crash, c.Hang, c.NotActivated, c.Attempts, c.SimFaults); p != "" {
+			reason = "round 1: " + p
+		}
+	}
+	if reason != "" {
+		return &InvalidRecordError{Reason: reason}
+	}
+	return nil
+}
+
+// countsProblem describes what is wrong with a record's counts, or
+// returns "": every count is non-negative, and the outcomes, the
+// non-activated draws and the contained simulator panics add up to the
+// attempts.
+func countsProblem(benign, sdc, crash, hang, notActivated, attempts, simFaults int) string {
+	for _, n := range []int{benign, sdc, crash, hang, notActivated, attempts, simFaults} {
+		if n < 0 {
+			return fmt.Sprintf("negative count %d", n)
+		}
+	}
+	if sum := benign + sdc + crash + hang + notActivated + simFaults; sum != attempts {
+		return fmt.Sprintf("%d attempts, but the outcomes add up to %d", attempts, sum)
+	}
+	return ""
+}
+
 // Result converts a persisted record back to the cell result of key.
 func (r *CellRecord) Result(key CellKey) *CellResult {
 	res := &CellResult{
@@ -382,6 +435,9 @@ func readCheckpoint(path string) (*CheckpointState, CheckpointShape, error) {
 			}
 			if line.Result == nil {
 				return nil, hdr, fmt.Errorf("checkpoint %s:%d: cell line without result", path, lineNo+1)
+			}
+			if err := line.Result.Validate(); err != nil {
+				return nil, hdr, fmt.Errorf("checkpoint %s:%d: %w", path, lineNo+1, err)
 			}
 			st.Cells[key] = line.Result.Result(key)
 			delete(st.Skips, key)

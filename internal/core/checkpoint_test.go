@@ -401,3 +401,28 @@ func TestCheckpointAppendResume(t *testing.T) {
 		}
 	}
 }
+
+// TestLoadCheckpointRejectsInvalidRecord: a cell line whose counts no
+// campaign can produce fails the load with a typed *InvalidRecordError
+// instead of rendering impossible rates.
+func TestLoadCheckpointRejectsInvalidRecord(t *testing.T) {
+	header := `{"type":"study","version":1,"n":20,"seed":1}` + "\n"
+	cell := `{"type":"cell","benchmark":"bzip2m","level":"LLFI","category":"all","result":%s}` + "\n"
+	for name, result := range map[string]string{
+		"negative count":    `{"benign":-40,"sdc":7,"crash":53,"hang":0,"notActivated":0,"attempts":20,"dynCandidates":9}`,
+		"attempts mismatch": `{"benign":10,"sdc":5,"crash":5,"hang":0,"notActivated":0,"attempts":21,"dynCandidates":9}`,
+		"nothing activated": `{"benign":0,"sdc":0,"crash":0,"hang":0,"notActivated":4,"attempts":4,"dynCandidates":9}`,
+		"fixed-n round 1":   `{"benign":20,"sdc":0,"crash":0,"hang":0,"notActivated":0,"attempts":20,"dynCandidates":9,"round1":{"benign":1,"sdc":0,"crash":0,"hang":0,"notActivated":0,"attempts":1}}`,
+		"negative round 1":  `{"benign":20,"sdc":0,"crash":0,"hang":0,"notActivated":0,"attempts":20,"dynCandidates":9,"target":20,"round1":{"benign":-1,"sdc":2,"crash":0,"hang":0,"notActivated":0,"attempts":1}}`,
+	} {
+		path := filepath.Join(t.TempDir(), "ck.jsonl")
+		if err := os.WriteFile(path, []byte(header+fmt.Sprintf(cell, result)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadCheckpointShape(path, CheckpointShape{N: 20, Seed: 1})
+		var ire *InvalidRecordError
+		if !errors.As(err, &ire) {
+			t.Errorf("%s: load returned %v, want *InvalidRecordError", name, err)
+		}
+	}
+}

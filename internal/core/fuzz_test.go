@@ -16,7 +16,7 @@ import (
 // the loader accepts, the writer can reproduce.
 func FuzzLoadCheckpoint(f *testing.F) {
 	header := `{"type":"study","version":1,"n":10,"seed":5,"replay":"off","compiled":"on","adaptive":"eps=0.1,min=16,check=8","seeding":"per-attempt"}` + "\n"
-	cell := `{"type":"cell","benchmark":"bzip2m","level":"LLFI","category":"all","result":{"benign":3,"sdc":2,"crash":1,"hang":1,"notActivated":4,"attempts":11,"simFaults":1,"dynCandidates":42,"target":7,"converged":true,"round1":{"benign":1,"sdc":1,"crash":0,"hang":0,"notActivated":2,"attempts":4}}}` + "\n"
+	cell := `{"type":"cell","benchmark":"bzip2m","level":"LLFI","category":"all","result":{"benign":3,"sdc":2,"crash":1,"hang":1,"notActivated":4,"attempts":12,"simFaults":1,"dynCandidates":42,"target":7,"converged":true,"round1":{"benign":1,"sdc":1,"crash":0,"hang":0,"notActivated":2,"attempts":4}}}` + "\n"
 	skip := `{"type":"skip","benchmark":"mcfm","level":"PINFI","category":"cast","kind":"no-candidates","err":"no candidates"}` + "\n"
 	f.Add([]byte(header + cell + skip))
 	f.Add([]byte(header + skip + cell))
@@ -37,9 +37,12 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		if err != nil {
 			return
 		}
-		for key := range st.Cells {
+		for key, res := range st.Cells {
 			if err := checkVariant(key.Level, key.Variant); err != nil {
 				t.Fatalf("loader accepted an invalid cell: %v", err)
+			}
+			if err := RecordOf(res).Validate(); err != nil {
+				t.Fatalf("loader accepted an invalid record: %v", err)
 			}
 		}
 		for key := range st.Skips {

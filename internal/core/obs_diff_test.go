@@ -4,10 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 	"sync"
 	"testing"
 
@@ -17,78 +13,6 @@ import (
 	"hlfi/internal/obs"
 	"hlfi/internal/telemetry"
 )
-
-// TestObservabilityDifferentialOracle is the zero-cost gate for the
-// observability layer: a study run with live metrics and attempt tracing
-// armed must produce byte-identical rendered reports AND byte-identical
-// checkpoint files compared to the same study with observability off,
-// sequentially and under the parallel scheduler. The tracers consume no
-// randomness and the metrics registry sits entirely off the result path,
-// so any divergence here is a bug in the instrumentation.
-func TestObservabilityDifferentialOracle(t *testing.T) {
-	progs := buildSome(t, "quantumm", "mcfm")
-	dir := t.TempDir()
-
-	run := func(name string, om *obs.Metrics, trace, parallel int) (*core.Study, []byte) {
-		path := filepath.Join(dir, name+".ckpt")
-		ckpt, err := core.NewCheckpointWriterShape(path, core.CheckpointShape{N: 10, Seed: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, err := core.RunStudy(core.StudyConfig{
-			Programs: progs, N: 10, Seed: 3,
-			Parallel: parallel, Checkpoint: ckpt,
-			Obs: om, TraceAttempts: trace,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ckpt.Close(); err != nil {
-			t.Fatal(err)
-		}
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st, raw
-	}
-
-	baseline, baseCkpt := run("baseline", nil, 0, 1)
-
-	om := obs.New()
-	observed, obsCkpt := run("observed", om, 4, 1)
-	sameStudy(t, "observed-sequential", baseline, observed)
-	if string(obsCkpt) != string(baseCkpt) {
-		t.Error("checkpoint bytes diverged with observability enabled (sequential)")
-	}
-
-	// Parallel checkpoints record cells at completion time by design
-	// (durability never waits for a slow earlier cell), so their line
-	// order is scheduling-dependent; the content must still match the
-	// sequential baseline line-for-line once order is factored out.
-	pom := obs.New()
-	pobserved, pobsCkpt := run("observed-parallel", pom, 4, 3)
-	sameStudy(t, "observed-parallel", baseline, pobserved)
-	if got, want := sortedLines(pobsCkpt), sortedLines(baseCkpt); fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Errorf("checkpoint content diverged with observability enabled (parallel):\n  want %q\n  got  %q", want, got)
-	}
-
-	// The registry must have actually observed the run it rode along on.
-	for _, m := range []*obs.Metrics{om, pom} {
-		if m.Attempts.Value() == 0 {
-			t.Error("attempts counter never incremented")
-		}
-		if m.TraceAttempts.Value() == 0 {
-			t.Error("trace-attempts counter never incremented")
-		}
-		if m.CellsDone.Value() != uint64(len(baseline.Cells)) {
-			t.Errorf("cells-done gauge = %d, want %d", m.CellsDone.Value(), len(baseline.Cells))
-		}
-		if m.CellsInFlight.Value() != 0 {
-			t.Errorf("cells-in-flight gauge = %d after the study, want 0", m.CellsInFlight.Value())
-		}
-	}
-}
 
 // TestTracingAddsOnlyTraceEvents checks the event-stream contract of
 // -trace-attempts: the sequence of non-trace events is unchanged, and
@@ -243,12 +167,6 @@ func buildSome(t *testing.T, names ...string) []*core.Program {
 		progs = append(progs, p)
 	}
 	return progs
-}
-
-func sortedLines(raw []byte) []string {
-	lines := strings.Split(strings.TrimRight(string(raw), "\n"), "\n")
-	sort.Strings(lines)
-	return lines
 }
 
 // types lists the event-type sequence; withTraces=false drops

@@ -711,6 +711,11 @@ func (c *Coordinator) complete(req CompleteRequest, now time.Time) (CompleteResp
 		return CompleteResponse{OK: true}, nil
 	case req.Result != nil:
 		r := req.Result
+		// An invalid record is refused before any bookkeeping: the cell
+		// stays leased, and its lease expiry or a valid retry resolves it.
+		if err := r.Validate(); err != nil {
+			return CompleteResponse{}, err
+		}
 		if c.cfg.Adaptive != nil && r.Target != cs.target {
 			// A stale round-1 completion racing the reallocation plan: the
 			// cell was reopened with a raised target, so this result is for

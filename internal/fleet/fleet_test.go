@@ -5,8 +5,11 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -60,19 +63,30 @@ func renderAll(st *core.Study) string {
 	return buf.String()
 }
 
-// TestFleetLeaseRequeueDeterminism is the differential oracle of the
-// fleet path: three workers, one killed mid-cell (its lease expires and
-// the cell is retried by a surviving worker), and the rendered report
-// must be byte-identical to the single-process run — sequential AND
-// parallel — with the merged state routed through the durable
-// checkpoint's typed validation.
+// TestFleetLeaseRequeueDeterminism is the fleet leg of the differential
+// matrix (internal/core TestStudyMatrix): three workers on the compiled
+// engines, one killed mid-cell (its lease expires and the cell is
+// retried by a surviving worker), must reproduce the reference-policy
+// single-process run — report bytes, cells, Dyn and sorted checkpoint
+// body — with the merged state routed through the durable checkpoint's
+// typed validation.
 func TestFleetLeaseRequeueDeterminism(t *testing.T) {
 	prog := testProgram(t)
 
-	// Single-process goldens: the sequential study and a parallel one
-	// must already agree; the fleet must match both.
-	goldenSt, err := core.RunStudy(core.StudyConfig{Programs: []*core.Program{prog}, N: 8, Seed: 1})
+	// Single-process goldens on the reference interpreters: the
+	// sequential study and a parallel one must already agree; the fleet
+	// must match both.
+	goldenCkpt := filepath.Join(t.TempDir(), "golden.jsonl")
+	goldenWriter, err := core.NewCheckpointWriterShape(goldenCkpt, core.CheckpointShape{N: 8, Seed: 1})
 	if err != nil {
+		t.Fatal(err)
+	}
+	goldenSt, err := core.RunStudy(core.StudyConfig{Programs: []*core.Program{prog}, N: 8, Seed: 1,
+		Checkpoint: goldenWriter})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := goldenWriter.Close(); err != nil {
 		t.Fatal(err)
 	}
 	golden := renderAll(goldenSt)
@@ -197,11 +211,32 @@ func TestFleetLeaseRequeueDeterminism(t *testing.T) {
 			t.Errorf("cell %v: fleet %+v, golden %+v", key, fleetSt.Cells[key], res)
 		}
 	}
+	if !reflect.DeepEqual(fleetSt.Dyn, goldenSt.Dyn) {
+		t.Errorf("fleet Dyn %v, golden %v", fleetSt.Dyn, goldenSt.Dyn)
+	}
+	if got, want := checkpointBody(t, ckpt), checkpointBody(t, goldenCkpt); got != want {
+		t.Errorf("fleet checkpoint body differs from the golden:\n--- golden ---\n%s\n--- fleet ---\n%s", want, got)
+	}
+}
+
+// checkpointBody returns a checkpoint's record lines without the header,
+// sorted: the fleet appends records in completion order.
+func checkpointBody(t *testing.T, path string) string {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(raw), "\n")[1:]
+	sort.Strings(lines)
+	return strings.Join(lines, "")
 }
 
 // TestFleetDuplicateCompletion: two workers complete the same cell (one
 // from an expired lease); the second completion is deduped, the first
-// wins, and the cell's stored result is untouched.
+// wins, and the cell's stored result is untouched. A completion whose
+// record no campaign can produce is refused before either, leaving the
+// cell unresolved.
 func TestFleetDuplicateCompletion(t *testing.T) {
 	prog := testProgram(t)
 	cfg := churnyConfig(t, prog)
@@ -225,8 +260,12 @@ func TestFleetDuplicateCompletion(t *testing.T) {
 	req := CompleteRequest{
 		Worker: "a", Lease: lease1.Lease.ID,
 		Benchmark: lease1.Lease.Benchmark, Level: lease1.Lease.Level, Category: lease1.Lease.Category,
-		Result: &core.CellRecord{Benign: 3, SDC: 2, Crash: 2, Hang: 1, Attempts: 8, DynCandidates: 42},
+		Result: &core.CellRecord{Benign: -40, Crash: 53, Attempts: 13},
 	}
+	if resp, err := cl.Complete(ctx, req); err == nil || len(c.State().Cells) != 0 {
+		t.Fatalf("invalid completion = %+v, %v; resolved %d cells", resp, err, len(c.State().Cells))
+	}
+	req.Result = &core.CellRecord{Benign: 3, SDC: 2, Crash: 2, Hang: 1, Attempts: 8, DynCandidates: 42}
 	resp, err := cl.Complete(ctx, req)
 	if err != nil || !resp.OK || resp.Duplicate {
 		t.Fatalf("first completion = %+v, %v", resp, err)

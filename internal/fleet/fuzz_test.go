@@ -1,0 +1,86 @@
+package fleet
+
+import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+
+	"hlfi/internal/core"
+	"hlfi/internal/fault"
+)
+
+// FuzzFleetMessages throws arbitrary request bodies at the coordinator's
+// lease, heartbeat and complete handlers (the first input byte picks the
+// endpoint). No handler may panic; each answers 400 or 200 with a
+// well-formed response, and every cell the coordinator resolves carries
+// a validated record.
+func FuzzFleetMessages(f *testing.F) {
+	p, err := core.BuildProgram("tiny.c", `
+int main() {
+    int s = 0;
+    for (int i = 0; i < 8; i++) s += i * i;
+    print_int(s);
+    return 0;
+}
+`)
+	if err != nil {
+		f.Fatal(err)
+	}
+	c, err := New(Config{Programs: []*core.Program{p}, N: 4, Seed: 1,
+		Categories: []fault.Category{fault.CatAll}, Metrics: NewMetrics()})
+	if err != nil {
+		f.Fatal(err)
+	}
+	h := c.Handler()
+	paths := []string{"/lease", "/heartbeat", "/complete"}
+
+	ir, asm := `"benchmark":"tiny.c","level":"LLFI","category":"all"`, `"benchmark":"tiny.c","level":"PINFI","category":"all"`
+	for _, seed := range []string{
+		"\x00" + `{"worker":"w1"}`,
+		"\x01" + `{"worker":"w1","lease":1,"spans":[{"trace":1,"id":2,"kind":"exec","name":"x","startNs":1,"endNs":2}],"metrics":{"cells":1,"attempts":4}}`,
+		"\x02" + `{"worker":"w1","lease":1,` + ir + `,"result":{"benign":3,"sdc":1,"crash":0,"hang":0,"notActivated":1,"attempts":5,"dynCandidates":9}}`,
+		"\x02" + `{"worker":"w1","lease":1,` + ir + `,"result":{"benign":-40,"sdc":0,"crash":53,"hang":0,"notActivated":0,"attempts":13,"dynCandidates":9}}`,
+		"\x02" + `{"worker":"w1","lease":2,` + asm + `,"skip":{"kind":"no-candidates","err":"x"}}`,
+		"\x02" + `{"worker":"w1","lease":2,` + asm + `,"failure":"boom"}`,
+		"\x01not json",
+	} {
+		f.Add([]byte(seed))
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		path := paths[int(data[0])%len(paths)]
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(data[1:])))
+		switch rec.Code {
+		case http.StatusBadRequest:
+		case http.StatusOK:
+			var lr LeaseResponse
+			var resp any = &lr
+			switch path {
+			case "/heartbeat":
+				resp = &HeartbeatResponse{}
+			case "/complete":
+				resp = &CompleteResponse{}
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), resp); err != nil {
+				t.Fatalf("%s answered 200 with %q: %v", path, rec.Body.String(), err)
+			}
+			if path == "/lease" && (lr.Status != StatusLease && lr.Status != StatusWait && lr.Status != StatusDone ||
+				(lr.Status == StatusLease) != (lr.Lease != nil)) {
+				t.Fatalf("lease response %+v", lr)
+			}
+		default:
+			t.Fatalf("%s answered %d: %s", path, rec.Code, rec.Body.String())
+		}
+		for key, res := range c.State().Cells {
+			if err := core.RecordOf(res).Validate(); err != nil {
+				t.Fatalf("coordinator resolved %v with an invalid record: %v", key, err)
+			}
+		}
+	})
+}

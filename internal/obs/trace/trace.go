@@ -21,6 +21,7 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -98,6 +99,45 @@ type fileHeader struct {
 	Trace   uint64 `json:"trace"`
 	Header
 	Start int64 `json:"startNs"`
+}
+
+// FlightRecorderError is the typed failure of ReadFlightRecorder: the
+// file is not a flight recorder, or one of its lines is malformed.
+type FlightRecorderError struct {
+	Line   int // 1-based
+	Reason string
+}
+
+func (e *FlightRecorderError) Error() string {
+	return fmt.Sprintf("trace: flight recorder line %d: %s", e.Line, e.Reason)
+}
+
+// ReadFlightRecorder parses a flight-recorder file: the header line and
+// every finished span after it, each checked to be a span a recorder
+// writes (non-zero ID, a kind, End not before Start). Like the
+// checkpoint loader it drops a torn final line, the debris of a writer
+// killed mid-append; anything else malformed is a *FlightRecorderError.
+func ReadFlightRecorder(data []byte) (Header, []Record, error) {
+	// The last element is empty after a final newline, or a torn line.
+	lines := bytes.Split(data, []byte{'\n'})
+	lines = lines[:len(lines)-1]
+	var hdr fileHeader
+	if len(lines) == 0 || json.Unmarshal(lines[0], &hdr) != nil || hdr.Type != "flight-recorder" || hdr.Version != 1 {
+		return Header{}, nil, &FlightRecorderError{Line: 1, Reason: "not a version-1 flight-recorder header"}
+	}
+	var recs []Record
+	for i, line := range lines[1:] {
+		var rec Record
+		err := json.Unmarshal(line, &rec)
+		switch {
+		case err != nil:
+			return Header{}, nil, &FlightRecorderError{Line: i + 2, Reason: err.Error()}
+		case rec.ID == 0 || rec.Kind == "" || rec.End < rec.Start:
+			return Header{}, nil, &FlightRecorderError{Line: i + 2, Reason: "not a finished span"}
+		}
+		recs = append(recs, rec)
+	}
+	return hdr.Header, recs, nil
 }
 
 // Options configures New.

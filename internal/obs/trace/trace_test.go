@@ -1,9 +1,9 @@
 package trace
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -161,33 +161,62 @@ func TestFlightRecorderFile(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f, err := os.Open(path)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	if !sc.Scan() {
-		t.Fatal("flight recorder has no header line")
+	hdr, recs, err := ReadFlightRecorder(raw)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var hdr fileHeader
-	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil {
-		t.Fatalf("header line not JSON: %v", err)
-	}
-	if hdr.Type != "flight-recorder" || hdr.Version != 1 || hdr.Trace != 5 ||
-		hdr.Go != "go1.22" || hdr.Engine != "eng" || hdr.N != 8 || hdr.Seed != 1 {
+	if hdr != (Header{Go: "go1.22", Engine: "eng", N: 8, Seed: 1}) {
 		t.Fatalf("header = %+v", hdr)
 	}
-	if !sc.Scan() {
-		t.Fatal("flight recorder has no span line")
+	if len(recs) != 1 || recs[0].Kind != KindCampaign || recs[0].Outcome != "done" || recs[0].Trace != 5 {
+		t.Fatalf("span records = %+v", recs)
 	}
-	var rec Record
-	if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-		t.Fatalf("span line not JSON: %v", err)
+}
+
+// FuzzFlightRecorder throws arbitrary bytes at the flight-recorder
+// reader. It must never panic, and must return either a typed
+// *FlightRecorderError or only finished spans under a valid header.
+func FuzzFlightRecorder(f *testing.F) {
+	path := filepath.Join(f.TempDir(), "flight.jsonl")
+	r, err := New(Options{File: path, TraceID: 5, Head: Header{Go: "go1.22", N: 8, Seed: 1}})
+	if err != nil {
+		f.Fatal(err)
 	}
-	if rec.Kind != KindCampaign || rec.Outcome != "done" {
-		t.Fatalf("span record = %+v", rec)
+	s := r.Start(KindCampaign, "study")
+	c := r.StartChild(KindCell, "bzip2m/LLFI/all", s)
+	c.Finish()
+	s.Finish()
+	if err := r.Close(); err != nil {
+		f.Fatal(err)
 	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(raw)
+	f.Add(raw[:len(raw)-7])
+	f.Add([]byte(`{"type":"flight-recorder","v":1}` + "\n" + `{"id":3,"kind":"cell","startNs":9,"endNs":2}` + "\n"))
+	f.Add([]byte("garbage\n"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		_, recs, err := ReadFlightRecorder(data)
+		if err != nil {
+			var fre *FlightRecorderError
+			if !errors.As(err, &fre) || recs != nil {
+				t.Fatalf("untyped error %v (records %v)", err, recs)
+			}
+			return
+		}
+		for _, rec := range recs {
+			if rec.ID == 0 || rec.Kind == "" || rec.End < rec.Start {
+				t.Fatalf("reader returned an unfinished span %+v", rec)
+			}
+		}
+	})
 }
 
 func TestFlightRecorderFailStop(t *testing.T) {

@@ -32,7 +32,7 @@ func FuzzWarehouseRecord(f *testing.F) {
 
 	res := sampleResult()
 	res.Adaptive = core.AdaptiveCell{Target: 10, Converged: true, Extended: true,
-		Round1: core.AdaptiveCounts{Benign: 2, SDC: 1, Attempts: 4}}
+		Round1: core.AdaptiveCounts{Benign: 2, SDC: 1, NotActivated: 1, Attempts: 4}}
 	c.StoreCell(key, 10, 10, res)
 	cell, err := os.ReadFile(path)
 	if err != nil {

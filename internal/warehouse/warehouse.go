@@ -343,7 +343,7 @@ func (c *StudyCache) lookup(key core.CellKey, target, base int) (*payload, bool)
 	}
 	switch p.Type {
 	case "cell":
-		if p.Result == nil {
+		if p.Result == nil || p.Result.Validate() != nil {
 			return nil, false
 		}
 	case "skip":

@@ -60,7 +60,7 @@ func sampleResult() *core.CellResult {
 	return &core.CellResult{
 		Prog: "tiny.c", Level: fault.LevelIR, Category: fault.CatAll,
 		Benign: 4, SDC: 3, Crash: 2, Hang: 1,
-		NotActivated: 7, Attempts: 17, SimFaults: 1, DynCandidates: 99,
+		NotActivated: 7, Attempts: 18, SimFaults: 1, DynCandidates: 99,
 	}
 }
 
@@ -273,6 +273,10 @@ func TestCorruptionMatrix(t *testing.T) {
 			if err := os.WriteFile(pathA, []byte("{not json"), 0o644); err != nil {
 				t.Fatal(err)
 			}
+		}},
+		{"invalid counts", func(t *testing.T, c *StudyCache, _, _ string) {
+			// A well-formed, checksummed record no campaign can produce.
+			c.StoreCell(keyA, 10, 10, &core.CellResult{Benign: -40, Crash: 53, Attempts: 13})
 		}},
 		{"wrong-key collision", func(t *testing.T, c *StudyCache, pathA, pathB string) {
 			// File B's (valid, checksummed) record under A's key: the
