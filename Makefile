@@ -21,10 +21,13 @@ race:
 # one -reference golden (mirrors the CI e2e job): SIGTERM mid-run and
 # resume; a live /metrics and /statusz scrape with -trace-out; a traced
 # fiserve fleet with one worker SIGKILLed mid-lease; a warehouse on disk
-# with one record corrupted. Every in-process combination (parallel,
-# shard merge, resume, warehouse, instrumentation, adaptive, variant,
-# execution policy) is proven by TestStudyMatrix in internal/core.
+# with one record corrupted; an adaptive study (round 2 extends cells)
+# SIGTERMed and resumed against its own -reference golden. Every
+# in-process combination (parallel, shard merge, resume, warehouse,
+# instrumentation, adaptive, variant, execution policy) is proven by
+# TestStudyMatrix in internal/core.
 E2E = -experiment all -n 200 -benchmarks bzip2m,mcfm -q
+E2E_ADAPTIVE = $(E2E) -adaptive eps=0.06,min=40,check=20
 e2e:
 	go build -o .e2e-ficompare ./cmd/ficompare
 	go build -o .e2e-fiserve ./cmd/fiserve
@@ -106,6 +109,15 @@ e2e:
 	test -n "$$f" && printf 'corrupted' > "$$f"
 	./.e2e-ficompare $(E2E) -warehouse .e2e-store > .e2e-corrupt.txt
 	cmp .e2e-golden.txt .e2e-corrupt.txt
+	@echo "e2e: adaptive study, SIGTERM mid-run, then resume"
+	./.e2e-ficompare $(E2E_ADAPTIVE) -reference -parallel 4 -events .e2e-adaptive-events.jsonl \
+		> .e2e-adaptive-golden.txt
+	grep -q '"type":"cell_extend"' .e2e-adaptive-events.jsonl
+	./.e2e-ficompare $(E2E_ADAPTIVE) -checkpoint .e2e-adaptive-ck.jsonl > /dev/null 2>&1 & \
+	pid=$$!; sleep 1; kill -TERM $$pid 2>/dev/null; wait $$pid; true
+	test -s .e2e-adaptive-ck.jsonl
+	./.e2e-ficompare $(E2E_ADAPTIVE) -resume .e2e-adaptive-ck.jsonl > .e2e-adaptive.txt
+	cmp .e2e-adaptive-golden.txt .e2e-adaptive.txt
 	rm -rf .e2e-*
 
 # Fuzz smoke: each native fuzz target for 30s (mirrors the CI job).

@@ -157,9 +157,6 @@ func RunCampaign(w io.Writer, prog *core.Program, level fault.Level, cat fault.C
 			defer time.Sleep(opts.StatusLinger)
 		}
 	}
-	if replay != nil {
-		replay.Obs, compiled.Obs = om, om
-	}
 
 	// Result warehouse: a cached record for this exact cell replays the
 	// summary without executing an injection; a fresh result (or a

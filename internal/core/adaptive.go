@@ -1,17 +1,13 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"hlfi/internal/adaptive"
 	"hlfi/internal/fault"
-	"hlfi/internal/obs/trace"
-	"hlfi/internal/sched"
 	"hlfi/internal/telemetry"
 )
 
@@ -53,11 +49,11 @@ func (c *CellResult) adaptiveCounts() adaptive.Counts {
 	}
 }
 
-// Round1State returns the cell's round-1 stop state — the pure input to
+// round1State returns the cell's round-1 stop state — the pure input to
 // the reallocation plan. For an extended record it is the persisted
 // round-1 snapshot (which by construction had not converged); for a
 // round-1 record it is the record itself.
-func (c *CellResult) Round1State() (adaptive.Counts, bool) {
+func (c *CellResult) round1State() (adaptive.Counts, bool) {
 	if c.Adaptive.Extended {
 		r := c.Adaptive.Round1
 		return adaptive.Counts{
@@ -148,251 +144,60 @@ func adaptiveSuffix(res *CellResult) string {
 	}
 }
 
-// adaptiveStates builds the canonical-order round-1 stop states the
-// reallocation plan is computed from. Skipped cells (nil results) are
-// absent: neither donors nor recipients.
-func adaptiveStates(specs []cellSpec, results []*CellResult) []adaptive.CellState {
-	states := make([]adaptive.CellState, len(specs))
+// Round2 is the adaptive reallocation round planned from a study's
+// round-1 records.
+type Round2 struct {
+	Plan adaptive.Plan
+	// Converged counts the cells whose round-1 record stopped early.
+	Converged int
+	// Recipients counts the cells granted budget, including records
+	// already at their planned target (a resumed extension).
+	Recipients int
+	// Extensions lists, in canonical order, the recipients still to run
+	// at their raised target.
+	Extensions []Extension
+}
+
+// Extension is one cell to extend: its canonical position and its
+// activation target (Plan.BaseN plus its grant).
+type Extension struct{ Index, Target int }
+
+// PlanExtensions plans round 2 from the canonical-order round-1 records
+// (nil for a skipped cell, which is neither donor nor recipient). It is
+// a pure function of its inputs, and the local study, a -merge render
+// and the fleet coordinator all call it, so every process that sees the
+// complete round-1 state plans the identical round.
+func PlanExtensions(acfg *adaptive.Config, n int, results []*CellResult) Round2 {
+	var r Round2
+	states := make([]adaptive.CellState, len(results))
 	for i, res := range results {
 		if res == nil {
 			continue
 		}
-		counts, converged := res.Round1State()
+		counts, converged := res.round1State()
 		states[i] = adaptive.CellState{Counts: counts, Converged: converged, Present: true}
-	}
-	return states
-}
-
-// runAdaptiveRound2 computes the stratified reallocation plan from the
-// round-1 states and re-runs every cell whose planned target exceeds
-// its current record. Extensions restart the cell's seeded streams from
-// scratch at the higher target, so the extended record equals the one a
-// fresh fixed-target run would produce — which is why a resumed, merged,
-// or fleet-run study reaches the identical final state.
-//
-// Returns (hard, abort): hard is a cell failure that fails the study
-// with the canonical first error; abort is the caller's context
-// cancellation, to be reported through the same study_abort path as
-// round 1.
-func runAdaptiveRound2(ctx context.Context, cfg StudyConfig, specs []cellSpec, results []*CellResult, parallel, perCell int, root trace.Span) (hard, abort error) {
-	states := adaptiveStates(specs, results)
-	plan := cfg.Adaptive.Reallocate(cfg.N, states)
-	converged := 0
-	for _, s := range states {
-		if s.Present && s.Converged {
-			converged++
+		if converged {
+			r.Converged++
 		}
 	}
-	type ext struct {
-		idx    int
-		target int
-	}
-	var exts []ext
-	recipients := 0
-	for i, g := range plan.Grants {
+	r.Plan = acfg.Reallocate(n, states)
+	for i, g := range r.Plan.Grants {
 		if g <= 0 || results[i] == nil {
 			continue
 		}
-		recipients++
-		t := plan.BaseN + g
-		if results[i].Adaptive.Target == t {
-			continue // resumed extension record already at the planned target
-		}
-		exts = append(exts, ext{idx: i, target: t})
-	}
-	emit(cfg.Events, telemetry.Event{
-		Type:                   telemetry.EventAdaptivePlan,
-		AdaptiveSaved:          plan.Saved,
-		AdaptiveGranted:        plan.Granted,
-		AdaptiveLeftover:       plan.Leftover,
-		AdaptiveConvergedCells: converged,
-		AdaptiveExtendedCells:  recipients,
-	})
-	if cfg.Obs != nil {
-		cfg.Obs.AdaptiveConverged.Add(uint64(converged))
-		cfg.Obs.AdaptiveExtended.Add(uint64(recipients))
-		cfg.Obs.AdaptiveSaved.Add(uint64(plan.Saved))
-		cfg.Obs.AdaptiveGranted.Add(uint64(plan.Granted))
-	}
-	if len(exts) == 0 {
-		return nil, nil
-	}
-
-	prior := make([]*CellResult, len(exts))
-	extMetrics := make([]CellMetrics, len(exts))
-	extErrs := make([]error, len(exts))
-	warehoused := make([]bool, len(exts))
-	var (
-		mu      sync.Mutex
-		done    = make([]bool, len(exts))
-		emitted int
-	)
-	finish := func(j int) {
-		mu.Lock()
-		defer mu.Unlock()
-		done[j] = true
-		for emitted < len(exts) && done[emitted] {
-			e := exts[emitted]
-			noteExtension(cfg, specs[e.idx], prior[emitted], results[e.idx],
-				extMetrics[emitted], extErrs[emitted], warehoused[emitted])
-			emitted++
+		r.Recipients++
+		if t := r.Plan.BaseN + g; results[i].Adaptive.Target != t {
+			r.Extensions = append(r.Extensions, Extension{Index: i, Target: t})
 		}
 	}
-
-	tasks := make([]sched.Task, len(exts))
-	for j := range exts {
-		j := j
-		e := exts[j]
-		s := specs[e.idx]
-		key := s.CellKey
-		prior[j] = results[e.idx]
-		// Warehouse resolution at the extension identity (target,
-		// BaseN): the plan is a pure function of the round-1 states, so
-		// a warm run recomputes the identical targets and every
-		// extension record is a lookup away. Hits are checkpointed like
-		// executed extensions (last-record-wins supersede).
-		if cfg.Warehouse != nil {
-			if wres, _, ok := cfg.Warehouse.Lookup(key, e.target, plan.BaseN); ok && wres != nil {
-				warehoused[j] = true
-				tasks[j] = func(context.Context) error {
-					defer finish(j)
-					results[e.idx] = wres
-					if cerr := cfg.Checkpoint.Cell(key, wres); cerr != nil {
-						extErrs[j] = cerr
-						return cerr
-					}
-					return nil
-				}
-				continue
-			}
-		}
-		tasks[j] = func(context.Context) error {
-			defer finish(j)
-			var espan trace.Span
-			if cfg.Trace != nil {
-				espan = cfg.Trace.StartChild(trace.KindExtension, s.lane(), root)
-				espan.Grant = e.target
-			}
-			c := &Campaign{
-				Prog:          s.prog,
-				Level:         s.Level,
-				Category:      s.Category,
-				Variant:       s.Variant,
-				N:             e.target,
-				Seed:          CellSeed(cfg.Seed, key),
-				Metrics:       &extMetrics[j],
-				SimFaultLimit: cfg.SimFaultLimit,
-				Deadline:      cfg.CellDeadline,
-				Replay:        cfg.Replay,
-				Compiled:      cfg.Compiled,
-				Obs:           cfg.Obs,
-				Adaptive:      cfg.Adaptive,
-				AdaptiveBase:  plan.BaseN,
-				// Traced attempts were already released with the round-1
-				// record; re-tracing the replayed prefix would duplicate
-				// them (tracing never changes outcomes, so dropping it
-				// keeps the extension byte-identical).
-			}
-			if testCampaignHook != nil {
-				testCampaignHook(c)
-			}
-			var res *CellResult
-			var err error
-			if perCell > 1 {
-				res, err = c.RunParallel(perCell)
-			} else {
-				res, err = c.Run()
-			}
-			if cfg.Obs != nil {
-				cfg.Obs.CellSeconds.Observe((extMetrics[j].ScanTime + extMetrics[j].RunTime).Seconds())
-			}
-			if cfg.Trace != nil {
-				emitPhaseSpans(cfg.Trace, espan, s.lane(), extMetrics[j])
-				switch {
-				case err == nil:
-					espan.Outcome = "done"
-				case IsSoftSkip(err):
-					espan.Outcome, espan.Err = "abandoned", err.Error()
-				default:
-					espan.Outcome, espan.Err = "failure", err.Error()
-				}
-				espan.Finish()
-			}
-			if err != nil {
-				extErrs[j] = err
-				if IsSoftSkip(err) {
-					// Degrade to the round-1 record (already checkpointed):
-					// an extension tripping the watchdog must not lose a
-					// cell the study has already measured once.
-					return nil
-				}
-				return err
-			}
-			results[e.idx] = res
-			// The extended record supersedes the round-1 one in the
-			// checkpoint; the loader is last-record-wins, and the higher
-			// target marks it as already-extended on resume.
-			if cerr := cfg.Checkpoint.Cell(key, res); cerr != nil {
-				extErrs[j] = cerr
-				return cerr
-			}
-			if cfg.Warehouse != nil {
-				cfg.Warehouse.StoreCell(key, e.target, plan.BaseN, res)
-			}
-			return nil
-		}
-	}
-	var observer sched.Observer
-	if cfg.Obs != nil {
-		observer = gaugeObserver{g: cfg.Obs.CellsInFlight}
-	}
-	if err := sched.RunObserved(ctx, parallel, tasks, observer); err != nil {
-		for j, cerr := range extErrs {
-			if cerr != nil && !IsSoftSkip(cerr) {
-				return fmt.Errorf("cell %v: %w", specs[exts[j].idx].CellKey, cerr), nil
-			}
-		}
-		return nil, err
-	}
-	return nil, nil
+	return r
 }
 
-// noteExtension releases one extension's progress line and telemetry
-// (through the round-2 reorder buffer, so order is deterministic).
-// The cell_extend event carries DELTA counts over the round-1 record:
-// cell_done totals plus cell_extend totals equal the final study
-// totals, keeping the telemetry aggregator additive.
-func noteExtension(cfg StudyConfig, s cellSpec, prior, res *CellResult, m CellMetrics, err error, warehoused bool) {
-	switch {
-	case res != nil && warehoused && err == nil:
-		cfg.progress(s.resultLine(res, " (warehouse)"))
-		emit(cfg.Events, CellEvent(telemetry.EventWarehouseHit, s.CellKey, res))
-	case err != nil && IsSoftSkip(err):
-		cfg.progress(fmt.Sprintf("%s adaptive extension abandoned (%v); keeping round-1 record", s.label(), err))
-		ev := keyEvent(telemetry.EventCellExtend, s.CellKey)
-		ev.Err = err.Error()
-		emit(cfg.Events, ev)
-	case err != nil:
-		// Hard error: the study is about to fail with the canonical
-		// first error; nothing to release.
-	case res != nil:
-		cfg.progress(s.resultLine(res, ""))
-		// The replayed round-1 prefix re-contains the same panics the
-		// round-1 record already released; only the extension window's
-		// are new.
-		emitSimFaults(cfg, s, m.SimFaults, prior.Attempts)
-		ev := CellEvent(telemetry.EventCellExtend, s.CellKey, &CellResult{
-			Benign: res.Benign - prior.Benign, SDC: res.SDC - prior.SDC,
-			Crash: res.Crash - prior.Crash, Hang: res.Hang - prior.Hang,
-			NotActivated: res.NotActivated - prior.NotActivated,
-			Attempts:     res.Attempts - prior.Attempts,
-			SimFaults:    res.SimFaults - prior.SimFaults,
-			Adaptive:     res.Adaptive,
-		})
-		ev.DurationMS, ev.ScanMS = telemetry.Ms(m.ScanTime+m.RunTime), telemetry.Ms(m.ScanTime)
-		ev.Workers = m.Workers
-		emit(cfg.Events, ev)
-	}
+// Event is the round's adaptive_plan telemetry event.
+func (r Round2) Event() telemetry.Event {
+	return telemetry.Event{Type: telemetry.EventAdaptivePlan,
+		AdaptiveSaved: r.Plan.Saved, AdaptiveGranted: r.Plan.Granted, AdaptiveLeftover: r.Plan.Leftover,
+		AdaptiveConvergedCells: r.Converged, AdaptiveExtendedCells: r.Recipients}
 }
 
 // adaptiveCellRow is one row of the accuracy-vs-cost section.

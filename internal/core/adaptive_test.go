@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"hlfi/internal/adaptive"
 	"hlfi/internal/fault"
@@ -103,162 +105,91 @@ func TestAdaptiveStopDeterminismCore(t *testing.T) {
 	}
 }
 
-// TestAdaptiveShardMergeIdentical: shard workers run round 1 only;
-// merging their checkpoints and rendering recomputes the identical
-// reallocation plan from the persisted round-1 records, runs only the
-// extension campaigns, and reproduces the single-process adaptive study
-// byte for byte.
-func TestAdaptiveShardMergeIdentical(t *testing.T) {
-	p, err := BuildProgram("tiny.c", tinySrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	single := runAdaptiveOracle(t, nil)
-	requireAdaptiveShape(t, single)
-	golden := renderAdaptiveAll(single)
-
-	acfg := adaptiveOracleConfig()
-	dir := t.TempDir()
-	var paths []string
-	for i := 0; i < 3; i++ {
-		spec := ShardSpec{Index: i, Count: 3}
-		path := filepath.Join(dir, fmt.Sprintf("shard-%d-of-3.jsonl", i))
-		w, err := NewCheckpointWriterShape(path, CheckpointShape{
-			N: adaptiveOracleN, Seed: adaptiveOracleSeed, Replay: "off",
-			Adaptive: acfg.Signature(), Shard: spec.String()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := RunStudy(StudyConfig{Programs: []*Program{p},
-			N: adaptiveOracleN, Seed: adaptiveOracleSeed, Cells: CanonicalCells([]*Program{p}, shardOracleCats),
-			Adaptive: acfg, Checkpoint: w, Shard: &spec}); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		paths = append(paths, path)
-	}
-
-	merged, err := MergeShardCheckpoints(paths)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := merged.Shape.Adaptive; got != acfg.Signature() {
-		t.Fatalf("merged shape adaptive = %q, want %q", got, acfg.Signature())
-	}
-	// Shard workers must not have extended anything: round 2 needs the
-	// complete round-1 state no single shard can see.
-	for key, res := range merged.State.Cells {
-		if res.Adaptive.Extended {
-			t.Fatalf("shard cell %v was extended by a shard worker", key)
-		}
-	}
-	if err := merged.VerifyComplete(CanonicalCells([]*Program{p}, shardOracleCats)); err != nil {
-		t.Fatal(err)
-	}
-
-	ran := 0
-	testCampaignHook = func(*Campaign) { ran++ }
-	defer func() { testCampaignHook = nil }()
-	st, err := RunStudy(StudyConfig{Programs: []*Program{p},
-		N: adaptiveOracleN, Seed: adaptiveOracleSeed, Cells: CanonicalCells([]*Program{p}, shardOracleCats),
-		Adaptive: acfg, Resume: merged.State})
-	if err != nil {
-		t.Fatal(err)
-	}
-	extensions := 0
-	for _, c := range single.Cells {
+// TestAdaptiveExtensionSoftSkip pins round 2's degrade path: an
+// extension that soft-skips (here its wall-clock watchdog fires) keeps
+// the cell's round-1 record. The progress line and a cell_extend event
+// carrying the error say so, the checkpoint gains no line for it, and
+// the study renders exactly like a study that ran round 1 only.
+func TestAdaptiveExtensionSoftSkip(t *testing.T) {
+	full := runAdaptiveOracle(t, nil)
+	requireAdaptiveShape(t, full)
+	extended := 0
+	for _, c := range full.Cells {
 		if c.Adaptive.Extended {
-			extensions++
+			extended++
 		}
 	}
-	if ran != extensions {
-		t.Errorf("merge render ran %d campaigns, want exactly the %d extension(s)", ran, extensions)
-	}
-	for key, want := range single.Cells {
-		got := st.Cells[key]
-		if got == nil || *got != *want {
-			t.Errorf("cell %v differs after shard merge:\nsingle %+v\nmerged %+v", key, want, got)
-		}
-	}
-	if report := renderAdaptiveAll(st); report != golden {
-		t.Errorf("merged adaptive report differs from single-process run:\n--- single ---\n%s\n--- merged ---\n%s", golden, report)
-	}
-}
+	// A one-shard study runs round 1 only: the reference.
+	round1 := runAdaptiveOracle(t, func(cfg *StudyConfig) { cfg.Shard = &ShardSpec{Index: 0, Count: 1} })
 
-// TestAdaptiveResumeTruncatedIdentical: an adaptive study resumed from a
-// truncated checkpoint — missing both a round-1 record and the extended
-// record — recomputes exactly the missing cells and renders byte-
-// identically to the uninterrupted adaptive run.
-func TestAdaptiveResumeTruncatedIdentical(t *testing.T) {
+	testCampaignHook = func(c *Campaign) {
+		if c.N > adaptiveOracleN {
+			c.Deadline = time.Nanosecond
+		}
+	}
+	defer func() { testCampaignHook = nil }()
 	path := filepath.Join(t.TempDir(), "ck.jsonl")
-	acfg := adaptiveOracleConfig()
-	shape := CheckpointShape{N: adaptiveOracleN, Seed: adaptiveOracleSeed,
-		Replay: "off", Adaptive: acfg.Signature()}
+	shape := CheckpointShape{N: adaptiveOracleN, Seed: adaptiveOracleSeed, Replay: "off",
+		Adaptive: adaptiveOracleConfig().Signature()}
 	w, err := NewCheckpointWriterShape(path, shape)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := runAdaptiveOracle(t, func(cfg *StudyConfig) { cfg.Checkpoint = w })
-	requireAdaptiveShape(t, full)
+	var cap eventCapture
+	var lines []string
+	st := runAdaptiveOracle(t, func(cfg *StudyConfig) {
+		cfg.Checkpoint, cfg.Events = w, &cap
+		cfg.Progress = func(l string) { lines = append(lines, l) }
+	})
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	golden := renderAdaptiveAll(full)
 
+	for key, want := range round1.Cells {
+		if got := st.Cells[key]; got == nil || *got != *want {
+			t.Errorf("cell %v did not keep its round-1 record:\nround 1 %+v\ngot     %+v", key, want, got)
+		}
+	}
+	if got, want := renderAdaptiveAll(st), renderAdaptiveAll(round1); got != want {
+		t.Errorf("report differs from the round-1-only render:\n--- round 1 ---\n%s\n--- got ---\n%s", want, got)
+	}
+	abandoned := 0
+	for _, l := range lines {
+		if strings.Contains(l, "adaptive extension abandoned") && strings.HasSuffix(l, "; keeping round-1 record") {
+			abandoned++
+		}
+	}
+	if abandoned != extended {
+		t.Errorf("%d abandoned-extension progress lines, want %d:\n%s", abandoned, extended, strings.Join(lines, "\n"))
+	}
+	exts := cap.ofType(telemetry.EventCellExtend)
+	if len(exts) != extended {
+		t.Errorf("%d cell_extend events, want %d", len(exts), extended)
+	}
+	for _, e := range exts {
+		if !strings.Contains(e.Err, "deadline") || e.Attempts != 0 {
+			t.Errorf("abandoned cell_extend event %+v: want the deadline error and no counts", e)
+		}
+	}
+
+	// The checkpoint holds one line per round-1 record and nothing for
+	// the abandoned extensions, so every cell's last line is its round-1
+	// record.
 	state, err := LoadCheckpointShape(path, shape)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The loader restores the adaptive payloads. Drop the extended cell
-	// and one converged cell to simulate an interruption.
-	var extKey, convKey *CellKey
-	for key, res := range state.Cells {
-		key := key
-		switch {
-		case res.Adaptive.Extended && extKey == nil:
-			if res.Adaptive.Round1 != full.Cells[key].Adaptive.Round1 {
-				t.Fatalf("round-1 snapshot did not round-trip for %v", key)
-			}
-			extKey = &key
-		case res.Adaptive.Converged && convKey == nil:
-			convKey = &key
+	for key, want := range round1.Cells {
+		if got := state.Cells[key]; got == nil || *got != *want {
+			t.Errorf("checkpoint's last record for %v is not the round-1 record:\nround 1 %+v\ngot     %+v", key, want, got)
 		}
 	}
-	if extKey == nil || convKey == nil {
-		t.Fatalf("checkpoint lacks an extended or converged record (ext=%v conv=%v)", extKey, convKey)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	delete(state.Cells, *extKey)
-	delete(state.Cells, *convKey)
-
-	ran := 0
-	testCampaignHook = func(*Campaign) { ran++ }
-	defer func() { testCampaignHook = nil }()
-	var cap eventCapture
-	resumed := runAdaptiveOracle(t, func(cfg *StudyConfig) {
-		cfg.Resume = state
-		cfg.Events = &cap
-	})
-	// The dropped converged cell re-runs in round 1; the dropped extended
-	// cell re-runs round 1 and then its extension: three campaigns.
-	if ran != 3 {
-		t.Errorf("resume ran %d campaigns, want 3 (dropped round-1 cell, dropped cell's round 1, and its extension)", ran)
-	}
-	for key, want := range full.Cells {
-		got := resumed.Cells[key]
-		if got == nil || *got != *want {
-			t.Errorf("cell %v differs after truncated resume:\nfull    %+v\nresumed %+v", key, want, got)
-		}
-	}
-	if report := renderAdaptiveAll(resumed); report != golden {
-		t.Errorf("resumed adaptive report differs:\n--- full ---\n%s\n--- resumed ---\n%s", golden, report)
-	}
-	if got := len(cap.ofType(telemetry.EventAdaptivePlan)); got != 1 {
-		t.Errorf("got %d adaptive_plan events, want 1", got)
-	}
-	if got := len(cap.ofType(telemetry.EventCellExtend)); got != 1 {
-		t.Errorf("got %d cell_extend events, want 1", got)
+	if got, want := strings.Count(string(raw), "\n")-1, len(state.Cells)+len(state.Skips); got != want {
+		t.Errorf("checkpoint holds %d records, want %d (round 1 only)", got, want)
 	}
 }
 

@@ -303,12 +303,12 @@ func (c *Campaign) irView() (*llfi.Injector, error) {
 		return nil, err
 	}
 	if c.Replay != nil {
-		if err := c.Replay.armIR(p, inj); err != nil {
+		if err := c.Replay.armIR(p, inj, c.Obs); err != nil {
 			return nil, err
 		}
 	}
 	if c.Compiled != nil {
-		c.Compiled.armIR(p, inj)
+		c.Compiled.armIR(p, inj, c.Obs)
 	}
 	inj.Obs = c.Obs
 	return inj, nil
@@ -324,12 +324,12 @@ func (c *Campaign) asmView() (*pinfi.Injector, error) {
 		return nil, err
 	}
 	if c.Replay != nil {
-		if err := c.Replay.armASM(p, inj); err != nil {
+		if err := c.Replay.armASM(p, inj, c.Obs); err != nil {
 			return nil, err
 		}
 	}
 	if c.Compiled != nil {
-		c.Compiled.armASM(p, inj)
+		c.Compiled.armASM(p, inj, c.Obs)
 	}
 	inj.Obs = c.Obs
 	return inj, nil

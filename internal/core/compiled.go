@@ -23,13 +23,9 @@ import (
 // status, output bytes, RNG streams, and checkpoint/merge bytes are
 // identical to the interpreters under the same seeds. A program the
 // compilers cannot lower falls back to the interpreter silently (the
-// fallback is byte-identical by definition); the Obs fallback counter
-// is the only trace.
+// fallback is byte-identical by definition); the compile-fallback
+// counter of the arming campaign's metrics registry is the only trace.
 type CompiledConfig struct {
-	// Obs, when non-nil, counts compile fallbacks into the live metrics
-	// registry. Purely observational.
-	Obs *obs.Metrics
-
 	once  sync.Once
 	cache *compiledCache
 }
@@ -46,10 +42,7 @@ func (cc *CompiledConfig) Signature() string {
 
 func (cc *CompiledConfig) ensure() *compiledCache {
 	cc.once.Do(func() {
-		cc.cache = &compiledCache{
-			entries: make(map[snapKey]*compEntry),
-			obs:     cc.Obs,
-		}
+		cc.cache = &compiledCache{entries: make(map[snapKey]*compEntry)}
 	})
 	return cc.cache
 }
@@ -57,17 +50,18 @@ func (cc *CompiledConfig) ensure() *compiledCache {
 // armIR wires the compiled IR engine into a freshly built IR injector.
 // Called from the campaign's injector construction (inside ScanTime).
 // Compile failure is not an error: the injector simply stays on the
-// interpreter.
-func (cc *CompiledConfig) armIR(p *Program, inj *llfi.Injector) {
-	if cp := cc.ensure().irProgram(p); cp != nil {
+// interpreter, and the campaign's registry m (nil for none) counts the
+// fallback.
+func (cc *CompiledConfig) armIR(p *Program, inj *llfi.Injector, m *obs.Metrics) {
+	if cp := cc.ensure().irProgram(p, m); cp != nil {
 		inj.UseCompiled(cp)
 	}
 }
 
 // armASM wires the pre-decoded machine engine into a freshly built
 // assembly injector.
-func (cc *CompiledConfig) armASM(p *Program, inj *pinfi.Injector) {
-	if cp := cc.ensure().asmProgram(p); cp != nil {
+func (cc *CompiledConfig) armASM(p *Program, inj *pinfi.Injector, m *obs.Metrics) {
+	if cp := cc.ensure().asmProgram(p, m); cp != nil {
 		inj.UseCompiled(cp)
 	}
 }
@@ -90,7 +84,6 @@ type compEntry struct {
 type compiledCache struct {
 	mu      sync.Mutex
 	entries map[snapKey]*compEntry
-	obs     *obs.Metrics
 }
 
 // lookup returns (entry, true) to wait on, or a fresh unready entry the
@@ -106,7 +99,7 @@ func (cc *compiledCache) lookup(k snapKey) (*compEntry, bool) {
 	return e, false
 }
 
-func (cc *compiledCache) irProgram(p *Program) *irc.Program {
+func (cc *compiledCache) irProgram(p *Program, m *obs.Metrics) *irc.Program {
 	k := snapKey{prog: p.Name, level: fault.LevelIR}
 	e, hit := cc.lookup(k)
 	if hit {
@@ -116,14 +109,14 @@ func (cc *compiledCache) irProgram(p *Program) *irc.Program {
 	cp, err := irc.Compile(p.Prep)
 	if err == nil {
 		e.ir = cp
-	} else if cc.obs != nil {
-		cc.obs.CompiledFallbacks.Inc()
+	} else if m != nil {
+		m.CompiledFallbacks.Inc()
 	}
 	close(e.ready)
 	return e.ir
 }
 
-func (cc *compiledCache) asmProgram(p *Program) *mc.Program {
+func (cc *compiledCache) asmProgram(p *Program, m *obs.Metrics) *mc.Program {
 	k := snapKey{prog: p.Name, level: fault.LevelASM}
 	e, hit := cc.lookup(k)
 	if hit {
@@ -133,8 +126,8 @@ func (cc *compiledCache) asmProgram(p *Program) *mc.Program {
 	cp, err := mc.Compile(p.Asm, p.Prep.Layout.Image, p.Prep.Layout.Base)
 	if err == nil {
 		e.asm = cp
-	} else if cc.obs != nil {
-		cc.obs.CompiledFallbacks.Inc()
+	} else if m != nil {
+		m.CompiledFallbacks.Inc()
 	}
 	close(e.ready)
 	return e.asm

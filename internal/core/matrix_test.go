@@ -150,9 +150,10 @@ type matrixClass struct {
 	seed  int64
 	acfg  *adaptive.Config
 
-	golden *core.Study
-	report string
-	body   []string
+	golden   *core.Study
+	report   string
+	body     []string
+	extended int // golden cells that round 2 extended
 }
 
 func (c *matrixClass) shape(replay *core.ReplayConfig, compiled *core.CompiledConfig, shard string) core.CheckpointShape {
@@ -291,7 +292,9 @@ func (r *rowRun) checkpointed(name string, replay *core.ReplayConfig, compiled *
 
 // merge runs three shard workers, the middle one under the other
 // policy, merges their checkpoints and renders from the merged state
-// into a fourth checkpoint (which receives adaptive extensions).
+// into a fourth checkpoint (which receives adaptive extensions). The
+// render resolves every round-1 cell from the merged state, so it runs
+// or looks up the extensions and nothing else.
 func (r *rowRun) merge() (*core.Study, []string) {
 	t, c := r.t, r.class
 	var paths []string
@@ -315,30 +318,47 @@ func (r *rowRun) merge() (*core.Study, []string) {
 			t.Fatalf("shard worker extended cell %v; round 2 belongs to the merge", key)
 		}
 	}
-	st, path := r.checkpointed("render.jsonl", r.replay, r.compiled, nil, func(cfg *core.StudyConfig) { cfg.Resume = merged.State })
+	render := &captureRecorder{}
+	st, path := r.checkpointed("render.jsonl", r.replay, r.compiled, nil, func(cfg *core.StudyConfig) {
+		cfg.Resume, cfg.Events = merged.State, telemetry.Multi(cfg.Events, render)
+	})
+	if done, ext := render.count(telemetry.EventCellDone), render.count(telemetry.EventCellExtend)+render.count(telemetry.EventWarehouseHit); done != 0 || ext != c.extended {
+		t.Errorf("merge render ran %d cells and resolved %d extensions, want 0 and %d", done, ext, c.extended)
+	}
 	return st, checkpointBody(t, append(paths, path)...)
 }
 
 // resume writes a checkpoint under the other policy (sequential, with no
-// instrumentation or warehouse), cuts it in the middle of its second
-// record as a killed writer would, and resumes it under the row's
-// policy, appending to the same file.
-func (r *rowRun) resume() (*core.Study, []string) {
+// instrumentation or warehouse), cuts it in the middle of one record as
+// a killed writer would — the second record, or with last the final
+// one — and resumes it under the row's policy, appending to the same
+// file.
+func (r *rowRun) resume(last bool, mutate func(*core.StudyConfig)) (*core.Study, []string) {
 	t, c := r.t, r.class
 	replay, compiled := matrixPolicy(otherPolicy(r.row[axPolicy]))
 	_, path := (&rowRun{t: t, class: c, dir: r.dir}).checkpointed("resume.jsonl", replay, compiled, nil, nil)
 	raw, err := os.ReadFile(path)
 	must(t, err)
-	lines := strings.SplitAfter(string(raw), "\n")
-	must(t, os.WriteFile(path, []byte(lines[0]+lines[1]+lines[2][:len(lines[2])/2]), 0o644))
+	lines := strings.SplitAfter(strings.TrimSuffix(string(raw), "\n"), "\n")
+	cut := 2
+	if last {
+		cut = len(lines) - 1
+	}
+	kept := strings.Join(lines[:cut], "")
+	must(t, os.WriteFile(path, []byte(kept+lines[cut][:len(lines[cut])/2]), 0o644))
 	state, err := core.LoadCheckpointShape(path, c.shape(r.replay, r.compiled, ""))
 	must(t, err)
-	if len(state.Cells)+len(state.Skips) != 1 {
+	if !last && len(state.Cells)+len(state.Skips) != 1 {
 		t.Fatalf("cut checkpoint restores %d records, want 1", len(state.Cells)+len(state.Skips))
 	}
 	w, err := core.OpenCheckpointAppend(path)
 	must(t, err)
-	st := r.study(r.replay, r.compiled, func(cfg *core.StudyConfig) { cfg.Resume, cfg.Checkpoint = state, w })
+	st := r.study(r.replay, r.compiled, func(cfg *core.StudyConfig) {
+		cfg.Resume, cfg.Checkpoint = state, w
+		if mutate != nil {
+			mutate(cfg)
+		}
+	})
 	must(t, w.Close())
 	return st, checkpointBody(t, path)
 }
@@ -380,9 +400,11 @@ func (r *rowRun) openWarehouse() {
 	store.Hits, store.Misses, store.Stores = &obs.Counter{}, &obs.Counter{}, &obs.Counter{}
 }
 
-// count returns how many events of type typ the row's studies emitted.
-func (r *rowRun) count(typ string) (n int) {
-	for _, e := range r.events.events {
+// count returns how many events of type typ the recorder holds.
+func (c *captureRecorder) count(typ string) (n int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, e := range c.events {
 		if e.Type == typ {
 			n++
 		}
@@ -415,7 +437,7 @@ func runRow(t *testing.T, c *matrixClass, row matrixRow) *rowRun {
 	case delMerge:
 		st, body = r.merge()
 	case delResume:
-		st, body = r.resume()
+		st, body = r.resume(false, nil)
 	}
 	c.matchGolden(t, st, body)
 
@@ -435,9 +457,9 @@ func runRow(t *testing.T, c *matrixClass, row matrixRow) *rowRun {
 		}
 	}
 	if r.events != nil {
-		switch done := r.count(telemetry.EventCellDone); {
-		case wh == whWarm && (done != 0 || r.count(telemetry.EventWarehouseHit) == 0):
-			t.Errorf("warm warehouse row executed %d cells, %d warehouse hits", done, r.count(telemetry.EventWarehouseHit))
+		switch done := r.events.count(telemetry.EventCellDone); {
+		case wh == whWarm && (done != 0 || r.events.count(telemetry.EventWarehouseHit) == 0):
+			t.Errorf("warm warehouse row executed %d cells, %d warehouse hits", done, r.events.count(telemetry.EventWarehouseHit))
 		case wh == whCorrupt && done != 1:
 			t.Errorf("corrupt-record row executed %d cells, want 1", done)
 		}
@@ -520,6 +542,11 @@ func newMatrixClass(t *testing.T, progs []*core.Program, cells []core.CellKey, n
 	var path string
 	c.golden, path = (&rowRun{t: t, class: c, dir: t.TempDir()}).checkpointed("golden.jsonl", nil, nil, nil, nil)
 	c.report, c.body = matrixReport(c.golden), checkpointBody(t, path)
+	for _, res := range c.golden.Cells {
+		if res.Adaptive.Extended {
+			c.extended++
+		}
+	}
 	return c
 }
 
@@ -562,6 +589,19 @@ func TestStudyMatrix(t *testing.T) {
 			runRow(t, classes[[2]int{row[axAdaptive], row[axVariant]}], row)
 		})
 	}
+
+	// A checkpoint cut inside its last record, an adaptive extension: the
+	// resume plans round 2 again and re-runs exactly that extension.
+	t.Run("adaptive-extension-cut", func(t *testing.T) {
+		c := classes[[2]int{1, 0}]
+		r := &rowRun{t: t, class: c, row: matrixRow{axAdaptive: 1}, dir: t.TempDir()}
+		events := &captureRecorder{}
+		st, body := r.resume(true, func(cfg *core.StudyConfig) { cfg.Events = events })
+		c.matchGolden(t, st, body)
+		if done, ext := events.count(telemetry.EventCellDone), events.count(telemetry.EventCellExtend); done != 0 || ext != 1 {
+			t.Errorf("resume ran %d cells and %d extensions, want only the cut extension", done, ext)
+		}
+	})
 
 	t.Run("six-benchmarks", func(t *testing.T) {
 		progs, err := bench.BuildAll()

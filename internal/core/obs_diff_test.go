@@ -118,10 +118,10 @@ int main() {
 // alone, in both the ReplayStats gauge and the live metrics registry.
 func TestSnapshotCacheGaugePostEviction(t *testing.T) {
 	p := buildSome(t, "quantumm")[0]
-	runCell := func(level fault.Level, rc *core.ReplayConfig) {
+	runCell := func(level fault.Level, rc *core.ReplayConfig, om *obs.Metrics) {
 		c := &core.Campaign{
 			Prog: p, Level: level, Category: fault.CatAll,
-			N: 5, Seed: 9, Replay: rc,
+			N: 5, Seed: 9, Replay: rc, Obs: om,
 		}
 		if _, err := c.Run(); err != nil {
 			t.Fatal(err)
@@ -129,17 +129,17 @@ func TestSnapshotCacheGaugePostEviction(t *testing.T) {
 	}
 	footprint := func(level fault.Level) uint64 {
 		stats := &telemetry.ReplayStats{}
-		runCell(level, &core.ReplayConfig{MemBudget: 1, Stats: stats})
+		runCell(level, &core.ReplayConfig{MemBudget: 1, Stats: stats}, nil)
 		return stats.CacheBytes()
 	}
 	asmOnly := footprint(fault.LevelASM)
 
 	stats := &telemetry.ReplayStats{}
 	om := obs.New()
-	shared := &core.ReplayConfig{MemBudget: 1, Stats: stats, Obs: om}
-	runCell(fault.LevelIR, shared)
+	shared := &core.ReplayConfig{MemBudget: 1, Stats: stats}
+	runCell(fault.LevelIR, shared, om)
 	irBytes := stats.CacheBytes()
-	runCell(fault.LevelASM, shared)
+	runCell(fault.LevelASM, shared, om)
 
 	if stats.Evictions() == 0 {
 		t.Fatal("over-budget cache never evicted")
@@ -153,6 +153,41 @@ func TestSnapshotCacheGaugePostEviction(t *testing.T) {
 	}
 	if om.SnapshotEvictions.Value() != stats.Evictions() {
 		t.Errorf("obs evictions = %d, stats evictions = %d", om.SnapshotEvictions.Value(), stats.Evictions())
+	}
+}
+
+// TestSharedCachesReportToEachStudy: studies sharing one ReplayConfig
+// and CompiledConfig publish the snapshot-cache gauges to their own
+// registries, whether they build snapshots or only hit the cache. The cache is created by the first arming campaign, so the
+// registry must travel with each arm, not with the config.
+func TestSharedCachesReportToEachStudy(t *testing.T) {
+	progs := buildSome(t, "quantumm", "mcfm")
+	stats := &telemetry.ReplayStats{}
+	replay, compiled := &core.ReplayConfig{Stats: stats}, &core.CompiledConfig{}
+	study := func(p *core.Program, om *obs.Metrics) uint64 {
+		t.Helper()
+		_, err := core.RunStudy(core.StudyConfig{Programs: []*core.Program{p}, N: 4, Seed: 1,
+			Cells:  core.CanonicalCells([]*core.Program{p}, []fault.Category{fault.CatAll}),
+			Replay: replay, Compiled: compiled, Obs: om})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return uint64(om.SnapshotCacheBytes.Value())
+	}
+	first, second := obs.New(), obs.New()
+	after1 := study(progs[0], first)
+	if after1 == 0 || after1 != stats.CacheBytes() {
+		t.Fatalf("first study's cache-bytes gauge = %d, replay stats %d", after1, stats.CacheBytes())
+	}
+	if got := study(progs[1], second); got != stats.CacheBytes() || got <= after1 {
+		t.Errorf("second study's cache-bytes gauge = %d, want the whole cache's %d bytes", got, stats.CacheBytes())
+	}
+	if got := uint64(first.SnapshotCacheBytes.Value()); got != after1 {
+		t.Errorf("first study's gauge moved from %d to %d after it finished", after1, got)
+	}
+	// A study served only by cache hits still sees the cache.
+	if got := study(progs[0], obs.New()); got != stats.CacheBytes() {
+		t.Errorf("all-hit study's cache-bytes gauge = %d, want %d", got, stats.CacheBytes())
 	}
 }
 

@@ -44,11 +44,10 @@ type ReplayConfig struct {
 	// single entry larger than the whole budget is thinned (every other
 	// snapshot dropped) until it fits or one snapshot remains.
 	MemBudget uint64
-	// Stats, when non-nil, receives hit/miss/cache accounting.
+	// Stats, when non-nil, receives hit/miss/cache accounting. The live
+	// metrics registry of the campaign arming the cache (Campaign.Obs)
+	// gets the cache gauges and the eviction counter.
 	Stats *telemetry.ReplayStats
-	// Obs, when non-nil, mirrors the cache accounting into the live
-	// metrics registry (cache bytes/snapshot gauges, eviction counter).
-	Obs *obs.Metrics
 
 	once  sync.Once
 	cache *snapshotCache
@@ -88,17 +87,17 @@ func (rc *ReplayConfig) ensure() *snapshotCache {
 			budget:  rc.memBudget(),
 			entries: make(map[snapKey]*snapEntry),
 			stats:   rc.Stats,
-			obs:     rc.Obs,
 		}
 	})
 	return rc.cache
 }
 
-// arm wires snapshots into a freshly built IR injector. Called from the
-// campaign's injector construction (inside ScanTime).
-func (rc *ReplayConfig) armIR(p *Program, inj *llfi.Injector) error {
+// armIR wires snapshots into a freshly built IR injector. Called from
+// the campaign's injector construction (inside ScanTime); m is the
+// campaign's metrics registry (nil for none).
+func (rc *ReplayConfig) armIR(p *Program, inj *llfi.Injector, m *obs.Metrics) error {
 	stride := rc.resolveStride(inj.Golden.Instrs)
-	snaps, err := rc.ensure().irSnaps(p, stride)
+	snaps, err := rc.ensure().irSnaps(p, stride, m)
 	if err != nil {
 		return err
 	}
@@ -107,9 +106,9 @@ func (rc *ReplayConfig) armIR(p *Program, inj *llfi.Injector) error {
 }
 
 // armASM wires snapshots into a freshly built assembly injector.
-func (rc *ReplayConfig) armASM(p *Program, inj *pinfi.Injector) error {
+func (rc *ReplayConfig) armASM(p *Program, inj *pinfi.Injector, m *obs.Metrics) error {
 	stride := rc.resolveStride(inj.Golden.Instrs)
-	snaps, err := rc.ensure().asmSnaps(p, stride)
+	snaps, err := rc.ensure().asmSnaps(p, stride, m)
 	if err != nil {
 		return err
 	}
@@ -146,7 +145,6 @@ type snapshotCache struct {
 	entries map[snapKey]*snapEntry
 	tick    uint64
 	stats   *telemetry.ReplayStats
-	obs     *obs.Metrics
 }
 
 // lookup returns (entry, true) to wait on, or a fresh unready entry the
@@ -164,11 +162,16 @@ func (sc *snapshotCache) lookup(k snapKey) (*snapEntry, bool) {
 	return e, false
 }
 
-func (sc *snapshotCache) irSnaps(p *Program, stride uint64) ([]*interp.Snapshot, error) {
+// irSnaps returns the IR snapshots of p, building them on a miss. The
+// cache's usage is published to m either way: the gauges belong to
+// whichever registry arms the cache, and one served only by hits must
+// not read zero.
+func (sc *snapshotCache) irSnaps(p *Program, stride uint64, m *obs.Metrics) ([]*interp.Snapshot, error) {
 	k := snapKey{prog: p.Name, level: fault.LevelIR}
 	e, hit := sc.lookup(k)
 	if hit {
 		<-e.ready
+		sc.publish(m)
 		return e.ir, e.err
 	}
 	snaps, err := llfi.CaptureSnapshots(p.Prep, stride)
@@ -182,7 +185,7 @@ func (sc *snapshotCache) irSnaps(p *Program, stride uint64) ([]*interp.Snapshot,
 		}
 		b = irBytes(snaps)
 	}
-	sc.seal(k, e, func() {
+	sc.seal(k, e, m, func() {
 		if err == nil {
 			e.ir, e.bytes = snaps, b
 		}
@@ -191,11 +194,12 @@ func (sc *snapshotCache) irSnaps(p *Program, stride uint64) ([]*interp.Snapshot,
 	return e.ir, e.err
 }
 
-func (sc *snapshotCache) asmSnaps(p *Program, stride uint64) ([]*machine.Snapshot, error) {
+func (sc *snapshotCache) asmSnaps(p *Program, stride uint64, m *obs.Metrics) ([]*machine.Snapshot, error) {
 	k := snapKey{prog: p.Name, level: fault.LevelASM}
 	e, hit := sc.lookup(k)
 	if hit {
 		<-e.ready
+		sc.publish(m)
 		return e.asm, e.err
 	}
 	snaps, err := pinfi.CaptureSnapshots(p.Asm, p.Prep.Layout.Image, p.Prep.Layout.Base, stride)
@@ -206,7 +210,7 @@ func (sc *snapshotCache) asmSnaps(p *Program, stride uint64) ([]*machine.Snapsho
 		}
 		b = asmBytes(snaps)
 	}
-	sc.seal(k, e, func() {
+	sc.seal(k, e, m, func() {
 		if err == nil {
 			e.asm, e.bytes = snaps, b
 		}
@@ -218,13 +222,13 @@ func (sc *snapshotCache) asmSnaps(p *Program, stride uint64) ([]*machine.Snapsho
 // seal finalizes a freshly built entry and enforces the memory budget in
 // one critical section: publish fills the entry's payload fields, the
 // ready channel is closed, least-recently-used ready entries other than
-// the newcomer are evicted until the accounted total fits, and the
-// post-eviction usage is published to the stats gauge. Filling the entry
+// the newcomer are evicted until the accounted total fits (counted in
+// m), and the post-eviction usage is published to the stats gauge and m. Filling the entry
 // under sc.mu matters: concurrent builders of other keys scan every
 // entry's payload while holding the lock (totalLocked,
 // publishUsageLocked), and the gauge must never surface a pre-eviction
 // footprint after an eviction pass.
-func (sc *snapshotCache) seal(k snapKey, e *snapEntry, publish func()) {
+func (sc *snapshotCache) seal(k snapKey, e *snapEntry, m *obs.Metrics, publish func()) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	publish()
@@ -236,11 +240,21 @@ func (sc *snapshotCache) seal(k snapKey, e *snapEntry, publish func()) {
 		}
 		delete(sc.entries, vkey)
 		sc.stats.NoteEviction()
-		if sc.obs != nil {
-			sc.obs.SnapshotEvictions.Inc()
+		if m != nil {
+			m.SnapshotEvictions.Inc()
 		}
 	}
-	sc.publishUsageLocked()
+	sc.publishUsageLocked(m)
+}
+
+// publish publishes the cache's current usage to m.
+func (sc *snapshotCache) publish(m *obs.Metrics) {
+	if m == nil {
+		return
+	}
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	sc.publishUsageLocked(m)
 }
 
 func (sc *snapshotCache) totalLocked() uint64 {
@@ -271,16 +285,16 @@ func (sc *snapshotCache) lruLocked(keep snapKey) (*snapEntry, snapKey) {
 	return victim, vkey
 }
 
-func (sc *snapshotCache) publishUsageLocked() {
+func (sc *snapshotCache) publishUsageLocked(m *obs.Metrics) {
 	var bytes, count uint64
 	for _, e := range sc.entries {
 		bytes += e.bytes
 		count += uint64(len(e.ir) + len(e.asm))
 	}
 	sc.stats.SetCacheUsage(bytes, count)
-	if sc.obs != nil {
-		sc.obs.SnapshotCacheBytes.SetUint64(bytes)
-		sc.obs.SnapshotCacheSnapshots.SetUint64(count)
+	if m != nil {
+		m.SnapshotCacheBytes.SetUint64(bytes)
+		m.SnapshotCacheSnapshots.SetUint64(count)
 	}
 }
 

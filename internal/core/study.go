@@ -158,7 +158,7 @@ type StudyConfig struct {
 	// Warehouse, when non-nil, is the content-addressed result cache:
 	// every cell is looked up before execution (a hit resolves the cell
 	// without running a single injection, byte-identical to a cold run
-	// by the warehouse differential oracle) and stored after. Unlike
+	// by the warehouse axis of TestStudyMatrix) and stored after. Unlike
 	// Checkpoint, the warehouse is an accelerator, not the durability
 	// path: its failures degrade to misses or dropped stores and never
 	// abort the study. Warehouse-resolved cells are still appended to
@@ -307,12 +307,6 @@ func RunStudyContext(ctx context.Context, cfg StudyConfig) (*Study, error) {
 		if shard != "" {
 			cfg.Obs.SetShard(shard)
 		}
-		if cfg.Replay != nil {
-			cfg.Replay.Obs = cfg.Obs
-		}
-		if cfg.Compiled != nil {
-			cfg.Compiled.Obs = cfg.Obs
-		}
 	}
 	start := time.Now()
 	root := cfg.Trace.Start(trace.KindCampaign, "study")
@@ -321,186 +315,9 @@ func RunStudyContext(ctx context.Context, cfg StudyConfig) (*Study, error) {
 		root.Finish()
 	}
 
+	// results holds every cell's current record in canonical order: the
+	// round-1 pass fills it and a finished extension replaces its entry.
 	results := make([]*CellResult, len(specs))
-	metrics := make([]CellMetrics, len(specs))
-	cellErrs := make([]error, len(specs))
-	resumed := make([]bool, len(specs))
-	resumedSkips := make([]*CheckpointSkip, len(specs))
-	warehoused := make([]bool, len(specs))
-
-	// Reorder buffer: progress lines and telemetry events are released
-	// only for the completed prefix, so their order matches the serial
-	// path no matter how cells are scheduled. Checkpoint writes happen
-	// at completion instead (outside this buffer): durability must not
-	// wait for a slow earlier cell, and the checkpoint loader is
-	// order-independent.
-	var (
-		mu      sync.Mutex
-		done    = make([]bool, len(specs))
-		emitted int
-	)
-	finish := func(i int) {
-		mu.Lock()
-		defer mu.Unlock()
-		done[i] = true
-		for emitted < len(specs) && done[emitted] {
-			noteCell(cfg, specs[emitted], results[emitted], metrics[emitted],
-				cellErrs[emitted], resumed[emitted], resumedSkips[emitted], warehoused[emitted])
-			emitted++
-		}
-	}
-
-	tasks := make([]sched.Task, len(specs))
-	for i := range specs {
-		i := i
-		s := specs[i]
-		key := s.CellKey
-		if cfg.Resume != nil {
-			res, ok := cfg.Resume.Cells[key]
-			if skip, skipped := cfg.Resume.Skips[key]; skipped && !ok {
-				resumedSkips[i], ok = &skip, true
-			}
-			if ok {
-				results[i], resumed[i] = res, true
-				tasks[i] = func(context.Context) error {
-					if cfg.Obs != nil {
-						cfg.Obs.CellsResumed.Inc()
-					}
-					finish(i)
-					return nil
-				}
-				continue
-			}
-		}
-		// Warehouse resolution: a content-addressed hit replaces the
-		// cell's execution entirely. Unlike resume, the hit is appended
-		// to this study's checkpoint — the warehouse record belongs to a
-		// different file, and -resume (and the fleet render) must find
-		// the cell in this one.
-		if cfg.Warehouse != nil {
-			if res, skip, ok := cfg.Warehouse.Lookup(key, cfg.N, cfg.N); ok {
-				warehoused[i] = true
-				if res != nil {
-					results[i] = res
-					tasks[i] = func(context.Context) error {
-						defer finish(i)
-						if cfg.Obs != nil {
-							cfg.Obs.CellsDone.Inc()
-						}
-						if cerr := cfg.Checkpoint.Cell(key, res); cerr != nil {
-							cellErrs[i] = cerr
-							return cerr
-						}
-						return nil
-					}
-				} else {
-					resumedSkips[i] = skip
-					tasks[i] = func(context.Context) error {
-						defer finish(i)
-						if cfg.Obs != nil {
-							cfg.Obs.CellsSkipped.Inc()
-						}
-						if cerr := cfg.Checkpoint.Skip(key, *skip); cerr != nil {
-							cellErrs[i] = cerr
-							return cerr
-						}
-						return nil
-					}
-				}
-				continue
-			}
-		}
-		tasks[i] = func(context.Context) error {
-			defer finish(i)
-			var cspan trace.Span
-			if cfg.Trace != nil {
-				cspan = cfg.Trace.StartChild(trace.KindCell, s.lane(), root)
-			}
-			c := &Campaign{
-				Prog:          s.prog,
-				Level:         s.Level,
-				Category:      s.Category,
-				Variant:       s.Variant,
-				N:             cfg.N,
-				Seed:          CellSeed(cfg.Seed, key),
-				Metrics:       &metrics[i],
-				SimFaultLimit: cfg.SimFaultLimit,
-				Deadline:      cfg.CellDeadline,
-				Replay:        cfg.Replay,
-				Compiled:      cfg.Compiled,
-				Obs:           cfg.Obs,
-				TraceAttempts: cfg.TraceAttempts,
-				Adaptive:      cfg.Adaptive,
-				AdaptiveBase:  cfg.N,
-			}
-			if testCampaignHook != nil {
-				testCampaignHook(c)
-			}
-			var res *CellResult
-			var err error
-			if perCell > 1 {
-				res, err = c.RunParallel(perCell)
-			} else {
-				res, err = c.Run()
-			}
-			if cfg.Obs != nil {
-				cfg.Obs.CellSeconds.Observe((metrics[i].ScanTime + metrics[i].RunTime).Seconds())
-			}
-			if cfg.Trace != nil {
-				emitPhaseSpans(cfg.Trace, cspan, s.lane(), metrics[i])
-				switch {
-				case err == nil:
-					cspan.Outcome = "done"
-				case IsSoftSkip(err):
-					cspan.Outcome, cspan.Err = "skipped", err.Error()
-				default:
-					cspan.Outcome, cspan.Err = "failure", err.Error()
-				}
-				cspan.Finish()
-			}
-			if err != nil {
-				cellErrs[i] = err
-				if IsSoftSkip(err) {
-					if cfg.Obs != nil {
-						cfg.Obs.CellsSkipped.Inc()
-					}
-					skip := SkipOf(err)
-					// A failed skip-record write is the same durability
-					// break as a failed cell write: abort the study.
-					if cerr := cfg.Checkpoint.Skip(key, skip); cerr != nil {
-						cellErrs[i] = cerr
-						return cerr
-					}
-					if cfg.Warehouse != nil {
-						cfg.Warehouse.StoreSkip(key, cfg.N, cfg.N, skip)
-					}
-					return nil // soft skip: the study keeps going
-				}
-				return err // hard error: cancels the pool
-			}
-			results[i] = res
-			if cfg.Obs != nil {
-				cfg.Obs.CellsDone.Inc()
-			}
-			// Checkpoint durability is part of the contract once armed: a
-			// failed append aborts the cell cleanly (typed
-			// *CheckpointWriteError, sticky in the writer) rather than
-			// letting the study finish while the file silently stops
-			// accumulating the records a later -resume will trust.
-			if cerr := cfg.Checkpoint.Cell(key, res); cerr != nil {
-				cellErrs[i] = cerr
-				return cerr
-			}
-			if cfg.Warehouse != nil {
-				cfg.Warehouse.StoreCell(key, cfg.N, cfg.N, res)
-			}
-			return nil
-		}
-	}
-	var observer sched.Observer
-	if cfg.Obs != nil {
-		observer = gaugeObserver{g: cfg.Obs.CellsInFlight}
-	}
 	// conclude harvests every completed cell into the study and emits
 	// the closing study_done or study_abort event.
 	conclude := func(typ string, cause error) {
@@ -515,48 +332,286 @@ func RunStudyContext(ctx context.Context, cfg StudyConfig) (*Study, error) {
 		}
 		emit(cfg.Events, ev)
 	}
-	// abort hands back the partial study of a cancelled run (the
-	// checkpoint already holds every completed cell). The event stream
-	// is flushed before and after the abort event: an aborting process
-	// is the one most likely to exit without closing its sinks, so both
-	// the buffered tail and the abort marker itself must reach stable
-	// storage here.
-	abort := func(cause error) (*Study, error) {
-		_ = telemetry.Flush(cfg.Events)
-		conclude(telemetry.EventStudyAbort, cause)
-		_ = telemetry.Flush(cfg.Events)
-		finishRoot("aborted")
-		return st, fmt.Errorf("%w: %v", ErrAborted, cause)
+
+	jobs := make([]*cellJob, len(specs))
+	for i, s := range specs {
+		jobs[i] = &cellJob{cellSpec: s, idx: i, target: cfg.N, base: cfg.N}
 	}
-	if err := sched.RunObserved(ctx, parallel, tasks, observer); err != nil {
-		// Report the first hard error in canonical cell order.
-		for i, cerr := range cellErrs {
-			if cerr != nil && !IsSoftSkip(cerr) {
-				finishRoot("failure")
-				return nil, fmt.Errorf("cell %v: %w", specs[i].CellKey, cerr)
+	for round := 1; ; round++ {
+		hard, cancelled := runPass(ctx, cfg, jobs, parallel, perCell, root)
+		for _, j := range jobs {
+			if j.res != nil {
+				results[j.idx] = j.res
 			}
 		}
-		// No task failed: the caller's context was cancelled.
-		return abort(err)
-	}
-
-	// Round 2: stratified reallocation of the activation budget saved by
-	// early-stopped cells. Only a process that can see the complete
-	// round-1 state computes the plan — never a shard worker; the -merge
-	// render (or the fleet coordinator) does it over the full cell set.
-	if cfg.Adaptive != nil && cfg.Shard == nil {
-		if hard, aerr := runAdaptiveRound2(ctx, cfg, specs, results, parallel, perCell, root); hard != nil {
+		if hard != nil {
 			finishRoot("failure")
 			return nil, hard
-		} else if aerr != nil {
-			// Cancelled mid-extension: the partial study keeps every
-			// round-1 record plus any extensions that finished.
-			return abort(aerr)
+		}
+		if cancelled != nil {
+			// Hand back the partial study (the checkpoint already holds
+			// every completed cell and extension). The event stream is
+			// flushed before and after the abort event: an aborting
+			// process is the one most likely to exit without closing its
+			// sinks, so both the buffered tail and the abort marker
+			// itself must reach stable storage here.
+			_ = telemetry.Flush(cfg.Events)
+			conclude(telemetry.EventStudyAbort, cancelled)
+			_ = telemetry.Flush(cfg.Events)
+			finishRoot("aborted")
+			return st, fmt.Errorf("%w: %v", ErrAborted, cancelled)
+		}
+		// Round 2 needs the complete round-1 state: a shard worker never
+		// plans it; the -merge render (or the fleet coordinator) does.
+		if round > 1 || cfg.Adaptive == nil || cfg.Shard != nil {
+			break
+		}
+		if jobs = extensionJobs(cfg, specs, results); len(jobs) == 0 {
+			break
 		}
 	}
 	conclude(telemetry.EventStudyDone, nil)
 	finishRoot("done")
 	return st, nil
+}
+
+// extensionJobs plans round 2, the stratified reallocation of the
+// activation budget early-stopped cells saved, announces the plan, and
+// returns one job per cell to extend. An extension restarts the cell's
+// seeded streams at the higher target, so its record equals a fresh
+// fixed-target run's: a resumed, merged or fleet-run study reaches the
+// identical final state.
+func extensionJobs(cfg StudyConfig, specs []cellSpec, results []*CellResult) []*cellJob {
+	r2 := PlanExtensions(cfg.Adaptive, cfg.N, results)
+	emit(cfg.Events, r2.Event())
+	if cfg.Obs != nil {
+		cfg.Obs.AdaptiveConverged.Add(uint64(r2.Converged))
+		cfg.Obs.AdaptiveExtended.Add(uint64(r2.Recipients))
+		cfg.Obs.AdaptiveSaved.Add(uint64(r2.Plan.Saved))
+		cfg.Obs.AdaptiveGranted.Add(uint64(r2.Plan.Granted))
+	}
+	jobs := make([]*cellJob, len(r2.Extensions))
+	for k, e := range r2.Extensions {
+		jobs[k] = &cellJob{cellSpec: specs[e.Index], idx: e.Index,
+			target: e.Target, base: r2.Plan.BaseN, prior: results[e.Index]}
+	}
+	return jobs
+}
+
+// cellJob is one unit of a study pass: a cell run to an activation
+// target from an adaptive base. Round 1 runs every owned cell at
+// (N, N); round 2 runs the plan's extensions at (BaseN+grant, BaseN)
+// with the cell's round-1 record as prior. runPass fills the rest.
+type cellJob struct {
+	cellSpec
+	idx          int // canonical cell position
+	target, base int
+	prior        *CellResult
+
+	res        *CellResult     // the cell's new record, if the job made one
+	skip       *CheckpointSkip // a resumed or warehoused skip
+	resumed    bool
+	warehoused bool
+	m          CellMetrics
+	err        error
+}
+
+// runPass runs one list of cell jobs on the bounded pool. Progress lines
+// and telemetry events are released through a reorder buffer, only for
+// the completed prefix, so their order is the job order under any
+// scheduling. Checkpoint writes happen at completion instead: durability
+// must not wait for a slow earlier cell, and the checkpoint loader is
+// order-independent. The first hard error cancels outstanding jobs.
+//
+// Returns (hard, cancelled): hard is the first hard error in job order,
+// naming its cell; cancelled is the caller's context cancellation.
+func runPass(ctx context.Context, cfg StudyConfig, jobs []*cellJob, parallel, perCell int, root trace.Span) (hard, cancelled error) {
+	var (
+		mu      sync.Mutex
+		done    = make([]bool, len(jobs))
+		emitted int
+	)
+	finish := func(i int) {
+		mu.Lock()
+		defer mu.Unlock()
+		done[i] = true
+		for emitted < len(jobs) && done[emitted] {
+			noteCell(cfg, jobs[emitted])
+			emitted++
+		}
+	}
+	tasks := make([]sched.Task, len(jobs))
+	for i, j := range jobs {
+		i, j := i, j
+		j.resolve(cfg)
+		tasks[i] = func(context.Context) error {
+			defer finish(i)
+			if j.err = j.complete(cfg, perCell, root); j.err != nil && !IsSoftSkip(j.err) {
+				return j.err // hard error: cancels the pool
+			}
+			return nil
+		}
+	}
+	var observer sched.Observer
+	if cfg.Obs != nil {
+		observer = gaugeObserver{g: cfg.Obs.CellsInFlight}
+	}
+	if err := sched.RunObserved(ctx, parallel, tasks, observer); err != nil {
+		for _, j := range jobs {
+			if j.err != nil && !IsSoftSkip(j.err) {
+				return fmt.Errorf("cell %v: %w", j.CellKey, j.err), nil
+			}
+		}
+		return nil, err // no job failed: the caller's context was cancelled
+	}
+	return nil, nil
+}
+
+// resolve looks a job up before it is scheduled: a round-1 cell in the
+// resumed checkpoint, then the job's (target, base) record in the
+// warehouse. An extension takes only a cached record; skips are stored
+// for round-1 cells alone.
+func (j *cellJob) resolve(cfg StudyConfig) {
+	if cfg.Resume != nil && j.prior == nil {
+		res, ok := cfg.Resume.Cells[j.CellKey]
+		if skip, skipped := cfg.Resume.Skips[j.CellKey]; skipped && !ok {
+			j.skip, ok = &skip, true
+		}
+		if ok {
+			j.res, j.resumed = res, true
+			return
+		}
+	}
+	if cfg.Warehouse != nil {
+		if res, skip, ok := cfg.Warehouse.Lookup(j.CellKey, j.target, j.base); ok && (res != nil || j.prior == nil) {
+			j.res, j.skip, j.warehoused = res, skip, true
+		}
+	}
+}
+
+// complete finishes one job on the pool and returns its error: a soft
+// skip keeps the study going, any other error fails it. The obs cell
+// counters count each cell once, in round 1.
+func (j *cellJob) complete(cfg StudyConfig, perCell int, root trace.Span) error {
+	var cellsDone, cellsSkipped, cellsResumed *obs.Counter
+	if cfg.Obs != nil && j.prior == nil {
+		cellsDone, cellsSkipped, cellsResumed = cfg.Obs.CellsDone, cfg.Obs.CellsSkipped, cfg.Obs.CellsResumed
+	}
+	// A warehouse hit, unlike a resumed record, is appended to this
+	// study's checkpoint: the warehouse record belongs to a different
+	// file, and -resume (and the fleet render) must find the cell here.
+	switch {
+	case j.resumed:
+		cellsResumed.Inc()
+		return nil
+	case j.warehoused && j.res != nil:
+		cellsDone.Inc()
+		return cfg.Checkpoint.Cell(j.CellKey, j.res)
+	case j.warehoused:
+		cellsSkipped.Inc()
+		return cfg.Checkpoint.Skip(j.CellKey, *j.skip)
+	}
+	res, err := j.run(cfg, perCell, root)
+	if IsSoftSkip(err) && j.prior != nil {
+		// Degrade to the round-1 record (already checkpointed): an
+		// extension tripping the watchdog must not lose a cell the study
+		// has already measured once.
+		return err
+	}
+	if IsSoftSkip(err) {
+		cellsSkipped.Inc()
+		skip := SkipOf(err)
+		// A failed skip-record write is the same durability break as a
+		// failed cell write: abort the study.
+		if cerr := cfg.Checkpoint.Skip(j.CellKey, skip); cerr != nil {
+			return cerr
+		}
+		if cfg.Warehouse != nil {
+			cfg.Warehouse.StoreSkip(j.CellKey, j.target, j.base, skip)
+		}
+		return err
+	}
+	if err != nil {
+		return err
+	}
+	j.res = res
+	cellsDone.Inc()
+	// Checkpoint durability is part of the contract once armed: a failed
+	// append aborts the cell cleanly (typed *CheckpointWriteError, sticky
+	// in the writer) rather than letting the study finish while the file
+	// silently stops accumulating the records a later -resume will
+	// trust. An extension's record supersedes the round-1 one: the loader
+	// is last-record-wins, and the higher target marks it extended.
+	if cerr := cfg.Checkpoint.Cell(j.CellKey, res); cerr != nil {
+		return cerr
+	}
+	if cfg.Warehouse != nil {
+		cfg.Warehouse.StoreCell(j.CellKey, j.target, j.base, res)
+	}
+	return nil
+}
+
+// run executes the job's campaign under a cell span (an extension span
+// carrying the target for round 2).
+func (j *cellJob) run(cfg StudyConfig, perCell int, root trace.Span) (*CellResult, error) {
+	kind := trace.KindCell
+	if j.prior != nil {
+		kind = trace.KindExtension
+	}
+	span := cfg.Trace.StartChild(kind, j.lane(), root)
+	if j.prior != nil {
+		span.Grant = j.target
+	}
+	c := &Campaign{
+		Prog:          j.prog,
+		Level:         j.Level,
+		Category:      j.Category,
+		Variant:       j.Variant,
+		N:             j.target,
+		Seed:          CellSeed(cfg.Seed, j.CellKey),
+		Metrics:       &j.m,
+		SimFaultLimit: cfg.SimFaultLimit,
+		Deadline:      cfg.CellDeadline,
+		Replay:        cfg.Replay,
+		Compiled:      cfg.Compiled,
+		Obs:           cfg.Obs,
+		Adaptive:      cfg.Adaptive,
+		AdaptiveBase:  j.base,
+	}
+	// Traced attempts are released with the round-1 record; re-tracing an
+	// extension's replayed prefix would duplicate them (tracing never
+	// changes outcomes, so dropping it keeps the extension identical).
+	if j.prior == nil {
+		c.TraceAttempts = cfg.TraceAttempts
+	}
+	if testCampaignHook != nil {
+		testCampaignHook(c)
+	}
+	var res *CellResult
+	var err error
+	if perCell > 1 {
+		res, err = c.RunParallel(perCell)
+	} else {
+		res, err = c.Run()
+	}
+	if cfg.Obs != nil {
+		cfg.Obs.CellSeconds.Observe((j.m.ScanTime + j.m.RunTime).Seconds())
+	}
+	if cfg.Trace != nil {
+		emitPhaseSpans(cfg.Trace, span, j.lane(), j.m)
+		switch {
+		case err == nil:
+			span.Outcome = "done"
+		case IsSoftSkip(err) && j.prior != nil:
+			span.Outcome, span.Err = "abandoned", err.Error()
+		case IsSoftSkip(err):
+			span.Outcome, span.Err = "skipped", err.Error()
+		default:
+			span.Outcome, span.Err = "failure", err.Error()
+		}
+		span.Finish()
+	}
+	return res, err
 }
 
 // emitPhaseSpans reconstructs one cell's scan and run child spans from
@@ -596,21 +651,22 @@ func IsSoftSkip(err error) bool {
 		errors.Is(err, ErrDeadline)
 }
 
-// noteCell releases one cell's progress line and telemetry events.
-func noteCell(cfg StudyConfig, s cellSpec, res *CellResult, m CellMetrics, err error, resumed bool, rskip *CheckpointSkip, warehoused bool) {
+// noteCell releases one job's progress line and telemetry events.
+func noteCell(cfg StudyConfig, j *cellJob) {
+	s, res, m, err := j.cellSpec, j.res, j.m, j.err
 	skipEvent := func(typ, msg string) {
 		ev := keyEvent(typ, s.CellKey)
 		ev.Err = msg
 		emit(cfg.Events, ev)
 	}
 	switch {
-	case res != nil && warehoused:
+	case res != nil && j.warehoused:
 		cfg.progress(s.resultLine(res, " (warehouse)"))
 		emit(cfg.Events, CellEvent(telemetry.EventWarehouseHit, s.CellKey, res))
-	case rskip != nil && warehoused:
-		cfg.progress(fmt.Sprintf("%s skipped (%s, warehouse)", s.label(), rskip.Kind))
-		skipEvent(telemetry.EventCellSkip, rskip.Err)
-	case res != nil && resumed:
+	case j.skip != nil && j.warehoused:
+		cfg.progress(fmt.Sprintf("%s skipped (%s, warehouse)", s.label(), j.skip.Kind))
+		skipEvent(telemetry.EventCellSkip, j.skip.Err)
+	case res != nil && j.resumed:
 		cfg.progress(s.resultLine(res, " (resumed from checkpoint)"))
 		ev := CellEvent(telemetry.EventCellResume, s.CellKey, res)
 		// cell_resume carries the counts only.
@@ -618,7 +674,14 @@ func noteCell(cfg StudyConfig, s cellSpec, res *CellResult, m CellMetrics, err e
 		emit(cfg.Events, ev)
 	case res != nil:
 		cfg.progress(s.resultLine(res, ""))
-		emitSimFaults(cfg, s, m.SimFaults, 0)
+		from := 0
+		if j.prior != nil {
+			// An extension's replayed round-1 prefix re-contains the
+			// panics the round-1 record already released; only the
+			// extension window's are new.
+			from = j.prior.Attempts
+		}
+		emitSimFaults(cfg, s, m.SimFaults, from)
 		// Traced attempts are released here, through the same reorder
 		// buffer as every other event, so attempt_trace order is
 		// deterministic under any scheduling.
@@ -627,14 +690,17 @@ func noteCell(cfg StudyConfig, s cellSpec, res *CellResult, m CellMetrics, err e
 			ev.Attempt, ev.Trigger, ev.Outcome, ev.Spans = tr.Attempt, tr.Trigger, tr.Outcome.String(), tr.Spans
 			emit(cfg.Events, ev)
 		}
-		emit(cfg.Events, CellDoneEvent(s.CellKey, res, m))
-	case rskip != nil:
-		cfg.progress(fmt.Sprintf("%s skipped (%s, resumed from checkpoint)", s.label(), rskip.Kind))
+		emit(cfg.Events, j.doneEvent())
+	case j.skip != nil:
+		cfg.progress(fmt.Sprintf("%s skipped (%s, resumed from checkpoint)", s.label(), j.skip.Kind))
 		typ := telemetry.EventCellSkip
-		if rskip.Kind == SkipDeadline {
+		if j.skip.Kind == SkipDeadline {
 			typ = telemetry.EventCellDeadline
 		}
-		skipEvent(typ, rskip.Err)
+		skipEvent(typ, j.skip.Err)
+	case j.prior != nil && IsSoftSkip(err):
+		cfg.progress(fmt.Sprintf("%s adaptive extension abandoned (%v); keeping round-1 record", s.label(), err))
+		skipEvent(telemetry.EventCellExtend, err.Error())
 	case errors.Is(err, ErrDeadline):
 		cfg.progress(s.label() + " degraded (deadline exceeded, cell skipped)")
 		ev := keyEvent(telemetry.EventCellDeadline, s.CellKey)
@@ -648,8 +714,29 @@ func noteCell(cfg StudyConfig, s cellSpec, res *CellResult, m CellMetrics, err e
 		cfg.progress(s.label() + " skipped (no candidates)")
 		skipEvent(telemetry.EventCellSkip, err.Error())
 	}
-	// Hard errors and cancelled cells release nothing: the study is about
-	// to fail with the canonical first error (or the abort path).
+	// A failed job and a cancelled one release nothing: the study is
+	// about to fail with the canonical first error (or the abort path).
+	// A job whose checkpoint append failed did resolve its cell, so it is
+	// released above like any other.
+}
+
+// doneEvent is the event of an executed job: cell_done for a round-1
+// cell. An extension's cell_extend carries DELTA counts over the
+// round-1 record, so cell_done totals plus cell_extend totals equal the
+// final study totals and the telemetry aggregator stays additive.
+func (j *cellJob) doneEvent() telemetry.Event {
+	if j.prior == nil {
+		return CellDoneEvent(j.CellKey, j.res, j.m)
+	}
+	p, r := j.prior, j.res
+	ev := CellEvent(telemetry.EventCellExtend, j.CellKey, &CellResult{
+		Benign: r.Benign - p.Benign, SDC: r.SDC - p.SDC, Crash: r.Crash - p.Crash, Hang: r.Hang - p.Hang,
+		NotActivated: r.NotActivated - p.NotActivated, Attempts: r.Attempts - p.Attempts,
+		SimFaults: r.SimFaults - p.SimFaults, Adaptive: r.Adaptive,
+	})
+	ev.DurationMS, ev.ScanMS = telemetry.Ms(j.m.ScanTime+j.m.RunTime), telemetry.Ms(j.m.ScanTime)
+	ev.Workers = j.m.Workers
+	return ev
 }
 
 // emitSimFaults releases the sim_fault events of a cell's contained

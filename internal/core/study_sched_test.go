@@ -1,10 +1,14 @@
 package core_test
 
 import (
+	"context"
+	"errors"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
+	"hlfi/internal/adaptive"
 	"hlfi/internal/bench"
 	"hlfi/internal/core"
 	"hlfi/internal/telemetry"
@@ -222,5 +226,98 @@ func TestStudySchedulerFirstError(t *testing.T) {
 		if !strings.Contains(err.Error(), "cell {quantumm LLFI all}") {
 			t.Fatalf("parallel=%d: error does not name the canonical first cell: %v", parallel, err)
 		}
+	}
+}
+
+// cancelOn cancels a study the first time it emits an event of type typ.
+type cancelOn struct {
+	captureRecorder
+	typ    string
+	cancel context.CancelFunc
+}
+
+func (c *cancelOn) Record(e telemetry.Event) {
+	c.captureRecorder.Record(e)
+	if e.Type == c.typ {
+		c.cancel()
+	}
+}
+
+// TestAdaptiveRound2Abort pins cancellation inside round 2: the study
+// returns ErrAborted with the partial study (every round-1 record plus
+// the extension that finished), emits exactly one study_abort, and a
+// resume from its checkpoint runs the missing extension and renders the
+// uninterrupted study.
+func TestAdaptiveRound2Abort(t *testing.T) {
+	progs := buildSome(t, "quantumm")
+	acfg := &adaptive.Config{Eps: 0.15, MinN: 8, Check: 4}
+	cfg := core.StudyConfig{Programs: progs, N: 24, Seed: 1, Adaptive: acfg}
+	full, err := core.RunStudy(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	extended := 0
+	for _, c := range full.Cells {
+		if c.Adaptive.Extended {
+			extended++
+		}
+	}
+	if extended < 2 {
+		t.Fatalf("fixture extends %d cells, want at least 2 (one finished, one cancelled)", extended)
+	}
+	golden := renderAll(full) + full.RenderAdaptive()
+
+	path := filepath.Join(t.TempDir(), "ck.jsonl")
+	shape := core.CheckpointShape{N: cfg.N, Seed: cfg.Seed, Replay: "off", Adaptive: acfg.Signature()}
+	w, err := core.NewCheckpointWriterShape(path, shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	rec := &cancelOn{typ: telemetry.EventCellExtend, cancel: cancel}
+	aborted := cfg
+	aborted.Checkpoint, aborted.Events = w, rec
+	st, err := core.RunStudyContext(ctx, aborted)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(err, core.ErrAborted) || st == nil {
+		t.Fatalf("study cancelled in round 2 returned (%v, %v), want the partial study and ErrAborted", st != nil, err)
+	}
+	count := func(typ string) (n int) {
+		for _, e := range rec.events {
+			if e.Type == typ {
+				n++
+			}
+		}
+		return n
+	}
+	if count(telemetry.EventStudyAbort) != 1 || count(telemetry.EventStudyDone) != 0 || count(telemetry.EventCellExtend) != 1 {
+		t.Errorf("%d study_abort, %d study_done, %d cell_extend events; want 1, 0, 1",
+			count(telemetry.EventStudyAbort), count(telemetry.EventStudyDone), count(telemetry.EventCellExtend))
+	}
+	done := 0
+	for _, c := range st.Cells {
+		if c.Adaptive.Extended {
+			done++
+		}
+	}
+	if len(st.Cells) != len(full.Cells) || done != 1 {
+		t.Errorf("partial study holds %d cells with %d extended, want %d cells with 1 extended", len(st.Cells), done, len(full.Cells))
+	}
+
+	state, err := core.LoadCheckpointShape(path, shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed := cfg
+	resumed.Resume = state
+	rst, err := core.RunStudy(resumed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := renderAll(rst) + rst.RenderAdaptive(); got != golden {
+		t.Errorf("resumed study differs from the uninterrupted one:\n--- golden ---\n%s\n--- resumed ---\n%s", golden, got)
 	}
 }

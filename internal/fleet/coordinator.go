@@ -531,65 +531,46 @@ func (c *Coordinator) maybeFinishLocked() {
 	close(c.done)
 }
 
-// applyAdaptivePlanLocked computes the budget-reallocation plan from the
-// round-1 records — the identical pure function of the identical inputs
-// the single-process study evaluates, in the same canonical cell order —
-// and reopens each granted cell as a pending extension with its raised
-// target. Cells whose resumed record already carries the extension
-// target (a restarted coordinator replanning) stay resolved. Reports
-// whether any cell was reopened (mutex held).
+// applyAdaptivePlanLocked plans round 2 with core.PlanExtensions — the
+// function the single-process study calls, over the same canonical-order
+// round-1 records — and reopens each cell to extend as a pending
+// extension with its raised target. Cells whose resumed record already
+// carries the extension target (a restarted coordinator replanning) stay
+// resolved. Reports whether any cell was reopened (mutex held).
 func (c *Coordinator) applyAdaptivePlanLocked() bool {
-	base := c.cfg.N
-	states := make([]adaptive.CellState, len(c.cells))
+	results := make([]*core.CellResult, len(c.cells))
 	for i, cs := range c.cells {
-		if cs.result == nil {
-			continue // skipped or degraded: not part of the plan
-		}
-		counts, converged := cs.result.Round1State()
-		states[i] = adaptive.CellState{Counts: counts, Converged: converged, Present: true}
+		results[i] = cs.result // nil for skipped or degraded cells
 	}
-	plan := c.cfg.Adaptive.Reallocate(base, states)
-	convergedCells := 0
-	for _, s := range states {
-		if s.Present && s.Converged {
-			convergedCells++
-		}
-	}
+	r2 := core.PlanExtensions(c.cfg.Adaptive, c.cfg.N, results)
 	reopened, warehoused := 0, 0
-	for i, g := range plan.Grants {
-		cs := c.cells[i]
-		if g <= 0 || cs.result == nil {
-			continue
-		}
-		target := base + g
-		if cs.result.Adaptive.Target == target {
-			continue // resumed record already extended to this target
-		}
+	for _, e := range r2.Extensions {
+		cs := c.cells[e.Index]
 		// The warehouse may already hold the extended record from an
 		// earlier campaign — the grant is a pure function of the round-1
 		// records, so the (target, base) identity matches exactly. A hit
 		// resolves the extension in place: no reopening, no lease.
 		if c.cfg.Warehouse != nil {
-			if wres, _, ok := c.cfg.Warehouse.Lookup(cs.key, target, base); ok && wres != nil {
+			if wres, _, ok := c.cfg.Warehouse.Lookup(cs.key, e.Target, r2.Plan.BaseN); ok && wres != nil {
 				if c.cfg.Checkpoint != nil {
 					if err := c.cfg.Checkpoint.Cell(cs.key, wres); err != nil {
 						c.detachCheckpointLocked(err)
 					}
 				}
-				cs.result, cs.target = wres, target
+				cs.result, cs.target = wres, e.Target
 				warehoused++
 				c.emitWarehouseHit(cs)
 				continue
 			}
 		}
-		cs.target, cs.prior, cs.result = target, cs.result, nil
+		cs.target, cs.prior, cs.result = e.Target, cs.result, nil
 		cs.status, cs.grants, cs.lease = cellPending, 0, 0
 		cs.eligibleAt = time.Time{}
 		// The reopened cell's life continues under an extension span,
 		// parented on the (finished) round-1 cell span so the timeline
 		// shows the plan's lineage.
 		cs.cellSpan = c.cfg.Trace.StartChild(trace.KindExtension, cellName(cs.key), cs.cellSpan)
-		cs.cellSpan.Grant = target
+		cs.cellSpan.Grant = e.Target
 		cs.gapSpan = c.cfg.Trace.StartChild(trace.KindWait, cellName(cs.key), cs.cellSpan)
 		c.resolved--
 		reopened++
@@ -597,11 +578,8 @@ func (c *Coordinator) applyAdaptivePlanLocked() bool {
 	c.cfg.Metrics.AdaptiveExtensions.Add(uint64(reopened))
 	c.updateQueueDepthLocked()
 	c.logf("fleet: adaptive plan: %d activations saved by early-stopped cells; %d cell(s) reopened as extensions, %d resolved from the warehouse (+%d granted, %d leftover)",
-		plan.Saved, reopened, warehoused, plan.Granted, plan.Leftover)
-	c.emit(telemetry.Event{Type: telemetry.EventAdaptivePlan,
-		AdaptiveSaved: plan.Saved, AdaptiveGranted: plan.Granted,
-		AdaptiveLeftover: plan.Leftover, AdaptiveConvergedCells: convergedCells,
-		AdaptiveExtendedCells: reopened + warehoused})
+		r2.Plan.Saved, reopened, warehoused, r2.Plan.Granted, r2.Plan.Leftover)
+	c.emit(r2.Event())
 	return reopened > 0
 }
 
