@@ -5,11 +5,12 @@
 test:
 	go build ./... && go vet ./... && go test ./...
 
-# CPU profile of the paper-hot study shape (BenchmarkPaperHotStudy):
-# the starting point of any hot-path change. Inspect with
-# `go tool pprof -top cpu.out`.
+# CPU and heap profiles of the paper-hot study shape
+# (BenchmarkPaperHotStudy): the starting point of any hot-path or
+# memory change. Inspect with `go tool pprof -top cpu.out` and
+# `go tool pprof -sample_index=inuse_space -top mem.out`.
 profile:
-	go test -run '^$$' -bench PaperHotStudy -benchtime 1x -cpuprofile cpu.out .
+	go test -run '^$$' -bench PaperHotStudy -benchtime 1x -cpuprofile cpu.out -memprofile mem.out .
 
 # Race coverage for the concurrency-bearing packages (mirrors the CI
 # race job). internal/core alone takes about 12 minutes under -race on 2
@@ -20,7 +21,9 @@ race:
 # End-to-end checks that need real processes, each byte-compared with
 # one -reference golden (mirrors the CI e2e job): SIGTERM mid-run and
 # resume; a live /metrics and /statusz scrape with -trace-out; a traced
-# fiserve fleet with one worker SIGKILLed mid-lease; a warehouse on disk
+# fiserve fleet with one worker SIGKILLed mid-lease, scraped once every
+# cell has resolved (the retry can be the study's last grant) and then
+# SIGTERMed to render; a warehouse on disk
 # with one record corrupted; an adaptive study (round 2 extends cells)
 # SIGTERMed and resumed against its own -reference golden. Every
 # in-process combination (parallel, shard merge, resume, warehouse,
@@ -59,7 +62,7 @@ e2e:
 	cmp .e2e-golden.txt .e2e-obs.txt
 	jq -e '[.traceEvents[] | select(.cat=="cell")] | length > 0' .e2e-solo.json > /dev/null
 	@echo "e2e: traced fiserve fleet, one worker SIGKILLed mid-lease"
-	./.e2e-fiserve -listen 127.0.0.1:8792 -once -q $(E2E) \
+	./.e2e-fiserve -listen 127.0.0.1:8792 -q $(E2E) \
 		-lease-ttl 2s -retry-after 50ms -backoff 100ms -checkpoint .e2e-fleet-ck.jsonl \
 		-trace -flight-recorder .e2e-flight.jsonl > .e2e-fleet.txt & \
 	cpid=$$!; \
@@ -73,17 +76,17 @@ e2e:
 		curl -fs http://127.0.0.1:8792/statusz 2>/dev/null | grep -q '"worker": "w3"' && break; sleep 0.1; \
 	done; \
 	kill -9 $$w3 2>/dev/null; \
-	i=0; while kill -0 $$cpid 2>/dev/null && [ $$i -lt 900 ]; do \
-		curl -fs http://127.0.0.1:8792/metrics > .e2e-fleet-metrics.tmp 2>/dev/null \
-			&& mv .e2e-fleet-metrics.tmp .e2e-fleet-metrics.txt; \
-		curl -fs 'http://127.0.0.1:8792/tracez?format=chrome' > .e2e-chrome.tmp 2>/dev/null \
-			&& mv .e2e-chrome.tmp .e2e-chrome.json; \
-		i=$$((i+1)); sleep 0.2; \
+	i=0; until curl -fs http://127.0.0.1:8792/statusz 2>/dev/null \
+			| jq -e '.study.resolved == .study.cells' > /dev/null; do \
+		i=$$((i+1)); \
+		if [ $$i -ge 900 ]; then \
+			echo "e2e: coordinator did not converge"; kill $$cpid $$w1 $$w2 2>/dev/null; exit 1; \
+		fi; \
+		sleep 0.2; \
 	done; \
-	if kill -0 $$cpid 2>/dev/null; then \
-		echo "e2e: coordinator did not converge"; kill $$cpid $$w1 $$w2 2>/dev/null; exit 1; \
-	fi; \
-	wait $$cpid; rc=$$?; wait $$w1 2>/dev/null; wait $$w2 2>/dev/null; exit $$rc
+	curl -fs http://127.0.0.1:8792/metrics > .e2e-fleet-metrics.txt; \
+	curl -fs 'http://127.0.0.1:8792/tracez?format=chrome' > .e2e-chrome.json; \
+	kill -TERM $$cpid; wait $$cpid; rc=$$?; wait $$w1 2>/dev/null; wait $$w2 2>/dev/null; exit $$rc
 	cmp .e2e-golden.txt .e2e-fleet.txt
 	grep -q '^hlfi_fleet_leases_total ' .e2e-fleet-metrics.txt
 	awk '$$1=="hlfi_fleet_lease_expiries_total" && $$2+0>=1 {ok=1} END {exit !ok}' .e2e-fleet-metrics.txt

@@ -136,9 +136,10 @@ func runCtx(ctx context.Context, args []string, onReady func(addr string)) error
 	// the default is a temp file removed only after a fully rendered run,
 	// so an interrupted study is never left without its state. Workers
 	// run every cell on the sequential stream, so the identity is n,
-	// seed and the adaptive signature; the header records the compiled
-	// engines without replay, the policy workers run, as provenance.
-	shape := core.CheckpointShape{N: *n, Seed: *seed, Replay: "off", Compiled: "on",
+	// seed and the adaptive signature; the header records the policy
+	// workers run, snapshot replay under the worker budget plus the
+	// compiled engines, as provenance.
+	shape := core.CheckpointShape{N: *n, Seed: *seed, Replay: fleet.ReplaySignature(), Compiled: "on",
 		Adaptive: adaptCfg.Signature()}
 	ckptPath := *checkpoint
 	var tmpCkptDir string

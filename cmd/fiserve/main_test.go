@@ -116,6 +116,56 @@ func TestFiserveFleetMatchesSingleProcess(t *testing.T) {
 	}
 }
 
+// TestFiserveResumesReplayOffHeader restarts a coordinator on a
+// finished checkpoint whose header records replay "off", the policy
+// workers ran before they armed snapshot replay. Replay is provenance,
+// not identity, so the checkpoint resumes unchanged: every cell
+// restores, the report renders as before and the header is kept.
+func TestFiserveResumesReplayOffHeader(t *testing.T) {
+	prog, err := bench.Build("quantumm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt := filepath.Join(t.TempDir(), "fleet.jsonl")
+	w, err := core.NewCheckpointWriterShape(ckpt, core.CheckpointShape{N: 4, Seed: 2, Replay: "off", Compiled: "on", Adaptive: "off"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := core.RunStudy(core.StudyConfig{Programs: []*core.Program{prog}, N: 4, Seed: 2, Checkpoint: w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var golden bytes.Buffer
+	cli.RenderExperiment(&golden, st, "all")
+	before, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, _, _ := strings.Cut(string(before), "\n")
+	if !strings.Contains(header, `"replay":"off"`) {
+		t.Fatalf("header %s does not record replay off", header)
+	}
+
+	out := captureStdout(t, func() error {
+		return run([]string{"-listen", "127.0.0.1:0", "-once", "-q",
+			"-benchmarks", "quantumm", "-n", "4", "-seed", "2",
+			"-experiment", "all", "-checkpoint", ckpt, "-retry-after", "20ms"})
+	})
+	if out != golden.String() {
+		t.Errorf("resumed report differs:\n--- golden ---\n%s\n--- resumed ---\n%s", golden.String(), out)
+	}
+	after, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, before) {
+		t.Errorf("resume changed the checkpoint:\n--- before ---\n%s\n--- after ---\n%s", before, after)
+	}
+}
+
 func captureStdout(t *testing.T, fn func() error) string {
 	t.Helper()
 	old := os.Stdout

@@ -97,8 +97,11 @@ type edgePlan struct {
 // [0, numValues) instruction results by ID, [numValues, constBase)
 // parameters, and [constBase, constBase+len(consts)) the interned
 // constants and global addresses, which consts is the template for.
+// id is the function's dense index in its Program, which keys a
+// runner's free list of slot arrays.
 type fnCode struct {
 	fn        *ir.Function
+	id        int
 	frameSize uint64
 	mapFrame  bool
 	numValues int
@@ -155,6 +158,7 @@ func Compile(p *interp.Prepared) (*Program, error) {
 		}
 		fc := &fnCode{
 			fn:        f,
+			id:        len(c.fns),
 			frameSize: p.FrameSize(f),
 			mapFrame:  p.FrameSize(f) > interp.MinFrameBytes,
 			numValues: f.NumValues(),
@@ -404,6 +408,7 @@ func (c *compiler) compileInstr(fc *fnCode, b *ir.Block, in *ir.Instr) (step, er
 			}
 			r.sp = fr.savedSP
 			r.stack = r.stack[:len(r.stack)-1]
+			r.free[fc.id] = append(r.free[fc.id], fr.vals)
 			if len(r.stack) == 0 {
 				r.done = true
 				r.result = ir.SignExtend(v, retTy)

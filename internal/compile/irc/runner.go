@@ -50,6 +50,10 @@ type Runner struct {
 	limit uint64
 	sp    uint64
 	stack []*frame
+	// free holds, per fnCode.id, the slot arrays of returned frames for
+	// pushFrame to reuse. Only the arrays are recycled, never the
+	// frames: activation tracking compares frames by pointer.
+	free [][][]uint64
 	// armed caches Inject != nil && !Inject.Happened for the retire
 	// path; it is set when the run starts and cleared when the fault
 	// fires.
@@ -73,6 +77,7 @@ func NewRunner(cp *Program, out io.Writer) *Runner {
 		cp: cp, mem: m, out: out,
 		MaxInstrs: interp.DefaultMaxInstrs,
 		sp:        mem.StackTop,
+		free:      make([][][]uint64, len(cp.fns)),
 	}
 	r.env = &rt.Env{Mem: m, Out: out}
 	return r
@@ -89,6 +94,7 @@ func NewRunnerFromSnapshot(cp *Program, s *interp.Snapshot, out io.Writer) *Runn
 		MaxInstrs: interp.DefaultMaxInstrs,
 		executed:  s.Executed,
 		sp:        sp,
+		free:      make([][][]uint64, len(cp.fns)),
 	}
 	r.env = &rt.Env{Mem: m, Out: out}
 	r.stack = make([]*frame, s.NumFrames())
@@ -274,7 +280,10 @@ func (r *Runner) loop() (int64, error) {
 
 // pushFrame begins a call: the callee's slot array gets its constant
 // tail and the caller's argument slots copied straight into the
-// parameter slots.
+// parameter slots. A slot array a returned frame left on the free list
+// is reused with its result and parameter slots zeroed, as a fresh
+// interpreter frame's are (convergence compares them); its constant
+// tail is never written, so it is still the template.
 func (r *Runner) pushFrame(fc *fnCode, caller *frame, args []int) error {
 	if r.sp < fc.frameSize || r.sp-fc.frameSize < mem.StackLimit {
 		return &mem.Fault{Kind: mem.FaultStackOverflow, Addr: r.sp}
@@ -285,7 +294,15 @@ func (r *Runner) pushFrame(fc *fnCode, caller *frame, args []int) error {
 	if fc.mapFrame {
 		r.mem.Map(base, fc.frameSize)
 	}
-	fr := &frame{vals: fc.newSlots(), base: base, savedSP: savedSP}
+	var vals []uint64
+	if free := r.free[fc.id]; len(free) > 0 {
+		vals = free[len(free)-1]
+		r.free[fc.id] = free[:len(free)-1]
+		clear(vals[:fc.constBase])
+	} else {
+		vals = fc.newSlots()
+	}
+	fr := &frame{vals: vals, base: base, savedSP: savedSP}
 	params := fr.vals[fc.numValues:fc.constBase]
 	for i, s := range args {
 		params[i] = caller.vals[s]

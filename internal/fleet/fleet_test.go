@@ -64,12 +64,13 @@ func renderAll(st *core.Study) string {
 }
 
 // TestFleetLeaseRequeueDeterminism is the fleet leg of the differential
-// matrix (internal/core TestStudyMatrix): three workers on the compiled
-// engines, one killed mid-cell (its lease expires and the cell is
-// retried by a surviving worker), must reproduce the reference-policy
-// single-process run — report bytes, cells, Dyn and sorted checkpoint
-// body — with the merged state routed through the durable checkpoint's
-// typed validation.
+// matrix (internal/core TestStudyMatrix): three workers with snapshot
+// replay and the compiled engines, one killed mid-cell (its lease
+// expires and the cell is retried by a surviving worker), must
+// reproduce the reference-policy single-process run — report bytes,
+// cells, Dyn and sorted checkpoint body — with the merged state routed
+// through the durable checkpoint's typed validation. The survivors
+// must also have replayed: snapshot hits and converged attempts.
 func TestFleetLeaseRequeueDeterminism(t *testing.T) {
 	prog := testProgram(t)
 
@@ -101,7 +102,7 @@ func TestFleetLeaseRequeueDeterminism(t *testing.T) {
 	// Coordinator with a durable checkpoint: the render below must load
 	// it back through the typed checkpoint validation.
 	ckpt := filepath.Join(t.TempDir(), "fleet.jsonl")
-	shape := core.CheckpointShape{N: 8, Seed: 1, Replay: "off", Compiled: "on"}
+	shape := core.CheckpointShape{N: 8, Seed: 1, Replay: ReplaySignature(), Compiled: "on"}
 	writer, err := core.NewCheckpointWriterShape(ckpt, shape)
 	if err != nil {
 		t.Fatal(err)
@@ -139,6 +140,9 @@ func TestFleetLeaseRequeueDeterminism(t *testing.T) {
 	}()
 	wg.Wait() // w3 is dead (holding one granted lease) before the survivors start
 
+	// Each survivor's replay stats, as its last lease left them.
+	var statsMu sync.Mutex
+	replayStats := map[string]*telemetry.ReplayStats{}
 	for _, name := range []string{"w1", "w2"} {
 		name := name
 		wg.Add(1)
@@ -147,6 +151,11 @@ func TestFleetLeaseRequeueDeterminism(t *testing.T) {
 			err := RunWorker(context.Background(), WorkerConfig{
 				Name: name, Client: client(int64(len(name))), Logf: t.Logf,
 				BuildProgram: func(string) (*core.Program, error) { return prog, nil },
+				testReplayHook: func(s *telemetry.ReplayStats) {
+					statsMu.Lock()
+					replayStats[name] = s
+					statsMu.Unlock()
+				},
 			})
 			if err != nil {
 				t.Errorf("%s: %v", name, err)
@@ -172,6 +181,18 @@ func TestFleetLeaseRequeueDeterminism(t *testing.T) {
 	}
 	if m.CellsDegraded.Value() != 0 {
 		t.Errorf("cells degraded = %d, want 0", m.CellsDegraded.Value())
+	}
+	// The workers must have replayed: every survivor that ran a cell
+	// fast-forwarded from snapshots, and some attempts converged.
+	var converged uint64
+	for name, s := range replayStats {
+		if s.Hits() == 0 {
+			t.Errorf("%s: no snapshot hits (%d misses); workers must arm replay", name, s.Misses())
+		}
+		converged += s.Converged()
+	}
+	if len(replayStats) == 0 || converged == 0 {
+		t.Errorf("%d workers reported replay stats with %d converged attempts; want both > 0", len(replayStats), converged)
 	}
 	if !c.CheckpointIntact() {
 		t.Fatal("checkpoint writer was detached")

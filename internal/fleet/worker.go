@@ -11,7 +11,25 @@ import (
 	"hlfi/internal/core"
 	"hlfi/internal/fault"
 	"hlfi/internal/obs/trace"
+	"hlfi/internal/telemetry"
 )
+
+// workerSnapshotBudget caps the accounted bytes of a worker's snapshot
+// cache: about one (program, level) working set. The coordinator grants
+// cells in canonical (program, level, category) order, so a worker only
+// ever needs the snapshots of the (program, level) it is running; the
+// cache's LRU evicts the previous entry and thins an oversized one.
+const workerSnapshotBudget = 1 << 20
+
+// newWorkerReplay returns the replay config a worker arms for its
+// lifetime.
+func newWorkerReplay() *core.ReplayConfig {
+	return &core.ReplayConfig{MemBudget: workerSnapshotBudget, Stats: &telemetry.ReplayStats{}}
+}
+
+// ReplaySignature renders the replay policy every worker runs, for the
+// provenance field of a fleet checkpoint header.
+func ReplaySignature() string { return newWorkerReplay().Signature() }
 
 // WorkerConfig configures one fleet worker loop.
 type WorkerConfig struct {
@@ -32,6 +50,9 @@ type WorkerConfig struct {
 	// silently (simulating a worker killed mid-cell) and ends the
 	// worker loop.
 	testAcquireHook func(*Lease) bool
+	// testReplayHook, when non-nil, receives the worker's replay stats
+	// after every executed lease.
+	testReplayHook func(*telemetry.ReplayStats)
 }
 
 // RunWorker runs the worker loop: lease, execute, heartbeat, complete,
@@ -56,9 +77,10 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	}
 	w := &workerState{
 		progs: make(map[string]*core.Program),
-		// One compiled-engine config for the worker's lifetime, so its
-		// compiled-program cache spans leases (results are byte-identical
-		// with or without it).
+		// One replay and one compiled-engine config for the worker's
+		// lifetime, so the snapshot cache and the compiled-program cache
+		// span leases (results are byte-identical with or without them).
+		replay:   newWorkerReplay(),
 		compiled: &core.CompiledConfig{},
 	}
 
@@ -98,6 +120,9 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 			if err := executeLease(ctx, cfg, w, resp.Lease, logf); err != nil {
 				return fmt.Errorf("fleet worker %s: %w", cfg.Name, err)
 			}
+			if cfg.testReplayHook != nil {
+				cfg.testReplayHook(w.replay.Stats)
+			}
 		default:
 			return fmt.Errorf("fleet worker %s: unknown lease status %q", cfg.Name, resp.Status)
 		}
@@ -105,12 +130,14 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 }
 
 // workerState is the cross-lease cache of one worker: built programs,
-// the compiled-engine config (with its program cache), and the
-// observability side — a lazily armed trace recorder (first traced
-// lease arms it) plus cumulative counters piggybacked to the
-// coordinator on every heartbeat and completion.
+// the replay config (with its snapshot cache), the compiled-engine
+// config (with its program cache), and the observability side — a
+// lazily armed trace recorder (first traced lease arms it) plus
+// cumulative counters piggybacked to the coordinator on every
+// heartbeat and completion.
 type workerState struct {
 	progs    map[string]*core.Program
+	replay   *core.ReplayConfig
 	compiled *core.CompiledConfig
 	tracer   *trace.Recorder
 
@@ -280,6 +307,7 @@ func runLeasedCell(ctx context.Context, cfg WorkerConfig, w *workerState, lease 
 		Seed:          lease.Seed,
 		SimFaultLimit: lease.SimFaultLimit,
 		Deadline:      time.Duration(lease.CellDeadlineMS) * time.Millisecond,
+		Replay:        w.replay,
 		Compiled:      w.compiled,
 		Adaptive:      adaptCfg,
 		AdaptiveBase:  lease.AdaptiveBase,

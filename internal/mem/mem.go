@@ -333,9 +333,10 @@ func (m *Memory) Snapshot() *Memory {
 		m.cow = make(map[uint64]bool, len(m.pages))
 	}
 	m.tlb = [tlbSize]tlbEntry{}
+	// The frozen copy carries no cow set: it is never written, and
+	// Clone marks its own pages.
 	s := &Memory{
 		pages:     make(map[uint64]*[PageSize]byte, len(m.pages)),
-		cow:       make(map[uint64]bool, len(m.pages)),
 		frozen:    true,
 		heapNext:  m.heapNext,
 		allocSize: make(map[uint64]uint64, len(m.allocSize)),
@@ -343,7 +344,6 @@ func (m *Memory) Snapshot() *Memory {
 	}
 	for p, pg := range m.pages {
 		s.pages[p] = pg
-		s.cow[p] = true
 		m.cow[p] = true
 	}
 	for a, sz := range m.allocSize {
