@@ -146,6 +146,7 @@ ci:
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
 	go test ./...
+	(cd hlfibench && go build ./... && go vet ./...)
 	$(MAKE) race
 	$(MAKE) bench-gate
 	$(MAKE) fuzz-smoke

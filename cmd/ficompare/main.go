@@ -18,10 +18,8 @@
 //
 // The paper uses N=1000 injections per cell; that is the default here and
 // takes a few minutes. Use -n to trade precision for speed, -parallel to
-// run campaign cells concurrently (output stays byte-identical),
-// -cell-workers to parallelize attempts within a cell (per-attempt
-// seeding: a different deterministic sample), and -events to capture the
-// campaign telemetry stream as JSONL.
+// run campaign cells concurrently (output stays byte-identical), and
+// -events to capture the campaign telemetry stream as JSONL.
 //
 // For scale-out beyond one process, -shard i/N runs the deterministic
 // subset of cells one worker owns (checkpointing them with a
@@ -72,29 +70,28 @@ func run(args []string) error {
 func runCtx(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("ficompare", flag.ContinueOnError)
 	var (
-		experiment  = fs.String("experiment", "all", "fig3|table4|fig4|table5|table2|calibration|all")
-		n           = fs.Int("n", 1000, "activated injections per cell")
-		seed        = fs.Int64("seed", 1, "study seed")
-		benches     = fs.String("benchmarks", "", "comma-separated subset (default: all six)")
-		quiet       = fs.Bool("q", false, "suppress per-cell progress and the telemetry summary")
-		parallel    = fs.Int("parallel", 1, "campaign cells in flight (study-level scheduler; output is identical for any value)")
-		cellWorkers = fs.Int("cell-workers", 1, "worker goroutines per campaign cell (>1 uses per-attempt seeding: deterministic, but a different sample)")
-		events      = fs.String("events", "", "write the campaign telemetry event stream (JSONL) to this file")
-		jsonOut     = fs.Bool("json", false, "emit machine-readable JSON scoped to the experiment (fig3/fig4/table5/all)")
-		checkpoint  = fs.String("checkpoint", "", "append completed cells to this JSONL checkpoint as they finish")
-		resume      = fs.String("resume", "", "resume from this checkpoint: recorded cells are not re-run and keep checkpointing into the same file (output is byte-identical to an uninterrupted run)")
-		simFaults   = fs.Int("sim-fault-limit", 0, "contained simulator panics tolerated per cell (0 = fail fast, -1 = unlimited)")
-		deadline    = fs.Duration("cell-deadline", 0, "per-cell wall-clock watchdog; an over-deadline cell is skipped as degraded (0 = off)")
-		reference   = fs.Bool("reference", false, cli.ReferenceUsage)
-		status      = fs.String("status", "", "serve live observability on this address (/metrics, /statusz, /tracez, /debug/pprof/); results are byte-identical with or without it")
-		linger      = fs.Duration("status-linger", 0, "keep the status endpoint serving this long after the study finishes (useful for scraping short runs)")
-		traceAtt    = fs.Int("trace-attempts", 0, "record fault-propagation traces for the first N attempts of every cell as attempt_trace events (results stay byte-identical)")
-		shard       = fs.String("shard", "", "run one shard of the study: \"i/N\" owns the canonical cells with index%N == i; pair with -checkpoint (fresh) or -resume (restart), then reassemble with -merge")
-		mergeGlob   = fs.String("merge", "", "merge mode: glob of shard checkpoints to validate and reassemble into the byte-identical single-process report (study shape comes from the headers; no campaigns run)")
-		adaptFlag   = fs.String("adaptive", "off", "adaptive sampling: off|on|eps=E,min=M,check=C — stop each cell once every outcome-rate Wilson 95% CI is narrower than eps, then reallocate the saved budget to the widest cells (off = the paper's fixed-n design)")
-		traceOut    = fs.String("trace-out", "", "record the study timeline and write it to this file as a Chrome trace-event export (open in Perfetto); results are byte-identical with or without it")
-		warehouseD  = fs.String("warehouse", "", "content-addressed result warehouse directory: completed cells are stored under the hash of everything that determines their outcome (program bytes, fault model, n, seed, engine and adaptive signatures) and later runs resolve matching cells from the store without executing a single injection; output stays byte-identical to a cold run")
-		warehouseQ  = fs.Bool("warehouse-query", false, "query mode: print the warehouse hit/skip/miss status of every study cell under the current flags and exit without running campaigns (answers \"which cells changed since this store was populated\")")
+		experiment = fs.String("experiment", "all", "fig3|table4|fig4|table5|table2|calibration|all")
+		n          = fs.Int("n", 1000, "activated injections per cell")
+		seed       = fs.Int64("seed", 1, "study seed")
+		benches    = fs.String("benchmarks", "", "comma-separated subset (default: all six)")
+		quiet      = fs.Bool("q", false, "suppress per-cell progress and the telemetry summary")
+		parallel   = fs.Int("parallel", 1, "campaign cells in flight (study-level scheduler; output is identical for any value)")
+		events     = fs.String("events", "", "write the campaign telemetry event stream (JSONL) to this file")
+		jsonOut    = fs.Bool("json", false, "emit machine-readable JSON scoped to the experiment (fig3/fig4/table5/all)")
+		checkpoint = fs.String("checkpoint", "", "append completed cells to this JSONL checkpoint as they finish")
+		resume     = fs.String("resume", "", "resume from this checkpoint: recorded cells are not re-run and keep checkpointing into the same file (output is byte-identical to an uninterrupted run)")
+		simFaults  = fs.Int("sim-fault-limit", 0, "contained simulator panics tolerated per cell (0 = fail fast, -1 = unlimited)")
+		deadline   = fs.Duration("cell-deadline", 0, "per-cell wall-clock watchdog; an over-deadline cell is skipped as degraded (0 = off)")
+		reference  = fs.Bool("reference", false, cli.ReferenceUsage)
+		status     = fs.String("status", "", "serve live observability on this address (/metrics, /statusz, /tracez, /debug/pprof/); results are byte-identical with or without it")
+		linger     = fs.Duration("status-linger", 0, "keep the status endpoint serving this long after the study finishes (useful for scraping short runs)")
+		traceAtt   = fs.Int("trace-attempts", 0, "record fault-propagation traces for the first N attempts of every cell as attempt_trace events (results stay byte-identical)")
+		shard      = fs.String("shard", "", "run one shard of the study: \"i/N\" owns the canonical cells with index%N == i; pair with -checkpoint (fresh) or -resume (restart), then reassemble with -merge")
+		mergeGlob  = fs.String("merge", "", "merge mode: glob of shard checkpoints to validate and reassemble into the byte-identical single-process report (study shape comes from the headers; no campaigns run)")
+		adaptFlag  = fs.String("adaptive", "off", "adaptive sampling: off|on|eps=E,min=M,check=C — stop each cell once every outcome-rate Wilson 95% CI is narrower than eps, then reallocate the saved budget to the widest cells (off = the paper's fixed-n design)")
+		traceOut   = fs.String("trace-out", "", "record the study timeline and write it to this file as a Chrome trace-event export (open in Perfetto); results are byte-identical with or without it")
+		warehouseD = fs.String("warehouse", "", "content-addressed result warehouse directory: completed cells are stored under the hash of everything that determines their outcome (program bytes, fault model, n, seed, adaptive signature; the engine policy is provenance and never hashed) and later runs resolve matching cells from the store without executing a single injection; output stays byte-identical to a cold run")
+		warehouseQ = fs.Bool("warehouse-query", false, "query mode: print the warehouse hit/skip/miss status of every study cell under the current flags and exit without running campaigns (answers \"which cells changed since this store was populated\")")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -214,14 +211,6 @@ func runCtx(ctx context.Context, args []string) error {
 		if err != nil {
 			return fmt.Errorf("merged checkpoint adaptive signature %q: %w", merged.Shape.Adaptive, err)
 		}
-		// The seeding discipline is identity too, but a header cannot
-		// name a worker count to adopt: this run's -cell-workers must
-		// match the shards'.
-		run := merged.Shape
-		run.Seeding = core.SeedingOf(*cellWorkers)
-		if err := run.CheckIdentity(merged.Shape, merged.Files[0], ""); err != nil {
-			return err
-		}
 		mergedState = merged.State
 		fmt.Fprintf(os.Stderr, "merged %d shard checkpoints: %d cells, %d skips (n=%d seed=%d)\n",
 			merged.Count, len(merged.State.Cells), len(merged.State.Skips), *n, *seed)
@@ -291,15 +280,15 @@ func runCtx(ctx context.Context, args []string) error {
 	// Fault tolerance: an optional resume state (cells already completed
 	// by an interrupted run) and an optional checkpoint writer for this
 	// run's cells. -resume alone keeps appending to the same file. The
-	// header pins the study identity (n, seed, adaptive signature, and
-	// the seeding discipline -cell-workers selects) and the shard spec,
-	// so a resumed run cannot silently mix samples or shards; the replay
+	// header pins the study identity (n, seed, adaptive signature) and
+	// the shard spec, so a resumed run cannot silently mix samples or
+	// shards; the replay
 	// and compiled signatures are recorded as provenance and may differ
 	// on resume. A -merge run resumes from the reassembled shard state
 	// instead.
 	shape := core.CheckpointShape{N: *n, Seed: *seed,
 		Replay: replay.Signature(), Compiled: compiledCfg.Signature(),
-		Adaptive: adaptCfg.Signature(), Seeding: core.SeedingOf(*cellWorkers)}
+		Adaptive: adaptCfg.Signature()}
 	if shardSpec != nil {
 		shape.Shard = shardSpec.String()
 	}
@@ -349,7 +338,7 @@ func runCtx(ctx context.Context, args []string) error {
 
 	start := time.Now()
 	cfg := core.StudyConfig{Programs: progs, Cells: cells, N: *n, Seed: *seed,
-		Workers: *cellWorkers, Parallel: *parallel, Events: rec,
+		Parallel: *parallel, Events: rec,
 		SimFaultLimit: *simFaults, CellDeadline: *deadline,
 		Checkpoint: ckpt, Resume: resumeState, Replay: replay,
 		Compiled: compiledCfg, Obs: om, TraceAttempts: *traceAtt,

@@ -24,9 +24,8 @@ func TestRunExperiments(t *testing.T) {
 		{"-experiment", "fig3", "-benchmarks", "quantumm", "-n", "10", "-q"},
 		{"-experiment", "fig3", "-benchmarks", "quantumm", "-n", "10", "-q", "-json"},
 		{"-experiment", "fig3", "-benchmarks", "quantumm", "-n", "10", "-q", "-parallel", "3"},
-		{"-experiment", "fig3", "-benchmarks", "quantumm", "-n", "10", "-q", "-cell-workers", "3"},
 		{"-experiment", "table5", "-benchmarks", "quantumm", "-n", "10", "-q", "-json"},
-		{"-experiment", "all", "-benchmarks", "quantumm", "-n", "10", "-q", "-parallel", "2", "-cell-workers", "2"},
+		{"-experiment", "all", "-benchmarks", "quantumm", "-n", "10", "-q", "-parallel", "2"},
 		{"-experiment", "calibration", "-benchmarks", "quantumm", "-n", "10", "-q"},
 	}
 	for _, args := range cases {
@@ -199,8 +198,9 @@ func TestRunShardMerge(t *testing.T) {
 // TestRunIdentityAndPolicy: resume, merge and the warehouse follow the
 // study identity. Flipping the execution policy (snapshot replay, the
 // compiled engines) between runs is accepted and renders the same
-// report; flipping the seeding discipline (-cell-workers 1 vs. more) is
-// refused with a typed error naming seeding.
+// report; a checkpoint or shard set written under the removed
+// per-attempt seeding (-cell-workers > 1) is refused on -resume and on
+// -merge with a typed error naming seeding and the removed flag.
 func TestRunIdentityAndPolicy(t *testing.T) {
 	dir := t.TempDir()
 	base := []string{"-experiment", "fig3", "-benchmarks", "quantumm", "-n", "8", "-q"}
@@ -209,8 +209,22 @@ func TestRunIdentityAndPolicy(t *testing.T) {
 	wantSeeding := func(what string, err error) {
 		t.Helper()
 		var hm *core.HeaderMismatchError
-		if !errors.As(err, &hm) || hm.Field != "seeding" {
-			t.Errorf("%s: %v, want a *HeaderMismatchError naming seeding", what, err)
+		if !errors.As(err, &hm) || hm.Field != "seeding" || !strings.Contains(err.Error(), "-cell-workers") {
+			t.Errorf("%s: %v, want a *HeaderMismatchError naming seeding and -cell-workers", what, err)
+		}
+	}
+	// perAttempt copies a checkpoint with its header rewritten as a
+	// -cell-workers 2 run wrote it before the discipline was removed.
+	perAttempt := func(src, dst string) {
+		t.Helper()
+		raw, err := os.ReadFile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hdr, rest, _ := strings.Cut(string(raw), "\n")
+		raw = []byte(strings.TrimSuffix(hdr, "}") + `,"seeding":"per-attempt"}` + "\n" + rest)
+		if err := os.WriteFile(dst, raw, 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
 
@@ -218,7 +232,9 @@ func TestRunIdentityAndPolicy(t *testing.T) {
 	if err := run(with("-checkpoint", ck)); err != nil {
 		t.Fatal(err)
 	}
-	wantSeeding("-cell-workers 4 resume of a sequential checkpoint", run(with("-cell-workers", "4", "-resume", ck)))
+	oldCk := filepath.Join(dir, "per-attempt.jsonl")
+	perAttempt(ck, oldCk)
+	wantSeeding("resume of a per-attempt checkpoint", run(with("-resume", oldCk)))
 
 	// Keep the header and two records; the resume re-runs the rest with
 	// -reference.
@@ -252,18 +268,18 @@ func TestRunIdentityAndPolicy(t *testing.T) {
 		t.Errorf("warm run executed cells instead of serving them from the warehouse:\n%s", stream)
 	}
 
-	// Per-attempt shards merge only under a per-attempt run.
-	perAttempt := captureStdout(t, func() error { return run(with("-cell-workers", "2")) })
+	// Per-attempt shards merge no more; the same shards as written
+	// today merge into the golden report.
 	for i := 0; i < 2; i++ {
 		shard := filepath.Join(dir, fmt.Sprintf("shard-%d.jsonl", i))
-		if err := run(with("-cell-workers", "2", "-shard", fmt.Sprintf("%d/2", i), "-checkpoint", shard)); err != nil {
+		if err := run(with("-shard", fmt.Sprintf("%d/2", i), "-checkpoint", shard)); err != nil {
 			t.Fatal(err)
 		}
+		perAttempt(shard, filepath.Join(dir, fmt.Sprintf("old-%d.jsonl", i)))
 	}
-	glob := filepath.Join(dir, "shard-*.jsonl")
-	wantSeeding("sequential merge of per-attempt shards", run(with("-merge", glob)))
-	if got := captureStdout(t, func() error { return run(with("-cell-workers", "3", "-merge", glob)) }); got != perAttempt {
-		t.Errorf("per-attempt merge differs from the per-attempt run:\n--- want ---\n%s\n--- got ---\n%s", perAttempt, got)
+	wantSeeding("merge of per-attempt shards", run(with("-merge", filepath.Join(dir, "old-*.jsonl"))))
+	if got := captureStdout(t, func() error { return run(with("-merge", filepath.Join(dir, "shard-*.jsonl"))) }); got != golden {
+		t.Errorf("merge differs from the single-process run:\n--- want ---\n%s\n--- got ---\n%s", golden, got)
 	}
 }
 
@@ -391,6 +407,13 @@ func TestRunScaleOutFlagValidation(t *testing.T) {
 		if err := run(args); err == nil {
 			t.Errorf("run(%v) accepted, want rejection", args)
 		}
+	}
+	// Per-attempt seeding is gone: every cell draws one sequential
+	// stream, and the flag that selected the other discipline no longer
+	// parses.
+	if err := run([]string{"-experiment", "fig3", "-benchmarks", "quantumm", "-n", "5", "-q", "-cell-workers", "2"}); err == nil ||
+		!strings.Contains(err.Error(), "flag provided but not defined: -cell-workers") {
+		t.Errorf("-cell-workers 2: %v, want a flag parsing error", err)
 	}
 	// -json is refused before any program is built (an unknown
 	// benchmark would otherwise fail first) for experiments without a

@@ -117,10 +117,11 @@ func (c *Config) Validate() error {
 }
 
 // Signature is the canonical string form pinned into checkpoint, shard,
-// and fleet headers (nil config = "off"), exactly like the replay and
-// compiled-engine signatures: resuming or merging across different
-// adaptive configs would stitch together records no single run could
-// have produced.
+// and fleet headers and hashed into warehouse keys (nil config = "off").
+// Unlike the replay and compiled-engine signatures, which the same
+// headers carry as provenance only, it is study identity: resuming or
+// merging across different adaptive configs would stitch together
+// records no single run could have produced.
 func (c *Config) Signature() string {
 	if c == nil {
 		return "off"

@@ -253,12 +253,11 @@ func emitCampaignEvents(rec telemetry.Recorder, c *core.Campaign, res *core.Cell
 		return
 	}
 	rec.Record(telemetry.Event{Type: telemetry.EventStudyStart,
-		N: c.N, Seed: c.Seed, Cells: 1, Parallel: 1, Workers: m.Workers})
+		N: c.N, Seed: c.Seed, Cells: 1, Parallel: 1})
 	for _, sf := range m.SimFaults {
 		rec.Record(telemetry.Event{Type: telemetry.EventSimFault,
 			Benchmark: sf.Prog, Level: sf.Level.String(), Category: sf.Category.String(),
-			Attempt: sf.Attempt, AttemptSeed: sf.Seed, Sequential: sf.Sequential,
-			Panic: sf.Panic})
+			Attempt: sf.Attempt, AttemptSeed: sf.Seed, Panic: sf.Panic})
 	}
 	switch {
 	case res != nil:

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -76,32 +75,6 @@ func requireAdaptiveShape(t *testing.T, st *Study) {
 	}
 	if converged == 0 || extended == 0 {
 		t.Fatalf("oracle fixture degenerate: %d converged, %d extended (want both nonzero; retune the config)", converged, extended)
-	}
-}
-
-// TestAdaptiveStopDeterminismCore: the per-cell stop points and the full
-// rendered report of an adaptive study are identical across the
-// sequential scheduler and cell-level parallelism — the stopping
-// decision is a function of the attempt-record prefix, never of
-// scheduling.
-func TestAdaptiveStopDeterminismCore(t *testing.T) {
-	single := runAdaptiveOracle(t, nil)
-	requireAdaptiveShape(t, single)
-	golden := renderAdaptiveAll(single)
-
-	for _, parallel := range []int{2, 4} {
-		t.Run(fmt.Sprintf("parallel=%d", parallel), func(t *testing.T) {
-			st := runAdaptiveOracle(t, func(cfg *StudyConfig) { cfg.Parallel = parallel })
-			for key, want := range single.Cells {
-				got := st.Cells[key]
-				if got == nil || *got != *want {
-					t.Errorf("cell %v differs under parallel=%d:\nseq %+v\npar %+v", key, parallel, want, got)
-				}
-			}
-			if report := renderAdaptiveAll(st); report != golden {
-				t.Errorf("parallel=%d report differs from sequential:\n--- seq ---\n%s\n--- par ---\n%s", parallel, golden, report)
-			}
-		})
 	}
 }
 

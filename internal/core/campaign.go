@@ -58,8 +58,8 @@ type Campaign struct {
 	// the interpreter.
 	Compiled *CompiledConfig
 	// Metrics, when non-nil, is filled with per-cell timing telemetry by
-	// Run and RunParallel. It is kept out of CellResult so results stay
-	// comparable across runs (timing never is).
+	// Run. It is kept out of CellResult so results stay comparable across
+	// runs (timing never is).
 	Metrics *CellMetrics
 	// SimFaultLimit is the panic-containment policy: a simulator panic
 	// during an injection attempt is recovered into a SimFault record
@@ -133,9 +133,6 @@ type CellMetrics struct {
 	ScanTime time.Duration
 	// RunTime covers the injection loop.
 	RunTime time.Duration
-	// Workers is the attempt-level worker count used (1 = the sequential
-	// random stream).
-	Workers int
 	// SimFaults holds the contained-panic records of the cell, in
 	// attempt order. Like timing it is kept out of CellResult (which
 	// only counts them) so results stay comparable across runs.
@@ -146,9 +143,9 @@ type CellMetrics struct {
 	Traces []AttemptTrace
 }
 
-func (c *Campaign) noteMetrics(scan, run time.Duration, workers int, faults []SimFault, traces []AttemptTrace) {
+func (c *Campaign) noteMetrics(scan, run time.Duration, faults []SimFault, traces []AttemptTrace) {
 	if c.Metrics != nil {
-		*c.Metrics = CellMetrics{ScanTime: scan, RunTime: run, Workers: workers, SimFaults: faults, Traces: traces}
+		*c.Metrics = CellMetrics{ScanTime: scan, RunTime: run, SimFaults: faults, Traces: traces}
 	}
 }
 
@@ -349,6 +346,11 @@ func wrapNoCandidates(err error) error {
 // the paper's activated-fault accounting) or the attempt budget runs out.
 // A panicking attempt is contained per SimFaultLimit; a cell running
 // past Deadline fails with a *DeadlineError.
+//
+// Every attempt draws from one random stream seeded with Seed, in
+// attempt order: the cell's sample is a pure function of (Seed, N), the
+// committed study outputs are this stream, and a contained panic is
+// reproduced by replaying it up to the failing attempt.
 func (c *Campaign) Run() (*CellResult, error) {
 	if c.N <= 0 {
 		return nil, fmt.Errorf("campaign: N must be positive")
@@ -358,7 +360,7 @@ func (c *Campaign) Run() (*CellResult, error) {
 		maxFactor = 10
 	}
 	maxAttempts := c.N * maxFactor
-	streams := sequentialStreams(c.Seed)
+	rng := rand.New(rand.NewSource(c.Seed))
 	res := &CellResult{Prog: c.Prog.Name, Level: c.Level, Category: c.Category}
 	ad := c.adaptiveState(res, maxFactor)
 
@@ -374,7 +376,7 @@ func (c *Campaign) Run() (*CellResult, error) {
 	loopStart := time.Now()
 	for res.Activated() < c.N && res.Attempts < maxAttempts {
 		if c.deadlineExceeded(loopStart) {
-			c.noteMetrics(scan, time.Since(loopStart), 1, faults, traces)
+			c.noteMetrics(scan, time.Since(loopStart), faults, traces)
 			return nil, c.deadlineError(res, time.Since(loopStart))
 		}
 		attempt := res.Attempts
@@ -383,13 +385,13 @@ func (c *Campaign) Run() (*CellResult, error) {
 		if c.Obs != nil {
 			start = time.Now()
 		}
-		ar, sf := c.safeDraw(draw, streams, attempt, attempt < c.TraceAttempts)
+		ar, sf := c.safeDraw(draw, rng, attempt, attempt < c.TraceAttempts)
 		c.noteAttempt(start, ar.outcome, sf != nil)
 		if sf != nil {
 			res.SimFaults++
 			faults = append(faults, *sf)
 			if !tolerates(c.SimFaultLimit, res.SimFaults) {
-				c.noteMetrics(scan, time.Since(loopStart), 1, faults, traces)
+				c.noteMetrics(scan, time.Since(loopStart), faults, traces)
 				return nil, &SimFaultError{Fault: *sf, Limit: c.SimFaultLimit}
 			}
 			if ad.note(res) {
@@ -411,7 +413,7 @@ func (c *Campaign) Run() (*CellResult, error) {
 			break
 		}
 	}
-	c.noteMetrics(scan, time.Since(loopStart), 1, faults, traces)
+	c.noteMetrics(scan, time.Since(loopStart), faults, traces)
 	if res.Activated() == 0 {
 		return nil, fmt.Errorf("campaign %s/%s/%s: %w in %d attempts",
 			c.Prog.Name, c.Level, c.Category, ErrNotActivated, res.Attempts)
@@ -421,16 +423,16 @@ func (c *Campaign) Run() (*CellResult, error) {
 
 // safeDraw runs one injection attempt behind a recovery boundary: an
 // unexpected simulator panic is converted into a SimFault record
-// (carrying the stream discipline's reproducing seed) instead of
-// taking down the process.
-func (c *Campaign) safeDraw(draw func(*rand.Rand, bool) attemptResult, streams *attemptStreams, attempt int, traced bool) (ar attemptResult, sf *SimFault) {
+// (carrying the campaign seed that reproduces it) instead of taking
+// down the process.
+func (c *Campaign) safeDraw(draw func(*rand.Rand, bool) attemptResult, rng *rand.Rand, attempt int, traced bool) (ar attemptResult, sf *SimFault) {
 	defer func() {
 		if r := recover(); r != nil {
-			f := c.simFault(attempt, streams.reproSeed(attempt), streams.sequential(), r)
+			f := c.simFault(attempt, r)
 			sf = &f
 		}
 	}()
-	return draw(streams.stream(attempt), traced), nil
+	return draw(rng, traced), nil
 }
 
 // DynCount reports a program's dynamic candidate count for a category at

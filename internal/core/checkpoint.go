@@ -19,11 +19,13 @@
 // Cell and skip lines of a non-paper cell variant carry "variant" (1
 // calibrated, 2 resampled); paper cells omit it.
 //
-// The header's n, seed, adaptive and seeding fields are the study
-// identity (CheckpointShape.Identity): resume and merge refuse a file
-// whose identity differs. seeding appears only for per-attempt studies
-// ("seeding":"per-attempt"). replay and compiled record the execution
-// policy of the run that created the file and are never compared.
+// The header's n, seed and adaptive fields are the study identity
+// (CheckpointShape.Identity): resume and merge refuse a file whose
+// identity differs. replay and compiled record the execution policy of
+// the run that created the file and are never compared. A header with
+// "seeding":"per-attempt" was written by the removed -cell-workers
+// discipline; its cells are a different sample, so the loader refuses
+// it.
 //
 // Lines are written in completion order (not canonical cell order — the
 // durability path is deliberately decoupled from the reorder buffer that
@@ -97,14 +99,14 @@ func (e *CheckpointTruncatedError) Error() string {
 type checkpointLine struct {
 	Type string `json:"type"` // "study" | "cell" | "skip"
 
-	// Header fields (type "study"). N, Seed, Adaptive and Seeding are the
-	// study identity (CheckpointShape.Identity). Replay and Compiled are
+	// Header fields (type "study"). N, Seed and Adaptive are the study
+	// identity (CheckpointShape.Identity). Replay and Compiled are
 	// provenance: the execution policy of the run that created the file,
 	// never compared on resume or merge. Shard ("i/N") marks the
 	// checkpoint of one shard worker owning the canonical cells with
-	// index%N == i; unsharded studies carry no field. Seeding is written
-	// only for per-attempt studies, so sequential headers keep their
-	// pre-seeding bytes.
+	// index%N == i; unsharded studies carry no field. Seeding is read
+	// only: no header is written with it, and a loaded "per-attempt"
+	// (the removed -cell-workers discipline) is refused.
 	Version  int    `json:"version,omitempty"`
 	N        int    `json:"n,omitempty"`
 	Seed     int64  `json:"seed,omitempty"`
@@ -257,24 +259,6 @@ func SkipOf(err error) CheckpointSkip {
 	return CheckpointSkip{Kind: kind, Err: err.Error()}
 }
 
-// Attempt-seeding disciplines (CheckpointShape.Seeding).
-const (
-	// SeedingSequential: one random stream per cell (cell workers <= 1).
-	SeedingSequential = "sequential"
-	// SeedingPerAttempt: one stream per attempt (cell workers > 1), a
-	// deterministic but different sample than the sequential stream.
-	SeedingPerAttempt = "per-attempt"
-)
-
-// SeedingOf names the attempt-seeding discipline of a study run with
-// the given per-cell worker count (StudyConfig.Workers).
-func SeedingOf(workers int) string {
-	if workers > 1 {
-		return SeedingPerAttempt
-	}
-	return SeedingSequential
-}
-
 // CheckpointShape describes a study as a checkpoint header records it.
 // Identity lists the fields that determine cell outcomes; Replay and
 // Compiled are provenance only (proven byte-identical by the
@@ -285,23 +269,19 @@ type CheckpointShape struct {
 	Replay   string // ReplayConfig.Signature: provenance only
 	Compiled string // CompiledConfig.Signature: provenance only
 	Adaptive string // adaptive.Config.Signature ("off" or "eps=…,min=…,check=…")
-	Seeding  string // SeedingSequential or SeedingPerAttempt ("" = sequential)
 	Shard    string // "i/N", or "" for an unsharded study
 }
 
 // Normalized maps an empty replay, compiled, or adaptive signature onto
-// the explicit "off", and an empty seeding onto sequential: headers
-// written before a field existed carry no value for it, and an empty
-// argument means the feature is off. Every header written, loaded,
-// merged, or hashed into a warehouse key goes through this one rule.
+// the explicit "off": headers written before a field existed carry no
+// value for it, and an empty argument means the feature is off. Every
+// header written, loaded, merged, or hashed into a warehouse key goes
+// through this one rule.
 func (s CheckpointShape) Normalized() CheckpointShape {
 	for _, sig := range []*string{&s.Replay, &s.Compiled, &s.Adaptive} {
 		if *sig == "" {
 			*sig = "off"
 		}
-	}
-	if s.Seeding == "" {
-		s.Seeding = SeedingSequential
 	}
 	return s
 }
@@ -322,7 +302,6 @@ func (s CheckpointShape) Identity() []IdentityField {
 		{"n", strconv.Itoa(s.N), "the injection count (-n)"},
 		{"seed", strconv.FormatInt(s.Seed, 10), "the study seed (-seed)"},
 		{"adaptive", s.Adaptive, "adaptive sampling (-adaptive)"},
-		{"seeding", s.Seeding, "attempt seeding (-cell-workers)"},
 	}
 }
 
@@ -423,9 +402,12 @@ func readCheckpoint(path string) (*CheckpointState, CheckpointShape, error) {
 				return nil, hdr, fmt.Errorf("checkpoint %s: version %d (supported: %d)",
 					path, line.Version, checkpointVersion)
 			}
+			if line.Seeding != "" && line.Seeding != "sequential" {
+				return nil, hdr, &HeaderMismatchError{File: path, Field: "seeding",
+					Want: "sequential", Got: line.Seeding}
+			}
 			hdr = CheckpointShape{N: line.N, Seed: line.Seed, Replay: line.Replay,
-				Compiled: line.Compiled, Adaptive: line.Adaptive, Seeding: line.Seeding,
-				Shard: line.Shard}.Normalized()
+				Compiled: line.Compiled, Adaptive: line.Adaptive, Shard: line.Shard}.Normalized()
 			st.N, st.Seed, st.Shard = line.N, line.Seed, line.Shard
 			sawHeader = true
 		case "cell":
@@ -528,9 +510,6 @@ func NewCheckpointWriterShape(path string, shape CheckpointShape) (*CheckpointWr
 	line := checkpointLine{Type: "study", Version: checkpointVersion,
 		N: shape.N, Seed: shape.Seed, Replay: shape.Replay, Compiled: shape.Compiled,
 		Adaptive: shape.Adaptive, Shard: shape.Shard}
-	if shape.Seeding != SeedingSequential {
-		line.Seeding = shape.Seeding
-	}
 	if err := w.append(line); err != nil {
 		f.Close()
 		return nil, err

@@ -74,49 +74,47 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCheckpointSeedingDiscipline: the attempt-seeding discipline is
-// identity. A sequential header keeps its pre-seeding bytes, a
-// per-attempt header records the discipline, resuming across the two
-// is refused with a typed error naming the field, and any two cell
-// worker counts above one share a discipline.
+// TestCheckpointSeedingDiscipline: every study draws one sequential
+// stream per cell. A header keeps its bytes (no seeding field), an
+// explicit "seeding":"sequential" still loads, and a header written
+// under the removed per-attempt discipline (-cell-workers > 1) is
+// refused with a typed error naming the removed flag.
 func TestCheckpointSeedingDiscipline(t *testing.T) {
 	dir := t.TempDir()
-	write := func(name string, workers int) (string, string) {
+	seq := filepath.Join(dir, "seq.jsonl")
+	w, err := NewCheckpointWriterShape(seq, CheckpointShape{N: 10, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(seq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const hdr = `{"type":"study","version":1,"n":10,"seed":5,"replay":"off","compiled":"off","adaptive":"off"`
+	if want := hdr + "}\n"; string(raw) != want {
+		t.Errorf("sequential header = %s, want %s", raw, want)
+	}
+	file := func(name, header string) string {
 		t.Helper()
 		path := filepath.Join(dir, name)
-		w, err := NewCheckpointWriterShape(path, CheckpointShape{N: 10, Seed: 5, Seeding: SeedingOf(workers)})
-		if err != nil {
+		body := header + "\n" + `{"type":"skip","benchmark":"tiny.c","level":"LLFI","category":"cast","kind":"no-candidates","err":"x"}` + "\n"
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return path, string(raw)
+		return path
 	}
-	seq, seqHdr := write("seq.jsonl", 1)
-	par, parHdr := write("par.jsonl", 4)
-	if want := `{"type":"study","version":1,"n":10,"seed":5,"replay":"off","compiled":"off","adaptive":"off"}` + "\n"; seqHdr != want {
-		t.Errorf("sequential header = %s, want %s", seqHdr, want)
+	explicit := file("explicit.jsonl", hdr+`,"seeding":"sequential"}`)
+	if st, err := LoadCheckpointShape(explicit, CheckpointShape{N: 10, Seed: 5}); err != nil || len(st.Skips) != 1 {
+		t.Errorf("explicit sequential header: %v, want it loaded with its skip", err)
 	}
-	if !strings.Contains(parHdr, `"seeding":"per-attempt"`) {
-		t.Errorf("per-attempt header does not record the discipline: %s", parHdr)
-	}
-	for _, tc := range []struct {
-		path    string
-		workers int
-	}{{seq, 4}, {par, 1}} {
-		_, err := LoadCheckpointShape(tc.path, CheckpointShape{N: 10, Seed: 5, Seeding: SeedingOf(tc.workers)})
-		var hm *HeaderMismatchError
-		if !errors.As(err, &hm) || hm.Field != "seeding" || !strings.Contains(err.Error(), "seeding") {
-			t.Errorf("resume of %s with %d cell workers: %v, want a seeding *HeaderMismatchError", tc.path, tc.workers, err)
-		}
-	}
-	if _, err := LoadCheckpointShape(par, CheckpointShape{N: 10, Seed: 5, Seeding: SeedingOf(2)}); err != nil {
-		t.Errorf("per-attempt resume with a different worker count refused: %v", err)
+	par := file("par.jsonl", hdr+`,"seeding":"per-attempt"}`)
+	_, err = LoadCheckpointShape(par, CheckpointShape{N: 10, Seed: 5})
+	var hm *HeaderMismatchError
+	if !errors.As(err, &hm) || hm.Field != "seeding" || hm.Got != "per-attempt" || !strings.Contains(err.Error(), "-cell-workers") {
+		t.Errorf("resume of a per-attempt checkpoint: %v, want a seeding *HeaderMismatchError naming -cell-workers", err)
 	}
 }
 

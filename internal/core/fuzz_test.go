@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -11,11 +13,12 @@ import (
 )
 
 // FuzzLoadCheckpoint throws arbitrary file bytes at the checkpoint
-// loader behind -resume and -merge. It must never panic, and any state
-// it does load must survive a write and a second load unchanged: what
-// the loader accepts, the writer can reproduce.
+// loader behind -resume and -merge. It must never panic, it must refuse
+// any study header of the removed per-attempt seeding discipline, and
+// any state it does load must survive a write and a second load
+// unchanged: what the loader accepts, the writer can reproduce.
 func FuzzLoadCheckpoint(f *testing.F) {
-	header := `{"type":"study","version":1,"n":10,"seed":5,"replay":"off","compiled":"on","adaptive":"eps=0.1,min=16,check=8","seeding":"per-attempt"}` + "\n"
+	header := `{"type":"study","version":1,"n":10,"seed":5,"replay":"off","compiled":"on","adaptive":"eps=0.1,min=16,check=8"}` + "\n"
 	cell := `{"type":"cell","benchmark":"bzip2m","level":"LLFI","category":"all","result":{"benign":3,"sdc":2,"crash":1,"hang":1,"notActivated":4,"attempts":12,"simFaults":1,"dynCandidates":42,"target":7,"converged":true,"round1":{"benign":1,"sdc":1,"crash":0,"hang":0,"notActivated":2,"attempts":4}}}` + "\n"
 	skip := `{"type":"skip","benchmark":"mcfm","level":"PINFI","category":"cast","kind":"no-candidates","err":"no candidates"}` + "\n"
 	f.Add([]byte(header + cell + skip))
@@ -27,6 +30,16 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	for _, tc := range variantLines {
 		f.Add([]byte(header + tc.line))
 	}
+	perAttempt := []byte(`{"type":"study","version":1,"n":10,"seed":5,"seeding":"per-attempt"}` + "\n" + cell)
+	in := filepath.Join(f.TempDir(), "per-attempt.jsonl")
+	if err := os.WriteFile(in, perAttempt, 0o644); err != nil {
+		f.Fatal(err)
+	}
+	var hm *HeaderMismatchError
+	if _, _, err := readCheckpoint(in); !errors.As(err, &hm) || hm.Field != "seeding" {
+		f.Fatalf("per-attempt header: %v, want a seeding *HeaderMismatchError", err)
+	}
+	f.Add(perAttempt)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
 		in := filepath.Join(dir, "in.jsonl")
@@ -36,6 +49,12 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		st, hdr, err := readCheckpoint(in)
 		if err != nil {
 			return
+		}
+		for _, raw := range bytes.Split(data, []byte{'\n'}) {
+			var line checkpointLine
+			if json.Unmarshal(raw, &line) == nil && line.Type == "study" && line.Seeding != "" && line.Seeding != "sequential" {
+				t.Fatalf("loader accepted a study header with seeding %q", line.Seeding)
+			}
 		}
 		for key, res := range st.Cells {
 			if err := checkVariant(key.Level, key.Variant); err != nil {

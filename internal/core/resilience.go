@@ -35,13 +35,9 @@ type SimFault struct {
 	Category fault.Category
 	// Attempt is the zero-based attempt index within the cell.
 	Attempt int
-	// Seed reproduces the panic: for the per-attempt streams of
-	// RunParallel it is the attempt's own seed; for the sequential
-	// stream of Run it is the campaign seed (replay the stream up to
-	// Attempt).
+	// Seed reproduces the panic: it is the campaign seed, whose one
+	// random stream is replayed up to Attempt.
 	Seed int64
-	// Sequential tells which of the two Seed interpretations applies.
-	Sequential bool
 	// Panic is the stringified panic value; Stack the (truncated)
 	// goroutine stack at recovery.
 	Panic string
@@ -96,20 +92,19 @@ func (e *DeadlineError) Unwrap() error { return ErrDeadline }
 const maxStack = 4096
 
 // simFault builds the record for one recovered panic.
-func (c *Campaign) simFault(attempt int, seed int64, sequential bool, panicValue any) SimFault {
+func (c *Campaign) simFault(attempt int, panicValue any) SimFault {
 	stack := debug.Stack()
 	if len(stack) > maxStack {
 		stack = stack[:maxStack]
 	}
 	return SimFault{
-		Prog:       c.Prog.Name,
-		Level:      c.Level,
-		Category:   c.Category,
-		Attempt:    attempt,
-		Seed:       seed,
-		Sequential: sequential,
-		Panic:      fmt.Sprint(panicValue),
-		Stack:      string(stack),
+		Prog:     c.Prog.Name,
+		Level:    c.Level,
+		Category: c.Category,
+		Attempt:  attempt,
+		Seed:     c.Seed,
+		Panic:    fmt.Sprint(panicValue),
+		Stack:    string(stack),
 	}
 }
 

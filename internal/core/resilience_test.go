@@ -65,8 +65,8 @@ func TestPanicContainmentSequential(t *testing.T) {
 		t.Fatalf("metrics recorded %d sim faults, want 2", len(metrics.SimFaults))
 	}
 	sf := metrics.SimFaults[0]
-	if sf.Attempt != 2 || sf.Seed != 99 || !sf.Sequential {
-		t.Errorf("first sim fault = %+v, want attempt 2, seed 99, sequential", sf)
+	if sf.Attempt != 2 || sf.Seed != 99 {
+		t.Errorf("first sim fault = %+v, want attempt 2, seed 99", sf)
 	}
 	if !strings.Contains(sf.Panic, "synthetic simulator fault") {
 		t.Errorf("panic value not captured: %q", sf.Panic)
@@ -93,8 +93,8 @@ func TestPanicFailFast(t *testing.T) {
 	if !errors.As(err, &sfe) {
 		t.Fatalf("error %v is not a *SimFaultError", err)
 	}
-	if sfe.Fault.Attempt != 3 || sfe.Fault.Seed != 7 || !sfe.Fault.Sequential {
-		t.Errorf("reproducing record = %+v, want attempt 3, seed 7, sequential", sfe.Fault)
+	if sfe.Fault.Attempt != 3 || sfe.Fault.Seed != 7 {
+		t.Errorf("reproducing record = %+v, want attempt 3, seed 7", sfe.Fault)
 	}
 }
 
@@ -115,55 +115,6 @@ func TestPanicToleranceLimit(t *testing.T) {
 	}
 }
 
-func TestPanicContainmentParallel(t *testing.T) {
-	const seed, target = 31, 5
-	// The parallel draw sees only its per-attempt rng, so key the panic
-	// off the attempt seed's first draw — deterministic per index.
-	sentinel := rand.New(rand.NewSource(attemptSeed(seed, target))).Int63()
-	override := func() (func(*rand.Rand) fault.Outcome, uint64, error) {
-		return func(rng *rand.Rand) fault.Outcome {
-			if rng.Int63() == sentinel {
-				panic("parallel simulator fault")
-			}
-			return fault.OutcomeSDC
-		}, 42, nil
-	}
-	var metrics CellMetrics
-	c := &Campaign{
-		Prog: syntheticProg(), Level: fault.LevelASM, Category: fault.CatAll,
-		N: 20, Seed: seed, SimFaultLimit: -1, Metrics: &metrics,
-		injectorOverride: override,
-	}
-	res, err := c.RunParallel(4)
-	if err != nil {
-		t.Fatalf("tolerant parallel run failed: %v", err)
-	}
-	if res.Activated() != 20 || res.SimFaults != 1 {
-		t.Errorf("activated=%d simFaults=%d, want 20 and 1", res.Activated(), res.SimFaults)
-	}
-	if len(metrics.SimFaults) != 1 {
-		t.Fatalf("metrics recorded %d sim faults, want 1", len(metrics.SimFaults))
-	}
-	sf := metrics.SimFaults[0]
-	if sf.Attempt != target || sf.Seed != attemptSeed(seed, target) || sf.Sequential {
-		t.Errorf("sim fault = %+v, want attempt %d with its own attempt seed", sf, target)
-	}
-
-	// Fail-fast surfaces the same reproducing seed as a typed error.
-	c2 := &Campaign{
-		Prog: syntheticProg(), Level: fault.LevelASM, Category: fault.CatAll,
-		N: 20, Seed: seed, injectorOverride: override,
-	}
-	_, err = c2.RunParallel(4)
-	var sfe *SimFaultError
-	if !errors.As(err, &sfe) {
-		t.Fatalf("fail-fast parallel run returned %v, want *SimFaultError", err)
-	}
-	if sfe.Fault.Seed != attemptSeed(seed, target) {
-		t.Errorf("reproducing seed %d, want %d", sfe.Fault.Seed, attemptSeed(seed, target))
-	}
-}
-
 func TestNotActivatedTyped(t *testing.T) {
 	override := func() (func(*rand.Rand) fault.Outcome, uint64, error) {
 		return func(*rand.Rand) fault.Outcome { return fault.OutcomeNotActivated }, 42, nil
@@ -175,14 +126,6 @@ func TestNotActivatedTyped(t *testing.T) {
 	_, err := c.Run()
 	if !errors.Is(err, ErrNotActivated) {
 		t.Errorf("budget exhaustion returned %v, want ErrNotActivated", err)
-	}
-	c2 := &Campaign{
-		Prog: syntheticProg(), Level: fault.LevelIR, Category: fault.CatCast,
-		N: 5, Seed: 3, injectorOverride: override,
-	}
-	_, err = c2.RunParallel(3)
-	if !errors.Is(err, ErrNotActivated) {
-		t.Errorf("parallel budget exhaustion returned %v, want ErrNotActivated", err)
 	}
 }
 
@@ -208,14 +151,6 @@ func TestWatchdogDeadline(t *testing.T) {
 	}
 	if de.Attempts == 0 || de.Elapsed < c.Deadline {
 		t.Errorf("deadline record = %+v, want progress before expiry", de)
-	}
-	c2 := &Campaign{
-		Prog: syntheticProg(), Level: fault.LevelIR, Category: fault.CatAll,
-		N: 100000, Seed: 1, Deadline: 15 * time.Millisecond,
-		injectorOverride: slow,
-	}
-	if _, err := c2.RunParallel(2); !errors.Is(err, ErrDeadline) {
-		t.Errorf("slow parallel cell returned %v, want ErrDeadline", err)
 	}
 }
 
@@ -307,8 +242,8 @@ func TestStudySimFaultContainment(t *testing.T) {
 		t.Fatalf("got %d sim_fault events, want 1", len(sfEvents))
 	}
 	e := sfEvents[0]
-	if e.Attempt != 1 || e.AttemptSeed == 0 || e.Panic == "" || !e.Sequential {
-		t.Errorf("sim_fault event = %+v, want attempt 1 with seed and panic value", e)
+	if e.Attempt != 1 || e.AttemptSeed != CellSeed(cfg.Seed, irKey) || e.Panic == "" {
+		t.Errorf("sim_fault event = %+v, want attempt 1 with the cell seed and panic value", e)
 	}
 
 	// Fail-fast mode surfaces the typed error with the reproducing seed.
@@ -319,8 +254,8 @@ func TestStudySimFaultContainment(t *testing.T) {
 	if !errors.As(err, &sfe) {
 		t.Fatalf("fail-fast study returned %v, want *SimFaultError", err)
 	}
-	if sfe.Fault.Seed == 0 {
-		t.Error("fail-fast error lacks a reproducing seed")
+	if sfe.Fault.Seed != CellSeed(cfg.Seed, irKey) {
+		t.Errorf("fail-fast error carries seed %d, want the reproducing cell seed %d", sfe.Fault.Seed, CellSeed(cfg.Seed, irKey))
 	}
 }
 

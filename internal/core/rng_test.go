@@ -2,109 +2,99 @@ package core
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 
 	"hlfi/internal/fault"
 )
 
-// TestStreamDisciplines pins the two RNG derivations to their committed
-// definitions: the sequential discipline is exactly one
-// rand.NewSource(seed) stream consumed in attempt order, and the
-// per-attempt discipline is exactly rand.NewSource(attemptSeed(seed,k))
-// per index. Any execution path that derives randomness through
-// attemptStreams therefore reproduces the committed study outputs.
+// TestStreamDisciplines pins the one RNG discipline to its committed
+// definition: every attempt of a cell draws from a single
+// rand.NewSource(seed) stream, consumed in attempt order, however many
+// values each attempt takes, and a contained panic names that seed as
+// its reproducer. The committed study outputs are this stream.
 func TestStreamDisciplines(t *testing.T) {
 	const seed = 12345
-
-	seq := sequentialStreams(seed)
+	var draws [][]uint64
+	var metrics CellMetrics
+	c := &Campaign{Prog: syntheticProg(), Level: fault.LevelIR, Category: fault.CatAll,
+		N: 40, Seed: seed, SimFaultLimit: -1, Metrics: &metrics,
+		injectorOverride: func() (func(*rand.Rand) fault.Outcome, uint64, error) {
+			return func(rng *rand.Rand) fault.Outcome {
+				k := len(draws)
+				got := make([]uint64, k%3+1) // attempts take 1, 2 or 3 values
+				for i := range got {
+					got[i] = rng.Uint64()
+				}
+				draws = append(draws, got)
+				if k == 7 {
+					panic("synthetic simulator fault")
+				}
+				return fault.OutcomeBenign
+			}, 1, nil
+		}}
+	if _, err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
 	want := rand.New(rand.NewSource(seed))
-	for k := 0; k < 64; k++ {
-		if got, w := seq.stream(k).Uint64(), want.Uint64(); got != w {
-			t.Fatalf("sequential attempt %d drew %d, want %d (shared-stream discipline broken)", k, got, w)
-		}
-		if seq.reproSeed(k) != seed {
-			t.Fatalf("sequential reproSeed(%d) = %d, want the campaign seed %d", k, seq.reproSeed(k), seed)
-		}
-	}
-	if !seq.sequential() {
-		t.Fatal("sequentialStreams not marked sequential")
-	}
-
-	per := perAttemptStreams(seed)
-	if per.sequential() {
-		t.Fatal("perAttemptStreams marked sequential")
-	}
-	// Out-of-order and repeated requests must not disturb per-attempt
-	// streams (concurrent workers race on request order).
-	for _, k := range []int{7, 0, 63, 7, 1} {
-		wantStream := rand.New(rand.NewSource(attemptSeed(seed, k)))
-		gotStream := per.stream(k)
-		for i := 0; i < 8; i++ {
-			if got, w := gotStream.Uint64(), wantStream.Uint64(); got != w {
-				t.Fatalf("per-attempt stream %d draw %d = %d, want %d", k, i, got, w)
+	for k, got := range draws {
+		for i, v := range got {
+			if w := want.Uint64(); v != w {
+				t.Fatalf("attempt %d draw %d = %d, want %d (shared-stream discipline broken)", k, i, v, w)
 			}
 		}
-		if per.reproSeed(k) != attemptSeed(seed, k) {
-			t.Fatalf("per-attempt reproSeed(%d) = %d, want attemptSeed", k, per.reproSeed(k))
-		}
+	}
+	if len(metrics.SimFaults) != 1 || metrics.SimFaults[0].Attempt != 7 || metrics.SimFaults[0].Seed != seed {
+		t.Fatalf("sim faults = %+v, want attempt 7 reproduced by the campaign seed %d", metrics.SimFaults, seed)
 	}
 }
 
-// TestCrossPathRNGOracle is the cross-path oracle: Run and RunParallel
-// must draw their attempt randomness exclusively through the shared
-// derivation helper. A stub injector records the first value drawn per
-// attempt; the recordings must match the values predicted from
-// attemptStreams alone, so a new execution path (shard workers) reusing
-// Run/RunParallel cannot drift from either discipline.
+// TestCrossPathRNGOracle is the cross-path oracle: a cell run through
+// RunStudy draws exactly the stream Run draws on the cell's
+// derived seed, CellSeed(study seed, key). A stub injector records the
+// first value drawn per attempt on both paths, and both recordings
+// must match the stream predicted from rand.NewSource alone, so a new
+// execution path (shard or fleet workers) cannot drift from it.
 func TestCrossPathRNGOracle(t *testing.T) {
 	p, err := BuildProgram("tiny.c", tinySrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const seed = 77
-	record := func(mu *sync.Mutex, draws *[]uint64) func() (func(*rand.Rand) fault.Outcome, uint64, error) {
+	const studySeed = 77
+	key := CellKey{Prog: p.Name, Level: fault.LevelIR, Category: fault.CatAll}
+	record := func(draws *[]uint64) func() (func(*rand.Rand) fault.Outcome, uint64, error) {
 		return func() (func(*rand.Rand) fault.Outcome, uint64, error) {
 			return func(rng *rand.Rand) fault.Outcome {
-				v := rng.Uint64()
-				mu.Lock()
-				*draws = append(*draws, v)
-				mu.Unlock()
+				*draws = append(*draws, rng.Uint64())
 				return fault.OutcomeBenign
 			}, 1, nil
 		}
 	}
+	check := func(path string, draws []uint64) {
+		t.Helper()
+		if len(draws) != 16 {
+			t.Fatalf("%s made %d attempts, want 16", path, len(draws))
+		}
+		oracle := rand.New(rand.NewSource(CellSeed(studySeed, key)))
+		for k, got := range draws {
+			if want := oracle.Uint64(); got != want {
+				t.Fatalf("%s attempt %d drew %d, want %d from the cell's one stream", path, k, got, want)
+			}
+		}
+	}
 
-	var mu sync.Mutex
-	var seqDraws []uint64
-	c := &Campaign{Prog: p, Level: fault.LevelIR, Category: fault.CatAll,
-		N: 16, Seed: seed, injectorOverride: record(&mu, &seqDraws)}
+	var runDraws []uint64
+	c := &Campaign{Prog: p, Level: key.Level, Category: key.Category,
+		N: 16, Seed: CellSeed(studySeed, key), injectorOverride: record(&runDraws)}
 	if _, err := c.Run(); err != nil {
 		t.Fatal(err)
 	}
-	oracle := sequentialStreams(seed)
-	for k, got := range seqDraws {
-		if want := oracle.stream(k).Uint64(); got != want {
-			t.Fatalf("Run attempt %d drew %d, want %d from the sequential discipline", k, got, want)
-		}
-	}
+	check("Run", runDraws)
 
-	var parDraws []uint64
-	c2 := &Campaign{Prog: p, Level: fault.LevelIR, Category: fault.CatAll,
-		N: 16, Seed: seed, injectorOverride: record(&mu, &parDraws)}
-	if _, err := c2.RunParallel(4); err != nil {
+	var studyDraws []uint64
+	hookInjector(t, key.Level, key.Category, record(&studyDraws))
+	if _, err := RunStudy(StudyConfig{Programs: []*Program{p}, N: 16, Seed: studySeed,
+		Cells: []CellKey{key}, Parallel: 4}); err != nil {
 		t.Fatal(err)
 	}
-	// Worker scheduling permutes draw order, so compare as a set against
-	// the per-attempt prediction for the counted prefix.
-	per := perAttemptStreams(seed)
-	want := make(map[uint64]bool, len(parDraws))
-	for k := 0; k < len(parDraws); k++ {
-		want[per.stream(k).Uint64()] = true
-	}
-	for _, got := range parDraws {
-		if !want[got] {
-			t.Fatalf("RunParallel drew %d, not predicted by the per-attempt discipline", got)
-		}
-	}
+	check("RunStudy", studyDraws)
 }

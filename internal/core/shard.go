@@ -88,7 +88,9 @@ func CanonicalCells(programs []*Program, cats []fault.Category) []CellKey {
 // HeaderMismatchError reports a checkpoint whose header disagrees on an
 // identity field (CheckpointShape.Identity) or the shard count: with a
 // shard merge's reference file, or, when Reference is empty, with the
-// study a -resume asks for.
+// study a -resume asks for. Field "seeding" is the loader's refusal of
+// a header written under the removed per-attempt discipline, for
+// -resume and -merge alike.
 type HeaderMismatchError struct {
 	File      string // the offending checkpoint
 	Reference string // the file whose header set the expectation ("" = this run)
@@ -98,6 +100,10 @@ type HeaderMismatchError struct {
 }
 
 func (e *HeaderMismatchError) Error() string {
+	if e.Field == "seeding" {
+		return fmt.Sprintf("checkpoint %s was written with seeding = %s by the removed -cell-workers flag; every study now draws the %s stream, so its cells are a different sample and can be neither resumed nor merged (start a fresh checkpoint)",
+			e.File, e.Got, e.Want)
+	}
 	if e.Reference == "" {
 		return fmt.Sprintf("checkpoint %s was written with %s = %s; refusing to resume a study with %s = %s (%s changes results: match the original flag, or start a fresh checkpoint)",
 			e.File, e.Field, e.Got, e.Field, e.Want, e.about)

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -64,31 +66,49 @@ func writeShardFile(t *testing.T, dir, name string, shape CheckpointShape) strin
 
 // TestMergeHeaderMismatch: shard checkpoints disagreeing on any identity
 // field or the shard count are rejected with a typed *HeaderMismatchError that
-// names the offending file and field.
+// names the offending file and field. A shard written under the removed
+// per-attempt seeding is refused as it loads, before any reference
+// comparison, naming the removed -cell-workers flag.
 func TestMergeHeaderMismatch(t *testing.T) {
 	base := CheckpointShape{N: 10, Seed: 5, Replay: "off", Shard: "0/2"}
 	cases := []struct {
-		name  string
-		other CheckpointShape
-		field string
+		name    string
+		other   CheckpointShape
+		seeding string // appended to the written header when set
+		field   string
 	}{
-		{"n", CheckpointShape{N: 20, Seed: 5, Replay: "off", Shard: "1/2"}, "n"},
-		{"seed", CheckpointShape{N: 10, Seed: 6, Replay: "off", Shard: "1/2"}, "seed"},
-		{"seeding", CheckpointShape{N: 10, Seed: 5, Replay: "off", Seeding: SeedingPerAttempt, Shard: "1/2"}, "seeding"},
-		{"shard-count", CheckpointShape{N: 10, Seed: 5, Replay: "off", Shard: "1/3"}, "shard-count"},
+		{"n", CheckpointShape{N: 20, Seed: 5, Replay: "off", Shard: "1/2"}, "", "n"},
+		{"seed", CheckpointShape{N: 10, Seed: 6, Replay: "off", Shard: "1/2"}, "", "seed"},
+		{"seeding", CheckpointShape{N: 10, Seed: 5, Replay: "off", Shard: "1/2"}, "per-attempt", "seeding"},
+		{"shard-count", CheckpointShape{N: 10, Seed: 5, Replay: "off", Shard: "1/3"}, "", "shard-count"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			ref := writeShardFile(t, dir, "a.jsonl", base)
 			bad := writeShardFile(t, dir, "b.jsonl", tc.other)
+			wantRef := ref
+			if tc.seeding != "" {
+				raw, err := os.ReadFile(bad)
+				if err != nil {
+					t.Fatal(err)
+				}
+				raw = append(bytes.TrimSuffix(raw, []byte("}\n")), `,"seeding":"`+tc.seeding+`"}`+"\n"...)
+				if err := os.WriteFile(bad, raw, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				wantRef = ""
+			}
 			_, err := MergeShardCheckpoints([]string{ref, bad})
 			var hm *HeaderMismatchError
 			if !errors.As(err, &hm) {
 				t.Fatalf("got %v, want *HeaderMismatchError", err)
 			}
-			if hm.File != bad || hm.Reference != ref || hm.Field != tc.field {
-				t.Errorf("mismatch = %+v, want file=%s reference=%s field=%s", hm, bad, ref, tc.field)
+			if hm.File != bad || hm.Reference != wantRef || hm.Field != tc.field {
+				t.Errorf("mismatch = %+v, want file=%s reference=%q field=%s", hm, bad, wantRef, tc.field)
+			}
+			if tc.seeding != "" && !strings.Contains(err.Error(), "-cell-workers") {
+				t.Errorf("seeding refusal does not name the removed flag: %v", err)
 			}
 			if !strings.Contains(err.Error(), filepath.Base(bad)) {
 				t.Errorf("error does not name the offending file: %v", err)

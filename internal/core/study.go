@@ -75,16 +75,10 @@ type StudyConfig struct {
 	// Progress, when non-nil, receives one line per completed cell, in
 	// canonical cell order regardless of scheduling.
 	Progress func(string)
-	// Workers > 1 runs each cell's injections in parallel (per-attempt
-	// seeding; deterministic for a fixed seed but a different sample than
-	// the sequential stream).
-	Workers int
 	// Parallel > 1 runs whole campaign cells concurrently on a bounded
-	// worker pool. Every cell keeps its own seeded random stream, so the
-	// study result is identical to the serial path for any Parallel
-	// value; with Workers <= 1 it is byte-identical to the committed
-	// serial outputs. The (Parallel, Workers) pair is clamped so the
-	// total goroutine count stays within sched.Budget().
+	// worker pool, clamped to sched.Budget(). Every cell keeps its own
+	// seeded random stream, so the study result is byte-identical to the
+	// serial path (and the committed outputs) for any Parallel value.
 	Parallel int
 	// Events, when non-nil, receives the campaign telemetry stream.
 	Events telemetry.Recorder
@@ -296,11 +290,11 @@ func RunStudyContext(ctx context.Context, cfg StudyConfig) (*Study, error) {
 		specs = owned
 	}
 
-	parallel, perCell := sched.Split(cfg.Parallel, cfg.Workers, sched.Budget())
+	parallel := min(max(cfg.Parallel, 1), sched.Budget())
 	emit(cfg.Events, telemetry.Event{
 		Type: telemetry.EventStudyStart,
 		N:    cfg.N, Seed: cfg.Seed, Cells: len(specs),
-		Parallel: parallel, Workers: perCell, Shard: shard,
+		Parallel: parallel, Shard: shard,
 	})
 	if cfg.Obs != nil {
 		cfg.Obs.CellsPlanned.Set(int64(len(specs)))
@@ -338,7 +332,7 @@ func RunStudyContext(ctx context.Context, cfg StudyConfig) (*Study, error) {
 		jobs[i] = &cellJob{cellSpec: s, idx: i, target: cfg.N, base: cfg.N}
 	}
 	for round := 1; ; round++ {
-		hard, cancelled := runPass(ctx, cfg, jobs, parallel, perCell, root)
+		hard, cancelled := runPass(ctx, cfg, jobs, parallel, root)
 		for _, j := range jobs {
 			if j.res != nil {
 				results[j.idx] = j.res
@@ -425,7 +419,7 @@ type cellJob struct {
 //
 // Returns (hard, cancelled): hard is the first hard error in job order,
 // naming its cell; cancelled is the caller's context cancellation.
-func runPass(ctx context.Context, cfg StudyConfig, jobs []*cellJob, parallel, perCell int, root trace.Span) (hard, cancelled error) {
+func runPass(ctx context.Context, cfg StudyConfig, jobs []*cellJob, parallel int, root trace.Span) (hard, cancelled error) {
 	var (
 		mu      sync.Mutex
 		done    = make([]bool, len(jobs))
@@ -446,7 +440,7 @@ func runPass(ctx context.Context, cfg StudyConfig, jobs []*cellJob, parallel, pe
 		j.resolve(cfg)
 		tasks[i] = func(context.Context) error {
 			defer finish(i)
-			if j.err = j.complete(cfg, perCell, root); j.err != nil && !IsSoftSkip(j.err) {
+			if j.err = j.complete(cfg, root); j.err != nil && !IsSoftSkip(j.err) {
 				return j.err // hard error: cancels the pool
 			}
 			return nil
@@ -492,7 +486,7 @@ func (j *cellJob) resolve(cfg StudyConfig) {
 // complete finishes one job on the pool and returns its error: a soft
 // skip keeps the study going, any other error fails it. The obs cell
 // counters count each cell once, in round 1.
-func (j *cellJob) complete(cfg StudyConfig, perCell int, root trace.Span) error {
+func (j *cellJob) complete(cfg StudyConfig, root trace.Span) error {
 	var cellsDone, cellsSkipped, cellsResumed *obs.Counter
 	if cfg.Obs != nil && j.prior == nil {
 		cellsDone, cellsSkipped, cellsResumed = cfg.Obs.CellsDone, cfg.Obs.CellsSkipped, cfg.Obs.CellsResumed
@@ -511,7 +505,7 @@ func (j *cellJob) complete(cfg StudyConfig, perCell int, root trace.Span) error 
 		cellsSkipped.Inc()
 		return cfg.Checkpoint.Skip(j.CellKey, *j.skip)
 	}
-	res, err := j.run(cfg, perCell, root)
+	res, err := j.run(cfg, root)
 	if IsSoftSkip(err) && j.prior != nil {
 		// Degrade to the round-1 record (already checkpointed): an
 		// extension tripping the watchdog must not lose a cell the study
@@ -553,7 +547,7 @@ func (j *cellJob) complete(cfg StudyConfig, perCell int, root trace.Span) error 
 
 // run executes the job's campaign under a cell span (an extension span
 // carrying the target for round 2).
-func (j *cellJob) run(cfg StudyConfig, perCell int, root trace.Span) (*CellResult, error) {
+func (j *cellJob) run(cfg StudyConfig, root trace.Span) (*CellResult, error) {
 	kind := trace.KindCell
 	if j.prior != nil {
 		kind = trace.KindExtension
@@ -587,13 +581,7 @@ func (j *cellJob) run(cfg StudyConfig, perCell int, root trace.Span) (*CellResul
 	if testCampaignHook != nil {
 		testCampaignHook(c)
 	}
-	var res *CellResult
-	var err error
-	if perCell > 1 {
-		res, err = c.RunParallel(perCell)
-	} else {
-		res, err = c.Run()
-	}
+	res, err := c.Run()
 	if cfg.Obs != nil {
 		cfg.Obs.CellSeconds.Observe((j.m.ScanTime + j.m.RunTime).Seconds())
 	}
@@ -705,7 +693,7 @@ func noteCell(cfg StudyConfig, j *cellJob) {
 		cfg.progress(s.label() + " degraded (deadline exceeded, cell skipped)")
 		ev := keyEvent(telemetry.EventCellDeadline, s.CellKey)
 		ev.DurationMS, ev.ScanMS = telemetry.Ms(m.ScanTime+m.RunTime), telemetry.Ms(m.ScanTime)
-		ev.Workers, ev.Err = m.Workers, err.Error()
+		ev.Err = err.Error()
 		emit(cfg.Events, ev)
 	case errors.Is(err, ErrNotActivated):
 		cfg.progress(s.label() + " skipped (no activated faults)")
@@ -735,7 +723,6 @@ func (j *cellJob) doneEvent() telemetry.Event {
 		SimFaults: r.SimFaults - p.SimFaults, Adaptive: r.Adaptive,
 	})
 	ev.DurationMS, ev.ScanMS = telemetry.Ms(j.m.ScanTime+j.m.RunTime), telemetry.Ms(j.m.ScanTime)
-	ev.Workers = j.m.Workers
 	return ev
 }
 
@@ -747,7 +734,7 @@ func emitSimFaults(cfg StudyConfig, s cellSpec, faults []SimFault, from int) {
 			continue
 		}
 		ev := keyEvent(telemetry.EventSimFault, s.CellKey)
-		ev.Attempt, ev.AttemptSeed, ev.Sequential, ev.Panic = sf.Attempt, sf.Seed, sf.Sequential, sf.Panic
+		ev.Attempt, ev.AttemptSeed, ev.Panic = sf.Attempt, sf.Seed, sf.Panic
 		emit(cfg.Events, ev)
 	}
 }
@@ -784,12 +771,11 @@ func CellEvent(typ string, key CellKey, res *CellResult) telemetry.Event {
 }
 
 // CellDoneEvent is the cell_done event of one executed cell: CellEvent
-// plus the cell's timing, worker count and activation rate.
+// plus the cell's timing and activation rate.
 func CellDoneEvent(key CellKey, res *CellResult, m CellMetrics) telemetry.Event {
 	ev := CellEvent(telemetry.EventCellDone, key, res)
 	ev.DurationMS = telemetry.Ms(m.ScanTime + m.RunTime)
 	ev.ScanMS = telemetry.Ms(m.ScanTime)
-	ev.Workers = m.Workers
 	if res.Attempts > 0 {
 		ev.ActivationRate = float64(res.Activated()) / float64(res.Attempts)
 	}

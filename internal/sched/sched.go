@@ -109,44 +109,3 @@ func Budget() int {
 	}
 	return b
 }
-
-// Split clamps a (cells-in-flight, attempt-workers-per-cell) pair so the
-// product — the total number of injection goroutines — stays within
-// budget. Cell-level parallelism wins over attempt-level parallelism:
-// cells are coarser units with no synchronization between them, so when
-// the two compose past the budget the per-cell worker count is reduced
-// first.
-//
-// The clamp must never change study results, so it preserves each side's
-// seeding discipline: a requested perCell of 1 (the sequential stream)
-// stays 1, and a requested perCell > 1 (per-attempt seeding, whose
-// sample is identical for every worker count >= 2) is never reduced
-// below 2 — crossing back to 1 would silently switch the cell to the
-// sequential sample. On pathologically small budgets that floor wins
-// over the budget.
-func Split(cells, perCell, budget int) (clampedCells, clampedPerCell int) {
-	if cells < 1 {
-		cells = 1
-	}
-	if perCell < 1 {
-		perCell = 1
-	}
-	if budget < 1 {
-		budget = 1
-	}
-	if cells > budget {
-		cells = budget
-	}
-	if cells*perCell > budget {
-		clamped := budget / cells
-		if perCell > 1 && clamped < 2 {
-			clamped = 2
-			cells = budget / clamped
-			if cells < 1 {
-				cells = 1
-			}
-		}
-		perCell = clamped
-	}
-	return cells, perCell
-}

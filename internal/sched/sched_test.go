@@ -124,39 +124,6 @@ func TestRunParentCancel(t *testing.T) {
 	}
 }
 
-// TestSplit exercises the oversubscription clamp.
-func TestSplit(t *testing.T) {
-	cases := []struct {
-		cells, perCell, budget int
-		wantCells, wantPerCell int
-	}{
-		{1, 1, 8, 1, 1},   // serial stays serial
-		{4, 1, 8, 4, 1},   // within budget, untouched
-		{4, 2, 8, 4, 2},   // product exactly at budget
-		{4, 8, 8, 4, 2},   // per-cell workers clamped first
-		{16, 1, 8, 8, 1},  // cells alone clamped to budget
-		{16, 16, 8, 4, 2}, // both clamped; perCell floors at 2, cells absorb
-		{0, 0, 8, 1, 1},   // zero/negative normalize to 1
-		{3, 3, 8, 3, 2},   // integer division rounds down
-		{5, 1, 4, 4, 1},   // tiny budget
-		{3, 2, 4, 2, 2},   // perCell>1 never drops to 1: cells shrink instead
-		{1, 2, 1, 1, 2},   // discipline floor wins over a pathological budget
-	}
-	for _, c := range cases {
-		gc, gp := sched.Split(c.cells, c.perCell, c.budget)
-		if gc != c.wantCells || gp != c.wantPerCell {
-			t.Errorf("Split(%d,%d,%d) = (%d,%d), want (%d,%d)",
-				c.cells, c.perCell, c.budget, gc, gp, c.wantCells, c.wantPerCell)
-		}
-		// The seeding-discipline invariant: requested 1 stays 1, requested
-		// >1 stays >1. Crossing the boundary would change the sample.
-		if (c.perCell <= 1) != (gp == 1) {
-			t.Errorf("Split(%d,%d,%d) crossed the seeding boundary: perCell %d -> %d",
-				c.cells, c.perCell, c.budget, c.perCell, gp)
-		}
-	}
-}
-
 func TestBudget(t *testing.T) {
 	if b := sched.Budget(); b < 4 {
 		t.Fatalf("Budget() = %d, want >= 4", b)

@@ -150,7 +150,7 @@ func TestReplayStatsPostEvictionGauge(t *testing.T) {
 // must render and summarize without dividing by zero.
 func TestAggregatorZeroAttemptStudy(t *testing.T) {
 	a := NewAggregator()
-	a.Record(Event{Type: EventStudyStart, N: 100, Seed: 7, Cells: 2, Parallel: 1, Workers: 1})
+	a.Record(Event{Type: EventStudyStart, N: 100, Seed: 7, Cells: 2, Parallel: 1})
 	a.Record(Event{Type: EventCellSkip, Benchmark: "bzip2m", Level: "LLFI", Category: "cast", Err: "no candidates"})
 	a.Record(Event{Type: EventCellSkip, Benchmark: "mcfm", Level: "PINFI", Category: "cast", Err: "no candidates"})
 	a.Record(Event{Type: EventStudyDone, Cells: 0, DurationMS: 12})
@@ -184,7 +184,7 @@ func TestAggregatorZeroAttemptStudy(t *testing.T) {
 // slowest-cells list and the throughput summary must both reflect it.
 func TestAggregatorSingleCellStudy(t *testing.T) {
 	a := NewAggregator()
-	a.Record(Event{Type: EventStudyStart, N: 50, Cells: 1, Parallel: 1, Workers: 1})
+	a.Record(Event{Type: EventStudyStart, N: 50, Cells: 1, Parallel: 1})
 	a.Record(Event{Type: EventCellDone, Benchmark: "mcfm", Level: "LLFI", Category: "all",
 		DurationMS: 250, ScanMS: 40, Attempts: 80, Activated: 50,
 		Benign: 20, SDC: 10, Crash: 15, Hang: 5, NotActivated: 30})

@@ -5,8 +5,8 @@ import (
 	"sync/atomic"
 )
 
-// ReplayStats aggregates snapshot-replay counters for a study. Injection
-// attempts update it from many goroutines under RunParallel, so every
+// ReplayStats aggregates snapshot-replay counters for a study. Cells run
+// concurrently under the study scheduler and all update it, so every
 // field is atomic; all methods are additionally nil-receiver safe so the
 // injectors can call them unconditionally.
 type ReplayStats struct {

@@ -104,7 +104,6 @@ type Event struct {
 	Seed     int64  `json:"seed,omitempty"`
 	Cells    int    `json:"cells,omitempty"`
 	Parallel int    `json:"parallel,omitempty"`
-	Workers  int    `json:"workers,omitempty"`
 	Shard    string `json:"shard,omitempty"`
 
 	// Timing. ScanMS covers injector construction (the candidate scan
@@ -126,13 +125,11 @@ type Event struct {
 	Err string `json:"err,omitempty"`
 
 	// Contained-panic detail (sim_fault): the attempt index, the seed
-	// that reproduces the panic (the attempt's own seed under
-	// per-attempt seeding, the campaign seed for the sequential
-	// stream), and the stringified panic value. SimFaults repeats the
-	// per-cell total on cell_done.
+	// that reproduces the panic (the campaign seed, whose one stream is
+	// replayed up to the attempt), and the stringified panic value.
+	// SimFaults repeats the per-cell total on cell_done.
 	Attempt     int    `json:"attempt,omitempty"`
 	AttemptSeed int64  `json:"attemptSeed,omitempty"`
-	Sequential  bool   `json:"sequential,omitempty"`
 	Panic       string `json:"panic,omitempty"`
 	SimFaults   int    `json:"simFaults,omitempty"`
 
@@ -477,7 +474,7 @@ func (a *Aggregator) RenderTelemetry() string {
 		scan += c.ScanMS
 	}
 	wall := a.done.DurationMS
-	parallel, workers := a.start.Parallel, a.start.Workers
+	parallel := a.start.Parallel
 	var plan *Event
 	if a.plan != nil {
 		p := *a.plan
@@ -486,8 +483,8 @@ func (a *Aggregator) RenderTelemetry() string {
 	a.mu.Unlock()
 
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "Campaign telemetry (%d cells, %d skipped; %d cells in flight x %d workers/cell)\n",
-		cells, skips, parallel, workers)
+	fmt.Fprintf(&sb, "Campaign telemetry (%d cells, %d skipped; %d cells in flight)\n",
+		cells, skips, parallel)
 	if resumes > 0 {
 		fmt.Fprintf(&sb, "  resumed from checkpoint: %d cells (not recomputed)\n", resumes)
 	}

@@ -71,7 +71,7 @@ func TestJSONLSinkConcurrent(t *testing.T) {
 // TestAggregator: totals, throughput, slowest-cell ordering, summary.
 func TestAggregator(t *testing.T) {
 	a := telemetry.NewAggregator()
-	a.Record(telemetry.Event{Type: telemetry.EventStudyStart, Cells: 3, Parallel: 4, Workers: 1})
+	a.Record(telemetry.Event{Type: telemetry.EventStudyStart, Cells: 3, Parallel: 4})
 	a.Record(cell("bzip2m", 300, 12, 10))
 	a.Record(cell("mcfm", 700, 15, 10))
 	a.Record(cell("quantumm", 500, 10, 10))
@@ -110,7 +110,7 @@ func TestMulti(t *testing.T) {
 // tracked and surfaced in the rendered summary.
 func TestAggregatorResilienceEvents(t *testing.T) {
 	a := telemetry.NewAggregator()
-	a.Record(telemetry.Event{Type: telemetry.EventStudyStart, Cells: 4, Parallel: 2, Workers: 1})
+	a.Record(telemetry.Event{Type: telemetry.EventStudyStart, Cells: 4, Parallel: 2})
 	a.Record(telemetry.Event{Type: telemetry.EventCellResume, Benchmark: "bzip2m", Activated: 10})
 	a.Record(telemetry.Event{Type: telemetry.EventSimFault, Benchmark: "mcfm",
 		Attempt: 3, AttemptSeed: 42, Panic: "index out of range"})
@@ -144,12 +144,12 @@ func TestAggregatorResilienceEvents(t *testing.T) {
 // absent fields stay omitted.
 func TestEventJSONRoundTrip(t *testing.T) {
 	e := telemetry.Event{Type: telemetry.EventSimFault, Benchmark: "bzip2m",
-		Attempt: 7, AttemptSeed: 99, Sequential: true, Panic: "boom"}
+		Attempt: 7, AttemptSeed: 99, Panic: "boom"}
 	raw, err := json.Marshal(e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"attempt":7`, `"attemptSeed":99`, `"sequential":true`, `"panic":"boom"`} {
+	for _, want := range []string{`"attempt":7`, `"attemptSeed":99`, `"panic":"boom"`} {
 		if !strings.Contains(string(raw), want) {
 			t.Errorf("serialized sim_fault missing %s: %s", want, raw)
 		}

@@ -3,10 +3,9 @@
 // canonical hash of everything that determines a cell's outcome — the
 // program's IR and machine code, the per-cell coordinates (level,
 // category and, for non-paper cells, variant), the study identity a
-// checkpoint header pins (core.CheckpointShape.Identity: n, seed,
-// adaptive signature and attempt-seeding discipline, with the seed taken
-// as the cell's effective campaign seed), and the cell's
-// activated-injection target.
+// checkpoint header pins (core.CheckpointShape.Identity: n, seed and
+// adaptive signature, with the seed taken as the cell's effective
+// campaign seed), and the cell's activated-injection target.
 // Two campaigns that would provably produce the same record share one
 // warehouse entry; any input change produces a different key, so a
 // lookup can never return a result the current configuration would not
@@ -322,6 +321,10 @@ func (c *StudyCache) KeyHex(key core.CellKey, target, base int) (string, bool) {
 	for _, f := range cell.Identity() {
 		fmt.Fprintf(h, "%s %s\n", f.Name, f.Value)
 	}
+	// Identity once ended with the attempt-seeding discipline. Every
+	// record a current binary can reproduce was keyed with this line, so
+	// it stays: dropping it would turn every existing store cold.
+	fmt.Fprint(h, "seeding sequential\n")
 	return hex.EncodeToString(h.Sum(nil)), true
 }
 

@@ -1,6 +1,9 @@
 package warehouse
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -154,7 +157,6 @@ func TestKeyIdentity(t *testing.T) {
 		"n":        kh(core.CheckpointShape{N: 20, Seed: 5, Compiled: "on", Adaptive: "off"}, key, 20, 20),
 		"seed":     kh(core.CheckpointShape{N: 10, Seed: 6, Compiled: "on", Adaptive: "off"}, key, 10, 10),
 		"adaptive": kh(core.CheckpointShape{N: 10, Seed: 5, Compiled: "on", Adaptive: "eps=0.05,min=5,check=5"}, key, 10, 10),
-		"seeding":  kh(core.CheckpointShape{N: 10, Seed: 5, Compiled: "on", Adaptive: "off", Seeding: core.SeedingPerAttempt}, key, 10, 10),
 		"level":    kh(base, core.CellKey{Prog: "tiny.c", Level: fault.LevelASM, Category: fault.CatAll}, 10, 10),
 		"category": kh(base, core.CellKey{Prog: "tiny.c", Level: fault.LevelIR, Category: fault.CatArith}, 10, 10),
 		"program":  kh(base, core.CellKey{Prog: "other.c", Level: fault.LevelIR, Category: fault.CatAll}, 10, 10),
@@ -202,6 +204,33 @@ func TestKeyIdentity(t *testing.T) {
 	rawCal.SetRawCampaignSeed()
 	if h, _ := rawCal.KeyHex(key, 10, 10); h == distinct["variant"] {
 		t.Error("a calibrated study cell shares a key with a plain raw-seed run on the same seed (different candidate set)")
+	}
+}
+
+// TestKeyPreimagePinned rebuilds the key preimage byte for byte as
+// stores written before per-attempt seeding was removed hashed it, for
+// one paper cell and one calibrated cell: a store filled by an older
+// binary must keep serving hits. The trailing "seeding sequential" line
+// is that history; every record ever written under the one remaining
+// discipline hashed it.
+func TestKeyPreimagePinned(t *testing.T) {
+	c, progs := testCache(t)
+	digest := programDigest(progs[0])
+	for _, key := range []core.CellKey{
+		{Prog: "tiny.c", Level: fault.LevelASM, Category: fault.CatArith},
+		{Prog: "tiny.c", Level: fault.LevelIR, Category: fault.CatAll, Variant: core.VariantCalibrated},
+	} {
+		variant := ""
+		if key.Variant != core.VariantPaper {
+			variant = fmt.Sprintf("variant %d\n", int(key.Variant))
+		}
+		pre := fmt.Sprintf("hlfi-warehouse-v2\nprogram %s\nlevel %s\ncategory %s\n%starget 12\nbase 10\n"+
+			"n 10\nseed %d\nadaptive off\nseeding sequential\n",
+			digest, key.Level, key.Category, variant, core.CellSeed(5, key))
+		sum := sha256.Sum256([]byte(pre))
+		if got, _ := c.KeyHex(key, 12, 10); got != hex.EncodeToString(sum[:]) {
+			t.Errorf("%v: key %s, want %s from the pinned preimage", key, got, hex.EncodeToString(sum[:]))
+		}
 	}
 }
 
