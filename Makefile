@@ -124,18 +124,21 @@ e2e:
 	rm -rf .e2e-*
 
 # Fuzz smoke: each native fuzz target for 30s (mirrors the CI job).
+# -fuzzminimizetime 100x caps minimizing a new input at 100 execs:
+# under Go's 60s default the first new input's minimization ate the
+# whole 30s of the file-writing targets.
 fuzz-smoke:
-	go test -run '^$$' -fuzz '^FuzzMiniCParse$$' -fuzztime 30s ./internal/minic
-	go test -run '^$$' -fuzz '^FuzzSnapshotRestore$$' -fuzztime 30s ./internal/interp
-	go test -run '^$$' -fuzz '^FuzzSnapshotRestore$$' -fuzztime 30s ./internal/machine
-	go test -run '^$$' -fuzz '^FuzzCompiledVsInterp$$' -fuzztime 30s ./internal/compile/irc
-	go test -run '^$$' -fuzz '^FuzzConvergence$$' -fuzztime 30s ./internal/compile/irc
-	go test -run '^$$' -fuzz '^FuzzAdaptiveDecision$$' -fuzztime 30s ./internal/adaptive
-	go test -run '^$$' -fuzz '^FuzzMemoryModel$$' -fuzztime 30s ./internal/mem
-	go test -run '^$$' -fuzz '^FuzzLoadCheckpoint$$' -fuzztime 30s ./internal/core
-	go test -run '^$$' -fuzz '^FuzzWarehouseRecord$$' -fuzztime 30s ./internal/warehouse
-	go test -run '^$$' -fuzz '^FuzzFleetMessages$$' -fuzztime 30s ./internal/fleet
-	go test -run '^$$' -fuzz '^FuzzFlightRecorder$$' -fuzztime 30s ./internal/obs/trace
+	go test -run '^$$' -fuzz '^FuzzMiniCParse$$' -fuzztime 30s -fuzzminimizetime 100x ./internal/minic
+	go test -run '^$$' -fuzz '^FuzzSnapshotRestore$$' -fuzztime 30s -fuzzminimizetime 100x ./internal/interp
+	go test -run '^$$' -fuzz '^FuzzSnapshotRestore$$' -fuzztime 30s -fuzzminimizetime 100x ./internal/machine
+	go test -run '^$$' -fuzz '^FuzzCompiledVsInterp$$' -fuzztime 30s -fuzzminimizetime 100x ./internal/compile/irc
+	go test -run '^$$' -fuzz '^FuzzConvergence$$' -fuzztime 30s -fuzzminimizetime 100x ./internal/compile/irc
+	go test -run '^$$' -fuzz '^FuzzAdaptiveDecision$$' -fuzztime 30s -fuzzminimizetime 100x ./internal/adaptive
+	go test -run '^$$' -fuzz '^FuzzMemoryModel$$' -fuzztime 30s -fuzzminimizetime 100x ./internal/mem
+	go test -run '^$$' -fuzz '^FuzzLoadCheckpoint$$' -fuzztime 30s -fuzzminimizetime 100x ./internal/core
+	go test -run '^$$' -fuzz '^FuzzWarehouseRecord$$' -fuzztime 30s -fuzzminimizetime 100x ./internal/warehouse
+	go test -run '^$$' -fuzz '^FuzzFleetMessages$$' -fuzztime 30s -fuzzminimizetime 100x ./internal/fleet
+	go test -run '^$$' -fuzz '^FuzzFlightRecorder$$' -fuzztime 30s -fuzzminimizetime 100x ./internal/obs/trace
 
 # The exact CI pipeline (.github/workflows/ci.yml), runnable locally.
 ci:

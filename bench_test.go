@@ -131,8 +131,8 @@ func BenchmarkTableV(b *testing.B) {
 
 // BenchmarkStudyScheduler compares the serial study path against the
 // cell-level scheduler on the full 60-cell cross-product. Both arms run
-// the identical per-cell sequential streams (Workers=1), so the results
-// are byte-identical and the benchmark isolates pure scheduling: on a
+// the identical per-cell sequential streams, so the results are
+// byte-identical and the benchmark isolates pure scheduling: on a
 // multi-core box the parallel arm's ns/op drops roughly with
 // min(4, GOMAXPROCS). The telemetry aggregator rides along and reports
 // aggregate throughput on the last iteration.

@@ -47,9 +47,7 @@ import (
 	"hlfi/internal/bench"
 	"hlfi/internal/cli"
 	"hlfi/internal/core"
-	"hlfi/internal/obs"
 	"hlfi/internal/obs/trace"
-	"hlfi/internal/telemetry"
 	"hlfi/internal/warehouse"
 )
 
@@ -216,20 +214,6 @@ func runCtx(ctx context.Context, args []string) error {
 			merged.Count, len(merged.State.Cells), len(merged.State.Skips), *n, *seed)
 	}
 
-	// Telemetry: an in-memory aggregator always, a JSONL sink on request.
-	// Both write off the stdout path, so the rendered tables stay
-	// byte-identical whatever the scheduling or telemetry flags.
-	agg := telemetry.NewAggregator()
-	rec := telemetry.Recorder(agg)
-	if *events != "" {
-		f, err := os.Create(*events)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		rec = telemetry.Multi(agg, telemetry.NewJSONLSink(f))
-	}
-
 	// Execution policy: snapshot replay plus the compiled engines, or
 	// the reference interpreters with -reference. Byte-identical either
 	// way; only speed and the replay telemetry differ.
@@ -257,26 +241,6 @@ func runCtx(ctx context.Context, args []string) error {
 		}
 	}
 
-	// Live observability: a metrics registry plus the HTTP endpoint, both
-	// off the stdout path. Everything rendered and checkpointed stays
-	// byte-identical with or without -status.
-	var om *obs.Metrics
-	if *status != "" {
-		om = obs.New()
-		obs.RegisterBuildInfo(om.Registry(), compiledCfg.Signature(), adaptCfg.Signature())
-		srv, serr := obs.StartServerTrace(*status, om.Registry(), func() any { return agg.Status() }, tracer)
-		if serr != nil {
-			return serr
-		}
-		fmt.Fprintf(os.Stderr, "status endpoint listening on %s (/metrics /statusz /tracez /debug/pprof/)\n", srv.Addr())
-		// LIFO defers: the linger sleep runs before the server closes, so
-		// a short study remains scrapeable for a moment after finishing.
-		defer srv.Close()
-		if *linger > 0 {
-			defer time.Sleep(*linger)
-		}
-	}
-
 	// Fault tolerance: an optional resume state (cells already completed
 	// by an interrupted run) and an optional checkpoint writer for this
 	// run's cells. -resume alone keeps appending to the same file. The
@@ -293,25 +257,26 @@ func runCtx(ctx context.Context, args []string) error {
 		shape.Shard = shardSpec.String()
 	}
 
-	// Result warehouse: cells whose content-addressed record already
-	// exists resolve from the store without executing an injection, and
-	// every freshly completed cell is stored back. The key covers the
-	// program bytes and the study identity, so a hit can only replay the
-	// byte-identical outcome; shard workers share one store safely
-	// (atomic per-record files, idempotent writes).
-	var wcache *warehouse.StudyCache
-	if *warehouseD != "" {
-		wstore, werr := warehouse.Open(*warehouseD)
-		if werr != nil {
-			return werr
-		}
-		if om != nil {
-			wstore.Hits, wstore.Misses, wstore.Stores = om.WarehouseHits, om.WarehouseMisses, om.WarehouseStores
-		}
-		wcache = wstore.ForStudy(shape, progs)
-		if *warehouseQ {
-			return queryWarehouse(os.Stdout, wcache, cells, *n)
-		}
+	// Telemetry (an in-memory aggregator always, a JSONL sink under
+	// -events), live observability under -status and the result
+	// warehouse under -warehouse: all off the stdout path, so the
+	// rendered tables stay byte-identical whatever these flags. A
+	// warehouse hit resolves a cell without executing an injection; the
+	// key covers the program bytes and the study identity, so a hit can
+	// only replay the byte-identical outcome; shard workers share one
+	// store safely (atomic per-record files, idempotent writes).
+	wr, err := cli.Wire(shape, progs, *events, *status, *warehouseD, tracer)
+	if err != nil {
+		return err
+	}
+	// LIFO defers: the linger sleep runs before the server closes, so a
+	// short study remains scrapeable for a moment after finishing.
+	defer wr.Close()
+	if *linger > 0 {
+		defer time.Sleep(*linger)
+	}
+	if *warehouseQ {
+		return queryWarehouse(os.Stdout, wr.Warehouse, cells, *n)
 	}
 	resumeState := mergedState
 	if *resume != "" {
@@ -338,16 +303,11 @@ func runCtx(ctx context.Context, args []string) error {
 
 	start := time.Now()
 	cfg := core.StudyConfig{Programs: progs, Cells: cells, N: *n, Seed: *seed,
-		Parallel: *parallel, Events: rec,
-		SimFaultLimit: *simFaults, CellDeadline: *deadline,
+		Parallel: *parallel, SimFaultLimit: *simFaults, CellDeadline: *deadline,
 		Checkpoint: ckpt, Resume: resumeState, Replay: replay,
-		Compiled: compiledCfg, Obs: om, TraceAttempts: *traceAtt,
+		Compiled: compiledCfg, TraceAttempts: *traceAtt,
 		Adaptive: adaptCfg, Shard: shardSpec, Trace: tracer}
-	if wcache != nil {
-		// Assign only when armed: StudyConfig.Warehouse is an interface and
-		// a typed-nil *StudyCache would defeat its nil check.
-		cfg.Warehouse = wcache
-	}
+	wr.Arm(&cfg)
 	if !*quiet {
 		cfg.Progress = func(s string) { fmt.Fprintln(os.Stderr, s) }
 	}
@@ -366,7 +326,7 @@ func runCtx(ctx context.Context, args []string) error {
 		fmt.Fprintf(os.Stderr, "study completed in %v\n\n", time.Since(start).Round(time.Second))
 	}
 	if !*quiet {
-		fmt.Fprintln(os.Stderr, agg.RenderTelemetry())
+		fmt.Fprintln(os.Stderr, wr.Agg.RenderTelemetry())
 	}
 
 	// Write the flight-recorder export once the study (and all its spans)

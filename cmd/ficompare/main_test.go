@@ -12,7 +12,9 @@ import (
 	"strings"
 	"testing"
 
+	"hlfi/internal/cli"
 	"hlfi/internal/core"
+	"hlfi/internal/fault"
 )
 
 // TestRunExperiments smoke-tests the CLI surface in-process with tiny
@@ -423,5 +425,116 @@ func TestRunScaleOutFlagValidation(t *testing.T) {
 		if want := core.CheckExperimentJSON(exp); err == nil || want == nil || err.Error() != want.Error() {
 			t.Errorf("-experiment %s -json: %v, want %v", exp, err, want)
 		}
+	}
+}
+
+// singleCell runs one cell through cli.RunCampaign, the whole of
+// llfi-run (IR) and pinfi-run (ASM) past flag parsing, and returns its
+// stdout.
+func singleCell(t *testing.T, level fault.Level, cat fault.Category, opts cli.CampaignOptions) string {
+	t.Helper()
+	prog, err := cli.LoadProgram("quantumm", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if err := cli.RunCampaign(&out, prog, level, cat, opts); err != nil {
+		t.Fatalf("%s %s: %v", level, cat, err)
+	}
+	return out.String()
+}
+
+// singleCellCases are the cells the cross-CLI tests compare: both
+// levels, categories all and cmp.
+var singleCellCases = []struct {
+	level fault.Level
+	cat   fault.Category
+}{
+	{fault.LevelIR, fault.CatAll}, {fault.LevelIR, fault.CatCmp},
+	{fault.LevelASM, fault.CatAll}, {fault.LevelASM, fault.CatCmp},
+}
+
+// TestSingleCellMatchesStudy: -seed names the same sample on every CLI.
+// llfi-run and pinfi-run at -n 20 -seed 3 print the outcome counts and
+// candidate count of the matching cell of ficompare -json.
+func TestSingleCellMatchesStudy(t *testing.T) {
+	out := captureStdout(t, func() error {
+		return run([]string{"-json", "-benchmarks", "quantumm", "-n", "20", "-seed", "3", "-q"})
+	})
+	var doc struct {
+		Cells []struct {
+			Tool, Category           string
+			Crash, SDC, Hang, Benign int
+			DynCandidates            uint64
+		} `json:"cells"`
+	}
+	if err := json.Unmarshal([]byte(out), &doc); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range singleCellCases {
+		got := singleCell(t, tc.level, tc.cat, cli.CampaignOptions{N: 20, Seed: 3})
+		found := false
+		for _, c := range doc.Cells {
+			if c.Tool != tc.level.String() || c.Category != tc.cat.String() {
+				continue
+			}
+			found = true
+			for _, want := range []string{
+				fmt.Sprintf("category %s: %d dynamic candidate instructions", c.Category, c.DynCandidates),
+				fmt.Sprintf("crash  : %4d", c.Crash), fmt.Sprintf("sdc    : %4d", c.SDC),
+				fmt.Sprintf("hang   : %4d", c.Hang), fmt.Sprintf("benign : %4d", c.Benign),
+			} {
+				if !strings.Contains(got, want) {
+					t.Errorf("%s %s: single-cell output lacks ficompare's %q:\n%s", tc.level, tc.cat, want, got)
+				}
+			}
+		}
+		if !found {
+			t.Errorf("%s %s: no such cell in ficompare -json", tc.level, tc.cat)
+		}
+	}
+}
+
+// TestSingleCellSharesWarehouse: a warehouse filled by ficompare serves
+// both single-cell CLIs without executing a cell or storing a record,
+// and their stdout is byte-identical to a cold run.
+func TestSingleCellSharesWarehouse(t *testing.T) {
+	dir := t.TempDir()
+	wh := filepath.Join(dir, "wh")
+	captureStdout(t, func() error {
+		return run([]string{"-benchmarks", "quantumm", "-n", "20", "-seed", "3", "-q", "-warehouse", wh})
+	})
+	objects := func() int {
+		t.Helper()
+		n := 0
+		err := filepath.WalkDir(filepath.Join(wh, "objects"), func(_ string, d os.DirEntry, err error) error {
+			if err == nil && !d.IsDir() {
+				n++
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	filled := objects()
+	for i, tc := range singleCellCases {
+		cold := singleCell(t, tc.level, tc.cat, cli.CampaignOptions{N: 20, Seed: 3})
+		events := filepath.Join(dir, fmt.Sprintf("events-%d.jsonl", i))
+		warm := singleCell(t, tc.level, tc.cat, cli.CampaignOptions{N: 20, Seed: 3, Warehouse: wh, EventsPath: events})
+		if warm != cold {
+			t.Errorf("%s %s: warehouse-served output differs from a cold run:\n--- cold ---\n%s--- warm ---\n%s", tc.level, tc.cat, cold, warm)
+		}
+		stream, err := os.ReadFile(events)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(string(stream), `"type":"cell_done"`) || !strings.Contains(string(stream), `"type":"warehouse_hit"`) {
+			t.Errorf("%s %s: the cell was executed instead of served from ficompare's warehouse:\n%s", tc.level, tc.cat, stream)
+		}
+	}
+	if got := objects(); got != filled {
+		t.Errorf("single-cell runs grew ficompare's warehouse from %d to %d records", filled, got)
 	}
 }

@@ -3,6 +3,10 @@
 // paper's §III workflow: select candidates, profile, inject at runtime,
 // classify outcomes against the golden run.
 //
+// The campaign is a one-cell study: at the same -n and -seed it prints
+// the counts of ficompare's (benchmark, LLFI, category) cell and shares
+// its warehouse records.
+//
 // Usage:
 //
 //	llfi-run -bench bzip2m -category arithmetic -n 1000 -seed 1
@@ -33,7 +37,7 @@ func run(args []string) error {
 		srcPath   = fs.String("src", "", "minic source file to inject into (alternative to -bench)")
 		catName   = fs.String("category", "all", "instruction category: all|arithmetic|cast|cmp|load")
 		n         = fs.Int("n", 1000, "activated injections to collect")
-		seed      = fs.Int64("seed", 1, "campaign seed")
+		seed      = fs.Int64("seed", 1, "study seed: at the same -n and -seed the cell is ficompare's cell")
 		verbose   = fs.Bool("v", false, "print activation accounting")
 		dumpIR    = fs.Bool("ir", false, "print the optimized IR and exit")
 		events    = fs.String("events", "", "write the campaign telemetry event stream (JSONL) to this file")
@@ -41,7 +45,7 @@ func run(args []string) error {
 		traceAtt  = fs.Int("trace-attempts", 0, "record fault-propagation traces for the first N attempts as attempt_trace events")
 		reference = fs.Bool("reference", false, cli.ReferenceUsage)
 		adaptFlag = fs.String("adaptive", "off", "adaptive early stopping: off|on|eps=E,min=M,check=C (stop once every outcome-rate Wilson CI is narrower than eps)")
-		warehouse = fs.String("warehouse", "", "content-addressed result warehouse directory: a cached record for this exact cell replays the summary without executing an injection, and a fresh result is stored back (records are keyed by the effective campaign seed, so they interoperate with ficompare/fleet stores exactly when the samples match)")
+		warehouse = fs.String("warehouse", "", "content-addressed result warehouse directory: a cached record for this exact cell replays the summary without executing an injection, and a fresh result is stored back (the key space is ficompare's and the fleet's, so a store they filled serves this cell)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -29,31 +29,67 @@ func TestRunFlags(t *testing.T) {
 	}
 }
 
-// TestRunEvents: -events captures the single-cell campaign as a JSONL
-// stream bracketed by study_start/study_done (flag parity with
-// ficompare).
+// eventStream reads a JSONL event file as its events' types and the
+// last event's replay hit count.
+func eventStream(t *testing.T, path string) (types []string, lastReplayHits uint64) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		var e struct {
+			Type       string `json:"type"`
+			ReplayHits uint64 `json:"replayHits"`
+		}
+		if err := json.Unmarshal([]byte(line), &e); err != nil {
+			t.Fatalf("bad JSONL line %q: %v", line, err)
+		}
+		types, lastReplayHits = append(types, e.Type), e.ReplayHits
+	}
+	return types, lastReplayHits
+}
+
+// TestRunEvents: -events captures the one-cell study as a JSONL stream
+// bracketed by study_start/study_done, and study_done carries the
+// replay fields as ficompare's does.
 func TestRunEvents(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "events.jsonl")
 	if err := run([]string{"-bench", "quantumm", "-category", "cmp", "-n", "10", "-events", path}); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
+	types, hits := eventStream(t, path)
+	if got := strings.Join(types, "/"); got != "study_start/cell_done/study_done" {
+		t.Fatalf("stream = %s, want study_start/cell_done/study_done", got)
+	}
+	if hits == 0 {
+		t.Error("study_done carries no replay fields")
+	}
+}
+
+// TestRunSkipAndHardErrorEvents: a -src cell with no candidates is a
+// soft skip, reported as a cell_skip inside a bracketed stream and as a
+// non-zero exit; a hard error (-n 0) fails the run without a cell_skip.
+func TestRunSkipAndHardErrorEvents(t *testing.T) {
+	dir := t.TempDir()
+	src := filepath.Join(dir, "nocmp.c")
+	if err := os.WriteFile(src, []byte("int main() {\n    print_int(7);\n    return 0;\n}\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("got %d events, want study_start + cell_done + study_done:\n%s", len(lines), raw)
+	path := filepath.Join(dir, "skip.jsonl")
+	err := run([]string{"-src", src, "-category", "cmp", "-n", "5", "-events", path})
+	if err == nil || !strings.Contains(err.Error(), "no dynamic injection candidates") {
+		t.Fatalf("no-candidates cell: err = %v, want the skip reason", err)
 	}
-	var first, mid, last struct {
-		Type string `json:"type"`
+	if types, _ := eventStream(t, path); strings.Join(types, "/") != "study_start/cell_skip/study_done" {
+		t.Errorf("no-candidates stream = %v, want study_start/cell_skip/study_done", types)
 	}
-	for i, dst := range []any{&first, &mid, &last} {
-		if err := json.Unmarshal([]byte(lines[i]), dst); err != nil {
-			t.Fatalf("bad JSONL line %q: %v", lines[i], err)
-		}
+
+	path = filepath.Join(dir, "hard.jsonl")
+	if err := run([]string{"-bench", "quantumm", "-category", "cmp", "-n", "0", "-events", path}); err == nil {
+		t.Fatal("-n 0 accepted")
 	}
-	if first.Type != "study_start" || mid.Type != "cell_done" || last.Type != "study_done" {
-		t.Fatalf("stream = %s/%s/%s", first.Type, mid.Type, last.Type)
+	if types, _ := eventStream(t, path); strings.Join(types, "/") != "study_start" {
+		t.Errorf("hard-error stream = %v, want study_start alone (no cell_skip)", types)
 	}
 }

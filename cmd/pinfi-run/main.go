@@ -3,6 +3,10 @@
 // mirroring the paper's §IV workflow, including the flag-dependent-bit
 // and XMM-pruning activation heuristics.
 //
+// The campaign is a one-cell study: at the same -n and -seed it prints
+// the counts of ficompare's (benchmark, PINFI, category) cell and shares
+// its warehouse records.
+//
 // Usage:
 //
 //	pinfi-run -bench bzip2m -category arithmetic -n 1000 -seed 1
@@ -34,7 +38,7 @@ func run(args []string) error {
 		srcPath   = fs.String("src", "", "minic source file to inject into (alternative to -bench)")
 		catName   = fs.String("category", "all", "instruction category: all|arithmetic|cast|cmp|load")
 		n         = fs.Int("n", 1000, "activated injections to collect")
-		seed      = fs.Int64("seed", 1, "campaign seed")
+		seed      = fs.Int64("seed", 1, "study seed: at the same -n and -seed the cell is ficompare's cell")
 		verbose   = fs.Bool("v", false, "print activation accounting")
 		disasm    = fs.Bool("disasm", false, "print the lowered assembly, marking the category's injection candidates, and exit")
 		events    = fs.String("events", "", "write the campaign telemetry event stream (JSONL) to this file")
@@ -42,7 +46,7 @@ func run(args []string) error {
 		traceAtt  = fs.Int("trace-attempts", 0, "record fault-propagation traces for the first N attempts as attempt_trace events")
 		reference = fs.Bool("reference", false, cli.ReferenceUsage)
 		adaptFlag = fs.String("adaptive", "off", "adaptive early stopping: off|on|eps=E,min=M,check=C (stop once every outcome-rate Wilson CI is narrower than eps)")
-		warehouse = fs.String("warehouse", "", "content-addressed result warehouse directory: a cached record for this exact cell replays the summary without executing an injection, and a fresh result is stored back (records are keyed by the effective campaign seed, so they interoperate with ficompare/fleet stores exactly when the samples match)")
+		warehouse = fs.String("warehouse", "", "content-addressed result warehouse directory: a cached record for this exact cell replays the summary without executing an injection, and a fresh result is stored back (the key space is ficompare's and the fleet's, so a store they filled serves this cell)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -1,19 +1,20 @@
 // Package cli holds the shared plumbing of the command-line tools:
-// program loading and campaign reporting.
+// program loading, study wiring and campaign reporting.
 package cli
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"strings"
-	"time"
 
 	"hlfi/internal/adaptive"
 	"hlfi/internal/bench"
 	"hlfi/internal/core"
 	"hlfi/internal/fault"
 	"hlfi/internal/obs"
+	"hlfi/internal/obs/trace"
 	"hlfi/internal/telemetry"
 	"hlfi/internal/warehouse"
 )
@@ -76,28 +77,94 @@ func Policy(reference bool) (*core.ReplayConfig, *core.CompiledConfig) {
 	return &core.ReplayConfig{Stats: &telemetry.ReplayStats{}}, &core.CompiledConfig{}
 }
 
+// Wiring is what every study-running CLI attaches around
+// core.RunStudyContext: an in-memory telemetry aggregator (plus a JSONL
+// sink under -events), live metrics with their status endpoint under
+// -status, and the result warehouse under -warehouse with its hit, miss
+// and store counters. All of it is off the stdout path: rendered output
+// is byte-identical with or without any of it.
+type Wiring struct {
+	Agg       *telemetry.Aggregator
+	Warehouse *warehouse.StudyCache
+	rec       telemetry.Recorder
+	metrics   *obs.Metrics
+	events    *os.File
+	srv       *obs.Server
+}
+
+// Wire opens the wiring of one study of progs under shape. An empty
+// eventsPath, statusAddr or warehouseDir leaves that part off; tracer,
+// when non-nil, is served at /tracez. Close releases what Wire opened.
+func Wire(shape core.CheckpointShape, progs []*core.Program, eventsPath, statusAddr, warehouseDir string, tracer *trace.Recorder) (_ *Wiring, err error) {
+	wr := &Wiring{Agg: telemetry.NewAggregator()}
+	defer func() {
+		if err != nil {
+			wr.Close()
+		}
+	}()
+	wr.rec = wr.Agg
+	if eventsPath != "" {
+		if wr.events, err = os.Create(eventsPath); err != nil {
+			return nil, err
+		}
+		wr.rec = telemetry.Multi(wr.Agg, telemetry.NewJSONLSink(wr.events))
+	}
+	if statusAddr != "" {
+		wr.metrics = obs.New()
+		obs.RegisterBuildInfo(wr.metrics.Registry(), shape.Compiled, shape.Adaptive)
+		wr.srv, err = obs.StartServerTrace(statusAddr, wr.metrics.Registry(), func() any { return wr.Agg.Status() }, tracer)
+		if err != nil {
+			return nil, err
+		}
+		fmt.Fprintf(os.Stderr, "status endpoint listening on %s (/metrics /statusz /tracez /debug/pprof/)\n", wr.srv.Addr())
+	}
+	if warehouseDir != "" {
+		store, err := warehouse.Open(warehouseDir)
+		if err != nil {
+			return nil, err
+		}
+		if wr.metrics != nil {
+			store.Hits, store.Misses, store.Stores = wr.metrics.WarehouseHits, wr.metrics.WarehouseMisses, wr.metrics.WarehouseStores
+		}
+		wr.Warehouse = store.ForStudy(shape, progs)
+	}
+	return wr, nil
+}
+
+// Arm attaches the wiring's event recorder, metrics and warehouse to a
+// study configuration.
+func (wr *Wiring) Arm(cfg *core.StudyConfig) {
+	cfg.Events, cfg.Obs = wr.rec, wr.metrics
+	if wr.Warehouse != nil {
+		// StudyConfig.Warehouse is an interface: a typed-nil *StudyCache
+		// would defeat its nil check.
+		cfg.Warehouse = wr.Warehouse
+	}
+}
+
+// Close stops the status endpoint, then closes the event file.
+func (wr *Wiring) Close() {
+	_ = wr.srv.Close()
+	if wr.events != nil {
+		_ = wr.events.Close()
+	}
+}
+
 // CampaignOptions configures RunCampaign beyond the cell identity.
 type CampaignOptions struct {
-	// N activated injections to collect; Seed the campaign seed.
+	// N activated injections to collect; Seed the study seed, from which
+	// the cell's campaign seed derives exactly as in ficompare.
 	N    int
 	Seed int64
 	// Verbose prints activation accounting.
 	Verbose bool
 	// EventsPath, when non-empty, captures the telemetry event stream of
-	// the single-cell campaign as JSONL (flag parity with ficompare).
+	// the one-cell study as JSONL.
 	EventsPath string
-	// SimFaultLimit and Deadline are the campaign fault-tolerance knobs
-	// (see core.Campaign).
-	SimFaultLimit int
-	Deadline      time.Duration
 	// StatusAddr, when non-empty, serves live observability (/metrics,
 	// /statusz, /debug/pprof/) on this address for the duration of the
 	// campaign.
 	StatusAddr string
-	// StatusLinger keeps the status endpoint serving this long after the
-	// campaign finishes (so scrapers and smoke tests can read the final
-	// state of a short run).
-	StatusLinger time.Duration
 	// TraceAttempts arms fault-propagation tracing for the first
 	// TraceAttempts attempts; traces are released as attempt_trace
 	// telemetry events.
@@ -107,119 +174,54 @@ type CampaignOptions struct {
 	// byte-identical either way).
 	Reference bool
 	// Adaptive, when non-nil, arms the early-stopping rule for the
-	// single cell (flag parity with ficompare's -adaptive; a lone cell
-	// has no reallocation round, it simply stops once converged).
+	// single cell (a lone cell has no budget to reallocate, so it simply
+	// stops once converged).
 	Adaptive *adaptive.Config
 	// Warehouse, when non-empty, is the content-addressed result store
-	// directory: a cached record for this exact cell (program bytes,
-	// fault model, n, seed, adaptive signature) replays its
-	// summary without executing an injection, and a fresh result is
-	// stored back. The key space is shared with ficompare and the fleet.
+	// directory, shared with ficompare and the fleet: a cached record for
+	// this cell replays its summary without executing an injection, and
+	// a fresh result is stored back.
 	Warehouse string
 }
 
-// RunCampaign executes one campaign cell and prints the paper-style
-// summary to w.
+// RunCampaign runs one campaign cell as a one-cell study and prints the
+// paper-style summary to w. The cell is the study cell ficompare runs
+// under the same n and seed, so the two print the same counts and share
+// warehouse records.
 func RunCampaign(w io.Writer, prog *core.Program, level fault.Level, cat fault.Category, opts CampaignOptions) error {
-	dyn, err := core.DynCount(prog, level, cat)
+	key := core.CellKey{Prog: prog.Name, Level: level, Category: cat}
+	progs := []*core.Program{prog}
+	replay, compiled := Policy(opts.Reference)
+	shape := core.CheckpointShape{N: opts.N, Seed: opts.Seed,
+		Replay: replay.Signature(), Compiled: compiled.Signature(),
+		Adaptive: opts.Adaptive.Signature()}
+	wr, err := Wire(shape, progs, opts.EventsPath, opts.StatusAddr, opts.Warehouse, nil)
+	if err != nil {
+		return err
+	}
+	defer wr.Close()
+	cfg := core.StudyConfig{Programs: progs, Cells: []core.CellKey{key},
+		N: opts.N, Seed: opts.Seed, Replay: replay, Compiled: compiled,
+		TraceAttempts: opts.TraceAttempts, Adaptive: opts.Adaptive}
+	wr.Arm(&cfg)
+	st, err := core.RunStudy(cfg)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "%s: %s, category %s: %d dynamic candidate instructions\n",
-		level, prog.Name, cat, dyn)
-
-	var rec telemetry.Recorder
-	if opts.EventsPath != "" {
-		f, err := os.Create(opts.EventsPath)
-		if err != nil {
-			return err
+		level, prog.Name, cat, st.Dyn[key])
+	res := st.Cells[key]
+	if res == nil {
+		// A soft skip (no candidates, no activated faults) leaves the
+		// cell out of the study; its cell_skip event carries the reason.
+		skips := wr.Agg.Status().Skips
+		if len(skips) == 0 {
+			return fmt.Errorf("cell %v: no result", key)
 		}
-		defer f.Close()
-		rec = telemetry.NewJSONLSink(f)
+		return errors.New(skips[0].Err)
 	}
-
-	replay, compiled := Policy(opts.Reference)
-
-	var om *obs.Metrics
-	if opts.StatusAddr != "" {
-		om = obs.New()
-		om.CellsPlanned.Set(1)
-		obs.RegisterBuildInfo(om.Registry(), compiled.Signature(), opts.Adaptive.Signature())
-		srv, err := obs.StartServer(opts.StatusAddr, om.Registry(), nil)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "status endpoint listening on %s\n", srv.Addr())
-		// LIFO defers: linger (if any) runs before the server closes, so
-		// short campaigns stay scrapeable for a moment after finishing.
-		defer srv.Close()
-		if opts.StatusLinger > 0 {
-			defer time.Sleep(opts.StatusLinger)
-		}
-	}
-
-	// Result warehouse: a cached record for this exact cell replays the
-	// summary without executing an injection; a fresh result (or a
-	// deterministic skip) is stored back. The summary lines come from the
-	// same renderer either way, so stdout is byte-identical to a cold run.
-	var wcache *warehouse.StudyCache
-	key := core.CellKey{Prog: prog.Name, Level: level, Category: cat}
-	if opts.Warehouse != "" {
-		wstore, werr := warehouse.Open(opts.Warehouse)
-		if werr != nil {
-			return werr
-		}
-		if om != nil {
-			wstore.Hits, wstore.Misses, wstore.Stores = om.WarehouseHits, om.WarehouseMisses, om.WarehouseStores
-		}
-		wcache = wstore.ForStudy(core.CheckpointShape{N: opts.N, Seed: opts.Seed,
-			Adaptive: opts.Adaptive.Signature()}, []*core.Program{prog})
-		// The campaign below streams directly from opts.Seed, not from the
-		// study scheduler's per-cell derivation — key on that.
-		wcache.SetRawCampaignSeed()
-		if res, skip, ok := wcache.Lookup(key, opts.N, opts.N); ok {
-			switch {
-			case res != nil:
-				fmt.Fprintln(os.Stderr, "cell resolved from the result warehouse (no injections executed)")
-				if rec != nil {
-					rec.Record(telemetry.Event{Type: telemetry.EventStudyStart,
-						N: opts.N, Seed: opts.Seed, Cells: 1, Parallel: 1})
-					rec.Record(core.CellEvent(telemetry.EventWarehouseHit, key, res))
-					rec.Record(telemetry.Event{Type: telemetry.EventStudyDone, Cells: 1})
-				}
-				printCampaignSummary(w, res, opts.Verbose)
-				return nil
-			case skip != nil:
-				if rec != nil {
-					rec.Record(telemetry.Event{Type: telemetry.EventCellSkip,
-						Benchmark: prog.Name, Level: level.String(), Category: cat.String(),
-						Err: skip.Err})
-				}
-				return fmt.Errorf("%s", skip.Err)
-			}
-		}
-	}
-
-	var metrics core.CellMetrics
-	c := &core.Campaign{Prog: prog, Level: level, Category: cat,
-		N: opts.N, Seed: opts.Seed, Metrics: &metrics,
-		SimFaultLimit: opts.SimFaultLimit, Deadline: opts.Deadline,
-		Replay: replay, Compiled: compiled, Obs: om, TraceAttempts: opts.TraceAttempts,
-		Adaptive: opts.Adaptive}
-	res, err := c.Run()
-	emitCampaignEvents(rec, c, res, metrics, err)
-	if wcache != nil {
-		switch {
-		case res != nil && err == nil:
-			wcache.StoreCell(key, opts.N, opts.N, res)
-		case err != nil:
-			// StoreSkip keeps only deterministic kinds; deadline and other
-			// execution accidents are dropped there.
-			wcache.StoreSkip(key, opts.N, opts.N, core.SkipOf(err))
-		}
-	}
-	if err != nil {
-		return err
+	if wr.Agg.Warehoused() > 0 {
+		fmt.Fprintln(os.Stderr, "cell resolved from the result warehouse (no injections executed)")
 	}
 	printCampaignSummary(w, res, opts.Verbose)
 	return nil
@@ -243,37 +245,4 @@ func printCampaignSummary(w io.Writer, res *core.CellResult, verbose bool) {
 	fmt.Fprintf(w, "  sdc    : %4d  (%5.1f%% ±%.1f%%)\n", res.SDC, 100*res.SDCRate().Rate(), 100*res.SDCRate().WaldCI())
 	fmt.Fprintf(w, "  hang   : %4d  (%5.1f%%)\n", res.Hang, 100*res.HangRate().Rate())
 	fmt.Fprintf(w, "  benign : %4d  (%5.1f%%)\n", res.Benign, 100*res.BenignRate().Rate())
-}
-
-// emitCampaignEvents mirrors the study event stream for a single-cell
-// campaign: study_start, any sim_fault records, cell_done (or cell_skip
-// on a soft failure), study_done.
-func emitCampaignEvents(rec telemetry.Recorder, c *core.Campaign, res *core.CellResult, m core.CellMetrics, runErr error) {
-	if rec == nil {
-		return
-	}
-	rec.Record(telemetry.Event{Type: telemetry.EventStudyStart,
-		N: c.N, Seed: c.Seed, Cells: 1, Parallel: 1})
-	for _, sf := range m.SimFaults {
-		rec.Record(telemetry.Event{Type: telemetry.EventSimFault,
-			Benchmark: sf.Prog, Level: sf.Level.String(), Category: sf.Category.String(),
-			Attempt: sf.Attempt, AttemptSeed: sf.Seed, Panic: sf.Panic})
-	}
-	switch {
-	case res != nil:
-		for _, tr := range m.Traces {
-			rec.Record(telemetry.Event{Type: telemetry.EventAttemptTrace,
-				Benchmark: c.Prog.Name, Level: c.Level.String(), Category: c.Category.String(),
-				Attempt: tr.Attempt, Trigger: tr.Trigger,
-				Outcome: tr.Outcome.String(), Spans: tr.Spans})
-		}
-		rec.Record(core.CellDoneEvent(core.CellKey{Prog: c.Prog.Name, Level: c.Level, Category: c.Category}, res, m))
-		rec.Record(telemetry.Event{Type: telemetry.EventStudyDone, Cells: 1,
-			Attempts: res.Attempts, Activated: res.Activated(),
-			DurationMS: telemetry.Ms(m.ScanTime + m.RunTime)})
-	case runErr != nil:
-		rec.Record(telemetry.Event{Type: telemetry.EventCellSkip,
-			Benchmark: c.Prog.Name, Level: c.Level.String(), Category: c.Category.String(),
-			Err: runErr.Error()})
-	}
 }

@@ -2,12 +2,16 @@ package cli
 
 import (
 	"bytes"
+	"encoding/json"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"hlfi/internal/core"
 	"hlfi/internal/fault"
+	"hlfi/internal/telemetry"
 )
 
 func TestLoadProgramValidation(t *testing.T) {
@@ -67,5 +71,39 @@ int main() {
 	}
 	if !strings.Contains(buf2.String(), "PINFI") {
 		t.Errorf("asm campaign report:\n%s", buf2.String())
+	}
+}
+
+// TestWireStatusz: the status endpoint Wire starts serves the study's
+// /statusz from the aggregator the study records into, for a one-cell
+// study exactly as for ficompare's.
+func TestWireStatusz(t *testing.T) {
+	prog, err := LoadProgram("quantumm", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	progs := []*core.Program{prog}
+	wr, err := Wire(core.CheckpointShape{N: 5, Seed: 1}, progs, "", "127.0.0.1:0", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wr.Close()
+	cfg := core.StudyConfig{Programs: progs, N: 5, Seed: 1,
+		Cells: []core.CellKey{{Prog: prog.Name, Level: fault.LevelIR, Category: fault.CatCmp}}}
+	wr.Arm(&cfg)
+	if _, err := core.RunStudy(cfg); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get("http://" + wr.srv.Addr() + "/statusz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st telemetry.StudyStatus
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if st.CellsPlanned != 1 || st.CellsDone != 1 || !st.Done || len(st.Cells) != 1 || st.Cells[0].Activated != 5 {
+		t.Errorf("/statusz = %+v, want the one finished cell", st)
 	}
 }

@@ -714,7 +714,7 @@ func noteCell(cfg StudyConfig, j *cellJob) {
 // final study totals and the telemetry aggregator stays additive.
 func (j *cellJob) doneEvent() telemetry.Event {
 	if j.prior == nil {
-		return CellDoneEvent(j.CellKey, j.res, j.m)
+		return cellDoneEvent(j.CellKey, j.res, j.m)
 	}
 	p, r := j.prior, j.res
 	ev := CellEvent(telemetry.EventCellExtend, j.CellKey, &CellResult{
@@ -770,9 +770,9 @@ func CellEvent(typ string, key CellKey, res *CellResult) telemetry.Event {
 	return ev
 }
 
-// CellDoneEvent is the cell_done event of one executed cell: CellEvent
+// cellDoneEvent is the cell_done event of one executed cell: CellEvent
 // plus the cell's timing and activation rate.
-func CellDoneEvent(key CellKey, res *CellResult, m CellMetrics) telemetry.Event {
+func cellDoneEvent(key CellKey, res *CellResult, m CellMetrics) telemetry.Event {
 	ev := CellEvent(telemetry.EventCellDone, key, res)
 	ev.DurationMS = telemetry.Ms(m.ScanTime + m.RunTime)
 	ev.ScanMS = telemetry.Ms(m.ScanTime)

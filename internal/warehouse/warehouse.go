@@ -233,10 +233,9 @@ func deterministicSkip(kind string) bool {
 // once here, so per-cell key derivation on the hot path is a short
 // hash over precomputed material.
 type StudyCache struct {
-	store   *Store
-	shape   core.CheckpointShape
-	rawSeed bool
-	progs   map[string]string // program name -> content digest
+	store *Store
+	shape core.CheckpointShape
+	progs map[string]string // program name -> content digest
 }
 
 // ForStudy derives the per-study key context. Only the shape's identity
@@ -250,15 +249,6 @@ func (s *Store) ForStudy(shape core.CheckpointShape, programs []*core.Program) *
 	}
 	return &StudyCache{store: s, shape: shape, progs: progs}
 }
-
-// SetRawCampaignSeed marks the cache as keying on shape.Seed directly
-// as the campaign seed. The study scheduler derives each cell's seed
-// via core.CellSeed(studySeed, key); the single-cell CLIs (llfi-run,
-// pinfi-run) run their one campaign straight on the -seed flag. The key
-// hashes the effective campaign seed, so the two entry points share a
-// record exactly when they truly ran the same sample — and never serve
-// each other a different one.
-func (c *StudyCache) SetRawCampaignSeed() { c.rawSeed = true }
 
 // Store returns the underlying warehouse store.
 func (c *StudyCache) Store() *Store { return c.store }
@@ -289,27 +279,24 @@ func programDigest(p *core.Program) string {
 // given (activated-target, adaptive-base) identity. ok=false means the
 // program is not part of this study (no key exists).
 //
-// The seed component is the cell's EFFECTIVE campaign seed — the value
-// the injection RNG actually streams from — not the study-level seed it
-// was derived from. Study cells run on core.CellSeed(studySeed, key)
-// (which is what makes them relocatable across shards and fleets); the
-// single-cell CLIs run straight on their -seed flag. Keying on the
-// effective seed means any two runs share a record exactly when their
-// samples are byte-identical, whatever entry point produced them.
+// The seed component is the cell's EFFECTIVE campaign seed,
+// core.CellSeed(studySeed, key): the value the injection RNG actually
+// streams from. Every entry point (ficompare, the single-cell CLIs,
+// shards, fleet workers) runs a cell on that seed, so they share a
+// record exactly when their samples are byte-identical.
 //
-// A non-paper cell variant hashes one more line. The effective seed
-// alone cannot separate a calibrated cell from a raw-seed cell on the
-// same seed (same stream, different candidate set); paper cells omit
-// the line, so their keys keep their bytes.
+// A non-paper cell variant hashes one more line. The variant salts the
+// study seed, so the effective seed alone cannot separate a calibrated
+// cell at study seed S from the paper cell at S+1 (same stream,
+// different candidate set); paper cells omit the line, so their keys
+// keep their bytes.
 func (c *StudyCache) KeyHex(key core.CellKey, target, base int) (string, bool) {
 	pd, ok := c.progs[key.Prog]
 	if !ok {
 		return "", false
 	}
 	cell := c.shape
-	if !c.rawSeed {
-		cell.Seed = core.CellSeed(c.shape.Seed, key)
-	}
+	cell.Seed = core.CellSeed(c.shape.Seed, key)
 	h := sha256.New()
 	fmt.Fprintf(h, "hlfi-warehouse-v%d\n", recordVersion)
 	fmt.Fprintf(h, "program %s\n", pd)

@@ -180,30 +180,17 @@ func TestKeyIdentity(t *testing.T) {
 		}
 	}
 
-	// The single-cell CLIs stream straight from their -seed flag; the key
-	// is the effective campaign seed, so a raw-seed cache matches a study
-	// cache exactly when the raw seed IS the study's derived cell seed —
-	// the one case where the two samples are byte-identical.
-	raw := s.ForStudy(base, progs)
-	raw.SetRawCampaignSeed()
-	if h, _ := raw.KeyHex(key, 10, 10); h == ref {
-		t.Error("raw seed 5 shares a key with the study's derived cell seed (different sample)")
-	}
-	derived := core.CheckpointShape{N: 10, Seed: core.CellSeed(5, key), Compiled: "on", Adaptive: "off"}
-	rawDerived := s.ForStudy(derived, progs)
-	rawDerived.SetRawCampaignSeed()
-	if h, _ := rawDerived.KeyHex(key, 10, 10); h != ref {
-		t.Error("a single-cell run on the derived cell seed does not share the study's record (same sample)")
-	}
-
-	// A calibrated cell streams from the same seed as a raw-seed run on
-	// its derived seed, but over a different candidate set: the variant
-	// line keeps the two apart.
+	// The variant salts the study seed: a calibrated cell at study seed S
+	// streams from the same effective seed as the paper cell at S+1, on
+	// the same program, level and category, but over a different
+	// candidate set. The variant line keeps the two apart.
 	cal := core.CellKey{Prog: "tiny.c", Level: fault.LevelIR, Category: fault.CatAll, Variant: core.VariantCalibrated}
-	rawCal := s.ForStudy(core.CheckpointShape{N: 10, Seed: core.CellSeed(5, cal), Compiled: "on", Adaptive: "off"}, progs)
-	rawCal.SetRawCampaignSeed()
-	if h, _ := rawCal.KeyHex(key, 10, 10); h == distinct["variant"] {
-		t.Error("a calibrated study cell shares a key with a plain raw-seed run on the same seed (different candidate set)")
+	next := core.CheckpointShape{N: 10, Seed: 6, Compiled: "on", Adaptive: "off"}
+	if core.CellSeed(5, cal) != core.CellSeed(6, key) {
+		t.Fatal("calibrated cell at seed 5 and paper cell at seed 6 no longer share an effective seed")
+	}
+	if kh(next, key, 10, 10) == distinct["variant"] {
+		t.Error("a calibrated cell shares a key with the paper cell on the same effective seed (different candidate set)")
 	}
 }
 
