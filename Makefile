@@ -20,7 +20,9 @@ race:
 
 # End-to-end checks that need real processes, each byte-compared with
 # one -reference golden (mirrors the CI e2e job): SIGTERM mid-run and
-# resume; a live /metrics and /statusz scrape with -trace-out; a traced
+# resume; a /metrics and /statusz scrape of a finished study (cell and
+# attempt counts agree across the two, nothing in flight, replay and
+# compiled engines observed) with -trace-out; a traced
 # fiserve fleet with one worker SIGKILLed mid-lease, scraped once every
 # cell has resolved (the retry can be the study's last grant) and then
 # SIGTERMed to render; a warehouse on disk
@@ -41,26 +43,31 @@ e2e:
 	test -s .e2e-ck.jsonl
 	./.e2e-ficompare $(E2E) -resume .e2e-ck.jsonl > .e2e-resumed.txt
 	cmp .e2e-golden.txt .e2e-resumed.txt
-	@echo "e2e: live /metrics and /statusz scrape, -trace-out"
+	@echo "e2e: /metrics and /statusz scrape of the finished study, -trace-out"
 	./.e2e-ficompare $(E2E) -status 127.0.0.1:8791 -status-linger 5s -trace-attempts 2 \
 		-trace-out .e2e-solo.json > .e2e-obs.txt 2>/dev/null & \
-	pid=$$!; up=""; \
-	for i in $$(seq 1 150); do \
-		if curl -fs http://127.0.0.1:8791/metrics > .e2e-metrics.txt 2>/dev/null; then up=1; break; fi; \
-		sleep 0.2; \
+	pid=$$!; fin=""; \
+	for i in $$(seq 1 600); do \
+		if curl -fs http://127.0.0.1:8791/statusz 2>/dev/null | grep -q '"done": true'; then fin=1; break; fi; \
+		sleep 0.1; \
 	done; \
-	test -n "$$up"; \
+	if [ -z "$$fin" ]; then echo "e2e: study never reported done"; kill $$pid 2>/dev/null; exit 1; fi; \
 	curl -fs http://127.0.0.1:8791/metrics > .e2e-metrics.txt; \
 	curl -fs http://127.0.0.1:8791/statusz > .e2e-statusz.json; \
 	wait $$pid
-	grep -q '^hlfi_attempts_total ' .e2e-metrics.txt
 	grep -q '^hlfi_outcomes_total{outcome="sdc"}' .e2e-metrics.txt
 	grep -q '^hlfi_trace_attempts_total ' .e2e-metrics.txt
 	grep -q '^hlfi_attempt_seconds_bucket' .e2e-metrics.txt
 	grep -q '^hlfi_snapshot_cache_bytes ' .e2e-metrics.txt
-	grep -q '"cellsPlanned"' .e2e-statusz.json
+	test -s .e2e-statusz.json && jq -e '.done and .cellsDone > 0 and .attempts > 0' .e2e-statusz.json > /dev/null
+	test "$$(awk '$$1=="hlfi_cells_done_total" {print $$2}' .e2e-metrics.txt)" = "$$(jq .cellsDone .e2e-statusz.json)"
+	test "$$(awk '$$1=="hlfi_attempts_total" {print $$2}' .e2e-metrics.txt)" = "$$(jq .attempts .e2e-statusz.json)"
+	awk '$$1=="hlfi_cells_in_flight" && $$2=="0" {ok=1} END {exit !ok}' .e2e-metrics.txt
+	awk '$$1=="hlfi_replay_converged_total" && $$2+0>0 {ok=1} END {exit !ok}' .e2e-metrics.txt
+	awk '$$1=="hlfi_compiled_attempts_total" && $$2+0>0 {ok=1} END {exit !ok}' .e2e-metrics.txt
+	awk '$$1=="hlfi_replay_restore_instrs_count" && $$2+0>0 {ok=1} END {exit !ok}' .e2e-metrics.txt
 	cmp .e2e-golden.txt .e2e-obs.txt
-	jq -e '[.traceEvents[] | select(.cat=="cell")] | length > 0' .e2e-solo.json > /dev/null
+	test -s .e2e-solo.json && jq -e '[.traceEvents[] | select(.cat=="cell")] | length > 0' .e2e-solo.json > /dev/null
 	@echo "e2e: traced fiserve fleet, one worker SIGKILLed mid-lease"
 	./.e2e-fiserve -listen 127.0.0.1:8792 -q $(E2E) \
 		-lease-ttl 2s -retry-after 50ms -backoff 100ms -checkpoint .e2e-fleet-ck.jsonl \
@@ -77,7 +84,7 @@ e2e:
 	done; \
 	kill -9 $$w3 2>/dev/null; \
 	i=0; until curl -fs http://127.0.0.1:8792/statusz 2>/dev/null \
-			| jq -e '.study.resolved == .study.cells' > /dev/null; do \
+			| jq '.study.resolved == .study.cells' 2>/dev/null | grep -qx true; do \
 		i=$$((i+1)); \
 		if [ $$i -ge 900 ]; then \
 			echo "e2e: coordinator did not converge"; kill $$cpid $$w1 $$w2 2>/dev/null; exit 1; \
@@ -92,10 +99,10 @@ e2e:
 	awk '$$1=="hlfi_fleet_lease_expiries_total" && $$2+0>=1 {ok=1} END {exit !ok}' .e2e-fleet-metrics.txt
 	awk '$$1=="hlfi_fleet_retries_total" && $$2+0>=1 {ok=1} END {exit !ok}' .e2e-fleet-metrics.txt
 	grep -q '^hlfi_fleet_workers_live ' .e2e-fleet-metrics.txt
-	head -1 .e2e-flight.jsonl | jq -e '.type == "flight-recorder"' > /dev/null
+	test -s .e2e-flight.jsonl && head -1 .e2e-flight.jsonl | jq -e '.type == "flight-recorder"' > /dev/null
 	grep -q '"kind":"retry"' .e2e-flight.jsonl
 	grep -q '"kind":"exec"' .e2e-flight.jsonl
-	jq -e '[.traceEvents[] | select(.cat=="retry")] | length >= 1' .e2e-chrome.json > /dev/null
+	test -s .e2e-chrome.json && jq -e '[.traceEvents[] | select(.cat=="retry")] | length >= 1' .e2e-chrome.json > /dev/null
 	jq -e '[.traceEvents[] | select(.cat=="exec") | .args.worker] | length >= 1 and all(. != null and . != "")' \
 		.e2e-chrome.json > /dev/null
 	@echo "e2e: warehouse on disk, one record corrupted"

@@ -15,6 +15,7 @@
 package hlfi_test
 
 import (
+	"io"
 	"os"
 	"strconv"
 	"testing"
@@ -23,6 +24,8 @@ import (
 	"hlfi/internal/codegen"
 	"hlfi/internal/core"
 	"hlfi/internal/fault"
+	"hlfi/internal/interp"
+	"hlfi/internal/machine"
 	"hlfi/internal/telemetry"
 )
 
@@ -220,14 +223,8 @@ func BenchmarkAblationGEPFolding(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		fArith, err := core.DynCount(folded, fault.LevelASM, fault.CatArith)
-		if err != nil {
-			b.Fatal(err)
-		}
-		uArith, err := core.DynCount(unfolded, fault.LevelASM, fault.CatArith)
-		if err != nil {
-			b.Fatal(err)
-		}
+		fArith := dynCount(folded, fault.LevelASM, fault.CatArith)
+		uArith := dynCount(unfolded, fault.LevelASM, fault.CatArith)
 		if i == b.N-1 {
 			b.Logf("bzip2m PINFI dynamic arithmetic: folding on=%d, off=%d (+%.0f%%)",
 				fArith, uArith, 100*float64(uArith-fArith)/float64(fArith))
@@ -256,14 +253,8 @@ func BenchmarkAblationLoadFolding(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		fLoad, err := core.DynCount(folded, fault.LevelASM, fault.CatLoad)
-		if err != nil {
-			b.Fatal(err)
-		}
-		uLoad, err := core.DynCount(unfolded, fault.LevelASM, fault.CatLoad)
-		if err != nil {
-			b.Fatal(err)
-		}
+		fLoad := dynCount(folded, fault.LevelASM, fault.CatLoad)
+		uLoad := dynCount(unfolded, fault.LevelASM, fault.CatLoad)
 		if i == b.N-1 {
 			b.Logf("hmmerm PINFI dynamic loads: folding on=%d, off=%d (+%.0f%%)",
 				fLoad, uLoad, 100*float64(uLoad-fLoad)/float64(fLoad))
@@ -293,14 +284,8 @@ func BenchmarkAblationCmpFusion(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		fAll, err := core.DynCount(fused, fault.LevelASM, fault.CatAll)
-		if err != nil {
-			b.Fatal(err)
-		}
-		uAll, err := core.DynCount(unfused, fault.LevelASM, fault.CatAll)
-		if err != nil {
-			b.Fatal(err)
-		}
+		fAll := dynCount(fused, fault.LevelASM, fault.CatAll)
+		uAll := dynCount(unfused, fault.LevelASM, fault.CatAll)
 		if i == b.N-1 {
 			b.Logf("mcfm PINFI 'all' candidates: fusion on=%d, off=%d (+%.0f%%)",
 				fAll, uAll, 100*float64(uAll-fAll)/float64(fAll))
@@ -319,7 +304,7 @@ func BenchmarkGoldenRuns(b *testing.B) {
 		p := p
 		b.Run(p.Name+"/IR", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.DynCount(p, fault.LevelIR, fault.CatAll); err != nil {
+				if _, err := interp.NewRunner(p.Prep, io.Discard).Run(); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -327,7 +312,7 @@ func BenchmarkGoldenRuns(b *testing.B) {
 		})
 		b.Run(p.Name+"/ASM", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.DynCount(p, fault.LevelASM, fault.CatAll); err != nil {
+				if _, err := machine.New(p.Asm, p.Prep.Layout.Image, p.Prep.Layout.Base, io.Discard).Run(); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -385,4 +370,10 @@ func BenchmarkPaperHotStudy(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(3*len(progs)*10), "cells/op")
+}
+
+// dynCount is one Table IV entry of p, read from its build-time golden
+// profile.
+func dynCount(p *core.Program, level fault.Level, cat fault.Category) uint64 {
+	return core.ProfileStudy([]*core.Program{p}, 0, 0).DynCandidates(p.Name, level, cat)
 }

@@ -132,9 +132,11 @@ func Wire(shape core.CheckpointShape, progs []*core.Program, eventsPath, statusA
 }
 
 // Arm attaches the wiring's event recorder, metrics and warehouse to a
-// study configuration.
+// study configuration, and binds the metrics' read-at-scrape series to
+// the aggregator and the configuration's replay and compiled policy.
 func (wr *Wiring) Arm(cfg *core.StudyConfig) {
 	cfg.Events, cfg.Obs = wr.rec, wr.metrics
+	core.BindMetrics(wr.metrics, wr.Agg, cfg.Replay, cfg.Compiled)
 	if wr.Warehouse != nil {
 		// StudyConfig.Warehouse is an interface: a typed-nil *StudyCache
 		// would defeat its nil check.

@@ -133,15 +133,10 @@ func TestDynCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	dyn := ProfileStudy([]*Program{p}, 0, 0)
 	for _, level := range []fault.Level{fault.LevelIR, fault.LevelASM} {
-		all, err := DynCount(p, level, fault.CatAll)
-		if err != nil {
-			t.Fatalf("%v all: %v", level, err)
-		}
-		arith, err := DynCount(p, level, fault.CatArith)
-		if err != nil {
-			t.Fatalf("%v arith: %v", level, err)
-		}
+		all := dyn.DynCandidates(p.Name, level, fault.CatAll)
+		arith := dyn.DynCandidates(p.Name, level, fault.CatArith)
 		if all == 0 || arith == 0 {
 			t.Fatalf("%v: zero dynamic counts (all=%d arith=%d)", level, all, arith)
 		}
@@ -152,11 +147,7 @@ func TestDynCount(t *testing.T) {
 	// Casts exist at IR (the (double)v conversions) — Table IV's "cast
 	// instructions vanish at assembly" claim is about CVT counts being
 	// tiny, checked in the bench shape tests; here we only need IR > 0.
-	irCast, err := DynCount(p, fault.LevelIR, fault.CatCast)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if irCast == 0 {
+	if irCast := dyn.DynCandidates(p.Name, fault.LevelIR, fault.CatCast); irCast == 0 {
 		t.Error("IR cast count should be nonzero for this source")
 	}
 }
@@ -179,14 +170,9 @@ func TestBuildProgramWithOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nNo, err := DynCount(p, fault.LevelASM, fault.CatAll)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nYes, err := DynCount(folded, fault.LevelASM, fault.CatAll)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dyn := ProfileStudy([]*Program{p, folded}, 0, 0)
+	nNo := dyn.DynCandidates(p.Name, fault.LevelASM, fault.CatAll)
+	nYes := dyn.DynCandidates(folded.Name, fault.LevelASM, fault.CatAll)
 	if nNo < nYes {
 		t.Errorf("unfolded candidates (%d) < folded (%d)", nNo, nYes)
 	}

@@ -73,10 +73,10 @@ type Campaign struct {
 	// *DeadlineError. It complements the instruction-budget hang
 	// detection inside the simulators, which bounds single attempts.
 	Deadline time.Duration
-	// Obs, when non-nil, receives live campaign metrics: attempt and
-	// outcome counters, attempt-latency histograms, and (via the
-	// injectors) replay accounting. Purely observational — attempts,
-	// outcomes, and random streams are identical with or without it.
+	// Obs, when non-nil, receives the live attempt metrics: attempt,
+	// activation, outcome and sim-fault counters and the attempt-latency
+	// histogram. Purely observational — attempts, outcomes, and random
+	// streams are identical with or without it.
 	Obs *obs.Metrics
 	// Adaptive, when non-nil, arms the group-sequential early-stopping
 	// rule: the cell ends as soon as every outcome-rate Wilson 95%
@@ -286,7 +286,7 @@ func (c *Campaign) injector() (func(*rand.Rand, bool) attemptResult, uint64, err
 }
 
 // irView builds the cell's LLFI injector over the Program's IR golden
-// run and arms replay, the compiled engine, and metrics.
+// run and arms replay and the compiled engine.
 func (c *Campaign) irView() (*llfi.Injector, error) {
 	p := c.Prog
 	var cands []bool
@@ -300,19 +300,18 @@ func (c *Campaign) irView() (*llfi.Injector, error) {
 		return nil, err
 	}
 	if c.Replay != nil {
-		if err := c.Replay.armIR(p, inj, c.Obs); err != nil {
+		if err := c.Replay.armIR(p, inj); err != nil {
 			return nil, err
 		}
 	}
 	if c.Compiled != nil {
-		c.Compiled.armIR(p, inj, c.Obs)
+		c.Compiled.armIR(p, inj)
 	}
-	inj.Obs = c.Obs
 	return inj, nil
 }
 
 // asmView builds the cell's PINFI injector over the Program's assembly
-// golden run and arms replay, the compiled engine, and metrics.
+// golden run and arms replay and the compiled engine.
 func (c *Campaign) asmView() (*pinfi.Injector, error) {
 	p := c.Prog
 	inj, err := pinfi.View(p.Asm, p.Prep.Layout.Image, p.Prep.Layout.Base, p.asmGolden(),
@@ -321,14 +320,13 @@ func (c *Campaign) asmView() (*pinfi.Injector, error) {
 		return nil, err
 	}
 	if c.Replay != nil {
-		if err := c.Replay.armASM(p, inj, c.Obs); err != nil {
+		if err := c.Replay.armASM(p, inj); err != nil {
 			return nil, err
 		}
 	}
 	if c.Compiled != nil {
-		c.Compiled.armASM(p, inj, c.Obs)
+		c.Compiled.armASM(p, inj)
 	}
-	inj.Obs = c.Obs
 	return inj, nil
 }
 
@@ -403,10 +401,6 @@ func (c *Campaign) Run() (*CellResult, error) {
 			traces = append(traces, AttemptTrace{
 				Attempt: attempt, Trigger: ar.trigger, Outcome: ar.outcome, Spans: ar.spans,
 			})
-			if c.Obs != nil {
-				c.Obs.TraceAttempts.Inc()
-				c.Obs.TraceSpans.Add(uint64(len(ar.spans)))
-			}
 		}
 		res.add(ar.outcome)
 		if ad.note(res) {
@@ -433,27 +427,4 @@ func (c *Campaign) safeDraw(draw func(*rand.Rand, bool) attemptResult, rng *rand
 		}
 	}()
 	return draw(rng, traced), nil
-}
-
-// DynCount reports a program's dynamic candidate count for a category at
-// a level — the data of Table IV — from the build-time golden profile,
-// without executing anything.
-func DynCount(p *Program, level fault.Level, cat fault.Category) (uint64, error) {
-	switch level {
-	case fault.LevelIR:
-		inj, err := llfi.View(p.Prep, p.irGolden(), cat, llfi.Candidates(p.Prep, cat))
-		if err != nil {
-			return 0, err
-		}
-		return inj.DynTotal, nil
-	case fault.LevelASM:
-		inj, err := pinfi.View(p.Asm, p.Prep.Layout.Image, p.Prep.Layout.Base, p.asmGolden(),
-			cat, pinfi.Candidates(p.Asm, cat))
-		if err != nil {
-			return 0, err
-		}
-		return inj.DynTotal, nil
-	default:
-		return 0, fmt.Errorf("unknown level %v", level)
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"hlfi/internal/fault"
+	"hlfi/internal/obs"
 	"hlfi/internal/telemetry"
 )
 
@@ -422,5 +424,42 @@ func TestLoadCheckpointRejectsInvalidRecord(t *testing.T) {
 		if !errors.As(err, &ire) {
 			t.Errorf("%s: load returned %v, want *InvalidRecordError", name, err)
 		}
+	}
+}
+
+// TestResumedSkipCountsAsSkipped: /metrics reads the cell series from
+// the event stream, so a resumed study counts its restored results as
+// resumed and its restored skips as skipped, exactly as /statusz does.
+func TestResumedSkipCountsAsSkipped(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ck.jsonl")
+	shape := CheckpointShape{N: 10, Seed: 5}
+	w, err := NewCheckpointWriterShape(path, shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := func(cfg *StudyConfig) {
+		cfg.Cells = CanonicalCells(cfg.Programs, []fault.Category{fault.CatAll, fault.CatCast})
+	}
+	runTinyStudy(t, func(cfg *StudyConfig) { cells(cfg); cfg.Checkpoint = w })
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	state, err := LoadCheckpointShape(path, shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	om, agg := obs.New(), telemetry.NewAggregator()
+	BindMetrics(om, agg, nil, nil)
+	runTinyStudy(t, func(cfg *StudyConfig) { cells(cfg); cfg.Resume, cfg.Obs, cfg.Events = state, om, agg })
+	if err := om.Registry().WritePrometheus(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	st := agg.Status()
+	if st.CellsResumed != 2 || st.CellsSkipped != 2 {
+		t.Fatalf("/statusz resumed %d, skipped %d; want 2 restored results and 2 restored skips", st.CellsResumed, st.CellsSkipped)
+	}
+	if om.CellsResumed.Value() != 2 || om.CellsSkipped.Value() != 2 || om.CellsDone.Value() != 0 {
+		t.Errorf("/metrics resumed %d, skipped %d, done %d; want 2, 2, 0",
+			om.CellsResumed.Value(), om.CellsSkipped.Value(), om.CellsDone.Value())
 	}
 }

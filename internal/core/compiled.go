@@ -2,12 +2,12 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"hlfi/internal/compile/irc"
 	"hlfi/internal/compile/mc"
 	"hlfi/internal/fault"
 	"hlfi/internal/llfi"
-	"hlfi/internal/obs"
 	"hlfi/internal/pinfi"
 )
 
@@ -23,8 +23,8 @@ import (
 // status, output bytes, RNG streams, and checkpoint/merge bytes are
 // identical to the interpreters under the same seeds. A program the
 // compilers cannot lower falls back to the interpreter silently (the
-// fallback is byte-identical by definition); the compile-fallback
-// counter of the arming campaign's metrics registry is the only trace.
+// fallback is byte-identical by definition); Fallbacks is the only
+// trace.
 type CompiledConfig struct {
 	once  sync.Once
 	cache *compiledCache
@@ -47,21 +47,29 @@ func (cc *CompiledConfig) ensure() *compiledCache {
 	return cc.cache
 }
 
+// Fallbacks returns the number of programs that failed to compile and
+// stayed on the interpreter (0 on a nil config).
+func (cc *CompiledConfig) Fallbacks() uint64 {
+	if cc == nil {
+		return 0
+	}
+	return cc.ensure().fallbacks.Load()
+}
+
 // armIR wires the compiled IR engine into a freshly built IR injector.
 // Called from the campaign's injector construction (inside ScanTime).
 // Compile failure is not an error: the injector simply stays on the
-// interpreter, and the campaign's registry m (nil for none) counts the
-// fallback.
-func (cc *CompiledConfig) armIR(p *Program, inj *llfi.Injector, m *obs.Metrics) {
-	if cp := cc.ensure().irProgram(p, m); cp != nil {
+// interpreter, and the cache counts the fallback.
+func (cc *CompiledConfig) armIR(p *Program, inj *llfi.Injector) {
+	if cp := cc.ensure().irProgram(p); cp != nil {
 		inj.UseCompiled(cp)
 	}
 }
 
 // armASM wires the pre-decoded machine engine into a freshly built
 // assembly injector.
-func (cc *CompiledConfig) armASM(p *Program, inj *pinfi.Injector, m *obs.Metrics) {
-	if cp := cc.ensure().asmProgram(p, m); cp != nil {
+func (cc *CompiledConfig) armASM(p *Program, inj *pinfi.Injector) {
+	if cp := cc.ensure().asmProgram(p); cp != nil {
 		inj.UseCompiled(cp)
 	}
 }
@@ -82,8 +90,9 @@ type compEntry struct {
 // small (closures over the static instruction stream), so unlike the
 // snapshot cache there is no memory budget or eviction.
 type compiledCache struct {
-	mu      sync.Mutex
-	entries map[snapKey]*compEntry
+	mu        sync.Mutex
+	entries   map[snapKey]*compEntry
+	fallbacks atomic.Uint64
 }
 
 // lookup returns (entry, true) to wait on, or a fresh unready entry the
@@ -99,7 +108,7 @@ func (cc *compiledCache) lookup(k snapKey) (*compEntry, bool) {
 	return e, false
 }
 
-func (cc *compiledCache) irProgram(p *Program, m *obs.Metrics) *irc.Program {
+func (cc *compiledCache) irProgram(p *Program) *irc.Program {
 	k := snapKey{prog: p.Name, level: fault.LevelIR}
 	e, hit := cc.lookup(k)
 	if hit {
@@ -109,14 +118,14 @@ func (cc *compiledCache) irProgram(p *Program, m *obs.Metrics) *irc.Program {
 	cp, err := irc.Compile(p.Prep)
 	if err == nil {
 		e.ir = cp
-	} else if m != nil {
-		m.CompiledFallbacks.Inc()
+	} else {
+		cc.fallbacks.Add(1)
 	}
 	close(e.ready)
 	return e.ir
 }
 
-func (cc *compiledCache) asmProgram(p *Program, m *obs.Metrics) *mc.Program {
+func (cc *compiledCache) asmProgram(p *Program) *mc.Program {
 	k := snapKey{prog: p.Name, level: fault.LevelASM}
 	e, hit := cc.lookup(k)
 	if hit {
@@ -126,8 +135,8 @@ func (cc *compiledCache) asmProgram(p *Program, m *obs.Metrics) *mc.Program {
 	cp, err := mc.Compile(p.Asm, p.Prep.Layout.Image, p.Prep.Layout.Base)
 	if err == nil {
 		e.asm = cp
-	} else if m != nil {
-		m.CompiledFallbacks.Inc()
+	} else {
+		cc.fallbacks.Add(1)
 	}
 	close(e.ready)
 	return e.asm

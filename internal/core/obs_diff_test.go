@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"strings"
 	"sync"
 	"testing"
 
@@ -115,13 +117,13 @@ int main() {
 // TestSnapshotCacheGaugePostEviction drives a shared snapshot cache over
 // budget across two (program, level) entries and checks the usage gauges
 // publish the post-eviction footprint — the surviving entry's bytes
-// alone, in both the ReplayStats gauge and the live metrics registry.
+// alone — in the ReplayStats and in a registry bound to them.
 func TestSnapshotCacheGaugePostEviction(t *testing.T) {
 	p := buildSome(t, "quantumm")[0]
-	runCell := func(level fault.Level, rc *core.ReplayConfig, om *obs.Metrics) {
+	runCell := func(level fault.Level, rc *core.ReplayConfig) {
 		c := &core.Campaign{
 			Prog: p, Level: level, Category: fault.CatAll,
-			N: 5, Seed: 9, Replay: rc, Obs: om,
+			N: 5, Seed: 9, Replay: rc,
 		}
 		if _, err := c.Run(); err != nil {
 			t.Fatal(err)
@@ -129,17 +131,18 @@ func TestSnapshotCacheGaugePostEviction(t *testing.T) {
 	}
 	footprint := func(level fault.Level) uint64 {
 		stats := &telemetry.ReplayStats{}
-		runCell(level, &core.ReplayConfig{MemBudget: 1, Stats: stats}, nil)
+		runCell(level, &core.ReplayConfig{MemBudget: 1, Stats: stats})
 		return stats.CacheBytes()
 	}
 	asmOnly := footprint(fault.LevelASM)
 
 	stats := &telemetry.ReplayStats{}
-	om := obs.New()
 	shared := &core.ReplayConfig{MemBudget: 1, Stats: stats}
-	runCell(fault.LevelIR, shared, om)
+	om := obs.New()
+	core.BindMetrics(om, telemetry.NewAggregator(), shared, nil)
+	runCell(fault.LevelIR, shared)
 	irBytes := stats.CacheBytes()
-	runCell(fault.LevelASM, shared, om)
+	runCell(fault.LevelASM, shared)
 
 	if stats.Evictions() == 0 {
 		t.Fatal("over-budget cache never evicted")
@@ -148,6 +151,7 @@ func TestSnapshotCacheGaugePostEviction(t *testing.T) {
 		t.Errorf("post-eviction gauge = %d bytes, want the surviving entry's %d (pre-eviction footprint was %d+%d)",
 			got, asmOnly, irBytes, asmOnly)
 	}
+	scrape(t, om)
 	if got := uint64(om.SnapshotCacheBytes.Value()); got != asmOnly {
 		t.Errorf("obs cache-bytes gauge = %d, want %d", got, asmOnly)
 	}
@@ -157,37 +161,68 @@ func TestSnapshotCacheGaugePostEviction(t *testing.T) {
 }
 
 // TestSharedCachesReportToEachStudy: studies sharing one ReplayConfig
-// and CompiledConfig publish the snapshot-cache gauges to their own
-// registries, whether they build snapshots or only hit the cache. The cache is created by the first arming campaign, so the
-// registry must travel with each arm, not with the config.
+// and CompiledConfig each bind their own registry, and every scrape
+// reads the whole shared cache, whether the study built snapshots or
+// was served only by cache hits.
 func TestSharedCachesReportToEachStudy(t *testing.T) {
 	progs := buildSome(t, "quantumm", "mcfm")
 	stats := &telemetry.ReplayStats{}
 	replay, compiled := &core.ReplayConfig{Stats: stats}, &core.CompiledConfig{}
-	study := func(p *core.Program, om *obs.Metrics) uint64 {
+	study := func(p *core.Program) uint64 {
 		t.Helper()
+		om, agg := obs.New(), telemetry.NewAggregator()
+		core.BindMetrics(om, agg, replay, compiled)
 		_, err := core.RunStudy(core.StudyConfig{Programs: []*core.Program{p}, N: 4, Seed: 1,
 			Cells:  core.CanonicalCells([]*core.Program{p}, []fault.Category{fault.CatAll}),
-			Replay: replay, Compiled: compiled, Obs: om})
+			Replay: replay, Compiled: compiled, Obs: om, Events: agg})
 		if err != nil {
 			t.Fatal(err)
 		}
+		scrape(t, om)
 		return uint64(om.SnapshotCacheBytes.Value())
 	}
-	first, second := obs.New(), obs.New()
-	after1 := study(progs[0], first)
+	after1 := study(progs[0])
 	if after1 == 0 || after1 != stats.CacheBytes() {
 		t.Fatalf("first study's cache-bytes gauge = %d, replay stats %d", after1, stats.CacheBytes())
 	}
-	if got := study(progs[1], second); got != stats.CacheBytes() || got <= after1 {
+	if got := study(progs[1]); got != stats.CacheBytes() || got <= after1 {
 		t.Errorf("second study's cache-bytes gauge = %d, want the whole cache's %d bytes", got, stats.CacheBytes())
 	}
-	if got := uint64(first.SnapshotCacheBytes.Value()); got != after1 {
-		t.Errorf("first study's gauge moved from %d to %d after it finished", after1, got)
-	}
 	// A study served only by cache hits still sees the cache.
-	if got := study(progs[0], obs.New()); got != stats.CacheBytes() {
+	if got := study(progs[0]); got != stats.CacheBytes() {
 		t.Errorf("all-hit study's cache-bytes gauge = %d, want %d", got, stats.CacheBytes())
+	}
+}
+
+// TestShardInfoReadFromStream: a shard worker's registry names its
+// shard, read from the study_start event the aggregator recorded.
+func TestShardInfoReadFromStream(t *testing.T) {
+	progs := buildSome(t, "quantumm")
+	om, agg := obs.New(), telemetry.NewAggregator()
+	core.BindMetrics(om, agg, nil, nil)
+	_, err := core.RunStudy(core.StudyConfig{Programs: progs, N: 4, Seed: 1,
+		Cells: core.CanonicalCells(progs, []fault.Category{fault.CatAll}),
+		Shard: &core.ShardSpec{Index: 1, Count: 2}, Obs: om, Events: agg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := om.Registry().WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`hlfi_shard_info{shard="1/2"} 1`, "hlfi_cells_planned 1", "hlfi_cells_done_total 1"} {
+		if !strings.Contains(sb.String(), want+"\n") {
+			t.Errorf("shard worker's /metrics lacks %q:\n%s", want, sb.String())
+		}
+	}
+}
+
+// scrape renders om once, so its read-at-scrape series hold their
+// owners' current values.
+func scrape(t *testing.T, om *obs.Metrics) {
+	t.Helper()
+	if err := om.Registry().WritePrometheus(io.Discard); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"hlfi/internal/interp"
 	"hlfi/internal/llfi"
 	"hlfi/internal/machine"
-	"hlfi/internal/obs"
 	"hlfi/internal/pinfi"
 	"hlfi/internal/telemetry"
 )
@@ -44,9 +43,8 @@ type ReplayConfig struct {
 	// single entry larger than the whole budget is thinned (every other
 	// snapshot dropped) until it fits or one snapshot remains.
 	MemBudget uint64
-	// Stats, when non-nil, receives hit/miss/cache accounting. The live
-	// metrics registry of the campaign arming the cache (Campaign.Obs)
-	// gets the cache gauges and the eviction counter.
+	// Stats, when non-nil, receives hit/miss/cache accounting: the one
+	// owner of the replay facts, which study_done and /metrics read.
 	Stats *telemetry.ReplayStats
 
 	once  sync.Once
@@ -93,11 +91,10 @@ func (rc *ReplayConfig) ensure() *snapshotCache {
 }
 
 // armIR wires snapshots into a freshly built IR injector. Called from
-// the campaign's injector construction (inside ScanTime); m is the
-// campaign's metrics registry (nil for none).
-func (rc *ReplayConfig) armIR(p *Program, inj *llfi.Injector, m *obs.Metrics) error {
+// the campaign's injector construction (inside ScanTime).
+func (rc *ReplayConfig) armIR(p *Program, inj *llfi.Injector) error {
 	stride := rc.resolveStride(inj.Golden.Instrs)
-	snaps, err := rc.ensure().irSnaps(p, stride, m)
+	snaps, err := rc.ensure().irSnaps(p, stride)
 	if err != nil {
 		return err
 	}
@@ -106,9 +103,9 @@ func (rc *ReplayConfig) armIR(p *Program, inj *llfi.Injector, m *obs.Metrics) er
 }
 
 // armASM wires snapshots into a freshly built assembly injector.
-func (rc *ReplayConfig) armASM(p *Program, inj *pinfi.Injector, m *obs.Metrics) error {
+func (rc *ReplayConfig) armASM(p *Program, inj *pinfi.Injector) error {
 	stride := rc.resolveStride(inj.Golden.Instrs)
-	snaps, err := rc.ensure().asmSnaps(p, stride, m)
+	snaps, err := rc.ensure().asmSnaps(p, stride)
 	if err != nil {
 		return err
 	}
@@ -162,16 +159,12 @@ func (sc *snapshotCache) lookup(k snapKey) (*snapEntry, bool) {
 	return e, false
 }
 
-// irSnaps returns the IR snapshots of p, building them on a miss. The
-// cache's usage is published to m either way: the gauges belong to
-// whichever registry arms the cache, and one served only by hits must
-// not read zero.
-func (sc *snapshotCache) irSnaps(p *Program, stride uint64, m *obs.Metrics) ([]*interp.Snapshot, error) {
+// irSnaps returns the IR snapshots of p, building them on a miss.
+func (sc *snapshotCache) irSnaps(p *Program, stride uint64) ([]*interp.Snapshot, error) {
 	k := snapKey{prog: p.Name, level: fault.LevelIR}
 	e, hit := sc.lookup(k)
 	if hit {
 		<-e.ready
-		sc.publish(m)
 		return e.ir, e.err
 	}
 	snaps, err := llfi.CaptureSnapshots(p.Prep, stride)
@@ -185,7 +178,7 @@ func (sc *snapshotCache) irSnaps(p *Program, stride uint64, m *obs.Metrics) ([]*
 		}
 		b = irBytes(snaps)
 	}
-	sc.seal(k, e, m, func() {
+	sc.seal(k, e, func() {
 		if err == nil {
 			e.ir, e.bytes = snaps, b
 		}
@@ -194,12 +187,11 @@ func (sc *snapshotCache) irSnaps(p *Program, stride uint64, m *obs.Metrics) ([]*
 	return e.ir, e.err
 }
 
-func (sc *snapshotCache) asmSnaps(p *Program, stride uint64, m *obs.Metrics) ([]*machine.Snapshot, error) {
+func (sc *snapshotCache) asmSnaps(p *Program, stride uint64) ([]*machine.Snapshot, error) {
 	k := snapKey{prog: p.Name, level: fault.LevelASM}
 	e, hit := sc.lookup(k)
 	if hit {
 		<-e.ready
-		sc.publish(m)
 		return e.asm, e.err
 	}
 	snaps, err := pinfi.CaptureSnapshots(p.Asm, p.Prep.Layout.Image, p.Prep.Layout.Base, stride)
@@ -210,7 +202,7 @@ func (sc *snapshotCache) asmSnaps(p *Program, stride uint64, m *obs.Metrics) ([]
 		}
 		b = asmBytes(snaps)
 	}
-	sc.seal(k, e, m, func() {
+	sc.seal(k, e, func() {
 		if err == nil {
 			e.asm, e.bytes = snaps, b
 		}
@@ -222,13 +214,13 @@ func (sc *snapshotCache) asmSnaps(p *Program, stride uint64, m *obs.Metrics) ([]
 // seal finalizes a freshly built entry and enforces the memory budget in
 // one critical section: publish fills the entry's payload fields, the
 // ready channel is closed, least-recently-used ready entries other than
-// the newcomer are evicted until the accounted total fits (counted in
-// m), and the post-eviction usage is published to the stats gauge and m. Filling the entry
+// the newcomer are evicted until the accounted total fits, and the
+// post-eviction usage is published to the stats. Filling the entry
 // under sc.mu matters: concurrent builders of other keys scan every
 // entry's payload while holding the lock (totalLocked,
 // publishUsageLocked), and the gauge must never surface a pre-eviction
 // footprint after an eviction pass.
-func (sc *snapshotCache) seal(k snapKey, e *snapEntry, m *obs.Metrics, publish func()) {
+func (sc *snapshotCache) seal(k snapKey, e *snapEntry, publish func()) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	publish()
@@ -240,21 +232,8 @@ func (sc *snapshotCache) seal(k snapKey, e *snapEntry, m *obs.Metrics, publish f
 		}
 		delete(sc.entries, vkey)
 		sc.stats.NoteEviction()
-		if m != nil {
-			m.SnapshotEvictions.Inc()
-		}
 	}
-	sc.publishUsageLocked(m)
-}
-
-// publish publishes the cache's current usage to m.
-func (sc *snapshotCache) publish(m *obs.Metrics) {
-	if m == nil {
-		return
-	}
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	sc.publishUsageLocked(m)
+	sc.publishUsageLocked()
 }
 
 func (sc *snapshotCache) totalLocked() uint64 {
@@ -285,17 +264,13 @@ func (sc *snapshotCache) lruLocked(keep snapKey) (*snapEntry, snapKey) {
 	return victim, vkey
 }
 
-func (sc *snapshotCache) publishUsageLocked(m *obs.Metrics) {
+func (sc *snapshotCache) publishUsageLocked() {
 	var bytes, count uint64
 	for _, e := range sc.entries {
 		bytes += e.bytes
 		count += uint64(len(e.ir) + len(e.asm))
 	}
 	sc.stats.SetCacheUsage(bytes, count)
-	if m != nil {
-		m.SnapshotCacheBytes.SetUint64(bytes)
-		m.SnapshotCacheSnapshots.SetUint64(count)
-	}
 }
 
 func irBytes(snaps []*interp.Snapshot) uint64 {

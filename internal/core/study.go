@@ -113,10 +113,12 @@ type StudyConfig struct {
 	// with or without it; only timing and the compiled-engine telemetry
 	// differ.
 	Compiled *CompiledConfig
-	// Obs, when non-nil, receives live study metrics (attempt counters,
-	// outcome counters, cell progress gauges, latency histograms).
-	// Purely observational: results, progress lines, telemetry events,
-	// and checkpoints are byte-identical with or without it.
+	// Obs, when non-nil, receives the live study metrics no other
+	// component counts: the attempt and outcome counters, the
+	// cells-in-flight gauge and the latency histograms. BindMetrics
+	// makes its other series read their owners when scraped. Purely
+	// observational: results, progress lines, telemetry events, and
+	// checkpoints are byte-identical with or without it.
 	Obs *obs.Metrics
 	// Trace, when non-nil, records the study timeline: a campaign root
 	// span, one cell span per executed cell with reconstructed scan/run
@@ -296,12 +298,6 @@ func RunStudyContext(ctx context.Context, cfg StudyConfig) (*Study, error) {
 		N:    cfg.N, Seed: cfg.Seed, Cells: len(specs),
 		Parallel: parallel, Shard: shard,
 	})
-	if cfg.Obs != nil {
-		cfg.Obs.CellsPlanned.Set(int64(len(specs)))
-		if shard != "" {
-			cfg.Obs.SetShard(shard)
-		}
-	}
 	start := time.Now()
 	root := cfg.Trace.Start(trace.KindCampaign, "study")
 	finishRoot := func(outcome string) {
@@ -378,12 +374,6 @@ func RunStudyContext(ctx context.Context, cfg StudyConfig) (*Study, error) {
 func extensionJobs(cfg StudyConfig, specs []cellSpec, results []*CellResult) []*cellJob {
 	r2 := PlanExtensions(cfg.Adaptive, cfg.N, results)
 	emit(cfg.Events, r2.Event())
-	if cfg.Obs != nil {
-		cfg.Obs.AdaptiveConverged.Add(uint64(r2.Converged))
-		cfg.Obs.AdaptiveExtended.Add(uint64(r2.Recipients))
-		cfg.Obs.AdaptiveSaved.Add(uint64(r2.Plan.Saved))
-		cfg.Obs.AdaptiveGranted.Add(uint64(r2.Plan.Granted))
-	}
 	jobs := make([]*cellJob, len(r2.Extensions))
 	for k, e := range r2.Extensions {
 		jobs[k] = &cellJob{cellSpec: specs[e.Index], idx: e.Index,
@@ -434,11 +424,17 @@ func runPass(ctx context.Context, cfg StudyConfig, jobs []*cellJob, parallel int
 			emitted++
 		}
 	}
+	var inFlight *obs.Gauge
+	if cfg.Obs != nil {
+		inFlight = cfg.Obs.CellsInFlight
+	}
 	tasks := make([]sched.Task, len(jobs))
 	for i, j := range jobs {
 		i, j := i, j
 		j.resolve(cfg)
 		tasks[i] = func(context.Context) error {
+			inFlight.Inc()
+			defer inFlight.Dec()
 			defer finish(i)
 			if j.err = j.complete(cfg, root); j.err != nil && !IsSoftSkip(j.err) {
 				return j.err // hard error: cancels the pool
@@ -446,11 +442,7 @@ func runPass(ctx context.Context, cfg StudyConfig, jobs []*cellJob, parallel int
 			return nil
 		}
 	}
-	var observer sched.Observer
-	if cfg.Obs != nil {
-		observer = gaugeObserver{g: cfg.Obs.CellsInFlight}
-	}
-	if err := sched.RunObserved(ctx, parallel, tasks, observer); err != nil {
+	if err := sched.Run(ctx, parallel, tasks); err != nil {
 		for _, j := range jobs {
 			if j.err != nil && !IsSoftSkip(j.err) {
 				return fmt.Errorf("cell %v: %w", j.CellKey, j.err), nil
@@ -484,25 +476,17 @@ func (j *cellJob) resolve(cfg StudyConfig) {
 }
 
 // complete finishes one job on the pool and returns its error: a soft
-// skip keeps the study going, any other error fails it. The obs cell
-// counters count each cell once, in round 1.
+// skip keeps the study going, any other error fails it.
 func (j *cellJob) complete(cfg StudyConfig, root trace.Span) error {
-	var cellsDone, cellsSkipped, cellsResumed *obs.Counter
-	if cfg.Obs != nil && j.prior == nil {
-		cellsDone, cellsSkipped, cellsResumed = cfg.Obs.CellsDone, cfg.Obs.CellsSkipped, cfg.Obs.CellsResumed
-	}
 	// A warehouse hit, unlike a resumed record, is appended to this
 	// study's checkpoint: the warehouse record belongs to a different
 	// file, and -resume (and the fleet render) must find the cell here.
 	switch {
 	case j.resumed:
-		cellsResumed.Inc()
 		return nil
 	case j.warehoused && j.res != nil:
-		cellsDone.Inc()
 		return cfg.Checkpoint.Cell(j.CellKey, j.res)
 	case j.warehoused:
-		cellsSkipped.Inc()
 		return cfg.Checkpoint.Skip(j.CellKey, *j.skip)
 	}
 	res, err := j.run(cfg, root)
@@ -513,7 +497,6 @@ func (j *cellJob) complete(cfg StudyConfig, root trace.Span) error {
 		return err
 	}
 	if IsSoftSkip(err) {
-		cellsSkipped.Inc()
 		skip := SkipOf(err)
 		// A failed skip-record write is the same durability break as a
 		// failed cell write: abort the study.
@@ -529,7 +512,6 @@ func (j *cellJob) complete(cfg StudyConfig, root trace.Span) error {
 		return err
 	}
 	j.res = res
-	cellsDone.Inc()
 	// Checkpoint durability is part of the contract once armed: a failed
 	// append aborts the cell cleanly (typed *CheckpointWriteError, sticky
 	// in the writer) rather than letting the study finish while the file
@@ -787,13 +769,6 @@ func emit(r telemetry.Recorder, e telemetry.Event) {
 		r.Record(e)
 	}
 }
-
-// gaugeObserver mirrors the scheduler's task lifecycle into the
-// cells-in-flight gauge.
-type gaugeObserver struct{ g *obs.Gauge }
-
-func (o gaugeObserver) TaskStarted(int)  { o.g.Inc() }
-func (o gaugeObserver) TaskFinished(int) { o.g.Dec() }
 
 // ProfileStudy returns a study of the given programs with no campaign
 // cells, only Table IV's dynamic candidate counts: sums over the

@@ -14,7 +14,6 @@ import (
 	"hlfi/internal/fault"
 	"hlfi/internal/interp"
 	"hlfi/internal/ir"
-	"hlfi/internal/obs"
 	"hlfi/internal/telemetry"
 )
 
@@ -107,11 +106,6 @@ type Injector struct {
 	snaps     []*interp.Snapshot
 	snapCands []uint64
 	stats     *telemetry.ReplayStats
-
-	// Obs, when non-nil, receives replay-path metrics (hit/miss counts,
-	// skipped/replayed instruction totals, restore-distance histogram).
-	// Purely observational: it never influences an attempt.
-	Obs *obs.Metrics
 
 	// compiled (UseCompiled), when non-nil, runs untraced attempts on the
 	// compile-to-closure engine instead of the interpreter. Traced
@@ -300,12 +294,6 @@ func (j *Injector) injectAt(trigger uint64, rng *rand.Rand, traced bool) *Result
 			executed = r.Executed()
 		}
 		j.stats.Hit(s.Executed, executed-s.Executed)
-		if o := j.Obs; o != nil {
-			o.ReplayHits.Inc()
-			o.InstrsSkipped.Add(s.Executed)
-			o.InstrsReplayed.Add(executed - s.Executed)
-			o.RestoreInstrs.Observe(float64(executed - s.Executed))
-		}
 	} else {
 		if useCompiled {
 			r := irc.NewRunner(j.compiled, &out)
@@ -325,22 +313,10 @@ func (j *Injector) injectAt(trigger uint64, rng *rand.Rand, traced bool) *Result
 		}
 		if j.snaps != nil {
 			j.stats.Miss(executed)
-			if o := j.Obs; o != nil {
-				o.ReplayMisses.Inc()
-				o.RestoreInstrs.Observe(float64(executed))
-			}
 		}
 	}
 	if useCompiled {
-		if o := j.Obs; o != nil {
-			o.CompiledAttempts.Inc()
-		}
-	}
-	if converged {
-		j.stats.NoteConverged()
-		if o := j.Obs; o != nil {
-			o.ReplayConverged.Inc()
-		}
+		j.stats.NoteCompiled(converged)
 	}
 	res := &Result{Output: out.Bytes(), Exit: rc, Err: err, Injection: injection, Trigger: trigger}
 	res.Outcome = j.Golden.Classify(res.Output, res.Exit, err, err == interp.ErrHang, injection.Happened && injection.Activated)

@@ -10,7 +10,8 @@ var (
 		0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
 		0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 	}
-	RestoreInstrsBuckets = []float64{
+	// An array: the replay stats that own this distribution size by it.
+	RestoreInstrsBuckets = [...]float64{
 		1e3, 2.5e3, 5e3, 1e4, 2.5e4, 5e4, 1e5, 2.5e5, 5e5, 1e6, 5e6, 1e7, 5e7,
 	}
 	CellSecondsBuckets = []float64{
@@ -23,6 +24,10 @@ var (
 // never touch the registry. A nil *Metrics is the disabled state;
 // instrumented code guards updates with a single nil check and every
 // instrument method is itself nil-safe.
+// Only the attempt series, CellsInFlight and the latency histograms are
+// pushed; the warehouse store counts into its own three counters, and
+// every other series is stored from its owner when scraped
+// (core.BindMetrics).
 type Metrics struct {
 	reg *Registry
 
@@ -36,15 +41,14 @@ type Metrics struct {
 	Hang      *Counter
 	NotAct    *Counter
 
-	// Cell-level progress (updated from the study scheduler).
+	// Cell-level progress (read from the telemetry aggregator).
 	CellsPlanned  *Gauge
 	CellsInFlight *Gauge
 	CellsDone     *Counter
 	CellsSkipped  *Counter
 	CellsResumed  *Counter
 
-	// Snapshot-replay accounting (updated from the injectors and the
-	// snapshot cache).
+	// Snapshot-replay accounting (read from the replay stats).
 	ReplayHits             *Counter
 	ReplayMisses           *Counter
 	InstrsSkipped          *Counter
@@ -54,17 +58,16 @@ type Metrics struct {
 	SnapshotCacheSnapshots *Gauge
 	SnapshotEvictions      *Counter
 
-	// Compiled-engine accounting (updated from the injectors and the
+	// Compiled-engine accounting (read from the replay stats and the
 	// compiled-program cache).
 	CompiledAttempts  *Counter
 	CompiledFallbacks *Counter
 
-	// Fault-propagation tracing.
+	// Fault-propagation tracing (read from the telemetry aggregator).
 	TraceAttempts *Counter
 	TraceSpans    *Counter
 
-	// Adaptive-sampling accounting (updated when the round-2
-	// reallocation plan is computed).
+	// Adaptive-sampling accounting (read from the aggregator's plan).
 	AdaptiveConverged *Counter
 	AdaptiveExtended  *Counter
 	AdaptiveSaved     *Counter
@@ -128,7 +131,7 @@ func New() *Metrics {
 		WarehouseStores: r.Counter("hlfi_warehouse_stores_total", "Cell records persisted to the result warehouse."),
 
 		AttemptSeconds: r.Histogram("hlfi_attempt_seconds", "Injection attempt latency in seconds.", AttemptSecondsBuckets),
-		RestoreInstrs:  r.Histogram("hlfi_replay_restore_instrs", "Replay restore distance: dynamic instructions replayed after the snapshot restore of one attempt.", RestoreInstrsBuckets),
+		RestoreInstrs:  r.Histogram("hlfi_replay_restore_instrs", "Replay restore distance: dynamic instructions replayed after the snapshot restore of one attempt.", RestoreInstrsBuckets[:]),
 		CellSeconds:    r.Histogram("hlfi_cell_seconds", "Campaign cell duration (scan + injection loop) in seconds.", CellSecondsBuckets),
 	}
 }

@@ -45,8 +45,9 @@ func (c *Counter) Add(n uint64) {
 }
 
 // Store replaces the count with an absolute value. It exists for
-// federation: a coordinator mirroring a worker's cumulative snapshot
-// re-publishes the remote total rather than accumulating deltas.
+// mirroring a count another component owns: a registry collector
+// re-reading an owner at scrape time, or a coordinator re-publishing a
+// worker's cumulative snapshot rather than accumulating deltas.
 func (c *Counter) Store(n uint64) {
 	if c != nil {
 		c.v.Store(n)
@@ -138,6 +139,21 @@ func (h *Histogram) Observe(x float64) {
 	}
 }
 
+// Store replaces the distribution with per-bucket counts (one per bound
+// plus +Inf, not cumulative) and their sum, mirroring one an owner keeps.
+func (h *Histogram) Store(counts []uint64, sum float64) {
+	if h == nil {
+		return
+	}
+	var n uint64
+	for i := range h.counts {
+		h.counts[i].Store(counts[i])
+		n += counts[i]
+	}
+	h.count.Store(n)
+	h.sum.Store(math.Float64bits(sum))
+}
+
 // Count returns the number of observations (0 on nil).
 func (h *Histogram) Count() uint64 {
 	if h == nil {
@@ -187,6 +203,19 @@ type Registry struct {
 	mu      sync.Mutex
 	metrics []*metric
 	byName  map[string]*metric
+
+	scrape    sync.Mutex // one render (and its collector) at a time
+	collector func()
+}
+
+// SetCollector installs fn to run at the start of every render: it
+// Stores the counts other components own into the registry's
+// instruments, so those series are read when scraped. fn may register
+// instruments.
+func (r *Registry) SetCollector(fn func()) {
+	r.scrape.Lock()
+	defer r.scrape.Unlock()
+	r.collector = fn
 }
 
 // NewRegistry returns an empty registry.
@@ -254,6 +283,11 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
+	}
+	r.scrape.Lock()
+	defer r.scrape.Unlock()
+	if r.collector != nil {
+		r.collector()
 	}
 	r.mu.Lock()
 	ms := append([]*metric(nil), r.metrics...)

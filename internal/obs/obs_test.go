@@ -142,6 +142,39 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 }
 
+// TestCollectorStoresBeforeRender: a registry's collector runs at the
+// start of every render, so series it Stores read their owner's value
+// as of the scrape, histograms included.
+func TestCollectorStoresBeforeRender(t *testing.T) {
+	r := NewRegistry()
+	c := r.Counter("owned_total", "a mirrored count")
+	h := r.Histogram("owned", "a mirrored distribution", []float64{1, 10})
+	owner := uint64(0)
+	r.SetCollector(func() {
+		c.Store(owner)
+		h.Store([]uint64{owner, 1, 2}, 42)
+		r.Gauge(Label("late_info", "k", "v"), "registered by the collector").Set(1)
+	})
+	owner = 3
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"owned_total 3\n",
+		`owned_bucket{le="1"} 3` + "\n",
+		`owned_bucket{le="10"} 4` + "\n",
+		`owned_bucket{le="+Inf"} 6` + "\n",
+		"owned_sum 42\n",
+		"owned_count 6\n",
+		`late_info{k="v"} 1` + "\n",
+	} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("render lacks %q:\n%s", want, sb.String())
+		}
+	}
+}
+
 func TestMetricsOutcomeMapping(t *testing.T) {
 	m := New()
 	for _, name := range []string{"benign", "sdc", "crash", "hang", "not-activated"} {

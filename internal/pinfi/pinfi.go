@@ -15,7 +15,6 @@ import (
 	"hlfi/internal/compile/mc"
 	"hlfi/internal/fault"
 	"hlfi/internal/machine"
-	"hlfi/internal/obs"
 	"hlfi/internal/telemetry"
 	"hlfi/internal/x86"
 )
@@ -89,11 +88,6 @@ type Injector struct {
 	snaps     []*machine.Snapshot
 	snapCands []uint64
 	stats     *telemetry.ReplayStats
-
-	// Obs, when non-nil, receives replay-path metrics (hit/miss counts,
-	// skipped/replayed instruction totals, restore-distance histogram).
-	// Purely observational: it never influences an attempt.
-	Obs *obs.Metrics
 
 	// compiled (UseCompiled), when non-nil, runs untraced attempts on the
 	// pre-decoded dispatch engine instead of the simulator. Traced
@@ -289,12 +283,6 @@ func (j *Injector) injectAt(trigger uint64, rng *rand.Rand, traced bool) *Result
 			executed = m.Executed()
 		}
 		j.stats.Hit(s.Executed, executed-s.Executed)
-		if o := j.Obs; o != nil {
-			o.ReplayHits.Inc()
-			o.InstrsSkipped.Add(s.Executed)
-			o.InstrsReplayed.Add(executed - s.Executed)
-			o.RestoreInstrs.Observe(float64(executed - s.Executed))
-		}
 	} else {
 		if useCompiled {
 			e := mc.New(j.compiled, &out)
@@ -314,22 +302,10 @@ func (j *Injector) injectAt(trigger uint64, rng *rand.Rand, traced bool) *Result
 		}
 		if j.snaps != nil {
 			j.stats.Miss(executed)
-			if o := j.Obs; o != nil {
-				o.ReplayMisses.Inc()
-				o.RestoreInstrs.Observe(float64(executed))
-			}
 		}
 	}
 	if useCompiled {
-		if o := j.Obs; o != nil {
-			o.CompiledAttempts.Inc()
-		}
-	}
-	if converged {
-		j.stats.NoteConverged()
-		if o := j.Obs; o != nil {
-			o.ReplayConverged.Inc()
-		}
+		j.stats.NoteCompiled(converged)
 	}
 	res := &Result{Output: out.Bytes(), Exit: rc, Err: err, Injection: injection, Trigger: trigger}
 	res.Outcome = j.Golden.Classify(res.Output, res.Exit, err, err == machine.ErrHang, injection.Happened && injection.Activated)

@@ -17,17 +17,6 @@ import (
 // it, short ones (a campaign cell) can ignore it.
 type Task func(ctx context.Context) error
 
-// Observer receives task lifecycle notifications from RunObserved. The
-// callbacks run on worker goroutines (implementations must be safe for
-// concurrent use) and must not block: they exist for live progress
-// gauges, not for control flow.
-type Observer interface {
-	// TaskStarted fires just before task i begins executing.
-	TaskStarted(i int)
-	// TaskFinished fires after task i returns, regardless of error.
-	TaskFinished(i int)
-}
-
 // Run executes tasks over at most workers goroutines and waits for them.
 // Tasks are dispatched in index order; with workers == 1 this degenerates
 // to the exact serial loop. The first task error cancels the pool:
@@ -36,14 +25,6 @@ type Observer interface {
 // of scheduling), or the parent context's error if it was cancelled with
 // no task error.
 func Run(ctx context.Context, workers int, tasks []Task) error {
-	return RunObserved(ctx, workers, tasks, nil)
-}
-
-// RunObserved is Run with an optional lifecycle observer (nil behaves
-// exactly like Run). Observation never changes scheduling: dispatch
-// order, cancellation, and the returned error are identical with or
-// without it.
-func RunObserved(ctx context.Context, workers int, tasks []Task, obs Observer) error {
 	if len(tasks) == 0 {
 		return ctx.Err()
 	}
@@ -74,14 +55,7 @@ func RunObserved(ctx context.Context, workers int, tasks []Task, obs Observer) e
 				if i >= len(tasks) || ctx.Err() != nil {
 					return
 				}
-				if obs != nil {
-					obs.TaskStarted(i)
-				}
-				err := tasks[i](ctx)
-				if obs != nil {
-					obs.TaskFinished(i)
-				}
-				if err != nil {
+				if err := tasks[i](ctx); err != nil {
 					errs[i] = err
 					cancel()
 				}

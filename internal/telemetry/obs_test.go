@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"hlfi/internal/obs"
 )
 
 // syncTracker is an io.Writer with an fsync-like Sync method that
@@ -142,12 +144,47 @@ func TestReplayStatsPostEvictionGauge(t *testing.T) {
 	nilStats.NoteEviction()
 	nilStats.Hit(1, 1)
 	nilStats.Miss(1)
-	nilStats.NoteConverged()
+	nilStats.NoteCompiled(true)
 }
 
 // TestAggregatorZeroAttemptStudy is the satellite-3 coverage: a study
 // that starts and finishes with no completed cells (every cell skipped)
 // must render and summarize without dividing by zero.
+// TestReplayStatsRestoreDistribution: every Hit and Miss lands in one
+// restore-distance bucket (the first bound at or above what the attempt
+// replayed, else +Inf), so the distribution counts hits plus misses and
+// sums to the replayed-instruction total.
+func TestReplayStatsRestoreDistribution(t *testing.T) {
+	s := &ReplayStats{}
+	s.Hit(7, 1000)        // on the first bound
+	s.Hit(7, 1001)        // just above it
+	s.Miss(1 << 40)       // past the last bound
+	s.NoteCompiled(false) // compiled attempts are counted apart
+	counts := s.RestoreCounts()
+	if len(counts) != len(obs.RestoreInstrsBuckets)+1 {
+		t.Fatalf("%d buckets, want %d", len(counts), len(obs.RestoreInstrsBuckets)+1)
+	}
+	if counts[0] != 1 || counts[1] != 1 || counts[len(counts)-1] != 1 {
+		t.Errorf("restore buckets %v, want one each in the first, second and +Inf", counts)
+	}
+	if s.ReplayedInstrs() != 1000+1001+1<<40 || s.CompiledAttempts() != 1 {
+		t.Errorf("replayed %d, compiled %d", s.ReplayedInstrs(), s.CompiledAttempts())
+	}
+}
+
+// TestAggregatorPlan: the recorded adaptive_plan is readable, and a
+// study without one reads the zero event.
+func TestAggregatorPlan(t *testing.T) {
+	a := NewAggregator()
+	if a.Plan().Type != "" {
+		t.Errorf("plan before adaptive_plan = %+v", a.Plan())
+	}
+	a.Record(Event{Type: EventAdaptivePlan, AdaptiveSaved: 5, AdaptiveExtendedCells: 2})
+	if p := a.Plan(); p.AdaptiveSaved != 5 || p.AdaptiveExtendedCells != 2 {
+		t.Errorf("plan = %+v", p)
+	}
+}
+
 func TestAggregatorZeroAttemptStudy(t *testing.T) {
 	a := NewAggregator()
 	a.Record(Event{Type: EventStudyStart, N: 100, Seed: 7, Cells: 2, Parallel: 1})
@@ -283,8 +320,8 @@ func TestAttemptTraceEvents(t *testing.T) {
 	a := NewAggregator()
 	a.Record(e)
 	a.Record(e)
-	if a.Traces() != 2 {
-		t.Errorf("traces = %d, want 2", a.Traces())
+	if a.Status().Traces != 2 || a.Spans() != 6 {
+		t.Errorf("traces = %d, spans = %d, want 2 and 6", a.Status().Traces, a.Spans())
 	}
 	if !strings.Contains(a.RenderTelemetry(), "attempt traces recorded: 2") {
 		t.Error("render missing trace count")

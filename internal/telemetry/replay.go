@@ -2,22 +2,30 @@ package telemetry
 
 import (
 	"fmt"
+	"sort"
 	"sync/atomic"
+
+	"hlfi/internal/obs"
 )
 
 // ReplayStats aggregates snapshot-replay counters for a study. Cells run
 // concurrently under the study scheduler and all update it, so every
 // field is atomic; all methods are additionally nil-receiver safe so the
-// injectors can call them unconditionally.
+// injectors can call them unconditionally. It is the one owner of the
+// replay and engine facts: study_done and /metrics both read it.
 type ReplayStats struct {
 	hits           atomic.Uint64
 	misses         atomic.Uint64
 	skippedInstrs  atomic.Uint64
 	replayedInstrs atomic.Uint64
 	converged      atomic.Uint64
+	compiled       atomic.Uint64
 	cacheBytes     atomic.Uint64
 	cacheEntries   atomic.Uint64
 	evictions      atomic.Uint64
+	// restore buckets attempts by the instructions they replayed (over
+	// obs.RestoreInstrsBuckets plus +Inf); its sum is replayedInstrs.
+	restore [len(obs.RestoreInstrsBuckets) + 1]atomic.Uint64
 }
 
 // Hit records one attempt served from a snapshot: skipped instructions
@@ -28,7 +36,7 @@ func (s *ReplayStats) Hit(skipped, replayed uint64) {
 	}
 	s.hits.Add(1)
 	s.skippedInstrs.Add(skipped)
-	s.replayedInstrs.Add(replayed)
+	s.noteReplayed(replayed)
 }
 
 // Miss records one attempt that ran from instruction zero.
@@ -37,16 +45,25 @@ func (s *ReplayStats) Miss(executed uint64) {
 		return
 	}
 	s.misses.Add(1)
-	s.replayedInstrs.Add(executed)
+	s.noteReplayed(executed)
 }
 
-// NoteConverged counts one attempt a compiled engine ended at a
-// masking-convergence point, short of the program's exit.
-func (s *ReplayStats) NoteConverged() {
+func (s *ReplayStats) noteReplayed(n uint64) {
+	s.replayedInstrs.Add(n)
+	s.restore[sort.SearchFloat64s(obs.RestoreInstrsBuckets[:], float64(n))].Add(1)
+}
+
+// NoteCompiled counts one attempt a compiled engine executed; converged
+// says it ended at a masking-convergence point, short of the program's
+// exit.
+func (s *ReplayStats) NoteCompiled(converged bool) {
 	if s == nil {
 		return
 	}
-	s.converged.Add(1)
+	s.compiled.Add(1)
+	if converged {
+		s.converged.Add(1)
+	}
 }
 
 // SetCacheUsage publishes the snapshot cache's current footprint.
@@ -90,6 +107,19 @@ func (s *ReplayStats) CacheEntries() uint64 { return s.cacheEntries.Load() }
 
 // Evictions returns the number of entries dropped under the budget.
 func (s *ReplayStats) Evictions() uint64 { return s.evictions.Load() }
+
+// CompiledAttempts returns the number of compiled-engine attempts.
+func (s *ReplayStats) CompiledAttempts() uint64 { return s.compiled.Load() }
+
+// RestoreCounts returns the restore-distance distribution: per-bucket
+// attempt counts over obs.RestoreInstrsBuckets, the last being +Inf.
+func (s *ReplayStats) RestoreCounts() []uint64 {
+	out := make([]uint64, len(s.restore))
+	for i := range s.restore {
+		out[i] = s.restore[i].Load()
+	}
+	return out
+}
 
 func fmtBytes(n uint64) string {
 	switch {

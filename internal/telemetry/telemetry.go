@@ -301,6 +301,7 @@ type Aggregator struct {
 	deadlines  []Event
 	simFaults  []Event
 	traces     int
+	spans      int
 	abort      *Event
 	extends    []Event
 	plan       *Event
@@ -346,6 +347,7 @@ func (a *Aggregator) Record(e Event) {
 		// Traces are counted, not retained: a traced study can carry
 		// thousands of them and the JSONL sink is the archival path.
 		a.traces++
+		a.spans += len(e.Spans)
 	case EventCellExtend:
 		// Extensions carry delta counts, so adding them to the cell_done
 		// totals keeps Totals exact for adaptive studies.
@@ -383,11 +385,22 @@ func (a *Aggregator) Warehoused() int {
 	return len(a.warehouses)
 }
 
-// Traces returns the number of attempt_trace events recorded.
-func (a *Aggregator) Traces() int {
+// Spans returns the number of spans across all attempt_trace events.
+func (a *Aggregator) Spans() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.traces
+	return a.spans
+}
+
+// Plan returns the recorded adaptive_plan event, or the zero Event if
+// the study planned no round 2.
+func (a *Aggregator) Plan() Event {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.plan == nil {
+		return Event{}
+	}
+	return *a.plan
 }
 
 // Aborted reports whether the stream ended in study_abort.
