@@ -64,6 +64,7 @@ e2e:
 	test "$$(awk '$$1=="hlfi_attempts_total" {print $$2}' .e2e-metrics.txt)" = "$$(jq .attempts .e2e-statusz.json)"
 	awk '$$1=="hlfi_cells_in_flight" && $$2=="0" {ok=1} END {exit !ok}' .e2e-metrics.txt
 	awk '$$1=="hlfi_replay_converged_total" && $$2+0>0 {ok=1} END {exit !ok}' .e2e-metrics.txt
+	awk '$$1=="hlfi_replay_cycled_total" && $$2+0>0 {ok=1} END {exit !ok}' .e2e-metrics.txt
 	awk '$$1=="hlfi_compiled_attempts_total" && $$2+0>0 {ok=1} END {exit !ok}' .e2e-metrics.txt
 	awk '$$1=="hlfi_replay_restore_instrs_count" && $$2+0>0 {ok=1} END {exit !ok}' .e2e-metrics.txt
 	cmp .e2e-golden.txt .e2e-obs.txt

@@ -170,7 +170,7 @@ func BenchmarkStudyScheduler(b *testing.B) {
 				}
 				if i == b.N-1 {
 					b.Log("\n" + agg.RenderTelemetry())
-					b.ReportMetric(agg.Throughput(), "injections/sec")
+					b.ReportMetric(agg.Status().ThroughputPerSec, "injections/sec")
 				}
 			}
 		})

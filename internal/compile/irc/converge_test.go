@@ -53,7 +53,7 @@ int main() {
 }`
 
 // convResult is what an attempt must reproduce exactly, plus the
-// compiled engine's convergence verdict.
+// compiled engine's convergence and hang-cycle verdicts.
 type convResult struct {
 	outcome   fault.Outcome
 	out       string
@@ -61,8 +61,11 @@ type convResult struct {
 	err       string
 	record    string // injection record and the post-run RNG draw
 	happened  bool
+	activated bool
 	executed  uint64
+	golden    uint64 // the golden run's length
 	converged bool
+	cycled    bool
 }
 
 // convInject is one attempt's fault: the candidate set, the trigger
@@ -138,7 +141,7 @@ func (p *irProg) attempt(start int, budget uint64, fi convInject) (ref, fast con
 			} else {
 				rc, err = r.Run()
 			}
-			res.executed, res.converged = r.Executed(), r.Converged()
+			res.executed, res.converged, res.cycled = r.Executed(), r.Converged(), r.Cycled()
 		} else {
 			r := interp.NewRunner(p.prep, &out)
 			if s != nil {
@@ -154,7 +157,8 @@ func (p *irProg) attempt(start int, budget uint64, fi convInject) (ref, fast con
 			res.executed = r.Executed()
 		}
 		res.outcome = p.g.Classify(out.Bytes(), rc, err, err == interp.ErrHang, inj.Happened && inj.Activated)
-		res.out, res.exit, res.err, res.happened = out.String(), rc, fmt.Sprint(err), inj.Happened
+		res.out, res.exit, res.err, res.happened, res.activated = out.String(), rc, fmt.Sprint(err), inj.Happened, inj.Activated
+		res.golden = p.g.Instrs
 		res.record = fmt.Sprint(inj.Happened, inj.Activated, inj.Target, inj.Bit, inj.OrigVal, inj.FaultyVal, inj.InstrIndex, inj.Rng.Int63())
 		return res
 	}
@@ -221,7 +225,7 @@ func (p *asmProg) attempt(start int, budget uint64, fi convInject) (ref, fast co
 			} else {
 				rc, err = e.Run()
 			}
-			res.executed, res.converged = e.Executed(), e.Converged()
+			res.executed, res.converged, res.cycled = e.Executed(), e.Converged(), e.Cycled()
 		} else {
 			m := machine.New(p.asm, p.img, p.base, &out)
 			if s != nil {
@@ -237,7 +241,8 @@ func (p *asmProg) attempt(start int, budget uint64, fi convInject) (ref, fast co
 			res.executed = m.Executed()
 		}
 		res.outcome = p.g.Classify(out.Bytes(), rc, err, err == machine.ErrHang, inj.Happened && inj.Activated)
-		res.out, res.exit, res.err, res.happened = out.String(), rc, fmt.Sprint(err), inj.Happened
+		res.out, res.exit, res.err, res.happened, res.activated = out.String(), rc, fmt.Sprint(err), inj.Happened, inj.Activated
+		res.golden = p.g.Instrs
 		res.record = fmt.Sprint(inj.Happened, inj.Activated, inj.InstrIdx, inj.Bit, inj.OrigVal, inj.FaultyVal, inj.TargetDesc, inj.Rng.Int63())
 		return res
 	}
@@ -266,9 +271,8 @@ func (o convOpts) budget(golden uint64) uint64 {
 // convAttempt runs one scenario attempt from the start of the program.
 type convAttempt func(convOpts) (ref, fast convResult)
 
-// convIR builds src at IR level, with a golden snapshot every stride
-// instructions.
-func convIR(t *testing.T, src string, stride uint64) convAttempt {
+// convCompile compiles src to IR and lowers it to machine code.
+func convCompile(t *testing.T, src string) (*interp.Prepared, *x86.Program) {
 	t.Helper()
 	mod, err := minic.Compile("conv", src)
 	if err != nil {
@@ -278,6 +282,18 @@ func convIR(t *testing.T, src string, stride uint64) convAttempt {
 	if err != nil {
 		t.Fatal(err)
 	}
+	asm, err := codegen.Lower(mod, prep.Layout, codegen.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prep, asm
+}
+
+// convIR builds src at IR level, with a golden snapshot every stride
+// instructions.
+func convIR(t *testing.T, src string, stride uint64) convAttempt {
+	t.Helper()
+	prep, _ := convCompile(t, src)
 	p, ok := newIRProg(prep, interp.DefaultMaxInstrs, func(uint64) uint64 { return stride })
 	if !ok {
 		t.Fatal("IR build or golden run failed")
@@ -294,40 +310,34 @@ func convIR(t *testing.T, src string, stride uint64) convAttempt {
 // stride instructions.
 func convASM(t *testing.T, src string, stride uint64) convAttempt {
 	t.Helper()
-	mod, err := minic.Compile("conv", src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prep, err := interp.Prepare(mod)
-	if err != nil {
-		t.Fatal(err)
-	}
-	asm, err := codegen.Lower(mod, prep.Layout, codegen.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	prep, asm := convCompile(t, src)
 	p, ok := newASMProg(asm, prep.Layout.Image, prep.Layout.Base, machine.DefaultMaxInstrs, func(uint64) uint64 { return stride })
 	if !ok {
 		t.Fatal("machine build or golden run failed")
-	}
-	// site's instructions run from its entry to the next function's.
-	lo, hi := asm.FuncAt["site"], len(asm.Instrs)
-	for _, at := range asm.FuncAt {
-		if at > lo && at < hi {
-			hi = at
-		}
 	}
 	return func(o convOpts) (ref, fast convResult) {
 		cat := fault.CatAll
 		if o.loads {
 			cat = fault.CatLoad
 		}
-		cands := pinfi.Candidates(asm, cat)
-		for i := range cands {
-			cands[i] = cands[i] && i >= lo && i < hi
-		}
-		return p.attempt(-1, o.budget(p.g.Instrs), convInject{cands, o.trigger, o.seed, o.activated})
+		return p.attempt(-1, o.budget(p.g.Instrs), convInject{asmCands(asm, cat, "site"), o.trigger, o.seed, o.activated})
 	}
+}
+
+// asmCands is PINFI's candidate set of category cat, cut down to fn's
+// instructions, which run from its entry to the next function's.
+func asmCands(asm *x86.Program, cat fault.Category, fn string) []bool {
+	lo, hi := asm.FuncAt[fn], len(asm.Instrs)
+	for _, at := range asm.FuncAt {
+		if at > lo && at < hi {
+			hi = at
+		}
+	}
+	cands := pinfi.Candidates(asm, cat)
+	for i := range cands {
+		cands[i] = cands[i] && i >= lo && i < hi
+	}
+	return cands
 }
 
 var convLevels = []struct {
@@ -337,7 +347,8 @@ var convLevels = []struct {
 
 // convSame requires the converging attempt to reproduce the reference
 // run exactly, having executed no more of it. An attempt that converged
-// rejoined the golden run, output included, so it must be Benign.
+// rejoined the golden run, output included, so it must be Benign; one
+// that cycled must be a Hang it ended short of the budget.
 func convSame(t *testing.T, what string, ref, fast convResult) {
 	t.Helper()
 	if ref.outcome != fast.outcome || ref.out != fast.out || ref.exit != fast.exit || ref.err != fast.err || ref.record != fast.record {
@@ -346,8 +357,11 @@ func convSame(t *testing.T, what string, ref, fast convResult) {
 	if fast.converged && fast.outcome != fault.OutcomeBenign {
 		t.Fatalf("%s: a %v attempt converged", what, fast.outcome)
 	}
-	if fast.executed > ref.executed || (!fast.converged && fast.executed != ref.executed) {
-		t.Fatalf("%s: executed: reference %d, compiled %d (converged %v)", what, ref.executed, fast.executed, fast.converged)
+	if fast.cycled && (fast.outcome != fault.OutcomeHang || fast.converged || fast.executed >= ref.executed) {
+		t.Fatalf("%s: a %v attempt cycled at %d of %d (converged %v)", what, fast.outcome, fast.executed, ref.executed, fast.converged)
+	}
+	if fast.executed > ref.executed || (!fast.converged && !fast.cycled && fast.executed != ref.executed) {
+		t.Fatalf("%s: executed: reference %d, compiled %d (converged %v, cycled %v)", what, ref.executed, fast.executed, fast.converged, fast.cycled)
 	}
 }
 
@@ -509,5 +523,195 @@ func TestConvergenceExactCount(t *testing.T) {
 				t.Fatalf("outcome %v, converged %v; want Hang without convergence", ref.outcome, fast.converged)
 			}
 		})
+	}
+}
+
+// The hang-cycle exactness tests: the fault decides how a loop in site
+// ends, and the hang budget is 20x the golden run. Once the attempt has
+// run as long as the golden run, the compiled engine may end it as a
+// Hang only when its whole state repeats.
+
+// hangCycleSites are site bodies whose flipped load of g sends a loop
+// into an exact cycle, the first by zeroing its step, the second by
+// freeing each block it allocates, so that the allocator hands the same
+// block out again.
+var hangCycleSites = []string{
+	`long site() { long v = g; long step = (v == 1); long s = 0; for (long i = 0; i < 50; i = i + step) s = s + (i & 1); free(nul); return s; }`,
+	`long site() { long v = g; while (v != 1) { long *p = (long*)malloc(32L); p[1] = v; free(p); } free(nul); return 0; }`,
+}
+
+// TestHangCycleEndsEarly: a flip that sends site's loop into a cycle is
+// a Hang under the reference engine at the budget, and the compiled
+// engine ends it as a cycled Hang well short of the budget.
+func TestHangCycleEndsEarly(t *testing.T) {
+	for i, site := range hangCycleSites {
+		for _, lv := range convLevels {
+			t.Run(fmt.Sprintf("%s/site%d", lv.name, i), func(t *testing.T) {
+				ref, fast := lv.build(t, convSrc(site, ""), 64)(convOpts{loads: true, seed: 1})
+				convSame(t, "cycling loop", ref, fast)
+				if ref.outcome != fault.OutcomeHang || !fast.cycled || ref.executed < 20*ref.golden {
+					t.Fatalf("outcome %v, cycled %v, reference executed %d of budget %d; want a cycled Hang", ref.outcome, fast.cycled, ref.executed, 20*ref.golden)
+				}
+				if fast.executed > 4*ref.golden {
+					t.Errorf("cycle found at %d, golden run %d: more than three golden lengths late", fast.executed, ref.golden)
+				}
+			})
+		}
+	}
+}
+
+// TestHangCycleNotForProgress: loops that hang without repeating their
+// state must run to the budget, as the reference engine does. The
+// first flips a loop bound far past the budget; the second prints
+// every iteration, so its output grows; the third allocates every
+// iteration without freeing, so its heap grows; the fourth counts in a
+// global a callee bumps, so only memory tells its states apart.
+func TestHangCycleNotForProgress(t *testing.T) {
+	sites := map[string]string{
+		"counted": `long site() { long v = g; long n = v * 40; long s = 0; for (long i = 0; i < n; i++) s = s + i; free(nul); return s & 1; }`,
+		"prints":  `long site() { long v = g; while (v != 1) print_char(46); free(nul); return 0; }`,
+		"mallocs": `long site() { long v = g; while (v != 1) { long *p = (long*)malloc(32L); p[1] = v; } free(nul); return 0; }`,
+		"bumps":   `long bump() { g2 = g2 + 1; free(nul); return 0; } long site() { long v = g; while (v != 1) bump(); free(nul); return 0; }`,
+	}
+	for name, site := range sites {
+		for _, lv := range convLevels {
+			t.Run(lv.name+"/"+name, func(t *testing.T) {
+				attempt := lv.build(t, convSrc(site, ""), 64)
+				hangs := 0
+				for seed := int64(1); seed <= 16; seed++ {
+					ref, fast := attempt(convOpts{loads: true, seed: seed})
+					convSame(t, fmt.Sprintf("seed %d", seed), ref, fast)
+					if fast.cycled {
+						t.Fatalf("seed %d: a %v attempt that never repeats its state cycled", seed, ref.outcome)
+					}
+					if ref.outcome == fault.OutcomeHang {
+						hangs++
+					}
+				}
+				if name != "mallocs" && hangs == 0 {
+					t.Fatal("no draw hung")
+				}
+			})
+		}
+	}
+}
+
+// TestHangCycleLongerRun: a flip that makes site's loop run a few
+// thousand iterations longer ends past the golden length but well
+// inside the budget. The cycle watch saves several windows on the way
+// and must not end it.
+func TestHangCycleLongerRun(t *testing.T) {
+	src := convSrc(`long site() { long v = g; long n = (v & 7) * 500; long s = 0; for (long i = 0; i < n; i++) s = s + i; free(nul); return s; }`, "")
+	for _, lv := range convLevels {
+		t.Run(lv.name, func(t *testing.T) {
+			attempt := lv.build(t, src, 64)
+			longer := 0
+			for seed := int64(1); seed <= 400 && longer < 2; seed++ {
+				ref, fast := attempt(convOpts{loads: true, seed: seed})
+				convSame(t, fmt.Sprintf("seed %d", seed), ref, fast)
+				if ref.executed > ref.golden+4096 {
+					if ref.outcome == fault.OutcomeHang || fast.cycled {
+						t.Fatalf("seed %d: outcome %v, cycled %v at %d of golden %d", seed, ref.outcome, fast.cycled, ref.executed, ref.golden)
+					}
+					longer++
+				}
+			}
+			if longer == 0 {
+				t.Fatal("no draw ran past the golden length")
+			}
+		})
+	}
+}
+
+// spinSrc loops forever on its own after computing w, which it reads
+// only once it has counted to the first %d, or never when the second %s
+// is "0". There is no golden run, so the attempts stand one in: the
+// cycle watch reads only its length.
+const spinSrc = `
+long g = 1;
+long g2 = 0;
+long *nul;
+int main() {
+    long w = g2 * 3 + 5;
+    free(nul);
+    long k = 0;
+    for (long i = 0; i < %d; i++) k = k + (i & 1);
+    k = k + %s;
+    while (g == 1) k = (k + 1) & 7;
+    print_long(w + k);
+    return 0;
+}`
+
+// TestHangCycleBeforeActivation: a fault in w, computed before the
+// spin, is not activated when the cycle watch starts. Never read, it
+// stays unactivated through the cycle; read late, it activates after
+// the first window was saved. Either way the cycled attempt's record,
+// activation included, must be the reference engine's. A fault whose
+// trigger lies thousands of candidates into the spin has not fired when
+// the spin first repeats its state; the candidate count keeps that
+// state apart, so the attempt must run on until the fault fires.
+func TestHangCycleBeforeActivation(t *testing.T) {
+	const standIn, budget = 1000, 200_000
+	for _, late := range []bool{false, true} {
+		count, use := 0, "0"
+		if late {
+			count, use = 3000, "w"
+		}
+		prep, asm := convCompile(t, fmt.Sprintf(spinSrc, count, use))
+		g := fault.Golden{Instrs: standIn}
+		irCands := llfi.CandidatesFunc(prep, func(in *ir.Instr) bool { return in.Parent.Parent.Name == "main" })
+		cp, err := irc.Compile(prep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		acp, err := mc.Compile(asm, prep.Layout.Image, prep.Layout.Base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		levels := []struct {
+			name    string
+			attempt func(trigger uint64) (ref, fast convResult)
+		}{
+			{"IR", func(trigger uint64) (ref, fast convResult) {
+				return (&irProg{prep: prep, cp: cp, g: g}).attempt(-1, budget, convInject{cands: irCands, trigger: trigger, seed: 1})
+			}},
+			{"ASM", func(trigger uint64) (ref, fast convResult) {
+				p := &asmProg{asm: asm, img: prep.Layout.Image, base: prep.Layout.Base, cp: acp, g: g}
+				return p.attempt(-1, budget, convInject{cands: asmCands(asm, fault.CatAll, "main"), trigger: trigger, seed: 1})
+			}},
+		}
+		for _, lv := range levels {
+			t.Run(fmt.Sprintf("%s/late=%v", lv.name, late), func(t *testing.T) {
+				// The first candidates are main's instructions before
+				// the spin, which runs candidates forever.
+				triggers := []uint64{2000, 20000}
+				for trigger := uint64(0); trigger < 24; trigger++ {
+					triggers = append(triggers, trigger)
+				}
+				cycled, live := 0, 0
+				for _, trigger := range triggers {
+					ref, fast := lv.attempt(trigger)
+					if trigger >= 2000 && !ref.happened {
+						t.Fatalf("trigger %d never fired", trigger)
+					}
+					convSame(t, fmt.Sprintf("trigger %d", trigger), ref, fast)
+					if ref.outcome != fault.OutcomeHang {
+						continue
+					}
+					if fast.cycled {
+						cycled++
+						if fast.activated == late {
+							live++
+						}
+					}
+				}
+				if cycled == 0 {
+					t.Fatal("no attempt cycled")
+				}
+				if live == 0 {
+					t.Errorf("no cycled attempt with w's fault %s", map[bool]string{false: "unactivated", true: "activated late"}[late])
+				}
+			})
+		}
 	}
 }

@@ -197,11 +197,25 @@ func FuzzCompiledVsInterp(f *testing.F) {
 // point and the later snapshots armed for convergence, and runs the
 // reference engine from the same point to the end. Outcome, output,
 // exit code, error, injection record and post-run RNG state must be
-// equal; the compiled engine may stop early only by converging, and a
-// converged attempt is Benign.
+// equal; the compiled engine may stop early only by converging or by
+// finding a hang cycle, a converged attempt is Benign and a cycled one
+// is a Hang.
 func FuzzConvergence(f *testing.F) {
 	addFuzzSeeds(f)
 	f.Add(convSrc(`long site() { long v = g; if (v < 0) print_char(33); return 0; }`, ""), int64(2), uint64(0))
+	// Hang-budget seeds. A flip that zeroes a loop's step (trigger 1 at
+	// IR, 6 at ASM) or makes a loop allocate and free a block forever
+	// (trigger 4 at ASM) cycles; one that raises a loop bound past the
+	// budget (trigger 0 at IR, 6 at ASM) hangs without repeating a
+	// state.
+	const zeroStep = "long g = 1; int main(){ long v = g; long step = (v == 1); long s = 0; for (long i = 0; i < 50; i = i + step) s = s + (i & 1); print_long(s); return 0; }"
+	const allocFree = "long g = 1; int main(){ long v = g; while (v != 1) { long *p = (long*)malloc(32L); p[1] = v; free(p); } print_long(v); return 0; }"
+	const longBound = "long g = 1; int main(){ long v = g; long n = v * 40; long s = 0; for (long i = 0; i < n; i++) s = s + i; print_long(s); return 0; }"
+	f.Add(zeroStep, int64(1), uint64(1))
+	f.Add(zeroStep, int64(1), uint64(6))
+	f.Add(allocFree, int64(1), uint64(4))
+	f.Add(longBound, int64(1), uint64(0))
+	f.Add(longBound, int64(1), uint64(6))
 
 	f.Fuzz(func(t *testing.T, src string, seed int64, trigger uint64) {
 		mod, err := minic.Compile("fuzz", src)

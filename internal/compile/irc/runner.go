@@ -45,8 +45,9 @@ type Runner struct {
 
 	executed  uint64
 	candCount uint64
-	// limit is min(MaxInstrs, next convergence boundary): the one count
-	// the loop compares executed against every step.
+	// limit is min(MaxInstrs, next convergence boundary, golden length
+	// once the cycle watch is armed): the one count the loop compares
+	// executed against every step.
 	limit uint64
 	sp    uint64
 	stack []*frame
@@ -145,19 +146,51 @@ func (r *Runner) Resume() (int64, error) {
 
 // convergence is the masking-convergence arm: the golden snapshots
 // still ahead of the run, the golden run a converged attempt finishes
-// as, and the output stream compared against it.
+// as, and the output stream compared against it; plus the hang-cycle
+// watch the same arming call sets up.
 type convergence struct {
 	snaps  []*interp.Snapshot
 	golden fault.Golden
 	out    *bytes.Buffer
 	from   int // out.Len() when armed: the restore point's OutLen
 	done   bool
+	cycle  cycleWatch
 }
 
-// Converge arms masking convergence. snaps are the golden run's
-// snapshots after the point the runner starts from, in capture order;
-// g is that golden run. The runner's output stream must be a
-// *bytes.Buffer already holding the golden output up to the start
+// cycleWatch is the hang-cycle arm: the state saved at the start of the
+// current window, which the loop compares every step once the run is
+// past the golden length. Windows double in length (Brent's cycle
+// finding), so a run that enters a cycle of period p is caught within
+// about twice max(p, first window) instructions of entering it.
+type cycleWatch struct {
+	cycled bool
+	next   uint64 // executed at which the next window starts
+	window uint64 // length of the current window
+
+	// The saved position, compared every step: stack depth, the top
+	// frame's block and pc, and the stack pointer.
+	depth int
+	blk   *blockCode
+	pc    int
+	sp    uint64
+
+	// The rest of the saved state, compared on a position match.
+	outLen    int
+	candCount uint64
+	frames    []interp.FrameView
+	mem       *mem.Memory // frozen
+}
+
+// firstCycleWindow is the length of the cycle watch's first window.
+// Saving a window costs a frozen snapshot of memory, so windows start
+// long enough to amortise it; every hang cycle the benchmarks produce
+// has a period well below it.
+const firstCycleWindow = 1024
+
+// Converge arms masking convergence and the hang-cycle watch. snaps are
+// the golden run's snapshots after the point the runner starts from, in
+// capture order; g is that golden run. The runner's output stream must
+// be a *bytes.Buffer already holding the golden output up to the start
 // point, as the injectors' replay path writes it; otherwise Converge is
 // a no-op. So is a hang budget below the golden run's length.
 //
@@ -168,8 +201,20 @@ type convergence struct {
 // state at an equal dynamic count means the rest of the run is the
 // golden run, so the runner stops there: it appends the rest of the
 // golden output and returns the golden exit code, with Executed at the
-// convergence point. Outcome, output, error, injection record and RNG
-// state are those of the full run.
+// convergence point.
+//
+// Once the run has executed as many instructions as the golden run, the
+// runner also watches for a repeated state: equal position, output
+// length, candidate count, frames and memory at two points of the run.
+// A deterministic run that revisits a state loops forever, so it must
+// reach the hang budget: the runner stops there with interp.ErrHang and
+// the output as it stands, with Executed at the detection point. The
+// activation watch needs no compare: a read that activates the fault
+// between the two points has already done so, and with none, the
+// repeating path never reads the watched value.
+//
+// Either way, outcome, output, error, injection record and RNG state
+// are those of the full run.
 func (r *Runner) Converge(snaps []*interp.Snapshot, g fault.Golden) {
 	out, ok := r.out.(*bytes.Buffer)
 	if !ok {
@@ -181,18 +226,53 @@ func (r *Runner) Converge(snaps []*interp.Snapshot, g fault.Golden) {
 // Converged reports whether the run ended at a convergence point.
 func (r *Runner) Converged() bool { return r.conv.done }
 
+// Cycled reports whether the run ended as a hang because its state
+// repeated.
+func (r *Runner) Cycled() bool { return r.conv.cycle.cycled }
+
 // setLimit points limit at the next convergence boundary, or at the
-// hang budget when none is left.
+// golden length once Converge armed the cycle watch, or at the hang
+// budget.
 func (r *Runner) setLimit() {
 	r.limit = r.MaxInstrs
-	if c := &r.conv; len(c.snaps) > 0 && c.snaps[0].Executed < r.limit {
+	c := &r.conv
+	if len(c.snaps) > 0 && c.snaps[0].Executed < r.limit {
 		r.limit = c.snaps[0].Executed
+	}
+	if c.out != nil && c.golden.Instrs < r.limit {
+		r.limit = c.golden.Instrs
 	}
 }
 
-// rejoined is the slow path of the loop's budget compare below the
-// hang budget: it checks the boundary the run has reached, if it
-// reached one exactly, and moves limit on to the next.
+// ending is how the slow path of the loop's budget compare ends the
+// run, if it does.
+type ending int
+
+const (
+	endNone ending = iota
+	endConverged
+	endCycled
+)
+
+// atLimit is the slow path of the loop's budget compare below the hang
+// budget: a convergence boundary is due, or the run is past the golden
+// length and the cycle watch compares this step.
+func (r *Runner) atLimit() ending {
+	c := &r.conv
+	if len(c.snaps) > 0 {
+		if r.rejoined() {
+			return endConverged
+		}
+		r.setLimit()
+	}
+	if r.executed >= c.golden.Instrs && r.cycled() {
+		return endCycled
+	}
+	return endNone
+}
+
+// rejoined checks the convergence boundary the run has reached, if it
+// reached one exactly.
 func (r *Runner) rejoined() bool {
 	c := &r.conv
 	for len(c.snaps) > 0 && c.snaps[0].Executed < r.executed {
@@ -207,7 +287,6 @@ func (r *Runner) rejoined() bool {
 			return true
 		}
 	}
-	r.setLimit()
 	return false
 }
 
@@ -215,15 +294,20 @@ func (r *Runner) rejoined() bool {
 // parts first.
 func (r *Runner) matches(k *interp.Snapshot) bool {
 	c := &r.conv
-	if c.out.Len() != k.OutLen || !bytes.Equal(c.out.Bytes()[c.from:], c.golden.Output[c.from:k.OutLen]) {
-		return false
-	}
-	if len(r.stack) != k.NumFrames() {
+	return c.out.Len() == k.OutLen && bytes.Equal(c.out.Bytes()[c.from:], c.golden.Output[c.from:k.OutLen]) &&
+		r.sameFrames(k.NumFrames(), k.Frame) && k.MatchesMemory(r.mem, r.sp)
+}
+
+// sameFrames compares the run's frame stack with n frames, frame(i)
+// bottom first: every frame's position, base, saved stack pointer,
+// value and parameter slots.
+func (r *Runner) sameFrames(n int, frame func(int) interp.FrameView) bool {
+	if len(r.stack) != n {
 		return false
 	}
 	top := len(r.stack) - 1
 	for i, fr := range r.stack {
-		fv := k.Frame(i)
+		fv := frame(i)
 		pc := fv.Idx - fr.blk.nPhi
 		if i < top {
 			pc++ // parked on its OpCall
@@ -236,7 +320,56 @@ func (r *Runner) matches(k *interp.Snapshot) bool {
 			return false
 		}
 	}
-	return k.MatchesMemory(r.mem, r.sp)
+	return true
+}
+
+// cycled is one step of the cycle watch: inside a window it compares
+// the run's state with the window's saved state, position first; at
+// the end of a window it saves the state and doubles the window.
+func (r *Runner) cycled() bool {
+	w := &r.conv.cycle
+	if r.executed >= w.next {
+		r.saveWindow()
+		return false
+	}
+	top := r.stack[len(r.stack)-1]
+	if len(r.stack) != w.depth || top.blk != w.blk || top.pc != w.pc || r.sp != w.sp {
+		return false
+	}
+	if r.conv.out.Len() != w.outLen || r.candCount != w.candCount ||
+		!r.sameFrames(len(w.frames), w.frame) || !r.mem.Equal(w.mem) {
+		return false
+	}
+	w.cycled = true
+	return true
+}
+
+func (w *cycleWatch) frame(i int) interp.FrameView { return w.frames[i] }
+
+// saveWindow starts the next window of the cycle watch at the run's
+// current state. The saved memory is a frozen snapshot, so the live
+// memory copies a page before its next write.
+func (r *Runner) saveWindow() {
+	w := &r.conv.cycle
+	w.window = max(2*w.window, firstCycleWindow)
+	w.next = r.executed + w.window
+	top := r.stack[len(r.stack)-1]
+	w.depth, w.blk, w.pc, w.sp = len(r.stack), top.blk, top.pc, r.sp
+	w.outLen, w.candCount = r.conv.out.Len(), r.candCount
+	w.frames = w.frames[:0]
+	for i, fr := range r.stack {
+		fc := r.cp.fns[fr.blk.blk.Parent]
+		idx := fr.pc + fr.blk.nPhi
+		if i < len(r.stack)-1 {
+			idx-- // parked on its OpCall
+		}
+		w.frames = append(w.frames, interp.FrameView{
+			Fn: fc.fn, Blk: fr.blk.blk, Idx: idx, Base: fr.base, SavedSP: fr.savedSP,
+			Vals:   slices.Clone(fr.vals[:fc.numValues]),
+			Params: slices.Clone(fr.vals[fc.numValues:fc.constBase]),
+		})
+	}
+	w.mem = r.mem.Snapshot()
 }
 
 func (r *Runner) loop() (int64, error) {
@@ -254,8 +387,11 @@ func (r *Runner) loop() (int64, error) {
 			if r.executed >= r.MaxInstrs {
 				return 0, interp.ErrHang
 			}
-			if r.rejoined() {
+			switch r.atLimit() {
+			case endConverged:
 				return r.conv.golden.Exit, nil
+			case endCycled:
+				return 0, interp.ErrHang
 			}
 		}
 		st := &steps[fr.pc]

@@ -41,8 +41,9 @@ type Engine struct {
 
 	executed  uint64
 	candCount uint64
-	// limit is min(MaxInstrs, next convergence boundary): the one count
-	// the loop compares executed against every step.
+	// limit is min(MaxInstrs, next convergence boundary, golden length
+	// once the cycle watch is armed): the one count the loop compares
+	// executed against every step.
 	limit uint64
 	// armed caches Inject != nil && !Inject.Happened for the loop; it is
 	// set when the run starts and cleared when the fault fires.
@@ -121,19 +122,46 @@ func (e *Engine) Resume() (int64, error) { return e.loop() }
 
 // convergence is the masking-convergence arm: the golden snapshots
 // still ahead of the run, the golden run a converged attempt finishes
-// as, and the output stream compared against it.
+// as, and the output stream compared against it; plus the hang-cycle
+// watch the same arming call sets up.
 type convergence struct {
 	snaps  []*machine.Snapshot
 	golden fault.Golden
 	out    *bytes.Buffer
 	from   int // out.Len() when armed: the restore point's OutLen
 	done   bool
+	cycle  cycleWatch
 }
 
-// Converge arms masking convergence. snaps are the golden run's
-// snapshots after the point the engine starts from, in capture order;
-// g is that golden run. The engine's output stream must be a
-// *bytes.Buffer already holding the golden output up to the start
+// cycleWatch is the hang-cycle arm: the state saved at the start of the
+// current window, which the loop compares every step once the run is
+// past the golden length. Windows double in length (Brent's cycle
+// finding), so a run that enters a cycle of period p is caught within
+// about twice max(p, first window) instructions of entering it.
+type cycleWatch struct {
+	cycled bool
+	next   uint64 // executed at which the next window starts
+	window uint64 // length of the current window
+
+	// rip is the saved position, compared every step; state holds the
+	// saved registers, flags and memory, compared on a position match
+	// after the rest of the saved state.
+	rip       int
+	state     *machine.Snapshot
+	outLen    int
+	candCount uint64
+}
+
+// firstCycleWindow is the length of the cycle watch's first window.
+// Saving a window costs a frozen snapshot of memory, so windows start
+// long enough to amortise it; every hang cycle the benchmarks produce
+// has a period well below it.
+const firstCycleWindow = 1024
+
+// Converge arms masking convergence and the hang-cycle watch. snaps are
+// the golden run's snapshots after the point the engine starts from, in
+// capture order; g is that golden run. The engine's output stream must
+// be a *bytes.Buffer already holding the golden output up to the start
 // point, as the injectors' replay path writes it; otherwise Converge is
 // a no-op. So is a hang budget below the golden run's length.
 //
@@ -143,8 +171,21 @@ type convergence struct {
 // an equal dynamic count means the rest of the run is the golden run,
 // so the engine stops there: it appends the rest of the golden output
 // and returns the golden exit code, with Executed at the convergence
-// point. Outcome, output, error, injection record and RNG state are
-// those of the full run.
+// point.
+//
+// Once the run has executed as many instructions as the golden run, the
+// engine also watches for a repeated state: equal rip, registers,
+// flags, XMM registers, output length, candidate count and memory at
+// two points of the run. A deterministic run that revisits a state
+// loops forever, so it must reach the hang budget: the engine stops
+// there with machine.ErrHang and the output as it stands, with Executed
+// at the detection point. The activation watch needs no compare: a
+// read that activates the fault, or a write that kills it, between the
+// two points has already done so, and with neither, the repeating path
+// never touches the watched location.
+//
+// Either way, outcome, output, error, injection record and RNG state
+// are those of the full run.
 func (e *Engine) Converge(snaps []*machine.Snapshot, g fault.Golden) {
 	out, ok := e.env.Out.(*bytes.Buffer)
 	if !ok {
@@ -156,19 +197,54 @@ func (e *Engine) Converge(snaps []*machine.Snapshot, g fault.Golden) {
 // Converged reports whether the run ended at a convergence point.
 func (e *Engine) Converged() bool { return e.conv.done }
 
+// Cycled reports whether the run ended as a hang because its state
+// repeated.
+func (e *Engine) Cycled() bool { return e.conv.cycle.cycled }
+
 // setLimit points limit at the next convergence boundary, or at the
-// hang budget when none is left.
+// golden length once Converge armed the cycle watch, or at the hang
+// budget.
 func (e *Engine) setLimit() {
 	e.limit = e.MaxInstrs
-	if c := &e.conv; len(c.snaps) > 0 && c.snaps[0].Executed < e.limit {
+	c := &e.conv
+	if len(c.snaps) > 0 && c.snaps[0].Executed < e.limit {
 		e.limit = c.snaps[0].Executed
+	}
+	if c.out != nil && c.golden.Instrs < e.limit {
+		e.limit = c.golden.Instrs
 	}
 }
 
-// rejoined is the slow path of the loop's budget compare below the
-// hang budget, so a boundary is due: it checks that boundary and moves
-// limit on to the next. Machine instructions retire one at a time, so
-// the run meets every boundary after its start exactly.
+// ending is how the slow path of the loop's budget compare ends the
+// run, if it does.
+type ending int
+
+const (
+	endNone ending = iota
+	endConverged
+	endCycled
+)
+
+// atLimit is the slow path of the loop's budget compare below the hang
+// budget: a convergence boundary is due, or the run is past the golden
+// length and the cycle watch compares this step.
+func (e *Engine) atLimit() ending {
+	c := &e.conv
+	if len(c.snaps) > 0 && c.snaps[0].Executed <= e.executed {
+		if e.rejoined() {
+			return endConverged
+		}
+		e.setLimit()
+	}
+	if e.executed >= c.golden.Instrs && e.cycled() {
+		return endCycled
+	}
+	return endNone
+}
+
+// rejoined checks the convergence boundary that is due. Machine
+// instructions retire one at a time, so the run meets every boundary
+// after its start exactly.
 func (e *Engine) rejoined() bool {
 	c := &e.conv
 	k := c.snaps[0]
@@ -178,7 +254,6 @@ func (e *Engine) rejoined() bool {
 		c.done = true
 		return true
 	}
-	e.setLimit()
 	return false
 }
 
@@ -189,6 +264,33 @@ func (e *Engine) matches(k *machine.Snapshot) bool {
 	return c.out.Len() == k.OutLen &&
 		bytes.Equal(c.out.Bytes()[c.from:], c.golden.Output[c.from:k.OutLen]) &&
 		k.MatchesState(e.mem, &e.regs, &e.xmm, e.flags, e.rip)
+}
+
+// cycled is one step of the cycle watch: inside a window it compares
+// the engine's state with the window's saved state, rip first; at the
+// end of a window it saves the state and doubles the window.
+func (e *Engine) cycled() bool {
+	w := &e.conv.cycle
+	if e.executed >= w.next {
+		e.saveWindow()
+		return false
+	}
+	if e.rip != w.rip || e.conv.out.Len() != w.outLen || e.candCount != w.candCount ||
+		!w.state.MatchesState(e.mem, &e.regs, &e.xmm, e.flags, e.rip) {
+		return false
+	}
+	w.cycled = true
+	return true
+}
+
+// saveWindow starts the next window of the cycle watch at the engine's
+// current state.
+func (e *Engine) saveWindow() {
+	w := &e.conv.cycle
+	w.window = max(2*w.window, firstCycleWindow)
+	w.next = e.executed + w.window
+	w.rip, w.outLen, w.candCount = e.rip, e.conv.out.Len(), e.candCount
+	w.state = machine.FreezeState(e.mem, &e.regs, &e.xmm, e.flags, e.rip)
 }
 
 func (e *Engine) loop() (int64, error) {
@@ -207,8 +309,11 @@ func (e *Engine) loop() (int64, error) {
 			if e.executed >= e.MaxInstrs {
 				return 0, machine.ErrHang
 			}
-			if e.rejoined() {
+			switch e.atLimit() {
+			case endConverged:
 				return e.conv.golden.Exit, nil
+			case endCycled:
+				return 0, machine.ErrHang
 			}
 		}
 		st := &steps[rip]

@@ -488,8 +488,9 @@ func runRow(t *testing.T, c *matrixClass, row matrixRow) *rowRun {
 
 // checkInstrumentation checks that the observers saw the row's studies:
 // metrics counters, one finished campaign root per study with one scan
-// and one run span per cell and extension span, and converged attempts
-// counted alike in the replay stats, study_done and the summary.
+// and one run span per cell and extension span, and converged and
+// cycled attempts counted alike in the replay stats, study_done and the
+// summary.
 func checkInstrumentation(t *testing.T, r *rowRun, executed bool) {
 	t.Helper()
 	om := r.om
@@ -530,11 +531,11 @@ func checkInstrumentation(t *testing.T, r *rowRun, executed bool) {
 	if r.replay == nil || r.row[axDelivery] != delDirect {
 		return
 	}
-	n := r.replay.Stats.Converged()
-	if done[0].ConvergedAttempts != n {
-		t.Errorf("converged attempts: replay stats %d, study_done %d", n, done[0].ConvergedAttempts)
+	n, c := r.replay.Stats.Converged(), r.replay.Stats.Cycled()
+	if done[0].ConvergedAttempts != n || done[0].CycledAttempts != c {
+		t.Errorf("converged, cycled attempts: replay stats %d, %d; study_done %d, %d", n, c, done[0].ConvergedAttempts, done[0].CycledAttempts)
 	}
-	if want := fmt.Sprintf(", %d converged (", n); executed && !strings.Contains(r.agg.RenderTelemetry(), want) {
+	if want := fmt.Sprintf(", %d converged, %d hang cycles (", n, c); executed && !strings.Contains(r.agg.RenderTelemetry(), want) {
 		t.Errorf("telemetry summary lacks %q:\n%s", want, r.agg.RenderTelemetry())
 	}
 }
@@ -613,9 +614,13 @@ func TestStudyMatrix(t *testing.T) {
 		must(t, err)
 		c := newMatrixClass(t, progs, core.CanonicalCells(progs, nil), 12, 3, nil)
 		r := runRow(t, c, matrixRow{axPolicy: polFast, axParallel: 1, axInstr: 1})
-		// On real workloads the fast policy must also converge.
+		// On real workloads the fast policy must also converge, and end
+		// some hangs at a repeated state.
 		if r.replay.Stats.Converged() == 0 {
 			t.Error("no attempt converged on the six benchmarks")
+		}
+		if r.replay.Stats.Cycled() == 0 {
+			t.Error("no hang attempt cycled on the six benchmarks")
 		}
 	})
 }

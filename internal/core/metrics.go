@@ -38,6 +38,7 @@ func BindMetrics(m *obs.Metrics, agg *telemetry.Aggregator, replay *ReplayConfig
 		m.InstrsSkipped.Store(stats.SkippedInstrs())
 		m.InstrsReplayed.Store(stats.ReplayedInstrs())
 		m.ReplayConverged.Store(stats.Converged())
+		m.ReplayCycled.Store(stats.Cycled())
 		m.SnapshotCacheBytes.SetUint64(stats.CacheBytes())
 		m.SnapshotCacheSnapshots.SetUint64(stats.CacheEntries())
 		m.SnapshotEvictions.Store(stats.Evictions())

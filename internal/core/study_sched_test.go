@@ -149,7 +149,7 @@ func TestStudyTelemetryStream(t *testing.T) {
 		t.Fatalf("study_done totals mismatch: %+v (want cells=%d attempts=%d activated=%d)",
 			done, len(st.Cells), wantAttempts, wantActivated)
 	}
-	if tp := agg.Throughput(); tp <= 0 {
+	if tp := agg.Status().ThroughputPerSec; tp <= 0 {
 		t.Fatalf("aggregator throughput = %f, want > 0", tp)
 	}
 	if sum := agg.RenderTelemetry(); !strings.Contains(sum, "quantumm") {

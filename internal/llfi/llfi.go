@@ -271,7 +271,7 @@ func (j *Injector) injectAt(trigger uint64, rng *rand.Rand, traced bool) *Result
 	var rc int64
 	var err error
 	var executed uint64
-	var converged bool
+	var end telemetry.AttemptEnd
 	if i := j.snapBefore(trigger); i >= 0 {
 		s := j.snaps[i]
 		out.Write(j.Golden.Output[:s.OutLen])
@@ -283,7 +283,7 @@ func (j *Injector) injectAt(trigger uint64, rng *rand.Rand, traced bool) *Result
 			r.Converge(j.snaps[i+1:], j.Golden)
 			rc, err = r.Resume()
 			executed = r.Executed()
-			converged = r.Converged()
+			end = telemetry.EndOf(r)
 		} else {
 			r := interp.NewRunnerFromSnapshot(j.Prep, s, &out)
 			r.SetCandCount(j.snapCands[i])
@@ -302,7 +302,7 @@ func (j *Injector) injectAt(trigger uint64, rng *rand.Rand, traced bool) *Result
 			r.Converge(j.snaps, j.Golden)
 			rc, err = r.Run()
 			executed = r.Executed()
-			converged = r.Converged()
+			end = telemetry.EndOf(r)
 		} else {
 			r := interp.NewRunner(j.Prep, &out)
 			r.MaxInstrs = budget
@@ -316,7 +316,7 @@ func (j *Injector) injectAt(trigger uint64, rng *rand.Rand, traced bool) *Result
 		}
 	}
 	if useCompiled {
-		j.stats.NoteCompiled(converged)
+		j.stats.NoteCompiled(end)
 	}
 	res := &Result{Output: out.Bytes(), Exit: rc, Err: err, Injection: injection, Trigger: trigger}
 	res.Outcome = j.Golden.Classify(res.Output, res.Exit, err, err == interp.ErrHang, injection.Happened && injection.Activated)

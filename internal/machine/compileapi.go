@@ -65,6 +65,15 @@ func (s *Snapshot) CloneState() (m *mem.Memory, regs [x86.NumRegs]uint64, xmm [x
 	return s.mem.Clone(), s.regs, s.xmm, s.flags, s.rip
 }
 
+// FreezeState captures the given architectural state as a Snapshot, the
+// inverse of CloneState: m is frozen copy-on-write, so the live memory
+// copies a page before its next write, and the registers are copied.
+// The pre-decoded engine's hang-cycle watch saves its windows with it
+// and compares against them with MatchesState.
+func FreezeState(m *mem.Memory, regs *[x86.NumRegs]uint64, xmm *[x86.NumXRegs][2]uint64, flags uint64, rip int) *Snapshot {
+	return &Snapshot{mem: m.Snapshot(), regs: *regs, xmm: *xmm, flags: flags, rip: rip}
+}
+
 // MatchesState reports whether the given architectural state is exactly
 // the snapshot's: the inverse of CloneState, which the pre-decoded
 // engine's masking-convergence compare uses. The registers are compared

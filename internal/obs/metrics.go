@@ -54,6 +54,7 @@ type Metrics struct {
 	InstrsSkipped          *Counter
 	InstrsReplayed         *Counter
 	ReplayConverged        *Counter
+	ReplayCycled           *Counter
 	SnapshotCacheBytes     *Gauge
 	SnapshotCacheSnapshots *Gauge
 	SnapshotEvictions      *Counter
@@ -111,6 +112,7 @@ func New() *Metrics {
 		InstrsSkipped:          r.Counter("hlfi_replay_instrs_skipped_total", "Dynamic instructions skipped by snapshot restores."),
 		InstrsReplayed:         r.Counter("hlfi_replay_instrs_replayed_total", "Dynamic instructions replayed after snapshot restores."),
 		ReplayConverged:        r.Counter("hlfi_replay_converged_total", "Attempts a compiled engine ended where their state rejoined the golden run."),
+		ReplayCycled:           r.Counter("hlfi_replay_cycled_total", "Attempts a compiled engine ended as hangs when their state repeated."),
 		SnapshotCacheBytes:     r.Gauge("hlfi_snapshot_cache_bytes", "Accounted bytes held by the snapshot cache."),
 		SnapshotCacheSnapshots: r.Gauge("hlfi_snapshot_cache_snapshots", "Snapshots held by the snapshot cache."),
 		SnapshotEvictions:      r.Counter("hlfi_snapshot_evictions_total", "Snapshot cache entries evicted under the memory budget."),

@@ -260,7 +260,7 @@ func (j *Injector) injectAt(trigger uint64, rng *rand.Rand, traced bool) *Result
 	var rc int64
 	var err error
 	var executed uint64
-	var converged bool
+	var end telemetry.AttemptEnd
 	if i := j.snapBefore(trigger); i >= 0 {
 		s := j.snaps[i]
 		out.Write(j.Golden.Output[:s.OutLen])
@@ -272,7 +272,7 @@ func (j *Injector) injectAt(trigger uint64, rng *rand.Rand, traced bool) *Result
 			e.Converge(j.snaps[i+1:], j.Golden)
 			rc, err = e.Resume()
 			executed = e.Executed()
-			converged = e.Converged()
+			end = telemetry.EndOf(e)
 		} else {
 			m := machine.NewFromSnapshot(j.Prog, s, &out)
 			m.SetCandCount(j.snapCands[i])
@@ -291,7 +291,7 @@ func (j *Injector) injectAt(trigger uint64, rng *rand.Rand, traced bool) *Result
 			e.Converge(j.snaps, j.Golden)
 			rc, err = e.Run()
 			executed = e.Executed()
-			converged = e.Converged()
+			end = telemetry.EndOf(e)
 		} else {
 			m := machine.New(j.Prog, j.LayoutImage, j.LayoutBase, &out)
 			m.MaxInstrs = budget
@@ -305,7 +305,7 @@ func (j *Injector) injectAt(trigger uint64, rng *rand.Rand, traced bool) *Result
 		}
 	}
 	if useCompiled {
-		j.stats.NoteCompiled(converged)
+		j.stats.NoteCompiled(end)
 	}
 	res := &Result{Output: out.Bytes(), Exit: rc, Err: err, Injection: injection, Trigger: trigger}
 	res.Outcome = j.Golden.Classify(res.Output, res.Exit, err, err == machine.ErrHang, injection.Happened && injection.Activated)

@@ -144,7 +144,7 @@ func TestReplayStatsPostEvictionGauge(t *testing.T) {
 	nilStats.NoteEviction()
 	nilStats.Hit(1, 1)
 	nilStats.Miss(1)
-	nilStats.NoteCompiled(true)
+	nilStats.NoteCompiled(EndConverged)
 }
 
 // TestAggregatorZeroAttemptStudy is the satellite-3 coverage: a study
@@ -156,10 +156,12 @@ func TestReplayStatsPostEvictionGauge(t *testing.T) {
 // sums to the replayed-instruction total.
 func TestReplayStatsRestoreDistribution(t *testing.T) {
 	s := &ReplayStats{}
-	s.Hit(7, 1000)        // on the first bound
-	s.Hit(7, 1001)        // just above it
-	s.Miss(1 << 40)       // past the last bound
-	s.NoteCompiled(false) // compiled attempts are counted apart
+	s.Hit(7, 1000)            // on the first bound
+	s.Hit(7, 1001)            // just above it
+	s.Miss(1 << 40)           // past the last bound
+	s.NoteCompiled(EndRanOut) // compiled attempts are counted apart
+	s.NoteCompiled(EndConverged)
+	s.NoteCompiled(EndCycled)
 	counts := s.RestoreCounts()
 	if len(counts) != len(obs.RestoreInstrsBuckets)+1 {
 		t.Fatalf("%d buckets, want %d", len(counts), len(obs.RestoreInstrsBuckets)+1)
@@ -167,8 +169,8 @@ func TestReplayStatsRestoreDistribution(t *testing.T) {
 	if counts[0] != 1 || counts[1] != 1 || counts[len(counts)-1] != 1 {
 		t.Errorf("restore buckets %v, want one each in the first, second and +Inf", counts)
 	}
-	if s.ReplayedInstrs() != 1000+1001+1<<40 || s.CompiledAttempts() != 1 {
-		t.Errorf("replayed %d, compiled %d", s.ReplayedInstrs(), s.CompiledAttempts())
+	if s.ReplayedInstrs() != 1000+1001+1<<40 || s.CompiledAttempts() != 3 || s.Converged() != 1 || s.Cycled() != 1 {
+		t.Errorf("replayed %d, compiled %d, converged %d, cycled %d", s.ReplayedInstrs(), s.CompiledAttempts(), s.Converged(), s.Cycled())
 	}
 }
 
@@ -192,10 +194,10 @@ func TestAggregatorZeroAttemptStudy(t *testing.T) {
 	a.Record(Event{Type: EventCellSkip, Benchmark: "mcfm", Level: "PINFI", Category: "cast", Err: "no candidates"})
 	a.Record(Event{Type: EventStudyDone, Cells: 0, DurationMS: 12})
 
-	if attempts, activated := a.Totals(); attempts != 0 || activated != 0 {
-		t.Errorf("totals = (%d, %d), want (0, 0)", attempts, activated)
+	if st := a.Status(); st.Attempts != 0 || st.Activated != 0 {
+		t.Errorf("totals = (%d, %d), want (0, 0)", st.Attempts, st.Activated)
 	}
-	if tp := a.Throughput(); tp != 0 {
+	if tp := a.Status().ThroughputPerSec; tp != 0 {
 		t.Errorf("throughput = %v, want 0 with zero attempts", tp)
 	}
 	if slow := a.SlowestCells(5); len(slow) != 0 {
@@ -227,10 +229,10 @@ func TestAggregatorSingleCellStudy(t *testing.T) {
 		Benign: 20, SDC: 10, Crash: 15, Hang: 5, NotActivated: 30})
 	a.Record(Event{Type: EventStudyDone, Cells: 1, DurationMS: 500})
 
-	if attempts, activated := a.Totals(); attempts != 80 || activated != 50 {
-		t.Errorf("totals = (%d, %d), want (80, 50)", attempts, activated)
+	if st := a.Status(); st.Attempts != 80 || st.Activated != 50 {
+		t.Errorf("totals = (%d, %d), want (80, 50)", st.Attempts, st.Activated)
 	}
-	if tp := a.Throughput(); tp != 160 { // 80 attempts / 0.5 s
+	if tp := a.Status().ThroughputPerSec; tp != 160 { // 80 attempts / 0.5 s
 		t.Errorf("throughput = %v, want 160", tp)
 	}
 	slow := a.SlowestCells(5)

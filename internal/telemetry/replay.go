@@ -19,6 +19,7 @@ type ReplayStats struct {
 	skippedInstrs  atomic.Uint64
 	replayedInstrs atomic.Uint64
 	converged      atomic.Uint64
+	cycled         atomic.Uint64
 	compiled       atomic.Uint64
 	cacheBytes     atomic.Uint64
 	cacheEntries   atomic.Uint64
@@ -53,16 +54,47 @@ func (s *ReplayStats) noteReplayed(n uint64) {
 	s.restore[sort.SearchFloat64s(obs.RestoreInstrsBuckets[:], float64(n))].Add(1)
 }
 
-// NoteCompiled counts one attempt a compiled engine executed; converged
-// says it ended at a masking-convergence point, short of the program's
-// exit.
-func (s *ReplayStats) NoteCompiled(converged bool) {
+// AttemptEnd is how a compiled-engine attempt ended.
+type AttemptEnd int
+
+const (
+	// EndRanOut: the attempt ran to the program's exit, an error or the
+	// hang budget.
+	EndRanOut AttemptEnd = iota
+	// EndConverged: it ended at a masking-convergence point, short of
+	// the program's exit.
+	EndConverged
+	// EndCycled: it ended as a hang when its state repeated, short of
+	// the hang budget.
+	EndCycled
+)
+
+// EndOf reads how a compiled engine's attempt ended.
+func EndOf(engine interface {
+	Converged() bool
+	Cycled() bool
+}) AttemptEnd {
+	switch {
+	case engine.Converged():
+		return EndConverged
+	case engine.Cycled():
+		return EndCycled
+	}
+	return EndRanOut
+}
+
+// NoteCompiled counts one attempt a compiled engine executed, and how
+// it ended.
+func (s *ReplayStats) NoteCompiled(end AttemptEnd) {
 	if s == nil {
 		return
 	}
 	s.compiled.Add(1)
-	if converged {
+	switch end {
+	case EndConverged:
 		s.converged.Add(1)
+	case EndCycled:
+		s.cycled.Add(1)
 	}
 }
 
@@ -98,6 +130,10 @@ func (s *ReplayStats) ReplayedInstrs() uint64 { return s.replayedInstrs.Load() }
 // Converged returns the number of attempts that ended at a
 // masking-convergence point.
 func (s *ReplayStats) Converged() uint64 { return s.converged.Load() }
+
+// Cycled returns the number of attempts that ended as hangs when their
+// state repeated.
+func (s *ReplayStats) Cycled() uint64 { return s.cycled.Load() }
 
 // CacheBytes returns the last published cache footprint.
 func (s *ReplayStats) CacheBytes() uint64 { return s.cacheBytes.Load() }

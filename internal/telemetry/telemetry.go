@@ -163,6 +163,7 @@ type Event struct {
 	SkippedInstrs      uint64 `json:"skippedInstrs,omitempty"`
 	ReplayedInstrs     uint64 `json:"replayedInstrs,omitempty"`
 	ConvergedAttempts  uint64 `json:"convergedAttempts,omitempty"`
+	CycledAttempts     uint64 `json:"cycledAttempts,omitempty"`
 	SnapshotCacheBytes uint64 `json:"snapshotCacheBytes,omitempty"`
 	SnapshotEvictions  uint64 `json:"snapshotEvictions,omitempty"`
 }
@@ -178,6 +179,7 @@ func (e *Event) ReplayFields(s *ReplayStats) {
 	e.SkippedInstrs = s.SkippedInstrs()
 	e.ReplayedInstrs = s.ReplayedInstrs()
 	e.ConvergedAttempts = s.Converged()
+	e.CycledAttempts = s.Cycled()
 	e.SnapshotCacheBytes = s.CacheBytes()
 	e.SnapshotEvictions = s.Evictions()
 }
@@ -370,13 +372,6 @@ func (a *Aggregator) SimFaults() []Event {
 	return append([]Event(nil), a.simFaults...)
 }
 
-// Resumed returns the number of cells restored from a checkpoint.
-func (a *Aggregator) Resumed() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.resumes)
-}
-
 // Warehoused returns the number of cells resolved from the result
 // warehouse (zero injections executed).
 func (a *Aggregator) Warehoused() int {
@@ -403,13 +398,6 @@ func (a *Aggregator) Plan() Event {
 	return *a.plan
 }
 
-// Aborted reports whether the stream ended in study_abort.
-func (a *Aggregator) Aborted() bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.abort != nil
-}
-
 // Cells returns a copy of the recorded cell_done events.
 func (a *Aggregator) Cells() []Event {
 	a.mu.Lock()
@@ -417,13 +405,8 @@ func (a *Aggregator) Cells() []Event {
 	return append([]Event(nil), a.cells...)
 }
 
-// Totals sums attempts and activated injections over all completed cells.
-func (a *Aggregator) Totals() (attempts, activated int) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.totalsLocked()
-}
-
+// totalsLocked sums attempts and activated injections over all
+// completed cells and extensions.
 func (a *Aggregator) totalsLocked() (attempts, activated int) {
 	for _, c := range a.cells {
 		attempts += c.Attempts
@@ -434,18 +417,6 @@ func (a *Aggregator) totalsLocked() (attempts, activated int) {
 		activated += c.Activated
 	}
 	return attempts, activated
-}
-
-// Throughput is the aggregate injection rate in injections per second
-// over the study wall clock (0 before study_done arrives).
-func (a *Aggregator) Throughput() float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	attempts, _ := a.totalsLocked()
-	if a.done.DurationMS <= 0 {
-		return 0
-	}
-	return float64(attempts) / (a.done.DurationMS / 1000)
 }
 
 // SlowestCells returns up to k cell_done events ordered by descending
@@ -548,8 +519,8 @@ func (a *Aggregator) RenderTelemetry() string {
 		if total > 0 {
 			frac = 100 * float64(done.SkippedInstrs) / float64(total)
 		}
-		fmt.Fprintf(&sb, "  snapshot replay       : %d/%d attempts fast-forwarded, %d converged (%.1f%% of instructions skipped; cache %s, %d evictions)\n",
-			done.ReplayHits, done.ReplayHits+done.ReplayMisses, done.ConvergedAttempts, frac,
+		fmt.Fprintf(&sb, "  snapshot replay       : %d/%d attempts fast-forwarded, %d converged, %d hang cycles (%.1f%% of instructions skipped; cache %s, %d evictions)\n",
+			done.ReplayHits, done.ReplayHits+done.ReplayMisses, done.ConvergedAttempts, done.CycledAttempts, frac,
 			fmtBytes(done.SnapshotCacheBytes), done.SnapshotEvictions)
 	}
 	slow := a.SlowestCells(5)

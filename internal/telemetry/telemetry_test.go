@@ -78,11 +78,11 @@ func TestAggregator(t *testing.T) {
 	a.Record(telemetry.Event{Type: telemetry.EventCellSkip, Benchmark: "mcfm", Err: "no candidates"})
 	a.Record(telemetry.Event{Type: telemetry.EventStudyDone, DurationMS: 1000})
 
-	if attempts, activated := a.Totals(); attempts != 37 || activated != 30 {
-		t.Fatalf("Totals() = (%d,%d), want (37,30)", attempts, activated)
+	if st := a.Status(); st.Attempts != 37 || st.Activated != 30 {
+		t.Fatalf("Status() attempts, activated = (%d,%d), want (37,30)", st.Attempts, st.Activated)
 	}
-	if tp := a.Throughput(); tp < 36.9 || tp > 37.1 {
-		t.Fatalf("Throughput() = %f, want ~37 injections/sec", tp)
+	if tp := a.Status().ThroughputPerSec; tp < 36.9 || tp > 37.1 {
+		t.Fatalf("Status().ThroughputPerSec = %f, want ~37 injections/sec", tp)
 	}
 	slow := a.SlowestCells(2)
 	if len(slow) != 2 || slow[0].Benchmark != "mcfm" || slow[1].Benchmark != "quantumm" {
@@ -119,11 +119,11 @@ func TestAggregatorResilienceEvents(t *testing.T) {
 		Err: "cell deadline exceeded"})
 	a.Record(telemetry.Event{Type: telemetry.EventStudyAbort, Cells: 2, Err: "context canceled"})
 
-	if a.Resumed() != 1 {
-		t.Errorf("Resumed() = %d, want 1", a.Resumed())
+	if st := a.Status(); st.CellsResumed != 1 {
+		t.Errorf("Status().CellsResumed = %d, want 1", st.CellsResumed)
 	}
-	if !a.Aborted() {
-		t.Error("Aborted() = false after study_abort")
+	if !a.Status().Aborted {
+		t.Error("Status().Aborted = false after study_abort")
 	}
 	sf := a.SimFaults()
 	if len(sf) != 1 || sf[0].AttemptSeed != 42 {
