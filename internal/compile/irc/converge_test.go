@@ -3,7 +3,6 @@ package irc_test
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"math/rand"
 	"testing"
 
@@ -103,7 +102,10 @@ func newIRProg(prep *interp.Prepared, maxInstrs uint64, stride func(uint64) uint
 		return nil, false
 	}
 	p = &irProg{prep: prep, cp: cp, g: fault.Golden{Output: out.Bytes(), Exit: rc, Instrs: r.Executed()}}
-	c := interp.NewRunner(prep, io.Discard)
+	// The capture run writes to a buffer, as the injectors' does, so
+	// that every snapshot records its output length.
+	var capOut bytes.Buffer
+	c := interp.NewRunner(prep, &capOut)
 	c.Profile = make([]uint64, prep.SeqTotal)
 	c.SnapshotEvery = stride(p.g.Instrs)
 	c.SnapshotSink = func(s *interp.Snapshot) { p.snaps = append(p.snaps, s) }
@@ -190,7 +192,8 @@ func newASMProg(asm *x86.Program, img []byte, base uint64, maxInstrs uint64, str
 		return nil, false
 	}
 	p = &asmProg{asm: asm, img: img, base: base, cp: cp, g: fault.Golden{Output: out.Bytes(), Exit: rc, Instrs: m.Executed()}}
-	c := machine.New(asm, img, base, io.Discard)
+	var capOut bytes.Buffer
+	c := machine.New(asm, img, base, &capOut)
 	c.Profile = make([]uint64, len(asm.Instrs))
 	c.SnapshotEvery = stride(p.g.Instrs)
 	c.SnapshotSink = func(s *machine.Snapshot) { p.snaps = append(p.snaps, s) }
@@ -506,23 +509,91 @@ func TestConvergenceNeedsActivation(t *testing.T) {
 	}
 }
 
-// TestConvergenceExactCount: the fault sends site down a longer path
-// that leaves no trace once it returns, so the attempt goes through the
-// golden run's remaining states a few instructions late. With a
-// snapshot at every boundary and a hang budget of exactly the golden
-// length, the full run hangs. The attempt may compare only at a
-// boundary it reaches exactly; comparing after overshooting one (by a
-// phi bundle, at IR level) would find the golden state and end Benign.
+// TestConvergenceTwinArms: a flip of the flags of site's first compare
+// sends it down the twin of the golden arm. Once each arm has reloaded
+// and compared g2, registers, flags and memory equal the golden run's at
+// the same count; only the position differs, and the arms print
+// different bytes. With a snapshot at every step, the attempt must end
+// SDC without converging.
+func TestConvergenceTwinArms(t *testing.T) {
+	src := convSrc(`long site() { long v = g; if (v == 1) { if (g2 == 0) print_char(65); } else { if (g2 == 0) print_char(66); } free(nul); return 0; }`, "")
+	for _, lv := range convLevels {
+		t.Run(lv.name, func(t *testing.T) {
+			attempt := lv.build(t, src, 1)
+			sdc := 0
+			for trigger := uint64(0); ; trigger++ {
+				ref, fast := attempt(convOpts{trigger: trigger, seed: 1})
+				if !ref.happened {
+					break
+				}
+				convSame(t, fmt.Sprintf("trigger %d", trigger), ref, fast)
+				if ref.outcome == fault.OutcomeSDC {
+					sdc++
+				}
+			}
+			if sdc == 0 {
+				t.Fatal("no fault sent site down the other arm")
+			}
+		})
+	}
+}
+
+// TestConvergenceExactCount pins the hang arithmetic: the fault sends
+// site down a longer path that leaves no trace once it returns, so the
+// attempt rejoins the golden state a few instructions late, well inside
+// a snapshot's window. With a hang budget of exactly the golden length,
+// the golden tail from the rejoin point no longer fits it, and the full
+// run hangs. The attempt must not converge, although its state matches:
+// with the usual budget, the same attempt converges.
 func TestConvergenceExactCount(t *testing.T) {
 	src := convSrc(`long site() { long v = g; if (v != 1) { long z = g2 * 3; if (z != 0) print_char(33); } free(nul); return 0; }`, "")
 	for _, lv := range convLevels {
 		t.Run(lv.name, func(t *testing.T) {
-			ref, fast := lv.build(t, src, 1)(convOpts{loads: true, seed: 1, tight: true})
+			attempt := lv.build(t, src, 64)
+			ref, fast := attempt(convOpts{loads: true, seed: 1, tight: true})
 			convSame(t, "longer path", ref, fast)
 			if ref.outcome != fault.OutcomeHang || fast.converged {
 				t.Fatalf("outcome %v, converged %v; want Hang without convergence", ref.outcome, fast.converged)
 			}
+			ref, fast = attempt(convOpts{loads: true, seed: 1})
+			convSame(t, "longer path, usual budget", ref, fast)
+			if !fast.converged {
+				t.Fatalf("usual budget: outcome %v, never converged", ref.outcome)
+			}
 		})
+	}
+}
+
+// shiftedSites are site bodies whose flipped load of g changes how far
+// site runs and nothing else: its loop takes one trip more, its loop
+// takes one trip fewer, or it takes a longer branch arm. Once site
+// returns, the attempt's state is the golden run's, a few instructions
+// off the count of every later snapshot.
+var shiftedSites = map[string]string{
+	"longer loop":  `long site() { long v = g; long n = 4 + (v != 1); long s = 0; for (long i = 0; i < n; i++) s = s + (i & 1); g2 = g2 + (s > 9); free(nul); return 0; }`,
+	"shorter loop": `long site() { long v = g; long n = 4 - (v != 1); long s = 0; for (long i = 0; i < n; i++) s = s + (i & 1); g2 = g2 + (s > 9); free(nul); return 0; }`,
+	"longer arm":   `long site() { long v = g; long w = 1; if (v != 1) { long u = g2 + 1; w = u * u * (u + g2) - g2; } g2 = g2 + w - 1; free(nul); return 0; }`,
+}
+
+// TestConvergenceShifted: a fault that only shifts the attempt against
+// the golden run, by a loop trip or a branch arm, must converge where
+// its state rejoins, although that is never at a snapshot's count. The
+// attempt is Benign and ends short of the full run.
+func TestConvergenceShifted(t *testing.T) {
+	for name, site := range shiftedSites {
+		for _, lv := range convLevels {
+			t.Run(lv.name+"/"+name, func(t *testing.T) {
+				attempt := lv.build(t, convSrc(site, ""), 64)
+				for seed := int64(1); seed <= 8; seed++ {
+					ref, fast := attempt(convOpts{loads: true, seed: seed})
+					convSame(t, fmt.Sprintf("seed %d", seed), ref, fast)
+					if ref.outcome != fault.OutcomeBenign || !fast.converged || fast.executed >= ref.executed {
+						t.Fatalf("seed %d: outcome %v, converged %v at %d of %d; want a Benign attempt converged short of the full run",
+							seed, ref.outcome, fast.converged, fast.executed, ref.executed)
+					}
+				}
+			})
+		}
 	}
 }
 

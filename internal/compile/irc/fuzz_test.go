@@ -216,6 +216,26 @@ func FuzzConvergence(f *testing.F) {
 	f.Add(allocFree, int64(1), uint64(4))
 	f.Add(longBound, int64(1), uint64(0))
 	f.Add(longBound, int64(1), uint64(6))
+	// Shifted-rejoin seeds. A flip of g's load (trigger 0 at IR, 12 or 9
+	// at ASM) gives f's loop one trip more or fewer, or sends f down a
+	// longer branch arm; once f returns, the state is golden's a few
+	// instructions off every snapshot's count. Under a hang budget of
+	// exactly the golden length (trigger bit 6), the late rejoin no
+	// longer fits: those attempts hang.
+	const shiftTail = " long mix(long a, long b) { long x = a * 31 + b; long y = x ^ (x >> 3); return y - (x | 7); }" +
+		" int main() { f(); long t = 0; for (long i = 0; i < 100; i++) t = mix(t, i); print_long(t); return 0; }"
+	const shiftHead = "long g = 1; long g2 = 0; long *nul; "
+	const longerLoop = shiftHead + "long f() { long v = g; long n = 4 + (v != 1); long s = 0; for (long i = 0; i < n; i++) s = s + (i & 1); g2 = g2 + (s > 9); free(nul); return 0; }" + shiftTail
+	const shorterLoop = shiftHead + "long f() { long v = g; long n = 4 - (v != 1); long s = 0; for (long i = 0; i < n; i++) s = s + (i & 1); g2 = g2 + (s > 9); free(nul); return 0; }" + shiftTail
+	const longerArm = shiftHead + "long f() { long v = g; long w = 1; if (v != 1) { long u = g2 + 1; w = u * u * (u + g2) - g2; } g2 = g2 + w - 1; free(nul); return 0; }" + shiftTail
+	f.Add(longerLoop, int64(1), uint64(0))
+	f.Add(longerLoop, int64(1), uint64(12))
+	f.Add(shorterLoop, int64(1), uint64(0))
+	f.Add(shorterLoop, int64(1), uint64(12))
+	f.Add(longerArm, int64(1), uint64(0))
+	f.Add(longerArm, int64(1), uint64(9))
+	f.Add(longerLoop, int64(1), uint64(64+0))
+	f.Add(longerLoop, int64(1), uint64(64+12))
 
 	f.Fuzz(func(t *testing.T, src string, seed int64, trigger uint64) {
 		mod, err := minic.Compile("fuzz", src)
@@ -227,6 +247,14 @@ func FuzzConvergence(f *testing.F) {
 			t.Skip()
 		}
 		fi := convInject{trigger: trigger % 64, seed: seed}
+		// Bit 6 of trigger tightens the hang budget to exactly the
+		// golden length, which every late rejoin crosses.
+		budget := func(golden uint64) uint64 {
+			if trigger&64 != 0 {
+				return golden
+			}
+			return golden*2 + 1000
+		}
 		// About a dozen snapshots: each is the start of two runs to the
 		// end.
 		stride := func(golden uint64) uint64 { return golden/12 + 1 }
@@ -236,7 +264,7 @@ func FuzzConvergence(f *testing.F) {
 				fi.cands[i] = true
 			}
 			for start := -1; start < len(p.snaps); start++ {
-				ref, fast := p.attempt(start, p.g.Instrs*2+1000, fi)
+				ref, fast := p.attempt(start, budget(p.g.Instrs), fi)
 				convSame(t, fmt.Sprintf("IR from snapshot %d", start), ref, fast)
 			}
 		}
@@ -254,7 +282,7 @@ func FuzzConvergence(f *testing.F) {
 			fi.cands[i] = true
 		}
 		for start := -1; start < len(p.snaps); start++ {
-			ref, fast := p.attempt(start, p.g.Instrs*2+1000, fi)
+			ref, fast := p.attempt(start, budget(p.g.Instrs), fi)
 			convSame(t, fmt.Sprintf("ASM from snapshot %d", start), ref, fast)
 		}
 	})

@@ -45,9 +45,9 @@ type Runner struct {
 
 	executed  uint64
 	candCount uint64
-	// limit is min(MaxInstrs, next convergence boundary, golden length
-	// once the cycle watch is armed): the one count the loop compares
-	// executed against every step.
+	// limit is min(MaxInstrs, end of the convergence seek's window,
+	// golden length once the cycle watch is armed): the one count the
+	// loop compares executed against every step.
 	limit uint64
 	sp    uint64
 	stack []*frame
@@ -62,6 +62,12 @@ type Runner struct {
 
 	watchFrame *frame
 	watchInstr *ir.Instr
+
+	// seekBlk and seekPC are the top frame's position in the golden
+	// snapshot the convergence seek compares against (seekBlk nil when
+	// not seeking): the one position the loop compares every step.
+	seekBlk *blockCode
+	seekPC  int
 
 	done   bool
 	result int64
@@ -145,16 +151,24 @@ func (r *Runner) Resume() (int64, error) {
 }
 
 // convergence is the masking-convergence arm: the golden snapshots
-// still ahead of the run, the golden run a converged attempt finishes
+// still ahead of the seek, the golden run a converged attempt finishes
 // as, and the output stream compared against it; plus the hang-cycle
 // watch the same arming call sets up.
 type convergence struct {
-	snaps  []*interp.Snapshot
+	snaps  []*interp.Snapshot // the sought snapshot first, once seeking
+	prev   uint64             // count of the snapshot (or start) before snaps[0]
+	until  uint64             // the seek moves past snaps[0] at this count
 	golden fault.Golden
 	out    *bytes.Buffer
 	from   int // out.Len() when armed: the restore point's OutLen
 	done   bool
 	cycle  cycleWatch
+
+	// The rest of the sought snapshot's position, and its top frame's
+	// function and slots, resolved when the seek moves to it.
+	depth int
+	topFn *fnCode
+	top   interp.FrameView
 }
 
 // cycleWatch is the hang-cycle arm: the state saved at the start of the
@@ -192,16 +206,22 @@ const firstCycleWindow = 1024
 // capture order; g is that golden run. The runner's output stream must
 // be a *bytes.Buffer already holding the golden output up to the start
 // point, as the injectors' replay path writes it; otherwise Converge is
-// a no-op. So is a hang budget below the golden run's length.
+// a no-op.
 //
-// At each snapshot boundary the run reaches exactly, once the injected
-// fault has activated, the runner compares its whole state with the
-// snapshot: output so far, stack pointer, every frame's position, base,
-// saved stack pointer, value and parameter slots, and memory. Equal
-// state at an equal dynamic count means the rest of the run is the
-// golden run, so the runner stops there: it appends the rest of the
-// golden output and returns the golden exit code, with Executed at the
-// convergence point.
+// Once the injected fault has activated, the runner seeks the next
+// snapshot's position: its top frame's block and pc at its stack depth.
+// It keeps seeking it until the run is fault.RejoinWindow past the
+// snapshot's count; then it seeks the next one. Whenever the run is at
+// the sought position, the runner compares the rest of its state with
+// the snapshot: output length, the top frame's value and parameter
+// slots, the output bytes, then every frame's position, base, saved
+// stack pointer and slots, memory and the stack pointer. Equal state
+// means the rest of the run is the golden run's tail from that
+// snapshot, whatever the count, so the runner stops there if that tail
+// fits the hang budget (fault.Golden.TailFits): it appends the rest of
+// the golden output and returns the golden exit code, with Executed at
+// the convergence point. A tail that does not fit would hang, so the
+// run goes on.
 //
 // Once the run has executed as many instructions as the golden run, the
 // runner also watches for a repeated state: equal position, output
@@ -220,7 +240,7 @@ func (r *Runner) Converge(snaps []*interp.Snapshot, g fault.Golden) {
 	if !ok {
 		return
 	}
-	r.conv = convergence{snaps: snaps, golden: g, out: out, from: out.Len()}
+	r.conv = convergence{snaps: snaps, prev: r.executed, golden: g, out: out, from: out.Len()}
 }
 
 // Converged reports whether the run ended at a convergence point.
@@ -230,72 +250,81 @@ func (r *Runner) Converged() bool { return r.conv.done }
 // repeated.
 func (r *Runner) Cycled() bool { return r.conv.cycle.cycled }
 
-// setLimit points limit at the next convergence boundary, or at the
+// setLimit points limit at the end of the seek's window, or at the
 // golden length once Converge armed the cycle watch, or at the hang
 // budget.
 func (r *Runner) setLimit() {
 	r.limit = r.MaxInstrs
 	c := &r.conv
-	if len(c.snaps) > 0 && c.snaps[0].Executed < r.limit {
-		r.limit = c.snaps[0].Executed
+	if r.seekBlk != nil && c.until < r.limit {
+		r.limit = c.until
 	}
 	if c.out != nil && c.golden.Instrs < r.limit {
 		r.limit = c.golden.Instrs
 	}
 }
 
-// ending is how the slow path of the loop's budget compare ends the
-// run, if it does.
-type ending int
+// seek points the position compare at the first golden snapshot whose
+// window the run has not passed, or turns it off past the last one. It
+// runs when the fault activates and when a window ends.
+func (r *Runner) seek() {
+	c := &r.conv
+	r.seekBlk = nil
+	for ; len(c.snaps) > 0; c.snaps = c.snaps[1:] {
+		k := c.snaps[0]
+		next := c.golden.Instrs
+		if len(c.snaps) > 1 {
+			next = c.snaps[1].Executed
+		}
+		if end := k.Executed + fault.RejoinWindow(c.prev, k.Executed, next); r.executed <= end {
+			c.depth = k.NumFrames()
+			c.top = k.Frame(c.depth - 1)
+			c.topFn = r.cp.fns[c.top.Fn]
+			r.seekBlk = c.topFn.blocks[c.top.Blk]
+			r.seekPC = c.top.Idx - r.seekBlk.nPhi
+			c.until = end + 1
+			break
+		}
+		c.prev = k.Executed
+	}
+	r.setLimit()
+}
 
-const (
-	endNone ending = iota
-	endConverged
-	endCycled
-)
+// activate records that the fault's corrupted value has been read and
+// starts the convergence seek.
+func (r *Runner) activate() {
+	r.Inject.Activated = true
+	r.watchInstr = nil
+	r.seek()
+}
 
 // atLimit is the slow path of the loop's budget compare below the hang
-// budget: a convergence boundary is due, or the run is past the golden
-// length and the cycle watch compares this step.
-func (r *Runner) atLimit() ending {
+// budget: the seek's window has ended, or the run is past the golden
+// length and the cycle watch compares this step. It reports whether the
+// cycle watch found the run's state repeated.
+func (r *Runner) atLimit() bool {
 	c := &r.conv
-	if len(c.snaps) > 0 {
-		if r.rejoined() {
-			return endConverged
-		}
-		r.setLimit()
+	if r.seekBlk != nil && r.executed >= c.until {
+		r.seek()
 	}
-	if r.executed >= c.golden.Instrs && r.cycled() {
-		return endCycled
-	}
-	return endNone
+	return r.executed >= c.golden.Instrs && r.cycled()
 }
 
-// rejoined checks the convergence boundary the run has reached, if it
-// reached one exactly.
-func (r *Runner) rejoined() bool {
+// rejoined compares the run's state with the sought snapshot, whose top
+// frame's block and pc the run is at, cheapest parts first.
+func (r *Runner) rejoined(fr *frame) bool {
 	c := &r.conv
-	for len(c.snaps) > 0 && c.snaps[0].Executed < r.executed {
-		c.snaps = c.snaps[1:] // overshot by a phi bundle or another path
+	k, fc := c.snaps[0], c.topFn
+	if len(r.stack) != c.depth || c.out.Len() != k.OutLen ||
+		!slices.Equal(fr.vals[:fc.numValues], c.top.Vals) || !slices.Equal(fr.vals[fc.numValues:fc.constBase], c.top.Params) ||
+		!bytes.Equal(c.out.Bytes()[c.from:], c.golden.Output[c.from:k.OutLen]) ||
+		!r.sameFrames(c.depth, k.Frame) || !k.MatchesMemory(r.mem, r.sp) ||
+		!c.golden.TailFits(r.executed, k.Executed, r.MaxInstrs) {
+		return false
 	}
-	if len(c.snaps) > 0 && c.snaps[0].Executed == r.executed {
-		k := c.snaps[0]
-		c.snaps = c.snaps[1:]
-		if r.Inject != nil && r.Inject.Activated && r.matches(k) {
-			c.out.Write(c.golden.Output[k.OutLen:])
-			c.done = true
-			return true
-		}
-	}
-	return false
-}
-
-// matches compares the run's state with golden snapshot k, cheapest
-// parts first.
-func (r *Runner) matches(k *interp.Snapshot) bool {
-	c := &r.conv
-	return c.out.Len() == k.OutLen && bytes.Equal(c.out.Bytes()[c.from:], c.golden.Output[c.from:k.OutLen]) &&
-		r.sameFrames(k.NumFrames(), k.Frame) && k.MatchesMemory(r.mem, r.sp)
+	c.out.Write(c.golden.Output[k.OutLen:])
+	c.done = true
+	return true
 }
 
 // sameFrames compares the run's frame stack with n frames, frame(i)
@@ -373,9 +402,6 @@ func (r *Runner) saveWindow() {
 }
 
 func (r *Runner) loop() (int64, error) {
-	if r.conv.golden.Instrs > r.MaxInstrs {
-		r.conv.snaps = nil // the full run could hang before the golden end
-	}
 	r.setLimit()
 	for {
 		fr := r.stack[len(r.stack)-1]
@@ -384,23 +410,19 @@ func (r *Runner) loop() (int64, error) {
 			return 0, fmt.Errorf("block %s fell through", fr.blk.blk.Name)
 		}
 		if r.executed >= r.limit {
-			if r.executed >= r.MaxInstrs {
+			if r.executed >= r.MaxInstrs || r.atLimit() {
 				return 0, interp.ErrHang
 			}
-			switch r.atLimit() {
-			case endConverged:
-				return r.conv.golden.Exit, nil
-			case endCycled:
-				return 0, interp.ErrHang
-			}
+		}
+		if fr.blk == r.seekBlk && fr.pc == r.seekPC && r.rejoined(fr) {
+			return r.conv.golden.Exit, nil
 		}
 		st := &steps[fr.pc]
 		fr.pc++
 		if r.watchInstr != nil && r.watchFrame == fr {
 			for _, a := range st.watchArgs {
 				if a == r.watchInstr {
-					r.Inject.Activated = true
-					r.watchInstr = nil
+					r.activate()
 					break
 				}
 			}
@@ -467,8 +489,7 @@ func (r *Runner) enterEdge(fr *frame, e *edgePlan) error {
 		if r.watchInstr != nil && r.watchFrame == fr {
 			for _, a := range ph.actArgs {
 				if a == r.watchInstr {
-					r.Inject.Activated = true
-					r.watchInstr = nil
+					r.activate()
 					break
 				}
 			}
@@ -534,6 +555,9 @@ func (r *Runner) inject(fr *frame, d *dest, v uint64) uint64 {
 		r.watchFrame = fr
 		r.watchInstr = d.in
 		r.armed = false
+		if inj.Activated {
+			r.seek() // the record came in activated
+		}
 		v = nv
 	}
 	r.candCount++

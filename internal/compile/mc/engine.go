@@ -41,13 +41,17 @@ type Engine struct {
 
 	executed  uint64
 	candCount uint64
-	// limit is min(MaxInstrs, next convergence boundary, golden length
-	// once the cycle watch is armed): the one count the loop compares
-	// executed against every step.
+	// limit is min(MaxInstrs, end of the convergence seek's window,
+	// golden length once the cycle watch is armed): the one count the
+	// loop compares executed against every step.
 	limit uint64
 	// armed caches Inject != nil && !Inject.Happened for the loop; it is
 	// set when the run starts and cleared when the fault fires.
 	armed bool
+	// seekRip is the rip of the golden snapshot the convergence seek
+	// compares against, or -1: the one position the loop compares rip
+	// with every step.
+	seekRip int
 
 	watch     watchKind
 	watchReg  x86.Reg
@@ -80,6 +84,7 @@ func New(cp *Program, out io.Writer) *Engine {
 		mem:       m,
 		env:       &rt.Env{Mem: m, Out: out},
 		MaxInstrs: machine.DefaultMaxInstrs,
+		seekRip:   -1,
 	}
 }
 
@@ -97,6 +102,7 @@ func NewFromSnapshot(cp *Program, s *machine.Snapshot, out io.Writer) *Engine {
 		rip:       rip,
 		MaxInstrs: machine.DefaultMaxInstrs,
 		executed:  s.Executed,
+		seekRip:   -1,
 	}
 }
 
@@ -121,11 +127,13 @@ func (e *Engine) Run() (int64, error) {
 func (e *Engine) Resume() (int64, error) { return e.loop() }
 
 // convergence is the masking-convergence arm: the golden snapshots
-// still ahead of the run, the golden run a converged attempt finishes
+// still ahead of the seek, the golden run a converged attempt finishes
 // as, and the output stream compared against it; plus the hang-cycle
 // watch the same arming call sets up.
 type convergence struct {
-	snaps  []*machine.Snapshot
+	snaps  []*machine.Snapshot // the sought snapshot first, once seeking
+	prev   uint64              // count of the snapshot (or start) before snaps[0]
+	until  uint64              // the seek moves past snaps[0] at this count
 	golden fault.Golden
 	out    *bytes.Buffer
 	from   int // out.Len() when armed: the restore point's OutLen
@@ -163,15 +171,20 @@ const firstCycleWindow = 1024
 // capture order; g is that golden run. The engine's output stream must
 // be a *bytes.Buffer already holding the golden output up to the start
 // point, as the injectors' replay path writes it; otherwise Converge is
-// a no-op. So is a hang budget below the golden run's length.
+// a no-op.
 //
-// At each snapshot boundary, once the injected fault has activated,
-// the engine compares its whole state with the snapshot: output so
-// far, registers, XMM registers, flags, rip and memory. Equal state at
-// an equal dynamic count means the rest of the run is the golden run,
-// so the engine stops there: it appends the rest of the golden output
-// and returns the golden exit code, with Executed at the convergence
-// point.
+// Once the injected fault has activated, the engine seeks the next
+// snapshot's rip, and keeps seeking it until the run is
+// fault.RejoinWindow past the snapshot's count; then it seeks the next
+// one. Whenever the run is at the sought rip, the engine compares the
+// rest of its state with the snapshot: output length, registers, XMM
+// registers and flags, the output bytes, then memory. Equal state means
+// the rest of the run is the golden run's tail from that snapshot,
+// whatever the count, so the engine stops there if that tail fits the
+// hang budget (fault.Golden.TailFits): it appends the rest of the golden
+// output and returns the golden exit code, with Executed at the
+// convergence point. A tail that does not fit would hang, so the run
+// goes on.
 //
 // Once the run has executed as many instructions as the golden run, the
 // engine also watches for a repeated state: equal rip, registers,
@@ -191,7 +204,7 @@ func (e *Engine) Converge(snaps []*machine.Snapshot, g fault.Golden) {
 	if !ok {
 		return
 	}
-	e.conv = convergence{snaps: snaps, golden: g, out: out, from: out.Len()}
+	e.conv = convergence{snaps: snaps, prev: e.executed, golden: g, out: out, from: out.Len()}
 }
 
 // Converged reports whether the run ended at a convergence point.
@@ -201,69 +214,74 @@ func (e *Engine) Converged() bool { return e.conv.done }
 // repeated.
 func (e *Engine) Cycled() bool { return e.conv.cycle.cycled }
 
-// setLimit points limit at the next convergence boundary, or at the
+// setLimit points limit at the end of the seek's window, or at the
 // golden length once Converge armed the cycle watch, or at the hang
 // budget.
 func (e *Engine) setLimit() {
 	e.limit = e.MaxInstrs
 	c := &e.conv
-	if len(c.snaps) > 0 && c.snaps[0].Executed < e.limit {
-		e.limit = c.snaps[0].Executed
+	if e.seekRip >= 0 && c.until < e.limit {
+		e.limit = c.until
 	}
 	if c.out != nil && c.golden.Instrs < e.limit {
 		e.limit = c.golden.Instrs
 	}
 }
 
-// ending is how the slow path of the loop's budget compare ends the
-// run, if it does.
-type ending int
-
-const (
-	endNone ending = iota
-	endConverged
-	endCycled
-)
-
-// atLimit is the slow path of the loop's budget compare below the hang
-// budget: a convergence boundary is due, or the run is past the golden
-// length and the cycle watch compares this step.
-func (e *Engine) atLimit() ending {
+// seek points the position compare at the first golden snapshot whose
+// window the run has not passed, or turns it off past the last one. It
+// runs when the fault activates and when a window ends.
+func (e *Engine) seek() {
 	c := &e.conv
-	if len(c.snaps) > 0 && c.snaps[0].Executed <= e.executed {
-		if e.rejoined() {
-			return endConverged
+	e.seekRip = -1
+	for ; len(c.snaps) > 0; c.snaps = c.snaps[1:] {
+		k := c.snaps[0]
+		next := c.golden.Instrs
+		if len(c.snaps) > 1 {
+			next = c.snaps[1].Executed
 		}
-		e.setLimit()
+		if end := k.Executed + fault.RejoinWindow(c.prev, k.Executed, next); e.executed <= end {
+			e.seekRip, c.until = k.Rip(), end+1
+			break
+		}
+		c.prev = k.Executed
 	}
-	if e.executed >= c.golden.Instrs && e.cycled() {
-		return endCycled
-	}
-	return endNone
+	e.setLimit()
 }
 
-// rejoined checks the convergence boundary that is due. Machine
-// instructions retire one at a time, so the run meets every boundary
-// after its start exactly.
+// activate records that the fault's corrupted location has been read and
+// starts the convergence seek.
+func (e *Engine) activate() {
+	e.Inject.Activated = true
+	e.watch = watchNone
+	e.seek()
+}
+
+// atLimit is the slow path of the loop's budget compare below the hang
+// budget: the seek's window has ended, or the run is past the golden
+// length and the cycle watch compares this step. It reports whether the
+// cycle watch found the run's state repeated.
+func (e *Engine) atLimit() bool {
+	c := &e.conv
+	if e.seekRip >= 0 && e.executed >= c.until {
+		e.seek()
+	}
+	return e.executed >= c.golden.Instrs && e.cycled()
+}
+
+// rejoined compares the engine's state with the sought snapshot, which
+// the run is at the position of, cheapest parts first.
 func (e *Engine) rejoined() bool {
 	c := &e.conv
 	k := c.snaps[0]
-	c.snaps = c.snaps[1:]
-	if k.Executed == e.executed && e.Inject != nil && e.Inject.Activated && e.matches(k) {
-		c.out.Write(c.golden.Output[k.OutLen:])
-		c.done = true
-		return true
+	if c.out.Len() != k.OutLen || !k.MatchesRegs(&e.regs, &e.xmm, e.flags) ||
+		!bytes.Equal(c.out.Bytes()[c.from:], c.golden.Output[c.from:k.OutLen]) ||
+		!k.MatchesMemory(e.mem) || !c.golden.TailFits(e.executed, k.Executed, e.MaxInstrs) {
+		return false
 	}
-	return false
-}
-
-// matches compares the engine's state with golden snapshot k, output
-// first.
-func (e *Engine) matches(k *machine.Snapshot) bool {
-	c := &e.conv
-	return c.out.Len() == k.OutLen &&
-		bytes.Equal(c.out.Bytes()[c.from:], c.golden.Output[c.from:k.OutLen]) &&
-		k.MatchesState(e.mem, &e.regs, &e.xmm, e.flags, e.rip)
+	c.out.Write(c.golden.Output[k.OutLen:])
+	c.done = true
+	return true
 }
 
 // cycled is one step of the cycle watch: inside a window it compares
@@ -276,7 +294,7 @@ func (e *Engine) cycled() bool {
 		return false
 	}
 	if e.rip != w.rip || e.conv.out.Len() != w.outLen || e.candCount != w.candCount ||
-		!w.state.MatchesState(e.mem, &e.regs, &e.xmm, e.flags, e.rip) {
+		!w.state.MatchesRegs(&e.regs, &e.xmm, e.flags) || !w.state.MatchesMemory(e.mem) {
 		return false
 	}
 	w.cycled = true
@@ -295,9 +313,6 @@ func (e *Engine) saveWindow() {
 
 func (e *Engine) loop() (int64, error) {
 	e.armed = e.Inject != nil && !e.Inject.Happened
-	if e.conv.golden.Instrs > e.MaxInstrs {
-		e.conv.snaps = nil // the full run could hang before the golden end
-	}
 	e.setLimit()
 	steps := e.cp.steps
 	for {
@@ -306,15 +321,12 @@ func (e *Engine) loop() (int64, error) {
 			return 0, &mem.Fault{Kind: mem.FaultBadCodeAddr, Addr: mem.CodeBase + uint64(rip)*mem.CodeStride}
 		}
 		if e.executed >= e.limit {
-			if e.executed >= e.MaxInstrs {
+			if e.executed >= e.MaxInstrs || e.atLimit() {
 				return 0, machine.ErrHang
 			}
-			switch e.atLimit() {
-			case endConverged:
-				return e.conv.golden.Exit, nil
-			case endCycled:
-				return 0, machine.ErrHang
-			}
+		}
+		if rip == e.seekRip && e.rejoined() {
+			return e.conv.golden.Exit, nil
 		}
 		st := &steps[rip]
 		e.executed++
@@ -341,6 +353,9 @@ func (e *Engine) trigger(st *step, rip int) {
 	if inj.TriggerIndex == e.candCount && st.fire != nil {
 		st.fire(e, inj, rip)
 		e.armed = false
+		if inj.Activated {
+			e.seek() // the record came in activated
+		}
 	}
 	e.candCount++
 }
@@ -352,23 +367,20 @@ func (e *Engine) checkActivation(st *step) {
 	switch e.watch {
 	case watchReg:
 		if st.readsRegs&(1<<uint(e.watchReg)) != 0 {
-			e.Inject.Activated = true
-			e.watch = watchNone
+			e.activate()
 		} else if st.writesRegs&(1<<uint(e.watchReg)) != 0 {
 			e.watch = watchNone
 		}
 	case watchXmm:
 		if st.readsXmms&(1<<uint(e.watchXmm)) != 0 {
-			e.Inject.Activated = true
-			e.watch = watchNone
+			e.activate()
 		} else if st.writesXmms&(1<<uint(e.watchXmm)) != 0 {
 			e.watch = watchNone
 		}
 	case watchFlags:
 		if st.condOrSet {
 			if st.condMask&e.watchMask != 0 {
-				e.Inject.Activated = true
-				e.watch = watchNone
+				e.activate()
 			}
 			return
 		}

@@ -105,12 +105,42 @@ type Campaign struct {
 }
 
 // attemptResult is one injection attempt's outcome plus the optional
-// propagation trace.
+// propagation trace, and the injector's whole result for
+// testAttemptHook.
 type attemptResult struct {
 	outcome fault.Outcome
 	trigger uint64
 	spans   []telemetry.TraceSpan
+	ir      *llfi.Result
+	asm     *pinfi.Result
 }
+
+// testAttemptHook, when non-nil, sees every attempt of every campaign
+// that does not panic: the campaign, the attempt index, the random
+// values the attempt drew in order, and its result (test hook for the
+// per-attempt reference oracle).
+var testAttemptHook func(c *Campaign, attempt int, draws []uint64, ar attemptResult)
+
+// drawLog is a random source that records every value it hands out, so
+// that testAttemptHook can replay an attempt's draws.
+type drawLog struct {
+	src   rand.Source64
+	draws []uint64
+}
+
+func (d *drawLog) Int63() int64 {
+	v := d.src.Int63()
+	d.draws = append(d.draws, uint64(v))
+	return v
+}
+
+func (d *drawLog) Uint64() uint64 {
+	v := d.src.Uint64()
+	d.draws = append(d.draws, v)
+	return v
+}
+
+func (d *drawLog) Seed(seed int64) { d.src.Seed(seed) }
 
 // AttemptTrace is the recorded fault-propagation skeleton of one traced
 // attempt: the corrupted dynamic candidate index, the outcome, and the
@@ -264,7 +294,7 @@ func (c *Campaign) injector() (func(*rand.Rand, bool) attemptResult, uint64, err
 			} else {
 				r = inj.InjectOne(rng)
 			}
-			return attemptResult{outcome: r.Outcome, trigger: r.Trigger, spans: r.Spans}
+			return attemptResult{outcome: r.Outcome, trigger: r.Trigger, spans: r.Spans, ir: r}
 		}, inj.DynTotal, nil
 	case fault.LevelASM:
 		inj, err := c.asmView()
@@ -278,7 +308,7 @@ func (c *Campaign) injector() (func(*rand.Rand, bool) attemptResult, uint64, err
 			} else {
 				r = inj.InjectOne(rng)
 			}
-			return attemptResult{outcome: r.Outcome, trigger: r.Trigger, spans: r.Spans}
+			return attemptResult{outcome: r.Outcome, trigger: r.Trigger, spans: r.Spans, asm: r}
 		}, inj.DynTotal, nil
 	default:
 		return nil, 0, fmt.Errorf("campaign: unknown level %v", c.Level)
@@ -358,7 +388,13 @@ func (c *Campaign) Run() (*CellResult, error) {
 		maxFactor = 10
 	}
 	maxAttempts := c.N * maxFactor
-	rng := rand.New(rand.NewSource(c.Seed))
+	src := rand.NewSource(c.Seed)
+	var rec *drawLog
+	if testAttemptHook != nil {
+		rec = &drawLog{src: src.(rand.Source64)}
+		src = rec
+	}
+	rng := rand.New(src)
 	res := &CellResult{Prog: c.Prog.Name, Level: c.Level, Category: c.Category}
 	ad := c.adaptiveState(res, maxFactor)
 
@@ -385,6 +421,12 @@ func (c *Campaign) Run() (*CellResult, error) {
 		}
 		ar, sf := c.safeDraw(draw, rng, attempt, attempt < c.TraceAttempts)
 		c.noteAttempt(start, ar.outcome, sf != nil)
+		if rec != nil {
+			if sf == nil {
+				testAttemptHook(c, attempt, rec.draws, ar)
+			}
+			rec.draws = nil
+		}
 		if sf != nil {
 			res.SimFaults++
 			faults = append(faults, *sf)

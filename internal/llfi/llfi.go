@@ -223,6 +223,11 @@ type Result struct {
 
 	// Trigger is the dynamic candidate index that was corrupted.
 	Trigger uint64
+	// Executed is the dynamic instruction count the run ended at, and
+	// End how a compiled-engine run ended: at a convergence point or a
+	// hang cycle, a compiled run ends short of the full run.
+	Executed uint64
+	End      telemetry.AttemptEnd
 	// Spans is the fault-propagation skeleton (traced attempts only):
 	// inject site, first tainted load/store/branch, and the outcome edge.
 	Spans []telemetry.TraceSpan
@@ -318,7 +323,7 @@ func (j *Injector) injectAt(trigger uint64, rng *rand.Rand, traced bool) *Result
 	if useCompiled {
 		j.stats.NoteCompiled(end)
 	}
-	res := &Result{Output: out.Bytes(), Exit: rc, Err: err, Injection: injection, Trigger: trigger}
+	res := &Result{Output: out.Bytes(), Exit: rc, Err: err, Injection: injection, Trigger: trigger, Executed: executed, End: end}
 	res.Outcome = j.Golden.Classify(res.Output, res.Exit, err, err == interp.ErrHang, injection.Happened && injection.Activated)
 	if tr != nil {
 		for _, s := range tr.Spans {

@@ -69,16 +69,25 @@ func (s *Snapshot) CloneState() (m *mem.Memory, regs [x86.NumRegs]uint64, xmm [x
 // inverse of CloneState: m is frozen copy-on-write, so the live memory
 // copies a page before its next write, and the registers are copied.
 // The pre-decoded engine's hang-cycle watch saves its windows with it
-// and compares against them with MatchesState.
+// and compares against them with MatchesRegs and MatchesMemory.
 func FreezeState(m *mem.Memory, regs *[x86.NumRegs]uint64, xmm *[x86.NumXRegs][2]uint64, flags uint64, rip int) *Snapshot {
 	return &Snapshot{mem: m.Snapshot(), regs: *regs, xmm: *xmm, flags: flags, rip: rip}
 }
 
-// MatchesState reports whether the given architectural state is exactly
-// the snapshot's: the inverse of CloneState, which the pre-decoded
-// engine's masking-convergence compare uses. The registers are compared
-// first, so a diverged attempt rarely reaches the memory walk. Safe to
-// call concurrently on one snapshot.
-func (s *Snapshot) MatchesState(m *mem.Memory, regs *[x86.NumRegs]uint64, xmm *[x86.NumXRegs][2]uint64, flags uint64, rip int) bool {
-	return rip == s.rip && flags == s.flags && *regs == s.regs && *xmm == s.xmm && m.Equal(s.mem)
+// Rip is the instruction index the snapshot was captured before: the
+// position the pre-decoded engine's masking-convergence compare seeks.
+func (s *Snapshot) Rip() int { return s.rip }
+
+// MatchesRegs reports whether the given registers, XMM registers and
+// flags are exactly the snapshot's: the cheap half of the pre-decoded
+// engine's state compares, which a diverged attempt rarely gets past.
+// Safe to call concurrently on one snapshot.
+func (s *Snapshot) MatchesRegs(regs *[x86.NumRegs]uint64, xmm *[x86.NumXRegs][2]uint64, flags uint64) bool {
+	return flags == s.flags && *regs == s.regs && *xmm == s.xmm
 }
+
+// MatchesMemory reports whether m is exactly the snapshot's memory: the
+// memory half of the pre-decoded engine's state compares, the inverse
+// of CloneState's memory clone. Safe to call concurrently on one
+// snapshot.
+func (s *Snapshot) MatchesMemory(m *mem.Memory) bool { return m.Equal(s.mem) }
