@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hlfi/internal/codegen"
@@ -561,6 +562,62 @@ func TestConvergenceExactCount(t *testing.T) {
 				t.Fatalf("usual budget: outcome %v, never converged", ref.outcome)
 			}
 		})
+	}
+}
+
+// TestConvergenceSameBlockOtherPC pins the pc half of the IR position
+// compare. site's loop body increments cnt, reads it back (a
+// read-after-write inside the block) and stores whether to go round
+// again. A flip of that compare on the last trip sends the attempt round
+// once more. At the top of the extra trip, every slot and every byte of
+// memory equals the golden run's at the compare one trip earlier, since
+// the flipped compare holds the value the previous trip's did. Only the
+// pc differs, and the extra trip makes the attempt end SDC. The test
+// puts a golden snapshot at that compare, with a window that reaches the
+// extra trip, so a compare that matched the block without the pc would
+// take the attempt for converged.
+func TestConvergenceSameBlockOtherPC(t *testing.T) {
+	prep, _ := convCompile(t, convSrc(`long cnt; long more;
+long site() { do { cnt = cnt + 1; more = (cnt < 5); } while (more); if (cnt != 5) print_char(33); free(nul); return 0; }`, ""))
+	every, ok := newIRProg(prep, interp.DefaultMaxInstrs, func(uint64) uint64 { return 1 })
+	if !ok {
+		t.Fatal("IR build or golden run failed")
+	}
+	// The golden count at the last trip's compare: the last time site's
+	// top frame is about to run the icmp of the block that stores.
+	var at uint64
+	for _, k := range every.snaps {
+		fv := k.Frame(k.NumFrames() - 1)
+		if fv.Fn.Name == "site" && fv.Blk.Instrs[fv.Idx].Op == ir.OpICmp &&
+			slices.ContainsFunc(fv.Blk.Instrs, func(in *ir.Instr) bool { return in.Op == ir.OpStore }) {
+			at = k.Executed
+		}
+	}
+	// With snapshots every at instructions, the window is at/4; the top
+	// of the next trip is 7 instructions past the compare.
+	if at/4 < 8 {
+		t.Fatalf("last compare at count %d: too early for a window that reaches the next trip", at)
+	}
+	p, ok := newIRProg(prep, interp.DefaultMaxInstrs, func(uint64) uint64 { return at })
+	if !ok {
+		t.Fatal("IR build or golden run failed")
+	}
+	cands := llfi.CandidatesFunc(prep, func(in *ir.Instr) bool {
+		return in.Parent.Parent.Name == "site" && in.Op == ir.OpICmp
+	})
+	sdc := 0
+	for trigger := uint64(0); ; trigger++ {
+		ref, fast := p.attempt(-1, 20*p.g.Instrs, convInject{cands, trigger, 1, false})
+		if !ref.happened {
+			break
+		}
+		convSame(t, fmt.Sprintf("trigger %d", trigger), ref, fast)
+		if ref.outcome == fault.OutcomeSDC {
+			sdc++
+		}
+	}
+	if sdc == 0 {
+		t.Fatal("no flip sent the loop round an extra trip")
 	}
 }
 

@@ -69,14 +69,14 @@ func (c *CellResult) round1State() (adaptive.Counts, bool) {
 type campaignAdaptive struct {
 	cfg       *adaptive.Config
 	base      int // round-1 activation budget (== N for round-1 runs)
-	maxR1     int // round-1 attempt ceiling (base * MaxAttemptsFactor)
+	maxR1     int // round-1 attempt ceiling (base * maxAttemptsFactor)
 	extension bool
 	captured  bool
 }
 
 // adaptiveState primes the early-stopping state for one campaign run
 // and stamps the result's adaptive target.
-func (c *Campaign) adaptiveState(res *CellResult, maxFactor int) *campaignAdaptive {
+func (c *Campaign) adaptiveState(res *CellResult) *campaignAdaptive {
 	if c.Adaptive == nil {
 		return nil
 	}
@@ -88,7 +88,7 @@ func (c *Campaign) adaptiveState(res *CellResult, maxFactor int) *campaignAdapti
 	return &campaignAdaptive{
 		cfg:       c.Adaptive,
 		base:      base,
-		maxR1:     base * maxFactor,
+		maxR1:     base * maxAttemptsFactor,
 		extension: base < c.N,
 		captured:  base == c.N,
 	}

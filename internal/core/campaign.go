@@ -27,6 +27,10 @@ var ErrNoCandidates = errors.New("no dynamic injection candidates")
 // hard study failure.
 var ErrNotActivated = errors.New("no activated faults")
 
+// maxAttemptsFactor bounds re-draws of non-activated faults: a cell
+// stops after N*maxAttemptsFactor attempts, activated or not.
+const maxAttemptsFactor = 10
+
 // Campaign configures one (program, level, category) fault-injection cell
 // of the study.
 type Campaign struct {
@@ -38,8 +42,6 @@ type Campaign struct {
 	N int
 	// Seed makes the campaign deterministic.
 	Seed int64
-	// MaxAttemptsFactor bounds re-draws of non-activated faults.
-	MaxAttemptsFactor int
 	// Variant selects the injector beyond (Level, Category): the zero
 	// value is the paper's, VariantCalibrated (IR only) applies the
 	// paper's §VII discrepancy-resolution heuristics to the candidate
@@ -383,11 +385,7 @@ func (c *Campaign) Run() (*CellResult, error) {
 	if c.N <= 0 {
 		return nil, fmt.Errorf("campaign: N must be positive")
 	}
-	maxFactor := c.MaxAttemptsFactor
-	if maxFactor <= 0 {
-		maxFactor = 10
-	}
-	maxAttempts := c.N * maxFactor
+	maxAttempts := c.N * maxAttemptsFactor
 	src := rand.NewSource(c.Seed)
 	var rec *drawLog
 	if testAttemptHook != nil {
@@ -396,7 +394,7 @@ func (c *Campaign) Run() (*CellResult, error) {
 	}
 	rng := rand.New(src)
 	res := &CellResult{Prog: c.Prog.Name, Level: c.Level, Category: c.Category}
-	ad := c.adaptiveState(res, maxFactor)
+	ad := c.adaptiveState(res)
 
 	scanStart := time.Now()
 	draw, dyn, err := c.injector()

@@ -16,8 +16,11 @@
 //	{"type":"skip","benchmark":"mcfm","level":"PINFI","category":"cast",
 //	 "kind":"no-candidates","err":"..."}
 //
-// Cell and skip lines of a non-paper cell variant carry "variant" (1
-// calibrated, 2 resampled); paper cells omit it.
+// The four cell-identity fields are core.CellKey, embedded: the same
+// fields name a cell in warehouse records and fleet leases and
+// completions. Cell and skip lines of a non-paper cell variant carry
+// "variant" (1 calibrated, 2 resampled); paper cells and the header
+// omit it, and the header carries none of the four.
 //
 // The header's n, seed and adaptive fields are the study identity
 // (CheckpointShape.Identity): resume and merge refuse a file whose
@@ -42,8 +45,6 @@ import (
 	"os"
 	"strconv"
 	"sync"
-
-	"hlfi/internal/fault"
 )
 
 // checkpointVersion guards the on-disk schema.
@@ -116,11 +117,7 @@ type checkpointLine struct {
 	Adaptive string `json:"adaptive,omitempty"`
 	Seeding  string `json:"seeding,omitempty"`
 
-	// Cell identity (types "cell" and "skip").
-	Benchmark string  `json:"benchmark,omitempty"`
-	Level     string  `json:"level,omitempty"`
-	Category  string  `json:"category,omitempty"`
-	Variant   Variant `json:"variant,omitempty"`
+	CellKey // cell identity (types "cell" and "skip"); zero on the header
 
 	Result          *CellRecord `json:"result,omitempty"` // type "cell"
 	*CheckpointSkip             // type "skip"
@@ -453,23 +450,14 @@ func readCheckpoint(path string) (*CheckpointState, CheckpointShape, error) {
 	return st, hdr, nil
 }
 
+// key is the cell a "cell" or "skip" line names. Decoding already
+// refused an unknown level or category name; a line that names no level
+// or category, or a variant no injector runs, is refused here.
 func (l *checkpointLine) key() (CellKey, error) {
-	level, err := fault.ParseLevel(l.Level)
-	if err != nil {
-		return CellKey{}, err
+	if l.Level == 0 || l.Category == 0 {
+		return CellKey{}, fmt.Errorf("%s line without a level and category", l.Type)
 	}
-	cat, err := fault.ParseCategory(l.Category)
-	if err != nil {
-		return CellKey{}, err
-	}
-	return CellKey{Prog: l.Benchmark, Level: level, Category: cat, Variant: l.Variant},
-		checkVariant(level, l.Variant)
-}
-
-// cellLine is a record of type typ ("cell" or "skip") naming key.
-func cellLine(typ string, key CellKey) checkpointLine {
-	return checkpointLine{Type: typ, Benchmark: key.Prog, Level: key.Level.String(),
-		Category: key.Category.String(), Variant: key.Variant}
+	return l.CellKey, checkVariant(l.Level, l.Variant)
 }
 
 // checkpointFile is the durability surface a CheckpointWriter appends
@@ -562,9 +550,7 @@ func (w *CheckpointWriter) Cell(key CellKey, res *CellResult) error {
 	if w == nil {
 		return nil
 	}
-	line := cellLine("cell", key)
-	line.Result = RecordOf(res)
-	return w.append(line)
+	return w.append(checkpointLine{Type: "cell", CellKey: key, Result: RecordOf(res)})
 }
 
 // Skip appends one soft-skipped cell so a resumed study skips it without
@@ -573,9 +559,7 @@ func (w *CheckpointWriter) Skip(key CellKey, skip CheckpointSkip) error {
 	if w == nil {
 		return nil
 	}
-	line := cellLine("skip", key)
-	line.CheckpointSkip = &skip
-	return w.append(line)
+	return w.append(checkpointLine{Type: "skip", CellKey: key, CheckpointSkip: &skip})
 }
 
 // Close closes the underlying file.

@@ -30,6 +30,8 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	for _, tc := range variantLines {
 		f.Add([]byte(header + tc.line))
 	}
+	f.Add([]byte(header + `{"type":"cell","benchmark":"bzip2m","level":"MIPS","category":"all","result":{"benign":1,"attempts":1,"dynCandidates":1}}` + "\n"))
+	f.Add([]byte(header + `{"type":"skip","benchmark":"bzip2m","category":"all","kind":"no-candidates","err":"x"}` + "\n"))
 	perAttempt := []byte(`{"type":"study","version":1,"n":10,"seed":5,"seeding":"per-attempt"}` + "\n" + cell)
 	in := filepath.Join(f.TempDir(), "per-attempt.jsonl")
 	if err := os.WriteFile(in, perAttempt, 0o644); err != nil {
@@ -57,16 +59,16 @@ func FuzzLoadCheckpoint(f *testing.F) {
 			}
 		}
 		for key, res := range st.Cells {
-			if err := checkVariant(key.Level, key.Variant); err != nil {
-				t.Fatalf("loader accepted an invalid cell: %v", err)
+			if err := checkVariant(key.Level, key.Variant); err != nil || key.Level == 0 || key.Category == 0 {
+				t.Fatalf("loader accepted an invalid cell %v: %v", key, err)
 			}
 			if err := RecordOf(res).Validate(); err != nil {
 				t.Fatalf("loader accepted an invalid record: %v", err)
 			}
 		}
 		for key := range st.Skips {
-			if err := checkVariant(key.Level, key.Variant); err != nil {
-				t.Fatalf("loader accepted an invalid skip: %v", err)
+			if err := checkVariant(key.Level, key.Variant); err != nil || key.Level == 0 || key.Category == 0 {
+				t.Fatalf("loader accepted an invalid skip %v: %v", key, err)
 			}
 		}
 		out := filepath.Join(dir, "out.jsonl")

@@ -19,17 +19,30 @@ import (
 
 // CellKey identifies one campaign cell. Every per-cell coordinate is a
 // field here; study-wide inputs are CheckpointShape.Identity entries.
+//
+// It is also the one wire form of a cell: checkpoint lines, warehouse
+// records and fleet messages embed it, so each names a cell by the same
+// four JSON fields. A paper cell has no "variant" field, and a record
+// naming no cell (a checkpoint header) has none of the four. CellKey
+// must never get a MarshalJSON or MarshalText method: embedding promotes
+// it, and it would replace the encoding of every record that embeds it.
 type CellKey struct {
-	Prog     string
-	Level    fault.Level
-	Category fault.Category
+	Prog     string         `json:"benchmark,omitempty"`
+	Level    fault.Level    `json:"level,omitempty"`
+	Category fault.Category `json:"category,omitempty"`
 	// Variant is VariantPaper (the zero value) for every paper cell.
-	Variant Variant
+	Variant Variant `json:"variant,omitempty"`
 }
 
 // String renders the key as error messages name cells.
 func (k CellKey) String() string {
 	return fmt.Sprintf("{%s %s %s%s}", k.Prog, k.Level, k.Category, k.variantSuffix(" "))
+}
+
+// Lane is the cell's span (timeline lane) name, in the local study and
+// on the fleet alike.
+func (k CellKey) Lane() string {
+	return k.Prog + "/" + k.Level.String() + "/" + k.Category.String() + k.variantSuffix("/")
 }
 
 // variantSuffix is "" for a paper cell, else sep and the variant name:
@@ -215,11 +228,6 @@ func cellSeed(base int64, prog string, level fault.Level, cat fault.Category) in
 type cellSpec struct {
 	CellKey
 	prog *Program
-}
-
-// lane is the cell's span (timeline lane) name.
-func (s cellSpec) lane() string {
-	return s.Prog + "/" + s.Level.String() + "/" + s.Category.String() + s.variantSuffix("/")
 }
 
 // label is the cell's identity column in progress lines.
@@ -534,7 +542,7 @@ func (j *cellJob) run(cfg StudyConfig, root trace.Span) (*CellResult, error) {
 	if j.prior != nil {
 		kind = trace.KindExtension
 	}
-	span := cfg.Trace.StartChild(kind, j.lane(), root)
+	span := cfg.Trace.StartChild(kind, j.Lane(), root)
 	if j.prior != nil {
 		span.Grant = j.target
 	}
@@ -568,7 +576,7 @@ func (j *cellJob) run(cfg StudyConfig, root trace.Span) (*CellResult, error) {
 		cfg.Obs.CellSeconds.Observe((j.m.ScanTime + j.m.RunTime).Seconds())
 	}
 	if cfg.Trace != nil {
-		emitPhaseSpans(cfg.Trace, span, j.lane(), j.m)
+		emitPhaseSpans(cfg.Trace, span, j.Lane(), j.m)
 		switch {
 		case err == nil:
 			span.Outcome = "done"
@@ -625,7 +633,7 @@ func IsSoftSkip(err error) bool {
 func noteCell(cfg StudyConfig, j *cellJob) {
 	s, res, m, err := j.cellSpec, j.res, j.m, j.err
 	skipEvent := func(typ, msg string) {
-		ev := keyEvent(typ, s.CellKey)
+		ev := KeyEvent(typ, s.CellKey)
 		ev.Err = msg
 		emit(cfg.Events, ev)
 	}
@@ -656,7 +664,7 @@ func noteCell(cfg StudyConfig, j *cellJob) {
 		// buffer as every other event, so attempt_trace order is
 		// deterministic under any scheduling.
 		for _, tr := range m.Traces {
-			ev := keyEvent(telemetry.EventAttemptTrace, s.CellKey)
+			ev := KeyEvent(telemetry.EventAttemptTrace, s.CellKey)
 			ev.Attempt, ev.Trigger, ev.Outcome, ev.Spans = tr.Attempt, tr.Trigger, tr.Outcome.String(), tr.Spans
 			emit(cfg.Events, ev)
 		}
@@ -673,7 +681,7 @@ func noteCell(cfg StudyConfig, j *cellJob) {
 		skipEvent(telemetry.EventCellExtend, err.Error())
 	case errors.Is(err, ErrDeadline):
 		cfg.progress(s.label() + " degraded (deadline exceeded, cell skipped)")
-		ev := keyEvent(telemetry.EventCellDeadline, s.CellKey)
+		ev := KeyEvent(telemetry.EventCellDeadline, s.CellKey)
 		ev.DurationMS, ev.ScanMS = telemetry.Ms(m.ScanTime+m.RunTime), telemetry.Ms(m.ScanTime)
 		ev.Err = err.Error()
 		emit(cfg.Events, ev)
@@ -715,7 +723,7 @@ func emitSimFaults(cfg StudyConfig, s cellSpec, faults []SimFault, from int) {
 		if sf.Attempt < from {
 			continue
 		}
-		ev := keyEvent(telemetry.EventSimFault, s.CellKey)
+		ev := KeyEvent(telemetry.EventSimFault, s.CellKey)
 		ev.Attempt, ev.AttemptSeed, ev.Panic = sf.Attempt, sf.Seed, sf.Panic
 		emit(cfg.Events, ev)
 	}
@@ -735,8 +743,8 @@ func (s cellSpec) resultLine(res *CellResult, note string) string {
 		100*res.CrashRate().Rate(), 100*res.SDCRate().Rate(), note, adaptiveSuffix(res))
 }
 
-// keyEvent is an event of type typ carrying one cell's identity.
-func keyEvent(typ string, key CellKey) telemetry.Event {
+// KeyEvent is an event of type typ carrying one cell's identity.
+func KeyEvent(typ string, key CellKey) telemetry.Event {
 	return telemetry.Event{Type: typ, Benchmark: key.Prog, Level: key.Level.String(),
 		Category: key.Category.String(), Variant: int(key.Variant)}
 }
@@ -744,7 +752,7 @@ func keyEvent(typ string, key CellKey) telemetry.Event {
 // CellEvent is the telemetry event of one resolved cell: its identity,
 // outcome counts and adaptive fields.
 func CellEvent(typ string, key CellKey, res *CellResult) telemetry.Event {
-	ev := keyEvent(typ, key)
+	ev := KeyEvent(typ, key)
 	ev.Attempts, ev.Activated = res.Attempts, res.Activated()
 	ev.Benign, ev.SDC, ev.Crash, ev.Hang = res.Benign, res.SDC, res.Crash, res.Hang
 	ev.NotActivated, ev.SimFaults = res.NotActivated, res.SimFaults

@@ -51,6 +51,17 @@ func ParseCategory(s string) (Category, error) {
 	return 0, fmt.Errorf("unknown category %q (want all|arithmetic|cast|cmp|load)", s)
 }
 
+// MarshalText encodes a category by its name, so every JSON record that
+// carries one (checkpoint lines, warehouse records, fleet messages)
+// stays human-readable.
+func (c Category) MarshalText() ([]byte, error) { return []byte(c.String()), nil }
+
+// UnmarshalText decodes a category name; an unknown name is an error.
+func (c *Category) UnmarshalText(b []byte) (err error) {
+	*c, err = ParseCategory(string(b))
+	return err
+}
+
 // Outcome classifies one injection run (paper §V, "Failure
 // categorization").
 type Outcome int
@@ -95,8 +106,7 @@ const (
 var Levels = []Level{LevelIR, LevelASM}
 
 // ParseLevel converts a level name (as produced by Level.String) back to
-// a Level — the checkpoint codec round-trips levels as strings so the
-// files stay human-readable.
+// a Level.
 func ParseLevel(s string) (Level, error) {
 	for _, l := range Levels {
 		if l.String() == s {
@@ -104,6 +114,15 @@ func ParseLevel(s string) (Level, error) {
 		}
 	}
 	return 0, fmt.Errorf("unknown level %q (want LLFI|PINFI)", s)
+}
+
+// MarshalText encodes a level by its tool name, like Category's.
+func (l Level) MarshalText() ([]byte, error) { return []byte(l.String()), nil }
+
+// UnmarshalText decodes a tool name; an unknown name is an error.
+func (l *Level) UnmarshalText(b []byte) (err error) {
+	*l, err = ParseLevel(string(b))
+	return err
 }
 
 func (l Level) String() string {

@@ -1,6 +1,9 @@
 package fault
 
-import "testing"
+import (
+	"encoding/json"
+	"testing"
+)
 
 func TestParseCategory(t *testing.T) {
 	for _, c := range Categories {
@@ -32,5 +35,35 @@ func TestStringers(t *testing.T) {
 func TestCategoriesOrder(t *testing.T) {
 	if len(Categories) != 5 || Categories[0] != CatAll {
 		t.Fatalf("Categories = %v", Categories)
+	}
+}
+
+// TestTextCodec: levels and categories cross JSON as their names, and an
+// unknown name fails the decode instead of reading as the zero value.
+func TestTextCodec(t *testing.T) {
+	type rec struct {
+		Level    Level    `json:"level"`
+		Category Category `json:"category"`
+	}
+	for _, l := range Levels {
+		for _, c := range Categories {
+			b, err := json.Marshal(rec{l, c})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := `{"level":"` + l.String() + `","category":"` + c.String() + `"}`; string(b) != want {
+				t.Errorf("encoded %s, want %s", b, want)
+			}
+			var back rec
+			if err := json.Unmarshal(b, &back); err != nil || back != (rec{l, c}) {
+				t.Errorf("%s decoded to %+v, %v", b, back, err)
+			}
+		}
+	}
+	for _, in := range []string{`{"level":"MIPS"}`, `{"category":"branch"}`, `{"level":1}`} {
+		var r rec
+		if err := json.Unmarshal([]byte(in), &r); err == nil {
+			t.Errorf("%s decoded to %+v without an error", in, r)
+		}
 	}
 }

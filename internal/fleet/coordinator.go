@@ -171,11 +171,6 @@ type Coordinator struct {
 	sweeperWG sync.WaitGroup
 }
 
-// cellName is the span (and timeline lane) name of one cell.
-func cellName(key core.CellKey) string {
-	return key.Prog + "/" + key.Level.String() + "/" + key.Category.String()
-}
-
 // New builds a coordinator for one study: the canonical cell list
 // becomes the queue, each cell carrying its position-independent seed.
 func New(cfg Config) (*Coordinator, error) {
@@ -276,15 +271,15 @@ func New(cfg Config) (*Coordinator, error) {
 					cs.skip, cs.status = skip, cellSkipped
 					c.cfg.Metrics.CellsSkipped.Inc()
 					c.resolved++
-					c.emit(telemetry.Event{Type: telemetry.EventWarehouseHit,
-						Benchmark: key.Prog, Level: key.Level.String(), Category: key.Category.String(),
-						Err: skip.Err})
+					ev := core.KeyEvent(telemetry.EventWarehouseHit, key)
+					ev.Err = skip.Err
+					c.emit(ev)
 				}
 			}
 		}
 		if cs.status == cellPending {
-			cs.cellSpan = cfg.Trace.StartChild(trace.KindCell, cellName(key), c.root)
-			cs.gapSpan = cfg.Trace.StartChild(trace.KindWait, cellName(key), cs.cellSpan)
+			cs.cellSpan = cfg.Trace.StartChild(trace.KindCell, key.Lane(), c.root)
+			cs.gapSpan = cfg.Trace.StartChild(trace.KindWait, key.Lane(), cs.cellSpan)
 		}
 		c.cells = append(c.cells, cs)
 		c.byKey[key] = cs
@@ -354,6 +349,13 @@ func (c *Coordinator) emitWarehouseHit(cs *cellState) {
 	c.emit(ev)
 }
 
+// emitDuplicate announces a dropped duplicate completion.
+func (c *Coordinator) emitDuplicate(req CompleteRequest) {
+	ev := core.KeyEvent(telemetry.EventFleetDuplicate, req.CellKey)
+	ev.Worker, ev.Lease = req.Worker, req.Lease
+	c.emit(ev)
+}
+
 // noteWorker records worker contact (mutex held).
 func (c *Coordinator) noteWorker(name string, now time.Time) {
 	if name != "" {
@@ -376,20 +378,18 @@ func (c *Coordinator) grantLocked(worker string, now time.Time) *Lease {
 			cs.gapSpan.Outcome = "granted"
 			cs.gapSpan.Finish()
 		}
-		cs.leaseSpan = c.cfg.Trace.StartChild(trace.KindLease, cellName(cs.key), cs.cellSpan)
+		cs.leaseSpan = c.cfg.Trace.StartChild(trace.KindLease, cs.key.Lane(), cs.cellSpan)
 		cs.leaseSpan.Worker, cs.leaseSpan.Grant = worker, cs.grants
 		c.leases[id] = &leaseInfo{cell: cs, worker: worker, deadline: now.Add(c.cfg.LeaseTTL)}
 		c.cfg.Metrics.Leases.Inc()
 		c.cfg.Metrics.ActiveLeases.Set(int64(len(c.leases)))
 		c.updateQueueDepthLocked()
-		c.emit(telemetry.Event{Type: telemetry.EventFleetLease,
-			Benchmark: cs.key.Prog, Level: cs.key.Level.String(), Category: cs.key.Category.String(),
-			Worker: worker, Lease: id, Retries: cs.grants - 1})
+		ev := core.KeyEvent(telemetry.EventFleetLease, cs.key)
+		ev.Worker, ev.Lease, ev.Retries = worker, id, cs.grants-1
+		c.emit(ev)
 		lease := &Lease{
 			ID:             id,
-			Benchmark:      cs.key.Prog,
-			Level:          cs.key.Level.String(),
-			Category:       cs.key.Category.String(),
+			CellKey:        cs.key,
 			N:              cs.target,
 			Seed:           cs.seed,
 			SimFaultLimit:  c.cfg.SimFaultLimit,
@@ -438,11 +438,11 @@ func (c *Coordinator) requeueLocked(cs *cellState, now time.Time, kind, reason s
 			cs.result, cs.status, cs.prior = cs.prior, cellDone, nil
 			c.finishCellSpanLocked(cs, "degraded")
 			c.cfg.Metrics.CellsDegraded.Inc()
-			c.logf("fleet: extension of cell %s/%s/%s abandoned after %d grants (%s: %s); keeping round-1 record",
-				cs.key.Prog, cs.key.Level, cs.key.Category, cs.grants, kind, reason)
-			c.emit(telemetry.Event{Type: telemetry.EventCellExtend,
-				Benchmark: cs.key.Prog, Level: cs.key.Level.String(), Category: cs.key.Category.String(),
-				Retries: cs.grants - 1, Err: reason})
+			c.logf("fleet: extension of cell %s abandoned after %d grants (%s: %s); keeping round-1 record",
+				cs.key.Lane(), cs.grants, kind, reason)
+			ev := core.KeyEvent(telemetry.EventCellExtend, cs.key)
+			ev.Retries, ev.Err = cs.grants-1, reason
+			c.emit(ev)
 			c.resolveLocked()
 			return
 		}
@@ -459,11 +459,10 @@ func (c *Coordinator) requeueLocked(cs *cellState, now time.Time, kind, reason s
 		if err := c.cfg.Checkpoint.Skip(cs.key, skip); err != nil {
 			c.detachCheckpointLocked(err)
 		}
-		c.logf("fleet: cell %s/%s/%s degraded after %d grants (%s: %s)",
-			cs.key.Prog, cs.key.Level, cs.key.Category, cs.grants, kind, reason)
-		c.emit(telemetry.Event{Type: telemetry.EventCellDeadline,
-			Benchmark: cs.key.Prog, Level: cs.key.Level.String(), Category: cs.key.Category.String(),
-			Retries: cs.grants - 1, Err: skip.Err})
+		c.logf("fleet: cell %s degraded after %d grants (%s: %s)", cs.key.Lane(), cs.grants, kind, reason)
+		ev := core.KeyEvent(telemetry.EventCellDeadline, cs.key)
+		ev.Retries, ev.Err = cs.grants-1, skip.Err
+		c.emit(ev)
 		c.resolveLocked()
 		return
 	}
@@ -476,15 +475,15 @@ func (c *Coordinator) requeueLocked(cs *cellState, now time.Time, kind, reason s
 		delay = delay/2 + time.Duration(c.rng.Int63n(int64(delay/2)))
 	}
 	cs.status, cs.eligibleAt = cellPending, now.Add(delay)
-	cs.gapSpan = c.cfg.Trace.StartChild(trace.KindRetry, cellName(cs.key), cs.cellSpan)
+	cs.gapSpan = c.cfg.Trace.StartChild(trace.KindRetry, cs.key.Lane(), cs.cellSpan)
 	cs.gapSpan.Retry, cs.gapSpan.Err = retry, reason
 	c.cfg.Metrics.Retries.Inc()
 	c.updateQueueDepthLocked()
-	c.logf("fleet: cell %s/%s/%s requeued after %s (%s); retry %d/%d in %v",
-		cs.key.Prog, cs.key.Level, cs.key.Category, kind, reason, retry, c.cfg.MaxRetries, delay.Round(time.Millisecond))
-	c.emit(telemetry.Event{Type: telemetry.EventFleetRequeue,
-		Benchmark: cs.key.Prog, Level: cs.key.Level.String(), Category: cs.key.Category.String(),
-		Retries: retry, Err: reason})
+	c.logf("fleet: cell %s requeued after %s (%s); retry %d/%d in %v",
+		cs.key.Lane(), kind, reason, retry, c.cfg.MaxRetries, delay.Round(time.Millisecond))
+	ev := core.KeyEvent(telemetry.EventFleetRequeue, cs.key)
+	ev.Retries, ev.Err = retry, reason
+	c.emit(ev)
 }
 
 // finishCellSpanLocked closes a resolved cell's open spans with the
@@ -569,9 +568,9 @@ func (c *Coordinator) applyAdaptivePlanLocked() bool {
 		// The reopened cell's life continues under an extension span,
 		// parented on the (finished) round-1 cell span so the timeline
 		// shows the plan's lineage.
-		cs.cellSpan = c.cfg.Trace.StartChild(trace.KindExtension, cellName(cs.key), cs.cellSpan)
+		cs.cellSpan = c.cfg.Trace.StartChild(trace.KindExtension, cs.key.Lane(), cs.cellSpan)
 		cs.cellSpan.Grant = e.Target
-		cs.gapSpan = c.cfg.Trace.StartChild(trace.KindWait, cellName(cs.key), cs.cellSpan)
+		cs.gapSpan = c.cfg.Trace.StartChild(trace.KindWait, cs.key.Lane(), cs.cellSpan)
 		c.resolved--
 		reopened++
 	}
@@ -611,9 +610,9 @@ func (c *Coordinator) sweep(now time.Time) {
 			continue
 		}
 		c.cfg.Metrics.Expiries.Inc()
-		c.emit(telemetry.Event{Type: telemetry.EventFleetLeaseExpire,
-			Benchmark: li.cell.key.Prog, Level: li.cell.key.Level.String(), Category: li.cell.key.Category.String(),
-			Worker: li.worker, Lease: id, Retries: li.cell.grants - 1})
+		ev := core.KeyEvent(telemetry.EventFleetLeaseExpire, li.cell.key)
+		ev.Worker, ev.Lease, ev.Retries = li.worker, id, li.cell.grants-1
+		c.emit(ev)
 		c.requeueLocked(li.cell, now,
 			"lease expiry", fmt.Sprintf("worker %s silent past lease deadline", li.worker))
 	}
@@ -631,22 +630,13 @@ func (c *Coordinator) sweep(now time.Time) {
 
 // complete resolves (or requeues) a cell from one completion report.
 func (c *Coordinator) complete(req CompleteRequest, now time.Time) (CompleteResponse, error) {
-	level, err := fault.ParseLevel(req.Level)
-	if err != nil {
-		return CompleteResponse{}, err
-	}
-	cat, err := fault.ParseCategory(req.Category)
-	if err != nil {
-		return CompleteResponse{}, err
-	}
-	key := core.CellKey{Prog: req.Benchmark, Level: level, Category: cat}
-
+	key := req.CellKey
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.noteWorker(req.Worker, now)
 	cs, ok := c.byKey[key]
 	if !ok {
-		return CompleteResponse{}, fmt.Errorf("cell %s/%s/%s is not part of this study", req.Benchmark, req.Level, req.Category)
+		return CompleteResponse{}, fmt.Errorf("cell %s is not part of this study", key.Lane())
 	}
 	// The lease may be gone (expired and swept) — the completion is still
 	// good: determinism means any execution of the cell produced the
@@ -657,11 +647,8 @@ func (c *Coordinator) complete(req CompleteRequest, now time.Time) (CompleteResp
 	}
 	if cs.status == cellDone || cs.status == cellSkipped || cs.status == cellDegraded {
 		c.cfg.Metrics.Duplicates.Inc()
-		c.emit(telemetry.Event{Type: telemetry.EventFleetDuplicate,
-			Benchmark: key.Prog, Level: req.Level, Category: req.Category,
-			Worker: req.Worker, Lease: req.Lease})
-		c.logf("fleet: duplicate completion for %s/%s/%s from %s dropped (cell already resolved)",
-			key.Prog, req.Level, req.Category, req.Worker)
+		c.emitDuplicate(req)
+		c.logf("fleet: duplicate completion for %s from %s dropped (cell already resolved)", key.Lane(), req.Worker)
 		return CompleteResponse{OK: true, Duplicate: true}, nil
 	}
 
@@ -700,11 +687,9 @@ func (c *Coordinator) complete(req CompleteRequest, now time.Time) (CompleteResp
 			// work the plan superseded. Drop it like any duplicate —
 			// determinism makes the extension's round-1 prefix identical.
 			c.cfg.Metrics.Duplicates.Inc()
-			c.emit(telemetry.Event{Type: telemetry.EventFleetDuplicate,
-				Benchmark: key.Prog, Level: req.Level, Category: req.Category,
-				Worker: req.Worker, Lease: req.Lease})
-			c.logf("fleet: completion for %s/%s/%s at superseded target %d dropped (cell now targets %d)",
-				key.Prog, req.Level, req.Category, r.Target, cs.target)
+			c.emitDuplicate(req)
+			c.logf("fleet: completion for %s at superseded target %d dropped (cell now targets %d)",
+				key.Lane(), r.Target, cs.target)
 			return CompleteResponse{OK: true, Duplicate: true}, nil
 		}
 		dropCellLease()
@@ -792,11 +777,9 @@ func (c *Coordinator) Status() any {
 	defer c.mu.Unlock()
 	now := time.Now()
 	type leaseView struct {
-		Lease     uint64  `json:"lease"`
-		Worker    string  `json:"worker"`
-		Benchmark string  `json:"benchmark"`
-		Level     string  `json:"level"`
-		Category  string  `json:"category"`
+		Lease  uint64 `json:"lease"`
+		Worker string `json:"worker"`
+		core.CellKey
 		Grant     int     `json:"grant"`
 		ExpiresIn float64 `json:"expiresInSec"`
 	}
@@ -808,13 +791,8 @@ func (c *Coordinator) Status() any {
 	var leases []leaseView
 	perWorker := make(map[string]int)
 	for id, li := range c.leases {
-		leases = append(leases, leaseView{
-			Lease: id, Worker: li.worker,
-			Benchmark: li.cell.key.Prog, Level: li.cell.key.Level.String(),
-			Category:  li.cell.key.Category.String(),
-			Grant:     li.cell.grants,
-			ExpiresIn: li.deadline.Sub(now).Seconds(),
-		})
+		leases = append(leases, leaseView{Lease: id, Worker: li.worker, CellKey: li.cell.key,
+			Grant: li.cell.grants, ExpiresIn: li.deadline.Sub(now).Seconds()})
 		perWorker[li.worker]++
 	}
 	sort.Slice(leases, func(i, j int) bool { return leases[i].Lease < leases[j].Lease })
@@ -947,12 +925,10 @@ func (c *Coordinator) Handler() *http.ServeMux {
 		}
 		c.mu.Unlock()
 		type cellView struct {
-			Benchmark string `json:"benchmark"`
-			Level     string `json:"level"`
-			Category  string `json:"category"`
-			Target    int    `json:"target"`
-			Key       string `json:"key,omitempty"`
-			Status    string `json:"status"`
+			core.CellKey
+			Target int    `json:"target"`
+			Key    string `json:"key,omitempty"`
+			Status string `json:"status"`
 		}
 		out := struct {
 			Dir    string         `json:"dir"`
@@ -962,10 +938,7 @@ func (c *Coordinator) Handler() *http.ServeMux {
 		for _, s := range specs {
 			kh, _ := c.cfg.Warehouse.KeyHex(s.key, s.target, c.cfg.N)
 			status := c.cfg.Warehouse.Probe(s.key, s.target, c.cfg.N)
-			out.Cells = append(out.Cells, cellView{
-				Benchmark: s.key.Prog, Level: s.key.Level.String(), Category: s.key.Category.String(),
-				Target: s.target, Key: kh, Status: status,
-			})
+			out.Cells = append(out.Cells, cellView{CellKey: s.key, Target: s.target, Key: kh, Status: status})
 			out.Counts[status]++
 		}
 		writeJSON(w, out)

@@ -280,8 +280,8 @@ func TestFleetDuplicateCompletion(t *testing.T) {
 	}
 	req := CompleteRequest{
 		Worker: "a", Lease: lease1.Lease.ID,
-		Benchmark: lease1.Lease.Benchmark, Level: lease1.Lease.Level, Category: lease1.Lease.Category,
-		Result: &core.CellRecord{Benign: -40, Crash: 53, Attempts: 13},
+		CellKey: lease1.Lease.CellKey,
+		Result:  &core.CellRecord{Benign: -40, Crash: 53, Attempts: 13},
 	}
 	if resp, err := cl.Complete(ctx, req); err == nil || len(c.State().Cells) != 0 {
 		t.Fatalf("invalid completion = %+v, %v; resolved %d cells", resp, err, len(c.State().Cells))
@@ -429,8 +429,8 @@ func TestFleetCheckpointFailureRequeues(t *testing.T) {
 	}
 	req := CompleteRequest{
 		Worker: "a", Lease: lease1.Lease.ID,
-		Benchmark: lease1.Lease.Benchmark, Level: lease1.Lease.Level, Category: lease1.Lease.Category,
-		Result: &core.CellRecord{Benign: 8, Attempts: 8},
+		CellKey: lease1.Lease.CellKey,
+		Result:  &core.CellRecord{Benign: 8, Attempts: 8},
 	}
 	resp, err := cl.Complete(ctx, req)
 	if err != nil {
@@ -461,8 +461,8 @@ func TestFleetCheckpointFailureRequeues(t *testing.T) {
 		if lease2.Status == StatusLease {
 			other := CompleteRequest{
 				Worker: "a", Lease: lease2.Lease.ID,
-				Benchmark: lease2.Lease.Benchmark, Level: lease2.Lease.Level, Category: lease2.Lease.Category,
-				Result: &core.CellRecord{Benign: 8, Attempts: 8},
+				CellKey: lease2.Lease.CellKey,
+				Result:  &core.CellRecord{Benign: 8, Attempts: 8},
 			}
 			if oresp, oerr := cl.Complete(ctx, other); oerr != nil || !oresp.OK {
 				t.Fatalf("other cell completion = %+v, %v", oresp, oerr)

@@ -14,8 +14,9 @@ import (
 // FuzzFleetMessages throws arbitrary request bodies at the coordinator's
 // lease, heartbeat and complete handlers (the first input byte picks the
 // endpoint). No handler may panic; each answers 400 or 200 with a
-// well-formed response, and every cell the coordinator resolves carries
-// a validated record.
+// well-formed response, a completion is accepted only for a cell of the
+// study (never for another variant of one), and every cell the
+// coordinator resolves carries a validated record.
 func FuzzFleetMessages(f *testing.F) {
 	p, err := core.BuildProgram("tiny.c", `
 int main() {
@@ -44,6 +45,9 @@ int main() {
 		"\x02" + `{"worker":"w1","lease":1,` + ir + `,"result":{"benign":-40,"sdc":0,"crash":53,"hang":0,"notActivated":0,"attempts":13,"dynCandidates":9}}`,
 		"\x02" + `{"worker":"w1","lease":2,` + asm + `,"skip":{"kind":"no-candidates","err":"x"}}`,
 		"\x02" + `{"worker":"w1","lease":2,` + asm + `,"failure":"boom"}`,
+		"\x02" + `{"worker":"w1","lease":1,` + ir + `,"variant":1,"result":{"benign":3,"sdc":1,"crash":0,"hang":0,"notActivated":1,"attempts":5,"dynCandidates":9}}`,
+		"\x02" + `{"worker":"w1","lease":2,` + asm + `,"variant":1,"skip":{"kind":"no-candidates","err":"x"}}`,
+		"\x02" + `{"worker":"w1","lease":1,"benchmark":"tiny.c","level":"MIPS","category":"all","result":{"benign":1,"sdc":0,"crash":0,"hang":0,"notActivated":0,"attempts":1,"dynCandidates":1}}`,
 		"\x01not json",
 	} {
 		f.Add([]byte(seed))
@@ -59,6 +63,12 @@ int main() {
 		switch rec.Code {
 		case http.StatusBadRequest:
 		case http.StatusOK:
+			var req CompleteRequest
+			if path == "/complete" && json.NewDecoder(bytes.NewReader(data[1:])).Decode(&req) == nil {
+				if _, ok := c.byKey[req.CellKey]; !ok {
+					t.Fatalf("/complete accepted cell %v, which is not part of the study", req.CellKey)
+				}
+			}
 			var lr LeaseResponse
 			var resp any = &lr
 			switch path {

@@ -54,11 +54,9 @@ type Lease struct {
 	// requeued cell gets a fresh lease with a fresh ID.
 	ID uint64 `json:"id"`
 
-	// Cell identity, in the same string forms the checkpoint schema
-	// uses.
-	Benchmark string `json:"benchmark"`
-	Level     string `json:"level"`
-	Category  string `json:"category"`
+	// CellKey is the cell's identity, encoded as a checkpoint line
+	// encodes it: "variant" appears on non-paper cells only.
+	core.CellKey
 
 	// N and Seed pin the cell's work: N activated injections, seeded
 	// with the position-independent per-cell seed (core.CellSeed), so
@@ -150,12 +148,10 @@ type CompleteRequest struct {
 	Worker string `json:"worker"`
 	Lease  uint64 `json:"lease"`
 
-	// Cell identity, repeated so completions from expired leases (whose
-	// lease record the coordinator already dropped) can still resolve
-	// their cell.
-	Benchmark string `json:"benchmark"`
-	Level     string `json:"level"`
-	Category  string `json:"category"`
+	// CellKey repeats the lease's cell identity, so completions from
+	// expired leases (whose lease record the coordinator already
+	// dropped) can still resolve their cell.
+	core.CellKey
 
 	Result  *core.CellRecord     `json:"result,omitempty"`
 	Skip    *core.CheckpointSkip `json:"skip,omitempty"`

@@ -48,7 +48,7 @@ func TestWorkerSnapshotWorkingSet(t *testing.T) {
 		Name: "w1", Client: &Client{Base: srv.URL, JitterSeed: 1, Logf: t.Logf},
 		BuildProgram: func(name string) (*core.Program, error) { return byName[name], nil },
 		testAcquireHook: func(l *Lease) bool {
-			leased[l.Benchmark+"/"+l.Level] = true
+			leased[l.Prog+"/"+l.Level.String()] = true
 			return true
 		},
 		testReplayHook: func(s *telemetry.ReplayStats) {

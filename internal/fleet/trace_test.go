@@ -363,8 +363,8 @@ func TestFleetScrapeDuringDrain(t *testing.T) {
 
 	req := CompleteRequest{
 		Worker: "w", Lease: lease.Lease.ID,
-		Benchmark: lease.Lease.Benchmark, Level: lease.Lease.Level, Category: lease.Lease.Category,
-		Result: &core.CellRecord{Benign: 8, Attempts: 8},
+		CellKey: lease.Lease.CellKey,
+		Result:  &core.CellRecord{Benign: 8, Attempts: 8},
 	}
 	if resp, err := cl.Complete(ctx, req); err != nil || !resp.OK {
 		t.Fatalf("completion under drain = %+v, %v", resp, err)

@@ -9,7 +9,6 @@ import (
 	"hlfi/internal/adaptive"
 	"hlfi/internal/bench"
 	"hlfi/internal/core"
-	"hlfi/internal/fault"
 	"hlfi/internal/obs/trace"
 	"hlfi/internal/telemetry"
 )
@@ -169,8 +168,8 @@ func executeLease(ctx context.Context, cfg WorkerConfig, w *workerState, lease *
 	if lease.Grant > 1 {
 		retryNote = fmt.Sprintf(" (grant %d: retry of an expired or failed lease)", lease.Grant)
 	}
-	logf("fleet worker %s: lease %d: %s/%s/%s n=%d seed=%d%s",
-		cfg.Name, lease.ID, lease.Benchmark, lease.Level, lease.Category, lease.N, lease.Seed, retryNote)
+	logf("fleet worker %s: lease %d: %s n=%d seed=%d%s",
+		cfg.Name, lease.ID, lease.Lane(), lease.N, lease.Seed, retryNote)
 
 	// A traced lease (Trace set in the grant) arms the worker's recorder
 	// once; the exec span parents under the coordinator's lease span via
@@ -179,14 +178,10 @@ func executeLease(ctx context.Context, cfg WorkerConfig, w *workerState, lease *
 	if lease.Trace != 0 && w.tracer == nil {
 		w.tracer, _ = trace.New(trace.Options{Worker: cfg.Name})
 	}
-	span := w.tracer.StartRemote(trace.KindExec,
-		lease.Benchmark+"/"+lease.Level+"/"+lease.Category, lease.Trace, lease.Span)
+	span := w.tracer.StartRemote(trace.KindExec, lease.Lane(), lease.Trace, lease.Span)
 	span.Worker, span.Grant = cfg.Name, lease.Grant
 
-	req := CompleteRequest{
-		Worker: cfg.Name, Lease: lease.ID,
-		Benchmark: lease.Benchmark, Level: lease.Level, Category: lease.Category,
-	}
+	req := CompleteRequest{Worker: cfg.Name, Lease: lease.ID, CellKey: lease.CellKey}
 	res, runErr := runLeasedCell(ctx, cfg, w, lease, span)
 	switch {
 	case runErr == nil:
@@ -237,19 +232,12 @@ func executeLease(ctx context.Context, cfg WorkerConfig, w *workerState, lease *
 // while it runs. The campaign itself is uncancellable mid-cell (cells
 // are the atomic unit of work); heartbeats stop when it finishes.
 func runLeasedCell(ctx context.Context, cfg WorkerConfig, w *workerState, lease *Lease, parent trace.Span) (*core.CellResult, error) {
-	level, err := fault.ParseLevel(lease.Level)
-	if err != nil {
-		return nil, err
-	}
-	cat, err := fault.ParseCategory(lease.Category)
-	if err != nil {
-		return nil, err
-	}
-	prog, ok := w.progs[lease.Benchmark]
+	prog, ok := w.progs[lease.Prog]
 	if !ok {
-		bs := w.tracer.StartChild(trace.KindBuild, lease.Benchmark, parent)
+		bs := w.tracer.StartChild(trace.KindBuild, lease.Prog, parent)
 		bs.Worker = cfg.Name
-		prog, err = cfg.BuildProgram(lease.Benchmark)
+		var err error
+		prog, err = cfg.BuildProgram(lease.Prog)
 		if err != nil {
 			bs.Outcome, bs.Err = "failure", err.Error()
 			bs.Finish()
@@ -258,7 +246,7 @@ func runLeasedCell(ctx context.Context, cfg WorkerConfig, w *workerState, lease 
 		bs.Outcome = "done"
 		bs.Finish()
 		w.builds.Add(1)
-		w.progs[lease.Benchmark] = prog
+		w.progs[lease.Prog] = prog
 	}
 
 	// Heartbeat at a third of the lease TTL: two missed beats of slack
@@ -301,8 +289,9 @@ func runLeasedCell(ctx context.Context, cfg WorkerConfig, w *workerState, lease 
 	}
 	c := &core.Campaign{
 		Prog:          prog,
-		Level:         level,
-		Category:      cat,
+		Level:         lease.Level,
+		Category:      lease.Category,
+		Variant:       lease.Variant,
 		N:             lease.N,
 		Seed:          lease.Seed,
 		SimFaultLimit: lease.SimFaultLimit,

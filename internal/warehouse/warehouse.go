@@ -116,15 +116,12 @@ type envelope struct {
 // written for — bug, tamper, or copy mistake) is detected and treated
 // as a miss instead of served as an answer.
 type payload struct {
-	V         int          `json:"v"`
-	Key       string       `json:"key"`
-	Type      string       `json:"type"` // "cell" | "skip"
-	Benchmark string       `json:"benchmark"`
-	Level     string       `json:"level"`
-	Category  string       `json:"category"`
-	Variant   core.Variant `json:"variant,omitempty"`
-	Target    int          `json:"target"`
-	Base      int          `json:"base"`
+	V    int    `json:"v"`
+	Key  string `json:"key"`
+	Type string `json:"type"` // "cell" | "skip"
+	core.CellKey
+	Target int `json:"target"`
+	Base   int `json:"base"`
 
 	Result               *core.CellRecord `json:"result,omitempty"` // type "cell"
 	*core.CheckpointSkip                  // type "skip"
@@ -327,8 +324,7 @@ func (c *StudyCache) lookup(key core.CellKey, target, base int) (*payload, bool)
 	}
 	// The record restates its identity; a mismatch is a filed-wrong
 	// record and must read as a miss, never as an answer.
-	if p.Benchmark != key.Prog || p.Level != key.Level.String() || p.Category != key.Category.String() ||
-		p.Variant != key.Variant || p.Target != target || p.Base != base {
+	if p.CellKey != key || p.Target != target || p.Base != base {
 		return nil, false
 	}
 	switch p.Type {
@@ -390,11 +386,8 @@ func (c *StudyCache) StoreCell(key core.CellKey, target, base int, res *core.Cel
 	if !ok {
 		return
 	}
-	c.store.write(kh, &payload{
-		V: recordVersion, Key: kh, Type: "cell",
-		Benchmark: key.Prog, Level: key.Level.String(), Category: key.Category.String(),
-		Variant: key.Variant, Target: target, Base: base, Result: core.RecordOf(res),
-	})
+	c.store.write(kh, &payload{V: recordVersion, Key: kh, Type: "cell", CellKey: key,
+		Target: target, Base: base, Result: core.RecordOf(res)})
 }
 
 // StoreSkip persists one soft-skipped cell. Only deterministic kinds
@@ -408,9 +401,6 @@ func (c *StudyCache) StoreSkip(key core.CellKey, target, base int, skip core.Che
 	if !ok {
 		return
 	}
-	c.store.write(kh, &payload{
-		V: recordVersion, Key: kh, Type: "skip",
-		Benchmark: key.Prog, Level: key.Level.String(), Category: key.Category.String(),
-		Variant: key.Variant, Target: target, Base: base, CheckpointSkip: &skip,
-	})
+	c.store.write(kh, &payload{V: recordVersion, Key: kh, Type: "skip", CellKey: key,
+		Target: target, Base: base, CheckpointSkip: &skip})
 }
