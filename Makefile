@@ -25,14 +25,16 @@ race:
 # compiled engines observed) with -trace-out; a traced
 # fiserve fleet with one worker SIGKILLed mid-lease, scraped once every
 # cell has resolved (the retry can be the study's last grant) and then
-# SIGTERMed to render; a warehouse on disk
-# with one record corrupted; an adaptive study (round 2 extends cells)
-# SIGTERMed and resumed against its own -reference golden. Every
-# in-process combination (parallel, shard merge, resume, warehouse,
-# instrumentation, adaptive, variant, execution policy) is proven by
-# TestStudyMatrix in internal/core.
+# SIGTERMed to render; the calibration experiment on a fiserve fleet of
+# two spawned workers, against its own -reference golden; a warehouse on
+# disk with one record corrupted; an adaptive study (round 2 extends
+# cells) SIGTERMed and resumed against its own -reference golden. Every
+# in-process combination (parallel, shard merge, resume, fleet,
+# warehouse, instrumentation, adaptive, variant, execution policy) is
+# proven by TestStudyMatrix in internal/core.
 E2E = -experiment all -n 200 -benchmarks bzip2m,mcfm -q
 E2E_ADAPTIVE = $(E2E) -adaptive eps=0.06,min=40,check=20
+E2E_CALIBRATION = -experiment calibration -n 100 -benchmarks bzip2m,mcfm -q
 e2e:
 	go build -o .e2e-ficompare ./cmd/ficompare
 	go build -o .e2e-fiserve ./cmd/fiserve
@@ -106,6 +108,12 @@ e2e:
 	test -s .e2e-chrome.json && jq -e '[.traceEvents[] | select(.cat=="retry")] | length >= 1' .e2e-chrome.json > /dev/null
 	jq -e '[.traceEvents[] | select(.cat=="exec") | .args.worker] | length >= 1 and all(. != null and . != "")' \
 		.e2e-chrome.json > /dev/null
+	@echo "e2e: calibration on a fiserve fleet of two spawned workers"
+	./.e2e-ficompare $(E2E_CALIBRATION) -reference -parallel 4 > .e2e-calibration-golden.txt
+	grep -q '^mean |crash gap to PINFI|' .e2e-calibration-golden.txt
+	./.e2e-fiserve -listen 127.0.0.1:8793 -once -spawn-workers 2 -retry-after 50ms $(E2E_CALIBRATION) \
+		> .e2e-calibration-fleet.txt
+	cmp .e2e-calibration-golden.txt .e2e-calibration-fleet.txt
 	@echo "e2e: warehouse on disk, one record corrupted"
 	./.e2e-ficompare $(E2E) -warehouse .e2e-store > .e2e-cold.txt
 	cmp .e2e-golden.txt .e2e-cold.txt
@@ -158,6 +166,7 @@ ci:
 	fi
 	go test ./...
 	(cd hlfibench && go build ./... && go vet ./...)
+	$(MAKE) examples
 	$(MAKE) race
 	$(MAKE) bench-gate
 	$(MAKE) fuzz-smoke

@@ -94,10 +94,9 @@ func runCtx(ctx context.Context, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	switch *experiment {
-	case "fig3", "table4", "fig4", "table5", "table2", "calibration", "all":
-	default:
-		return fmt.Errorf("unknown experiment %q", *experiment)
+	cellsOf, err := cli.ExperimentCells(*experiment)
+	if err != nil {
+		return err
 	}
 	if *jsonOut {
 		if err := core.CheckExperimentJSON(*experiment); err != nil {
@@ -109,15 +108,15 @@ func runCtx(ctx context.Context, args []string) error {
 		return fmt.Errorf("-adaptive %q: %w", *adaptFlag, err)
 	}
 
-	// Scale-out modes are mutually exclusive and only make sense for the
-	// campaign experiments (profiling-only and table2 runs have no cells
-	// to shard).
+	// Scale-out and query modes are mutually exclusive and only make
+	// sense for the campaign experiments (profiling-only and table2 runs
+	// have no cells to shard or look up).
 	sharded := *shard != "" || *mergeGlob != ""
 	if *shard != "" && *mergeGlob != "" {
 		return fmt.Errorf("-shard and -merge are mutually exclusive")
 	}
-	if sharded && !runsCells(*experiment) {
-		return fmt.Errorf("-shard/-merge require a campaign experiment (fig3|fig4|table5|calibration|all), not %q", *experiment)
+	if (sharded || *warehouseQ) && cellsOf == nil {
+		return fmt.Errorf("-shard, -merge and -warehouse-query require a campaign experiment (fig3|fig4|table5|calibration|all), not %q", *experiment)
 	}
 	if *mergeGlob != "" && (*checkpoint != "" || *resume != "") {
 		return fmt.Errorf("-merge reassembles existing shard checkpoints; it cannot be combined with -checkpoint or -resume")
@@ -128,9 +127,6 @@ func runCtx(ctx context.Context, args []string) error {
 		}
 		if sharded {
 			return fmt.Errorf("-warehouse-query inspects the store for this process's study shape; it cannot be combined with -shard or -merge")
-		}
-		if !runsCells(*experiment) {
-			return fmt.Errorf("-warehouse-query requires a campaign experiment (fig3|fig4|table5|calibration|all), not %q", *experiment)
 		}
 	}
 
@@ -150,10 +146,7 @@ func runCtx(ctx context.Context, args []string) error {
 		cli.RenderExperiment(os.Stdout, core.ProfileStudy(progs, *n, *seed), "table4")
 		return nil
 	}
-	cells := core.CanonicalCells(progs, nil)
-	if *experiment == "calibration" {
-		cells = core.CalibrationCells(progs)
-	}
+	cells := cellsOf(progs)
 
 	// Shard mode: this process owns the canonical cells with
 	// index%Count == Index. Everything downstream is the ordinary study
@@ -384,13 +377,6 @@ func queryWarehouse(w io.Writer, cache *warehouse.StudyCache, keys []core.CellKe
 		counts[warehouse.StatusHit], counts[warehouse.StatusSkip], counts[warehouse.StatusMiss],
 		len(keys), cache.Store().Dir())
 	return nil
-}
-
-// runsCells reports whether an experiment runs campaign cells, the
-// experiments -shard, -merge and -warehouse-query apply to: every
-// experiment but the profile-only table4 and the static table2.
-func runsCells(experiment string) bool {
-	return experiment != "table2" && experiment != "table4"
 }
 
 func printTable2() {

@@ -1,6 +1,6 @@
 // Command fiserve runs the fault-injection study as a service: a
 // network coordinator that expands one study submission into its
-// canonical cell list and hands cells out as leases over HTTP, plus a
+// experiment's cell list and hands cells out as leases over HTTP, plus a
 // worker mode that joins a coordinator, executes leased cells, and
 // streams their results back.
 //
@@ -76,7 +76,7 @@ func runCtx(ctx context.Context, args []string, onReady func(addr string)) error
 		name   = fs.String("name", "", "worker: stable name reported to the coordinator (default: hostname-pid)")
 
 		listen     = fs.String("listen", "127.0.0.1:8344", "coordinator listen address (fleet protocol + /metrics + /statusz)")
-		experiment = fs.String("experiment", "all", "fig3|fig4|table5|all — report rendered once the study converges")
+		experiment = fs.String("experiment", "all", "fig3|fig4|table5|calibration|all — report rendered once the study converges")
 		n          = fs.Int("n", 1000, "activated injections per cell")
 		seed       = fs.Int64("seed", 1, "study seed")
 		benches    = fs.String("benchmarks", "", "comma-separated subset (default: all six)")
@@ -109,10 +109,12 @@ func runCtx(ctx context.Context, args []string, onReady func(addr string)) error
 	if *worker {
 		return runWorker(ctx, *join, *name, *quiet)
 	}
-	switch *experiment {
-	case "fig3", "fig4", "table5", "all":
-	default:
-		return fmt.Errorf("unknown experiment %q (the fleet runs campaign experiments: fig3|fig4|table5|all)", *experiment)
+	cellsOf, err := cli.ExperimentCells(*experiment)
+	if err != nil {
+		return err
+	}
+	if cellsOf == nil {
+		return fmt.Errorf("-experiment %s runs no campaign (the fleet runs fig3|fig4|table5|calibration|all)", *experiment)
 	}
 	if *spawn < 0 {
 		return fmt.Errorf("-spawn-workers %d: want zero or more", *spawn)
@@ -130,6 +132,7 @@ func runCtx(ctx context.Context, args []string, onReady func(addr string)) error
 	if err != nil {
 		return err
 	}
+	cells := cellsOf(progs)
 
 	// Durability: the coordinator always checkpoints. A named -checkpoint
 	// survives restarts (and resumes when the file already has records);
@@ -234,6 +237,7 @@ func runCtx(ctx context.Context, args []string, onReady func(addr string)) error
 		Programs:      progs,
 		N:             *n,
 		Seed:          *seed,
+		Cells:         cells,
 		SimFaultLimit: *simFaults,
 		CellDeadline:  *deadline,
 		LeaseTTL:      *leaseTTL,
@@ -337,7 +341,7 @@ func runCtx(ctx context.Context, args []string, onReady func(addr string)) error
 	if !converged {
 		st := c.State()
 		logf("fiserve: study incomplete (%d of %d cells resolved); checkpoint kept at %s — restart with -checkpoint %s to resume",
-			len(st.Cells)+len(st.Skips), len(core.CanonicalCells(progs, nil)), ckptPath, ckptPath)
+			len(st.Cells)+len(st.Skips), len(cells), ckptPath, ckptPath)
 		return nil
 	}
 
@@ -364,7 +368,7 @@ func runCtx(ctx context.Context, args []string, onReady func(addr string)) error
 	// render study recomputes the same plan from the persisted round-1
 	// counts and re-runs nothing.
 	st, err := core.RunStudy(core.StudyConfig{
-		Programs: progs, N: *n, Seed: *seed,
+		Programs: progs, Cells: cells, N: *n, Seed: *seed,
 		SimFaultLimit: *simFaults, CellDeadline: *deadline,
 		Adaptive: adaptCfg, Resume: state,
 	})

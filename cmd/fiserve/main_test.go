@@ -24,7 +24,8 @@ func TestRunFlagValidation(t *testing.T) {
 	}{
 		{"worker needs join", []string{"-worker"}, "-join"},
 		{"join without worker", []string{"-join", "http://x"}, "-worker"},
-		{"unknown experiment", []string{"-experiment", "table2"}, "unknown experiment"},
+		{"unknown experiment", []string{"-experiment", "nope"}, "unknown experiment"},
+		{"experiment without campaign", []string{"-experiment", "table2"}, "runs no campaign"},
 		{"negative spawn", []string{"-spawn-workers", "-1"}, "spawn-workers"},
 	}
 	for _, tc := range cases {

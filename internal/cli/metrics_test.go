@@ -23,8 +23,8 @@ import (
 // study, one process-style wiring each). Every series name, # HELP and
 // # TYPE line is pinned, and so is the value of every deterministic
 // series: counters, gauges and the restore-distance buckets exactly,
-// the timing histograms by their _count only. The cell and trace series
-// must also equal the same study's /statusz.
+// the timing histograms by their _count only. The cell, trace and
+// attempt series must also equal the same study's /statusz.
 func TestWireMetricsExposition(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs two studies")
@@ -70,6 +70,9 @@ func TestWireMetricsExposition(t *testing.T) {
 			"hlfi_cells_skipped_total":  st.CellsSkipped + st.CellsDeadline,
 			"hlfi_cells_resumed_total":  st.CellsResumed,
 			"hlfi_trace_attempts_total": st.Traces,
+			// The cold study extends a cell in round 2, whose replayed
+			// round-1 prefix must not count twice.
+			"hlfi_attempts_total": st.Attempts,
 		} {
 			if got := seriesValue(text, name); got != strconv.Itoa(want) {
 				t.Errorf("%s study: %s = %s, /statusz says %d", run, name, got, want)

@@ -7,6 +7,21 @@ import (
 	"hlfi/internal/core"
 )
 
+// ExperimentCells validates an experiment name and returns the function
+// listing its study cells, nil for table2 and table4, which run no
+// campaign. ficompare and fiserve both take their cells from it.
+func ExperimentCells(experiment string) (func([]*core.Program) []core.CellKey, error) {
+	switch experiment {
+	case "fig3", "fig4", "table5", "all":
+		return func(progs []*core.Program) []core.CellKey { return core.CanonicalCells(progs, nil) }, nil
+	case "calibration":
+		return core.CalibrationCells, nil
+	case "table2", "table4":
+		return nil, nil
+	}
+	return nil, fmt.Errorf("unknown experiment %q", experiment)
+}
+
 // RenderExperiment writes the requested experiment's rendered artifacts
 // for a completed study, byte-for-byte the way ficompare prints them.
 // The fleet coordinator renders through the same function, so a

@@ -77,7 +77,8 @@ type Campaign struct {
 	Deadline time.Duration
 	// Obs, when non-nil, receives the live attempt metrics: attempt,
 	// activation, outcome and sim-fault counters and the attempt-latency
-	// histogram. Purely observational — attempts, outcomes, and random
+	// histogram, for every attempt but an extension's replayed round-1
+	// prefix. Purely observational — attempts, outcomes, and random
 	// streams are identical with or without it.
 	Obs *obs.Metrics
 	// Adaptive, when non-nil, arms the group-sequential early-stopping
@@ -418,7 +419,9 @@ func (c *Campaign) Run() (*CellResult, error) {
 			start = time.Now()
 		}
 		ar, sf := c.safeDraw(draw, rng, attempt, attempt < c.TraceAttempts)
-		c.noteAttempt(start, ar.outcome, sf != nil)
+		if ad == nil || ad.captured { // round 1 counted a replayed prefix
+			c.noteAttempt(start, ar.outcome, sf != nil)
+		}
 		if rec != nil {
 			if sf == nil {
 				testAttemptHook(c, attempt, rec.draws, ar)

@@ -1,18 +1,25 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"io"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"hlfi/internal/adaptive"
 	"hlfi/internal/bench"
 	"hlfi/internal/core"
 	"hlfi/internal/fault"
+	"hlfi/internal/fleet"
 	"hlfi/internal/obs"
 	"hlfi/internal/obs/trace"
 	"hlfi/internal/telemetry"
@@ -27,14 +34,24 @@ import (
 var matrixAxes = []struct {
 	name   string
 	values []string
+	// pinned counts the leading values the row set is built over first
+	// (0: all of them). Those rows are kept as they are and extended to
+	// the later values, so adding a value appends rows and every
+	// existing row keeps its subtest name.
+	pinned int
 }{
-	{"policy", []string{"reference", "fast", "fast-tight"}},
-	{"parallel", []string{"1", "4"}},
-	{"delivery", []string{"direct", "merge3", "resume"}},
-	{"warehouse", []string{"off", "cold", "warm", "corrupt"}},
-	{"instr", []string{"off", "on"}},
-	{"adaptive", []string{"off", "on"}},
-	{"variant", []string{"paper", "calibration"}},
+	{"policy", []string{"reference", "fast", "fast-tight"}, 0},
+	// parallel is the study's cell parallelism, or 2 and 3 fleet workers.
+	{"parallel", []string{"1", "4"}, 0},
+	// mergeK runs K shard workers and merges them; fleet runs an
+	// in-process coordinator with workers and one abandoned lease. Fleet
+	// workers always run the fleet's own policy, so the policy axis has
+	// no effect on fleet rows.
+	{"delivery", []string{"direct", "merge3", "resume", "merge2", "merge4", "fleet"}, 3},
+	{"warehouse", []string{"off", "cold", "warm", "corrupt"}, 0},
+	{"instr", []string{"off", "on"}, 0},
+	{"adaptive", []string{"off", "on"}, 0},
+	{"variant", []string{"paper", "calibration"}, 0},
 }
 
 // Axis positions in a matrixRow, and the value indexes the rows branch on.
@@ -42,7 +59,7 @@ const (
 	axPolicy, axParallel, axDelivery, axWarehouse, axInstr, axAdaptive, axVariant = 0, 1, 2, 3, 4, 5, 6
 
 	polReference, polFast, polTight  = 0, 1, 2
-	delDirect, delMerge, delResume   = 0, 1, 2
+	delDirect, delFleet              = 0, 5
 	whOff, whCold, whWarm, whCorrupt = 0, 1, 2, 3
 )
 
@@ -59,13 +76,23 @@ func (r matrixRow) String() string {
 
 type axisPair struct{ a, va, b, vb int }
 
-// uncoveredPairs lists every pair of axis values no row holds.
-func uncoveredPairs(rows []matrixRow) []axisPair {
+// width is the number of values of axis ax a row set covers: its pinned
+// values, or all of them.
+func width(ax int, pinned bool) int {
+	if n := matrixAxes[ax].pinned; pinned && n > 0 {
+		return n
+	}
+	return len(matrixAxes[ax].values)
+}
+
+// uncoveredPairs lists every pair of axis values no row holds, over the
+// pinned values only or over all of them.
+func uncoveredPairs(rows []matrixRow, pinned bool) []axisPair {
 	var out []axisPair
 	for a := range matrixAxes {
 		for b := a + 1; b < len(matrixAxes); b++ {
-			for va := range matrixAxes[a].values {
-				for vb := range matrixAxes[b].values {
+			for va := 0; va < width(a, pinned); va++ {
+				for vb := 0; vb < width(b, pinned); vb++ {
 					covered := false
 					for _, r := range rows {
 						covered = covered || (r[a] == va && r[b] == vb)
@@ -80,12 +107,17 @@ func uncoveredPairs(rows []matrixRow) []axisPair {
 	return out
 }
 
-// matrixRows computes an all-pairs row set greedily: each row starts
+// matrixRows computes an all-pairs row set greedily, over the pinned
+// values first and then over all of them.
+func matrixRows() []matrixRow {
+	return extendRows(extendRows(nil, true), false)
+}
+
+// extendRows adds rows until every pair is covered: each row starts
 // from the first uncovered pair and fills every other axis with the
 // value that covers the most still-uncovered pairs.
-func matrixRows() []matrixRow {
-	var rows []matrixRow
-	for todo := uncoveredPairs(nil); len(todo) > 0; todo = uncoveredPairs(rows) {
+func extendRows(rows []matrixRow, pinned bool) []matrixRow {
+	for todo := uncoveredPairs(rows, pinned); len(todo) > 0; todo = uncoveredPairs(rows, pinned) {
 		var row matrixRow
 		fixed := map[int]bool{todo[0].a: true, todo[0].b: true}
 		row[todo[0].a], row[todo[0].b] = todo[0].va, todo[0].vb
@@ -94,7 +126,7 @@ func matrixRows() []matrixRow {
 				continue
 			}
 			bestGain := -1
-			for v := range matrixAxes[ax].values {
+			for v := 0; v < width(ax, pinned); v++ {
 				gain := 0
 				for _, p := range todo {
 					if (p.a == ax && p.va == v && fixed[p.b] && row[p.b] == p.vb) ||
@@ -246,6 +278,9 @@ type rowRun struct {
 	agg    *telemetry.Aggregator
 	events *captureRecorder
 	runs   int // instrumented studies
+
+	fleetM    *fleet.Metrics // a fleet row's coordinator metrics
+	abandoned bool           // the fleet row's bare client took a lease
 }
 
 // study runs one study of the row under policy (replay, compiled).
@@ -291,27 +326,27 @@ func (r *rowRun) checkpointed(name string, replay *core.ReplayConfig, compiled *
 	return st, path
 }
 
-// merge runs three shard workers, the middle one under the other
-// policy, merges their checkpoints and renders from the merged state
-// into a fourth checkpoint (which receives adaptive extensions). The
-// render resolves every round-1 cell from the merged state, so it runs
-// or looks up the extensions and nothing else.
-func (r *rowRun) merge() (*core.Study, []string) {
+// merge runs k shard workers, the second one under the other policy,
+// merges their checkpoints and renders from the merged state into one
+// more checkpoint (which receives adaptive extensions). The render
+// resolves every round-1 cell from the merged state, so it runs or
+// looks up the extensions and nothing else.
+func (r *rowRun) merge(k int) (*core.Study, []string) {
 	t, c := r.t, r.class
 	var paths []string
-	for i := 0; i < 3; i++ {
+	for i := 0; i < k; i++ {
 		replay, compiled := r.replay, r.compiled
 		if i == 1 {
 			replay, compiled = matrixPolicy(otherPolicy(r.row[axPolicy]))
 		}
-		_, path := r.checkpointed(fmt.Sprintf("shard-%d.jsonl", i), replay, compiled, &core.ShardSpec{Index: i, Count: 3}, nil)
+		_, path := r.checkpointed(fmt.Sprintf("shard-%d.jsonl", i), replay, compiled, &core.ShardSpec{Index: i, Count: k}, nil)
 		paths = append(paths, path)
 	}
 	merged, err := core.MergeShardCheckpoints(paths)
 	must(t, err)
-	if merged.Count != 3 || merged.Shape.N != c.n || merged.Shape.Seed != c.seed || merged.Shape.Adaptive != c.acfg.Signature() {
-		t.Fatalf("merged shape %+v from %d shards, want 3 shards of n=%d seed=%d adaptive=%s",
-			merged.Shape, merged.Count, c.n, c.seed, c.acfg.Signature())
+	if merged.Count != k || merged.Shape.N != c.n || merged.Shape.Seed != c.seed || merged.Shape.Adaptive != c.acfg.Signature() {
+		t.Fatalf("merged shape %+v from %d shards, want %d shards of n=%d seed=%d adaptive=%s",
+			merged.Shape, merged.Count, k, c.n, c.seed, c.acfg.Signature())
 	}
 	must(t, merged.VerifyComplete(c.cells))
 	for key, res := range merged.State.Cells {
@@ -327,6 +362,107 @@ func (r *rowRun) merge() (*core.Study, []string) {
 		t.Errorf("merge render ran %d cells and resolved %d extensions, want 0 and %d", done, ext, c.extended)
 	}
 	return st, checkpointBody(t, append(paths, path)...)
+}
+
+// fleet runs the row's study as fiserve does: an in-process coordinator
+// over the class cells with the class's adaptive config, the row's
+// warehouse and a durable checkpoint, and 2 or 3 workers. Whenever a
+// lease is grantable, a bare client takes one first and never
+// completes it: the lease must expire and its cell be re-granted. The
+// render closes the writer, loads the checkpoint back and resumes the
+// study from it, running no cell.
+func (r *rowRun) fleet() (*core.Study, []string) {
+	t, c := r.t, r.class
+	shape := c.shape(nil, nil, "")
+	shape.Replay, shape.Compiled = fleet.ReplaySignature(), "on"
+	path := filepath.Join(r.dir, "fleet.jsonl")
+	w, err := core.NewCheckpointWriterShape(path, shape)
+	must(t, err)
+	r.fleetM = fleet.NewMetrics()
+	cfg := fleet.Config{Programs: c.progs, Cells: c.cells, N: c.n, Seed: c.seed, Adaptive: c.acfg,
+		Checkpoint: w, Warehouse: r.wh, Metrics: r.fleetM,
+		LeaseTTL: 300 * time.Millisecond, SweepInterval: 20 * time.Millisecond,
+		Backoff: 10 * time.Millisecond, BackoffCap: 50 * time.Millisecond, RetryAfter: 20 * time.Millisecond}
+	if r.om != nil {
+		cfg.Events, cfg.Trace = telemetry.Multi(r.agg, r.events), r.tracer
+	}
+	co, err := fleet.New(cfg)
+	must(t, err)
+	co.Start()
+	defer co.Stop()
+	srv := httptest.NewServer(co.Handler())
+	defer srv.Close()
+
+	ctx := context.Background()
+	abandoned, err := (&fleet.Client{Base: srv.URL}).Lease(ctx, "abandoner")
+	must(t, err)
+	r.abandoned = abandoned.Status == fleet.StatusLease
+	build := func(name string) (*core.Program, error) {
+		for _, p := range c.progs {
+			if p.Name == name {
+				return p, nil
+			}
+		}
+		return nil, fmt.Errorf("no program %q", name)
+	}
+	var wg sync.WaitGroup
+	for i := 1; i <= []int{2, 3}[r.row[axParallel]]; i++ {
+		wg.Add(1)
+		go func(name string, seed int64) {
+			defer wg.Done()
+			if err := fleet.RunWorker(ctx, fleet.WorkerConfig{Name: name,
+				Client: &fleet.Client{Base: srv.URL, JitterSeed: seed}, BuildProgram: build}); err != nil {
+				t.Errorf("worker %s: %v", name, err)
+			}
+		}(fmt.Sprintf("w%d", i), int64(i))
+	}
+	select {
+	case <-co.Done():
+	case <-time.After(2 * time.Minute):
+		t.Fatalf("fleet did not converge; status %+v", co.Status())
+	}
+	wg.Wait()
+
+	m, state := r.fleetM, co.State()
+	switch {
+	case r.abandoned:
+		key := abandoned.Lease.CellKey
+		_, done := state.Cells[key]
+		_, skipped := state.Skips[key]
+		if m.Expiries.Value() == 0 || m.Retries.Value() == 0 || !(done || skipped) {
+			t.Errorf("abandoned lease on %v: %d expiries, %d retries, cell resolved %v; want it expired and re-granted",
+				key, m.Expiries.Value(), m.Retries.Value(), done || skipped)
+		}
+	case r.row[axWarehouse] != whWarm:
+		t.Errorf("no lease grantable at the start: %+v", abandoned)
+	case m.Leases.Value() != 0:
+		t.Errorf("warehouse resolved every cell, yet %d leases were granted", m.Leases.Value())
+	}
+	if m.CellsDegraded.Value() != 0 {
+		t.Errorf("%d cells degraded", m.CellsDegraded.Value())
+	}
+	if wh := r.row[axWarehouse]; c.acfg != nil && (wh == whOff || wh == whCold) && m.AdaptiveExtensions.Value() != uint64(c.extended) {
+		t.Errorf("%d extension leases, want the golden's %d extended cells", m.AdaptiveExtensions.Value(), c.extended)
+	}
+
+	must(t, w.Close())
+	if !co.CheckpointIntact() {
+		t.Fatal("the coordinator detached its checkpoint")
+	}
+	loaded, err := core.LoadCheckpointShape(path, shape)
+	must(t, err)
+	if !reflect.DeepEqual(loaded.Cells, state.Cells) || !reflect.DeepEqual(loaded.Skips, state.Skips) {
+		t.Errorf("checkpoint differs from the coordinator's state:\n  file %+v %+v\n  mem  %+v %+v",
+			loaded.Cells, loaded.Skips, state.Cells, state.Skips)
+	}
+	render := &captureRecorder{}
+	st, err := core.RunStudy(core.StudyConfig{Programs: c.progs, Cells: c.cells, N: c.n, Seed: c.seed,
+		Adaptive: c.acfg, Resume: loaded, Events: render})
+	must(t, err)
+	if ran := render.count(telemetry.EventCellDone) + render.count(telemetry.EventCellExtend); ran != 0 {
+		t.Errorf("fleet render ran %d cells, want every cell from the checkpoint", ran)
+	}
+	return st, checkpointBody(t, path)
 }
 
 // resume writes a checkpoint under the other policy (sequential, with no
@@ -417,7 +553,10 @@ func (c *captureRecorder) count(typ string) (n int) {
 // row's non-vacuity conditions.
 func runRow(t *testing.T, c *matrixClass, row matrixRow) *rowRun {
 	r := &rowRun{t: t, class: c, row: row, dir: t.TempDir()}
-	r.replay, r.compiled = matrixPolicy(row[axPolicy])
+	delivery := matrixAxes[axDelivery].values[row[axDelivery]]
+	if row[axDelivery] != delFleet {
+		r.replay, r.compiled = matrixPolicy(row[axPolicy])
+	}
 	if row[axInstr] == 1 {
 		var err error
 		r.tracer, err = trace.New(trace.Options{Head: trace.Header{N: c.n, Seed: c.seed}})
@@ -431,15 +570,19 @@ func runRow(t *testing.T, c *matrixClass, row matrixRow) *rowRun {
 	}
 	var st *core.Study
 	var body []string
-	switch row[axDelivery] {
-	case delDirect:
+	switch k, merge := strings.CutPrefix(delivery, "merge"); {
+	case merge:
+		shards, err := strconv.Atoi(k)
+		must(t, err)
+		st, body = r.merge(shards)
+	case delivery == "direct":
 		var path string
 		st, path = r.checkpointed("direct.jsonl", r.replay, r.compiled, nil, nil)
 		body = checkpointBody(t, path)
-	case delMerge:
-		st, body = r.merge()
-	case delResume:
+	case delivery == "resume":
 		st, body = r.resume(false, nil)
+	case delivery == "fleet":
+		st, body = r.fleet()
 	}
 	c.matchGolden(t, st, body)
 
@@ -458,7 +601,7 @@ func runRow(t *testing.T, c *matrixClass, row matrixRow) *rowRun {
 			t.Errorf("corrupt record: %d misses, %d stores, want its one cell re-executed and re-stored", misses, stores)
 		}
 	}
-	if r.events != nil {
+	if r.events != nil && row[axDelivery] != delFleet {
 		switch done := r.events.count(telemetry.EventCellDone); {
 		case wh == whWarm && (done != 0 || r.events.count(telemetry.EventWarehouseHit) == 0):
 			t.Errorf("warm warehouse row executed %d cells, %d warehouse hits", done, r.events.count(telemetry.EventWarehouseHit))
@@ -471,7 +614,8 @@ func runRow(t *testing.T, c *matrixClass, row matrixRow) *rowRun {
 		// Scrape once: the read-at-scrape series take their owners' values.
 		must(t, r.om.Registry().WritePrometheus(io.Discard))
 	}
-	// Policy: the fast engines must really have run.
+	// Policy: the fast engines must really have run (fleet rows arm none:
+	// their workers run the fleet's own policy).
 	if r.replay != nil && executed {
 		if stats := r.replay.Stats; stats.Hits()+stats.Misses() == 0 || (row[axPolicy] == polFast && stats.Hits() == 0) {
 			t.Errorf("replay recorded %d hits, %d misses", stats.Hits(), stats.Misses())
@@ -493,6 +637,10 @@ func runRow(t *testing.T, c *matrixClass, row matrixRow) *rowRun {
 // summary.
 func checkInstrumentation(t *testing.T, r *rowRun, executed bool) {
 	t.Helper()
+	if r.row[axDelivery] == delFleet {
+		checkFleetInstrumentation(t, r)
+		return
+	}
 	om := r.om
 	if executed && (om.Attempts.Value() == 0 || om.TraceAttempts.Value() == 0) {
 		t.Errorf("attempt counters %d, trace attempts %d: the registry saw no attempts",
@@ -540,6 +688,42 @@ func checkInstrumentation(t *testing.T, r *rowRun, executed bool) {
 	}
 }
 
+// checkFleetInstrumentation checks that a fleet row's coordinator events
+// and timeline tell its story: one finished campaign root, a
+// fleet_lease event per grant, and one worker exec span per lease the
+// workers took, each under its granting lease span.
+func checkFleetInstrumentation(t *testing.T, r *rowRun) {
+	t.Helper()
+	leases := r.fleetM.Leases.Value()
+	if got := r.events.count(telemetry.EventFleetLease); uint64(got) != leases {
+		t.Errorf("%d fleet_lease events for %d grants", got, leases)
+	}
+	spans := r.tracer.Snapshot()
+	byID := map[uint64]trace.Record{}
+	counts := map[string]int{}
+	for _, s := range spans {
+		byID[s.ID] = s
+		counts[s.Kind]++
+		if s.End == 0 {
+			t.Errorf("unfinished span %+v", s)
+		}
+	}
+	if counts[trace.KindCampaign] != 1 {
+		t.Errorf("%d campaign roots, want the coordinator's one", counts[trace.KindCampaign])
+	}
+	if r.abandoned {
+		leases--
+	}
+	if uint64(counts[trace.KindExec]) != leases {
+		t.Errorf("%d exec spans for %d leases the workers took (spans %v)", counts[trace.KindExec], leases, counts)
+	}
+	for _, s := range spans {
+		if p := byID[s.Parent]; s.Kind == trace.KindExec && (p.Kind != trace.KindLease || p.Worker != s.Worker) {
+			t.Errorf("exec span %+v is not under its worker's lease span (parent %+v)", s, p)
+		}
+	}
+}
+
 // newMatrixClass runs the class golden: reference policy, parallel 1,
 // direct into a checkpoint, no warehouse, no instrumentation.
 func newMatrixClass(t *testing.T, progs []*core.Program, cells []core.CellKey, n int, seed int64, acfg *adaptive.Config) *matrixClass {
@@ -564,7 +748,7 @@ func TestStudyMatrix(t *testing.T) {
 		t.Skip("the differential matrix runs about seventy studies")
 	}
 	rows := matrixRows()
-	if missing := uncoveredPairs(rows); len(missing) != 0 {
+	if missing := uncoveredPairs(rows, false); len(missing) != 0 {
 		t.Fatalf("row set leaves %d axis-value pairs uncovered: %v", len(missing), missing)
 	}
 

@@ -235,6 +235,18 @@ func (s cellSpec) label() string {
 	return fmt.Sprintf("%-10s %-5s %-10s", s.Prog, s.Level, s.Category) + s.variantSuffix(" ")
 }
 
+// StudyCells resolves a study's cell list as RunStudy does: empty means
+// CanonicalCells(programs, nil), and a cell whose program is not in the
+// study or whose variant its level does not support is an error.
+func StudyCells(programs []*Program, keys []CellKey) ([]CellKey, error) {
+	specs, err := studySpecs(programs, keys)
+	keys = nil
+	for _, s := range specs {
+		keys = append(keys, s.CellKey)
+	}
+	return keys, err
+}
+
 // studySpecs resolves the study's cell list against its programs.
 // Shard ownership and the reorder buffer both index into the result,
 // so its order is part of the determinism contract.

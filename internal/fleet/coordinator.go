@@ -11,7 +11,6 @@ import (
 
 	"hlfi/internal/adaptive"
 	"hlfi/internal/core"
-	"hlfi/internal/fault"
 	"hlfi/internal/obs/trace"
 	"hlfi/internal/telemetry"
 	"hlfi/internal/warehouse"
@@ -19,13 +18,13 @@ import (
 
 // Config configures a Coordinator for one study submission.
 type Config struct {
-	// Programs, N, Seed, and Categories define the study exactly as
-	// core.StudyConfig does; the canonical cell list they expand to is
-	// the work queue.
-	Programs   []*core.Program
-	N          int
-	Seed       int64
-	Categories []fault.Category
+	// Programs, N, Seed, and Cells define the study exactly as
+	// core.StudyConfig does, and the cell list is the work queue: empty
+	// means core.CanonicalCells(Programs, nil).
+	Programs []*core.Program
+	N        int
+	Seed     int64
+	Cells    []core.CellKey
 
 	// SimFaultLimit and CellDeadline are forwarded to workers inside
 	// each lease (per-cell campaign fault tolerance, same as the local
@@ -79,7 +78,8 @@ type Config struct {
 	// Warehouse, when non-nil, is the content-addressed result cache:
 	// warehoused cells are resolved at construction (and at plan time,
 	// for adaptive extensions) without ever granting a lease, announced
-	// by a warehouse_hit telemetry event, and every leased resolution is
+	// by the event a local study emits for them (warehouse_hit, or
+	// cell_skip for a cached skip), and every leased resolution is
 	// stored back. Hits are appended to the checkpoint like any other
 	// resolution — the render path loads the coordinator's own
 	// checkpoint, so a warehouse-resolved cell must be in it.
@@ -171,7 +171,7 @@ type Coordinator struct {
 	sweeperWG sync.WaitGroup
 }
 
-// New builds a coordinator for one study: the canonical cell list
+// New builds a coordinator for one study: the study's cell list
 // becomes the queue, each cell carrying its position-independent seed.
 func New(cfg Config) (*Coordinator, error) {
 	if len(cfg.Programs) == 0 {
@@ -179,6 +179,10 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	if cfg.N <= 0 {
 		return nil, fmt.Errorf("fleet: n must be positive")
+	}
+	keys, err := core.StudyCells(cfg.Programs, cfg.Cells)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: %w", err)
 	}
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = 30 * time.Second
@@ -212,7 +216,6 @@ func New(cfg Config) (*Coordinator, error) {
 		seed = 1
 	}
 
-	keys := core.CanonicalCells(cfg.Programs, cfg.Categories)
 	c := &Coordinator{
 		cfg:     cfg,
 		byKey:   make(map[core.CellKey]*cellState, len(keys)),
@@ -252,10 +255,8 @@ func New(cfg Config) (*Coordinator, error) {
 		if cs.status == cellPending && cfg.Warehouse != nil {
 			if res, skip, ok := cfg.Warehouse.Lookup(key, cfg.N, cfg.N); ok {
 				if res != nil {
-					if c.cfg.Checkpoint != nil {
-						if err := c.cfg.Checkpoint.Cell(key, res); err != nil {
-							c.detachCheckpointLocked(err)
-						}
+					if err := c.cfg.Checkpoint.Cell(key, res); err != nil {
+						c.detachCheckpointLocked(err)
 					}
 					cs.status, cs.result = cellDone, res
 					if res.Adaptive.Target > 0 {
@@ -263,7 +264,7 @@ func New(cfg Config) (*Coordinator, error) {
 					}
 					c.cfg.Metrics.CellsDone.Inc()
 					c.resolved++
-					c.emitWarehouseHit(cs)
+					c.emit(core.CellEvent(telemetry.EventWarehouseHit, key, res))
 				} else if skip != nil {
 					if err := c.cfg.Checkpoint.Skip(key, *skip); err != nil {
 						c.detachCheckpointLocked(err)
@@ -271,7 +272,7 @@ func New(cfg Config) (*Coordinator, error) {
 					cs.skip, cs.status = skip, cellSkipped
 					c.cfg.Metrics.CellsSkipped.Inc()
 					c.resolved++
-					ev := core.KeyEvent(telemetry.EventWarehouseHit, key)
+					ev := core.KeyEvent(telemetry.EventCellSkip, key)
 					ev.Err = skip.Err
 					c.emit(ev)
 				}
@@ -337,16 +338,6 @@ func (c *Coordinator) emit(e telemetry.Event) {
 	if c.cfg.Events != nil {
 		c.cfg.Events.Record(e)
 	}
-}
-
-// emitWarehouseHit announces a cell resolved from the result warehouse,
-// carrying the cached counts so dashboards render it like any completed
-// cell while the aggregator keeps it out of this run's attempt totals.
-func (c *Coordinator) emitWarehouseHit(cs *cellState) {
-	ev := core.CellEvent(telemetry.EventWarehouseHit, cs.key, cs.result)
-	// The fleet's warehouse_hit carries no activated total.
-	ev.Activated = 0
-	c.emit(ev)
 }
 
 // emitDuplicate announces a dropped duplicate completion.
@@ -542,6 +533,7 @@ func (c *Coordinator) applyAdaptivePlanLocked() bool {
 		results[i] = cs.result // nil for skipped or degraded cells
 	}
 	r2 := core.PlanExtensions(c.cfg.Adaptive, c.cfg.N, results)
+	c.emit(r2.Event())
 	reopened, warehoused := 0, 0
 	for _, e := range r2.Extensions {
 		cs := c.cells[e.Index]
@@ -551,14 +543,12 @@ func (c *Coordinator) applyAdaptivePlanLocked() bool {
 		// resolves the extension in place: no reopening, no lease.
 		if c.cfg.Warehouse != nil {
 			if wres, _, ok := c.cfg.Warehouse.Lookup(cs.key, e.Target, r2.Plan.BaseN); ok && wres != nil {
-				if c.cfg.Checkpoint != nil {
-					if err := c.cfg.Checkpoint.Cell(cs.key, wres); err != nil {
-						c.detachCheckpointLocked(err)
-					}
+				if err := c.cfg.Checkpoint.Cell(cs.key, wres); err != nil {
+					c.detachCheckpointLocked(err)
 				}
 				cs.result, cs.target = wres, e.Target
 				warehoused++
-				c.emitWarehouseHit(cs)
+				c.emit(core.CellEvent(telemetry.EventWarehouseHit, cs.key, wres))
 				continue
 			}
 		}
@@ -578,7 +568,6 @@ func (c *Coordinator) applyAdaptivePlanLocked() bool {
 	c.updateQueueDepthLocked()
 	c.logf("fleet: adaptive plan: %d activations saved by early-stopped cells; %d cell(s) reopened as extensions, %d resolved from the warehouse (+%d granted, %d leftover)",
 		r2.Plan.Saved, reopened, warehoused, r2.Plan.Granted, r2.Plan.Leftover)
-	c.emit(r2.Event())
 	return reopened > 0
 }
 
@@ -698,12 +687,10 @@ func (c *Coordinator) complete(req CompleteRequest, now time.Time) (CompleteResp
 		// (satellite of the fail-stop writer), the sticky writer is
 		// detached, and the cell is requeued to be re-resolved — next
 		// time in memory only.
-		if c.cfg.Checkpoint != nil {
-			if err := c.cfg.Checkpoint.Cell(key, res); err != nil {
-				c.detachCheckpointLocked(err)
-				c.requeueLocked(cs, now, "checkpoint failure", err.Error())
-				return CompleteResponse{OK: false}, nil
-			}
+		if err := c.cfg.Checkpoint.Cell(key, res); err != nil {
+			c.detachCheckpointLocked(err)
+			c.requeueLocked(cs, now, "checkpoint failure", err.Error())
+			return CompleteResponse{OK: false}, nil
 		}
 		cs.result, cs.status, cs.lease, cs.prior = res, cellDone, 0, nil
 		if c.cfg.Warehouse != nil {

@@ -5,11 +5,8 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -63,196 +60,6 @@ func renderAll(st *core.Study) string {
 	return buf.String()
 }
 
-// TestFleetLeaseRequeueDeterminism is the fleet leg of the differential
-// matrix (internal/core TestStudyMatrix): three workers with snapshot
-// replay and the compiled engines, one killed mid-cell (its lease
-// expires and the cell is retried by a surviving worker), must
-// reproduce the reference-policy single-process run — report bytes,
-// cells, Dyn and sorted checkpoint body — with the merged state routed
-// through the durable checkpoint's typed validation. The survivors
-// must also have replayed: snapshot hits and converged attempts.
-func TestFleetLeaseRequeueDeterminism(t *testing.T) {
-	prog := testProgram(t)
-
-	// Single-process goldens on the reference interpreters: the
-	// sequential study and a parallel one must already agree; the fleet
-	// must match both.
-	goldenCkpt := filepath.Join(t.TempDir(), "golden.jsonl")
-	goldenWriter, err := core.NewCheckpointWriterShape(goldenCkpt, core.CheckpointShape{N: 8, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	goldenSt, err := core.RunStudy(core.StudyConfig{Programs: []*core.Program{prog}, N: 8, Seed: 1,
-		Checkpoint: goldenWriter})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := goldenWriter.Close(); err != nil {
-		t.Fatal(err)
-	}
-	golden := renderAll(goldenSt)
-	parSt, err := core.RunStudy(core.StudyConfig{Programs: []*core.Program{prog}, N: 8, Seed: 1, Parallel: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par := renderAll(parSt); par != golden {
-		t.Fatalf("parallel single-process run differs from sequential:\n--- seq ---\n%s\n--- par ---\n%s", golden, par)
-	}
-
-	// Coordinator with a durable checkpoint: the render below must load
-	// it back through the typed checkpoint validation.
-	ckpt := filepath.Join(t.TempDir(), "fleet.jsonl")
-	shape := core.CheckpointShape{N: 8, Seed: 1, Replay: ReplaySignature(), Compiled: "on"}
-	writer, err := core.NewCheckpointWriterShape(ckpt, shape)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := churnyConfig(t, prog)
-	cfg.Checkpoint = writer
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start()
-	defer c.Stop()
-	srv := httptest.NewServer(c.Handler())
-	defer srv.Close()
-
-	client := func(seed int64) *Client {
-		return &Client{Base: srv.URL, JitterSeed: seed, Logf: t.Logf}
-	}
-
-	// Worker w3 dies mid-cell: it takes one lease, then vanishes without
-	// heartbeating or completing. The coordinator must expire that lease
-	// and a surviving worker must re-execute the cell.
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		err := RunWorker(context.Background(), WorkerConfig{
-			Name: "w3", Client: client(3), Logf: t.Logf,
-			BuildProgram:    func(string) (*core.Program, error) { return prog, nil },
-			testAcquireHook: func(*Lease) bool { return false },
-		})
-		if err != nil {
-			t.Errorf("w3: %v", err)
-		}
-	}()
-	wg.Wait() // w3 is dead (holding one granted lease) before the survivors start
-
-	// Each survivor's replay stats, as its last lease left them.
-	var statsMu sync.Mutex
-	replayStats := map[string]*telemetry.ReplayStats{}
-	for _, name := range []string{"w1", "w2"} {
-		name := name
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			err := RunWorker(context.Background(), WorkerConfig{
-				Name: name, Client: client(int64(len(name))), Logf: t.Logf,
-				BuildProgram: func(string) (*core.Program, error) { return prog, nil },
-				testReplayHook: func(s *telemetry.ReplayStats) {
-					statsMu.Lock()
-					replayStats[name] = s
-					statsMu.Unlock()
-				},
-			})
-			if err != nil {
-				t.Errorf("%s: %v", name, err)
-			}
-		}()
-	}
-
-	select {
-	case <-c.Done():
-	case <-time.After(120 * time.Second):
-		t.Fatalf("fleet did not converge; status: %+v", c.Status())
-	}
-	wg.Wait()
-
-	// The churn must have actually happened: at least one expiry and one
-	// requeue, and no cell degraded (the retry succeeded).
-	m := cfg.Metrics
-	if m.Expiries.Value() < 1 {
-		t.Errorf("lease expiries = %d, want >= 1 (w3's abandoned lease)", m.Expiries.Value())
-	}
-	if m.Retries.Value() < 1 {
-		t.Errorf("retries = %d, want >= 1", m.Retries.Value())
-	}
-	if m.CellsDegraded.Value() != 0 {
-		t.Errorf("cells degraded = %d, want 0", m.CellsDegraded.Value())
-	}
-	// The workers must have replayed: every survivor that ran a cell
-	// fast-forwarded from snapshots, and some attempts converged.
-	var converged uint64
-	for name, s := range replayStats {
-		if s.Hits() == 0 {
-			t.Errorf("%s: no snapshot hits (%d misses); workers must arm replay", name, s.Misses())
-		}
-		converged += s.Converged()
-	}
-	if len(replayStats) == 0 || converged == 0 {
-		t.Errorf("%d workers reported replay stats with %d converged attempts; want both > 0", len(replayStats), converged)
-	}
-	if !c.CheckpointIntact() {
-		t.Fatal("checkpoint writer was detached")
-	}
-	if err := writer.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Merged state through the existing typed checkpoint validation: the
-	// durable file and the in-memory state must agree exactly.
-	loaded, err := core.LoadCheckpointShape(ckpt, shape)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := loaded.Cells, c.State().Cells; !reflect.DeepEqual(got, want) {
-		t.Errorf("checkpoint cells differ from in-memory state:\nfile: %+v\nmem:  %+v", got, want)
-	}
-	if got, want := loaded.Skips, c.State().Skips; !reflect.DeepEqual(got, want) {
-		t.Errorf("checkpoint skips differ from in-memory state:\nfile: %+v\nmem:  %+v", got, want)
-	}
-
-	// Render from the loaded checkpoint: no campaign re-runs, and the
-	// report is byte-identical to both single-process goldens.
-	fleetSt, err := core.RunStudy(core.StudyConfig{
-		Programs: []*core.Program{prog}, N: 8, Seed: 1, Resume: loaded,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := renderAll(fleetSt); got != golden {
-		t.Errorf("fleet report differs from single-process golden:\n--- golden ---\n%s\n--- fleet ---\n%s", golden, got)
-	}
-	// Every cell must have been restored, not re-run: the resumed study
-	// and the coordinator agree cell by cell.
-	for key, res := range goldenSt.Cells {
-		if !reflect.DeepEqual(fleetSt.Cells[key], res) {
-			t.Errorf("cell %v: fleet %+v, golden %+v", key, fleetSt.Cells[key], res)
-		}
-	}
-	if !reflect.DeepEqual(fleetSt.Dyn, goldenSt.Dyn) {
-		t.Errorf("fleet Dyn %v, golden %v", fleetSt.Dyn, goldenSt.Dyn)
-	}
-	if got, want := checkpointBody(t, ckpt), checkpointBody(t, goldenCkpt); got != want {
-		t.Errorf("fleet checkpoint body differs from the golden:\n--- golden ---\n%s\n--- fleet ---\n%s", want, got)
-	}
-}
-
-// checkpointBody returns a checkpoint's record lines without the header,
-// sorted: the fleet appends records in completion order.
-func checkpointBody(t *testing.T, path string) string {
-	t.Helper()
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.SplitAfter(string(raw), "\n")[1:]
-	sort.Strings(lines)
-	return strings.Join(lines, "")
-}
-
 // TestFleetDuplicateCompletion: two workers complete the same cell (one
 // from an expired lease); the second completion is deduped, the first
 // wins, and the cell's stored result is untouched. A completion whose
@@ -261,7 +68,7 @@ func checkpointBody(t *testing.T, path string) string {
 func TestFleetDuplicateCompletion(t *testing.T) {
 	prog := testProgram(t)
 	cfg := churnyConfig(t, prog)
-	cfg.Categories = []fault.Category{fault.CatAll}
+	cfg.Cells = core.CanonicalCells(cfg.Programs, []fault.Category{fault.CatAll})
 	events := telemetry.NewAggregator()
 	cfg.Events = events
 	c, err := New(cfg)
@@ -317,7 +124,7 @@ func TestFleetDuplicateCompletion(t *testing.T) {
 func TestFleetRetryBudgetDegrades(t *testing.T) {
 	prog := testProgram(t)
 	cfg := churnyConfig(t, prog)
-	cfg.Categories = []fault.Category{fault.CatAll} // 2 cells: IR + ASM
+	cfg.Cells = core.CanonicalCells(cfg.Programs, []fault.Category{fault.CatAll}) // 2 cells: IR + ASM
 	cfg.LeaseTTL = 40 * time.Millisecond
 	cfg.SweepInterval = 10 * time.Millisecond
 	cfg.MaxRetries = 2
@@ -385,7 +192,7 @@ func TestFleetRetryBudgetDegrades(t *testing.T) {
 		t.Errorf("checkpoint skips = %+v, want the coordinator's %+v", state.Skips, st.Skips)
 	}
 	restarted, err := New(Config{Programs: cfg.Programs, N: cfg.N, Seed: cfg.Seed,
-		Categories: cfg.Categories, Resume: state})
+		Cells: cfg.Cells, Resume: state})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +219,7 @@ func TestFleetCheckpointFailureRequeues(t *testing.T) {
 	}
 
 	cfg := churnyConfig(t, prog)
-	cfg.Categories = []fault.Category{fault.CatAll}
+	cfg.Cells = core.CanonicalCells(cfg.Programs, []fault.Category{fault.CatAll})
 	cfg.Checkpoint = writer
 	c, err := New(cfg)
 	if err != nil {

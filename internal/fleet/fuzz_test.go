@@ -29,8 +29,9 @@ int main() {
 	if err != nil {
 		f.Fatal(err)
 	}
-	c, err := New(Config{Programs: []*core.Program{p}, N: 4, Seed: 1,
-		Categories: []fault.Category{fault.CatAll}, Metrics: NewMetrics()})
+	progs := []*core.Program{p}
+	c, err := New(Config{Programs: progs, N: 4, Seed: 1,
+		Cells: core.CanonicalCells(progs, []fault.Category{fault.CatAll}), Metrics: NewMetrics()})
 	if err != nil {
 		f.Fatal(err)
 	}

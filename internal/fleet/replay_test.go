@@ -15,7 +15,8 @@ import (
 // worker and checks its snapshot cache against the worker budget: after
 // every lease the accounted bytes fit workerSnapshotBudget, and moving
 // on to the next (program, level) evicted the previous entry rather
-// than growing the cache.
+// than growing the cache. The worker must also have replayed: it took
+// snapshot hits and some attempts converged.
 func TestWorkerSnapshotWorkingSet(t *testing.T) {
 	progs := []*core.Program{testProgram(t)}
 	second, err := bench.Build("mcfm")
@@ -68,8 +69,8 @@ func TestWorkerSnapshotWorkingSet(t *testing.T) {
 	if len(leased) != 4 {
 		t.Fatalf("worker leased cells of %v, want both levels of both programs", leased)
 	}
-	if stats == nil || stats.Hits() == 0 {
-		t.Fatal("worker took no snapshot hits")
+	if stats == nil || stats.Hits() == 0 || stats.Converged() == 0 {
+		t.Fatal("worker took no snapshot hits or converged no attempt; workers must arm replay")
 	}
 	for i, b := range cacheBytes {
 		if b == 0 || b > workerSnapshotBudget {

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -24,7 +25,7 @@ import (
 func TestCompleteRefusesVariantOfPaperCell(t *testing.T) {
 	prog := testProgram(t)
 	cfg := churnyConfig(t, prog)
-	cfg.Categories = []fault.Category{fault.CatAll}
+	cfg.Cells = core.CanonicalCells(cfg.Programs, []fault.Category{fault.CatAll})
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -135,5 +136,22 @@ func TestWorkerRunsLeasedVariant(t *testing.T) {
 		t.Fatalf("completion failed: %q, skip %+v", got.Failure, got.Skip)
 	case !reflect.DeepEqual(got.Result, want):
 		t.Errorf("worker record %+v, want the study's %+v", got.Result, want)
+	}
+}
+
+// TestNewRejectsCellOutsideStudy: the coordinator takes its cell list
+// under the local study's rule, refusing a cell whose program is not in
+// the study or whose variant its level does not support.
+func TestNewRejectsCellOutsideStudy(t *testing.T) {
+	prog := testProgram(t)
+	cfg := churnyConfig(t, prog)
+	cfg.Cells = []core.CellKey{{Prog: "nosuch", Level: fault.LevelIR, Category: fault.CatAll}}
+	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), `program "nosuch" is not in the study`) {
+		t.Errorf("cell of a missing program: %v", err)
+	}
+	cfg.Cells = []core.CellKey{{Prog: prog.Name, Level: fault.LevelASM, Category: fault.CatAll, Variant: core.VariantCalibrated}}
+	var invalid *core.InvalidVariantError
+	if _, err := New(cfg); !errors.As(err, &invalid) {
+		t.Errorf("calibrated PINFI cell: %v, want a *core.InvalidVariantError", err)
 	}
 }

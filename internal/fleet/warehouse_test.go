@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,25 +17,79 @@ import (
 	"hlfi/internal/warehouse"
 )
 
-// whCapture counts fleet telemetry events by type.
+// whCapture keeps telemetry events in arrival order.
 type whCapture struct {
 	mu     sync.Mutex
-	counts map[string]int
+	events []telemetry.Event
 }
 
 func (c *whCapture) Record(e telemetry.Event) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.counts == nil {
-		c.counts = make(map[string]int)
-	}
-	c.counts[e.Type]++
+	c.events = append(c.events, e)
 }
 
-func (c *whCapture) count(typ string) int {
+func (c *whCapture) count(typ string) (n int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.counts[typ]
+	for _, e := range c.events {
+		if e.Type == typ {
+			n++
+		}
+	}
+	return n
+}
+
+// TestWarehouseEventsMatchLocalStudy: over one warm store, a coordinator
+// announces the cells it resolves at construction with the events a
+// local study emits for them: warehouse_hit with the cached counts, and
+// cell_skip for a cached skip (the program has no cast candidates).
+func TestWarehouseEventsMatchLocalStudy(t *testing.T) {
+	p, err := core.BuildProgram("tiny.c", `
+int main() {
+    int s = 0;
+    for (int i = 0; i < 8; i++) s += i * i;
+    print_int(s);
+    return 0;
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	progs := []*core.Program{p}
+	store, err := warehouse.Open(filepath.Join(t.TempDir(), "wh"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := store.ForStudy(core.CheckpointShape{N: 4, Seed: 1}, progs)
+	study := core.StudyConfig{Programs: progs, N: 4, Seed: 1, Warehouse: cache}
+	if _, err := core.RunStudy(study); err != nil {
+		t.Fatal(err)
+	}
+	var local, fleet whCapture
+	study.Events = &local
+	if _, err := core.RunStudy(study); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(Config{Programs: progs, N: 4, Seed: 1, Warehouse: cache, Events: &fleet}); err != nil {
+		t.Fatal(err)
+	}
+	// The local stream is bracketed by study_start and study_done.
+	want := local.events[1 : len(local.events)-1]
+	if !reflect.DeepEqual(fleet.events, want) {
+		lines := func(events []telemetry.Event) string {
+			var sb strings.Builder
+			for _, e := range events {
+				b, _ := json.Marshal(e)
+				sb.WriteString("\n    " + string(b))
+			}
+			return sb.String()
+		}
+		t.Errorf("coordinator warehouse events differ from the local study's:\n  local%s\n  fleet%s", lines(want), lines(fleet.events))
+	}
+	if fleet.count(telemetry.EventWarehouseHit) == 0 || fleet.count(telemetry.EventCellSkip) == 0 {
+		t.Error("the fixture needs a cached result and a cached skip")
+	}
 }
 
 // TestFleetWarehousePreResolution is the fleet half of the warehouse
@@ -126,8 +181,8 @@ func TestFleetWarehousePreResolution(t *testing.T) {
 	if got := cfg2.Metrics.WarehouseMisses.Value(); got != 0 {
 		t.Errorf("warm fleet: %d warehouse misses, want 0", got)
 	}
-	if got := cap.count(telemetry.EventWarehouseHit); got != totalCells {
-		t.Errorf("warm fleet emitted %d warehouse_hit events, want %d", got, totalCells)
+	if got := cap.count(telemetry.EventWarehouseHit) + cap.count(telemetry.EventCellSkip); got != totalCells {
+		t.Errorf("warm fleet announced %d cells, want %d", got, totalCells)
 	}
 	if !reflect.DeepEqual(c2.State().Cells, c.State().Cells) {
 		t.Error("warm coordinator state differs from the cold fleet's")

@@ -197,7 +197,7 @@ func TestServerEndpoints(t *testing.T) {
 	status := func() any {
 		return map[string]int{"cellsDone": 7}
 	}
-	srv, err := StartServer("127.0.0.1:0", m.Registry(), status)
+	srv, err := StartServerTrace("127.0.0.1:0", m.Registry(), status, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestCloseDrainsInFlightScrape(t *testing.T) {
 		<-release
 		return map[string]string{"state": "complete-body"}
 	}
-	srv, err := StartServer("127.0.0.1:0", New().Registry(), status)
+	srv, err := StartServerTrace("127.0.0.1:0", New().Registry(), status, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,16 +27,12 @@ type Server struct {
 	srv *http.Server
 }
 
-// StartServer listens on addr (":8080", "127.0.0.1:0", ...) and serves
-// the registry and the status snapshot returned by status (which may be
-// nil: /statusz then serves an empty object). The pprof handlers are
-// wired onto the server's own mux, never the default one.
-func StartServer(addr string, reg *Registry, status func() any) (*Server, error) {
-	return StartServerTrace(addr, reg, status, nil)
-}
-
-// StartServerTrace is StartServer with a trace recorder mounted at
-// /tracez (nil recorder: /tracez reports tracing off).
+// StartServerTrace listens on addr (":8080", "127.0.0.1:0", ...) and
+// serves the registry, the status snapshot returned by status (which
+// may be nil: /statusz then serves an empty object) and the trace
+// recorder at /tracez (nil recorder: /tracez reports tracing off). The
+// pprof handlers are wired onto the server's own mux, never the default
+// one.
 func StartServerTrace(addr string, reg *Registry, status func() any, rec *trace.Recorder) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -47,19 +43,15 @@ func StartServerTrace(addr string, reg *Registry, status func() any, rec *trace.
 	return s, nil
 }
 
-// Mux builds the observability handler StartServer serves, for callers
-// that run their own HTTP server and want /metrics, /statusz, and
-// /debug/pprof/ alongside their own routes (the fleet coordinator
-// mounts it under "/" next to its lease endpoints). status may be nil;
-// /statusz then serves an empty object.
-func Mux(reg *Registry, status func() any) *http.ServeMux {
-	return MuxTrace(reg, status, nil)
-}
-
-// MuxTrace is Mux plus the /tracez timeline endpoint (HTML by default,
-// ?format=json, ?format=chrome for the Perfetto-compatible export). A
-// nil recorder serves a "tracing off" hint rather than omitting the
-// route, so scripts can probe a fleet for tracing support.
+// MuxTrace builds the observability handler StartServerTrace serves,
+// for callers that run their own HTTP server and want /metrics,
+// /statusz, /tracez and /debug/pprof/ alongside their own routes (the
+// fleet coordinator mounts it under "/" next to its lease endpoints).
+// status may be nil; /statusz then serves an empty object. /tracez
+// serves HTML by default, ?format=json, and ?format=chrome for the
+// Perfetto-compatible export; a nil recorder serves a "tracing off"
+// hint rather than omitting the route, so scripts can probe a fleet for
+// tracing support.
 func MuxTrace(reg *Registry, status func() any, rec *trace.Recorder) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/tracez", trace.Handler(rec))
