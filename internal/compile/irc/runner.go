@@ -1,7 +1,6 @@
 package irc
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"slices"
@@ -45,9 +44,8 @@ type Runner struct {
 
 	executed  uint64
 	candCount uint64
-	// limit is min(MaxInstrs, end of the convergence seek's window,
-	// golden length once the cycle watch is armed): the one count the
-	// loop compares executed against every step.
+	// limit is conv.Limit(MaxInstrs): the one count the loop compares
+	// executed against every step.
 	limit uint64
 	sp    uint64
 	stack []*frame
@@ -150,78 +148,48 @@ func (r *Runner) Resume() (int64, error) {
 	return r.loop()
 }
 
-// convergence is the masking-convergence arm: the golden snapshots
-// still ahead of the seek, the golden run a converged attempt finishes
-// as, and the output stream compared against it; plus the hang-cycle
-// watch the same arming call sets up.
+// convergence is the masking-convergence and hang-cycle arm: the
+// shared schedule, plus the rest of the sought snapshot's position and
+// its top frame's function and slots, resolved when the seek moves to
+// it, and the state saved at the start of the cycle watch's window.
 type convergence struct {
-	snaps  []*interp.Snapshot // the sought snapshot first, once seeking
-	prev   uint64             // count of the snapshot (or start) before snaps[0]
-	until  uint64             // the seek moves past snaps[0] at this count
-	golden fault.Golden
-	out    *bytes.Buffer
-	from   int // out.Len() when armed: the restore point's OutLen
-	done   bool
-	cycle  cycleWatch
-
-	// The rest of the sought snapshot's position, and its top frame's
-	// function and slots, resolved when the seek moves to it.
+	fault.Convergence[*interp.Snapshot]
 	depth int
 	topFn *fnCode
 	top   interp.FrameView
+	cycle cycleWatch
 }
 
-// cycleWatch is the hang-cycle arm: the state saved at the start of the
-// current window, which the loop compares every step once the run is
-// past the golden length. Windows double in length (Brent's cycle
-// finding), so a run that enters a cycle of period p is caught within
-// about twice max(p, first window) instructions of entering it.
+// cycleWatch is the runner's state saved at the start of a window of
+// the cycle watch. The position is compared every step once the run is
+// past the golden length; the rest on a position match.
 type cycleWatch struct {
-	cycled bool
-	next   uint64 // executed at which the next window starts
-	window uint64 // length of the current window
-
-	// The saved position, compared every step: stack depth, the top
-	// frame's block and pc, and the stack pointer.
-	depth int
-	blk   *blockCode
-	pc    int
-	sp    uint64
-
-	// The rest of the saved state, compared on a position match.
-	outLen    int
-	candCount uint64
-	frames    []interp.FrameView
-	mem       *mem.Memory // frozen
+	depth  int
+	blk    *blockCode
+	pc     int
+	sp     uint64
+	frames []interp.FrameView
+	mem    *mem.Memory // frozen
 }
 
-// firstCycleWindow is the length of the cycle watch's first window.
-// Saving a window costs a frozen snapshot of memory, so windows start
-// long enough to amortise it; every hang cycle the benchmarks produce
-// has a period well below it.
-const firstCycleWindow = 1024
-
-// Converge arms masking convergence and the hang-cycle watch. snaps are
-// the golden run's snapshots after the point the runner starts from, in
-// capture order; g is that golden run. The runner's output stream must
-// be a *bytes.Buffer already holding the golden output up to the start
+// Converge arms masking convergence and the hang-cycle watch under the
+// shared schedule of fault.Convergence. snaps are the golden run's
+// snapshots after the point the runner starts from, in capture order;
+// g is that golden run. The runner's output stream must be a
+// *bytes.Buffer already holding the golden output up to the start
 // point, as the injectors' replay path writes it; otherwise Converge is
 // a no-op.
 //
-// Once the injected fault has activated, the runner seeks the next
-// snapshot's position: its top frame's block and pc at its stack depth.
-// It keeps seeking it until the run is fault.RejoinWindow past the
-// snapshot's count; then it seeks the next one. Whenever the run is at
-// the sought position, the runner compares the rest of its state with
-// the snapshot: output length, the top frame's value and parameter
-// slots, the output bytes, then every frame's position, base, saved
+// Once the injected fault has activated, the runner seeks each
+// snapshot's position in turn: its top frame's block and pc at its
+// stack depth. Whenever the run is at the sought position, the runner
+// compares the rest of its state with the snapshot: the top frame's
+// value and parameter slots, then every frame's position, base, saved
 // stack pointer and slots, memory and the stack pointer. Equal state
-// means the rest of the run is the golden run's tail from that
-// snapshot, whatever the count, so the runner stops there if that tail
-// fits the hang budget (fault.Golden.TailFits): it appends the rest of
-// the golden output and returns the golden exit code, with Executed at
-// the convergence point. A tail that does not fit would hang, so the
-// run goes on.
+// (with equal output) means the rest of the run is the golden run's
+// tail from that snapshot, whatever the count, so the runner stops
+// there if that tail fits the hang budget, with the golden output and
+// exit code and Executed at the convergence point.
 //
 // Once the run has executed as many instructions as the golden run, the
 // runner also watches for a repeated state: equal position, output
@@ -236,56 +204,31 @@ const firstCycleWindow = 1024
 // Either way, outcome, output, error, injection record and RNG state
 // are those of the full run.
 func (r *Runner) Converge(snaps []*interp.Snapshot, g fault.Golden) {
-	out, ok := r.out.(*bytes.Buffer)
-	if !ok {
-		return
-	}
-	r.conv = convergence{snaps: snaps, prev: r.executed, golden: g, out: out, from: out.Len()}
+	r.conv = convergence{Convergence: fault.NewConvergence(snaps, g, r.out, r.executed)}
 }
 
 // Converged reports whether the run ended at a convergence point.
-func (r *Runner) Converged() bool { return r.conv.done }
+func (r *Runner) Converged() bool { return r.conv.Converged() }
 
 // Cycled reports whether the run ended as a hang because its state
 // repeated.
-func (r *Runner) Cycled() bool { return r.conv.cycle.cycled }
+func (r *Runner) Cycled() bool { return r.conv.Cycled() }
 
-// setLimit points limit at the end of the seek's window, or at the
-// golden length once Converge armed the cycle watch, or at the hang
-// budget.
-func (r *Runner) setLimit() {
-	r.limit = r.MaxInstrs
-	c := &r.conv
-	if r.seekBlk != nil && c.until < r.limit {
-		r.limit = c.until
-	}
-	if c.out != nil && c.golden.Instrs < r.limit {
-		r.limit = c.golden.Instrs
-	}
-}
+// setLimit points limit at the shared schedule's next stop.
+func (r *Runner) setLimit() { r.limit = r.conv.Limit(r.MaxInstrs) }
 
-// seek points the position compare at the first golden snapshot whose
-// window the run has not passed, or turns it off past the last one. It
-// runs when the fault activates and when a window ends.
+// seek points the position compare at the snapshot the schedule seeks
+// next, or turns it off past the last one. It runs when the fault
+// activates and when a window ends.
 func (r *Runner) seek() {
-	c := &r.conv
 	r.seekBlk = nil
-	for ; len(c.snaps) > 0; c.snaps = c.snaps[1:] {
-		k := c.snaps[0]
-		next := c.golden.Instrs
-		if len(c.snaps) > 1 {
-			next = c.snaps[1].Executed
-		}
-		if end := k.Executed + fault.RejoinWindow(c.prev, k.Executed, next); r.executed <= end {
-			c.depth = k.NumFrames()
-			c.top = k.Frame(c.depth - 1)
-			c.topFn = r.cp.fns[c.top.Fn]
-			r.seekBlk = c.topFn.blocks[c.top.Blk]
-			r.seekPC = c.top.Idx - r.seekBlk.nPhi
-			c.until = end + 1
-			break
-		}
-		c.prev = k.Executed
+	if k, ok := r.conv.Seek(r.executed); ok {
+		c := &r.conv
+		c.depth = k.NumFrames()
+		c.top = k.Frame(c.depth - 1)
+		c.topFn = r.cp.fns[c.top.Fn]
+		r.seekBlk = c.topFn.blocks[c.top.Blk]
+		r.seekPC = c.top.Idx - r.seekBlk.nPhi
 	}
 	r.setLimit()
 }
@@ -303,28 +246,27 @@ func (r *Runner) activate() {
 // length and the cycle watch compares this step. It reports whether the
 // cycle watch found the run's state repeated.
 func (r *Runner) atLimit() bool {
-	c := &r.conv
-	if r.seekBlk != nil && r.executed >= c.until {
+	if r.conv.Expired(r.executed) {
 		r.seek()
 	}
-	return r.executed >= c.golden.Instrs && r.cycled()
+	return r.conv.Watching(r.executed) && r.cycled()
 }
 
-// rejoined compares the run's state with the sought snapshot, whose top
-// frame's block and pc the run is at, cheapest parts first.
+// rejoined reports whether the run, at the sought snapshot's top frame
+// block and pc, has rejoined it. The depth and the top frame's slots,
+// which a diverged run rarely gets past, are compared inline; then the
+// shared compare of the output, every frame, and memory and the stack
+// pointer.
 func (r *Runner) rejoined(fr *frame) bool {
 	c := &r.conv
-	k, fc := c.snaps[0], c.topFn
-	if len(r.stack) != c.depth || c.out.Len() != k.OutLen ||
-		!slices.Equal(fr.vals[:fc.numValues], c.top.Vals) || !slices.Equal(fr.vals[fc.numValues:fc.constBase], c.top.Params) ||
-		!bytes.Equal(c.out.Bytes()[c.from:], c.golden.Output[c.from:k.OutLen]) ||
-		!r.sameFrames(c.depth, k.Frame) || !k.MatchesMemory(r.mem, r.sp) ||
-		!c.golden.TailFits(r.executed, k.Executed, r.MaxInstrs) {
+	fc := c.topFn
+	if len(r.stack) != c.depth ||
+		!slices.Equal(fr.vals[:fc.numValues], c.top.Vals) || !slices.Equal(fr.vals[fc.numValues:fc.constBase], c.top.Params) {
 		return false
 	}
-	c.out.Write(c.golden.Output[k.OutLen:])
-	c.done = true
-	return true
+	return c.Rejoined(r.executed, r.MaxInstrs, func(k *interp.Snapshot) bool {
+		return r.sameFrames(c.depth, k.Frame) && k.MatchesMemory(r.mem, r.sp)
+	})
 }
 
 // sameFrames compares the run's frame stack with n frames, frame(i)
@@ -352,39 +294,31 @@ func (r *Runner) sameFrames(n int, frame func(int) interp.FrameView) bool {
 	return true
 }
 
-// cycled is one step of the cycle watch: inside a window it compares
-// the run's state with the window's saved state, position first; at
-// the end of a window it saves the state and doubles the window.
+// cycled is one step of the cycle watch: at the start of a window it
+// saves the run's state; inside one it compares the run's state with
+// the saved state, position first.
 func (r *Runner) cycled() bool {
-	w := &r.conv.cycle
-	if r.executed >= w.next {
+	if r.conv.NewWindow(r.executed, r.candCount) {
 		r.saveWindow()
 		return false
 	}
+	w := &r.conv.cycle
 	top := r.stack[len(r.stack)-1]
 	if len(r.stack) != w.depth || top.blk != w.blk || top.pc != w.pc || r.sp != w.sp {
 		return false
 	}
-	if r.conv.out.Len() != w.outLen || r.candCount != w.candCount ||
-		!r.sameFrames(len(w.frames), w.frame) || !r.mem.Equal(w.mem) {
-		return false
-	}
-	w.cycled = true
-	return true
+	return r.conv.Repeated(r.candCount, func() bool { return r.sameFrames(len(w.frames), w.frame) && r.mem.Equal(w.mem) })
 }
 
 func (w *cycleWatch) frame(i int) interp.FrameView { return w.frames[i] }
 
-// saveWindow starts the next window of the cycle watch at the run's
-// current state. The saved memory is a frozen snapshot, so the live
-// memory copies a page before its next write.
+// saveWindow saves the run's current state for the cycle watch's new
+// window. The saved memory is a frozen snapshot, so the live memory
+// copies a page before its next write.
 func (r *Runner) saveWindow() {
 	w := &r.conv.cycle
-	w.window = max(2*w.window, firstCycleWindow)
-	w.next = r.executed + w.window
 	top := r.stack[len(r.stack)-1]
 	w.depth, w.blk, w.pc, w.sp = len(r.stack), top.blk, top.pc, r.sp
-	w.outLen, w.candCount = r.conv.out.Len(), r.candCount
 	w.frames = w.frames[:0]
 	for i, fr := range r.stack {
 		fc := r.cp.fns[fr.blk.blk.Parent]
@@ -415,7 +349,7 @@ func (r *Runner) loop() (int64, error) {
 			}
 		}
 		if fr.blk == r.seekBlk && fr.pc == r.seekPC && r.rejoined(fr) {
-			return r.conv.golden.Exit, nil
+			return r.conv.Exit(), nil
 		}
 		st := &steps[fr.pc]
 		fr.pc++

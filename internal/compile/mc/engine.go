@@ -1,7 +1,6 @@
 package mc
 
 import (
-	"bytes"
 	"io"
 
 	"hlfi/internal/fault"
@@ -41,9 +40,8 @@ type Engine struct {
 
 	executed  uint64
 	candCount uint64
-	// limit is min(MaxInstrs, end of the convergence seek's window,
-	// golden length once the cycle watch is armed): the one count the
-	// loop compares executed against every step.
+	// limit is conv.Limit(MaxInstrs): the one count the loop compares
+	// executed against every step.
 	limit uint64
 	// armed caches Inject != nil && !Inject.Happened for the loop; it is
 	// set when the run starts and cleared when the fault fires.
@@ -126,65 +124,31 @@ func (e *Engine) Run() (int64, error) {
 // Resume continues a snapshot-restored engine.
 func (e *Engine) Resume() (int64, error) { return e.loop() }
 
-// convergence is the masking-convergence arm: the golden snapshots
-// still ahead of the seek, the golden run a converged attempt finishes
-// as, and the output stream compared against it; plus the hang-cycle
-// watch the same arming call sets up.
+// convergence is the masking-convergence and hang-cycle arm: the
+// shared schedule, plus the state saved at the start of the cycle
+// watch's window. Its rip is compared every step once the run is past
+// the golden length; its registers, flags and memory on a rip match.
 type convergence struct {
-	snaps  []*machine.Snapshot // the sought snapshot first, once seeking
-	prev   uint64              // count of the snapshot (or start) before snaps[0]
-	until  uint64              // the seek moves past snaps[0] at this count
-	golden fault.Golden
-	out    *bytes.Buffer
-	from   int // out.Len() when armed: the restore point's OutLen
-	done   bool
-	cycle  cycleWatch
+	fault.Convergence[*machine.Snapshot]
+	cycleState *machine.Snapshot
 }
 
-// cycleWatch is the hang-cycle arm: the state saved at the start of the
-// current window, which the loop compares every step once the run is
-// past the golden length. Windows double in length (Brent's cycle
-// finding), so a run that enters a cycle of period p is caught within
-// about twice max(p, first window) instructions of entering it.
-type cycleWatch struct {
-	cycled bool
-	next   uint64 // executed at which the next window starts
-	window uint64 // length of the current window
-
-	// rip is the saved position, compared every step; state holds the
-	// saved registers, flags and memory, compared on a position match
-	// after the rest of the saved state.
-	rip       int
-	state     *machine.Snapshot
-	outLen    int
-	candCount uint64
-}
-
-// firstCycleWindow is the length of the cycle watch's first window.
-// Saving a window costs a frozen snapshot of memory, so windows start
-// long enough to amortise it; every hang cycle the benchmarks produce
-// has a period well below it.
-const firstCycleWindow = 1024
-
-// Converge arms masking convergence and the hang-cycle watch. snaps are
-// the golden run's snapshots after the point the engine starts from, in
-// capture order; g is that golden run. The engine's output stream must
-// be a *bytes.Buffer already holding the golden output up to the start
+// Converge arms masking convergence and the hang-cycle watch under the
+// shared schedule of fault.Convergence. snaps are the golden run's
+// snapshots after the point the engine starts from, in capture order;
+// g is that golden run. The engine's output stream must be a
+// *bytes.Buffer already holding the golden output up to the start
 // point, as the injectors' replay path writes it; otherwise Converge is
 // a no-op.
 //
-// Once the injected fault has activated, the engine seeks the next
-// snapshot's rip, and keeps seeking it until the run is
-// fault.RejoinWindow past the snapshot's count; then it seeks the next
-// one. Whenever the run is at the sought rip, the engine compares the
-// rest of its state with the snapshot: output length, registers, XMM
-// registers and flags, the output bytes, then memory. Equal state means
-// the rest of the run is the golden run's tail from that snapshot,
-// whatever the count, so the engine stops there if that tail fits the
-// hang budget (fault.Golden.TailFits): it appends the rest of the golden
-// output and returns the golden exit code, with Executed at the
-// convergence point. A tail that does not fit would hang, so the run
-// goes on.
+// Once the injected fault has activated, the engine seeks each
+// snapshot's rip in turn. Whenever the run is at the sought rip, the
+// engine compares the rest of its state with the snapshot: registers,
+// XMM registers and flags, then memory. Equal state (with equal output)
+// means the rest of the run is the golden run's tail from that
+// snapshot, whatever the count, so the engine stops there if that tail
+// fits the hang budget, with the golden output and exit code and
+// Executed at the convergence point.
 //
 // Once the run has executed as many instructions as the golden run, the
 // engine also watches for a repeated state: equal rip, registers,
@@ -200,51 +164,26 @@ const firstCycleWindow = 1024
 // Either way, outcome, output, error, injection record and RNG state
 // are those of the full run.
 func (e *Engine) Converge(snaps []*machine.Snapshot, g fault.Golden) {
-	out, ok := e.env.Out.(*bytes.Buffer)
-	if !ok {
-		return
-	}
-	e.conv = convergence{snaps: snaps, prev: e.executed, golden: g, out: out, from: out.Len()}
+	e.conv = convergence{Convergence: fault.NewConvergence(snaps, g, e.env.Out, e.executed)}
 }
 
 // Converged reports whether the run ended at a convergence point.
-func (e *Engine) Converged() bool { return e.conv.done }
+func (e *Engine) Converged() bool { return e.conv.Converged() }
 
 // Cycled reports whether the run ended as a hang because its state
 // repeated.
-func (e *Engine) Cycled() bool { return e.conv.cycle.cycled }
+func (e *Engine) Cycled() bool { return e.conv.Cycled() }
 
-// setLimit points limit at the end of the seek's window, or at the
-// golden length once Converge armed the cycle watch, or at the hang
-// budget.
-func (e *Engine) setLimit() {
-	e.limit = e.MaxInstrs
-	c := &e.conv
-	if e.seekRip >= 0 && c.until < e.limit {
-		e.limit = c.until
-	}
-	if c.out != nil && c.golden.Instrs < e.limit {
-		e.limit = c.golden.Instrs
-	}
-}
+// setLimit points limit at the shared schedule's next stop.
+func (e *Engine) setLimit() { e.limit = e.conv.Limit(e.MaxInstrs) }
 
-// seek points the position compare at the first golden snapshot whose
-// window the run has not passed, or turns it off past the last one. It
-// runs when the fault activates and when a window ends.
+// seek points the rip compare at the snapshot the schedule seeks next,
+// or turns it off past the last one. It runs when the fault activates
+// and when a window ends.
 func (e *Engine) seek() {
-	c := &e.conv
 	e.seekRip = -1
-	for ; len(c.snaps) > 0; c.snaps = c.snaps[1:] {
-		k := c.snaps[0]
-		next := c.golden.Instrs
-		if len(c.snaps) > 1 {
-			next = c.snaps[1].Executed
-		}
-		if end := k.Executed + fault.RejoinWindow(c.prev, k.Executed, next); e.executed <= end {
-			e.seekRip, c.until = k.Rip(), end+1
-			break
-		}
-		c.prev = k.Executed
+	if k, ok := e.conv.Seek(e.executed); ok {
+		e.seekRip = k.Rip()
 	}
 	e.setLimit()
 }
@@ -262,53 +201,39 @@ func (e *Engine) activate() {
 // length and the cycle watch compares this step. It reports whether the
 // cycle watch found the run's state repeated.
 func (e *Engine) atLimit() bool {
-	c := &e.conv
-	if e.seekRip >= 0 && e.executed >= c.until {
+	if e.conv.Expired(e.executed) {
 		e.seek()
 	}
-	return e.executed >= c.golden.Instrs && e.cycled()
+	return e.conv.Watching(e.executed) && e.cycled()
 }
 
-// rejoined compares the engine's state with the sought snapshot, which
-// the run is at the position of, cheapest parts first.
+// rejoined reports whether the run, at the sought snapshot's rip, has
+// rejoined it. The registers and flags, which a diverged run rarely
+// gets past, are compared inline; then the shared compare of the
+// output, and memory.
 func (e *Engine) rejoined() bool {
 	c := &e.conv
-	k := c.snaps[0]
-	if c.out.Len() != k.OutLen || !k.MatchesRegs(&e.regs, &e.xmm, e.flags) ||
-		!bytes.Equal(c.out.Bytes()[c.from:], c.golden.Output[c.from:k.OutLen]) ||
-		!k.MatchesMemory(e.mem) || !c.golden.TailFits(e.executed, k.Executed, e.MaxInstrs) {
+	if !c.Sought().MatchesRegs(&e.regs, &e.xmm, e.flags) {
 		return false
 	}
-	c.out.Write(c.golden.Output[k.OutLen:])
-	c.done = true
-	return true
+	return c.Rejoined(e.executed, e.MaxInstrs, func(k *machine.Snapshot) bool { return k.MatchesMemory(e.mem) })
 }
 
-// cycled is one step of the cycle watch: inside a window it compares
-// the engine's state with the window's saved state, rip first; at the
-// end of a window it saves the state and doubles the window.
+// cycled is one step of the cycle watch: at the start of a window it
+// saves the engine's state; inside one it compares the engine's state
+// with the saved state, rip first.
 func (e *Engine) cycled() bool {
-	w := &e.conv.cycle
-	if e.executed >= w.next {
-		e.saveWindow()
+	c := &e.conv
+	if c.NewWindow(e.executed, e.candCount) {
+		c.cycleState = machine.FreezeState(e.mem, &e.regs, &e.xmm, e.flags, e.rip)
 		return false
 	}
-	if e.rip != w.rip || e.conv.out.Len() != w.outLen || e.candCount != w.candCount ||
-		!w.state.MatchesRegs(&e.regs, &e.xmm, e.flags) || !w.state.MatchesMemory(e.mem) {
+	if e.rip != c.cycleState.Rip() {
 		return false
 	}
-	w.cycled = true
-	return true
-}
-
-// saveWindow starts the next window of the cycle watch at the engine's
-// current state.
-func (e *Engine) saveWindow() {
-	w := &e.conv.cycle
-	w.window = max(2*w.window, firstCycleWindow)
-	w.next = e.executed + w.window
-	w.rip, w.outLen, w.candCount = e.rip, e.conv.out.Len(), e.candCount
-	w.state = machine.FreezeState(e.mem, &e.regs, &e.xmm, e.flags, e.rip)
+	return c.Repeated(e.candCount, func() bool {
+		return c.cycleState.MatchesRegs(&e.regs, &e.xmm, e.flags) && c.cycleState.MatchesMemory(e.mem)
+	})
 }
 
 func (e *Engine) loop() (int64, error) {
@@ -326,7 +251,7 @@ func (e *Engine) loop() (int64, error) {
 			}
 		}
 		if rip == e.seekRip && e.rejoined() {
-			return e.conv.golden.Exit, nil
+			return e.conv.Exit(), nil
 		}
 		st := &steps[rip]
 		e.executed++

@@ -240,10 +240,6 @@ func (st *Study) RenderAdaptive() string {
 	}
 	fmt.Fprintf(&b, "  %-10s %-5s %-10s %7s %10s %9s %11s  %s\n",
 		"benchmark", "tool", "category", "target", "activated", "attempts", "half-width", "status")
-	var (
-		spent, attempts, saved, granted int
-		convergedCells, extendedCells   int
-	)
 	for _, row := range rows {
 		res := row.res
 		a := res.Adaptive
@@ -258,31 +254,51 @@ func (st *Study) RenderAdaptive() string {
 		case res.Activated() < a.Target:
 			status = "budget-exhausted"
 		}
-		if a.Converged && !a.Extended {
-			convergedCells++
-			saved += st.N - res.Activated()
-		}
-		if a.Extended {
-			extendedCells++
-			granted += a.Target - st.N
-		}
-		spent += res.Activated()
-		attempts += res.Attempts
 		fmt.Fprintf(&b, "  %-10s %-5s %-10s %7d %10d %9d %11s  %s\n",
 			row.key.Prog, row.key.Level, row.key.Category,
 			a.Target, res.Activated(), res.Attempts,
 			strconv.FormatFloat(res.adaptiveCounts().MaxHalfWidth(), 'f', 4, 64), status)
 	}
-	baseline := st.N * len(rows)
-	savingsPct := 0.0
-	if baseline > 0 {
-		savingsPct = 100 * float64(baseline-spent) / float64(baseline)
-	}
+	l := st.adaptiveLedger(rows)
 	fmt.Fprintf(&b, "  budget: activated %d of %d baseline (%.1f%% saved), %d attempts total\n",
-		spent, baseline, savingsPct, attempts)
+		l.spent, l.baseline, l.savingsPct(), l.attempts)
 	fmt.Fprintf(&b, "  cells : %d converged early (saved %d), %d extended (+%d granted)\n",
-		convergedCells, saved, extendedCells, granted)
+		l.converged, l.saved, l.extended, l.granted)
 	return b.String()
+}
+
+// adaptiveLedger is the budget ledger of a set of adaptive cells:
+// activated faults spent against the fixed-n baseline, those saved by
+// cells that converged early, and those granted to extended cells.
+type adaptiveLedger struct {
+	baseline, spent, saved, granted, attempts int
+	converged, extended                       int
+}
+
+func (st *Study) adaptiveLedger(rows []adaptiveCellRow) adaptiveLedger {
+	l := adaptiveLedger{baseline: st.N * len(rows)}
+	for _, row := range rows {
+		res := row.res
+		a := res.Adaptive
+		l.spent += res.Activated()
+		l.attempts += res.Attempts
+		if a.Converged && !a.Extended {
+			l.converged++
+			l.saved += st.N - res.Activated()
+		}
+		if a.Extended {
+			l.extended++
+			l.granted += a.Target - st.N
+		}
+	}
+	return l
+}
+
+func (l adaptiveLedger) savingsPct() float64 {
+	if l.baseline == 0 {
+		return 0
+	}
+	return 100 * float64(l.baseline-l.spent) / float64(l.baseline)
 }
 
 // AdaptiveJSON is the accuracy-vs-cost section of the -json render.
@@ -323,27 +339,27 @@ func (st *Study) adaptiveJSON(cats []fault.Category) *AdaptiveJSON {
 	for _, c := range cats {
 		inScope[c] = true
 	}
-	rows := st.adaptiveRows()
+	var rows []adaptiveCellRow
+	for _, row := range st.adaptiveRows() {
+		if inScope[row.key.Category] {
+			rows = append(rows, row)
+		}
+	}
+	l := st.adaptiveLedger(rows)
 	out := &AdaptiveJSON{
-		Eps:   st.Adaptive.Eps,
-		MinN:  st.Adaptive.MinN,
-		Check: st.Adaptive.Check,
-		Cells: make([]AdaptiveCellJSON, 0, len(rows)),
+		Eps:               st.Adaptive.Eps,
+		MinN:              st.Adaptive.MinN,
+		Check:             st.Adaptive.Check,
+		BaselineActivated: l.baseline,
+		SpentActivated:    l.spent,
+		SavedActivated:    l.saved,
+		GrantedActivated:  l.granted,
+		SavingsPct:        l.savingsPct(),
+		Cells:             make([]AdaptiveCellJSON, 0, len(rows)),
 	}
 	for _, row := range rows {
-		if !inScope[row.key.Category] {
-			continue
-		}
 		res := row.res
 		a := res.Adaptive
-		out.BaselineActivated += st.N
-		out.SpentActivated += res.Activated()
-		if a.Converged && !a.Extended {
-			out.SavedActivated += st.N - res.Activated()
-		}
-		if a.Extended {
-			out.GrantedActivated += a.Target - st.N
-		}
 		out.Cells = append(out.Cells, AdaptiveCellJSON{
 			Benchmark: row.key.Prog, Tool: row.key.Level.String(), Category: row.key.Category.String(),
 			Target: a.Target, Activated: res.Activated(), Attempts: res.Attempts,
@@ -361,8 +377,5 @@ func (st *Study) adaptiveJSON(cats []fault.Category) *AdaptiveJSON {
 		}
 		return a.Category < b.Category
 	})
-	if out.BaselineActivated > 0 {
-		out.SavingsPct = 100 * float64(out.BaselineActivated-out.SpentActivated) / float64(out.BaselineActivated)
-	}
 	return out
 }

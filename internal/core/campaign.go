@@ -7,8 +7,12 @@ import (
 	"time"
 
 	"hlfi/internal/adaptive"
+	"hlfi/internal/compile/irc"
+	"hlfi/internal/compile/mc"
 	"hlfi/internal/fault"
+	"hlfi/internal/interp"
 	"hlfi/internal/llfi"
+	"hlfi/internal/machine"
 	"hlfi/internal/obs"
 	"hlfi/internal/pinfi"
 	"hlfi/internal/stats"
@@ -332,13 +336,8 @@ func (c *Campaign) irView() (*llfi.Injector, error) {
 	if err != nil {
 		return nil, err
 	}
-	if c.Replay != nil {
-		if err := c.Replay.armIR(p, inj); err != nil {
-			return nil, err
-		}
-	}
-	if c.Compiled != nil {
-		c.Compiled.armIR(p, inj)
+	if err := arm(c, irTools, inj.Golden, inj); err != nil {
+		return nil, err
 	}
 	return inj, nil
 }
@@ -352,15 +351,64 @@ func (c *Campaign) asmView() (*pinfi.Injector, error) {
 	if err != nil {
 		return nil, err
 	}
-	if c.Replay != nil {
-		if err := c.Replay.armASM(p, inj); err != nil {
-			return nil, err
-		}
-	}
-	if c.Compiled != nil {
-		c.Compiled.armASM(p, inj)
+	if err := arm(c, asmTools, inj.Golden, inj); err != nil {
+		return nil, err
 	}
 	return inj, nil
+}
+
+// levelTools is one level's snapshot capture and compiler: the steps
+// the replay and compiled caches run once per (program, level).
+type levelTools[S snapshot, C any] struct {
+	level   fault.Level
+	capture func(p *Program, stride uint64) ([]S, error)
+	compile func(p *Program) (C, error)
+}
+
+var (
+	irTools = levelTools[*interp.Snapshot, *irc.Program]{
+		level: fault.LevelIR,
+		capture: func(p *Program, stride uint64) ([]*interp.Snapshot, error) {
+			return llfi.CaptureSnapshots(p.Prep, stride)
+		},
+		compile: func(p *Program) (*irc.Program, error) { return irc.Compile(p.Prep) },
+	}
+	asmTools = levelTools[*machine.Snapshot, *mc.Program]{
+		level: fault.LevelASM,
+		capture: func(p *Program, stride uint64) ([]*machine.Snapshot, error) {
+			return pinfi.CaptureSnapshots(p.Asm, p.Prep.Layout.Image, p.Prep.Layout.Base, stride)
+		},
+		compile: func(p *Program) (*mc.Program, error) {
+			return mc.Compile(p.Asm, p.Prep.Layout.Image, p.Prep.Layout.Base)
+		},
+	}
+)
+
+// armable is the arming surface llfi.Injector and pinfi.Injector
+// share.
+type armable[S, C any] interface {
+	UseSnapshots([]S, *telemetry.ReplayStats)
+	UseCompiled(C)
+}
+
+// arm wires the campaign's replay snapshots and compiled engine into a
+// freshly built injector over golden g, inside ScanTime. A program the
+// compiler cannot lower is not an error: the injector stays on the
+// reference engine, and the cache counts the fallback.
+func arm[S snapshot, C any](c *Campaign, t levelTools[S, C], g fault.Golden, inj armable[S, C]) error {
+	if c.Replay != nil {
+		snaps, err := cachedSnapshots(c.Replay, c.Prog, t, g.Instrs)
+		if err != nil {
+			return err
+		}
+		inj.UseSnapshots(snaps, c.Replay.Stats)
+	}
+	if c.Compiled != nil {
+		if cp, ok := cachedProgram(c.Compiled, c.Prog, t); ok {
+			inj.UseCompiled(cp)
+		}
+	}
+	return nil
 }
 
 // wrapNoCandidates maps the injector-level sentinel errors onto the

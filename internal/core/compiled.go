@@ -3,12 +3,6 @@ package core
 import (
 	"sync"
 	"sync/atomic"
-
-	"hlfi/internal/compile/irc"
-	"hlfi/internal/compile/mc"
-	"hlfi/internal/fault"
-	"hlfi/internal/llfi"
-	"hlfi/internal/pinfi"
 )
 
 // CompiledConfig enables the compiled execution engines — the
@@ -56,32 +50,14 @@ func (cc *CompiledConfig) Fallbacks() uint64 {
 	return cc.ensure().fallbacks.Load()
 }
 
-// armIR wires the compiled IR engine into a freshly built IR injector.
-// Called from the campaign's injector construction (inside ScanTime).
-// Compile failure is not an error: the injector simply stays on the
-// interpreter, and the cache counts the fallback.
-func (cc *CompiledConfig) armIR(p *Program, inj *llfi.Injector) {
-	if cp := cc.ensure().irProgram(p); cp != nil {
-		inj.UseCompiled(cp)
-	}
-}
-
-// armASM wires the pre-decoded machine engine into a freshly built
-// assembly injector.
-func (cc *CompiledConfig) armASM(p *Program, inj *pinfi.Injector) {
-	if cp := cc.ensure().asmProgram(p); cp != nil {
-		inj.UseCompiled(cp)
-	}
-}
-
 // compEntry is one (program, level) cache slot. ready is closed once
-// the payload is final; a nil payload means the program did not compile
-// and attempts fall back to the interpreter. Compiled programs are
-// immutable, so any number of cells share them concurrently.
+// prog, the level's compiled program, is final; a nil prog means the
+// program did not compile and attempts fall back to the interpreter.
+// Compiled programs are immutable, so any number of cells share them
+// concurrently.
 type compEntry struct {
 	ready chan struct{}
-	ir    *irc.Program
-	asm   *mc.Program
+	prog  any
 }
 
 // compiledCache compiles programs lazily, once per (program, level).
@@ -108,36 +84,20 @@ func (cc *compiledCache) lookup(k snapKey) (*compEntry, bool) {
 	return e, false
 }
 
-func (cc *compiledCache) irProgram(p *Program) *irc.Program {
-	k := snapKey{prog: p.Name, level: fault.LevelIR}
-	e, hit := cc.lookup(k)
-	if hit {
-		<-e.ready
-		return e.ir
+// cachedProgram returns p compiled at one level by t, compiling it on
+// a miss; ok is false when the program did not compile.
+func cachedProgram[S snapshot, C any](cfg *CompiledConfig, p *Program, t levelTools[S, C]) (cp C, ok bool) {
+	cc := cfg.ensure()
+	e, hit := cc.lookup(snapKey{prog: p.Name, level: t.level})
+	if !hit {
+		if cp, err := t.compile(p); err == nil {
+			e.prog = cp
+		} else {
+			cc.fallbacks.Add(1)
+		}
+		close(e.ready)
 	}
-	cp, err := irc.Compile(p.Prep)
-	if err == nil {
-		e.ir = cp
-	} else {
-		cc.fallbacks.Add(1)
-	}
-	close(e.ready)
-	return e.ir
-}
-
-func (cc *compiledCache) asmProgram(p *Program) *mc.Program {
-	k := snapKey{prog: p.Name, level: fault.LevelASM}
-	e, hit := cc.lookup(k)
-	if hit {
-		<-e.ready
-		return e.asm
-	}
-	cp, err := mc.Compile(p.Asm, p.Prep.Layout.Image, p.Prep.Layout.Base)
-	if err == nil {
-		e.asm = cp
-	} else {
-		cc.fallbacks.Add(1)
-	}
-	close(e.ready)
-	return e.asm
+	<-e.ready
+	cp, ok = e.prog.(C)
+	return cp, ok
 }

@@ -41,12 +41,6 @@ type CellJSON struct {
 	NotActivated  int    `json:"notActivated"`
 }
 
-// WriteJSON serializes the full study (cells in a stable order); it is
-// WriteExperimentJSON scoped to "all".
-func (st *Study) WriteJSON(w io.Writer) error {
-	return st.WriteExperimentJSON(w, "all")
-}
-
 // CheckExperimentJSON rejects an experiment without a JSON form
 // (table2, table4, calibration) with the error WriteExperimentJSON
 // returns, so a caller can refuse it before running anything.

@@ -73,20 +73,8 @@ func TestWriteExperimentJSONScoping(t *testing.T) {
 		}
 	}
 
-	// WriteJSON stays the unscoped full form.
-	var buf bytes.Buffer
-	if err := st.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var legacy core.StudyJSON
-	if err := json.Unmarshal(buf.Bytes(), &legacy); err != nil {
-		t.Fatal(err)
-	}
-	if legacy.Experiment != "all" || len(legacy.Cells) != 2*len(fault.Categories) {
-		t.Fatalf("WriteJSON changed shape: %+v", legacy)
-	}
-
 	// Experiments without a JSON form are rejected.
+	var buf bytes.Buffer
 	for _, exp := range []string{"table2", "table4", "calibration", "nope"} {
 		if err := st.WriteExperimentJSON(&buf, exp); err == nil {
 			t.Errorf("experiment %q accepted for JSON output", exp)

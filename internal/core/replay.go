@@ -5,10 +5,6 @@ import (
 	"sync"
 
 	"hlfi/internal/fault"
-	"hlfi/internal/interp"
-	"hlfi/internal/llfi"
-	"hlfi/internal/machine"
-	"hlfi/internal/pinfi"
 	"hlfi/internal/telemetry"
 )
 
@@ -90,42 +86,20 @@ func (rc *ReplayConfig) ensure() *snapshotCache {
 	return rc.cache
 }
 
-// armIR wires snapshots into a freshly built IR injector. Called from
-// the campaign's injector construction (inside ScanTime).
-func (rc *ReplayConfig) armIR(p *Program, inj *llfi.Injector) error {
-	stride := rc.resolveStride(inj.Golden.Instrs)
-	snaps, err := rc.ensure().irSnaps(p, stride)
-	if err != nil {
-		return err
-	}
-	inj.UseSnapshots(snaps, rc.Stats)
-	return nil
-}
-
-// armASM wires snapshots into a freshly built assembly injector.
-func (rc *ReplayConfig) armASM(p *Program, inj *pinfi.Injector) error {
-	stride := rc.resolveStride(inj.Golden.Instrs)
-	snaps, err := rc.ensure().asmSnaps(p, stride)
-	if err != nil {
-		return err
-	}
-	inj.UseSnapshots(snaps, rc.Stats)
-	return nil
-}
-
 type snapKey struct {
 	prog  string
 	level fault.Level
 }
 
-// snapEntry is one (program, level) cache slot. ready is closed once ir/
-// asm/err are final; the slices and snapshots are immutable afterwards,
-// so any number of cells may share them concurrently.
+// snapEntry is one (program, level) cache slot. ready is closed once
+// snaps (the level's snapshot slice) and err are final; the slice and
+// snapshots are immutable afterwards, so any number of cells may share
+// them concurrently.
 type snapEntry struct {
 	ready   chan struct{}
 	err     error
-	ir      []*interp.Snapshot
-	asm     []*machine.Snapshot
+	snaps   any
+	count   int
 	bytes   uint64
 	lastUse uint64
 }
@@ -159,56 +133,39 @@ func (sc *snapshotCache) lookup(k snapKey) (*snapEntry, bool) {
 	return e, false
 }
 
-// irSnaps returns the IR snapshots of p, building them on a miss.
-func (sc *snapshotCache) irSnaps(p *Program, stride uint64) ([]*interp.Snapshot, error) {
-	k := snapKey{prog: p.Name, level: fault.LevelIR}
+// snapshot is a golden-run snapshot of either level, as the cache
+// budgets it.
+type snapshot interface{ Bytes() uint64 }
+
+// cachedSnapshots returns the snapshots of p at one level, capturing
+// them with t on a miss at the configured stride.
+func cachedSnapshots[S snapshot, C any](rc *ReplayConfig, p *Program, t levelTools[S, C], goldenInstrs uint64) ([]S, error) {
+	sc := rc.ensure()
+	k := snapKey{prog: p.Name, level: t.level}
 	e, hit := sc.lookup(k)
 	if hit {
 		<-e.ready
-		return e.ir, e.err
+		snaps, _ := e.snaps.([]S)
+		return snaps, e.err
 	}
-	snaps, err := llfi.CaptureSnapshots(p.Prep, stride)
+	snaps, err := t.capture(p, rc.resolveStride(goldenInstrs))
 	var b uint64
 	if err == nil {
 		// Thin an over-budget entry before publishing: dropping every
 		// other snapshot halves the accounted bytes while keeping
 		// fast-forward coverage of the whole run.
-		for irBytes(snaps) > sc.budget && len(snaps) > 1 {
+		for snapBytes(snaps) > sc.budget && len(snaps) > 1 {
 			snaps = thin(snaps)
 		}
-		b = irBytes(snaps)
+		b = snapBytes(snaps)
 	}
 	sc.seal(k, e, func() {
 		if err == nil {
-			e.ir, e.bytes = snaps, b
+			e.snaps, e.count, e.bytes = snaps, len(snaps), b
 		}
 		e.err = err
 	})
-	return e.ir, e.err
-}
-
-func (sc *snapshotCache) asmSnaps(p *Program, stride uint64) ([]*machine.Snapshot, error) {
-	k := snapKey{prog: p.Name, level: fault.LevelASM}
-	e, hit := sc.lookup(k)
-	if hit {
-		<-e.ready
-		return e.asm, e.err
-	}
-	snaps, err := pinfi.CaptureSnapshots(p.Asm, p.Prep.Layout.Image, p.Prep.Layout.Base, stride)
-	var b uint64
-	if err == nil {
-		for asmBytes(snaps) > sc.budget && len(snaps) > 1 {
-			snaps = thin(snaps)
-		}
-		b = asmBytes(snaps)
-	}
-	sc.seal(k, e, func() {
-		if err == nil {
-			e.asm, e.bytes = snaps, b
-		}
-		e.err = err
-	})
-	return e.asm, e.err
+	return snaps, err
 }
 
 // seal finalizes a freshly built entry and enforces the memory budget in
@@ -255,7 +212,7 @@ func (sc *snapshotCache) lruLocked(keep snapKey) (*snapEntry, snapKey) {
 		select {
 		case <-e.ready:
 		default:
-			continue // still building; its builder will call admit
+			continue // still building; its builder will call seal
 		}
 		if victim == nil || e.lastUse < victim.lastUse {
 			victim, vkey = e, k
@@ -268,20 +225,12 @@ func (sc *snapshotCache) publishUsageLocked() {
 	var bytes, count uint64
 	for _, e := range sc.entries {
 		bytes += e.bytes
-		count += uint64(len(e.ir) + len(e.asm))
+		count += uint64(e.count)
 	}
 	sc.stats.SetCacheUsage(bytes, count)
 }
 
-func irBytes(snaps []*interp.Snapshot) uint64 {
-	var n uint64
-	for _, s := range snaps {
-		n += s.Bytes()
-	}
-	return n
-}
-
-func asmBytes(snaps []*machine.Snapshot) uint64 {
+func snapBytes[S snapshot](snaps []S) uint64 {
 	var n uint64
 	for _, s := range snaps {
 		n += s.Bytes()

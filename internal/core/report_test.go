@@ -111,7 +111,7 @@ func TestBuildProgramRejectsBadSource(t *testing.T) {
 func TestWriteJSON(t *testing.T) {
 	st := syntheticStudy()
 	var buf bytes.Buffer
-	if err := st.WriteJSON(&buf); err != nil {
+	if err := st.WriteExperimentJSON(&buf, "all"); err != nil {
 		t.Fatal(err)
 	}
 	var decoded StudyJSON

@@ -161,22 +161,6 @@ func (g Golden) DynCount(candidates []bool) uint64 {
 	return n
 }
 
-// RejoinWindow is how far past the count at of a golden snapshot a
-// compiled attempt keeps seeking that snapshot's position, given the
-// counts prev and next of the snapshots (or run ends) around it: a
-// quarter of the spacing before it, and at most half the spacing after
-// it, so that the next snapshot is sought before its own count. The
-// snapshots' real spacing sets it, because thinning and cache budgets
-// space snapshots unevenly.
-func RejoinWindow(prev, at, next uint64) uint64 { return min((at-prev)/4, (next-at)/2) }
-
-// TailFits reports whether a run that has executed executed
-// instructions and is in the golden run's state at count at finishes
-// within budget: the rest of it is the golden run's tail from at.
-func (g Golden) TailFits(executed, at, budget uint64) bool {
-	return executed+(g.Instrs-at) <= budget
-}
-
 // Classify is the outcome of one injected run against the golden run.
 // hung reports that the run exhausted its hang budget; any other err is
 // a crash. A corrupted output always counts as an (activated) SDC, even

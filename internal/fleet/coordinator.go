@@ -47,9 +47,6 @@ type Config struct {
 	// SweepInterval is the expiry scan period (default LeaseTTL/4,
 	// floored at 10ms).
 	SweepInterval time.Duration
-	// LivenessWindow bounds the workers-live gauge: a worker silent
-	// longer than this is no longer counted (default 2*LeaseTTL).
-	LivenessWindow time.Duration
 	// RetryAfter is the poll delay handed to workers when no cell is
 	// grantable (default 200ms).
 	RetryAfter time.Duration
@@ -201,9 +198,6 @@ func New(cfg Config) (*Coordinator, error) {
 		if cfg.SweepInterval < 10*time.Millisecond {
 			cfg.SweepInterval = 10 * time.Millisecond
 		}
-	}
-	if cfg.LivenessWindow <= 0 {
-		cfg.LivenessWindow = 2 * cfg.LeaseTTL
 	}
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = 200 * time.Millisecond
@@ -606,9 +600,10 @@ func (c *Coordinator) sweep(now time.Time) {
 			"lease expiry", fmt.Sprintf("worker %s silent past lease deadline", li.worker))
 	}
 	c.cfg.Metrics.ActiveLeases.Set(int64(len(c.leases)))
+	// A worker silent for two lease TTLs no longer counts as live.
 	live := 0
 	for name, seen := range c.workers {
-		if now.Sub(seen) <= c.cfg.LivenessWindow {
+		if now.Sub(seen) <= 2*c.cfg.LeaseTTL {
 			live++
 		} else {
 			delete(c.workers, name)

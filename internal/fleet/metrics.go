@@ -42,8 +42,7 @@ type Metrics struct {
 
 	// QueueDepth is the number of unleased, unresolved cells;
 	// ActiveLeases the leases currently live; WorkersLive the workers
-	// seen (lease, heartbeat, or completion) within the liveness
-	// window.
+	// seen (lease, heartbeat, or completion) within two lease TTLs.
 	QueueDepth   *obs.Gauge
 	ActiveLeases *obs.Gauge
 	WorkersLive  *obs.Gauge

@@ -1,9 +1,9 @@
 package interp
 
 import (
-	"bytes"
 	"io"
 
+	"hlfi/internal/fault"
 	"hlfi/internal/ir"
 	"hlfi/internal/mem"
 	"hlfi/internal/rt"
@@ -14,17 +14,9 @@ import (
 // once captured: any number of replay runners can be built from it
 // concurrently with NewRunnerFromSnapshot.
 type Snapshot struct {
-	// Executed is the dynamic instruction count at the capture point.
-	Executed uint64
-	// OutLen is how many bytes the program had written to its output
-	// stream at the capture point (captured when the sink is a
-	// bytes.Buffer, as in the injectors' golden runs).
-	OutLen int
-	// Profile is a copy of the per-static-instruction execution counts
-	// at the capture point. It lets a replay compute, for any candidate
-	// set, how many candidate executions precede the snapshot — so one
-	// snapshot serves every fault category.
-	Profile []uint64
+	// The capture point's count, output length and profile; its
+	// CandCount is indexed by Seq.
+	fault.SnapHeader
 
 	mem    *mem.Memory
 	sp     uint64
@@ -53,16 +45,10 @@ func (r *Runner) captureSnapshot() {
 		return
 	}
 	s := &Snapshot{
-		Executed: r.executed,
-		mem:      r.mem.Snapshot(),
-		sp:       r.sp,
-		frames:   make([]frameState, len(r.stack)),
-	}
-	if r.Profile != nil {
-		s.Profile = append([]uint64(nil), r.Profile...)
-	}
-	if b, ok := r.out.(*bytes.Buffer); ok {
-		s.OutLen = b.Len()
+		SnapHeader: fault.CaptureHeader(r.executed, r.Profile, r.out),
+		mem:        r.mem.Snapshot(),
+		sp:         r.sp,
+		frames:     make([]frameState, len(r.stack)),
 	}
 	for i, fr := range r.stack {
 		s.frames[i] = frameState{
@@ -73,19 +59,6 @@ func (r *Runner) captureSnapshot() {
 		}
 	}
 	r.SnapshotSink(s)
-}
-
-// CandCount reports how many executions of candidate instructions
-// precede this snapshot, i.e. the candCount a full run would have
-// reached at the capture point. Candidates is indexed by Seq.
-func (s *Snapshot) CandCount(candidates []bool) uint64 {
-	var n uint64
-	for seq, c := range candidates {
-		if c && seq < len(s.Profile) {
-			n += s.Profile[seq]
-		}
-	}
-	return n
 }
 
 // Bytes is an upper bound on the snapshot's retained memory, used for

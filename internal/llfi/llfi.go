@@ -17,10 +17,6 @@ import (
 	"hlfi/internal/telemetry"
 )
 
-// HangFactor scales the golden instruction count into the hang-detection
-// budget (the paper's "substantially longer than the golden run" timeout).
-const HangFactor = 20
-
 // ErrNoCandidates reports a category with no dynamic injection targets.
 var ErrNoCandidates = errors.New("llfi: no dynamic candidates")
 
@@ -99,13 +95,10 @@ type Injector struct {
 	// same output and profile.
 	Golden fault.Golden
 
-	// Replay state (UseSnapshots): golden-run snapshots in capture order
-	// and, parallel to them, the candidate-execution count each one has
-	// already passed — monotone, so the attempt loop can binary-search
-	// for the latest snapshot at-or-before a trigger.
-	snaps     []*interp.Snapshot
-	snapCands []uint64
-	stats     *telemetry.ReplayStats
+	// Replay state (UseSnapshots): the golden-run snapshots indexed by
+	// the candidate count each has passed, and the stats they feed.
+	replay fault.Replay[*interp.Snapshot]
+	stats  *telemetry.ReplayStats
 
 	// compiled (UseCompiled), when non-nil, runs untraced attempts on the
 	// compile-to-closure engine instead of the interpreter. Traced
@@ -147,27 +140,8 @@ func CaptureSnapshots(p *interp.Prepared, stride uint64) (snaps []*interp.Snapsh
 // byte-identical to full re-execution. stats (nil-safe) receives
 // hit/miss and convergence accounting.
 func (j *Injector) UseSnapshots(snaps []*interp.Snapshot, stats *telemetry.ReplayStats) {
-	j.snaps = snaps
+	j.replay = fault.NewReplay(snaps, j.Candidates)
 	j.stats = stats
-	j.snapCands = make([]uint64, len(snaps))
-	for i, s := range snaps {
-		j.snapCands[i] = s.CandCount(j.Candidates)
-	}
-}
-
-// snapBefore returns the index of the latest snapshot whose candidate
-// baseline is at or below trigger, or -1.
-func (j *Injector) snapBefore(trigger uint64) int {
-	lo, hi := 0, len(j.snaps)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if j.snapCands[mid] <= trigger {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo - 1
 }
 
 // RunGolden executes the program fault-free once with the profiler
@@ -271,27 +245,29 @@ func (j *Injector) injectAt(trigger uint64, rng *rand.Rand, traced bool) *Result
 	// tracer is interpreter-only instrumentation, so traced attempts
 	// stay on the interpreter (both are byte-identical).
 	useCompiled := j.compiled != nil && !traced
-	budget := j.Golden.Instrs*HangFactor + 1_000_000
+	budget := j.Golden.Budget()
 	var out bytes.Buffer
 	var rc int64
 	var err error
 	var executed uint64
 	var end telemetry.AttemptEnd
-	if i := j.snapBefore(trigger); i >= 0 {
-		s := j.snaps[i]
+	i, base := j.replay.Before(trigger)
+	later := j.replay.Snaps[i+1:]
+	if i >= 0 {
+		s := j.replay.Snaps[i]
 		out.Write(j.Golden.Output[:s.OutLen])
 		if useCompiled {
 			r := irc.NewRunnerFromSnapshot(j.compiled, s, &out)
-			r.SetCandCount(j.snapCands[i])
+			r.SetCandCount(base)
 			r.MaxInstrs = budget
 			r.Inject = injection
-			r.Converge(j.snaps[i+1:], j.Golden)
+			r.Converge(later, j.Golden)
 			rc, err = r.Resume()
 			executed = r.Executed()
 			end = telemetry.EndOf(r)
 		} else {
 			r := interp.NewRunnerFromSnapshot(j.Prep, s, &out)
-			r.SetCandCount(j.snapCands[i])
+			r.SetCandCount(base)
 			r.MaxInstrs = budget
 			r.Inject = injection
 			r.Trace = tr
@@ -304,7 +280,7 @@ func (j *Injector) injectAt(trigger uint64, rng *rand.Rand, traced bool) *Result
 			r := irc.NewRunner(j.compiled, &out)
 			r.MaxInstrs = budget
 			r.Inject = injection
-			r.Converge(j.snaps, j.Golden)
+			r.Converge(later, j.Golden)
 			rc, err = r.Run()
 			executed = r.Executed()
 			end = telemetry.EndOf(r)
@@ -316,7 +292,7 @@ func (j *Injector) injectAt(trigger uint64, rng *rand.Rand, traced bool) *Result
 			rc, err = r.Run()
 			executed = r.Executed()
 		}
-		if j.snaps != nil {
+		if j.replay.Snaps != nil {
 			j.stats.Miss(executed)
 		}
 	}

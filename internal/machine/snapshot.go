@@ -1,9 +1,9 @@
 package machine
 
 import (
-	"bytes"
 	"io"
 
+	"hlfi/internal/fault"
 	"hlfi/internal/mem"
 	"hlfi/internal/rt"
 	"hlfi/internal/x86"
@@ -14,16 +14,9 @@ import (
 // immutable once captured: any number of replay machines can be built
 // from it concurrently with NewFromSnapshot.
 type Snapshot struct {
-	// Executed is the dynamic instruction count at the capture point.
-	Executed uint64
-	// OutLen is how many bytes the program had written to its output
-	// stream at the capture point (captured when the sink is a
-	// bytes.Buffer, as in the injectors' golden runs).
-	OutLen int
-	// Profile is a copy of the per-static-instruction execution counts
-	// at the capture point, used to seed candCount for any candidate
-	// set — so one snapshot serves every fault category.
-	Profile []uint64
+	// The capture point's count, output length and profile; its
+	// CandCount is indexed by static instruction index.
+	fault.SnapHeader
 
 	mem   *mem.Memory
 	regs  [x86.NumRegs]uint64
@@ -41,34 +34,14 @@ func (m *Machine) captureSnapshot() {
 		return
 	}
 	s := &Snapshot{
-		Executed: m.executed,
-		mem:      m.mem.Snapshot(),
-		regs:     m.regs,
-		xmm:      m.xmm,
-		flags:    m.flags,
-		rip:      m.rip,
-	}
-	if m.Profile != nil {
-		s.Profile = append([]uint64(nil), m.Profile...)
-	}
-	if b, ok := m.out.(*bytes.Buffer); ok {
-		s.OutLen = b.Len()
+		SnapHeader: fault.CaptureHeader(m.executed, m.Profile, m.out),
+		mem:        m.mem.Snapshot(),
+		regs:       m.regs,
+		xmm:        m.xmm,
+		flags:      m.flags,
+		rip:        m.rip,
 	}
 	m.SnapshotSink(s)
-}
-
-// CandCount reports how many executions of candidate instructions
-// precede this snapshot, i.e. the candCount a full run would have
-// reached at the capture point. Candidates is indexed by static
-// instruction index.
-func (s *Snapshot) CandCount(candidates []bool) uint64 {
-	var n uint64
-	for idx, c := range candidates {
-		if c && idx < len(s.Profile) {
-			n += s.Profile[idx]
-		}
-	}
-	return n
 }
 
 // Bytes is an upper bound on the snapshot's retained memory, used for

@@ -19,9 +19,6 @@ import (
 	"hlfi/internal/x86"
 )
 
-// HangFactor scales the golden instruction count into the hang budget.
-const HangFactor = 20
-
 // ErrNoCandidates reports a category with no dynamic injection targets.
 var ErrNoCandidates = errors.New("pinfi: no dynamic candidates")
 
@@ -81,13 +78,10 @@ type Injector struct {
 	// shared by every view over the same program.
 	Golden fault.Golden
 
-	// Replay state (UseSnapshots): golden-run snapshots in capture order
-	// and, parallel to them, the candidate-execution count each one has
-	// already passed — monotone, so the attempt loop can binary-search
-	// for the latest snapshot at-or-before a trigger.
-	snaps     []*machine.Snapshot
-	snapCands []uint64
-	stats     *telemetry.ReplayStats
+	// Replay state (UseSnapshots): the golden-run snapshots indexed by
+	// the candidate count each has passed, and the stats they feed.
+	replay fault.Replay[*machine.Snapshot]
+	stats  *telemetry.ReplayStats
 
 	// compiled (UseCompiled), when non-nil, runs untraced attempts on the
 	// pre-decoded dispatch engine instead of the simulator. Traced
@@ -129,27 +123,8 @@ func CaptureSnapshots(prog *x86.Program, layoutImage []byte, layoutBase uint64, 
 // byte-identical to full re-execution. stats (nil-safe) receives
 // hit/miss and convergence accounting.
 func (j *Injector) UseSnapshots(snaps []*machine.Snapshot, stats *telemetry.ReplayStats) {
-	j.snaps = snaps
+	j.replay = fault.NewReplay(snaps, j.Candidates)
 	j.stats = stats
-	j.snapCands = make([]uint64, len(snaps))
-	for i, s := range snaps {
-		j.snapCands[i] = s.CandCount(j.Candidates)
-	}
-}
-
-// snapBefore returns the index of the latest snapshot whose candidate
-// baseline is at or below trigger, or -1.
-func (j *Injector) snapBefore(trigger uint64) int {
-	lo, hi := 0, len(j.snaps)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if j.snapCands[mid] <= trigger {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo - 1
 }
 
 // RunGolden executes the program fault-free once with the profiler
@@ -260,27 +235,29 @@ func (j *Injector) injectAt(trigger uint64, rng *rand.Rand, traced bool) *Result
 	// tracer is simulator-only instrumentation, so traced attempts stay
 	// on the simulator (both are byte-identical).
 	useCompiled := j.compiled != nil && !traced
-	budget := j.Golden.Instrs*HangFactor + 1_000_000
+	budget := j.Golden.Budget()
 	var out bytes.Buffer
 	var rc int64
 	var err error
 	var executed uint64
 	var end telemetry.AttemptEnd
-	if i := j.snapBefore(trigger); i >= 0 {
-		s := j.snaps[i]
+	i, base := j.replay.Before(trigger)
+	later := j.replay.Snaps[i+1:]
+	if i >= 0 {
+		s := j.replay.Snaps[i]
 		out.Write(j.Golden.Output[:s.OutLen])
 		if useCompiled {
 			e := mc.NewFromSnapshot(j.compiled, s, &out)
-			e.SetCandCount(j.snapCands[i])
+			e.SetCandCount(base)
 			e.MaxInstrs = budget
 			e.Inject = injection
-			e.Converge(j.snaps[i+1:], j.Golden)
+			e.Converge(later, j.Golden)
 			rc, err = e.Resume()
 			executed = e.Executed()
 			end = telemetry.EndOf(e)
 		} else {
 			m := machine.NewFromSnapshot(j.Prog, s, &out)
-			m.SetCandCount(j.snapCands[i])
+			m.SetCandCount(base)
 			m.MaxInstrs = budget
 			m.Inject = injection
 			m.Trace = tr
@@ -293,7 +270,7 @@ func (j *Injector) injectAt(trigger uint64, rng *rand.Rand, traced bool) *Result
 			e := mc.New(j.compiled, &out)
 			e.MaxInstrs = budget
 			e.Inject = injection
-			e.Converge(j.snaps, j.Golden)
+			e.Converge(later, j.Golden)
 			rc, err = e.Run()
 			executed = e.Executed()
 			end = telemetry.EndOf(e)
@@ -305,7 +282,7 @@ func (j *Injector) injectAt(trigger uint64, rng *rand.Rand, traced bool) *Result
 			rc, err = m.Run()
 			executed = m.Executed()
 		}
-		if j.snaps != nil {
+		if j.replay.Snaps != nil {
 			j.stats.Miss(executed)
 		}
 	}
