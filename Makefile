@@ -28,7 +28,8 @@ race:
 # SIGTERMed to render; the calibration experiment on a fiserve fleet of
 # two spawned workers, against its own -reference golden; a warehouse on
 # disk with one record corrupted; an adaptive study (round 2 extends
-# cells) SIGTERMed and resumed against its own -reference golden. Every
+# cells) SIGTERMed and resumed, then run on a fiserve fleet of two
+# spawned workers, both against its own -reference golden. Every
 # in-process combination (parallel, shard merge, resume, fleet,
 # warehouse, instrumentation, adaptive, variant, execution policy) is
 # proven by TestStudyMatrix in internal/core.
@@ -137,6 +138,10 @@ e2e:
 	test -s .e2e-adaptive-ck.jsonl
 	./.e2e-ficompare $(E2E_ADAPTIVE) -resume .e2e-adaptive-ck.jsonl > .e2e-adaptive.txt
 	cmp .e2e-adaptive-golden.txt .e2e-adaptive.txt
+	@echo "e2e: adaptive study on a fiserve fleet of two spawned workers"
+	./.e2e-fiserve -listen 127.0.0.1:8794 -once -spawn-workers 2 -retry-after 50ms $(E2E_ADAPTIVE) \
+		> .e2e-adaptive-fleet.txt
+	cmp .e2e-adaptive-golden.txt .e2e-adaptive-fleet.txt
 	rm -rf .e2e-*
 
 # Fuzz smoke: each native fuzz target for 30s (mirrors the CI job).

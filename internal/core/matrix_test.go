@@ -381,8 +381,8 @@ func (r *rowRun) fleet() (*core.Study, []string) {
 	r.fleetM = fleet.NewMetrics()
 	cfg := fleet.Config{Programs: c.progs, Cells: c.cells, N: c.n, Seed: c.seed, Adaptive: c.acfg,
 		Checkpoint: w, Warehouse: r.wh, Metrics: r.fleetM,
-		LeaseTTL: 300 * time.Millisecond, SweepInterval: 20 * time.Millisecond,
-		Backoff: 10 * time.Millisecond, BackoffCap: 50 * time.Millisecond, RetryAfter: 20 * time.Millisecond}
+		LeaseTTL: 300 * time.Millisecond, Backoff: 10 * time.Millisecond,
+		BackoffCap: 50 * time.Millisecond, RetryAfter: 20 * time.Millisecond}
 	if r.om != nil {
 		cfg.Events, cfg.Trace = telemetry.Multi(r.agg, r.events), r.tracer
 	}

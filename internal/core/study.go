@@ -231,8 +231,8 @@ type cellSpec struct {
 }
 
 // label is the cell's identity column in progress lines.
-func (s cellSpec) label() string {
-	return fmt.Sprintf("%-10s %-5s %-10s", s.Prog, s.Level, s.Category) + s.variantSuffix(" ")
+func (k CellKey) label() string {
+	return fmt.Sprintf("%-10s %-5s %-10s", k.Prog, k.Level, k.Category) + k.variantSuffix(" ")
 }
 
 // StudyCells resolves a study's cell list as RunStudy does: empty means
@@ -345,13 +345,13 @@ func RunStudyContext(ctx context.Context, cfg StudyConfig) (*Study, error) {
 
 	jobs := make([]*cellJob, len(specs))
 	for i, s := range specs {
-		jobs[i] = &cellJob{cellSpec: s, idx: i, target: cfg.N, base: cfg.N}
+		jobs[i] = &cellJob{Resolution: Resolution{CellKey: s.CellKey, Target: cfg.N, Base: cfg.N}, prog: s.prog, idx: i}
 	}
 	for round := 1; ; round++ {
 		hard, cancelled := runPass(ctx, cfg, jobs, parallel, root)
 		for _, j := range jobs {
-			if j.res != nil {
-				results[j.idx] = j.res
+			if res, _ := j.Kept(); res != nil {
+				results[j.idx] = res
 			}
 		}
 		if hard != nil {
@@ -396,8 +396,9 @@ func extensionJobs(cfg StudyConfig, specs []cellSpec, results []*CellResult) []*
 	emit(cfg.Events, r2.Event())
 	jobs := make([]*cellJob, len(r2.Extensions))
 	for k, e := range r2.Extensions {
-		jobs[k] = &cellJob{cellSpec: specs[e.Index], idx: e.Index,
-			target: e.Target, base: r2.Plan.BaseN, prior: results[e.Index]}
+		s := specs[e.Index]
+		jobs[k] = &cellJob{Resolution: Resolution{CellKey: s.CellKey, Target: e.Target,
+			Base: r2.Plan.BaseN, Prior: results[e.Index]}, prog: s.prog, idx: e.Index}
 	}
 	return jobs
 }
@@ -405,19 +406,12 @@ func extensionJobs(cfg StudyConfig, specs []cellSpec, results []*CellResult) []*
 // cellJob is one unit of a study pass: a cell run to an activation
 // target from an adaptive base. Round 1 runs every owned cell at
 // (N, N); round 2 runs the plan's extensions at (BaseN+grant, BaseN)
-// with the cell's round-1 record as prior. runPass fills the rest.
+// with the cell's round-1 record as prior. runPass fills the outcome.
 type cellJob struct {
-	cellSpec
-	idx          int // canonical cell position
-	target, base int
-	prior        *CellResult
-
-	res        *CellResult     // the cell's new record, if the job made one
-	skip       *CheckpointSkip // a resumed or warehoused skip
-	resumed    bool
-	warehoused bool
-	m          CellMetrics
-	err        error
+	Resolution
+	prog *Program
+	idx  int   // canonical cell position
+	err  error // the hard error that failed the job
 }
 
 // runPass runs one list of cell jobs on the bounded pool. Progress lines
@@ -448,23 +442,22 @@ func runPass(ctx context.Context, cfg StudyConfig, jobs []*cellJob, parallel int
 	if cfg.Obs != nil {
 		inFlight = cfg.Obs.CellsInFlight
 	}
+	rv := Resolver{Resume: cfg.Resume, Warehouse: cfg.Warehouse, Checkpoint: cfg.Checkpoint}
 	tasks := make([]sched.Task, len(jobs))
 	for i, j := range jobs {
 		i, j := i, j
-		j.resolve(cfg)
+		rv.Lookup(&j.Resolution)
 		tasks[i] = func(context.Context) error {
 			inFlight.Inc()
 			defer inFlight.Dec()
 			defer finish(i)
-			if j.err = j.complete(cfg, root); j.err != nil && !IsSoftSkip(j.err) {
-				return j.err // hard error: cancels the pool
-			}
-			return nil
+			j.err = j.complete(cfg, rv, root)
+			return j.err // a hard error cancels the pool
 		}
 	}
 	if err := sched.Run(ctx, parallel, tasks); err != nil {
 		for _, j := range jobs {
-			if j.err != nil && !IsSoftSkip(j.err) {
+			if j.err != nil {
 				return fmt.Errorf("cell %v: %w", j.CellKey, j.err), nil
 			}
 		}
@@ -473,111 +466,58 @@ func runPass(ctx context.Context, cfg StudyConfig, jobs []*cellJob, parallel int
 	return nil, nil
 }
 
-// resolve looks a job up before it is scheduled: a round-1 cell in the
-// resumed checkpoint, then the job's (target, base) record in the
-// warehouse. An extension takes only a cached record; skips are stored
-// for round-1 cells alone.
-func (j *cellJob) resolve(cfg StudyConfig) {
-	if cfg.Resume != nil && j.prior == nil {
-		res, ok := cfg.Resume.Cells[j.CellKey]
-		if skip, skipped := cfg.Resume.Skips[j.CellKey]; skipped && !ok {
-			j.skip, ok = &skip, true
-		}
-		if ok {
-			j.res, j.resumed = res, true
-			return
-		}
-	}
-	if cfg.Warehouse != nil {
-		if res, skip, ok := cfg.Warehouse.Lookup(j.CellKey, j.target, j.base); ok && (res != nil || j.prior == nil) {
-			j.res, j.skip, j.warehoused = res, skip, true
+// complete finishes one job on the pool: a job Lookup did not resolve
+// runs, where a soft skip becomes its outcome, and the resolution is
+// committed. Any error it returns fails the study: a campaign error, or a
+// failed checkpoint append (typed *CheckpointWriteError, sticky in the
+// writer), since once durability is armed, a study that finished while
+// the file silently stopped accumulating would poison the next -resume.
+func (j *cellJob) complete(cfg StudyConfig, rv Resolver, root trace.Span) error {
+	if !j.Resumed && !j.Warehoused {
+		switch res, err := j.run(cfg, root); {
+		case err == nil:
+			j.Res = res
+		case IsSoftSkip(err):
+			skip := SkipOf(err)
+			j.Skip = &skip
+		default:
+			return err
 		}
 	}
-}
-
-// complete finishes one job on the pool and returns its error: a soft
-// skip keeps the study going, any other error fails it.
-func (j *cellJob) complete(cfg StudyConfig, root trace.Span) error {
-	// A warehouse hit, unlike a resumed record, is appended to this
-	// study's checkpoint: the warehouse record belongs to a different
-	// file, and -resume (and the fleet render) must find the cell here.
-	switch {
-	case j.resumed:
-		return nil
-	case j.warehoused && j.res != nil:
-		return cfg.Checkpoint.Cell(j.CellKey, j.res)
-	case j.warehoused:
-		return cfg.Checkpoint.Skip(j.CellKey, *j.skip)
-	}
-	res, err := j.run(cfg, root)
-	if IsSoftSkip(err) && j.prior != nil {
-		// Degrade to the round-1 record (already checkpointed): an
-		// extension tripping the watchdog must not lose a cell the study
-		// has already measured once.
-		return err
-	}
-	if IsSoftSkip(err) {
-		skip := SkipOf(err)
-		// A failed skip-record write is the same durability break as a
-		// failed cell write: abort the study.
-		if cerr := cfg.Checkpoint.Skip(j.CellKey, skip); cerr != nil {
-			return cerr
-		}
-		if cfg.Warehouse != nil {
-			cfg.Warehouse.StoreSkip(j.CellKey, j.target, j.base, skip)
-		}
-		return err
-	}
-	if err != nil {
-		return err
-	}
-	j.res = res
-	// Checkpoint durability is part of the contract once armed: a failed
-	// append aborts the cell cleanly (typed *CheckpointWriteError, sticky
-	// in the writer) rather than letting the study finish while the file
-	// silently stops accumulating the records a later -resume will
-	// trust. An extension's record supersedes the round-1 one: the loader
-	// is last-record-wins, and the higher target marks it extended.
-	if cerr := cfg.Checkpoint.Cell(j.CellKey, res); cerr != nil {
-		return cerr
-	}
-	if cfg.Warehouse != nil {
-		cfg.Warehouse.StoreCell(j.CellKey, j.target, j.base, res)
-	}
-	return nil
+	return rv.Commit(&j.Resolution)
 }
 
 // run executes the job's campaign under a cell span (an extension span
 // carrying the target for round 2).
 func (j *cellJob) run(cfg StudyConfig, root trace.Span) (*CellResult, error) {
 	kind := trace.KindCell
-	if j.prior != nil {
+	if j.Prior != nil {
 		kind = trace.KindExtension
 	}
 	span := cfg.Trace.StartChild(kind, j.Lane(), root)
-	if j.prior != nil {
-		span.Grant = j.target
+	if j.Prior != nil {
+		span.Grant = j.Target
 	}
 	c := &Campaign{
 		Prog:          j.prog,
 		Level:         j.Level,
 		Category:      j.Category,
 		Variant:       j.Variant,
-		N:             j.target,
+		N:             j.Target,
 		Seed:          CellSeed(cfg.Seed, j.CellKey),
-		Metrics:       &j.m,
+		Metrics:       &j.Metrics,
 		SimFaultLimit: cfg.SimFaultLimit,
 		Deadline:      cfg.CellDeadline,
 		Replay:        cfg.Replay,
 		Compiled:      cfg.Compiled,
 		Obs:           cfg.Obs,
 		Adaptive:      cfg.Adaptive,
-		AdaptiveBase:  j.base,
+		AdaptiveBase:  j.Base,
 	}
 	// Traced attempts are released with the round-1 record; re-tracing an
 	// extension's replayed prefix would duplicate them (tracing never
 	// changes outcomes, so dropping it keeps the extension identical).
-	if j.prior == nil {
+	if j.Prior == nil {
 		c.TraceAttempts = cfg.TraceAttempts
 	}
 	if testCampaignHook != nil {
@@ -585,14 +525,14 @@ func (j *cellJob) run(cfg StudyConfig, root trace.Span) (*CellResult, error) {
 	}
 	res, err := c.Run()
 	if cfg.Obs != nil {
-		cfg.Obs.CellSeconds.Observe((j.m.ScanTime + j.m.RunTime).Seconds())
+		cfg.Obs.CellSeconds.Observe((j.Metrics.ScanTime + j.Metrics.RunTime).Seconds())
 	}
 	if cfg.Trace != nil {
-		emitPhaseSpans(cfg.Trace, span, j.Lane(), j.m)
+		emitPhaseSpans(cfg.Trace, span, j.Lane(), j.Metrics)
 		switch {
 		case err == nil:
 			span.Outcome = "done"
-		case IsSoftSkip(err) && j.prior != nil:
+		case IsSoftSkip(err) && j.Prior != nil:
 			span.Outcome, span.Err = "abandoned", err.Error()
 		case IsSoftSkip(err):
 			span.Outcome, span.Err = "skipped", err.Error()
@@ -641,101 +581,71 @@ func IsSoftSkip(err error) bool {
 		errors.Is(err, ErrDeadline)
 }
 
-// noteCell releases one job's progress line and telemetry events.
+// noteCell releases one job's progress line and telemetry events. A
+// failed job and a cancelled one resolved nothing and release nothing:
+// the study is about to fail with the canonical first error (or the
+// abort path). A job whose checkpoint append failed did resolve its
+// cell, so it is released like any other.
 func noteCell(cfg StudyConfig, j *cellJob) {
-	s, res, m, err := j.cellSpec, j.res, j.m, j.err
-	skipEvent := func(typ, msg string) {
-		ev := KeyEvent(typ, s.CellKey)
-		ev.Err = msg
-		emit(cfg.Events, ev)
+	if j.Res == nil && j.Skip == nil {
+		return
 	}
-	switch {
-	case res != nil && j.warehoused:
-		cfg.progress(s.resultLine(res, " (warehouse)"))
-		emit(cfg.Events, CellEvent(telemetry.EventWarehouseHit, s.CellKey, res))
-	case j.skip != nil && j.warehoused:
-		cfg.progress(fmt.Sprintf("%s skipped (%s, warehouse)", s.label(), j.skip.Kind))
-		skipEvent(telemetry.EventCellSkip, j.skip.Err)
-	case res != nil && j.resumed:
-		cfg.progress(s.resultLine(res, " (resumed from checkpoint)"))
-		ev := CellEvent(telemetry.EventCellResume, s.CellKey, res)
-		// cell_resume carries the counts only.
-		ev.AdaptiveTarget, ev.AdaptiveConverged = 0, false
-		emit(cfg.Events, ev)
-	case res != nil:
-		cfg.progress(s.resultLine(res, ""))
+	cfg.progress(j.progressLine())
+	if j.Res != nil && !j.Resumed && !j.Warehoused {
 		from := 0
-		if j.prior != nil {
+		if j.Prior != nil {
 			// An extension's replayed round-1 prefix re-contains the
 			// panics the round-1 record already released; only the
 			// extension window's are new.
-			from = j.prior.Attempts
+			from = j.Prior.Attempts
 		}
-		emitSimFaults(cfg, s, m.SimFaults, from)
+		emitSimFaults(cfg, j.CellKey, j.Metrics.SimFaults, from)
 		// Traced attempts are released here, through the same reorder
 		// buffer as every other event, so attempt_trace order is
 		// deterministic under any scheduling.
-		for _, tr := range m.Traces {
-			ev := KeyEvent(telemetry.EventAttemptTrace, s.CellKey)
+		for _, tr := range j.Metrics.Traces {
+			ev := KeyEvent(telemetry.EventAttemptTrace, j.CellKey)
 			ev.Attempt, ev.Trigger, ev.Outcome, ev.Spans = tr.Attempt, tr.Trigger, tr.Outcome.String(), tr.Spans
 			emit(cfg.Events, ev)
 		}
-		emit(cfg.Events, j.doneEvent())
-	case j.skip != nil:
-		cfg.progress(fmt.Sprintf("%s skipped (%s, resumed from checkpoint)", s.label(), j.skip.Kind))
-		typ := telemetry.EventCellSkip
-		if j.skip.Kind == SkipDeadline {
-			typ = telemetry.EventCellDeadline
-		}
-		skipEvent(typ, j.skip.Err)
-	case j.prior != nil && IsSoftSkip(err):
-		cfg.progress(fmt.Sprintf("%s adaptive extension abandoned (%v); keeping round-1 record", s.label(), err))
-		skipEvent(telemetry.EventCellExtend, err.Error())
-	case errors.Is(err, ErrDeadline):
-		cfg.progress(s.label() + " degraded (deadline exceeded, cell skipped)")
-		ev := KeyEvent(telemetry.EventCellDeadline, s.CellKey)
-		ev.DurationMS, ev.ScanMS = telemetry.Ms(m.ScanTime+m.RunTime), telemetry.Ms(m.ScanTime)
-		ev.Err = err.Error()
-		emit(cfg.Events, ev)
-	case errors.Is(err, ErrNotActivated):
-		cfg.progress(s.label() + " skipped (no activated faults)")
-		skipEvent(telemetry.EventCellSkip, err.Error())
-	case errors.Is(err, ErrNoCandidates):
-		cfg.progress(s.label() + " skipped (no candidates)")
-		skipEvent(telemetry.EventCellSkip, err.Error())
 	}
-	// A failed job and a cancelled one release nothing: the study is
-	// about to fail with the canonical first error (or the abort path).
-	// A job whose checkpoint append failed did resolve its cell, so it is
-	// released above like any other.
+	emit(cfg.Events, j.Event())
 }
 
-// doneEvent is the event of an executed job: cell_done for a round-1
-// cell. An extension's cell_extend carries DELTA counts over the
-// round-1 record, so cell_done totals plus cell_extend totals equal the
-// final study totals and the telemetry aggregator stays additive.
-func (j *cellJob) doneEvent() telemetry.Event {
-	if j.prior == nil {
-		return cellDoneEvent(j.CellKey, j.res, j.m)
+// progressLine is the job's progress line.
+func (j *cellJob) progressLine() string {
+	label, from := j.label(), ""
+	switch {
+	case j.Warehoused:
+		from = "warehouse"
+	case j.Resumed:
+		from = "resumed from checkpoint"
 	}
-	p, r := j.prior, j.res
-	ev := CellEvent(telemetry.EventCellExtend, j.CellKey, &CellResult{
-		Benign: r.Benign - p.Benign, SDC: r.SDC - p.SDC, Crash: r.Crash - p.Crash, Hang: r.Hang - p.Hang,
-		NotActivated: r.NotActivated - p.NotActivated, Attempts: r.Attempts - p.Attempts,
-		SimFaults: r.SimFaults - p.SimFaults, Adaptive: r.Adaptive,
-	})
-	ev.DurationMS, ev.ScanMS = telemetry.Ms(j.m.ScanTime+j.m.RunTime), telemetry.Ms(j.m.ScanTime)
-	return ev
+	switch {
+	case j.Abandoned():
+		return fmt.Sprintf("%s adaptive extension abandoned (%s); keeping round-1 record", label, j.Skip.Err)
+	case j.Res != nil && from != "":
+		return j.resultLine(j.Res, " ("+from+")")
+	case j.Res != nil:
+		return j.resultLine(j.Res, "")
+	case from != "":
+		return fmt.Sprintf("%s skipped (%s, %s)", label, j.Skip.Kind, from)
+	case j.Skip.Kind == SkipDeadline:
+		return label + " degraded (deadline exceeded, cell skipped)"
+	case j.Skip.Kind == SkipNotActivated:
+		return label + " skipped (no activated faults)"
+	}
+	return label + " skipped (no candidates)"
 }
 
 // emitSimFaults releases the sim_fault events of a cell's contained
 // panics from attempt index from on.
-func emitSimFaults(cfg StudyConfig, s cellSpec, faults []SimFault, from int) {
+func emitSimFaults(cfg StudyConfig, key CellKey, faults []SimFault, from int) {
 	for _, sf := range faults {
 		if sf.Attempt < from {
 			continue
 		}
-		ev := KeyEvent(telemetry.EventSimFault, s.CellKey)
+		ev := KeyEvent(telemetry.EventSimFault, key)
 		ev.Attempt, ev.AttemptSeed, ev.Panic = sf.Attempt, sf.Seed, sf.Panic
 		emit(cfg.Events, ev)
 	}
@@ -750,8 +660,8 @@ func (cfg StudyConfig) progress(line string) {
 
 // resultLine is the progress line of one resolved cell; note says where
 // the record came from.
-func (s cellSpec) resultLine(res *CellResult, note string) string {
-	return fmt.Sprintf("%s activated=%d crash=%.1f%% sdc=%.1f%%%s%s", s.label(), res.Activated(),
+func (k CellKey) resultLine(res *CellResult, note string) string {
+	return fmt.Sprintf("%s activated=%d crash=%.1f%% sdc=%.1f%%%s%s", k.label(), res.Activated(),
 		100*res.CrashRate().Rate(), 100*res.SDCRate().Rate(), note, adaptiveSuffix(res))
 }
 
@@ -769,18 +679,6 @@ func CellEvent(typ string, key CellKey, res *CellResult) telemetry.Event {
 	ev.Benign, ev.SDC, ev.Crash, ev.Hang = res.Benign, res.SDC, res.Crash, res.Hang
 	ev.NotActivated, ev.SimFaults = res.NotActivated, res.SimFaults
 	ev.AdaptiveTarget, ev.AdaptiveConverged = res.Adaptive.Target, res.Adaptive.Converged
-	return ev
-}
-
-// cellDoneEvent is the cell_done event of one executed cell: CellEvent
-// plus the cell's timing and activation rate.
-func cellDoneEvent(key CellKey, res *CellResult, m CellMetrics) telemetry.Event {
-	ev := CellEvent(telemetry.EventCellDone, key, res)
-	ev.DurationMS = telemetry.Ms(m.ScanTime + m.RunTime)
-	ev.ScanMS = telemetry.Ms(m.ScanTime)
-	if res.Attempts > 0 {
-		ev.ActivationRate = float64(res.Activated()) / float64(res.Attempts)
-	}
 	return ev
 }
 

@@ -1,10 +1,13 @@
 package fleet
 
 import (
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"hlfi/internal/adaptive"
 	"hlfi/internal/core"
@@ -92,6 +95,164 @@ func TestFleetResumeAdaptivePlan(t *testing.T) {
 	for name, got := range map[string][]telemetry.Event{"local resume": local.plans, "fleet resume": fleet.plans} {
 		if !reflect.DeepEqual(got, fresh.plans) {
 			t.Errorf("%s announced %+v, want %+v", name, got, fresh.plans)
+		}
+	}
+}
+
+// eventLog keeps every telemetry event of one run.
+type eventLog struct {
+	mu     sync.Mutex
+	events []telemetry.Event
+}
+
+func (l *eventLog) Record(e telemetry.Event) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.events = append(l.events, e)
+}
+
+// TestFleetExtensionSoftSkip is the fleet half of the core test
+// TestAdaptiveExtensionSoftSkip: a worker that reports a deadline skip
+// for an extension lease abandons the extension, and the cell keeps its
+// round-1 record. The coordinator's state and render equal the
+// round-1-only study's, its checkpoint gains no line for the cell, and
+// each abandoned extension is announced by exactly one cell_extend
+// event carrying the error.
+func TestFleetExtensionSoftSkip(t *testing.T) {
+	prog := testProgram(t)
+	acfg := fleetAdaptiveConfig()
+	progs := []*core.Program{prog}
+	dir := t.TempDir()
+
+	// A one-shard study runs round 1 only: the reference, whose
+	// checkpoint holds every round-1 record and skip.
+	refShape := core.CheckpointShape{N: fleetAdaptiveN, Seed: fleetAdaptiveSeed,
+		Replay: "off", Adaptive: acfg.Signature(), Shard: "0/1"}
+	refPath := filepath.Join(dir, "round1.jsonl")
+	rw, err := core.NewCheckpointWriterShape(refPath, refShape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	round1, err := core.RunStudy(core.StudyConfig{Programs: progs, N: fleetAdaptiveN, Seed: fleetAdaptiveSeed,
+		Adaptive: acfg, Shard: &core.ShardSpec{Index: 0, Count: 1}, Checkpoint: rw})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := core.LoadCheckpointShape(refPath, refShape)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	shape := refShape
+	shape.Shard = ""
+	path := filepath.Join(dir, "fleet.jsonl")
+	w, err := core.NewCheckpointWriterShape(path, shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events eventLog
+	cfg := churnyConfig(t, prog)
+	cfg.N, cfg.Seed, cfg.Adaptive = fleetAdaptiveN, fleetAdaptiveSeed, acfg
+	cfg.Checkpoint, cfg.Events = w, &events
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Complete every round-1 lease with its reference record or skip,
+	// and every extension lease with a deadline skip.
+	deadline := core.SkipOf(core.ErrDeadline)
+	extended := map[core.CellKey]bool{}
+	for {
+		c.mu.Lock()
+		lease := c.grantLocked("w", time.Now())
+		c.mu.Unlock()
+		if lease == nil {
+			break
+		}
+		req := CompleteRequest{Worker: "w", Lease: lease.ID, CellKey: lease.CellKey}
+		switch res, ok := ref.Cells[lease.CellKey]; {
+		case lease.N > fleetAdaptiveN:
+			extended[lease.CellKey] = true
+			req.Skip = &deadline
+		case ok:
+			req.Result = core.RecordOf(res)
+		default:
+			skip := ref.Skips[lease.CellKey]
+			req.Skip = &skip
+		}
+		if resp, err := c.complete(req, time.Now()); err != nil || !resp.OK {
+			t.Fatalf("completion of %v = %+v, %v", lease.CellKey, resp, err)
+		}
+	}
+	select {
+	case <-c.Done():
+	default:
+		t.Fatalf("coordinator not done with no lease left; status: %+v", c.Status())
+	}
+	if len(extended) != 2 {
+		t.Fatalf("fixture extended %d cells, want 2", len(extended))
+	}
+
+	state := c.State()
+	for key, want := range round1.Cells {
+		if got := state.Cells[key]; got == nil || *got != *want {
+			t.Errorf("cell %v did not keep its round-1 record:\nround 1 %+v\ngot     %+v", key, want, got)
+		}
+	}
+	st := core.ProfileStudy(progs, fleetAdaptiveN, fleetAdaptiveSeed)
+	st.Adaptive = acfg
+	for key, res := range state.Cells {
+		st.Cells[key] = res
+	}
+	if got, want := renderAll(st), renderAll(round1); got != want {
+		t.Errorf("report differs from the round-1-only render:\n--- round 1 ---\n%s\n--- got ---\n%s", want, got)
+	}
+
+	// The checkpoint holds exactly the reference's round-1 lines.
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := core.LoadCheckpointShape(path, shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(loaded.Cells, ref.Cells) || !reflect.DeepEqual(loaded.Skips, ref.Skips) {
+		t.Errorf("checkpoint differs from the round-1 checkpoint:\n  got  %+v %+v\n  want %+v %+v",
+			loaded.Cells, loaded.Skips, ref.Cells, ref.Skips)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Count(string(raw), "\n")-1, len(ref.Cells)+len(ref.Skips); got != want {
+		t.Errorf("checkpoint holds %d records, want %d (round 1 only)", got, want)
+	}
+
+	// Each abandoned extension is announced by one cell_extend event
+	// carrying the error and no counts, as in a local study.
+	var exts []telemetry.Event
+	for _, e := range events.events {
+		if e.Type == telemetry.EventCellExtend {
+			exts = append(exts, e)
+		}
+	}
+	if len(exts) != len(extended) {
+		t.Errorf("%d cell_extend events %+v, want one for each of %d abandoned extensions", len(exts), exts, len(extended))
+	}
+	for key := range extended {
+		want := core.KeyEvent(telemetry.EventCellExtend, key)
+		want.Err = deadline.Err
+		n := 0
+		for _, e := range exts {
+			if reflect.DeepEqual(e, want) {
+				n++
+			}
+		}
+		if n != 1 {
+			t.Errorf("cell %v: %d cell_extend events %+v, want exactly one", key, n, want)
 		}
 	}
 }

@@ -44,9 +44,6 @@ type Config struct {
 	// BackoffCap, with jitter (defaults 250ms / 5s).
 	Backoff    time.Duration
 	BackoffCap time.Duration
-	// SweepInterval is the expiry scan period (default LeaseTTL/4,
-	// floored at 10ms).
-	SweepInterval time.Duration
 	// RetryAfter is the poll delay handed to workers when no cell is
 	// grantable (default 200ms).
 	RetryAfter time.Duration
@@ -62,28 +59,22 @@ type Config struct {
 	// leases before declaring the study done.
 	Adaptive *adaptive.Config
 
-	// Checkpoint, when non-nil, receives every resolved cell as a
-	// durable checkpoint record, making the coordinator's assembled
-	// state a real checkpoint file: the render path loads it back
-	// through the existing typed checkpoint validation. A failed append
-	// detaches the writer (it is sticky-failed) and fails the lease so
-	// the cell is requeued and re-resolved in memory.
+	// Checkpoint, Resume and Warehouse are the study's
+	// core.StudyConfig fields of the same names, and every cell resolves
+	// through the same core.Resolver rule a local study uses: resumed
+	// and warehoused cells resolve at construction (warehoused
+	// extensions at plan time) without a lease, and each resolution is
+	// written and announced as a local study writes and announces it.
+	// The render path loads the checkpoint back through the typed
+	// checkpoint validation. A failed append detaches the writer (it is
+	// sticky-failed) and fails the lease, so the cell is requeued and
+	// re-resolved in memory.
 	Checkpoint *core.CheckpointWriter
-	// Resume, when non-nil, pre-resolves the recorded cells so a
-	// restarted coordinator re-leases only the remainder.
-	Resume *core.CheckpointState
-	// Warehouse, when non-nil, is the content-addressed result cache:
-	// warehoused cells are resolved at construction (and at plan time,
-	// for adaptive extensions) without ever granting a lease, announced
-	// by the event a local study emits for them (warehouse_hit, or
-	// cell_skip for a cached skip), and every leased resolution is
-	// stored back. Hits are appended to the checkpoint like any other
-	// resolution — the render path loads the coordinator's own
-	// checkpoint, so a warehouse-resolved cell must be in it.
-	Warehouse *warehouse.StudyCache
+	Resume     *core.CheckpointState
+	Warehouse  *warehouse.StudyCache
 
-	// Events, when non-nil, receives fleet_* telemetry events in
-	// coordinator decision order.
+	// Events, when non-nil, receives the cell events of the resolution
+	// rule and the fleet_* events, in coordinator decision order.
 	Events telemetry.Recorder
 	// Metrics receives fleet instruments (a fresh set is created when
 	// nil).
@@ -104,7 +95,7 @@ const (
 	cellPending  = iota // waiting in the queue (possibly backing off)
 	cellLeased          // granted to a worker, lease live
 	cellDone            // resolved with a result
-	cellSkipped         // resolved with a worker-reported soft skip
+	cellSkipped         // resolved with a soft skip
 	cellDegraded        // resolved with a fleet-failed skip (retry budget exhausted)
 )
 
@@ -122,8 +113,7 @@ type cellState struct {
 	// baseline, raised by the adaptive plan for extension leases).
 	target int
 	// prior keeps the round-1 result while an extension lease is in
-	// flight: an extension whose retry budget runs out degrades back to
-	// it instead of losing the cell.
+	// flight: an abandoned extension keeps it instead of losing the cell.
 	prior *core.CellResult
 
 	// Trace spans (all zero-value no-ops when tracing is off): cellSpan
@@ -148,6 +138,9 @@ type leaseInfo struct {
 // it).
 type Coordinator struct {
 	cfg Config
+	// rule is the cell resolution rule; a write failure detaches its
+	// checkpoint writer.
+	rule core.Resolver
 
 	mu        sync.Mutex
 	cells     []*cellState
@@ -158,7 +151,6 @@ type Coordinator struct {
 	resolved  int
 	workers   map[string]time.Time // last contact
 	rng       *rand.Rand
-	ckptLost  bool
 	planDone  bool // adaptive reallocation plan already applied
 
 	root trace.Span // study root span (no-op when tracing is off)
@@ -193,12 +185,6 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.BackoffCap <= 0 {
 		cfg.BackoffCap = 5 * time.Second
 	}
-	if cfg.SweepInterval <= 0 {
-		cfg.SweepInterval = cfg.LeaseTTL / 4
-		if cfg.SweepInterval < 10*time.Millisecond {
-			cfg.SweepInterval = 10 * time.Millisecond
-		}
-	}
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = 200 * time.Millisecond
 	}
@@ -219,77 +205,42 @@ func New(cfg Config) (*Coordinator, error) {
 		done:    make(chan struct{}),
 		stop:    make(chan struct{}),
 	}
+	c.rule = core.Resolver{Resume: cfg.Resume, Checkpoint: cfg.Checkpoint}
+	if cfg.Warehouse != nil {
+		// Only a non-nil cache becomes the CellStore: a typed-nil
+		// *StudyCache would be a non-nil interface.
+		c.rule.Warehouse = cfg.Warehouse
+	}
 	c.root = cfg.Trace.Start(trace.KindCampaign, "study")
 	for _, key := range keys {
 		cs := &cellState{key: key, seed: core.CellSeed(cfg.Seed, key), target: cfg.N}
-		if cfg.Resume != nil {
-			if res, ok := cfg.Resume.Cells[key]; ok {
-				cs.status, cs.result = cellDone, res
-				if res.Adaptive.Target > 0 {
-					// An adaptive record pins the target it actually ran to
-					// (the baseline, or an extension target from the plan).
-					cs.target = res.Adaptive.Target
-				}
-				c.resolved++
-			} else if skip, ok := cfg.Resume.Skips[key]; ok {
-				skip := skip
-				cs.skip = &skip
-				cs.status = cellSkipped
-				if skip.Kind == core.SkipFleet {
-					cs.status = cellDegraded
-				}
-				c.resolved++
-			}
-		}
-		// Warehouse pre-resolution: a cell whose record is already in the
-		// content-addressed store never enters the queue — its result is
-		// checkpoint-appended (the render path loads this coordinator's own
-		// checkpoint) and the cell resolves without a lease. A corrupt or
-		// absent record is just a miss; the cell is leased normally.
-		if cs.status == cellPending && cfg.Warehouse != nil {
-			if res, skip, ok := cfg.Warehouse.Lookup(key, cfg.N, cfg.N); ok {
-				if res != nil {
-					if err := c.cfg.Checkpoint.Cell(key, res); err != nil {
-						c.detachCheckpointLocked(err)
-					}
-					cs.status, cs.result = cellDone, res
-					if res.Adaptive.Target > 0 {
-						cs.target = res.Adaptive.Target
-					}
-					c.cfg.Metrics.CellsDone.Inc()
-					c.resolved++
-					c.emit(core.CellEvent(telemetry.EventWarehouseHit, key, res))
-				} else if skip != nil {
-					if err := c.cfg.Checkpoint.Skip(key, *skip); err != nil {
-						c.detachCheckpointLocked(err)
-					}
-					cs.skip, cs.status = skip, cellSkipped
-					c.cfg.Metrics.CellsSkipped.Inc()
-					c.resolved++
-					ev := core.KeyEvent(telemetry.EventCellSkip, key)
-					ev.Err = skip.Err
-					c.emit(ev)
-				}
-			}
-		}
-		if cs.status == cellPending {
-			cs.cellSpan = cfg.Trace.StartChild(trace.KindCell, key.Lane(), c.root)
-			cs.gapSpan = cfg.Trace.StartChild(trace.KindWait, key.Lane(), cs.cellSpan)
-		}
 		c.cells = append(c.cells, cs)
 		c.byKey[key] = cs
 	}
-	c.cfg.Metrics.QueueDepth.Set(int64(len(c.cells) - c.resolved))
+	// A resumed or warehoused cell resolves without a lease; every other
+	// cell enters the queue.
+	for _, cs := range c.cells {
+		if r := c.resolution(cs); c.rule.Lookup(&r) {
+			_ = c.commitLocked(&r)
+			c.settleLocked(cs, &r)
+			c.resolved++
+			continue
+		}
+		cs.cellSpan = cfg.Trace.StartChild(trace.KindCell, cs.key.Lane(), c.root)
+		cs.gapSpan = cfg.Trace.StartChild(trace.KindWait, cs.key.Lane(), cs.cellSpan)
+	}
+	cfg.Metrics.Registry().SetCollector(c.collectGauges)
 	c.maybeFinishLocked()
 	return c, nil
 }
 
-// Start launches the expiry sweeper. Stop releases it.
+// Start launches the expiry sweeper, which runs every LeaseTTL/4
+// (floored at 10ms). Stop releases it.
 func (c *Coordinator) Start() {
 	c.sweeperWG.Add(1)
 	go func() {
 		defer c.sweeperWG.Done()
-		t := time.NewTicker(c.cfg.SweepInterval)
+		t := time.NewTicker(max(c.cfg.LeaseTTL/4, 10*time.Millisecond))
 		defer t.Stop()
 		for {
 			select {
@@ -367,8 +318,6 @@ func (c *Coordinator) grantLocked(worker string, now time.Time) *Lease {
 		cs.leaseSpan.Worker, cs.leaseSpan.Grant = worker, cs.grants
 		c.leases[id] = &leaseInfo{cell: cs, worker: worker, deadline: now.Add(c.cfg.LeaseTTL)}
 		c.cfg.Metrics.Leases.Inc()
-		c.cfg.Metrics.ActiveLeases.Set(int64(len(c.leases)))
-		c.updateQueueDepthLocked()
 		ev := core.KeyEvent(telemetry.EventFleetLease, cs.key)
 		ev.Worker, ev.Lease, ev.Retries = worker, id, cs.grants-1
 		c.emit(ev)
@@ -393,17 +342,6 @@ func (c *Coordinator) grantLocked(worker string, now time.Time) *Lease {
 	return nil
 }
 
-// updateQueueDepthLocked refreshes the queue-depth gauge (mutex held).
-func (c *Coordinator) updateQueueDepthLocked() {
-	depth := 0
-	for _, cs := range c.cells {
-		if cs.status == cellPending {
-			depth++
-		}
-	}
-	c.cfg.Metrics.QueueDepth.Set(int64(depth))
-}
-
 // requeueLocked puts a leased cell back in the queue after an expiry or
 // failure, or degrades it once the retry budget is exhausted (mutex
 // held). reason describes what went wrong; kind is "expiry" or
@@ -415,39 +353,18 @@ func (c *Coordinator) requeueLocked(cs *cellState, now time.Time, kind, reason s
 		cs.leaseSpan.Finish()
 	}
 	if cs.grants > c.cfg.MaxRetries {
-		if cs.prior != nil {
-			// A failed extension degrades back to its round-1 record (the
-			// checkpoint's last record for the key already is that record),
-			// mirroring the single-process soft-skip path: the study keeps
-			// the narrower cell instead of losing it.
-			cs.result, cs.status, cs.prior = cs.prior, cellDone, nil
-			c.finishCellSpanLocked(cs, "degraded")
-			c.cfg.Metrics.CellsDegraded.Inc()
-			c.logf("fleet: extension of cell %s abandoned after %d grants (%s: %s); keeping round-1 record",
-				cs.key.Lane(), cs.grants, kind, reason)
-			ev := core.KeyEvent(telemetry.EventCellExtend, cs.key)
-			ev.Retries, ev.Err = cs.grants-1, reason
-			c.emit(ev)
-			c.resolveLocked()
-			return
-		}
-		// 1+MaxRetries grants all came to nothing: degrade the cell to a
-		// typed skip record, the fleet analogue of the cell_deadline
-		// path, so the study converges instead of retrying forever.
-		skip := core.CheckpointSkip{Kind: core.SkipFleet,
-			Err: fmt.Sprintf("fleet: cell failed %d lease(s), retry budget exhausted; last: %s", cs.grants, reason)}
-		cs.skip, cs.status = &skip, cellDegraded
-		c.finishCellSpanLocked(cs, "degraded")
-		c.cfg.Metrics.CellsDegraded.Inc()
-		// Degradation is a coordinator decision, not a lease completion,
+		// 1+MaxRetries grants all came to nothing: the cell degrades to a
+		// typed fleet-failed skip, the fleet analogue of the cell_deadline
+		// path, so the study converges instead of retrying forever. Under
+		// the resolution rule an extension keeps its round-1 record. A
+		// degradation is a coordinator decision, not a lease completion,
 		// so a write failure here just detaches the writer.
-		if err := c.cfg.Checkpoint.Skip(cs.key, skip); err != nil {
-			c.detachCheckpointLocked(err)
-		}
+		r := c.resolution(cs)
+		r.Skip = &core.CheckpointSkip{Kind: core.SkipFleet,
+			Err: fmt.Sprintf("fleet: cell failed %d lease(s), retry budget exhausted; last: %s", cs.grants, reason)}
 		c.logf("fleet: cell %s degraded after %d grants (%s: %s)", cs.key.Lane(), cs.grants, kind, reason)
-		ev := core.KeyEvent(telemetry.EventCellDeadline, cs.key)
-		ev.Retries, ev.Err = cs.grants-1, skip.Err
-		c.emit(ev)
+		_ = c.commitLocked(&r)
+		c.settleLocked(cs, &r)
 		c.resolveLocked()
 		return
 	}
@@ -463,7 +380,6 @@ func (c *Coordinator) requeueLocked(cs *cellState, now time.Time, kind, reason s
 	cs.gapSpan = c.cfg.Trace.StartChild(trace.KindRetry, cs.key.Lane(), cs.cellSpan)
 	cs.gapSpan.Retry, cs.gapSpan.Err = retry, reason
 	c.cfg.Metrics.Retries.Inc()
-	c.updateQueueDepthLocked()
 	c.logf("fleet: cell %s requeued after %s (%s); retry %d/%d in %v",
 		cs.key.Lane(), kind, reason, retry, c.cfg.MaxRetries, delay.Round(time.Millisecond))
 	ev := core.KeyEvent(telemetry.EventFleetRequeue, cs.key)
@@ -471,27 +387,72 @@ func (c *Coordinator) requeueLocked(cs *cellState, now time.Time, kind, reason s
 	c.emit(ev)
 }
 
-// finishCellSpanLocked closes a resolved cell's open spans with the
-// final outcome — the live lease or gap span first, then the cell span
-// itself (mutex held; every span op is a no-op when tracing is off).
-func (c *Coordinator) finishCellSpanLocked(cs *cellState, outcome string) {
-	if cs.leaseSpan.Open() {
-		cs.leaseSpan.Outcome = outcome
-		cs.leaseSpan.Finish()
+// resolution starts the resolution of cs at the target its lease
+// carries, with its round-1 record while an extension is open (mutex
+// held).
+func (c *Coordinator) resolution(cs *cellState) core.Resolution {
+	return core.Resolution{CellKey: cs.key, Target: cs.target, Base: c.cfg.N, Prior: cs.prior}
+}
+
+// commitLocked commits r through the resolution rule. A failed
+// checkpoint append detaches the writer and is returned (mutex held).
+func (c *Coordinator) commitLocked(r *core.Resolution) error {
+	err := c.rule.Commit(r)
+	if err != nil {
+		c.detachCheckpointLocked(err)
 	}
-	if cs.gapSpan.Open() {
-		cs.gapSpan.Outcome = outcome
-		cs.gapSpan.Finish()
+	return err
+}
+
+// settleLocked applies one committed resolution to its cell: the record
+// the rule keeps, the cell's status, spans and counter, and the event
+// the rule announces it with (mutex held). A resumed cell was resolved
+// by an earlier coordinator and is not counted again.
+func (c *Coordinator) settleLocked(cs *cellState, r *core.Resolution) {
+	outcome, counter := "done", c.cfg.Metrics.CellsDone
+	switch {
+	case r.Skip == nil:
+	case r.Skip.Kind == core.SkipFleet:
+		outcome, counter = "degraded", c.cfg.Metrics.CellsDegraded
+	case r.Prior != nil:
+		outcome, counter = "abandoned", c.cfg.Metrics.CellsSkipped
+	default:
+		outcome, counter = "skipped", c.cfg.Metrics.CellsSkipped
 	}
-	cs.cellSpan.Outcome = outcome
-	cs.cellSpan.Finish()
+	cs.result, cs.skip = r.Kept()
+	cs.prior, cs.lease = nil, 0
+	switch {
+	case cs.result != nil:
+		cs.status = cellDone
+		if cs.result.Adaptive.Target > 0 {
+			// An adaptive record pins the target it actually ran to (the
+			// baseline, or an extension target from the plan).
+			cs.target = cs.result.Adaptive.Target
+		}
+	case cs.skip.Kind == core.SkipFleet:
+		cs.status = cellDegraded
+	default:
+		cs.status = cellSkipped
+	}
+	// Close the live lease or gap span, then the cell span itself.
+	for _, span := range []*trace.Span{&cs.leaseSpan, &cs.gapSpan, &cs.cellSpan} {
+		span.Outcome = outcome
+		span.Finish()
+	}
+	if !r.Resumed {
+		counter.Inc()
+	}
+	ev := r.Event()
+	if outcome == "degraded" {
+		ev.Retries = cs.grants - 1
+	}
+	c.emit(ev)
 }
 
 // resolveLocked accounts one newly resolved cell and closes Done when
 // the study converges (mutex held).
 func (c *Coordinator) resolveLocked() {
 	c.resolved++
-	c.updateQueueDepthLocked()
 	c.maybeFinishLocked()
 }
 
@@ -509,7 +470,6 @@ func (c *Coordinator) maybeFinishLocked() {
 			return
 		}
 	}
-	c.cfg.Metrics.StudyDone.Set(1)
 	c.root.Outcome = "done"
 	c.root.Finish()
 	close(c.done)
@@ -532,19 +492,15 @@ func (c *Coordinator) applyAdaptivePlanLocked() bool {
 	for _, e := range r2.Extensions {
 		cs := c.cells[e.Index]
 		// The warehouse may already hold the extended record from an
-		// earlier campaign — the grant is a pure function of the round-1
+		// earlier campaign: the grant is a pure function of the round-1
 		// records, so the (target, base) identity matches exactly. A hit
-		// resolves the extension in place: no reopening, no lease.
-		if c.cfg.Warehouse != nil {
-			if wres, _, ok := c.cfg.Warehouse.Lookup(cs.key, e.Target, r2.Plan.BaseN); ok && wres != nil {
-				if err := c.cfg.Checkpoint.Cell(cs.key, wres); err != nil {
-					c.detachCheckpointLocked(err)
-				}
-				cs.result, cs.target = wres, e.Target
-				warehoused++
-				c.emit(core.CellEvent(telemetry.EventWarehouseHit, cs.key, wres))
-				continue
-			}
+		// resolves the extension in place, with no reopening and no lease.
+		r := core.Resolution{CellKey: cs.key, Target: e.Target, Base: r2.Plan.BaseN, Prior: cs.result}
+		if c.rule.Lookup(&r) {
+			_ = c.commitLocked(&r)
+			c.settleLocked(cs, &r)
+			warehoused++
+			continue
 		}
 		cs.target, cs.prior, cs.result = e.Target, cs.result, nil
 		cs.status, cs.grants, cs.lease = cellPending, 0, 0
@@ -559,7 +515,6 @@ func (c *Coordinator) applyAdaptivePlanLocked() bool {
 		reopened++
 	}
 	c.cfg.Metrics.AdaptiveExtensions.Add(uint64(reopened))
-	c.updateQueueDepthLocked()
 	c.logf("fleet: adaptive plan: %d activations saved by early-stopped cells; %d cell(s) reopened as extensions, %d resolved from the warehouse (+%d granted, %d leftover)",
 		r2.Plan.Saved, reopened, warehoused, r2.Plan.Granted, r2.Plan.Leftover)
 	return reopened > 0
@@ -569,15 +524,15 @@ func (c *Coordinator) applyAdaptivePlanLocked() bool {
 // the study can still converge in memory; the durable file keeps its
 // valid fully-synced prefix (mutex held).
 func (c *Coordinator) detachCheckpointLocked(err error) {
-	if c.ckptLost {
+	if c.rule.Checkpoint == nil {
 		return
 	}
-	c.ckptLost = true
-	c.cfg.Checkpoint = nil
+	c.rule.Checkpoint = nil
 	c.logf("fleet: checkpoint detached after write failure (state continues in memory): %v", err)
 }
 
-// sweep expires overdue leases and refreshes liveness gauges.
+// sweep expires overdue leases and forgets workers silent for two lease
+// TTLs.
 func (c *Coordinator) sweep(now time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -599,17 +554,41 @@ func (c *Coordinator) sweep(now time.Time) {
 		c.requeueLocked(li.cell, now,
 			"lease expiry", fmt.Sprintf("worker %s silent past lease deadline", li.worker))
 	}
-	c.cfg.Metrics.ActiveLeases.Set(int64(len(c.leases)))
-	// A worker silent for two lease TTLs no longer counts as live.
-	live := 0
 	for name, seen := range c.workers {
-		if now.Sub(seen) <= 2*c.cfg.LeaseTTL {
-			live++
-		} else {
+		if now.Sub(seen) > 2*c.cfg.LeaseTTL {
 			delete(c.workers, name)
 		}
 	}
-	c.cfg.Metrics.WorkersLive.Set(int64(live))
+}
+
+// collectGauges stores the fleet gauges from the coordinator's own
+// tables when /metrics is scraped. It runs under the registry's scrape
+// lock and takes the coordinator mutex; coordinator code never takes
+// the scrape lock, so the order is fixed.
+func (c *Coordinator) collectGauges() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	now, m := time.Now(), c.cfg.Metrics
+	pending, live, done := 0, 0, 0
+	for _, cs := range c.cells {
+		if cs.status == cellPending {
+			pending++
+		}
+	}
+	for _, seen := range c.workers {
+		if now.Sub(seen) <= 2*c.cfg.LeaseTTL {
+			live++
+		}
+	}
+	select {
+	case <-c.done:
+		done = 1
+	default:
+	}
+	m.QueueDepth.Set(int64(pending))
+	m.ActiveLeases.Set(int64(len(c.leases)))
+	m.WorkersLive.Set(int64(live))
+	m.StudyDone.Set(int64(done))
 }
 
 // complete resolves (or requeues) a cell from one completion report.
@@ -627,7 +606,6 @@ func (c *Coordinator) complete(req CompleteRequest, now time.Time) (CompleteResp
 	// records the study needs.
 	if li, live := c.leases[req.Lease]; live && li.cell == cs {
 		delete(c.leases, req.Lease)
-		c.cfg.Metrics.ActiveLeases.Set(int64(len(c.leases)))
 	}
 	if cs.status == cellDone || cs.status == cellSkipped || cs.status == cellDegraded {
 		c.cfg.Metrics.Duplicates.Inc()
@@ -636,18 +614,7 @@ func (c *Coordinator) complete(req CompleteRequest, now time.Time) (CompleteResp
 		return CompleteResponse{OK: true, Duplicate: true}, nil
 	}
 
-	// dropCellLease removes any other live lease on this cell (a re-grant
-	// that raced this completion) so the sweep never expires a lease onto
-	// a resolved cell.
-	dropCellLease := func() {
-		if cs.status == cellLeased && cs.lease != 0 && cs.lease != req.Lease {
-			if li, live := c.leases[cs.lease]; live && li.cell == cs {
-				delete(c.leases, cs.lease)
-				c.cfg.Metrics.ActiveLeases.Set(int64(len(c.leases)))
-			}
-		}
-	}
-
+	r := c.resolution(cs)
 	switch {
 	case req.Failure != "":
 		if cs.status != cellLeased || cs.lease != req.Lease {
@@ -659,13 +626,12 @@ func (c *Coordinator) complete(req CompleteRequest, now time.Time) (CompleteResp
 		c.requeueLocked(cs, now, "worker failure", fmt.Sprintf("worker %s: %s", req.Worker, req.Failure))
 		return CompleteResponse{OK: true}, nil
 	case req.Result != nil:
-		r := req.Result
 		// An invalid record is refused before any bookkeeping: the cell
 		// stays leased, and its lease expiry or a valid retry resolves it.
-		if err := r.Validate(); err != nil {
+		if err := req.Result.Validate(); err != nil {
 			return CompleteResponse{}, err
 		}
-		if c.cfg.Adaptive != nil && r.Target != cs.target {
+		if c.cfg.Adaptive != nil && req.Result.Target != cs.target {
 			// A stale round-1 completion racing the reallocation plan: the
 			// cell was reopened with a raised target, so this result is for
 			// work the plan superseded. Drop it like any duplicate —
@@ -673,53 +639,33 @@ func (c *Coordinator) complete(req CompleteRequest, now time.Time) (CompleteResp
 			c.cfg.Metrics.Duplicates.Inc()
 			c.emitDuplicate(req)
 			c.logf("fleet: completion for %s at superseded target %d dropped (cell now targets %d)",
-				key.Lane(), r.Target, cs.target)
+				key.Lane(), req.Result.Target, cs.target)
 			return CompleteResponse{OK: true, Duplicate: true}, nil
 		}
-		dropCellLease()
-		res := r.Result(key)
-		// Durability first: a failed checkpoint append fails the lease
-		// (satellite of the fail-stop writer), the sticky writer is
-		// detached, and the cell is requeued to be re-resolved — next
-		// time in memory only.
-		if err := c.cfg.Checkpoint.Cell(key, res); err != nil {
-			c.detachCheckpointLocked(err)
-			c.requeueLocked(cs, now, "checkpoint failure", err.Error())
-			return CompleteResponse{OK: false}, nil
-		}
-		cs.result, cs.status, cs.lease, cs.prior = res, cellDone, 0, nil
-		if c.cfg.Warehouse != nil {
-			// Store back at this resolution's exact identity: (target, base)
-			// for an extension, (N, N) otherwise — the same key the local
-			// study path derives, so caches interoperate across both modes.
-			c.cfg.Warehouse.StoreCell(key, cs.target, c.cfg.N, res)
-		}
-		c.finishCellSpanLocked(cs, "done")
-		c.cfg.Metrics.CellsDone.Inc()
-		c.resolveLocked()
-		return CompleteResponse{OK: true}, nil
+		r.Res = req.Result.Result(key)
 	case req.Skip != nil:
-		dropCellLease()
 		skip := *req.Skip
-		if err := c.cfg.Checkpoint.Skip(key, skip); err != nil {
-			c.detachCheckpointLocked(err)
-			c.requeueLocked(cs, now, "checkpoint failure", err.Error())
-			return CompleteResponse{OK: false}, nil
-		}
-		cs.skip, cs.status, cs.lease = &skip, cellSkipped, 0
-		if c.cfg.Warehouse != nil {
-			// StoreSkip keeps only deterministic kinds (no-candidates,
-			// not-activated); deadline and fleet-failed skips are run
-			// conditions, not properties of the cell, and are never cached.
-			c.cfg.Warehouse.StoreSkip(key, cs.target, c.cfg.N, skip)
-		}
-		c.finishCellSpanLocked(cs, "skipped")
-		c.cfg.Metrics.CellsSkipped.Inc()
-		c.resolveLocked()
-		return CompleteResponse{OK: true}, nil
+		r.Skip = &skip
 	default:
 		return CompleteResponse{}, fmt.Errorf("completion carries neither result, skip, nor failure")
 	}
+	// Drop any other live lease on this cell (a re-grant that raced this
+	// completion) so the sweep never expires a lease onto a resolved cell.
+	if cs.status == cellLeased && cs.lease != 0 && cs.lease != req.Lease {
+		if li, live := c.leases[cs.lease]; live && li.cell == cs {
+			delete(c.leases, cs.lease)
+		}
+	}
+	// Durability first: a failed checkpoint append fails the lease, and
+	// the cell is requeued to be re-resolved, in memory once the writer
+	// is detached.
+	if err := c.commitLocked(&r); err != nil {
+		c.requeueLocked(cs, now, "checkpoint failure", err.Error())
+		return CompleteResponse{OK: false}, nil
+	}
+	c.settleLocked(cs, &r)
+	c.resolveLocked()
+	return CompleteResponse{OK: true}, nil
 }
 
 // State assembles the resolved cells into the same CheckpointState a
@@ -750,7 +696,7 @@ func (c *Coordinator) State() *core.CheckpointState {
 func (c *Coordinator) CheckpointIntact() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return !c.ckptLost && c.cfg.Checkpoint != nil
+	return c.rule.Checkpoint != nil
 }
 
 // Status is the /statusz payload: the fleet dashboard.

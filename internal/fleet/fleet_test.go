@@ -35,20 +35,20 @@ func testProgram(t *testing.T) *core.Program {
 }
 
 // churnyConfig is a coordinator config tuned for tests: short lease
-// TTL and sweep so expiry/retry churn happens in milliseconds.
+// TTL (so a sweep every 75ms) and backoff, so expiry/retry churn
+// happens in milliseconds.
 func churnyConfig(t *testing.T, prog *core.Program) Config {
 	t.Helper()
 	return Config{
-		Programs:      []*core.Program{prog},
-		N:             8,
-		Seed:          1,
-		Metrics:       NewMetrics(),
-		LeaseTTL:      300 * time.Millisecond,
-		SweepInterval: 20 * time.Millisecond,
-		Backoff:       10 * time.Millisecond,
-		BackoffCap:    50 * time.Millisecond,
-		RetryAfter:    20 * time.Millisecond,
-		Logf:          t.Logf,
+		Programs:   []*core.Program{prog},
+		N:          8,
+		Seed:       1,
+		Metrics:    NewMetrics(),
+		LeaseTTL:   300 * time.Millisecond,
+		Backoff:    10 * time.Millisecond,
+		BackoffCap: 50 * time.Millisecond,
+		RetryAfter: 20 * time.Millisecond,
+		Logf:       t.Logf,
 	}
 }
 
@@ -126,7 +126,6 @@ func TestFleetRetryBudgetDegrades(t *testing.T) {
 	cfg := churnyConfig(t, prog)
 	cfg.Cells = core.CanonicalCells(cfg.Programs, []fault.Category{fault.CatAll}) // 2 cells: IR + ASM
 	cfg.LeaseTTL = 40 * time.Millisecond
-	cfg.SweepInterval = 10 * time.Millisecond
 	cfg.MaxRetries = 2
 	ckpt := filepath.Join(t.TempDir(), "degraded.jsonl")
 	shape := core.CheckpointShape{N: cfg.N, Seed: cfg.Seed}

@@ -42,13 +42,13 @@ type Metrics struct {
 
 	// QueueDepth is the number of unleased, unresolved cells;
 	// ActiveLeases the leases currently live; WorkersLive the workers
-	// seen (lease, heartbeat, or completion) within two lease TTLs.
+	// seen (lease, heartbeat, or completion) within two lease TTLs;
+	// StudyDone 1 once every cell is resolved. The coordinator stores
+	// all four from its own tables when the registry is rendered.
 	QueueDepth   *obs.Gauge
 	ActiveLeases *obs.Gauge
 	WorkersLive  *obs.Gauge
-
-	// StudyDone is 1 once every cell is resolved.
-	StudyDone *obs.Gauge
+	StudyDone    *obs.Gauge
 }
 
 // NewMetrics builds the fleet instrument set on a fresh registry.
