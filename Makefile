@@ -28,8 +28,10 @@ race:
 # SIGTERMed to render; the calibration experiment on a fiserve fleet of
 # two spawned workers, against its own -reference golden; a warehouse on
 # disk with one record corrupted; an adaptive study (round 2 extends
-# cells) SIGTERMed and resumed, then run on a fiserve fleet of two
-# spawned workers, both against its own -reference golden. Every
+# cells) SIGTERMed and resumed, run on a fiserve fleet of two spawned
+# workers, and run on a fleet whose coordinator is SIGTERMed partway and
+# restarted on its checkpoint (no worker outlives it), each against its
+# own -reference golden. Every
 # in-process combination (parallel, shard merge, resume, fleet,
 # warehouse, instrumentation, adaptive, variant, execution policy) is
 # proven by TestStudyMatrix in internal/core.
@@ -142,6 +144,21 @@ e2e:
 	./.e2e-fiserve -listen 127.0.0.1:8794 -once -spawn-workers 2 -retry-after 50ms $(E2E_ADAPTIVE) \
 		> .e2e-adaptive-fleet.txt
 	cmp .e2e-adaptive-golden.txt .e2e-adaptive-fleet.txt
+	@echo "e2e: adaptive fleet coordinator SIGTERMed partway, then restarted on its checkpoint"
+	./.e2e-fiserve -listen 127.0.0.1:8795 -q -spawn-workers 2 -retry-after 50ms \
+		-checkpoint .e2e-restart-ck.jsonl $(E2E_ADAPTIVE) > /dev/null & \
+	pid=$$!; i=0; \
+	until curl -fs http://127.0.0.1:8795/statusz 2>/dev/null | jq -e '.study.resolved >= 4' > /dev/null 2>&1; do \
+		i=$$((i+1)); \
+		if [ $$i -ge 900 ]; then echo "e2e: coordinator resolved no cells"; kill $$pid 2>/dev/null; exit 1; fi; \
+		sleep 0.1; \
+	done; \
+	kill -TERM $$pid; wait $$pid
+	test -s .e2e-restart-ck.jsonl
+	./.e2e-fiserve -listen 127.0.0.1:8795 -once -q -spawn-workers 2 -retry-after 50ms \
+		-checkpoint .e2e-restart-ck.jsonl $(E2E_ADAPTIVE) > .e2e-restart.txt
+	cmp .e2e-adaptive-golden.txt .e2e-restart.txt
+	! pgrep -f -- '[-]join http://127.0.0.1:8795' > /dev/null
 	rm -rf .e2e-*
 
 # Fuzz smoke: each native fuzz target for 30s (mirrors the CI job).

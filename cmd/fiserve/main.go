@@ -13,11 +13,12 @@
 // failed cells are retried with exponential backoff, duplicate
 // completions are deduped, and a cell that exhausts its retry budget
 // degrades to a typed skip instead of wedging the study. Every resolved
-// cell is appended to a durable checkpoint, and the final report is
-// rendered by loading that checkpoint back through the typed checkpoint
-// validation — byte-identical to the single-process ficompare run, no
-// matter how much worker churn the campaign survived. Restarting the
-// coordinator with the same -checkpoint resumes the remainder.
+// cell is appended to a durable checkpoint. The study runs through the
+// same driver as ficompare's, with the fleet as its executor, and the
+// report renders the study that driver returns — byte-identical to the
+// single-process ficompare run, no matter how much worker churn the
+// campaign survived. Restarting the coordinator with the same
+// -checkpoint resumes the remainder.
 //
 // /metrics and /statusz on the same listener serve the live fleet
 // dashboard (leases, per-worker liveness, retry counts, queue depth);
@@ -27,6 +28,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"hash/fnv"
@@ -306,72 +308,39 @@ func runCtx(ctx context.Context, args []string, onReady func(addr string)) error
 
 	// Wait for convergence or a shutdown signal. Without -once a
 	// converged coordinator keeps the dashboards up until interrupted.
-	converged := false
 	select {
 	case <-c.Done():
-		converged = true
+		if !*once {
+			logf("fiserve: study converged; dashboards stay up until interrupted (use -once to exit on convergence)")
+			<-ctx.Done()
+		}
 	case <-ctx.Done():
-	}
-	if converged && !*once {
-		logf("fiserve: study converged; dashboards stay up until interrupted (use -once to exit on convergence)")
-		<-ctx.Done()
-	}
-	if !converged {
-		unresolved := c.Drain()
-		logf("fiserve: interrupted; draining (%d cells unresolved, waiting up to %v for in-flight leases)", unresolved, *drainGrace)
+		logf("fiserve: interrupted; draining (%d cells unresolved, waiting up to %v for in-flight leases)", c.Drain(), *drainGrace)
 		select {
 		case <-c.Done():
-			converged = true
 		case <-time.After(*drainGrace):
 		}
 	}
-	if converged {
-		// Let waiting workers observe the done status before the listener
-		// goes away: a poller re-polls within -retry-after, so two periods
-		// of linger turn a would-be "connection refused" into the clean
-		// worker exit the protocol promises.
-		time.Sleep(2 * *retryAfter)
-	}
+	// Let waiting workers observe the done status before the listener
+	// goes away: a poller re-polls within -retry-after, so two periods of
+	// linger turn a would-be "connection refused" into the clean worker
+	// exit the protocol promises.
+	time.Sleep(2 * *retryAfter)
+	c.Stop()
 	if poolDone != nil {
 		for _, f := range <-poolDone {
 			fmt.Fprintf(os.Stderr, "fiserve: %s\n", f)
 		}
 	}
 
-	if !converged {
-		st := c.State()
-		logf("fiserve: study incomplete (%d of %d cells resolved); checkpoint kept at %s — restart with -checkpoint %s to resume",
-			len(st.Cells)+len(st.Skips), len(cells), ckptPath, ckptPath)
+	// The study driver returns the rendered study itself: every cell was
+	// looked up, leased or resumed once, through the same resolution rule
+	// a local study uses.
+	st, err := c.Wait()
+	if errors.Is(err, core.ErrAborted) {
+		logf("fiserve: study incomplete; checkpoint kept at %s — restart with -checkpoint %s to resume", ckptPath, ckptPath)
 		return nil
 	}
-
-	// Render through the durable path: close the writer, load the
-	// checkpoint back through the typed validation, and resume the study
-	// from it — only the program builds execute locally, every campaign
-	// cell comes from the fleet. If a write failure detached the writer
-	// mid-run, the in-memory state (same typed CheckpointState) stands in.
-	if err := writer.Close(); err != nil {
-		logf("fiserve: checkpoint close: %v (rendering from in-memory state)", err)
-	}
-	state := c.State()
-	if c.CheckpointIntact() {
-		loaded, err := core.LoadCheckpointShape(ckptPath, shape)
-		if err != nil {
-			return fmt.Errorf("re-loading own checkpoint %s: %w", ckptPath, err)
-		}
-		state = loaded
-	} else {
-		logf("fiserve: durable checkpoint was detached by a write failure; rendering from in-memory state")
-	}
-	// Adaptive fleets finish their extension leases before convergence,
-	// so every resumed record already carries its final target; the
-	// render study recomputes the same plan from the persisted round-1
-	// counts and re-runs nothing.
-	st, err := core.RunStudy(core.StudyConfig{
-		Programs: progs, Cells: cells, N: *n, Seed: *seed,
-		SimFaultLimit: *simFaults, CellDeadline: *deadline,
-		Adaptive: adaptCfg, Resume: state,
-	})
 	if err != nil {
 		return err
 	}

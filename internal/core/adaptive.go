@@ -8,7 +8,6 @@ import (
 
 	"hlfi/internal/adaptive"
 	"hlfi/internal/fault"
-	"hlfi/internal/telemetry"
 )
 
 // AdaptiveCounts is a value-type snapshot of a cell's outcome counts at
@@ -142,62 +141,6 @@ func adaptiveSuffix(res *CellResult) string {
 	default:
 		return fmt.Sprintf(" [adaptive: ran to target %d]", a.Target)
 	}
-}
-
-// Round2 is the adaptive reallocation round planned from a study's
-// round-1 records.
-type Round2 struct {
-	Plan adaptive.Plan
-	// Converged counts the cells whose round-1 record stopped early.
-	Converged int
-	// Recipients counts the cells granted budget, including records
-	// already at their planned target (a resumed extension).
-	Recipients int
-	// Extensions lists, in canonical order, the recipients still to run
-	// at their raised target.
-	Extensions []Extension
-}
-
-// Extension is one cell to extend: its canonical position and its
-// activation target (Plan.BaseN plus its grant).
-type Extension struct{ Index, Target int }
-
-// PlanExtensions plans round 2 from the canonical-order round-1 records
-// (nil for a skipped cell, which is neither donor nor recipient). It is
-// a pure function of its inputs, and the local study, a -merge render
-// and the fleet coordinator all call it, so every process that sees the
-// complete round-1 state plans the identical round.
-func PlanExtensions(acfg *adaptive.Config, n int, results []*CellResult) Round2 {
-	var r Round2
-	states := make([]adaptive.CellState, len(results))
-	for i, res := range results {
-		if res == nil {
-			continue
-		}
-		counts, converged := res.round1State()
-		states[i] = adaptive.CellState{Counts: counts, Converged: converged, Present: true}
-		if converged {
-			r.Converged++
-		}
-	}
-	r.Plan = acfg.Reallocate(n, states)
-	for i, g := range r.Plan.Grants {
-		if g <= 0 || results[i] == nil {
-			continue
-		}
-		r.Recipients++
-		if t := r.Plan.BaseN + g; results[i].Adaptive.Target != t {
-			r.Extensions = append(r.Extensions, Extension{Index: i, Target: t})
-		}
-	}
-	return r
-}
-
-// Event is the round's adaptive_plan telemetry event.
-func (r Round2) Event() telemetry.Event {
-	return telemetry.Event{Type: telemetry.EventAdaptivePlan,
-		AdaptiveSaved: r.Plan.Saved, AdaptiveGranted: r.Plan.Granted, AdaptiveLeftover: r.Plan.Leftover,
-		AdaptiveConvergedCells: r.Converged, AdaptiveExtendedCells: r.Recipients}
 }
 
 // adaptiveCellRow is one row of the accuracy-vs-cost section.

@@ -145,9 +145,9 @@ func TestAdaptiveExtensionSoftSkip(t *testing.T) {
 		}
 	}
 
-	// The checkpoint holds one line per round-1 record and nothing for
-	// the abandoned extensions, so every cell's last line is its round-1
-	// record.
+	// The checkpoint holds one line per round-1 record and one
+	// abandonment line per abandoned extension; every cell's record is
+	// its round-1 record.
 	state, err := LoadCheckpointShape(path, shape)
 	if err != nil {
 		t.Fatal(err)
@@ -161,8 +161,18 @@ func TestAdaptiveExtensionSoftSkip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := strings.Count(string(raw), "\n")-1, len(state.Cells)+len(state.Skips); got != want {
-		t.Errorf("checkpoint holds %d records, want %d (round 1 only)", got, want)
+	if got, want := strings.Count(string(raw), "\n")-1, len(state.Cells)+len(state.Skips)+extended; got != want {
+		t.Errorf("checkpoint holds %d records, want %d (round 1 plus one per abandoned extension)", got, want)
+	}
+
+	// -resume finds every round-1 record and every abandonment: it runs
+	// no campaign and renders the same report.
+	testCampaignHook = func(c *Campaign) {
+		t.Errorf("resumed study ran %s/%s/%s to %d", c.Prog.Name, c.Level, c.Category, c.N)
+	}
+	resumed := runAdaptiveOracle(t, func(cfg *StudyConfig) { cfg.Resume = state })
+	if got, want := renderAdaptiveAll(resumed), renderAdaptiveAll(st); got != want {
+		t.Errorf("resumed report differs:\n--- first run ---\n%s\n--- resumed ---\n%s", want, got)
 	}
 }
 

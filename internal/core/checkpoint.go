@@ -15,6 +15,14 @@
 //	           "dynCandidates":...}}
 //	{"type":"skip","benchmark":"mcfm","level":"PINFI","category":"cast",
 //	 "kind":"no-candidates","err":"..."}
+//	{"type":"skip","benchmark":"mcfm","level":"LLFI","category":"all",
+//	 "kind":"deadline","err":"...","target":36,"base":24}
+//
+// A skip line tagged with "target" and "base" records an abandoned
+// adaptive extension: the skip the cell's (target, base) round-2 run
+// ended in. It sits next to the cell's round-1 record, which the cell
+// keeps, so -resume resolves the extension from it instead of running
+// it again.
 //
 // The four cell-identity fields are core.CellKey, embedded: the same
 // fields name a cell in warehouse records and fleet leases and
@@ -65,10 +73,9 @@ const (
 // write or fsync of one cell record did not reach stable storage. The
 // writer goes sticky after the first such failure — no further records
 // are appended, so the file keeps a valid, fully-fsynced prefix instead
-// of an interleaved corrupt tail. The study treats it as a hard error
-// (silently continuing would hand a later -resume a checkpoint it must
-// not trust); a fleet coordinator instead fails the affected lease so
-// the cell is requeued.
+// of an interleaved corrupt tail. The study treats it as a hard error,
+// whichever executor ran the cell: silently continuing would hand a
+// later -resume a checkpoint it must not trust.
 type CheckpointWriteError struct {
 	Path string
 	Err  error
@@ -121,6 +128,11 @@ type checkpointLine struct {
 
 	Result          *CellRecord `json:"result,omitempty"` // type "cell"
 	*CheckpointSkip             // type "skip"
+
+	// Target and Base tag a skip line as an abandoned adaptive
+	// extension from Base to Target activations.
+	Target int `json:"target,omitempty"`
+	Base   int `json:"base,omitempty"`
 }
 
 // CellRecord is the persisted form of one completed cell: CellResult
@@ -326,6 +338,9 @@ type CheckpointState struct {
 	Shard string // "i/N" for a shard worker's checkpoint, "" otherwise
 	Cells map[CellKey]*CellResult
 	Skips map[CellKey]CheckpointSkip
+	// abandoned holds the abandonment line of each cell's abandoned
+	// adaptive extension; the cell's round-1 record stays in Cells.
+	abandoned map[CellKey]checkpointLine
 }
 
 // LoadCheckpointShape reads a checkpoint and validates its header
@@ -377,8 +392,9 @@ func readCheckpoint(path string) (*CheckpointState, CheckpointShape, error) {
 	tornTail := len(data) > 0 && data[len(data)-1] != '\n'
 
 	st := &CheckpointState{
-		Cells: make(map[CellKey]*CellResult),
-		Skips: make(map[CellKey]CheckpointSkip),
+		Cells:     make(map[CellKey]*CellResult),
+		Skips:     make(map[CellKey]CheckpointSkip),
+		abandoned: make(map[CellKey]checkpointLine),
 	}
 	lines := bytes.Split(data, []byte{'\n'})
 	sawHeader := false
@@ -428,8 +444,16 @@ func readCheckpoint(path string) (*CheckpointState, CheckpointShape, error) {
 			if line.CheckpointSkip == nil {
 				return nil, hdr, fmt.Errorf("checkpoint %s:%d: skip line without kind", path, lineNo+1)
 			}
-			st.Skips[key] = *line.CheckpointSkip
-			delete(st.Cells, key)
+			if line.Target == 0 && line.Base == 0 {
+				st.Skips[key] = *line.CheckpointSkip
+				delete(st.Cells, key)
+				continue
+			}
+			if line.Base <= 0 || line.Target <= line.Base {
+				return nil, hdr, fmt.Errorf("checkpoint %s:%d: abandoned extension from base %d to target %d",
+					path, lineNo+1, line.Base, line.Target)
+			}
+			st.abandoned[key] = line
 		default:
 			return nil, hdr, fmt.Errorf("checkpoint %s:%d: unknown record type %q", path, lineNo+1, line.Type)
 		}
@@ -525,7 +549,11 @@ func OpenCheckpointAppend(path string) (*CheckpointWriter, error) {
 	return &CheckpointWriter{path: path, f: f, enc: json.NewEncoder(f)}, nil
 }
 
+// append writes and fsyncs one line; a nil writer writes nothing.
 func (w *CheckpointWriter) append(line checkpointLine) error {
+	if w == nil {
+		return nil
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.werr != nil {
@@ -547,18 +575,12 @@ func (w *CheckpointWriter) append(line checkpointLine) error {
 // checkpoint the operator believes is accumulating durable state but
 // silently is not would betray the next -resume.
 func (w *CheckpointWriter) Cell(key CellKey, res *CellResult) error {
-	if w == nil {
-		return nil
-	}
 	return w.append(checkpointLine{Type: "cell", CellKey: key, Result: RecordOf(res)})
 }
 
 // Skip appends one soft-skipped cell so a resumed study skips it without
 // re-running (keeping resumed output byte-identical).
 func (w *CheckpointWriter) Skip(key CellKey, skip CheckpointSkip) error {
-	if w == nil {
-		return nil
-	}
 	return w.append(checkpointLine{Type: "skip", CellKey: key, CheckpointSkip: &skip})
 }
 

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"hlfi/internal/fault"
@@ -21,7 +22,11 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	header := `{"type":"study","version":1,"n":10,"seed":5,"replay":"off","compiled":"on","adaptive":"eps=0.1,min=16,check=8"}` + "\n"
 	cell := `{"type":"cell","benchmark":"bzip2m","level":"LLFI","category":"all","result":{"benign":3,"sdc":2,"crash":1,"hang":1,"notActivated":4,"attempts":12,"simFaults":1,"dynCandidates":42,"target":7,"converged":true,"round1":{"benign":1,"sdc":1,"crash":0,"hang":0,"notActivated":2,"attempts":4}}}` + "\n"
 	skip := `{"type":"skip","benchmark":"mcfm","level":"PINFI","category":"cast","kind":"no-candidates","err":"no candidates"}` + "\n"
+	abandon := `{"type":"skip","benchmark":"bzip2m","level":"LLFI","category":"all","kind":"deadline","err":"cell deadline exceeded","target":16,"base":10}` + "\n"
 	f.Add([]byte(header + cell + skip))
+	f.Add([]byte(header + cell + abandon))
+	f.Add([]byte(header + cell + abandon[:len(abandon)-20]))
+	f.Add([]byte(header + skip + strings.Replace(abandon, "bzip2m", "mcfm", 1)))
 	f.Add([]byte(header + skip + cell))
 	f.Add([]byte(`{"type":"study","version":1,"n":4,"seed":7,"shard":"1/3"}` + "\n" + cell[:40]))
 	f.Add([]byte(cell + header))
@@ -71,6 +76,11 @@ func FuzzLoadCheckpoint(f *testing.F) {
 				t.Fatalf("loader accepted an invalid skip %v: %v", key, err)
 			}
 		}
+		for key, a := range st.abandoned {
+			if err := checkVariant(key.Level, key.Variant); err != nil || key.Level == 0 || key.Category == 0 || a.Base <= 0 || a.Target <= a.Base {
+				t.Fatalf("loader accepted an invalid abandoned extension %v %+v: %v", key, a, err)
+			}
+		}
 		out := filepath.Join(dir, "out.jsonl")
 		w, err := NewCheckpointWriterShape(out, hdr)
 		if err != nil {
@@ -83,6 +93,11 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		}
 		for key, skip := range st.Skips {
 			if err := w.Skip(key, skip); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, a := range st.abandoned {
+			if err := w.append(a); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -2,10 +2,10 @@ package core
 
 import "hlfi/internal/telemetry"
 
-// Resolution is one cell job and its outcome, as the local scheduler
-// and the fleet coordinator both describe it to a Resolver, so a cell's
-// record, checkpoint lines, warehouse entries and event are the same on
-// every delivery path.
+// Resolution is one cell job and its outcome. The study driver hands
+// it to a Resolver and to its Executor, so a cell's record, checkpoint
+// lines, warehouse entries and event are the same whichever executor
+// ran it.
 type Resolution struct {
 	CellKey
 	// Target and Base are the record's (activated-target, adaptive-base)
@@ -16,7 +16,7 @@ type Resolution struct {
 	// Res or Skip is the outcome; a Skip abandons an extension, which
 	// keeps Prior. Resumed and Warehoused say where Lookup found it;
 	// neither means the cell ran, and Metrics holds its campaign's
-	// timing and per-attempt records (zero on a coordinator).
+	// timing and per-attempt records (zero for a fleet job).
 	Res                 *CellResult
 	Skip                *CheckpointSkip
 	Resumed, Warehoused bool
@@ -48,7 +48,8 @@ type Resolver struct {
 
 // Lookup resolves r without running it and reports whether it did. A
 // round-1 cell reads the resume state first, then the warehouse at its
-// (Target, Base); an extension accepts only a cached record.
+// (Target, Base). An extension reads the resume state's abandonment of
+// it, then accepts only a cached record.
 func (rv Resolver) Lookup(r *Resolution) bool {
 	if rv.Resume != nil && r.Prior == nil {
 		res, ok := rv.Resume.Cells[r.CellKey]
@@ -57,6 +58,11 @@ func (rv Resolver) Lookup(r *Resolution) bool {
 		}
 		if ok {
 			r.Res, r.Resumed = res, true
+			return true
+		}
+	} else if rv.Resume != nil {
+		if a, ok := rv.Resume.abandoned[r.CellKey]; ok && a.Target == r.Target && a.Base == r.Base {
+			r.Skip, r.Resumed = a.CheckpointSkip, true
 			return true
 		}
 	}
@@ -71,14 +77,19 @@ func (rv Resolver) Lookup(r *Resolution) bool {
 
 // Commit makes a resolution durable. An executed outcome is appended to
 // the checkpoint, then stored in the warehouse at its (Target, Base); a
-// warehouse hit is appended only, since -resume and the fleet render
-// read the checkpoint. A resumed record and an abandoned extension write
-// nothing: the checkpoint's last record for the cell is already the one
-// it keeps. Only a failed append is returned: warehouse failures
-// degrade to dropped stores.
+// warehouse hit is appended only, since -resume reads the checkpoint.
+// A resumed record writes nothing. An abandoned extension appends its
+// skip tagged with its (Target, Base) and is never stored: the cell
+// keeps its round-1 record, and a resumed study finds the abandonment.
+// Only a failed append is returned: warehouse failures degrade to
+// dropped stores.
 func (rv Resolver) Commit(r *Resolution) error {
-	if r.Resumed || r.Abandoned() {
+	switch {
+	case r.Resumed:
 		return nil
+	case r.Abandoned():
+		return rv.Checkpoint.append(checkpointLine{Type: "skip", CellKey: r.CellKey, CheckpointSkip: r.Skip,
+			Target: r.Target, Base: r.Base})
 	}
 	if r.Res != nil {
 		if err := rv.Checkpoint.Cell(r.CellKey, r.Res); err != nil || r.Warehoused || rv.Warehouse == nil {

@@ -224,12 +224,6 @@ func cellSeed(base int64, prog string, level fault.Level, cat fault.Category) in
 	return int64(h & 0x7fffffffffffffff)
 }
 
-// cellSpec is one scheduled unit of study work, in canonical order.
-type cellSpec struct {
-	CellKey
-	prog *Program
-}
-
 // label is the cell's identity column in progress lines.
 func (k CellKey) label() string {
 	return fmt.Sprintf("%-10s %-5s %-10s", k.Prog, k.Level, k.Category) + k.variantSuffix(" ")
@@ -237,39 +231,26 @@ func (k CellKey) label() string {
 
 // StudyCells resolves a study's cell list as RunStudy does: empty means
 // CanonicalCells(programs, nil), and a cell whose program is not in the
-// study or whose variant its level does not support is an error.
+// study or whose variant its level does not support is an error. Shard
+// ownership and the reorder buffer both index into the result, so its
+// order is part of the determinism contract.
 func StudyCells(programs []*Program, keys []CellKey) ([]CellKey, error) {
-	specs, err := studySpecs(programs, keys)
-	keys = nil
-	for _, s := range specs {
-		keys = append(keys, s.CellKey)
-	}
-	return keys, err
-}
-
-// studySpecs resolves the study's cell list against its programs.
-// Shard ownership and the reorder buffer both index into the result,
-// so its order is part of the determinism contract.
-func studySpecs(programs []*Program, keys []CellKey) ([]cellSpec, error) {
 	if len(keys) == 0 {
 		keys = CanonicalCells(programs, nil)
 	}
-	byName := make(map[string]*Program, len(programs))
+	inStudy := make(map[string]bool, len(programs))
 	for _, p := range programs {
-		byName[p.Name] = p
+		inStudy[p.Name] = true
 	}
-	specs := make([]cellSpec, len(keys))
-	for i, key := range keys {
+	for _, key := range keys {
 		if err := checkVariant(key.Level, key.Variant); err != nil {
 			return nil, err
 		}
-		p := byName[key.Prog]
-		if p == nil {
+		if !inStudy[key.Prog] {
 			return nil, fmt.Errorf("study cell %v: program %q is not in the study", key, key.Prog)
 		}
-		specs[i] = cellSpec{CellKey: key, prog: p}
 	}
-	return specs, nil
+	return keys, nil
 }
 
 // RunStudy runs every campaign cell of the study with a background
@@ -278,19 +259,39 @@ func RunStudy(cfg StudyConfig) (*Study, error) {
 	return RunStudyContext(context.Background(), cfg)
 }
 
-// RunStudyContext runs every campaign cell of the study. Cells are
-// scheduled on a bounded worker pool when cfg.Parallel > 1 and merged
-// back in canonical order, so scheduling never changes results, progress
-// order, or telemetry order; the first hard error cancels outstanding
-// cells. Soft conditions — no candidates, no activated faults, a cell
-// over its wall-clock deadline — skip the cell and keep the study alive.
+// RunStudyContext runs every campaign cell of the study in this process:
+// RunStudyOn with the executor that runs each cell's Campaign.
+func RunStudyContext(ctx context.Context, cfg StudyConfig) (*Study, error) {
+	return RunStudyOn(ctx, cfg, campaignExecutor(cfg))
+}
+
+// Executor runs the cell jobs a study pass could not resolve by lookup.
+// The study driver does everything else (lookups, the adaptive plan,
+// checkpoint and warehouse writes, events), so a study's result is the
+// same whichever executor ran its cells.
+type Executor interface {
+	// Width is how many of a pass's n jobs Run is given at once.
+	Width(n int) int
+	// Run executes one job under its cell (or extension) span: it sets
+	// r.Res or r.Skip and returns what commit, which makes the outcome
+	// durable, returns. A hard error fails the study. Once ctx is
+	// cancelled, Run may withdraw the job: nil and no outcome.
+	Run(ctx context.Context, r *Resolution, span trace.Span, commit func() error) error
+}
+
+// RunStudyOn runs every campaign cell of the study, handing each cell a
+// lookup did not resolve to exec. Jobs are merged back in canonical
+// order, so scheduling never changes results, progress order, or
+// telemetry order; the first hard error cancels outstanding cells. Soft
+// conditions — no candidates, no activated faults, a cell over its
+// wall-clock deadline — skip the cell and keep the study alive.
 //
 // Cancelling ctx stops the study cooperatively: cells already running
 // finish (and are checkpointed), queued cells are skipped, a study_abort
 // event is emitted, and the partial study is returned together with an
 // error wrapping ErrAborted so callers can still render what completed.
-func RunStudyContext(ctx context.Context, cfg StudyConfig) (*Study, error) {
-	specs, err := studySpecs(cfg.Programs, cfg.Cells)
+func RunStudyOn(ctx context.Context, cfg StudyConfig, exec Executor) (*Study, error) {
+	keys, err := StudyCells(cfg.Programs, cfg.Cells)
 	if err != nil {
 		return nil, err
 	}
@@ -303,20 +304,19 @@ func RunStudyContext(ctx context.Context, cfg StudyConfig) (*Study, error) {
 			return nil, err
 		}
 		shard = cfg.Shard.String()
-		owned := specs[:0]
-		for i, s := range specs {
+		var owned []CellKey
+		for i, key := range keys {
 			if cfg.Shard.Owns(i) {
-				owned = append(owned, s)
+				owned = append(owned, key)
 			}
 		}
-		specs = owned
+		keys = owned
 	}
 
-	parallel := min(max(cfg.Parallel, 1), sched.Budget())
 	emit(cfg.Events, telemetry.Event{
 		Type: telemetry.EventStudyStart,
-		N:    cfg.N, Seed: cfg.Seed, Cells: len(specs),
-		Parallel: parallel, Shard: shard,
+		N:    cfg.N, Seed: cfg.Seed, Cells: len(keys),
+		Parallel: exec.Width(len(keys)), Shard: shard,
 	})
 	start := time.Now()
 	root := cfg.Trace.Start(trace.KindCampaign, "study")
@@ -327,11 +327,11 @@ func RunStudyContext(ctx context.Context, cfg StudyConfig) (*Study, error) {
 
 	// results holds every cell's current record in canonical order: the
 	// round-1 pass fills it and a finished extension replaces its entry.
-	results := make([]*CellResult, len(specs))
+	results := make([]*CellResult, len(keys))
 	// conclude harvests every completed cell into the study and emits
 	// the closing study_done or study_abort event.
 	conclude := func(typ string, cause error) {
-		attempts, activated := harvest(st, specs, results)
+		attempts, activated := harvest(st, keys, results)
 		ev := telemetry.Event{Type: typ, Cells: len(st.Cells), Attempts: attempts,
 			Activated: activated, DurationMS: telemetry.Ms(time.Since(start))}
 		if cause != nil {
@@ -343,12 +343,12 @@ func RunStudyContext(ctx context.Context, cfg StudyConfig) (*Study, error) {
 		emit(cfg.Events, ev)
 	}
 
-	jobs := make([]*cellJob, len(specs))
-	for i, s := range specs {
-		jobs[i] = &cellJob{Resolution: Resolution{CellKey: s.CellKey, Target: cfg.N, Base: cfg.N}, prog: s.prog, idx: i}
+	jobs := make([]*cellJob, len(keys))
+	for i, key := range keys {
+		jobs[i] = &cellJob{Resolution: Resolution{CellKey: key, Target: cfg.N, Base: cfg.N}, idx: i}
 	}
 	for round := 1; ; round++ {
-		hard, cancelled := runPass(ctx, cfg, jobs, parallel, root)
+		hard, cancelled := runPass(ctx, cfg, exec, jobs, root)
 		for _, j := range jobs {
 			if res, _ := j.Kept(); res != nil {
 				results[j.idx] = res
@@ -372,11 +372,11 @@ func RunStudyContext(ctx context.Context, cfg StudyConfig) (*Study, error) {
 			return st, fmt.Errorf("%w: %v", ErrAborted, cancelled)
 		}
 		// Round 2 needs the complete round-1 state: a shard worker never
-		// plans it; the -merge render (or the fleet coordinator) does.
+		// plans it; the -merge render does.
 		if round > 1 || cfg.Adaptive == nil || cfg.Shard != nil {
 			break
 		}
-		if jobs = extensionJobs(cfg, specs, results); len(jobs) == 0 {
+		if jobs = extensionJobs(cfg, keys, results); len(jobs) == 0 {
 			break
 		}
 	}
@@ -385,21 +385,43 @@ func RunStudyContext(ctx context.Context, cfg StudyConfig) (*Study, error) {
 	return st, nil
 }
 
-// extensionJobs plans round 2, the stratified reallocation of the
-// activation budget early-stopped cells saved, announces the plan, and
-// returns one job per cell to extend. An extension restarts the cell's
-// seeded streams at the higher target, so its record equals a fresh
-// fixed-target run's: a resumed, merged or fleet-run study reaches the
-// identical final state.
-func extensionJobs(cfg StudyConfig, specs []cellSpec, results []*CellResult) []*cellJob {
-	r2 := PlanExtensions(cfg.Adaptive, cfg.N, results)
-	emit(cfg.Events, r2.Event())
-	jobs := make([]*cellJob, len(r2.Extensions))
-	for k, e := range r2.Extensions {
-		s := specs[e.Index]
-		jobs[k] = &cellJob{Resolution: Resolution{CellKey: s.CellKey, Target: e.Target,
-			Base: r2.Plan.BaseN, Prior: results[e.Index]}, prog: s.prog, idx: e.Index}
+// extensionJobs plans round 2 from the canonical-order round-1 records
+// (nil for a skipped cell, which is neither donor nor recipient): the
+// stratified reallocation of the activation budget early-stopped cells
+// saved. It announces the plan and returns one job per recipient not
+// yet at its raised target. The plan is a pure function of the round-1
+// records, and an extension restarts the cell's seeded streams at the
+// higher target, so its record equals a fresh fixed-target run's: a
+// resumed, merged or fleet-run study reaches the identical final state.
+func extensionJobs(cfg StudyConfig, keys []CellKey, results []*CellResult) []*cellJob {
+	states := make([]adaptive.CellState, len(results))
+	converged, recipients := 0, 0
+	for i, res := range results {
+		if res == nil {
+			continue
+		}
+		counts, conv := res.round1State()
+		states[i] = adaptive.CellState{Counts: counts, Converged: conv, Present: true}
+		if conv {
+			converged++
+		}
 	}
+	plan := cfg.Adaptive.Reallocate(cfg.N, states)
+	var jobs []*cellJob
+	for i, g := range plan.Grants {
+		if g <= 0 || results[i] == nil {
+			continue
+		}
+		recipients++
+		// A recipient already at its target is a resumed extension.
+		if t := plan.BaseN + g; results[i].Adaptive.Target != t {
+			jobs = append(jobs, &cellJob{Resolution: Resolution{CellKey: keys[i], Target: t,
+				Base: plan.BaseN, Prior: results[i]}, idx: i})
+		}
+	}
+	emit(cfg.Events, telemetry.Event{Type: telemetry.EventAdaptivePlan,
+		AdaptiveSaved: plan.Saved, AdaptiveGranted: plan.Granted, AdaptiveLeftover: plan.Leftover,
+		AdaptiveConvergedCells: converged, AdaptiveExtendedCells: recipients})
 	return jobs
 }
 
@@ -409,21 +431,21 @@ func extensionJobs(cfg StudyConfig, specs []cellSpec, results []*CellResult) []*
 // with the cell's round-1 record as prior. runPass fills the outcome.
 type cellJob struct {
 	Resolution
-	prog *Program
-	idx  int   // canonical cell position
-	err  error // the hard error that failed the job
+	idx int   // canonical cell position
+	err error // the hard error that failed the job
 }
 
-// runPass runs one list of cell jobs on the bounded pool. Progress lines
-// and telemetry events are released through a reorder buffer, only for
-// the completed prefix, so their order is the job order under any
+// runPass runs one list of cell jobs: a job Lookup resolves is committed
+// at once, and the rest go to the executor's pool. Progress lines and
+// telemetry events are released through a reorder buffer, only for the
+// completed prefix, so their order is the job order under any
 // scheduling. Checkpoint writes happen at completion instead: durability
 // must not wait for a slow earlier cell, and the checkpoint loader is
 // order-independent. The first hard error cancels outstanding jobs.
 //
 // Returns (hard, cancelled): hard is the first hard error in job order,
 // naming its cell; cancelled is the caller's context cancellation.
-func runPass(ctx context.Context, cfg StudyConfig, jobs []*cellJob, parallel int, root trace.Span) (hard, cancelled error) {
+func runPass(ctx context.Context, cfg StudyConfig, exec Executor, jobs []*cellJob, root trace.Span) (hard, cancelled error) {
 	var (
 		mu      sync.Mutex
 		done    = make([]bool, len(jobs))
@@ -443,19 +465,26 @@ func runPass(ctx context.Context, cfg StudyConfig, jobs []*cellJob, parallel int
 		inFlight = cfg.Obs.CellsInFlight
 	}
 	rv := Resolver{Resume: cfg.Resume, Warehouse: cfg.Warehouse, Checkpoint: cfg.Checkpoint}
-	tasks := make([]sched.Task, len(jobs))
+	var tasks []sched.Task
 	for i, j := range jobs {
 		i, j := i, j
-		rv.Lookup(&j.Resolution)
-		tasks[i] = func(context.Context) error {
+		if rv.Lookup(&j.Resolution) {
+			j.err = rv.Commit(&j.Resolution)
+			finish(i)
+			if j.err != nil {
+				return fmt.Errorf("cell %v: %w", j.CellKey, j.err), nil
+			}
+			continue
+		}
+		tasks = append(tasks, func(ctx context.Context) error {
 			inFlight.Inc()
 			defer inFlight.Dec()
 			defer finish(i)
-			j.err = j.complete(cfg, rv, root)
+			j.err = j.execute(ctx, cfg, exec, rv, root)
 			return j.err // a hard error cancels the pool
-		}
+		})
 	}
-	if err := sched.Run(ctx, parallel, tasks); err != nil {
+	if err := sched.Run(ctx, exec.Width(len(tasks)), tasks); err != nil {
 		for _, j := range jobs {
 			if j.err != nil {
 				return fmt.Errorf("cell %v: %w", j.CellKey, j.err), nil
@@ -466,30 +495,10 @@ func runPass(ctx context.Context, cfg StudyConfig, jobs []*cellJob, parallel int
 	return nil, nil
 }
 
-// complete finishes one job on the pool: a job Lookup did not resolve
-// runs, where a soft skip becomes its outcome, and the resolution is
-// committed. Any error it returns fails the study: a campaign error, or a
-// failed checkpoint append (typed *CheckpointWriteError, sticky in the
-// writer), since once durability is armed, a study that finished while
-// the file silently stopped accumulating would poison the next -resume.
-func (j *cellJob) complete(cfg StudyConfig, rv Resolver, root trace.Span) error {
-	if !j.Resumed && !j.Warehoused {
-		switch res, err := j.run(cfg, root); {
-		case err == nil:
-			j.Res = res
-		case IsSoftSkip(err):
-			skip := SkipOf(err)
-			j.Skip = &skip
-		default:
-			return err
-		}
-	}
-	return rv.Commit(&j.Resolution)
-}
-
-// run executes the job's campaign under a cell span (an extension span
-// carrying the target for round 2).
-func (j *cellJob) run(cfg StudyConfig, root trace.Span) (*CellResult, error) {
+// execute hands one job Lookup did not resolve to the executor, under a
+// cell span (an extension span carrying the target for round 2) that
+// closes with the job's outcome.
+func (j *cellJob) execute(ctx context.Context, cfg StudyConfig, exec Executor, rv Resolver, root trace.Span) error {
 	kind := trace.KindCell
 	if j.Prior != nil {
 		kind = trace.KindExtension
@@ -498,26 +507,63 @@ func (j *cellJob) run(cfg StudyConfig, root trace.Span) (*CellResult, error) {
 	if j.Prior != nil {
 		span.Grant = j.Target
 	}
+	err := exec.Run(ctx, &j.Resolution, span, func() error { return rv.Commit(&j.Resolution) })
+	switch {
+	case err != nil:
+		span.Outcome, span.Err = "failure", err.Error()
+	case j.Abandoned():
+		span.Outcome, span.Err = "abandoned", j.Skip.Err
+	case j.Skip != nil:
+		span.Outcome, span.Err = "skipped", j.Skip.Err
+	case j.Res != nil:
+		span.Outcome = "done"
+	default:
+		span.Outcome = "aborted"
+	}
+	span.Finish() // a no-op span when tracing is off
+	return err
+}
+
+// campaignExecutor is the in-process executor: each job is one
+// Campaign.Run on the study's bounded pool.
+type campaignExecutor StudyConfig
+
+// Width is the pool size: every job waits for a CPU, so it is clamped
+// to sched.Budget() whatever the pass size.
+func (x campaignExecutor) Width(int) int { return min(max(x.Parallel, 1), sched.Budget()) }
+
+// Run runs the job's campaign, where a soft skip becomes its outcome,
+// and commits the outcome. A campaign error is returned as is; a failed
+// checkpoint append (typed *CheckpointWriteError, sticky in the writer)
+// is returned by commit, since once durability is armed, a study that
+// finished while the file silently stopped accumulating would poison
+// the next -resume.
+func (x campaignExecutor) Run(_ context.Context, r *Resolution, span trace.Span, commit func() error) error {
+	cfg := StudyConfig(x)
 	c := &Campaign{
-		Prog:          j.prog,
-		Level:         j.Level,
-		Category:      j.Category,
-		Variant:       j.Variant,
-		N:             j.Target,
-		Seed:          CellSeed(cfg.Seed, j.CellKey),
-		Metrics:       &j.Metrics,
+		Level:         r.Level,
+		Category:      r.Category,
+		Variant:       r.Variant,
+		N:             r.Target,
+		Seed:          CellSeed(cfg.Seed, r.CellKey),
+		Metrics:       &r.Metrics,
 		SimFaultLimit: cfg.SimFaultLimit,
 		Deadline:      cfg.CellDeadline,
 		Replay:        cfg.Replay,
 		Compiled:      cfg.Compiled,
 		Obs:           cfg.Obs,
 		Adaptive:      cfg.Adaptive,
-		AdaptiveBase:  j.Base,
+		AdaptiveBase:  r.Base,
+	}
+	for _, p := range cfg.Programs {
+		if p.Name == r.Prog {
+			c.Prog = p
+		}
 	}
 	// Traced attempts are released with the round-1 record; re-tracing an
 	// extension's replayed prefix would duplicate them (tracing never
 	// changes outcomes, so dropping it keeps the extension identical).
-	if j.Prior == nil {
+	if r.Prior == nil {
 		c.TraceAttempts = cfg.TraceAttempts
 	}
 	if testCampaignHook != nil {
@@ -525,23 +571,21 @@ func (j *cellJob) run(cfg StudyConfig, root trace.Span) (*CellResult, error) {
 	}
 	res, err := c.Run()
 	if cfg.Obs != nil {
-		cfg.Obs.CellSeconds.Observe((j.Metrics.ScanTime + j.Metrics.RunTime).Seconds())
+		cfg.Obs.CellSeconds.Observe((r.Metrics.ScanTime + r.Metrics.RunTime).Seconds())
 	}
 	if cfg.Trace != nil {
-		emitPhaseSpans(cfg.Trace, span, j.Lane(), j.Metrics)
-		switch {
-		case err == nil:
-			span.Outcome = "done"
-		case IsSoftSkip(err) && j.Prior != nil:
-			span.Outcome, span.Err = "abandoned", err.Error()
-		case IsSoftSkip(err):
-			span.Outcome, span.Err = "skipped", err.Error()
-		default:
-			span.Outcome, span.Err = "failure", err.Error()
-		}
-		span.Finish()
+		emitPhaseSpans(cfg.Trace, span, r.Lane(), r.Metrics)
 	}
-	return res, err
+	switch {
+	case err == nil:
+		r.Res = res
+	case IsSoftSkip(err):
+		skip := SkipOf(err)
+		r.Skip = &skip
+	default:
+		return err
+	}
+	return commit()
 }
 
 // emitPhaseSpans reconstructs one cell's scan and run child spans from
@@ -558,12 +602,12 @@ func emitPhaseSpans(r *trace.Recorder, parent trace.Span, lane string, m CellMet
 }
 
 // harvest moves completed cell results into the study and totals them.
-func harvest(st *Study, specs []cellSpec, results []*CellResult) (attempts, activated int) {
-	for i, s := range specs {
+func harvest(st *Study, keys []CellKey, results []*CellResult) (attempts, activated int) {
+	for i, key := range keys {
 		if results[i] == nil {
 			continue
 		}
-		st.Cells[s.CellKey] = results[i]
+		st.Cells[key] = results[i]
 		attempts += results[i].Attempts
 		activated += results[i].Activated()
 	}

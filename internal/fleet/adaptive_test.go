@@ -111,13 +111,35 @@ func (l *eventLog) Record(e telemetry.Event) {
 	l.events = append(l.events, e)
 }
 
+// leaseByHand grants the next lease by hand, waiting while the study
+// driver plans its next pass; nil once the study is done.
+func leaseByHand(t *testing.T, c *Coordinator) *Lease {
+	t.Helper()
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		c.mu.Lock()
+		lease, over := c.grantLocked("w", time.Now()), c.over
+		c.mu.Unlock()
+		switch {
+		case lease != nil:
+			return lease
+		case over:
+			return nil
+		case time.Now().After(deadline):
+			t.Fatalf("no lease and the study is not done; status: %+v", c.Status())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestFleetExtensionSoftSkip is the fleet half of the core test
 // TestAdaptiveExtensionSoftSkip: a worker that reports a deadline skip
 // for an extension lease abandons the extension, and the cell keeps its
-// round-1 record. The coordinator's state and render equal the
-// round-1-only study's, its checkpoint gains no line for the cell, and
-// each abandoned extension is announced by exactly one cell_extend
-// event carrying the error.
+// round-1 record. The returned study and its render equal the
+// round-1-only study's, the checkpoint gains one abandonment line per
+// abandoned extension, and each is announced by exactly one cell_extend
+// event carrying the error. A coordinator restarted on the checkpoint
+// grants no lease and returns the same study.
 func TestFleetExtensionSoftSkip(t *testing.T) {
 	prog := testProgram(t)
 	acfg := fleetAdaptiveConfig()
@@ -165,13 +187,7 @@ func TestFleetExtensionSoftSkip(t *testing.T) {
 	// and every extension lease with a deadline skip.
 	deadline := core.SkipOf(core.ErrDeadline)
 	extended := map[core.CellKey]bool{}
-	for {
-		c.mu.Lock()
-		lease := c.grantLocked("w", time.Now())
-		c.mu.Unlock()
-		if lease == nil {
-			break
-		}
+	for lease := leaseByHand(t, c); lease != nil; lease = leaseByHand(t, c) {
 		req := CompleteRequest{Worker: "w", Lease: lease.ID, CellKey: lease.CellKey}
 		switch res, ok := ref.Cells[lease.CellKey]; {
 		case lease.N > fleetAdaptiveN:
@@ -187,31 +203,25 @@ func TestFleetExtensionSoftSkip(t *testing.T) {
 			t.Fatalf("completion of %v = %+v, %v", lease.CellKey, resp, err)
 		}
 	}
-	select {
-	case <-c.Done():
-	default:
-		t.Fatalf("coordinator not done with no lease left; status: %+v", c.Status())
-	}
 	if len(extended) != 2 {
 		t.Fatalf("fixture extended %d cells, want 2", len(extended))
 	}
 
-	state := c.State()
+	st, err := c.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for key, want := range round1.Cells {
-		if got := state.Cells[key]; got == nil || *got != *want {
+		if got := st.Cells[key]; got == nil || *got != *want {
 			t.Errorf("cell %v did not keep its round-1 record:\nround 1 %+v\ngot     %+v", key, want, got)
 		}
-	}
-	st := core.ProfileStudy(progs, fleetAdaptiveN, fleetAdaptiveSeed)
-	st.Adaptive = acfg
-	for key, res := range state.Cells {
-		st.Cells[key] = res
 	}
 	if got, want := renderAll(st), renderAll(round1); got != want {
 		t.Errorf("report differs from the round-1-only render:\n--- round 1 ---\n%s\n--- got ---\n%s", want, got)
 	}
 
-	// The checkpoint holds exactly the reference's round-1 lines.
+	// The checkpoint holds the reference's round-1 records, plus one
+	// abandonment line per abandoned extension.
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -227,8 +237,8 @@ func TestFleetExtensionSoftSkip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := strings.Count(string(raw), "\n")-1, len(ref.Cells)+len(ref.Skips); got != want {
-		t.Errorf("checkpoint holds %d records, want %d (round 1 only)", got, want)
+	if got, want := strings.Count(string(raw), "\n")-1, len(ref.Cells)+len(ref.Skips)+len(extended); got != want {
+		t.Errorf("checkpoint holds %d records, want %d (round 1 plus one per abandoned extension)", got, want)
 	}
 
 	// Each abandoned extension is announced by one cell_extend event
@@ -254,5 +264,34 @@ func TestFleetExtensionSoftSkip(t *testing.T) {
 		if n != 1 {
 			t.Errorf("cell %v: %d cell_extend events %+v, want exactly one", key, n, want)
 		}
+	}
+
+	// A coordinator restarted on the checkpoint finds every round-1
+	// record and every abandonment: it is done at construction, grants
+	// no lease and returns the same study.
+	cfg2 := churnyConfig(t, prog)
+	cfg2.N, cfg2.Seed, cfg2.Adaptive, cfg2.Resume = fleetAdaptiveN, fleetAdaptiveSeed, acfg, loaded
+	c2, err := New(cfg2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-c2.Done():
+	default:
+		t.Fatalf("restarted coordinator is not done at construction; status: %+v", c2.Status())
+	}
+	st2, err := c2.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := cfg2.Metrics.Leases.Value(); got != 0 {
+		t.Errorf("restarted coordinator granted %d leases, want 0", got)
+	}
+	if m := cfg2.Metrics; m.CellsDone.Value()+m.CellsSkipped.Value()+m.CellsDegraded.Value() != 0 {
+		t.Errorf("restarted coordinator counted resolutions its predecessor counted: done %d, skipped %d, degraded %d",
+			m.CellsDone.Value(), m.CellsSkipped.Value(), m.CellsDegraded.Value())
+	}
+	if !reflect.DeepEqual(st2.Cells, st.Cells) || renderAll(st2) != renderAll(st) {
+		t.Errorf("restarted coordinator's study differs:\n  first     %+v\n  restarted %+v", st.Cells, st2.Cells)
 	}
 }

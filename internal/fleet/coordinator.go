@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -11,6 +12,7 @@ import (
 
 	"hlfi/internal/adaptive"
 	"hlfi/internal/core"
+	"hlfi/internal/fault"
 	"hlfi/internal/obs/trace"
 	"hlfi/internal/telemetry"
 	"hlfi/internal/warehouse"
@@ -19,8 +21,8 @@ import (
 // Config configures a Coordinator for one study submission.
 type Config struct {
 	// Programs, N, Seed, and Cells define the study exactly as
-	// core.StudyConfig does, and the cell list is the work queue: empty
-	// means core.CanonicalCells(Programs, nil).
+	// core.StudyConfig does: empty Cells means
+	// core.CanonicalCells(Programs, nil).
 	Programs []*core.Program
 	N        int
 	Seed     int64
@@ -52,77 +54,77 @@ type Config struct {
 	JitterSeed int64
 
 	// Adaptive, when non-nil, arms adaptive sampling: workers stop cells
-	// early once converged, and when every cell has its round-1 record
-	// the coordinator computes the reallocation plan (a pure function of
-	// the round-1 records in canonical order — identical to the
-	// single-process plan) and reopens the widest cells as extension
-	// leases before declaring the study done.
+	// early once converged, and the study driver plans round 2 from the
+	// round-1 records and hands the coordinator one extension job per
+	// cell to extend, as in a local study.
 	Adaptive *adaptive.Config
 
 	// Checkpoint, Resume and Warehouse are the study's
-	// core.StudyConfig fields of the same names, and every cell resolves
-	// through the same core.Resolver rule a local study uses: resumed
-	// and warehoused cells resolve at construction (warehoused
-	// extensions at plan time) without a lease, and each resolution is
-	// written and announced as a local study writes and announces it.
-	// The render path loads the checkpoint back through the typed
-	// checkpoint validation. A failed append detaches the writer (it is
-	// sticky-failed) and fails the lease, so the cell is requeued and
-	// re-resolved in memory.
+	// core.StudyConfig fields of the same names: resumed and warehoused
+	// cells never reach a lease. A failed checkpoint append answers the
+	// completion OK:false and fails the study, as in a local study.
 	Checkpoint *core.CheckpointWriter
 	Resume     *core.CheckpointState
 	Warehouse  *warehouse.StudyCache
 
-	// Events, when non-nil, receives the cell events of the resolution
-	// rule and the fleet_* events, in coordinator decision order.
+	// Events, when non-nil, receives the study driver's stream
+	// (study_start, the cell events in canonical order, study_done) and
+	// the fleet_* events at the coordinator's decision time.
 	Events telemetry.Recorder
 	// Metrics receives fleet instruments (a fresh set is created when
 	// nil).
 	Metrics *Metrics
-	// Trace, when non-nil, records the study timeline: a campaign root
-	// span, per-cell cell/wait/lease/retry/extension spans, and the
-	// worker exec spans ingested from heartbeat and completion
-	// piggybacks. Spans consume no randomness and touch no campaign
-	// state, so results are byte-identical with tracing on or off; nil
-	// is the zero-cost disabled path.
+	// Trace, when non-nil, records the study timeline: the driver's
+	// campaign root and cell/extension spans, the coordinator's
+	// wait/lease/retry spans under each, and the worker exec spans
+	// ingested from heartbeat and completion piggybacks. Results are
+	// byte-identical with tracing on or off.
 	Trace *trace.Recorder
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
 }
 
-// Cell lifecycle states.
+// Cell lifecycle states, in the order statusNames names them.
 const (
-	cellPending  = iota // waiting in the queue (possibly backing off)
+	cellPending  = iota // unresolved: waiting for its job, or queued (possibly backing off)
 	cellLeased          // granted to a worker, lease live
 	cellDone            // resolved with a result
 	cellSkipped         // resolved with a soft skip
 	cellDegraded        // resolved with a fleet-failed skip (retry budget exhausted)
 )
 
+var statusNames = [...]string{"pending", "leased", "done", "skipped", "degraded"}
+
 // cellState is the coordinator's bookkeeping for one canonical cell.
+// The study driver owns its record; the coordinator leases its open job.
 type cellState struct {
 	key        core.CellKey
 	seed       int64
 	status     int
-	grants     int       // leases granted so far
+	job        *job      // the driver's open job on the cell, nil when none is open
+	grants     int       // leases granted for the open job
 	eligibleAt time.Time // backoff gate while pending
 	lease      uint64    // live lease ID while leased
-	result     *core.CellResult
-	skip       *core.CheckpointSkip
-	// target is the activation target the next lease carries (the study
-	// baseline, raised by the adaptive plan for extension leases).
-	target int
-	// prior keeps the round-1 result while an extension lease is in
-	// flight: an abandoned extension keeps it instead of losing the cell.
-	prior *core.CellResult
+	target     int       // activation target of the cell's latest job
+	degraded   bool      // the latest job ran out of retry budget
 
-	// Trace spans (all zero-value no-ops when tracing is off): cellSpan
-	// covers the cell's whole life (re-pointed at an extension span when
-	// the adaptive plan reopens it), gapSpan the current queue wait or
-	// retry backoff, leaseSpan the live grant.
-	cellSpan  trace.Span
+	// Trace spans under the job's cell span (zero-value no-ops when
+	// tracing is off): gapSpan covers the current queue wait or retry
+	// backoff, leaseSpan the live grant.
 	gapSpan   trace.Span
 	leaseSpan trace.Span
+}
+
+// job is one cell job the study driver handed to the fleet.
+type job struct {
+	r      *core.Resolution
+	span   trace.Span // the driver's cell or extension span
+	commit func() error
+	done   chan struct{} // closed once the job is resolved or withdrawn
+	err    error         // commit's error
+	// cancelled: the study was cancelled, so a lease that ends without a
+	// completion withdraws the job instead of requeueing it.
+	cancelled bool
 }
 
 // leaseInfo is one live lease.
@@ -132,15 +134,13 @@ type leaseInfo struct {
 	deadline time.Time
 }
 
-// Coordinator owns one study's cell queue, lease table, and resolved
-// state. All HTTP handlers and the expiry sweep share one mutex; every
-// critical section is bookkeeping-only (no campaign ever runs under
-// it).
+// Coordinator serves one study to a fleet of workers: the study runs
+// through core.RunStudyOn with the coordinator as its executor, which
+// keeps leases, expiry, retries, degradation, the worker table, HTTP,
+// spans and fleet counters. All HTTP handlers, the expiry sweep and the
+// executor share one mutex; no campaign ever runs under it.
 type Coordinator struct {
 	cfg Config
-	// rule is the cell resolution rule; a write failure detaches its
-	// checkpoint writer.
-	rule core.Resolver
 
 	mu        sync.Mutex
 	cells     []*cellState
@@ -148,20 +148,29 @@ type Coordinator struct {
 	leases    map[uint64]*leaseInfo
 	nextLease uint64
 	draining  bool
-	resolved  int
+	over      bool                 // the study driver has returned
 	workers   map[string]time.Time // last contact
 	rng       *rand.Rand
-	planDone  bool // adaptive reallocation plan already applied
+	// pass and opened count the jobs the driver's current pass hands
+	// over and those open so far; ready is closed (and cleared) once a
+	// pass has opened all of its jobs.
+	pass, opened int
+	ready        chan struct{}
 
-	root trace.Span // study root span (no-op when tracing is off)
+	cancel context.CancelFunc // cancels the study context
+	study  *core.Study        // the driver's result, set before done closes
+	err    error
 
-	done      chan struct{} // closed once every cell is resolved
+	done      chan struct{} // closed once the study driver returns
 	stop      chan struct{}
+	stopOnce  sync.Once
 	sweeperWG sync.WaitGroup
 }
 
-// New builds a coordinator for one study: the study's cell list
-// becomes the queue, each cell carrying its position-independent seed.
+// New submits one study: it launches the study driver with the
+// coordinator as its executor and returns once every cell a lookup
+// (resume state or warehouse) resolves is resolved and either the study
+// is done or its first pass of jobs is open for leasing.
 func New(cfg Config) (*Coordinator, error) {
 	if len(cfg.Programs) == 0 {
 		return nil, fmt.Errorf("fleet: no programs")
@@ -196,41 +205,45 @@ func New(cfg Config) (*Coordinator, error) {
 		seed = 1
 	}
 
+	ready := make(chan struct{})
 	c := &Coordinator{
 		cfg:     cfg,
 		byKey:   make(map[core.CellKey]*cellState, len(keys)),
 		leases:  make(map[uint64]*leaseInfo),
 		workers: make(map[string]time.Time),
 		rng:     rand.New(rand.NewSource(seed)),
+		ready:   ready,
 		done:    make(chan struct{}),
 		stop:    make(chan struct{}),
 	}
-	c.rule = core.Resolver{Resume: cfg.Resume, Checkpoint: cfg.Checkpoint}
-	if cfg.Warehouse != nil {
-		// Only a non-nil cache becomes the CellStore: a typed-nil
-		// *StudyCache would be a non-nil interface.
-		c.rule.Warehouse = cfg.Warehouse
-	}
-	c.root = cfg.Trace.Start(trace.KindCampaign, "study")
 	for _, key := range keys {
 		cs := &cellState{key: key, seed: core.CellSeed(cfg.Seed, key), target: cfg.N}
 		c.cells = append(c.cells, cs)
 		c.byKey[key] = cs
 	}
-	// A resumed or warehoused cell resolves without a lease; every other
-	// cell enters the queue.
-	for _, cs := range c.cells {
-		if r := c.resolution(cs); c.rule.Lookup(&r) {
-			_ = c.commitLocked(&r)
-			c.settleLocked(cs, &r)
-			c.resolved++
-			continue
-		}
-		cs.cellSpan = cfg.Trace.StartChild(trace.KindCell, cs.key.Lane(), c.root)
-		cs.gapSpan = cfg.Trace.StartChild(trace.KindWait, cs.key.Lane(), cs.cellSpan)
-	}
 	cfg.Metrics.Registry().SetCollector(c.collectGauges)
-	c.maybeFinishLocked()
+
+	study := core.StudyConfig{Programs: cfg.Programs, Cells: keys, N: cfg.N, Seed: cfg.Seed,
+		Adaptive: cfg.Adaptive, Checkpoint: cfg.Checkpoint, Resume: cfg.Resume,
+		Events: telemetry.Multi(cellEvents{c}, cfg.Events), Trace: cfg.Trace}
+	if cfg.Warehouse != nil {
+		// Only a non-nil cache becomes the CellStore: a typed-nil
+		// *StudyCache would be a non-nil interface.
+		study.Warehouse = cfg.Warehouse
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	c.cancel = cancel
+	go func() {
+		st, err := core.RunStudyOn(ctx, study, executor{c})
+		c.mu.Lock()
+		c.study, c.err, c.over = st, err, true
+		c.mu.Unlock()
+		close(c.done)
+	}()
+	select {
+	case <-ready:
+	case <-c.done:
+	}
 	return c, nil
 }
 
@@ -253,23 +266,52 @@ func (c *Coordinator) Start() {
 	}()
 }
 
-// Stop halts the sweeper (idempotent is not needed: call once).
+// Stop halts the sweeper, withdraws every open job and returns once the
+// study driver has returned. Calling it again does nothing more.
 func (c *Coordinator) Stop() {
-	close(c.stop)
+	c.stopOnce.Do(func() {
+		close(c.stop)
+		c.cancel()
+		c.mu.Lock()
+		c.draining = true
+		for _, cs := range c.cells {
+			if cs.job != nil {
+				c.endJobLocked(cs, "aborted")
+			}
+		}
+		c.mu.Unlock()
+	})
 	c.sweeperWG.Wait()
+	<-c.done
 }
 
-// Done is closed once every cell is resolved (done, skipped, or
-// degraded).
+// Done is closed once the study driver returns: every cell resolved,
+// or the study drained, stopped or failed (see Wait).
 func (c *Coordinator) Done() <-chan struct{} { return c.done }
 
-// Drain stops granting leases; in-flight leases may still complete.
+// Wait blocks until the study driver returns and returns what it
+// returned: the study; after a drain or Stop, the partial study with an
+// error wrapping core.ErrAborted; or the error that failed the study.
+func (c *Coordinator) Wait() (*core.Study, error) {
+	<-c.done
+	return c.study, c.err
+}
+
+// Drain cancels the study: no further leases are granted, leased jobs
+// wait for their completions, and the driver returns the partial study.
 // Returns the number of unresolved cells at the moment of the drain.
 func (c *Coordinator) Drain() int {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.draining = true
-	return len(c.cells) - c.resolved
+	unresolved := 0
+	for _, cs := range c.cells {
+		if cs.status <= cellLeased {
+			unresolved++
+		}
+	}
+	c.mu.Unlock()
+	c.cancel()
+	return unresolved
 }
 
 // logf logs through the configured sink.
@@ -299,11 +341,97 @@ func (c *Coordinator) noteWorker(name string, now time.Time) {
 	}
 }
 
+// executor is the fleet's core.Executor.
+type executor struct{ c *Coordinator }
+
+// Width holds every job of a pass at once: a fleet job is a wait on the
+// workers, not local work. The pass size also tells New when the pass
+// is open for leasing.
+func (x executor) Width(n int) int {
+	x.c.mu.Lock()
+	defer x.c.mu.Unlock()
+	x.c.pass, x.c.opened = n, 0
+	return n
+}
+
+// Run queues the job and waits until a completion (or the retry budget)
+// resolves it. Once the study is cancelled, a queued job is withdrawn at
+// once and a leased one when its lease ends without a completion.
+func (x executor) Run(ctx context.Context, r *core.Resolution, span trace.Span, commit func() error) error {
+	c, j := x.c, &job{r: r, span: span, commit: commit, done: make(chan struct{})}
+	c.mu.Lock()
+	cs := c.byKey[r.CellKey]
+	*cs = cellState{key: cs.key, seed: cs.seed, job: j, target: r.Target,
+		gapSpan: c.cfg.Trace.StartChild(trace.KindWait, cs.key.Lane(), span)}
+	if r.Prior != nil {
+		c.cfg.Metrics.AdaptiveExtensions.Inc()
+	}
+	if c.opened++; c.opened == c.pass && c.ready != nil {
+		close(c.ready)
+		c.ready = nil
+	}
+	c.mu.Unlock()
+	select {
+	case <-j.done:
+	case <-ctx.Done():
+		c.mu.Lock()
+		if cs.job == j {
+			j.cancelled = true
+			if cs.status == cellPending {
+				c.endJobLocked(cs, "aborted")
+			}
+		}
+		c.mu.Unlock()
+		<-j.done
+	}
+	return j.err
+}
+
+// resolveLocked gives the open job of cs its outcome, commits it through
+// the driver's resolution rule and ends the job (mutex held). Returns
+// commit's error, a failed checkpoint append.
+func (c *Coordinator) resolveLocked(cs *cellState, res *core.CellResult, skip *core.CheckpointSkip) error {
+	j := cs.job
+	j.r.Res, j.r.Skip = res, skip
+	j.err = j.commit()
+	switch {
+	case res != nil || j.r.Prior != nil: // an abandoned extension keeps its round-1 record
+		cs.status = cellDone
+	case cs.degraded:
+		cs.status = cellDegraded
+	default:
+		cs.status = cellSkipped
+	}
+	outcome := "done"
+	if j.err != nil {
+		outcome = "failure"
+	}
+	c.endJobLocked(cs, outcome)
+	return j.err
+}
+
+// endJobLocked ends the open job of cs with its live lease and spans.
+// Outcome "aborted" withdraws the job unresolved (mutex held).
+func (c *Coordinator) endJobLocked(cs *cellState, outcome string) {
+	delete(c.leases, cs.lease)
+	for _, span := range []*trace.Span{&cs.leaseSpan, &cs.gapSpan} {
+		if span.Open() {
+			span.Outcome = outcome
+			span.Finish()
+		}
+	}
+	if outcome == "aborted" {
+		cs.status = cellPending
+	}
+	close(cs.job.done)
+	cs.job, cs.lease = nil, 0
+}
+
 // grantLocked finds the first grantable cell in canonical order and
 // leases it (mutex held). Returns nil when nothing is grantable.
 func (c *Coordinator) grantLocked(worker string, now time.Time) *Lease {
 	for _, cs := range c.cells {
-		if cs.status != cellPending || now.Before(cs.eligibleAt) {
+		if cs.job == nil || cs.status != cellPending || now.Before(cs.eligibleAt) {
 			continue
 		}
 		c.nextLease++
@@ -314,7 +442,7 @@ func (c *Coordinator) grantLocked(worker string, now time.Time) *Lease {
 			cs.gapSpan.Outcome = "granted"
 			cs.gapSpan.Finish()
 		}
-		cs.leaseSpan = c.cfg.Trace.StartChild(trace.KindLease, cs.key.Lane(), cs.cellSpan)
+		cs.leaseSpan = c.cfg.Trace.StartChild(trace.KindLease, cs.key.Lane(), cs.job.span)
 		cs.leaseSpan.Worker, cs.leaseSpan.Grant = worker, cs.grants
 		c.leases[id] = &leaseInfo{cell: cs, worker: worker, deadline: now.Add(c.cfg.LeaseTTL)}
 		c.cfg.Metrics.Leases.Inc()
@@ -324,7 +452,7 @@ func (c *Coordinator) grantLocked(worker string, now time.Time) *Lease {
 		lease := &Lease{
 			ID:             id,
 			CellKey:        cs.key,
-			N:              cs.target,
+			N:              cs.job.r.Target,
 			Seed:           cs.seed,
 			SimFaultLimit:  c.cfg.SimFaultLimit,
 			CellDeadlineMS: c.cfg.CellDeadline.Milliseconds(),
@@ -335,37 +463,40 @@ func (c *Coordinator) grantLocked(worker string, now time.Time) *Lease {
 		}
 		if c.cfg.Adaptive != nil {
 			lease.Adaptive = c.cfg.Adaptive.Signature()
-			lease.AdaptiveBase = c.cfg.N
+			lease.AdaptiveBase = cs.job.r.Base
 		}
 		return lease
 	}
 	return nil
 }
 
-// requeueLocked puts a leased cell back in the queue after an expiry or
-// failure, or degrades it once the retry budget is exhausted (mutex
-// held). reason describes what went wrong; kind is "expiry" or
-// "failure" for the log line.
+// requeueLocked puts a leased cell's job back in the queue after an
+// expiry or failure, degrades it once the retry budget is exhausted, or
+// withdraws it once the study is cancelled (mutex held). reason
+// describes what went wrong; kind is "expiry" or "failure" for the log
+// line.
 func (c *Coordinator) requeueLocked(cs *cellState, now time.Time, kind, reason string) {
 	cs.lease = 0
 	if cs.leaseSpan.Open() {
 		cs.leaseSpan.Outcome, cs.leaseSpan.Err = kind, reason
 		cs.leaseSpan.Finish()
 	}
+	if cs.job.cancelled {
+		c.endJobLocked(cs, "aborted")
+		return
+	}
 	if cs.grants > c.cfg.MaxRetries {
 		// 1+MaxRetries grants all came to nothing: the cell degrades to a
 		// typed fleet-failed skip, the fleet analogue of the cell_deadline
 		// path, so the study converges instead of retrying forever. Under
-		// the resolution rule an extension keeps its round-1 record. A
-		// degradation is a coordinator decision, not a lease completion,
-		// so a write failure here just detaches the writer.
-		r := c.resolution(cs)
-		r.Skip = &core.CheckpointSkip{Kind: core.SkipFleet,
-			Err: fmt.Sprintf("fleet: cell failed %d lease(s), retry budget exhausted; last: %s", cs.grants, reason)}
+		// the resolution rule an extension keeps its round-1 record.
 		c.logf("fleet: cell %s degraded after %d grants (%s: %s)", cs.key.Lane(), cs.grants, kind, reason)
-		_ = c.commitLocked(&r)
-		c.settleLocked(cs, &r)
-		c.resolveLocked()
+		cs.degraded = true
+		skip := &core.CheckpointSkip{Kind: core.SkipFleet,
+			Err: fmt.Sprintf("fleet: cell failed %d lease(s), retry budget exhausted; last: %s", cs.grants, reason)}
+		if err := c.resolveLocked(cs, nil, skip); err != nil {
+			c.logf("fleet: degradation of %s not committed: %v", cs.key.Lane(), err)
+		}
 		return
 	}
 	retry := cs.grants // retry number: 1 after the first failed grant
@@ -377,7 +508,7 @@ func (c *Coordinator) requeueLocked(cs *cellState, now time.Time, kind, reason s
 		delay = delay/2 + time.Duration(c.rng.Int63n(int64(delay/2)))
 	}
 	cs.status, cs.eligibleAt = cellPending, now.Add(delay)
-	cs.gapSpan = c.cfg.Trace.StartChild(trace.KindRetry, cs.key.Lane(), cs.cellSpan)
+	cs.gapSpan = c.cfg.Trace.StartChild(trace.KindRetry, cs.key.Lane(), cs.job.span)
 	cs.gapSpan.Retry, cs.gapSpan.Err = retry, reason
 	c.cfg.Metrics.Retries.Inc()
 	c.logf("fleet: cell %s requeued after %s (%s); retry %d/%d in %v",
@@ -387,148 +518,75 @@ func (c *Coordinator) requeueLocked(cs *cellState, now time.Time, kind, reason s
 	c.emit(ev)
 }
 
-// resolution starts the resolution of cs at the target its lease
-// carries, with its round-1 record while an extension is open (mutex
-// held).
-func (c *Coordinator) resolution(cs *cellState) core.Resolution {
-	return core.Resolution{CellKey: cs.key, Target: cs.target, Base: c.cfg.N, Prior: cs.prior}
-}
-
-// commitLocked commits r through the resolution rule. A failed
-// checkpoint append detaches the writer and is returned (mutex held).
-func (c *Coordinator) commitLocked(r *core.Resolution) error {
-	err := c.rule.Commit(r)
-	if err != nil {
-		c.detachCheckpointLocked(err)
-	}
-	return err
-}
-
-// settleLocked applies one committed resolution to its cell: the record
-// the rule keeps, the cell's status, spans and counter, and the event
-// the rule announces it with (mutex held). A resumed cell was resolved
-// by an earlier coordinator and is not counted again.
-func (c *Coordinator) settleLocked(cs *cellState, r *core.Resolution) {
-	outcome, counter := "done", c.cfg.Metrics.CellsDone
-	switch {
-	case r.Skip == nil:
-	case r.Skip.Kind == core.SkipFleet:
-		outcome, counter = "degraded", c.cfg.Metrics.CellsDegraded
-	case r.Prior != nil:
-		outcome, counter = "abandoned", c.cfg.Metrics.CellsSkipped
-	default:
-		outcome, counter = "skipped", c.cfg.Metrics.CellsSkipped
-	}
-	cs.result, cs.skip = r.Kept()
-	cs.prior, cs.lease = nil, 0
-	switch {
-	case cs.result != nil:
-		cs.status = cellDone
-		if cs.result.Adaptive.Target > 0 {
-			// An adaptive record pins the target it actually ran to (the
-			// baseline, or an extension target from the plan).
-			cs.target = cs.result.Adaptive.Target
+// retryAfterLocked is the poll delay for a worker that found nothing to
+// lease: RetryAfter while any job is open, else a millisecond, since the
+// driver is then between passes or returning and takes no longer
+// (mutex held).
+func (c *Coordinator) retryAfterLocked() time.Duration {
+	for _, cs := range c.cells {
+		if cs.job != nil {
+			return c.cfg.RetryAfter
 		}
-	case cs.skip.Kind == core.SkipFleet:
-		cs.status = cellDegraded
+	}
+	return time.Millisecond
+}
+
+// cellEvents reads the study driver's cell events, which announce every
+// resolution, lookups included: the resolution counters and the status
+// of a looked-up cell are kept here.
+type cellEvents struct{ c *Coordinator }
+
+func (v cellEvents) Record(e telemetry.Event) {
+	c := v.c
+	if e.Type == telemetry.EventAdaptivePlan {
+		c.logf("fleet: adaptive plan: %d activations saved by early-stopped cells; %d cell(s) granted +%d (%d leftover)",
+			e.AdaptiveSaved, e.AdaptiveExtendedCells, e.AdaptiveGranted, e.AdaptiveLeftover)
+	}
+	level, _ := fault.ParseLevel(e.Level)
+	cat, _ := fault.ParseCategory(e.Category)
+	key := core.CellKey{Prog: e.Benchmark, Level: level, Category: cat, Variant: core.Variant(e.Variant)}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	cs, m := c.byKey[key], c.cfg.Metrics
+	if cs == nil {
+		return // a study-wide event
+	}
+	// A resolution the resume state restored (a cell this coordinator
+	// never leased, announced as a resume, an extension or a skip the
+	// state holds) was counted by the coordinator that leased it.
+	var held core.CheckpointSkip
+	resumed := e.Type == telemetry.EventCellResume
+	if c.cfg.Resume != nil && cs.grants == 0 {
+		var ok bool
+		held, ok = c.cfg.Resume.Skips[key]
+		resumed = resumed || ok || e.Type == telemetry.EventCellExtend
+	}
+	abandoned := e.Type == telemetry.EventCellExtend && e.Err != "" // keeps its round-1 record
+	counter := m.CellsDone
+	switch {
+	case abandoned && cs.degraded:
+		counter = m.CellsDegraded
+	case abandoned:
+		counter = m.CellsSkipped
+	case e.Type == telemetry.EventCellDeadline && (cs.degraded || held.Kind == core.SkipFleet):
+		cs.status, counter = cellDegraded, m.CellsDegraded
+	case e.Type == telemetry.EventCellSkip || e.Type == telemetry.EventCellDeadline:
+		cs.status, counter = cellSkipped, m.CellsSkipped
+	case e.Type == telemetry.EventCellDone || e.Type == telemetry.EventWarehouseHit ||
+		e.Type == telemetry.EventCellExtend || resumed:
+		cs.status = cellDone
+		if e.Type == telemetry.EventCellResume { // cell_resume carries the counts only
+			e.AdaptiveTarget = c.cfg.Resume.Cells[key].Adaptive.Target
+		}
+		if e.AdaptiveTarget > 0 {
+			cs.target = e.AdaptiveTarget
+		}
 	default:
-		cs.status = cellSkipped
+		return // sim_fault and attempt_trace carry no resolution
 	}
-	// Close the live lease or gap span, then the cell span itself.
-	for _, span := range []*trace.Span{&cs.leaseSpan, &cs.gapSpan, &cs.cellSpan} {
-		span.Outcome = outcome
-		span.Finish()
-	}
-	if !r.Resumed {
+	if !resumed {
 		counter.Inc()
 	}
-	ev := r.Event()
-	if outcome == "degraded" {
-		ev.Retries = cs.grants - 1
-	}
-	c.emit(ev)
-}
-
-// resolveLocked accounts one newly resolved cell and closes Done when
-// the study converges (mutex held).
-func (c *Coordinator) resolveLocked() {
-	c.resolved++
-	c.maybeFinishLocked()
-}
-
-// maybeFinishLocked closes Done once every cell is resolved — unless an
-// adaptive study still owes its reallocation round, in which case the
-// plan is applied first and the study finishes only when the reopened
-// extension cells resolve too (mutex held).
-func (c *Coordinator) maybeFinishLocked() {
-	if c.resolved != len(c.cells) {
-		return
-	}
-	if c.cfg.Adaptive != nil && !c.planDone {
-		c.planDone = true
-		if c.applyAdaptivePlanLocked() {
-			return
-		}
-	}
-	c.root.Outcome = "done"
-	c.root.Finish()
-	close(c.done)
-}
-
-// applyAdaptivePlanLocked plans round 2 with core.PlanExtensions — the
-// function the single-process study calls, over the same canonical-order
-// round-1 records — and reopens each cell to extend as a pending
-// extension with its raised target. Cells whose resumed record already
-// carries the extension target (a restarted coordinator replanning) stay
-// resolved. Reports whether any cell was reopened (mutex held).
-func (c *Coordinator) applyAdaptivePlanLocked() bool {
-	results := make([]*core.CellResult, len(c.cells))
-	for i, cs := range c.cells {
-		results[i] = cs.result // nil for skipped or degraded cells
-	}
-	r2 := core.PlanExtensions(c.cfg.Adaptive, c.cfg.N, results)
-	c.emit(r2.Event())
-	reopened, warehoused := 0, 0
-	for _, e := range r2.Extensions {
-		cs := c.cells[e.Index]
-		// The warehouse may already hold the extended record from an
-		// earlier campaign: the grant is a pure function of the round-1
-		// records, so the (target, base) identity matches exactly. A hit
-		// resolves the extension in place, with no reopening and no lease.
-		r := core.Resolution{CellKey: cs.key, Target: e.Target, Base: r2.Plan.BaseN, Prior: cs.result}
-		if c.rule.Lookup(&r) {
-			_ = c.commitLocked(&r)
-			c.settleLocked(cs, &r)
-			warehoused++
-			continue
-		}
-		cs.target, cs.prior, cs.result = e.Target, cs.result, nil
-		cs.status, cs.grants, cs.lease = cellPending, 0, 0
-		cs.eligibleAt = time.Time{}
-		// The reopened cell's life continues under an extension span,
-		// parented on the (finished) round-1 cell span so the timeline
-		// shows the plan's lineage.
-		cs.cellSpan = c.cfg.Trace.StartChild(trace.KindExtension, cs.key.Lane(), cs.cellSpan)
-		cs.cellSpan.Grant = e.Target
-		cs.gapSpan = c.cfg.Trace.StartChild(trace.KindWait, cs.key.Lane(), cs.cellSpan)
-		c.resolved--
-		reopened++
-	}
-	c.cfg.Metrics.AdaptiveExtensions.Add(uint64(reopened))
-	c.logf("fleet: adaptive plan: %d activations saved by early-stopped cells; %d cell(s) reopened as extensions, %d resolved from the warehouse (+%d granted, %d leftover)",
-		r2.Plan.Saved, reopened, warehoused, r2.Plan.Granted, r2.Plan.Leftover)
-	return reopened > 0
-}
-
-// detachCheckpointLocked drops the (sticky-failed) checkpoint writer so
-// the study can still converge in memory; the durable file keeps its
-// valid fully-synced prefix (mutex held).
-func (c *Coordinator) detachCheckpointLocked(err error) {
-	if c.rule.Checkpoint == nil {
-		return
-	}
-	c.rule.Checkpoint = nil
-	c.logf("fleet: checkpoint detached after write failure (state continues in memory): %v", err)
 }
 
 // sweep expires overdue leases and forgets workers silent for two lease
@@ -541,7 +599,7 @@ func (c *Coordinator) sweep(now time.Time) {
 			continue
 		}
 		delete(c.leases, id)
-		if li.cell.status != cellLeased || li.cell.lease != id {
+		if li.cell.job == nil || li.cell.lease != id {
 			// Stale entry: the cell was resolved (by a completion from an
 			// earlier expired lease) or re-granted while this lease aged
 			// out. Nothing to requeue.
@@ -571,7 +629,7 @@ func (c *Coordinator) collectGauges() {
 	now, m := time.Now(), c.cfg.Metrics
 	pending, live, done := 0, 0, 0
 	for _, cs := range c.cells {
-		if cs.status == cellPending {
+		if cs.job != nil && cs.status == cellPending {
 			pending++
 		}
 	}
@@ -580,10 +638,8 @@ func (c *Coordinator) collectGauges() {
 			live++
 		}
 	}
-	select {
-	case <-c.done:
+	if c.over {
 		done = 1
-	default:
 	}
 	m.QueueDepth.Set(int64(pending))
 	m.ActiveLeases.Set(int64(len(c.leases)))
@@ -591,7 +647,8 @@ func (c *Coordinator) collectGauges() {
 	m.StudyDone.Set(int64(done))
 }
 
-// complete resolves (or requeues) a cell from one completion report.
+// complete resolves (or requeues) a cell's open job from one completion
+// report, answering OK only once the resolution is committed.
 func (c *Coordinator) complete(req CompleteRequest, now time.Time) (CompleteResponse, error) {
 	key := req.CellKey
 	c.mu.Lock()
@@ -607,14 +664,18 @@ func (c *Coordinator) complete(req CompleteRequest, now time.Time) (CompleteResp
 	if li, live := c.leases[req.Lease]; live && li.cell == cs {
 		delete(c.leases, req.Lease)
 	}
-	if cs.status == cellDone || cs.status == cellSkipped || cs.status == cellDegraded {
+	j := cs.job
+	if j == nil {
 		c.cfg.Metrics.Duplicates.Inc()
 		c.emitDuplicate(req)
-		c.logf("fleet: duplicate completion for %s from %s dropped (cell already resolved)", key.Lane(), req.Worker)
+		c.logf("fleet: duplicate completion for %s from %s dropped (no open job on the cell)", key.Lane(), req.Worker)
 		return CompleteResponse{OK: true, Duplicate: true}, nil
 	}
 
-	r := c.resolution(cs)
+	var (
+		res  *core.CellResult
+		skip *core.CheckpointSkip
+	)
 	switch {
 	case req.Failure != "":
 		if cs.status != cellLeased || cs.lease != req.Lease {
@@ -631,72 +692,32 @@ func (c *Coordinator) complete(req CompleteRequest, now time.Time) (CompleteResp
 		if err := req.Result.Validate(); err != nil {
 			return CompleteResponse{}, err
 		}
-		if c.cfg.Adaptive != nil && req.Result.Target != cs.target {
+		if c.cfg.Adaptive != nil && req.Result.Target != j.r.Target {
 			// A stale round-1 completion racing the reallocation plan: the
-			// cell was reopened with a raised target, so this result is for
-			// work the plan superseded. Drop it like any duplicate —
-			// determinism makes the extension's round-1 prefix identical.
+			// open job is the cell's extension, at a raised target. Drop it
+			// like any duplicate — determinism makes the extension's
+			// round-1 prefix identical.
 			c.cfg.Metrics.Duplicates.Inc()
 			c.emitDuplicate(req)
 			c.logf("fleet: completion for %s at superseded target %d dropped (cell now targets %d)",
-				key.Lane(), req.Result.Target, cs.target)
+				key.Lane(), req.Result.Target, j.r.Target)
 			return CompleteResponse{OK: true, Duplicate: true}, nil
 		}
-		r.Res = req.Result.Result(key)
+		res = req.Result.Result(key)
 	case req.Skip != nil:
-		skip := *req.Skip
-		r.Skip = &skip
+		s := *req.Skip
+		skip = &s
 	default:
 		return CompleteResponse{}, fmt.Errorf("completion carries neither result, skip, nor failure")
 	}
-	// Drop any other live lease on this cell (a re-grant that raced this
-	// completion) so the sweep never expires a lease onto a resolved cell.
-	if cs.status == cellLeased && cs.lease != 0 && cs.lease != req.Lease {
-		if li, live := c.leases[cs.lease]; live && li.cell == cs {
-			delete(c.leases, cs.lease)
-		}
-	}
-	// Durability first: a failed checkpoint append fails the lease, and
-	// the cell is requeued to be re-resolved, in memory once the writer
-	// is detached.
-	if err := c.commitLocked(&r); err != nil {
-		c.requeueLocked(cs, now, "checkpoint failure", err.Error())
+	// resolveLocked also drops any other live lease on the cell (a
+	// re-grant that raced this completion), so the sweep never expires a
+	// lease onto a resolved cell.
+	if err := c.resolveLocked(cs, res, skip); err != nil {
+		c.logf("fleet: completion for %s from %s not committed: %v", key.Lane(), req.Worker, err)
 		return CompleteResponse{OK: false}, nil
 	}
-	c.settleLocked(cs, &r)
-	c.resolveLocked()
 	return CompleteResponse{OK: true}, nil
-}
-
-// State assembles the resolved cells into the same CheckpointState a
-// checkpoint load or shard merge produces; the study render path
-// resumes from it without re-running any campaign.
-func (c *Coordinator) State() *core.CheckpointState {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st := &core.CheckpointState{
-		N:     c.cfg.N,
-		Seed:  c.cfg.Seed,
-		Cells: make(map[core.CellKey]*core.CellResult),
-		Skips: make(map[core.CellKey]core.CheckpointSkip),
-	}
-	for _, cs := range c.cells {
-		switch {
-		case cs.result != nil:
-			st.Cells[cs.key] = cs.result
-		case cs.skip != nil:
-			st.Skips[cs.key] = *cs.skip
-		}
-	}
-	return st
-}
-
-// CheckpointIntact reports whether the durable checkpoint is still
-// attached (no write failure detached it).
-func (c *Coordinator) CheckpointIntact() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.rule.Checkpoint != nil
 }
 
 // Status is the /statusz payload: the fleet dashboard.
@@ -733,23 +754,12 @@ func (c *Coordinator) Status() any {
 
 	counts := map[string]int{}
 	for _, cs := range c.cells {
-		switch cs.status {
-		case cellPending:
-			counts["pending"]++
-		case cellLeased:
-			counts["leased"]++
-		case cellDone:
-			counts["done"]++
-		case cellSkipped:
-			counts["skipped"]++
-		case cellDegraded:
-			counts["degraded"]++
-		}
+		counts[statusNames[cs.status]]++
 	}
 	return map[string]any{
 		"study": map[string]any{
 			"n": c.cfg.N, "seed": c.cfg.Seed,
-			"cells": len(c.cells), "resolved": c.resolved,
+			"cells": len(c.cells), "resolved": counts["done"] + counts["skipped"] + counts["degraded"],
 		},
 		"cells":    counts,
 		"leases":   leases,
@@ -773,13 +783,13 @@ func (c *Coordinator) Handler() *http.ServeMux {
 		c.noteWorker(req.Worker, now)
 		var resp LeaseResponse
 		switch {
-		case c.draining || c.resolved == len(c.cells):
+		case c.draining || c.over:
 			resp = LeaseResponse{Status: StatusDone}
 		default:
 			if lease := c.grantLocked(req.Worker, now); lease != nil {
 				resp = LeaseResponse{Status: StatusLease, Lease: lease}
 			} else {
-				resp = LeaseResponse{Status: StatusWait, RetryAfterMS: c.cfg.RetryAfter.Milliseconds()}
+				resp = LeaseResponse{Status: StatusWait, RetryAfterMS: c.retryAfterLocked().Milliseconds()}
 			}
 		}
 		c.mu.Unlock()

@@ -3,10 +3,10 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
-	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -60,6 +60,12 @@ func renderAll(st *core.Study) string {
 	return buf.String()
 }
 
+// cellCounts is the per-status cell count of the coordinator's /statusz
+// payload.
+func cellCounts(c *Coordinator) map[string]int {
+	return c.Status().(map[string]any)["cells"].(map[string]int)
+}
+
 // TestFleetDuplicateCompletion: two workers complete the same cell (one
 // from an expired lease); the second completion is deduped, the first
 // wins, and the cell's stored result is untouched. A completion whose
@@ -90,8 +96,8 @@ func TestFleetDuplicateCompletion(t *testing.T) {
 		CellKey: lease1.Lease.CellKey,
 		Result:  &core.CellRecord{Benign: -40, Crash: 53, Attempts: 13},
 	}
-	if resp, err := cl.Complete(ctx, req); err == nil || len(c.State().Cells) != 0 {
-		t.Fatalf("invalid completion = %+v, %v; resolved %d cells", resp, err, len(c.State().Cells))
+	if resp, err := cl.Complete(ctx, req); err == nil || cellCounts(c)["done"] != 0 {
+		t.Fatalf("invalid completion = %+v, %v; cells %v", resp, err, cellCounts(c))
 	}
 	req.Result = &core.CellRecord{Benign: 3, SDC: 2, Crash: 2, Hang: 1, Attempts: 8, DynCandidates: 42}
 	resp, err := cl.Complete(ctx, req)
@@ -111,8 +117,22 @@ func TestFleetDuplicateCompletion(t *testing.T) {
 		t.Errorf("duplicates counter = %d, want 1", got)
 	}
 
+	// Resolve the study's other cell, so the driver returns the study.
+	lease2, err := cl.Lease(ctx, "a")
+	if err != nil || lease2.Status != StatusLease {
+		t.Fatalf("lease2 = %+v, %v", lease2, err)
+	}
+	other := CompleteRequest{Worker: "a", Lease: lease2.Lease.ID, CellKey: lease2.Lease.CellKey,
+		Result: &core.CellRecord{Benign: 8, Attempts: 8, DynCandidates: 42}}
+	if resp, err := cl.Complete(ctx, other); err != nil || !resp.OK {
+		t.Fatalf("second cell completion = %+v, %v", resp, err)
+	}
+	st, err := c.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
 	key := core.CellKey{Prog: prog.Name, Level: fault.LevelIR, Category: fault.CatAll}
-	if res := c.State().Cells[key]; res == nil || res.Benign != 3 {
+	if res := st.Cells[key]; res == nil || res.Benign != 3 {
 		t.Errorf("stored result = %+v, want the first completion (benign=3)", res)
 	}
 }
@@ -166,14 +186,8 @@ func TestFleetRetryBudgetDegrades(t *testing.T) {
 	if got := cfg.Metrics.CellsDegraded.Value(); got != 2 {
 		t.Errorf("cells degraded = %d, want 2", got)
 	}
-	st := c.State()
-	if len(st.Skips) != 2 {
-		t.Fatalf("skips = %+v, want 2 fleet-failed records", st.Skips)
-	}
-	for key, skip := range st.Skips {
-		if skip.Kind != core.SkipFleet {
-			t.Errorf("cell %v skip kind = %q, want %q", key, skip.Kind, core.SkipFleet)
-		}
+	if st, err := c.Wait(); err != nil || len(st.Cells) != 0 {
+		t.Fatalf("study = %v, %v; want no cell with a result", st, err)
 	}
 	// Each cell burned its full budget: 1 + MaxRetries grants.
 	if got, want := cfg.Metrics.Leases.Value(), uint64(2*(1+cfg.MaxRetries)); got != want {
@@ -187,8 +201,13 @@ func TestFleetRetryBudgetDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(state.Skips, st.Skips) {
-		t.Errorf("checkpoint skips = %+v, want the coordinator's %+v", state.Skips, st.Skips)
+	if len(state.Skips) != 2 {
+		t.Fatalf("checkpoint skips = %+v, want 2 fleet-failed records", state.Skips)
+	}
+	for key, skip := range state.Skips {
+		if skip.Kind != core.SkipFleet {
+			t.Errorf("cell %v skip kind = %q, want %q", key, skip.Kind, core.SkipFleet)
+		}
 	}
 	restarted, err := New(Config{Programs: cfg.Programs, N: cfg.N, Seed: cfg.Seed,
 		Cells: cfg.Cells, Resume: state})
@@ -199,99 +218,110 @@ func TestFleetRetryBudgetDegrades(t *testing.T) {
 	if got := status["cells"].(map[string]int)["degraded"]; got != 2 {
 		t.Errorf("restarted coordinator counts %d degraded cells, want 2: %+v", got, status["cells"])
 	}
+	if got := restarted.cfg.Metrics.CellsDegraded.Value(); got != 0 {
+		t.Errorf("restarted coordinator counted %d degradations, want 0 (its predecessor counted them)", got)
+	}
 }
 
-// TestFleetCheckpointFailureRequeues: a checkpoint append failure fails
-// the lease (the completion is not accepted), detaches the sticky
-// writer, and the requeued cell re-resolves in memory.
+// TestFleetCheckpointFailureRequeues: a checkpoint append failure is a
+// hard study error on the fleet as in a local study. The completion it
+// hits answers OK:false, the driver returns the *CheckpointWriteError,
+// the file keeps its synced prefix, and a coordinator restarted on that
+// file resumes the study to the single-process report.
 func TestFleetCheckpointFailureRequeues(t *testing.T) {
 	prog := testProgram(t)
-	ckpt := filepath.Join(t.TempDir(), "broken.jsonl")
-	writer, err := core.NewCheckpointWriterShape(ckpt, core.CheckpointShape{N: 8, Seed: 1})
+	cells := core.CanonicalCells([]*core.Program{prog}, []fault.Category{fault.CatAll})
+	golden, err := core.RunStudy(core.StudyConfig{Programs: []*core.Program{prog}, N: 8, Seed: 1, Cells: cells})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Close the underlying file: the header is durable, but the next
-	// append fails like a dying disk would.
-	if err := writer.Close(); err != nil {
+	ckpt := filepath.Join(t.TempDir(), "broken.jsonl")
+	shape := core.CheckpointShape{N: 8, Seed: 1}
+	writer, err := core.NewCheckpointWriterShape(ckpt, shape)
+	if err != nil {
 		t.Fatal(err)
 	}
-
 	cfg := churnyConfig(t, prog)
-	cfg.Cells = core.CanonicalCells(cfg.Programs, []fault.Category{fault.CatAll})
+	cfg.Cells = cells
 	cfg.Checkpoint = writer
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer c.Stop()
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
 	cl := &Client{Base: srv.URL, Logf: t.Logf}
 	ctx := context.Background()
-
-	lease1, err := cl.Lease(ctx, "a")
-	if err != nil || lease1.Status != StatusLease {
-		t.Fatalf("lease = %+v, %v", lease1, err)
-	}
-	req := CompleteRequest{
-		Worker: "a", Lease: lease1.Lease.ID,
-		CellKey: lease1.Lease.CellKey,
-		Result:  &core.CellRecord{Benign: 8, Attempts: 8},
-	}
-	resp, err := cl.Complete(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.OK {
-		t.Fatal("completion accepted despite checkpoint write failure")
-	}
-	if c.CheckpointIntact() {
-		t.Fatal("failed checkpoint writer still attached")
-	}
-	if got := cfg.Metrics.Retries.Value(); got != 1 {
-		t.Errorf("retries = %d, want 1 (checkpoint failure requeues the cell)", got)
-	}
-
-	// The failed cell comes back (after backoff) and now resolves in
-	// memory. The queue may hand out the study's other cell first;
-	// complete those inline until the requeued one reappears.
-	var lease2 *LeaseResponse
-	for i := 0; i < 200; i++ {
-		lease2, err = cl.Lease(ctx, "a")
+	// complete leases the next cell and reports its golden record.
+	complete := func() *CompleteResponse {
+		t.Helper()
+		lease, err := cl.Lease(ctx, "a")
+		if err != nil || lease.Status != StatusLease {
+			t.Fatalf("lease = %+v, %v", lease, err)
+		}
+		resp, err := cl.Complete(ctx, CompleteRequest{Worker: "a", Lease: lease.Lease.ID,
+			CellKey: lease.Lease.CellKey, Result: core.RecordOf(golden.Cells[lease.Lease.CellKey])})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if lease2.Status == StatusLease && lease2.Lease.Level == req.Level {
-			break
-		}
-		if lease2.Status == StatusLease {
-			other := CompleteRequest{
-				Worker: "a", Lease: lease2.Lease.ID,
-				CellKey: lease2.Lease.CellKey,
-				Result:  &core.CellRecord{Benign: 8, Attempts: 8},
-			}
-			if oresp, oerr := cl.Complete(ctx, other); oerr != nil || !oresp.OK {
-				t.Fatalf("other cell completion = %+v, %v", oresp, oerr)
-			}
-			continue
-		}
-		time.Sleep(10 * time.Millisecond)
+		return resp
 	}
-	if lease2.Status != StatusLease || lease2.Lease.Level != req.Level {
-		t.Fatalf("requeued cell never re-leased: %+v", lease2)
+
+	if resp := complete(); !resp.OK {
+		t.Fatalf("first completion = %+v", resp)
 	}
-	if lease2.Lease.Seed != lease1.Lease.Seed {
-		t.Errorf("retry seed %d != original seed %d: retries must replay the identical stream",
-			lease2.Lease.Seed, lease1.Lease.Seed)
+	// Close the underlying file: the first record is durable, and the
+	// next append fails like a dying disk would.
+	if err := writer.Close(); err != nil {
+		t.Fatal(err)
 	}
-	req.Lease = lease2.Lease.ID
-	resp, err = cl.Complete(ctx, req)
-	if err != nil || !resp.OK {
-		t.Fatalf("in-memory completion = %+v, %v", resp, err)
+	if resp := complete(); resp.OK {
+		t.Fatal("completion accepted despite checkpoint write failure")
 	}
-	key := core.CellKey{Prog: prog.Name, Level: fault.LevelIR, Category: fault.CatAll}
-	if res := c.State().Cells[key]; res == nil || res.Benign != 8 {
-		t.Errorf("cell not resolved in memory after checkpoint detach: %+v", res)
+	var werr *core.CheckpointWriteError
+	if _, err := c.Wait(); !errors.As(err, &werr) {
+		t.Fatalf("study error = %v, want a *core.CheckpointWriteError", err)
+	}
+
+	// The file keeps its synced prefix: the header and the first record.
+	state, err := core.LoadCheckpointShape(ckpt, shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(state.Cells)+len(state.Skips) != 1 {
+		t.Fatalf("checkpoint holds cells %v, skips %v; want the one synced record", state.Cells, state.Skips)
+	}
+
+	// A coordinator restarted on the file resumes the study: only the
+	// unrecorded cell is leased, and the report equals the golden.
+	resumed, err := core.OpenCheckpointAppend(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resumed.Close()
+	cfg2 := churnyConfig(t, prog)
+	cfg2.Cells, cfg2.Checkpoint, cfg2.Resume = cells, resumed, state
+	c2, err := New(cfg2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Stop()
+	srv2 := httptest.NewServer(c2.Handler())
+	defer srv2.Close()
+	cl = &Client{Base: srv2.URL, Logf: t.Logf}
+	if resp := complete(); !resp.OK {
+		t.Fatalf("resumed completion = %+v", resp)
+	}
+	st, err := c2.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := renderAll(st), renderAll(golden); got != want {
+		t.Errorf("resumed fleet report differs from golden:\n--- golden ---\n%s\n--- resumed ---\n%s", want, got)
+	}
+	if got := cfg2.Metrics.Leases.Value(); got != 1 {
+		t.Errorf("restarted coordinator granted %d leases, want 1", got)
 	}
 }
 
@@ -360,5 +390,9 @@ func TestFleetDrain(t *testing.T) {
 	}
 	if resp.Status != StatusDone {
 		t.Errorf("lease after drain = %q, want %q", resp.Status, StatusDone)
+	}
+	// Nothing was leased, so the driver returns the empty partial study.
+	if st, err := c.Wait(); !errors.Is(err, core.ErrAborted) || len(st.Cells) != 0 {
+		t.Errorf("drained study = %v, %v; want no cell and core.ErrAborted", st, err)
 	}
 }

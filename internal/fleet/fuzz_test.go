@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"testing"
 
 	"hlfi/internal/core"
@@ -15,8 +16,8 @@ import (
 // lease, heartbeat and complete handlers (the first input byte picks the
 // endpoint). No handler may panic; each answers 400 or 200 with a
 // well-formed response, a completion is accepted only for a cell of the
-// study (never for another variant of one), and every cell the
-// coordinator resolves carries a validated record.
+// study (never for another variant of one), and every record the study
+// commits to its checkpoint loads back through the typed validation.
 func FuzzFleetMessages(f *testing.F) {
 	p, err := core.BuildProgram("tiny.c", `
 int main() {
@@ -30,11 +31,19 @@ int main() {
 		f.Fatal(err)
 	}
 	progs := []*core.Program{p}
-	c, err := New(Config{Programs: progs, N: 4, Seed: 1,
+	ckpt := filepath.Join(f.TempDir(), "fuzz.jsonl")
+	shape := core.CheckpointShape{N: 4, Seed: 1}
+	w, err := core.NewCheckpointWriterShape(ckpt, shape)
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer w.Close()
+	c, err := New(Config{Programs: progs, N: 4, Seed: 1, Checkpoint: w,
 		Cells: core.CanonicalCells(progs, []fault.Category{fault.CatAll}), Metrics: NewMetrics()})
 	if err != nil {
 		f.Fatal(err)
 	}
+	defer c.Stop()
 	h := c.Handler()
 	paths := []string{"/lease", "/heartbeat", "/complete"}
 
@@ -88,10 +97,10 @@ int main() {
 		default:
 			t.Fatalf("%s answered %d: %s", path, rec.Code, rec.Body.String())
 		}
-		for key, res := range c.State().Cells {
-			if err := core.RecordOf(res).Validate(); err != nil {
-				t.Fatalf("coordinator resolved %v with an invalid record: %v", key, err)
-			}
+		// A completion is committed before it is answered, and the loader
+		// refuses an invalid record.
+		if _, err := core.LoadCheckpointShape(ckpt, shape); err != nil {
+			t.Fatalf("coordinator committed an invalid record: %v", err)
 		}
 	})
 }

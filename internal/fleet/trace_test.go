@@ -96,9 +96,7 @@ func TestFleetTracingDeterminism(t *testing.T) {
 	wg.Wait()
 
 	// Byte-identity first: tracing must never touch the results.
-	fleetSt, err := core.RunStudy(core.StudyConfig{
-		Programs: []*core.Program{prog}, N: 8, Seed: 1, Resume: c.State(),
-	})
+	fleetSt, err := c.Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,6 +373,8 @@ func TestFleetScrapeDuringDrain(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+	// The drained study ends once its one leased job is resolved.
+	<-c.Done()
 
 	// The final snapshot is settled: two scrapes in a row agree on both
 	// endpoints — byte for byte on /metrics, and on /statusz once the

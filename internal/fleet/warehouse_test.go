@@ -40,10 +40,47 @@ func (c *whCapture) count(typ string) (n int) {
 	return n
 }
 
-// TestWarehouseEventsMatchLocalStudy: over one warm store, a coordinator
-// announces the cells it resolves at construction with the events a
-// local study emits for them: warehouse_hit with the cached counts, and
-// cell_skip for a cached skip (the program has no cast candidates).
+// studyStream is a run's event stream as the two delivery paths must
+// agree on it: the fleet_* decisions dropped, and the timing fields and
+// the executor width zeroed.
+func studyStream(events []telemetry.Event) []telemetry.Event {
+	var out []telemetry.Event
+	for _, e := range events {
+		if strings.HasPrefix(e.Type, "fleet_") {
+			continue
+		}
+		e.DurationMS, e.ScanMS, e.Parallel = 0, 0, 0
+		out = append(out, e)
+	}
+	return out
+}
+
+// requireSameStream fails the test unless the fleet's study stream
+// equals the local study's, in order.
+func requireSameStream(t *testing.T, leg string, local, fleet []telemetry.Event) {
+	t.Helper()
+	want, got := studyStream(local), studyStream(fleet)
+	if reflect.DeepEqual(got, want) {
+		return
+	}
+	lines := func(events []telemetry.Event) string {
+		var sb strings.Builder
+		for _, e := range events {
+			b, _ := json.Marshal(e)
+			sb.WriteString("\n    " + string(b))
+		}
+		return sb.String()
+	}
+	t.Errorf("%s: coordinator events differ from the local study's:\n  local%s\n  fleet%s", leg, lines(want), lines(got))
+}
+
+// TestWarehouseEventsMatchLocalStudy: the coordinator runs its study
+// through the local study's driver, so its event stream is the local
+// one. Over a warm store it announces warehouse_hit with the cached
+// counts, and cell_skip for a cached skip (the program has no cast
+// candidates); a cold adaptive fleet announces each cell's record, the
+// plan and the extensions. Apart from the fleet_* decisions and the
+// timing fields, both streams equal a local run's, in order.
 func TestWarehouseEventsMatchLocalStudy(t *testing.T) {
 	p, err := core.BuildProgram("tiny.c", `
 int main() {
@@ -71,24 +108,49 @@ int main() {
 	if _, err := core.RunStudy(study); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(Config{Programs: progs, N: 4, Seed: 1, Warehouse: cache, Events: &fleet}); err != nil {
+	c, err := New(Config{Programs: progs, N: 4, Seed: 1, Warehouse: cache, Events: &fleet})
+	if err != nil {
 		t.Fatal(err)
 	}
-	// The local stream is bracketed by study_start and study_done.
-	want := local.events[1 : len(local.events)-1]
-	if !reflect.DeepEqual(fleet.events, want) {
-		lines := func(events []telemetry.Event) string {
-			var sb strings.Builder
-			for _, e := range events {
-				b, _ := json.Marshal(e)
-				sb.WriteString("\n    " + string(b))
-			}
-			return sb.String()
-		}
-		t.Errorf("coordinator warehouse events differ from the local study's:\n  local%s\n  fleet%s", lines(want), lines(fleet.events))
+	if _, err := c.Wait(); err != nil {
+		t.Fatal(err)
 	}
+	requireSameStream(t, "warm warehouse", local.events, fleet.events)
 	if fleet.count(telemetry.EventWarehouseHit) == 0 || fleet.count(telemetry.EventCellSkip) == 0 {
 		t.Error("the fixture needs a cached result and a cached skip")
+	}
+
+	// A cold adaptive fleet: one worker executes every lease, round 1 and
+	// the extensions.
+	prog := testProgram(t)
+	acfg := fleetAdaptiveConfig()
+	var localAdaptive, fleetAdaptive whCapture
+	if _, err := core.RunStudy(core.StudyConfig{Programs: []*core.Program{prog}, N: fleetAdaptiveN,
+		Seed: fleetAdaptiveSeed, Adaptive: acfg, Events: &localAdaptive}); err != nil {
+		t.Fatal(err)
+	}
+	cfg := churnyConfig(t, prog)
+	cfg.N, cfg.Seed, cfg.Adaptive, cfg.Events = fleetAdaptiveN, fleetAdaptiveSeed, acfg, &fleetAdaptive
+	c, err = New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	defer c.Stop()
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+	if err := RunWorker(context.Background(), WorkerConfig{
+		Name: "w1", Client: &Client{Base: srv.URL, JitterSeed: 1, Logf: t.Logf}, Logf: t.Logf,
+		BuildProgram: func(string) (*core.Program, error) { return prog, nil },
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	requireSameStream(t, "cold adaptive fleet", localAdaptive.events, fleetAdaptive.events)
+	if fleetAdaptive.count(telemetry.EventCellExtend) == 0 {
+		t.Error("the adaptive fixture needs an extension")
 	}
 }
 
@@ -145,7 +207,15 @@ func TestFleetWarehousePreResolution(t *testing.T) {
 	if err := writerCold.Close(); err != nil {
 		t.Fatal(err)
 	}
-	totalCells := len(c.State().Cells) + len(c.State().Skips)
+	coldSt, err := c.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := core.LoadCheckpointShape(ckptCold, shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	totalCells := len(cold.Cells) + len(cold.Skips)
 	if got := cfg.Metrics.WarehouseMisses.Value(); got != uint64(totalCells) {
 		t.Errorf("cold fleet: %d warehouse misses, want %d (every cell)", got, totalCells)
 	}
@@ -184,8 +254,8 @@ func TestFleetWarehousePreResolution(t *testing.T) {
 	if got := cap.count(telemetry.EventWarehouseHit) + cap.count(telemetry.EventCellSkip); got != totalCells {
 		t.Errorf("warm fleet announced %d cells, want %d", got, totalCells)
 	}
-	if !reflect.DeepEqual(c2.State().Cells, c.State().Cells) {
-		t.Error("warm coordinator state differs from the cold fleet's")
+	if warmSt, err := c2.Wait(); err != nil || !reflect.DeepEqual(warmSt.Cells, coldSt.Cells) {
+		t.Errorf("warm coordinator study differs from the cold fleet's (%v)", err)
 	}
 	if err := writerWarm.Close(); err != nil {
 		t.Fatal(err)
